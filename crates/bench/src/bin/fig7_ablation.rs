@@ -55,19 +55,6 @@ fn main() {
             }),
         ),
         (
-            "Prerank (surrogate)",
-            // Full variant with the step-sequence surrogate prerank stage
-            // on: only the top 25% of each evolution population is lowered
-            // and featurized for the GBDT. Runs under the real telemetry
-            // handle with a suffixed task name, so trace lineage and the
-            // surrogate/op/* funnel attribute to this variant separately.
-            Box::new(|seed| {
-                let mut t = task_clone(&task);
-                t.name.push_str(":prerank");
-                run_variant_prerank(&t, trials, seed, Some(0.25), &tel)
-            }),
-        ),
-        (
             "Beam search",
             Box::new(|seed| {
                 HalideBeam::default()
@@ -183,27 +170,6 @@ fn run_variant(
         num_measure_trials: trials,
         variant,
         seed,
-        telemetry: tel.clone(),
-        ..Default::default()
-    };
-    let mut measurer = Measurer::new(task.target.clone());
-    measurer.set_telemetry(tel.clone());
-    auto_schedule(task, options, &mut measurer).history
-}
-
-/// Full variant with the surrogate prerank stage enabled.
-fn run_variant_prerank(
-    task: &SearchTask,
-    trials: usize,
-    seed: u64,
-    prerank_keep: Option<f64>,
-    tel: &telemetry::Telemetry,
-) -> Vec<TuningRecord> {
-    let options = TuningOptions {
-        num_measure_trials: trials,
-        variant: PolicyVariant::Full,
-        seed,
-        prerank_keep,
         telemetry: tel.clone(),
         ..Default::default()
     };

@@ -62,16 +62,6 @@ struct BenchReport {
     queue_waits_observed: u64,
     /// Measure-cache hits observed across the warm pass (must be > 0).
     warm_measure_hits: u64,
-    /// Cross-class transfer probe (a class the store has never tuned):
-    /// trials to reach the *cold probe's final quality*, cold vs. seeded
-    /// with the store-wide surrogate. The target is fixed to the cold
-    /// run's final best so both numbers measure the same bar; warm is
-    /// `trials + 1` if it never got there.
-    xclass_cold_trials_to_best: u64,
-    xclass_warm_trials_to_best: u64,
-    /// cold/warm trials-to-target ratio (>1 = transfer reached the cold
-    /// run's quality in fewer trials).
-    xclass_transfer_ratio: f64,
 }
 
 fn spec(seed: u64, trials: usize) -> JobSpec {
@@ -88,40 +78,6 @@ fn spec(seed: u64, trials: usize) -> JobSpec {
         prerank_keep: None,
         transfer: None,
     }
-}
-
-/// First trial at which the running best reached `target` seconds.
-fn trials_to_reach(history: &[ansor_core::TuningRecord], target: f64) -> Option<u64> {
-    history
-        .iter()
-        .find(|r| r.best_seconds <= target)
-        .map(|r| r.trial)
-}
-
-/// Tunes a class the store has never seen (GMM shape 2), optionally
-/// seeded with the store-wide surrogate, and returns the tuning history.
-fn run_xclass_probe(
-    trials: usize,
-    surrogate: Option<ansor_core::StepSequenceModel>,
-) -> Vec<ansor_core::TuningRecord> {
-    use ansor_core::{SearchTask, TuningOptions, TuningSession};
-    use hwsim::{HardwareTarget, Measurer};
-
-    let dag = ansor_workloads::build_case("GMM", 2, 1).expect("GMM shape 2 exists");
-    let target = HardwareTarget::by_name("intel").expect("intel target");
-    let task = SearchTask::new("GMM:s2b1", dag, target.clone());
-    let options = TuningOptions {
-        num_measure_trials: trials,
-        seed: 1,
-        prerank_keep: surrogate.is_some().then_some(0.25),
-        ..Default::default()
-    };
-    let mut session = TuningSession::new(task, options, Measurer::new(target), "xclass-probe");
-    if let Some(sur) = surrogate {
-        session.install_surrogate(sur);
-    }
-    session.run(|_| true);
-    session.into_result().history
 }
 
 /// Runs one pass: submit every job from `clients` concurrent connections,
@@ -244,23 +200,6 @@ fn main() {
         "warm pass never hit the shared measurement cache"
     );
 
-    // Cross-class transfer: snapshot the store-wide surrogate (trained on
-    // every absorbed GMM shape-0 job) and tune a class the store has never
-    // seen, cold vs. surrogate-seeded.
-    let store_surrogate = server.store().surrogate();
-    assert!(
-        store_surrogate.is_trained(),
-        "store surrogate untrained after {} jobs",
-        jobs * 2
-    );
-    let cold_hist = run_xclass_probe(trials, None);
-    let warm_hist = run_xclass_probe(trials, Some(store_surrogate));
-    // The bar is the cold probe's final quality; both runs are measured
-    // against it. A warm run that never gets there scores budget+1.
-    let xclass_target = cold_hist.last().expect("cold probe ran").best_seconds;
-    let xclass_cold = trials_to_reach(&cold_hist, xclass_target).expect("cold reaches own best");
-    let xclass_warm = trials_to_reach(&warm_hist, xclass_target).unwrap_or(trials as u64 + 1);
-
     // Read the daemon's own latency histograms before shutting it down.
     let snap = server_tel.live_snapshot().expect("server metrics enabled");
     let request_stats = snap
@@ -302,9 +241,6 @@ fn main() {
         queue_wait_p99_ms: queue_wait.p99,
         queue_waits_observed: queue_wait.count,
         warm_measure_hits,
-        xclass_cold_trials_to_best: xclass_cold,
-        xclass_warm_trials_to_best: xclass_warm,
-        xclass_transfer_ratio: xclass_cold as f64 / (xclass_warm as f64).max(1.0),
     };
 
     if args.tables_enabled() {
@@ -341,12 +277,6 @@ fn main() {
                     String::new(),
                     format!("{warm_measure_hits}"),
                     String::new(),
-                ],
-                vec![
-                    "xclass trials-to-best".into(),
-                    format!("{xclass_cold}"),
-                    format!("{xclass_warm}"),
-                    format!("{:.2}x", report.xclass_transfer_ratio),
                 ],
             ],
         );

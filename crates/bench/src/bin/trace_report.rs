@@ -42,9 +42,7 @@ use std::io::{Seek as _, SeekFrom, Write as _};
 
 use ansor_bench::{fmt_seconds, print_table};
 use serde::Serialize;
-use telemetry::report::{
-    self, CalibrationPoint, Efficacy, ImprovementPoint, ModelPoint, SurrogatePoint,
-};
+use telemetry::report::{self, CalibrationPoint, Efficacy, ImprovementPoint, ModelPoint};
 use telemetry::{HistogramSummary, TraceLine};
 
 /// Everything `trace-report` can print, as one serializable document
@@ -65,11 +63,6 @@ struct Report {
     operator_efficacy: BTreeMap<String, Efficacy>,
     improvements: BTreeMap<String, Vec<ImprovementPoint>>,
     calibration: Vec<CalibrationPoint>,
-    surrogate_calibration: Vec<SurrogatePoint>,
-    /// Prerank survival funnel per evolution operator:
-    /// `op -> (scored, kept)` from the `surrogate/op/*` counters. Empty
-    /// when no prerank stage ran.
-    surrogate_funnel: BTreeMap<String, (u64, u64)>,
 }
 
 impl Report {
@@ -92,26 +85,8 @@ impl Report {
             operator_efficacy: report::operator_efficacy(lines),
             improvements: report::improvements(lines),
             calibration: report::calibration(lines),
-            surrogate_calibration: report::surrogate_calibration(lines),
-            surrogate_funnel: surrogate_funnel(&report::final_counters(lines)),
         }
     }
-}
-
-/// `op -> (scored, kept)` parsed from the `surrogate/op/<op>/{scored,kept}`
-/// counters of the final snapshot.
-fn surrogate_funnel(counters: &BTreeMap<String, u64>) -> BTreeMap<String, (u64, u64)> {
-    let mut out: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for (name, &n) in counters {
-        if let Some(rest) = name.strip_prefix("surrogate/op/") {
-            if let Some(op) = rest.strip_suffix("/scored") {
-                out.entry(op.to_string()).or_default().0 = n;
-            } else if let Some(op) = rest.strip_suffix("/kept") {
-                out.entry(op.to_string()).or_default().1 = n;
-            }
-        }
-    }
-    out
 }
 
 struct Options {
@@ -623,51 +598,6 @@ fn print_explain(rep: &Report) {
             &[
                 "seq", "task", "batch", "pairs", "rank acc", "top-1", "top-8", "err p50", "err p90",
             ],
-            &rows,
-        );
-    }
-    if !rep.surrogate_calibration.is_empty() {
-        let rows: Vec<Vec<String>> = sample_rows(&rep.surrogate_calibration, 12)
-            .map(|p| {
-                vec![
-                    p.seq.to_string(),
-                    p.task.clone(),
-                    p.batch.to_string(),
-                    p.kept.to_string(),
-                    p.pairs.to_string(),
-                    format!("{:.3}", p.rank_acc),
-                    if p.top1_agree { "yes" } else { "no" }.to_string(),
-                ]
-            })
-            .collect();
-        print_table(
-            "Surrogate-vs-GBDT rank accuracy over time",
-            &["seq", "task", "batch", "kept", "pairs", "rank acc", "top-1"],
-            &rows,
-        );
-        let acc_curve: Vec<(u64, f64)> = rep
-            .surrogate_calibration
-            .iter()
-            .map(|p| (p.seq, p.rank_acc))
-            .collect();
-        println!("rank-accuracy trend: {}", sparkline(&acc_curve));
-    }
-    if !rep.surrogate_funnel.is_empty() {
-        let rows: Vec<Vec<String>> = rep
-            .surrogate_funnel
-            .iter()
-            .map(|(op, (scored, kept))| {
-                vec![
-                    op.clone(),
-                    scored.to_string(),
-                    kept.to_string(),
-                    format!("{:.1}%", 100.0 * *kept as f64 / (*scored).max(1) as f64),
-                ]
-            })
-            .collect();
-        print_table(
-            "Prerank survival funnel (per evolution operator)",
-            &["operator", "scored", "kept", "keep rate"],
             &rows,
         );
     }

@@ -105,14 +105,6 @@ pub struct ModelCheckpoint {
     /// `GbdtRound` trace events keep numbering where the killed run left
     /// off.
     pub train_passes: u64,
-    /// Step-sequence surrogate accumulators. Unlike the GBDT, the
-    /// surrogate cannot be rebuilt from `records` (those hold lowered
-    /// features, not transform steps), so its state is persisted verbatim
-    /// — internally versioned ([`crate::surrogate::SURROGATE_VERSION`])
-    /// and serde-defaulted, so legacy checkpoints load with `None` (same
-    /// compatibility pattern as [`ModelRecord::error`], no version bump).
-    #[serde(default)]
-    pub surrogate: Option<crate::surrogate::StepSequenceModel>,
 }
 
 /// Serialized state of a `TaskScheduler` (per-task policies included).
@@ -252,19 +244,6 @@ mod tests {
                         error: None,
                     }],
                     train_passes: 2,
-                    surrogate: Some({
-                        let mut s = crate::surrogate::StepSequenceModel::new();
-                        s.update(
-                            "GMM:s0b1",
-                            &[Step::Split {
-                                node: "C".into(),
-                                iter: "i".into(),
-                                lengths: vec![8],
-                            }],
-                            2e-3,
-                        );
-                        s
-                    }),
                 },
             }),
             scheduler: None,
@@ -332,12 +311,14 @@ mod tests {
     }
 
     #[test]
-    fn model_checkpoints_without_surrogate_field_still_load() {
-        // Checkpoints written before the step-sequence surrogate existed.
-        let json = r#"{"records":[],"train_passes":3}"#;
+    fn model_checkpoints_with_a_surrogate_field_still_load() {
+        // Checkpoints written while the (since removed) step-sequence
+        // surrogate existed carry its accumulators; the vendored serde
+        // ignores unknown keys, and resume depends on that.
+        let json = r#"{"records":[],"train_passes":3,"surrogate":{"version":1,"lambda":1.0,"sxx":[0.5,0.0],"sxy":[0.25,0.0],"updates":2,"task_best":[["GMM:s0b1",2e-3]]}}"#;
         let back: ModelCheckpoint = serde_json::from_str(json).unwrap();
-        assert_eq!(back.surrogate, None);
         assert_eq!(back.train_passes, 3);
+        assert!(back.records.is_empty());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! so that fast programs weigh more. A single model is shared across all
 //! tasks/DAGs.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -17,7 +18,6 @@ use gbdt::{Gbdt, GbdtParams, Matrix, SplitStrategy, TreeParams};
 use tensor_ir::{lower, State};
 
 use crate::search_task::SearchTask;
-use crate::surrogate::StepSequenceModel;
 
 /// Cached result of featurizing one state: the packed per-statement rows,
 /// or the lowering error. `Arc` so cache hits hand out a pointer instead of
@@ -59,20 +59,8 @@ pub trait CostModel: Sync {
         out
     }
 
-    /// Scores one evolution population, optionally through a staged
-    /// (surrogate → full) pipeline. Returns `(scores, kept)`:
-    ///
-    /// - `kept == None` — single-stage scoring; every state was scored by
-    ///   the full path and `scores` equals
-    ///   [`predict_refs`](CostModel::predict_refs). This is the default,
-    ///   and the only behavior when no prerank stage is configured, so the
-    ///   golden trace is untouched.
-    /// - `kept == Some(mask)` — staged scoring: `mask[i]` reports whether
-    ///   state `i` was lowered+featurized for the full model (`true`) or
-    ///   only ranked by the cheap step-sequence surrogate (`false`).
-    ///   Skipped states receive deterministic scores strictly below every
-    ///   fully-scored candidate, ordered by surrogate rank, so selection
-    ///   pressure still favors them sensibly.
+    /// Inert remnant of the removed two-stage scorer, kept only because the
+    /// frozen `e2e_bench` implements it; nothing calls or overrides it.
     fn predict_population(&self, task: &SearchTask, states: &[&State]) -> PopulationScores {
         (self.predict_refs(task, states), None)
     }
@@ -84,10 +72,7 @@ pub trait CostModel: Sync {
     fn is_trained(&self) -> bool;
 }
 
-/// Result of [`CostModel::predict_population`]: per-state scores plus an
-/// optional staged-scoring mask (`Some(mask)` iff a surrogate prerank
-/// stage ran; `mask[i]` is whether state `i` paid the full
-/// lower+featurize path).
+/// Inert remnant (see [`CostModel::predict_population`]); the mask is `None`.
 pub type PopulationScores = (Vec<f64>, Option<Vec<bool>>);
 
 /// One stored training record: an index into the model's shared
@@ -130,21 +115,11 @@ pub struct LearnedCostModel {
     /// state (not on the model), so entries survive retrains; measured
     /// states were almost always just scored, so `update` usually reuses
     /// the rows `predict` extracted. Behind an `Arc` so several models
-    /// (e.g. concurrent tuning sessions in a serving daemon) can share one
-    /// featurization cache — unlike scores, features never depend on the
-    /// model, so sharing is always transparent.
+    /// over the same DAG (e.g. same-class tuning sessions in a serving
+    /// daemon) can share one featurization cache — unlike scores, features
+    /// never depend on the model. The key is the step-list signature, so
+    /// a cache shared across DAGs serves one DAG's rows for another's.
     feature_cache: Arc<SigCache<FeatureBlock>>,
-    /// Step-sequence surrogate, trained alongside the GBDT on every
-    /// measured batch (cheap — linear in the step count, no lowering).
-    /// Only consulted when `prerank_keep` enables the staged path; kept
-    /// warm regardless so checkpoints and the serve warm store can absorb
-    /// it from any run.
-    surrogate: StepSequenceModel,
-    /// Fraction of each population kept for full lower+featurize scoring
-    /// when the surrogate pre-ranks it. `None` (the default) disables the
-    /// staged path entirely — scoring is byte-identical to the
-    /// single-stage model.
-    prerank_keep: Option<f64>,
 }
 
 impl Default for LearnedCostModel {
@@ -176,39 +151,11 @@ impl LearnedCostModel {
             telemetry: telemetry::Telemetry::disabled(),
             score_cache: SigCache::new(1 << 16),
             feature_cache: Arc::new(SigCache::new(1 << 14)),
-            surrogate: StepSequenceModel::new(),
-            prerank_keep: None,
         }
     }
 
-    /// Enables (`Some(fraction)`) or disables (`None`) the surrogate
-    /// prerank stage. The fraction is the share of each population that
-    /// pays the full lower+featurize path; it is clamped to `(0, 1]` at
-    /// use. Off by default.
-    pub fn set_prerank_keep(&mut self, keep: Option<f64>) {
-        self.prerank_keep = keep;
-    }
-
-    /// The configured prerank keep fraction (`None` = staged path off).
-    pub fn prerank_keep(&self) -> Option<f64> {
-        self.prerank_keep
-    }
-
-    /// Replaces the step-sequence surrogate — e.g. with a transferred
-    /// store-wide model for cross-class warm-starting. Subsequent
-    /// `update` calls keep training the installed model.
-    pub fn set_surrogate(&mut self, surrogate: StepSequenceModel) {
-        self.surrogate = surrogate;
-    }
-
-    /// The current step-sequence surrogate.
-    pub fn surrogate(&self) -> &StepSequenceModel {
-        &self.surrogate
-    }
-
-    /// Replaces the featurization cache with a shared one (see the field
-    /// docs: features are pure in the state, so a shared cache returns
-    /// exactly what a private recompute would).
+    /// Replaces the featurization cache with one shared by models over the
+    /// same DAG (see the field docs).
     pub fn set_feature_cache(&mut self, cache: Arc<SigCache<FeatureBlock>>) {
         self.feature_cache = cache;
     }
@@ -318,14 +265,6 @@ impl LearnedCostModel {
             .collect();
         self.model = None;
         self.score_cache.clear();
-        // The surrogate cannot be rebuilt from `ModelRecord`s (they hold
-        // lowered features, not steps), so its accumulators are persisted
-        // verbatim; legacy checkpoints without one restore untrained.
-        self.surrogate = ck
-            .surrogate
-            .clone()
-            .map(StepSequenceModel::validated)
-            .unwrap_or_default();
         if !self.records.is_empty() {
             self.retrain("checkpoint-restore");
         }
@@ -355,7 +294,6 @@ impl LearnedCostModel {
                 })
                 .collect(),
             train_passes: self.telemetry.counter_value("gbdt/train_passes"),
-            surrogate: (self.surrogate.num_updates() > 0).then(|| self.surrogate.clone()),
         }
     }
 
@@ -440,14 +378,30 @@ impl LearnedCostModel {
             .get_or_insert_with(state.signature(), || Arc::new(extract_state_matrix(state)))
     }
 
-    /// Scores one state through the signature-keyed score cache (the
-    /// shared body of `predict` and `predict_refs`).
+    /// Scores one state through the signature-keyed score cache.
     fn score_one(&self, s: &State) -> f64 {
         self.score_cache
             .get_or_insert_with(s.signature(), || match self.features_for(s).as_ref() {
                 Ok(block) => self.score_rows(block.data()),
                 Err(_) => f64::NEG_INFINITY,
             })
+    }
+
+    /// The one body of `predict` (owned states) and `predict_refs`
+    /// (borrowed): lowering + feature extraction + inference run on the
+    /// parallel runtime's worker threads behind the score cache.
+    fn score_batch<S: Borrow<State> + Sync>(&self, states: &[S]) -> Vec<f64> {
+        let _phase = self.telemetry.span("model_predict");
+        self.telemetry
+            .incr("model/predictions", states.len() as u64);
+        let (h0, m0) = self.cache_stats();
+        let f0 = self.feature_cache_stats();
+        let scores = ansor_runtime::parallel_map(states, |s| self.score_one(s.borrow()));
+        let (h1, m1) = self.cache_stats();
+        self.telemetry.incr("model/score_cache_hits", h1 - h0);
+        self.telemetry.incr("model/score_cache_misses", m1 - m0);
+        self.emit_feature_cache_deltas(f0);
+        scores
     }
 
     /// Forwards featurization-cache deltas to telemetry counters.
@@ -558,154 +512,19 @@ impl LearnedCostModel {
                 err_p90: q(0.90),
             });
     }
-
-    /// Calibrates the surrogate against the GBDT on one staged batch and
-    /// emits a `SurrogateCalibration` event: pairwise agreement between
-    /// the surrogate and GBDT orderings over the kept slice (pairs whose
-    /// GBDT scores differ), plus whether both picked the same best
-    /// candidate. Only called while tracing with the staged path active,
-    /// so prerank-off traces are byte-identical.
-    fn emit_surrogate_calibration(
-        &self,
-        task_name: &str,
-        batch: usize,
-        keep_idx: &[usize],
-        sur: &[f64],
-        full: &[f64],
-    ) {
-        let idx: Vec<usize> = (0..keep_idx.len())
-            .filter(|&s| full[s].is_finite())
-            .collect();
-        let mut pairs = 0u64;
-        let mut agree = 0u64;
-        for (a, &i) in idx.iter().enumerate() {
-            for &j in &idx[a + 1..] {
-                if full[i] == full[j] {
-                    continue; // GBDT can't rank the pair
-                }
-                pairs += 1;
-                let (si, sj) = (sur[keep_idx[i]], sur[keep_idx[j]]);
-                if (si > sj) == (full[i] > full[j]) {
-                    agree += 1;
-                }
-            }
-        }
-        let top1_full = idx
-            .iter()
-            .copied()
-            .max_by(|&a, &b| {
-                full[a]
-                    .partial_cmp(&full[b])
-                    .expect("finite scores")
-                    .then(b.cmp(&a))
-            })
-            .unwrap_or(0);
-        // Survivors are the surrogate's top slice in rank order, so slot 0
-        // is the surrogate's own top-1 pick.
-        let top1_agree = top1_full == 0;
-        self.telemetry.incr("surrogate/calibrations", 1);
-        let task = task_name.to_string();
-        let kept = keep_idx.len() as u64;
-        self.telemetry
-            .emit(move || telemetry::TraceEvent::SurrogateCalibration {
-                task,
-                batch: batch as u64,
-                kept,
-                pairs,
-                rank_acc: if pairs > 0 {
-                    agree as f64 / pairs as f64
-                } else {
-                    1.0
-                },
-                top1_agree,
-            });
-    }
 }
 
 impl CostModel for LearnedCostModel {
-    /// Predicts scores for a batch; lowering + feature extraction +
-    /// inference run on the parallel runtime's worker threads (the
-    /// evolution loop queries the model for thousands of candidates per
-    /// round, §5), behind the signature-keyed score cache. Scores are
+    /// Predicts scores for a batch (the evolution loop queries the model
+    /// for thousands of candidates per round, §5). Scores are
     /// bit-identical across thread counts.
     fn predict(&self, _task: &SearchTask, states: &[State]) -> Vec<f64> {
-        let _phase = self.telemetry.span("model_predict");
-        self.telemetry
-            .incr("model/predictions", states.len() as u64);
-        let (h0, m0) = self.cache_stats();
-        let f0 = self.feature_cache_stats();
-        let scores = ansor_runtime::parallel_map(states, |s| self.score_one(s));
-        let (h1, m1) = self.cache_stats();
-        self.telemetry.incr("model/score_cache_hits", h1 - h0);
-        self.telemetry.incr("model/score_cache_misses", m1 - m0);
-        self.emit_feature_cache_deltas(f0);
-        scores
+        self.score_batch(states)
     }
 
-    /// Zero-copy batch scoring over borrowed states: same caches, same
-    /// telemetry, same bit-identical results as
-    /// [`predict`](CostModel::predict), minus the `State` clones.
+    /// [`predict`](CostModel::predict) minus the `State` clones.
     fn predict_refs(&self, _task: &SearchTask, states: &[&State]) -> Vec<f64> {
-        let _phase = self.telemetry.span("model_predict");
-        self.telemetry
-            .incr("model/predictions", states.len() as u64);
-        let (h0, m0) = self.cache_stats();
-        let f0 = self.feature_cache_stats();
-        let scores = ansor_runtime::parallel_map(states, |s| self.score_one(s));
-        let (h1, m1) = self.cache_stats();
-        self.telemetry.incr("model/score_cache_hits", h1 - h0);
-        self.telemetry.incr("model/score_cache_misses", m1 - m0);
-        self.emit_feature_cache_deltas(f0);
-        scores
-    }
-
-    /// Staged population scoring. With `prerank_keep` unset (the default)
-    /// or the surrogate still untrained, this is exactly
-    /// [`predict_refs`](CostModel::predict_refs) — same caches, counters,
-    /// and bits. Otherwise the surrogate ranks the whole population from
-    /// step sequences alone, only the top `prerank_keep` fraction is
-    /// lowered+featurized for the GBDT, and the skipped remainder receives
-    /// deterministic below-minimum scores ordered by surrogate rank.
-    fn predict_population(&self, task: &SearchTask, states: &[&State]) -> PopulationScores {
-        let n = states.len();
-        let keep_frac = match self.prerank_keep {
-            Some(f) if self.surrogate.is_trained() && n >= 2 => f,
-            _ => return (self.predict_refs(task, states), None),
-        };
-        let sur = {
-            let _phase = self.telemetry.span("surrogate_prerank");
-            ansor_runtime::parallel_map(states, |s| self.surrogate.score(&s.steps))
-        };
-        let k = ((n as f64 * keep_frac).ceil() as usize).clamp(1, n);
-        let order = StepSequenceModel::rank_indices(&sur);
-        let keep_idx = &order[..k];
-        self.telemetry.incr("surrogate/scored", n as u64);
-        self.telemetry.incr("surrogate/kept", k as u64);
-        self.telemetry.incr("surrogate/skipped", (n - k) as u64);
-        let survivors: Vec<&State> = keep_idx.iter().map(|&i| states[i]).collect();
-        let full = self.predict_refs(task, &survivors);
-        if self.telemetry.is_tracing() {
-            self.emit_surrogate_calibration(&task.name, n, keep_idx, &sur, &full);
-        }
-        let min_full = full
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .fold(f64::INFINITY, f64::min);
-        let base = if min_full.is_finite() { min_full } else { 0.0 };
-        let mut scores = vec![0.0; n];
-        let mut kept = vec![false; n];
-        for (slot, &i) in keep_idx.iter().enumerate() {
-            scores[i] = full[slot];
-            kept[i] = true;
-        }
-        // Skipped states rank strictly below every fully-scored candidate,
-        // in surrogate order, so fitness-proportional parent selection
-        // still prefers the surrogate's better guesses among them.
-        for (rank, &i) in order[k..].iter().enumerate() {
-            scores[i] = base - 1.0 - rank as f64 * 1e-3;
-        }
-        (scores, Some(kept))
+        self.score_batch(states)
     }
 
     fn predict_per_node(&self, _task: &SearchTask, state: &State) -> HashMap<String, f64> {
@@ -774,13 +593,6 @@ impl CostModel for LearnedCostModel {
         // new batch can influence it.
         if self.telemetry.is_tracing() && self.model.is_some() {
             self.emit_calibration(&task.name, &blocks, seconds);
-        }
-        // The step-sequence surrogate trains on the same batch — pure
-        // accumulator updates in input order, no RNG, no telemetry, so
-        // keeping it warm changes nothing observable while the staged
-        // path is off.
-        for (state, &sec) in states.iter().zip(seconds) {
-            self.surrogate.update(&task.name, &state.steps, sec);
         }
         self.retrain(&task.name);
     }

@@ -105,14 +105,6 @@ pub struct EvolutionStats {
     /// Offspring successfully proposed, per sketch-rule name (each
     /// offspring counts once for every rule in its derivation chain).
     pub proposed_by_rule: BTreeMap<String, u64>,
-    /// Candidates scored by the surrogate prerank stage (0 when the model
-    /// has no prerank stage, i.e. prerank is off).
-    pub prerank_scored: u64,
-    /// Candidates that survived prerank and were scored by the full model.
-    pub prerank_kept: u64,
-    /// Per-operator prerank survival funnel: `[scored, kept]` keyed by the
-    /// candidate's generating operator.
-    pub prerank_by_op: BTreeMap<&'static str, [u64; 2]>,
 }
 
 /// One lane's serially pre-drawn breeding decision: which parent(s) the
@@ -257,25 +249,7 @@ fn evolve(
 
     for gen in 0..=cfg.generations {
         let state_refs: Vec<&State> = population.iter().map(|p| &p.state).collect();
-        // Staged scoring: models with an active prerank stage return a
-        // survivor mask alongside the scores; plain models (including
-        // prerank-off LearnedCostModel and RandomModel) return None and
-        // this path is byte-identical to calling `predict_refs` directly.
-        let (scores, kept) = model.predict_population(task, &state_refs);
-        if let Some(kept) = &kept {
-            stats.prerank_scored += kept.len() as u64;
-            for (ind, &k) in population.iter().zip(kept.iter()) {
-                let e = stats
-                    .prerank_by_op
-                    .entry(ind.lineage.op.name())
-                    .or_insert([0; 2]);
-                e[0] += 1;
-                if k {
-                    e[1] += 1;
-                    stats.prerank_kept += 1;
-                }
-            }
-        }
+        let scores = model.predict_refs(task, &state_refs);
         for (ind, &score) in population.iter().zip(&scores) {
             if !score.is_finite() {
                 continue;

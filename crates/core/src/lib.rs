@@ -15,7 +15,6 @@ pub mod search_policy;
 pub mod search_task;
 pub mod session;
 pub mod sketch;
-pub mod surrogate;
 pub mod task_scheduler;
 
 pub use annotate::{sample_program, AnnotationConfig, AnnotationHint};
@@ -41,7 +40,6 @@ pub use sketch::{
     generate_sketches, generate_sketches_full, generate_sketches_with_rules, RuleSet, Sketch,
     SketchRule,
 };
-pub use surrogate::{StepSequenceModel, SURROGATE_VERSION};
 pub use task_scheduler::{
     Objective, SchedulerRecord, Strategy, TaskScheduler, TaskSchedulerConfig, TuneTask,
 };

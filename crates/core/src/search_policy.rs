@@ -101,12 +101,6 @@ pub struct TuningOptions {
     pub variant: PolicyVariant,
     /// RNG seed.
     pub seed: u64,
-    /// Surrogate prerank: fraction of each evolution population that
-    /// survives the step-sequence surrogate and is scored by the full
-    /// (lower + featurize + GBDT) model. `None` (the default) disables the
-    /// stage entirely — the search path is then byte-identical to builds
-    /// without a surrogate.
-    pub prerank_keep: Option<f64>,
     /// Observability handle; disabled by default (zero overhead). The task
     /// scheduler clones options per task, so a handle set here propagates
     /// to every policy it creates.
@@ -124,7 +118,6 @@ impl Default for TuningOptions {
             evolution: EvolutionConfig::default(),
             variant: PolicyVariant::Full,
             seed: 0,
-            prerank_keep: None,
             telemetry: telemetry::Telemetry::disabled(),
         }
     }
@@ -457,15 +450,6 @@ impl SketchPolicy {
                     for (rule, n) in &stats.proposed_by_rule {
                         tally.rules.entry(rule.clone()).or_default()[EfficacyTally::PROPOSED] += n;
                     }
-                    // Per-operator prerank survival funnel. Counters exist
-                    // only when the surrogate stage actually ran, so
-                    // prerank-off traces carry no surrogate/op/* keys.
-                    if stats.prerank_scored > 0 {
-                        for (op, [scored, kept]) in &stats.prerank_by_op {
-                            tel.incr(&format!("surrogate/op/{op}/scored"), *scored);
-                            tel.incr(&format!("surrogate/op/{op}/kept"), *kept);
-                        }
-                    }
                 }
                 candidates
             }
@@ -779,7 +763,6 @@ pub fn auto_schedule(
 ) -> TuningResult {
     let mut model = LearnedCostModel::new();
     model.set_telemetry(options.telemetry.clone());
-    model.set_prerank_keep(options.prerank_keep);
     auto_schedule_with_model(task, options, measurer, &mut model)
 }
 

@@ -15,8 +15,10 @@
 //! [`TuningSession::share_feature_cache`]) does not change any session's
 //! results — both caches hold values that are pure in the state (and the
 //! measurer's fixed configuration), so a hit returns exactly what a cold
-//! recompute would. The *score* cache is deliberately per-session: scores
-//! depend on the session's own model.
+//! recompute would — provided the sessions tune the *same DAG*: both are
+//! keyed by `State::signature()`, which hashes the transform steps only.
+//! The *score* cache is deliberately per-session: scores depend on the
+//! session's own model.
 
 use std::sync::Arc;
 
@@ -116,11 +118,9 @@ impl TuningSession {
         fingerprint: impl Into<String>,
     ) -> TuningSession {
         let tel = options.telemetry.clone();
-        let prerank_keep = options.prerank_keep;
         let policy = SketchPolicy::new(task, options);
         let mut model = LearnedCostModel::new();
         model.set_telemetry(tel);
-        model.set_prerank_keep(prerank_keep);
         TuningSession {
             policy,
             model,
@@ -147,17 +147,10 @@ impl TuningSession {
         self.measurer.set_result_cache(cache);
     }
 
-    /// Shares a featurization cache with this session.
+    /// Shares a featurization cache with this session. Only share between
+    /// sessions over the same DAG (see the module docs).
     pub fn share_feature_cache(&mut self, cache: Arc<SigCache<FeatureBlock>>) {
         self.model.set_feature_cache(cache);
-    }
-
-    /// Installs a pre-trained step-sequence surrogate (the cross-class
-    /// transfer path — e.g. the serve warm store's store-wide surrogate).
-    /// Only consulted when a prerank fraction is configured; *not* on the
-    /// bit-identity path, like [`TuningSession::warm_start`].
-    pub fn install_surrogate(&mut self, surrogate: crate::surrogate::StepSequenceModel) {
-        self.model.set_surrogate(surrogate);
     }
 
     /// Runs one tuning round; returns the number of new measurements (0

@@ -16,7 +16,7 @@ use ansor_core::{single_fingerprint, single_task_name};
 use serde::{Deserialize, Serialize};
 
 /// Protocol version, reported by `stats`. Bump on incompatible changes.
-pub const PROTOCOL_VERSION: u64 = 1;
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Maximum accepted request/response line length, newline included.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
@@ -56,15 +56,10 @@ pub struct JobSpec {
     /// fingerprint and class key, so overridden jobs occupy their own
     /// warm-store class. Defaults to the server's fault spec.
     pub faults: Option<String>,
-    /// Surrogate prerank fraction for this job (see
-    /// `TuningOptions::prerank_keep`). Defaults to off, or to 0.25 when
-    /// `transfer` is set without an explicit fraction.
+    /// Reserved (selected the removed surrogate prerank stage; the frozen
+    /// `e2e_bench` still names it): `submit` rejects a spec that sets it.
     pub prerank_keep: Option<f64>,
-    /// Opt-in cross-class transfer: install the store-wide step-sequence
-    /// surrogate (trained on every completed job, across class keys) and
-    /// enable prerank. Off the bit-identity path, like `warm_start` — but
-    /// unlike `warm_start` it helps even when no store entry matches this
-    /// job's class key. Defaults to off.
+    /// Reserved like [`JobSpec::prerank_keep`] (was: cross-class transfer).
     pub transfer: Option<bool>,
 }
 
@@ -195,9 +190,6 @@ pub struct JobCounters {
     /// Programs quarantined by the search policy (`search/quarantined`).
     #[serde(default)]
     pub quarantined: u64,
-    /// Candidates skipped by the surrogate prerank (`surrogate/skipped`).
-    #[serde(default)]
-    pub surrogate_skipped: u64,
     /// Seconds spent per top-level phase (`phase/<name>` histogram sums;
     /// nested phases fold into their root).
     #[serde(default)]
@@ -275,8 +267,6 @@ pub struct ServerStats {
     pub store_bytes: u64,
     /// Warm-store entries evicted by byte-budget compaction so far.
     pub store_evictions: u64,
-    /// Training updates absorbed into the store-wide transfer surrogate.
-    pub surrogate_updates: u64,
     /// Whether the server is draining (shutdown requested).
     pub draining: bool,
     /// Measurement trials consumed by all finished jobs; equals the sum
@@ -440,7 +430,7 @@ mod tests {
 
     #[test]
     fn legacy_spec_json_without_new_fields_parses() {
-        // Specs written by pre-transfer clients omit the override fields.
+        // Specs written by older clients omit the override fields.
         let line = r#"{"op":"GMM","shape":0,"batch":1,"target":"intel","trials":64,"seed":7}"#;
         let s: JobSpec = serde_json::from_str(line).unwrap();
         assert_eq!(s, spec());

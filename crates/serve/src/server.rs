@@ -18,7 +18,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -36,10 +36,6 @@ use crate::proto::{
     Request, Response, ServerStats, TraceChunk, PROTOCOL_VERSION,
 };
 use crate::store::WarmStore;
-
-/// Prerank fraction used when a job opts into `transfer` without naming
-/// an explicit `prerank_keep`.
-const DEFAULT_TRANSFER_PRERANK_KEEP: f64 = 0.25;
 
 /// Raw bytes per `trace` response chunk. Sized so the enclosing response
 /// line stays under [`crate::proto::MAX_LINE_BYTES`] even after JSON
@@ -185,6 +181,8 @@ struct Shared {
     /// The job journal (the daemon's flight recorder); `None` when
     /// neither a journal path nor a store path was configured.
     journal: Option<Mutex<JobJournal>>,
+    /// Where a stopping daemon connects to wake its own accept loop.
+    wake_addr: SocketAddr,
 }
 
 impl Shared {
@@ -202,10 +200,6 @@ impl Shared {
         tel.gauge_set("serve/store_records", self.store.record_count() as f64);
         tel.gauge_set("serve/store_bytes", self.store.resident_bytes() as f64);
         tel.gauge_set("serve/store_evictions", self.store.eviction_count() as f64);
-        tel.gauge_set(
-            "serve/surrogate_updates",
-            self.store.surrogate_updates() as f64,
-        );
         tel.gauge_set("serve/trials_total", t.trials_total as f64);
     }
 
@@ -241,7 +235,7 @@ impl Shared {
 /// [`Server::wait`].
 pub struct Server {
     shared: Arc<Shared>,
-    local_addr: std::net::SocketAddr,
+    local_addr: SocketAddr,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -311,9 +305,13 @@ impl Server {
         let listener =
             TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
         let local_addr = listener.local_addr().map_err(|e| e.to_string())?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
+        let mut wake_addr = local_addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
 
         let shared = Arc::new(Shared {
             cfg,
@@ -325,6 +323,7 @@ impl Server {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             journal,
+            wake_addr,
         });
         let mut threads = Vec::new();
         for i in 0..workers {
@@ -353,14 +352,8 @@ impl Server {
     }
 
     /// The bound address (resolves port 0).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
+    pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// The shared warm store (read access for benchmarks and tests — e.g.
-    /// snapshotting the transfer surrogate after a batch of jobs).
-    pub fn store(&self) -> &WarmStore {
-        &self.shared.store
     }
 
     /// Initiates shutdown: with `drain`, queued and running jobs finish
@@ -410,10 +403,16 @@ fn initiate_shutdown(shared: &Arc<Shared>, drain: bool) {
 
 /// If the server is draining and idle, flips to a full stop.
 fn maybe_stop(shared: &Arc<Shared>, t: &mut JobTable) {
-    if t.draining && t.queue.is_empty() && t.active == 0 {
+    if t.draining && t.queue.is_empty() && t.active == 0 && !t.stop {
         t.stop = true;
         shared.work_cv.notify_all();
         shared.done_cv.notify_all();
+        // The accept loop blocks in `accept` (a timer there would wake an
+        // idle daemon fifty times a second, next to a running session); a
+        // throw-away connection is what makes it look at `stop`. The
+        // kernel completes it against the listen backlog, so holding the
+        // job table here cannot deadlock.
+        let _ = TcpStream::connect(shared.wake_addr);
     }
 }
 
@@ -595,7 +594,6 @@ fn job_counters(before: &Option<Snapshot>, after: &Option<Snapshot>) -> JobCount
         fault_retries: c("measure/retries"),
         fault_gave_up: c("measure/gave_up"),
         quarantined: c("search/quarantined"),
-        surrogate_skipped: c("surrogate/skipped"),
         phase_seconds: d
             .histograms
             .iter()
@@ -664,17 +662,12 @@ fn run_job(
         None => None,
     };
     ansor_runtime::set_threads(spec.threads.unwrap_or(shared.cfg.threads));
-    let transfer = spec.transfer == Some(true);
-    let prerank_keep = spec
-        .prerank_keep
-        .or_else(|| transfer.then_some(DEFAULT_TRANSFER_PRERANK_KEEP));
     let (job_tel, trace_file) = job_telemetry(shared, id);
     let shared_tel = shared.cfg.telemetry.clone();
     let task = SearchTask::new(spec.task_name(), dag.clone(), target.clone());
     let options = TuningOptions {
         num_measure_trials: spec.trials,
         seed: spec.seed,
-        prerank_keep,
         telemetry: job_tel.clone(),
         ..Default::default()
     };
@@ -687,16 +680,10 @@ fn run_job(
 
     let class = spec.class_key(faults);
     session.share_measure_cache(shared.store.measure_cache(&class));
-    session.share_feature_cache(shared.store.feature_cache());
+    session.share_feature_cache(shared.store.feature_cache(&class));
     if spec.warm_start == Some(true) {
         let records = shared.store.records_for(&class);
         session.warm_start(&records);
-    }
-    if transfer {
-        // Cross-class transfer: start from the store-wide surrogate
-        // (trained on every completed job, whatever its class key) so the
-        // prerank stage is informed from trial one.
-        session.install_surrogate(shared.store.surrogate());
     }
 
     let before = session.cache_stats();
@@ -786,22 +773,19 @@ fn run_job(
 
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     loop {
-        {
-            let t = shared.jobs.lock().expect("job table lock poisoned");
-            if t.stop {
-                return;
-            }
+        let accepted = listener.accept();
+        if shared.jobs.lock().expect("job table lock poisoned").stop {
+            // Woken by `maybe_stop` (or a client that raced it): hang up.
+            return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 let sh = Arc::clone(shared);
                 let _ = std::thread::Builder::new()
                     .name("serve-conn".into())
                     .spawn(move || handle_connection(&sh, stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            // Out of descriptors, an aborted handshake: back off, retry.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
@@ -962,10 +946,11 @@ fn handle_submit(shared: &Arc<Shared>, req: &Request) -> Response {
             return Response::failure(req.id, format!("bad fault spec: {e}"));
         }
     }
-    if let Some(k) = spec.prerank_keep {
-        if !(k > 0.0 && k <= 1.0) {
-            return Response::failure(req.id, "prerank_keep must be in (0, 1]");
-        }
+    if spec.prerank_keep.is_some() || spec.transfer.is_some() {
+        return Response::failure(
+            req.id,
+            "prerank_keep/transfer: the surrogate prerank stage was removed (protocol 2); drop the field",
+        );
     }
     let mut t = shared.jobs.lock().expect("job table lock poisoned");
     if t.draining {
@@ -1117,7 +1102,6 @@ fn handle_stats(shared: &Arc<Shared>, req: &Request) -> Response {
         store_records: shared.store.record_count() as u64,
         store_bytes: shared.store.resident_bytes(),
         store_evictions: shared.store.eviction_count(),
-        surrogate_updates: shared.store.surrogate_updates(),
         draining: t.draining,
         trials_total: t.trials_total,
     });

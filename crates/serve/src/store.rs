@@ -6,14 +6,15 @@
 //! work already done. Three layers, by sharing safety (see the
 //! determinism notes in `ansor_core::session`):
 //!
-//! - **Measurement caches**, one per *workload class* (operator, shape,
-//!   batch, target, fault spec — everything that determines a measurement
-//!   except the seed). Sharing across seeds is determinism-transparent: a
-//!   hit returns exactly what a cold measurement of the same program
-//!   would. Caches are keyed per class so signatures from different DAGs
-//!   or fault configurations can never collide.
-//! - **One featurization cache** for the whole store: features are pure in
-//!   the program alone.
+//! - **Measurement and featurization caches**, one pair per *workload
+//!   class* (operator, shape, batch, target, fault spec — everything that
+//!   determines a measurement except the seed). Both are keyed by
+//!   `State::signature()`, which hashes the transform steps only, so the
+//!   same step list on two shapes of one operator has one signature but
+//!   different features and seconds: a cache may only be shared inside a
+//!   class. There, sharing across seeds is determinism-transparent — a
+//!   hit returns exactly what a cold measurement or featurization of the
+//!   same program would.
 //! - **Tuning records** per class, persisted as the store file and used
 //!   both to re-prime the measurement caches after a restart (each record
 //!   is replayed to its program signature) and to warm-start jobs that opt
@@ -28,7 +29,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ansor_core::{FeatureBlock, StepSequenceModel, TuningRecordLog};
+use ansor_core::{FeatureBlock, TuningRecordLog};
 use ansor_runtime::SigCache;
 use ansor_workloads::build_case;
 use hwsim::MeasureResult;
@@ -42,7 +43,7 @@ pub const STORE_VERSION: u32 = 1;
 /// Per-class measurement-cache capacity (entries).
 const MEASURE_CACHE_CAPACITY: usize = 1 << 15;
 
-/// Store-wide featurization-cache capacity (entries).
+/// Per-class featurization-cache capacity (entries).
 const FEATURE_CACHE_CAPACITY: usize = 1 << 15;
 
 /// Records retained per class entry; oldest are dropped beyond this.
@@ -82,12 +83,6 @@ pub struct StoreEntry {
 struct StoreFile {
     version: u32,
     entries: Vec<StoreEntry>,
-    /// Store-wide step-sequence surrogate, trained on every absorbed
-    /// record across class keys (the cross-class transfer model).
-    /// Defaulted so stores written before the surrogate existed still
-    /// load.
-    #[serde(default)]
-    surrogate: Option<StepSequenceModel>,
 }
 
 /// Summary of what [`WarmStore::open`] found on disk.
@@ -103,17 +98,19 @@ pub struct StoreLoadStats {
     pub replay_failures: usize,
 }
 
+/// The signature-keyed caches of one workload class.
+#[derive(Debug, Clone)]
+struct ClassCaches {
+    measure: Arc<SigCache<MeasureResult>>,
+    features: Arc<SigCache<FeatureBlock>>,
+}
+
 /// The shared warm store: caches plus persisted records.
 #[derive(Debug)]
 pub struct WarmStore {
     path: Option<PathBuf>,
     entries: Mutex<BTreeMap<String, StoreEntry>>,
-    measure_caches: Mutex<HashMap<String, Arc<SigCache<MeasureResult>>>>,
-    feature_cache: Arc<SigCache<FeatureBlock>>,
-    /// Store-wide step-sequence surrogate, trained on every absorbed
-    /// record (across class keys) and handed to jobs that opt into
-    /// cross-class transfer.
-    surrogate: Mutex<StepSequenceModel>,
+    caches: Mutex<HashMap<String, ClassCaches>>,
     /// Cached serialized byte size per entry (updated on absorb/evict),
     /// so the compaction check and the `store_bytes` gauge never
     /// re-serialize the whole store.
@@ -137,9 +134,7 @@ impl WarmStore {
         WarmStore {
             path: None,
             entries: Mutex::new(BTreeMap::new()),
-            measure_caches: Mutex::new(HashMap::new()),
-            feature_cache: Arc::new(SigCache::new(FEATURE_CACHE_CAPACITY)),
-            surrogate: Mutex::new(StepSequenceModel::new()),
+            caches: Mutex::new(HashMap::new()),
             entry_bytes: Mutex::new(BTreeMap::new()),
             byte_budget: AtomicU64::new(0),
             clock: AtomicU64::new(1),
@@ -173,9 +168,6 @@ impl WarmStore {
                 path.display(),
                 file.version
             ));
-        }
-        if let Some(sur) = file.surrogate {
-            *store.surrogate.lock().expect("store lock poisoned") = sur.validated();
         }
         let mut max_tick = 0;
         for entry in file.entries {
@@ -237,22 +229,30 @@ impl WarmStore {
         (primed, failed)
     }
 
-    /// The measurement cache for a workload class, created on first use.
-    /// Only sessions of the same class (same `JobSpec::class_key`) may
-    /// share it — the key pins target and fault configuration, which is
-    /// exactly the condition `Measurer::set_result_cache` requires.
-    pub fn measure_cache(&self, class_key: &str) -> Arc<SigCache<MeasureResult>> {
-        let mut caches = self.measure_caches.lock().expect("store lock poisoned");
-        Arc::clone(
-            caches
-                .entry(class_key.to_string())
-                .or_insert_with(|| Arc::new(SigCache::new(MEASURE_CACHE_CAPACITY))),
-        )
+    /// The caches of a workload class, created on first use.
+    fn class_caches(&self, class_key: &str) -> ClassCaches {
+        let mut caches = self.caches.lock().expect("store lock poisoned");
+        caches
+            .entry(class_key.to_string())
+            .or_insert_with(|| ClassCaches {
+                measure: Arc::new(SigCache::new(MEASURE_CACHE_CAPACITY)),
+                features: Arc::new(SigCache::new(FEATURE_CACHE_CAPACITY)),
+            })
+            .clone()
     }
 
-    /// The store-wide featurization cache.
-    pub fn feature_cache(&self) -> Arc<SigCache<FeatureBlock>> {
-        Arc::clone(&self.feature_cache)
+    /// The measurement cache for a workload class. Only sessions of the
+    /// same class (same `JobSpec::class_key`) may share it — the key pins
+    /// DAG, target and fault configuration, which is exactly the condition
+    /// `Measurer::set_result_cache` requires.
+    pub fn measure_cache(&self, class_key: &str) -> Arc<SigCache<MeasureResult>> {
+        self.class_caches(class_key).measure
+    }
+
+    /// The featurization cache for a workload class (features are pure in
+    /// the program, and a signature names a program only within one DAG).
+    pub fn feature_cache(&self, class_key: &str) -> Arc<SigCache<FeatureBlock>> {
+        self.class_caches(class_key).features
     }
 
     /// Stored tuning records for a class (for opt-in warm starts). Counts
@@ -304,14 +304,14 @@ impl WarmStore {
         entry.last_used = tick;
         let mut seen: std::collections::HashSet<u64> =
             entry.records.iter().map(steps_hash).collect();
-        let mut absorbed: Vec<&TuningRecordLog> = Vec::new();
+        let mut absorbed = 0;
         for r in log {
             if entry.records.len() >= MAX_RECORDS_PER_ENTRY {
                 break;
             }
             if seen.insert(steps_hash(r)) {
                 entry.records.push(r.clone());
-                absorbed.push(r);
+                absorbed += 1;
             }
             if r.is_valid() {
                 // (not `map_or`/`is_none_or`: the latter postdates the MSRV)
@@ -324,16 +324,6 @@ impl WarmStore {
                 }
             }
         }
-        // Train the store-wide transfer surrogate on the newly absorbed
-        // (deduplicated) records only, so re-running the same job doesn't
-        // double-weight its programs.
-        {
-            let mut sur = self.surrogate.lock().expect("store lock poisoned");
-            for r in &absorbed {
-                sur.update(&r.task, &r.steps, r.seconds);
-            }
-        }
-        let absorbed_count = absorbed.len();
         let entry_json = serde_json::to_string(&*entry).expect("store entry serializes");
         self.entry_bytes
             .lock()
@@ -341,7 +331,7 @@ impl WarmStore {
             .insert(key.clone(), entry_json.len() as u64);
         drop(entries);
         self.compact(&key);
-        absorbed_count
+        absorbed
     }
 
     /// Evicts least-recently-used entries (never `keep_key`, the entry the
@@ -377,10 +367,10 @@ impl WarmStore {
                 .lock()
                 .expect("store lock poisoned")
                 .remove(&victim);
-            // Drop the class's measurement cache too: with the records
-            // gone it can no longer be re-primed after a restart, and
-            // keeping it would hold the evicted memory live.
-            self.measure_caches
+            // Drop the class's caches too: with the records gone the
+            // measurement cache can no longer be re-primed after a restart,
+            // and keeping them would hold the evicted memory live.
+            self.caches
                 .lock()
                 .expect("store lock poisoned")
                 .remove(&victim);
@@ -407,19 +397,6 @@ impl WarmStore {
     /// Entries evicted by byte-budget compaction in this process.
     pub fn eviction_count(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the store-wide transfer surrogate.
-    pub fn surrogate(&self) -> StepSequenceModel {
-        self.surrogate.lock().expect("store lock poisoned").clone()
-    }
-
-    /// Training updates absorbed into the store-wide surrogate.
-    pub fn surrogate_updates(&self) -> u64 {
-        self.surrogate
-            .lock()
-            .expect("store lock poisoned")
-            .num_updates()
     }
 
     /// Number of class entries.
@@ -451,14 +428,9 @@ impl WarmStore {
             .values()
             .cloned()
             .collect();
-        let surrogate = {
-            let sur = self.surrogate.lock().expect("store lock poisoned");
-            (sur.num_updates() > 0).then(|| sur.clone())
-        };
         let file = StoreFile {
             version: STORE_VERSION,
             entries,
-            surrogate,
         };
         let json = serde_json::to_string(&file).expect("store serializes");
         let tmp = path.with_extension("tmp");
@@ -597,33 +569,27 @@ mod tests {
     }
 
     #[test]
-    fn surrogate_survives_save_and_reopen() {
+    fn store_files_with_a_surrogate_key_still_load() {
+        // Version-1 stores written while the (since removed) store-wide
+        // step-sequence surrogate existed carry its accumulators next to
+        // the entries. The vendored serde ignores unknown keys; an operator
+        // must not have to move a store aside over a dropped field.
         let dir = std::env::temp_dir().join(format!("ansor-store-s-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store.json");
-        let _ = std::fs::remove_file(&path);
-
-        let (store, _) = WarmStore::open(&path).unwrap();
-        let s = spec();
-        let log: Vec<TuningRecordLog> = (0..12)
-            .map(|i| record_with_steps(i, 1e-3 * (i + 1) as f64, i as i64 + 1))
-            .collect();
-        store.absorb(&s, "none", &log);
-        assert_eq!(store.surrogate_updates(), 12);
+        std::fs::write(
+            &path,
+            r#"{"version":1,"entries":[{"key":"k","op":"GMM","shape":0,"batch":1,"target":"intel","faults":"none","best_seconds":2e-3,"jobs_absorbed":1,"records":[],"last_used":4}],"surrogate":{"version":1,"lambda":1.0,"sxx":[0.5,0.0],"sxy":[0.25,0.0],"updates":2,"task_best":[["GMM:s0b1",2e-3]]}}"#,
+        )
+        .unwrap();
+        let (store, stats) = WarmStore::open(&path).unwrap();
+        assert_eq!(stats.entries, 1);
+        assert_eq!(store.best_seconds_for("k"), Some(2e-3));
+        // …and the next save simply drops the key.
         store.save().unwrap();
-
-        let (reopened, _) = WarmStore::open(&path).unwrap();
-        assert_eq!(reopened.surrogate_updates(), 12);
-        let probe = vec![tensor_ir::Step::Split {
-            node: "C".into(),
-            iter: "i".into(),
-            lengths: vec![4],
-        }];
-        assert_eq!(
-            store.surrogate().score(&probe).to_bits(),
-            reopened.surrogate().score(&probe).to_bits(),
-            "persisted surrogate must score bit-identically"
-        );
+        assert!(!std::fs::read_to_string(&path)
+            .unwrap()
+            .contains("surrogate"));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -172,7 +172,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
             store_records: 17,
             store_bytes: 4096,
             store_evictions: 0,
-            surrogate_updates: 17,
             draining,
             trials_total: done as u64 * 64,
         },

@@ -181,8 +181,17 @@ fn invalid_specs_are_rejected_at_submit() {
     assert!(c.submit(bad).unwrap_err().contains("unknown target"));
     let bad = spec(0, 0);
     assert!(c.submit(bad).unwrap_err().contains("trials"));
+    // The two reserved fields select nothing any more: setting either is
+    // an error that says so, not a silently different job.
+    let mut bad = spec(0, 64);
+    bad.prerank_keep = Some(0.25);
+    assert!(c.submit(bad).unwrap_err().contains("was removed"));
+    let mut bad = spec(0, 64);
+    bad.transfer = Some(false);
+    assert!(c.submit(bad).unwrap_err().contains("was removed"));
     let stats = c.stats().expect("stats");
     assert_eq!(stats.jobs_submitted, 0);
+    assert_eq!(stats.protocol_version, 2);
     server.shutdown(true);
     server.wait();
 }
@@ -222,6 +231,19 @@ fn immediate_shutdown_cancels_everything() {
     let rb = c.wait(&b).expect("wait");
     assert_eq!(rb.state, "cancelled");
     assert!(ra.state == "cancelled" || ra.state == "done");
+    server.wait();
+}
+
+#[test]
+fn an_idle_daemon_on_the_wildcard_address_stops() {
+    // The accept loop blocks in `accept`; stopping wakes it with a
+    // connection to the listener, which for 0.0.0.0 must go to loopback.
+    let server = Server::start(ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        ..Default::default()
+    })
+    .expect("server starts");
+    server.shutdown(true);
     server.wait();
 }
 

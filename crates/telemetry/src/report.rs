@@ -145,7 +145,6 @@ pub fn event_counts(lines: &[TraceLine]) -> BTreeMap<&'static str, u64> {
             TraceEvent::ImprovementAttributed { .. } => "ImprovementAttributed",
             TraceEvent::OperatorStats { .. } => "OperatorStats",
             TraceEvent::ModelCalibration { .. } => "ModelCalibration",
-            TraceEvent::SurrogateCalibration { .. } => "SurrogateCalibration",
             TraceEvent::PhaseProfile { .. } => "PhaseProfile",
             TraceEvent::TuningFinished { .. } => "TuningFinished",
         };
@@ -288,45 +287,6 @@ pub fn calibration(lines: &[TraceLine]) -> Vec<CalibrationPoint> {
                 err_p10: *err_p10,
                 err_p50: *err_p50,
                 err_p90: *err_p90,
-            }),
-            _ => None,
-        })
-        .collect()
-}
-
-/// One `SurrogateCalibration` observation, in trace order.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SurrogatePoint {
-    pub seq: u64,
-    pub task: String,
-    pub batch: u64,
-    pub kept: u64,
-    pub pairs: u64,
-    pub rank_acc: f64,
-    pub top1_agree: bool,
-}
-
-/// Surrogate-vs-GBDT calibration over the run: every staged-scoring batch
-/// in order. Empty when no prerank stage was active.
-pub fn surrogate_calibration(lines: &[TraceLine]) -> Vec<SurrogatePoint> {
-    lines
-        .iter()
-        .filter_map(|l| match &l.event {
-            TraceEvent::SurrogateCalibration {
-                task,
-                batch,
-                kept,
-                pairs,
-                rank_acc,
-                top1_agree,
-            } => Some(SurrogatePoint {
-                seq: l.seq,
-                task: task.clone(),
-                batch: *batch,
-                kept: *kept,
-                pairs: *pairs,
-                rank_acc: *rank_acc,
-                top1_agree: *top1_agree,
             }),
             _ => None,
         })
@@ -530,29 +490,5 @@ mod tests {
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].batch, 8);
         assert_eq!(points[1].pairs, 48);
-    }
-
-    #[test]
-    fn surrogate_calibration_points_in_trace_order() {
-        let cal = |seq, batch, kept, rank_acc| {
-            line(
-                seq,
-                TraceEvent::SurrogateCalibration {
-                    task: "a".into(),
-                    batch,
-                    kept,
-                    pairs: kept * (kept - 1) / 2,
-                    rank_acc,
-                    top1_agree: rank_acc > 0.7,
-                },
-            )
-        };
-        let lines = vec![cal(0, 128, 32, 0.6), cal(1, 128, 32, 0.85)];
-        let points = surrogate_calibration(&lines);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].kept, 32);
-        assert!(!points[0].top1_agree);
-        assert!(points[1].top1_agree);
-        assert_eq!(event_counts(&lines)["SurrogateCalibration"], 2);
     }
 }

@@ -125,22 +125,6 @@ pub enum TraceEvent {
         err_p50: f64,
         err_p90: f64,
     },
-    /// Calibration of the step-sequence surrogate against the full GBDT on
-    /// one staged (pre-ranked) evolution population: `batch` candidates were
-    /// surrogate-scored, the top `kept` were lowered+featurized for the
-    /// GBDT, and `rank_acc` is the pairwise agreement between the surrogate
-    /// and GBDT orderings over the kept slice (pairs whose GBDT scores
-    /// differ; `pairs` counts them). `top1_agree` is whether both models
-    /// picked the same best candidate. Only emitted while a surrogate
-    /// prerank stage is active, so prerank-off traces are byte-identical.
-    SurrogateCalibration {
-        task: String,
-        batch: u64,
-        kept: u64,
-        pairs: u64,
-        rank_acc: f64,
-        top1_agree: bool,
-    },
     /// Point-in-time dump of the metrics registry (counters, gauges, phase
     /// timers). Emitted by `Telemetry::flush`. Contains wall-clock data.
     PhaseProfile { snapshot: MetricsSnapshot },
@@ -327,14 +311,6 @@ mod tests {
                 err_p50: 0.08,
                 err_p90: 0.33,
             },
-            TraceEvent::SurrogateCalibration {
-                task: "conv2d".into(),
-                batch: 128,
-                kept: 32,
-                pairs: 496,
-                rank_acc: 0.81,
-                top1_agree: true,
-            },
         ]
     }
 
@@ -352,7 +328,7 @@ mod tests {
         }
         let (lines, skipped) = read_trace(text.as_bytes()).unwrap();
         assert_eq!(skipped, 0);
-        assert_eq!(lines.len(), 11);
+        assert_eq!(lines.len(), sample_events().len());
         assert_eq!(lines[0].seq, 0);
         match &lines[3].event {
             TraceEvent::MeasureBatch {
@@ -399,5 +375,21 @@ mod tests {
         let (lines, skipped) = read_trace(text.as_bytes()).unwrap();
         assert_eq!(lines.len(), 2);
         assert_eq!(skipped, 2);
+    }
+
+    #[test]
+    fn events_of_removed_kinds_are_skipped_not_fatal() {
+        // Traces recorded while the two-stage scorer existed carry
+        // `SurrogateCalibration` lines; the variant is gone, the files are
+        // not.
+        let text = concat!(
+            r#"{"event":{"RoundStart":{"task":"t","round":0,"trials_so_far":0}},"seq":0,"t_ms":0.0}"#,
+            "\n",
+            r#"{"event":{"SurrogateCalibration":{"task":"t","batch":128,"kept":32,"pairs":496,"rank_acc":0.81,"top1_agree":true}},"seq":1,"t_ms":1.0}"#,
+            "\n",
+        );
+        let (lines, skipped) = read_trace(text.as_bytes()).unwrap();
+        assert_eq!(lines.len(), 1);
+        assert_eq!(skipped, 1);
     }
 }

@@ -14,6 +14,7 @@
 //! serve-smoke job parses it) and exits non-zero on any server-reported
 //! error.
 
+use ansor::parse_flag;
 use ansor_serve::proto::encode;
 use ansor_serve::{Client, JobSpec};
 
@@ -39,7 +40,7 @@ fn usage() -> ! {
          \n\
          \x20  ansor-client [--addr ADDR] submit --op OP [--shape N] [--batch N]\n\
          \x20               [--target T] [--trials N] [--seed N] [--warm-start] [--wait]\n\
-         \x20               [--threads N] [--faults SPEC] [--transfer] [--prerank-keep F]\n\
+         \x20               [--threads N] [--faults SPEC]\n\
          \x20               [--trace-out PATH]\n\
          \x20  ansor-client [--addr ADDR] status|result|wait|cancel JOB\n\
          \x20  ansor-client [--addr ADDR] trace JOB [--trace-out PATH]\n\
@@ -104,16 +105,14 @@ fn main() {
                 };
                 match a.as_str() {
                     "--op" => spec.op = val(),
-                    "--shape" => spec.shape = val().parse().unwrap_or(0),
-                    "--batch" => spec.batch = val().parse().unwrap_or(1),
+                    "--shape" => spec.shape = parse_flag(a, &val()),
+                    "--batch" => spec.batch = parse_flag(a, &val()),
                     "--target" => spec.target = val(),
-                    "--trials" => spec.trials = val().parse().unwrap_or(200),
-                    "--seed" => spec.seed = val().parse().unwrap_or(0),
+                    "--trials" => spec.trials = parse_flag(a, &val()),
+                    "--seed" => spec.seed = parse_flag(a, &val()),
                     "--warm-start" => spec.warm_start = Some(true),
-                    "--threads" => spec.threads = val().parse().ok(),
+                    "--threads" => spec.threads = Some(parse_flag(a, &val())),
                     "--faults" => spec.faults = Some(val()),
-                    "--prerank-keep" => spec.prerank_keep = val().parse().ok(),
-                    "--transfer" => spec.transfer = Some(true),
                     "--wait" => wait = true,
                     "--trace-out" => trace_out = Some(val()),
                     other => die(&format!("unknown submit flag {other:?}")),

@@ -13,14 +13,20 @@
 //! `--trace`) via `ansor_bench::Args`, which also installs the allocation
 //! counter used by the live `/metrics` endpoint.
 
+use ansor::parse_flag;
 use ansor_bench::Args;
 use ansor_serve::{ServeConfig, Server};
 
-fn flag_value(args: &Args, name: &str) -> Option<String> {
-    args.flags
-        .iter()
-        .position(|f| f == name)
-        .and_then(|i| args.flags.get(i + 1).cloned())
+/// The value following flag `name` on the command line. Reads the raw
+/// arguments, not `Args::flags`, so the flags `Args` consumes leniently
+/// (`--threads`) are validated here like the daemon's own.
+fn flag_value(name: &str) -> Option<String> {
+    std::env::args().skip_while(|a| a != name).nth(1)
+}
+
+/// Numeric flag `name`, strictly parsed (`None` when absent).
+fn numeric_flag<T: std::str::FromStr>(name: &str) -> Option<T> {
+    flag_value(name).map(|v| parse_flag(name, &v))
 }
 
 fn print_help() {
@@ -51,17 +57,13 @@ fn main() {
         print_help();
         return;
     }
-    let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4815".into());
-    let workers = flag_value(&args, "--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let queue_cap = flag_value(&args, "--queue-cap")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
-    let store_path = flag_value(&args, "--store");
-    let store_budget = flag_value(&args, "--store-budget").and_then(|v| v.parse().ok());
-    let trace_dir = flag_value(&args, "--trace-dir");
-    let journal_path = flag_value(&args, "--journal");
+    let addr = flag_value("--addr").unwrap_or_else(|| "127.0.0.1:4815".into());
+    let workers = numeric_flag("--workers").unwrap_or(2);
+    let queue_cap = numeric_flag("--queue-cap").unwrap_or(64);
+    let store_path = flag_value("--store");
+    let store_budget = numeric_flag("--store-budget");
+    let trace_dir = flag_value("--trace-dir");
+    let journal_path = flag_value("--journal");
 
     let telemetry = args.telemetry();
     let server = Server::start(ServeConfig {
@@ -70,7 +72,7 @@ fn main() {
         queue_cap,
         store_path: store_path.clone(),
         faults: args.faults_spec.clone(),
-        threads: args.threads.unwrap_or(0),
+        threads: numeric_flag("--threads").unwrap_or(0),
         store_budget,
         telemetry: telemetry.clone(),
         trace_dir,

@@ -21,6 +21,7 @@ use ansor::core::{
     load_records, log_fingerprint, single_fingerprint, single_task_name, TuneCheckpoint,
     TuningSession, CHECKPOINT_VERSION,
 };
+use ansor::parse_flag;
 use ansor::prelude::*;
 use ansor::workloads;
 use hwsim::FaultPlan;
@@ -114,26 +115,22 @@ fn parse() -> Cli {
         let mut val = || it.next().unwrap_or_default();
         match a.as_str() {
             "--op" => cli.op = Some(val()),
-            "--shape" => cli.shape = val().parse().unwrap_or(0),
-            "--batch" => cli.batch = val().parse().unwrap_or(1),
-            "--trials" => cli.trials = val().parse().unwrap_or(200),
+            "--shape" => cli.shape = parse_flag(&a, &val()),
+            "--batch" => cli.batch = parse_flag(&a, &val()),
+            "--trials" => cli.trials = parse_flag(&a, &val()),
             "--network" => cli.network = Some(val()),
-            "--units" => cli.units = val().parse().unwrap_or(20),
+            "--units" => cli.units = parse_flag(&a, &val()),
             "--target" => cli.target = val(),
             "--log" => cli.log = Some(val()),
             "--faults" => cli.faults = val(),
             "--checkpoint" => cli.checkpoint = Some(val()),
-            "--checkpoint-every" => cli.checkpoint_every = val().parse().unwrap_or(1).max(1),
+            "--checkpoint-every" => cli.checkpoint_every = parse_flag::<usize>(&a, &val()).max(1),
             "--resume" => cli.resume = Some(val()),
             "--bless" => cli.bless = true,
             "--metrics-addr" => cli.metrics_addr = Some(val()),
             "--trace" => cli.trace = Some(val()),
-            "--seed" => cli.seed = val().parse().unwrap_or(0),
-            "--threads" => {
-                if let Ok(n) = val().parse() {
-                    ansor::runtime::set_threads(n);
-                }
-            }
+            "--seed" => cli.seed = parse_flag(&a, &val()),
+            "--threads" => ansor::runtime::set_threads(parse_flag(&a, &val())),
             "--list" => cli.list = true,
             "--program" => cli.show_program = true,
             "--help" | "-h" => {

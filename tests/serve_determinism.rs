@@ -6,10 +6,12 @@
 //! (compared by the FNV fingerprint the server reports).
 //!
 //! The contract must survive concurrency: eight jobs run on four workers
-//! — sharing the store's per-class measure cache and the store-wide
-//! feature cache — must report exactly the results of the same eight jobs
-//! run one at a time. Caches may change *when* a measurement is computed,
-//! never *what* it is.
+//! — sharing the store's per-class measure and feature caches — must
+//! report exactly the results of the same eight jobs run one at a time.
+//! Caches may change *when* a measurement is computed, never *what* it is.
+//! And it must survive a mixed daemon: two shapes of one operator produce
+//! the same step lists (hence the same `State::signature()`) over
+//! different DAGs, so nothing keyed by signature may cross classes.
 //!
 //! Runs under whatever `ANSOR_THREADS` the CI matrix sets (the runtime
 //! reads the variable itself), so the 1- and 4-thread legs both cover it.
@@ -171,4 +173,30 @@ fn served_jobs_match_cold_runs_and_concurrency_is_invisible() {
     // And seed 5's serial-daemon result equals the cold run from leg 1,
     // tying all three paths (cold, solo daemon, batch daemon) together.
     assert_eq!(Outcome::of_result(&serial[5]), cold, "seed 5 round trip");
+
+    // Leg 3 — two shapes of one operator on one daemon. The second job
+    // proposes step lists the first already featurized, on another DAG;
+    // served another class's features it would tune differently.
+    let pair: Vec<JobSpec> = [(0, 16), (1, 1)]
+        .into_iter()
+        .map(|(shape, batch)| JobSpec {
+            op: "NRM".into(),
+            shape,
+            batch,
+            trials: 128,
+            ..spec(5)
+        })
+        .collect();
+    let (server, mut client) = start_server(1);
+    for s in &pair {
+        let served = run_batch(&mut client, std::slice::from_ref(s));
+        assert_eq!(
+            Outcome::of_result(&served[0]),
+            cold_run(s),
+            "{} after another shape of its operator",
+            s.task_name()
+        );
+    }
+    client.shutdown(true).expect("shutdown");
+    server.wait();
 }
