@@ -27,8 +27,7 @@ use std::sync::Arc;
 use ansor_bench::{maybe_dump_json, maybe_record_trajectory, print_table, time_ms, Args};
 use ansor_core::{
     evolutionary_search_with_stats, generate_sketches, produce_generation, sample_program,
-    AnnotationConfig, CostModel, EvolutionConfig, EvolutionScratch, Individual, LearnedCostModel,
-    SearchTask,
+    AnnotationConfig, CostModel, EvolutionConfig, Individual, LearnedCostModel, SearchTask,
 };
 use hwsim::{HardwareTarget, Measurer};
 use rand::prelude::*;
@@ -140,9 +139,7 @@ fn main() {
     let generation_seed = ansor_runtime::derive_seed(0xE702, 0);
 
     // One generation of offspring production. Reseeding the plan RNG per
-    // rep keeps every repetition identical; the scratch pool persists
-    // across reps, as it does across generations in the search loop.
-    let scratch = EvolutionScratch::new(population);
+    // rep keeps every repetition identical.
     let mut one_generation = || {
         let mut rng = StdRng::seed_from_u64(0xE703);
         produce_generation(
@@ -153,7 +150,6 @@ fn main() {
             &model,
             &cfg,
             generation_seed,
-            &scratch,
             &mut rng,
         )
     };

@@ -182,7 +182,7 @@ pub fn sample_program(
 ) -> Option<State> {
     for _ in 0..cfg.max_resample {
         let steps = instantiate_steps(sketch, task, cfg, rng);
-        let Ok(mut state) = State::replay(task.dag.clone(), &steps) else {
+        let Ok(mut state) = State::replay_owned(task.dag.clone(), steps) else {
             continue;
         };
         if annotate_state(&mut state, task, cfg, rng).is_ok() && gpu_limits_ok(&state, task, cfg) {

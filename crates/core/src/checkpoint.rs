@@ -26,8 +26,11 @@ use crate::search_policy::TuningRecord;
 use crate::task_scheduler::SchedulerRecord;
 
 /// Current checkpoint format version. Bump on incompatible changes; load
-/// rejects mismatches instead of misinterpreting old files.
-pub const CHECKPOINT_VERSION: u64 = 1;
+/// rejects mismatches instead of misinterpreting old files. Version 2:
+/// `measured_signatures` and `quarantined` hold DAG-seeded structural
+/// signatures; a version-1 file's sets name no program of this build, and
+/// resuming from it would re-measure what the run had already measured.
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 /// One retained best-measured program: enough to rebuild the
 /// `Individual` by replaying its steps on the task DAG.
@@ -87,8 +90,7 @@ pub struct ModelRecord {
     pub task: String,
     /// Why feature extraction failed, for records measured on states that
     /// later failed to lower (their `features` are empty). `None` for
-    /// healthy records; defaulted on load so version-1 checkpoints written
-    /// before this field round-trip unchanged.
+    /// healthy records; defaulted on load.
     #[serde(default)]
     pub error: Option<String>,
 }
@@ -279,11 +281,19 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ansor-ckpt2-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("old.ckpt");
-        let mut ck = sample();
-        ck.version = 999;
-        ck.save(&path).unwrap();
-        let err = TuneCheckpoint::load(&path).unwrap_err();
-        assert!(err.contains("version 999"), "{err}");
+        // Version 1 is the format before signatures were seeded by the
+        // DAG: its dedup and quarantine sets are stale, so it is refused
+        // like any other foreign version.
+        for version in [1, 999] {
+            let mut ck = sample();
+            ck.version = version;
+            ck.save(&path).unwrap();
+            let err = TuneCheckpoint::load(&path).unwrap_err();
+            assert!(
+                err.contains(&format!("version {version} (expected 2)")),
+                "{err}"
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -115,10 +115,9 @@ pub struct LearnedCostModel {
     /// state (not on the model), so entries survive retrains; measured
     /// states were almost always just scored, so `update` usually reuses
     /// the rows `predict` extracted. Behind an `Arc` so several models
-    /// over the same DAG (e.g. same-class tuning sessions in a serving
-    /// daemon) can share one featurization cache — unlike scores, features
-    /// never depend on the model. The key is the step-list signature, so
-    /// a cache shared across DAGs serves one DAG's rows for another's.
+    /// (e.g. the tuning sessions of a serving daemon) can share one
+    /// featurization cache — unlike scores, features never depend on the
+    /// model, and the signature names the program across DAGs.
     feature_cache: Arc<SigCache<FeatureBlock>>,
 }
 
@@ -154,8 +153,8 @@ impl LearnedCostModel {
         }
     }
 
-    /// Replaces the featurization cache with one shared by models over the
-    /// same DAG (see the field docs).
+    /// Replaces the featurization cache with one shared with other models
+    /// (see the field docs).
     pub fn set_feature_cache(&mut self, cache: Arc<SigCache<FeatureBlock>>) {
         self.feature_cache = cache;
     }

@@ -136,24 +136,6 @@ pub struct Offspring {
     pub crossover_fell_back: bool,
 }
 
-/// Reusable per-lane scratch buffers for one evolution invocation: each
-/// lane's mutation attempts borrow a `Vec<Step>` from the pool instead of
-/// allocating a fresh transform-history clone per attempt, so steady-state
-/// generations reuse the same buffers. One slot per lane — lanes never
-/// contend and reuse is deterministic.
-pub struct EvolutionScratch {
-    pool: ansor_runtime::ScratchPool<Vec<Step>>,
-}
-
-impl EvolutionScratch {
-    /// A pool with one scratch buffer per offspring lane.
-    pub fn new(lanes: usize) -> EvolutionScratch {
-        EvolutionScratch {
-            pool: ansor_runtime::ScratchPool::new(lanes),
-        }
-    }
-}
-
 /// Runs evolutionary search and returns the `top_k` best individuals found
 /// (ranked by the cost model), deduplicated.
 pub fn evolutionary_search(
@@ -242,7 +224,6 @@ fn evolve(
     };
     let mut population = init;
     population.truncate(cfg.population);
-    let scratch = EvolutionScratch::new(cfg.population);
     // Best-so-far set across generations.
     let mut best: Vec<(f64, Individual)> = Vec::new();
     let mut seen: HashSet<u64> = HashSet::new();
@@ -277,7 +258,6 @@ fn evolve(
             model,
             cfg,
             generation_seed,
-            &scratch,
             rng,
         );
         // Fold lane results back serially, in lane order, so the stats
@@ -331,7 +311,6 @@ pub fn produce_generation(
     model: &dyn CostModel,
     cfg: &EvolutionConfig,
     generation_seed: u64,
-    scratch: &EvolutionScratch,
     rng: &mut impl Rng,
 ) -> Vec<Offspring> {
     // Fitness-proportional selection weights.
@@ -371,24 +350,12 @@ pub fn produce_generation(
     ansor_runtime::parallel_map_indexed(&plans, |lane, plan| {
         let mut lane_rng =
             StdRng::seed_from_u64(ansor_runtime::derive_seed(generation_seed, lane as u64));
-        scratch.pool.with(lane, |buf| {
-            produce_lane(
-                task,
-                sketches,
-                population,
-                plan,
-                model,
-                cfg,
-                buf,
-                &mut lane_rng,
-            )
-        })
+        produce_lane(task, sketches, population, plan, model, cfg, &mut lane_rng)
     })
 }
 
 /// One offspring lane: crossover if planned (falling back to mutation on
 /// failure), else mutation; a parent clone if every operator fails.
-#[allow(clippy::too_many_arguments)]
 fn produce_lane(
     task: &SearchTask,
     sketches: &[Sketch],
@@ -396,7 +363,6 @@ fn produce_lane(
     plan: &LanePlan,
     model: &dyn CostModel,
     cfg: &EvolutionConfig,
-    buf: &mut Vec<Step>,
     rng: &mut impl Rng,
 ) -> Offspring {
     let parent = &population[plan.parent];
@@ -411,7 +377,7 @@ fn produce_lane(
         }
         crossover_fell_back = true;
     }
-    match mutate_with_scratch(task, sketches, parent, &cfg.annotation, buf, rng) {
+    match mutate(task, sketches, parent, &cfg.annotation, rng) {
         Some(child) => Offspring {
             individual: child,
             fresh: true,
@@ -436,29 +402,12 @@ pub fn mutate(
     ann_cfg: &AnnotationConfig,
     rng: &mut impl Rng,
 ) -> Option<Individual> {
-    let mut buf = Vec::new();
-    mutate_with_scratch(task, sketches, parent, ann_cfg, &mut buf, rng)
-}
-
-/// [`mutate`] with a caller-provided step buffer: structural operators
-/// build the candidate step list in `buf` instead of allocating a fresh
-/// clone of the parent's transform history per attempt. RNG draws and
-/// results are identical to [`mutate`] — only the buffer's provenance
-/// differs.
-fn mutate_with_scratch(
-    task: &SearchTask,
-    sketches: &[Sketch],
-    parent: &Individual,
-    ann_cfg: &AnnotationConfig,
-    buf: &mut Vec<Step>,
-    rng: &mut impl Rng,
-) -> Option<Individual> {
     let sketch = sketches.get(parent.sketch)?;
     match rng.gen_range(0..4) {
-        0 => mutate_tile_size(task, sketch, parent, buf, rng),
+        0 => mutate_tile_size(task, sketch, parent, rng),
         1 => reannotate(task, sketch, parent, ann_cfg, rng),
-        2 => mutate_location(task, sketch, parent, ann_cfg, buf, rng),
-        _ => mutate_rfactor_or_tile(task, sketch, parent, ann_cfg, buf, rng),
+        2 => mutate_location(task, sketch, parent, ann_cfg, rng),
+        _ => mutate_rfactor_or_tile(task, sketch, parent, ann_cfg, rng),
     }
 }
 
@@ -512,7 +461,6 @@ fn mutate_tile_size(
     task: &SearchTask,
     sketch: &Sketch,
     parent: &Individual,
-    buf: &mut Vec<Step>,
     rng: &mut impl Rng,
 ) -> Option<Individual> {
     let leaders: Vec<usize> = (0..sketch.splits.len())
@@ -521,10 +469,7 @@ fn mutate_tile_size(
     if leaders.is_empty() {
         return None;
     }
-    buf.clear();
-    buf.extend_from_slice(&parent.state.steps);
-    let steps = buf;
-    let mut lengths = split_lengths(sketch, steps)?;
+    let mut lengths = split_lengths(sketch, &parent.state.steps)?;
     let &li = leaders.choose(rng)?;
     let sv = &sketch.splits[li];
     let l = &mut lengths[li];
@@ -554,11 +499,13 @@ fn mutate_tile_size(
     }
     // (Moves involving the outer part only adjust inner lengths; the outer
     // extent is implicit.)
+    // The child's genes: one copy of the parent's, edited, then moved in.
+    let mut steps = parent.state.steps.clone();
     if let Step::Split { lengths: sl, .. } = &mut steps[sv.step] {
         *sl = l.clone();
     }
-    refresh_followers(sketch, steps, &mut lengths);
-    let state = State::replay(task.dag.clone(), steps).ok()?;
+    refresh_followers(sketch, &mut steps, &mut lengths);
+    let state = State::replay_owned(task.dag.clone(), steps).ok()?;
     if !crate::annotate::gpu_limits_ok(&state, task, &AnnotationConfig::default()) {
         return None;
     }
@@ -602,7 +549,6 @@ fn mutate_location(
     sketch: &Sketch,
     parent: &Individual,
     ann_cfg: &AnnotationConfig,
-    buf: &mut Vec<Step>,
     rng: &mut impl Rng,
 ) -> Option<Individual> {
     if sketch.compute_ats.is_empty() || task.is_gpu() {
@@ -613,9 +559,7 @@ fn mutate_location(
     {
         return None;
     }
-    buf.clear();
-    buf.extend_from_slice(&parent.state.steps[..sketch.steps.len()]);
-    let structural = buf;
+    let mut structural = parent.state.steps[..sketch.steps.len()].to_vec();
     let &ca = sketch.compute_ats.choose(rng)?;
     let Step::ComputeAt { prefix_len, .. } = &mut structural[ca] else {
         return None;
@@ -626,7 +570,7 @@ fn mutate_location(
     };
     let choices: Vec<usize> = (1..=built).collect();
     *prefix_len = *choices.choose(rng)?;
-    let mut state = State::replay(task.dag.clone(), structural).ok()?;
+    let mut state = State::replay_owned(task.dag.clone(), structural).ok()?;
     annotate_state(&mut state, task, ann_cfg, rng).ok()?;
     if !crate::annotate::gpu_limits_ok(&state, task, ann_cfg) {
         return None;
@@ -645,11 +589,10 @@ fn mutate_rfactor_or_tile(
     sketch: &Sketch,
     parent: &Individual,
     ann_cfg: &AnnotationConfig,
-    buf: &mut Vec<Step>,
     rng: &mut impl Rng,
 ) -> Option<Individual> {
     if sketch.rfactors.is_empty() {
-        return mutate_tile_size(task, sketch, parent, buf, rng);
+        return mutate_tile_size(task, sketch, parent, rng);
     }
     if parent.state.steps.len() < sketch.steps.len()
         || split_lengths(sketch, &parent.state.steps).is_none()
@@ -658,14 +601,12 @@ fn mutate_rfactor_or_tile(
     }
     let rf_idx = rng.gen_range(0..sketch.rfactors.len());
     let rv = &sketch.rfactors[rf_idx];
-    buf.clear();
-    buf.extend_from_slice(&parent.state.steps[..sketch.steps.len()]);
-    let structural = buf;
     let divs: Vec<i64> = crate::annotate::divisors(rv.extent)
         .into_iter()
         .filter(|&d| d > 1 && d < rv.extent)
         .collect();
     let &factor = divs.choose(rng)?;
+    let mut structural = parent.state.steps[..sketch.steps.len()].to_vec();
     if let Step::Rfactor { factor: f, .. } = &mut structural[rv.step] {
         *f = factor;
     }
@@ -677,7 +618,7 @@ fn mutate_rfactor_or_tile(
             }
         }
     }
-    let mut state = State::replay(task.dag.clone(), structural).ok()?;
+    let mut state = State::replay_owned(task.dag.clone(), structural).ok()?;
     annotate_state(&mut state, task, ann_cfg, rng).ok()?;
     Some(Individual {
         state,
@@ -762,7 +703,7 @@ pub fn crossover(
         }
     }
     // Verify the merged gene sequence by replaying it.
-    let state = State::replay(task.dag.clone(), &merged).ok()?;
+    let state = State::replay_owned(task.dag.clone(), merged).ok()?;
     state.validate().ok()?;
     Some(Individual {
         state,
@@ -901,12 +842,9 @@ mod tests {
         let pop = init_pop(&t, &sketches, 5, 1);
         let mut rng = StdRng::seed_from_u64(2);
         let mut mutated = 0;
-        let mut buf = Vec::new();
         for p in &pop {
             for _ in 0..10 {
-                if let Some(child) =
-                    mutate_tile_size(&t, &sketches[p.sketch], p, &mut buf, &mut rng)
-                {
+                if let Some(child) = mutate_tile_size(&t, &sketches[p.sketch], p, &mut rng) {
                     child.state.validate().unwrap();
                     mutated += 1;
                 }
@@ -1019,12 +957,11 @@ mod tests {
 
     /// Straight-line serial oracle for the parallel offspring path: the
     /// same plan pre-draw and per-lane seeding as `produce_generation`,
-    /// but executed one lane at a time with the allocating [`mutate`]
-    /// (no scratch buffers, no `parallel_map_indexed`, no
+    /// but executed one lane at a time (no `parallel_map_indexed`, no
     /// `predict_refs`). An independent re-derivation of the per-lane
     /// stream contract — any divergence in plan order, lane seeding,
-    /// scratch-buffer mutation, result placement, or stats folding shows
-    /// up as a population or stats mismatch.
+    /// result placement, or stats folding shows up as a population or
+    /// stats mismatch.
     #[allow(clippy::too_many_arguments)]
     fn serial_reference_search(
         task: &SearchTask,
@@ -1148,7 +1085,12 @@ mod tests {
 
     /// Per-generation fingerprint of a population: content signature,
     /// sketch index, and full lineage of every slot, in slot order.
-    fn fingerprint(pop: &[Individual]) -> Vec<(u64, usize, Lineage)> {
+    type Fingerprint = Vec<(u64, usize, Lineage)>;
+
+    /// What the observer hook records per generation.
+    type GenerationLog = Vec<(u64, Fingerprint, EvolutionStats)>;
+
+    fn fingerprint(pop: &[Individual]) -> Fingerprint {
         pop.iter()
             .map(|p| (p.signature(), p.sketch, p.lineage.clone()))
             .collect()
@@ -1172,7 +1114,7 @@ mod tests {
             let banned: HashSet<u64> = [pop[0].signature()].into_iter().collect();
             let evolution_seed = ansor_runtime::derive_seed(seed, 0xE0);
 
-            let mut par_gens: Vec<(u64, Vec<(u64, usize, Lineage)>, EvolutionStats)> = Vec::new();
+            let mut par_gens: GenerationLog = Vec::new();
             let mut rng = StdRng::seed_from_u64(seed);
             let (par_best, par_stats) = evolve(
                 &t,
@@ -1187,7 +1129,7 @@ mod tests {
                 &mut |g, p, s| par_gens.push((g, fingerprint(p), s.clone())),
             );
 
-            let mut ser_gens: Vec<(u64, Vec<(u64, usize, Lineage)>, EvolutionStats)> = Vec::new();
+            let mut ser_gens: GenerationLog = Vec::new();
             let mut rng = StdRng::seed_from_u64(seed);
             let (ser_best, ser_stats) = serial_reference_search(
                 &t,

@@ -25,7 +25,7 @@ pub use checkpoint::{
 pub use cost_model::{CostModel, FeatureBlock, LearnedCostModel, RandomModel};
 pub use evolution::{
     crossover, evolutionary_search, evolutionary_search_with_stats, mutate, produce_generation,
-    EvolutionConfig, EvolutionScratch, EvolutionStats, Individual, Offspring,
+    EvolutionConfig, EvolutionStats, Individual, Offspring,
 };
 pub use gbdt::SplitStrategy;
 pub use lineage::{Lineage, Operator};

@@ -15,8 +15,9 @@
 //! [`TuningSession::share_feature_cache`]) does not change any session's
 //! results — both caches hold values that are pure in the state (and the
 //! measurer's fixed configuration), so a hit returns exactly what a cold
-//! recompute would — provided the sessions tune the *same DAG*: both are
-//! keyed by `State::signature()`, which hashes the transform steps only.
+//! recompute would: both are keyed by `State::signature()`, which names
+//! the program — DAG content and steps — so sessions over different DAGs
+//! never meet on a key.
 //! The *score* cache is deliberately per-session: scores depend on the
 //! session's own model.
 
@@ -147,8 +148,8 @@ impl TuningSession {
         self.measurer.set_result_cache(cache);
     }
 
-    /// Shares a featurization cache with this session. Only share between
-    /// sessions over the same DAG (see the module docs).
+    /// Shares a featurization cache with this session (see the module
+    /// docs for why this is determinism-transparent).
     pub fn share_feature_cache(&mut self, cache: Arc<SigCache<FeatureBlock>>) {
         self.model.set_feature_cache(cache);
     }

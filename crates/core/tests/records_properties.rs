@@ -34,8 +34,7 @@ fn random_record(rng: &mut StdRng) -> TuningRecordLog {
                         Annotation::Parallel,
                         Annotation::Vectorize,
                         Annotation::Unroll,
-                    ][rng.gen_range(0..3usize)]
-                    .clone(),
+                    ][rng.gen_range(0..3usize)],
                 }
             }
         })

@@ -1,0 +1,198 @@
+//! What a `State` promises the search: its carried signature equals the
+//! from-scratch one (replay is the oracle), it shares the task's DAG until
+//! a structural step, and — because the signature names the program, not
+//! just the steps — caches shared between tasks never serve one task's
+//! entry to another.
+
+use std::sync::Arc;
+
+use ansor_core::annotate::{sample_program, AnnotationConfig};
+use ansor_core::{
+    generate_sketches, produce_generation, CostModel, EvolutionConfig, Individual,
+    LearnedCostModel, RandomModel, SearchTask, SketchPolicy, TuningOptions,
+};
+use ansor_features::extract_state_matrix;
+use ansor_workloads::{build_case, ops, OP_CLASSES};
+use hwsim::{HardwareTarget, Measurer};
+use rand::prelude::*;
+use tensor_ir::{lower, State, Step};
+
+/// Returns whether the state ran a structural step (owns its DAG).
+fn check_invariants(task: &SearchTask, state: &State, what: &str) -> bool {
+    let replayed = State::replay(task.dag.clone(), &state.steps).expect("steps replay");
+    assert_eq!(
+        state.signature(),
+        replayed.signature(),
+        "{what}: carried vs replayed"
+    );
+    assert_eq!(
+        state.clone().signature(),
+        state.signature(),
+        "{what}: clone"
+    );
+    let structural = state.steps.iter().any(Step::is_structural);
+    assert_eq!(
+        Arc::ptr_eq(&state.dag, &task.dag),
+        !structural,
+        "{what}: the task's DAG is shared iff no structural step ran"
+    );
+    let program = lower(state).expect("lowers");
+    assert!(
+        Arc::ptr_eq(&program.dag, &state.dag),
+        "{what}: lower shares the DAG"
+    );
+    structural
+}
+
+/// Every operator (CPU and GPU sketch rules) × every sketch × sampled
+/// annotations, then every offspring of a 4-generation evolution over
+/// those samples.
+#[test]
+fn signature_and_dag_sharing_hold_for_every_operator_sketch_and_offspring() {
+    let cfg = AnnotationConfig::default();
+    // States seen that own their DAG / share the task's.
+    let mut seen = [0usize; 2];
+    let cases = OP_CLASSES.iter().flat_map(|&op| {
+        [
+            HardwareTarget::intel_20core(),
+            HardwareTarget::nvidia_v100(),
+        ]
+        .map(|t| (op, t))
+    });
+    for (i, (op, target)) in cases.enumerate() {
+        let dag = build_case(op, 0, 1).expect("shape 0 exists");
+        let pristine = (*dag).clone();
+        let task = SearchTask::new(format!("{op}:s0b1"), dag, target);
+        let sketches = generate_sketches(&task);
+        let mut rng = StdRng::seed_from_u64(i as u64);
+        let mut population = Vec::new();
+        for (id, sketch) in sketches.iter().enumerate() {
+            for _ in 0..3 {
+                if let Some(state) = sample_program(sketch, &task, &cfg, &mut rng) {
+                    let owns = check_invariants(&task, &state, &format!("{op} sketch {id}"));
+                    seen[owns as usize] += 1;
+                    population.push(Individual::new(state, id));
+                }
+            }
+        }
+        if population.is_empty() {
+            // The one pair whose annotations all exceed the GPU's limits.
+            assert_eq!((op, task.is_gpu()), ("NRM", true), "nothing sampled");
+            continue;
+        }
+        let model = RandomModel::new(7);
+        let evo = EvolutionConfig {
+            population: population.len(),
+            crossover_prob: 0.3,
+            ..Default::default()
+        };
+        for gen in 0..4 {
+            let refs: Vec<&State> = population.iter().map(|p| &p.state).collect();
+            let scores = model.predict_refs(&task, &refs);
+            let offspring = produce_generation(
+                &task,
+                &sketches,
+                &population,
+                &scores,
+                &model,
+                &evo,
+                gen,
+                &mut rng,
+            );
+            population = offspring.into_iter().map(|o| o.individual).collect();
+            for ind in &population {
+                let owns = check_invariants(&task, &ind.state, &format!("{op} generation {gen}"));
+                seen[owns as usize] += 1;
+            }
+        }
+        assert_eq!(*task.dag, pristine, "{op}: the task's DAG was written to");
+    }
+    assert!(
+        seen[0] > 100 && seen[1] > 100,
+        "one side untested: {seen:?}"
+    );
+}
+
+/// Two tasks behind one measurer and one model, as in a `TaskScheduler`,
+/// whose programs share step lists: the second task is fed the first
+/// task's measured schedules. Every result that came through a shared
+/// cache is audited against a fresh measurement / featurization.
+#[test]
+fn tasks_sharing_caches_are_never_served_each_others_entries() {
+    let target = HardwareTarget::intel_20core();
+    // Two matmuls that differ only in their extents.
+    let small = SearchTask::new("mm:128", ops::gmm(1, 128, 128, 128), target.clone());
+    let large = SearchTask::new("mm:256", ops::gmm(1, 256, 256, 256), target.clone());
+    let mut measurer = Measurer::new(target.clone());
+    let mut model = LearnedCostModel::new();
+
+    let options = TuningOptions {
+        num_measure_trials: 32,
+        measures_per_round: 16,
+        init_population: 24,
+        evolution: EvolutionConfig {
+            population: 24,
+            generations: 2,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut policy = SketchPolicy::new(small.clone(), options);
+    while policy.tune_round(&mut model, &mut measurer) > 0 {}
+    assert!(policy.log.len() >= 16, "only {} records", policy.log.len());
+
+    // The same step lists on the other task's DAG: 128 divides 256, so
+    // every split still divides.
+    let transplanted: Vec<State> = policy
+        .log
+        .iter()
+        .filter_map(|rec| rec.replay(large.dag.clone()).ok())
+        .collect();
+    assert!(
+        transplanted.len() >= 16,
+        "only {} replay",
+        transplanted.len()
+    );
+    let served = measurer.measure_batch(&transplanted);
+    let (hits_before, _) = model.feature_cache_stats();
+    model.predict(&large, &transplanted);
+    // Scored twice: the second pass is served from the feature cache
+    // whatever the first one found there.
+    model.update(
+        &large,
+        &transplanted,
+        &served.iter().map(|r| r.seconds).collect::<Vec<_>>(),
+    );
+    assert!(model.feature_cache_stats().0 > hits_before);
+
+    let features = model.feature_cache();
+    for (task, state, seconds) in policy
+        .log
+        .iter()
+        .map(|rec| (&small, rec.replay(small.dag.clone()).unwrap(), rec.seconds))
+        .chain(
+            transplanted
+                .iter()
+                .zip(&served)
+                .map(|(s, r)| (&large, s.clone(), r.seconds)),
+        )
+    {
+        assert_eq!(
+            seconds.to_bits(),
+            // A measurer of its own: nothing cached to be served from.
+            Measurer::new(target.clone())
+                .measure(&state)
+                .seconds
+                .to_bits(),
+            "{}: the shared measure cache served another program's time",
+            task.name
+        );
+        let cached = features.get(state.signature()).expect("featurized above");
+        assert_eq!(
+            *cached,
+            extract_state_matrix(&state),
+            "{}: the shared feature cache served another program's rows",
+            task.name
+        );
+    }
+}

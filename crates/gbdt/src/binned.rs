@@ -215,7 +215,7 @@ mod tests {
         let rows: Vec<Vec<f32>> = (0..10).map(|_| vec![2.5]).collect();
         let (data, n_cols) = matrix_of(&rows);
         let x = Matrix::new(&data, n_cols);
-        let b = BinnedDataset::build(x, &vec![1.0; 10], 256);
+        let b = BinnedDataset::build(x, &[1.0; 10], 256);
         assert_eq!(b.n_bins(0), 1);
         assert!(b.cuts(0).is_empty());
     }

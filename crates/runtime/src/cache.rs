@@ -4,8 +4,9 @@
 //! their parent, retained-best individuals re-enter every generation, and
 //! crossover frequently reproduces a parent's gene sequence. Re-lowering
 //! and re-scoring those duplicates is pure waste, so the hot paths key
-//! their results by the program's *signature* (a hash of its transform
-//! steps — `State::signature()`) and consult a [`SigCache`] first.
+//! their results by the program's *signature* (`State::signature()`: the
+//! DAG's fingerprint folded with each transform step) and consult a
+//! [`SigCache`] first.
 //!
 //! The cache is thread-safe (one lock around the map; entries are cloned
 //! out) and deterministic: values are pure functions of the key, so a hit

@@ -84,48 +84,6 @@ pub fn derive_seed(seed: u64, index: u64) -> u64 {
 /// to keep cursor contention negligible.
 const CHUNK: usize = 8;
 
-/// A fixed set of reusable per-lane scratch values for
-/// [`parallel_map_indexed`] workloads that would otherwise allocate fresh
-/// working buffers on every item (evolution clones full transform-step
-/// histories per offspring — see `ansor-core`'s evolution module).
-///
-/// Lane `i` of every batch maps to slot `i % lanes`, so a pool sized to
-/// the batch length gives each lane a private slot: the mutex is
-/// uncontended (each index is processed by exactly one worker) and exists
-/// only to make cross-batch reuse sound. Values keep whatever the last
-/// use left in them — callers must overwrite before reading, which is
-/// what makes reuse invisible to the determinism contract.
-pub struct ScratchPool<T> {
-    slots: Vec<std::sync::Mutex<T>>,
-}
-
-impl<T: Default> ScratchPool<T> {
-    /// Creates a pool with one default-initialized slot per lane (at
-    /// least one).
-    pub fn new(lanes: usize) -> ScratchPool<T> {
-        ScratchPool {
-            slots: (0..lanes.max(1))
-                .map(|_| std::sync::Mutex::new(T::default()))
-                .collect(),
-        }
-    }
-}
-
-impl<T> ScratchPool<T> {
-    /// Number of slots in the pool.
-    pub fn lanes(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Runs `f` with exclusive access to lane `index`'s scratch value.
-    pub fn with<R>(&self, index: usize, f: impl FnOnce(&mut T) -> R) -> R {
-        let mut guard = self.slots[index % self.slots.len()]
-            .lock()
-            .expect("scratch slot poisoned");
-        f(&mut guard)
-    }
-}
-
 /// Workers currently inside a [`parallel_map`] batch, across all
 /// concurrent batches.
 static BUSY_WORKERS: AtomicUsize = AtomicUsize::new(0);
@@ -248,8 +206,19 @@ where
 mod tests {
     use super::*;
 
+    /// `THREADS`, `BUSY_WORKERS` and `QUEUED_ITEMS` are process-wide and
+    /// the tests of this binary run on parallel threads: every test that
+    /// sets the thread count or runs a batch holds this lock, so the exact
+    /// assertions on those globals see only their own batch.
+    fn globals() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // A failed assertion in one test must not fail the others.
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn results_are_in_input_order() {
+        let _globals = globals();
         let items: Vec<u64> = (0..1000).collect();
         let out = parallel_map(&items, |&x| x * 3);
         assert_eq!(out, (0..1000).map(|x| x * 3).collect::<Vec<_>>());
@@ -257,6 +226,7 @@ mod tests {
 
     #[test]
     fn identical_results_across_thread_counts() {
+        let _globals = globals();
         let items: Vec<u64> = (0..537).collect();
         let run = |threads: usize| -> Vec<f64> {
             set_threads(threads);
@@ -282,6 +252,7 @@ mod tests {
 
     #[test]
     fn skewed_item_costs_still_complete_and_order() {
+        let _globals = globals();
         // First item is far slower than the rest; stealing must not
         // scramble result placement.
         let items: Vec<u64> = (0..100).collect();
@@ -319,6 +290,7 @@ mod tests {
 
     #[test]
     fn threads_env_var_is_a_fallback_only() {
+        let _globals = globals();
         set_threads(3);
         assert_eq!(threads(), 3);
         set_threads(0);
@@ -327,6 +299,7 @@ mod tests {
 
     #[test]
     fn pool_stats_report_busy_then_settle_to_zero() {
+        let _globals = globals();
         let items: Vec<u64> = (0..64).collect();
         set_threads(4);
         let seen_busy = std::sync::atomic::AtomicUsize::new(0);
@@ -346,42 +319,8 @@ mod tests {
     }
 
     #[test]
-    fn scratch_pool_reuses_buffers_per_lane() {
-        let pool: ScratchPool<Vec<u64>> = ScratchPool::new(4);
-        assert_eq!(pool.lanes(), 4);
-        // First pass: fill each lane's buffer.
-        for lane in 0..4 {
-            pool.with(lane, |buf| {
-                buf.clear();
-                buf.push(lane as u64);
-            });
-        }
-        // Second pass: the previous contents (and capacity) are still
-        // there; callers overwrite before reading.
-        for lane in 0..4 {
-            let (prev, cap) = pool.with(lane, |buf| (buf[0], buf.capacity()));
-            assert_eq!(prev, lane as u64);
-            assert!(cap >= 1);
-        }
-        // Out-of-range lanes wrap instead of panicking.
-        pool.with(7, |buf| buf.clear());
-        // Usable from parallel workers: one slot per lane, results by index.
-        let items: Vec<usize> = (0..32).collect();
-        let pool32: ScratchPool<Vec<usize>> = ScratchPool::new(items.len());
-        set_threads(4);
-        let out = parallel_map_indexed(&items, |i, &x| {
-            pool32.with(i, |buf| {
-                buf.clear();
-                buf.extend(0..x);
-                buf.len()
-            })
-        });
-        set_threads(0);
-        assert_eq!(out, (0..32).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn borrows_from_caller_stack() {
+        let _globals = globals();
         let base = vec![10u64; 64];
         let items: Vec<usize> = (0..64).collect();
         let out = parallel_map(&items, |&i| base[i] + i as u64);

@@ -8,7 +8,7 @@
 //! `set_threads` is process-global, so properties that touch it restore
 //! the default before returning (mirroring tests/thread_determinism.rs).
 
-use ansor_runtime::{derive_seed, parallel_map_indexed, set_threads, ScratchPool};
+use ansor_runtime::{derive_seed, parallel_map_indexed, set_threads};
 use proptest::prelude::*;
 use rand::prelude::*;
 
@@ -71,36 +71,6 @@ proptest! {
                 acc
             });
             set_threads(0); // restore default before any early return
-            out
-        };
-        let reference = run(1);
-        for threads in [2usize, 4, 8] {
-            prop_assert_eq!(&run(threads), &reference, "threads = {}", threads);
-        }
-    }
-
-    /// The scratch-pool variant of the same invariant: borrowing per-lane
-    /// buffers (as the evolution offspring path does) must not make
-    /// results depend on which worker serviced which lane.
-    #[test]
-    fn scratch_backed_map_is_thread_count_invariant(
-        seed in any::<u64>(),
-        n in 1usize..60,
-        lanes in 1usize..12,
-    ) {
-        let items: Vec<u64> = (0..n as u64).collect();
-        let run = |threads: usize| -> Vec<u64> {
-            set_threads(threads);
-            let pool: ScratchPool<Vec<u64>> = ScratchPool::new(lanes);
-            let out = parallel_map_indexed(&items, |i, &item| {
-                let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
-                pool.with(i, |buf| {
-                    buf.clear();
-                    buf.extend((0..8).map(|_| rng.next_u64() ^ item));
-                    buf.iter().fold(0u64, |a, &x| a.wrapping_add(x))
-                })
-            });
-            set_threads(0);
             out
         };
         let reference = run(1);

@@ -9,12 +9,11 @@
 //! - **Measurement and featurization caches**, one pair per *workload
 //!   class* (operator, shape, batch, target, fault spec — everything that
 //!   determines a measurement except the seed). Both are keyed by
-//!   `State::signature()`, which hashes the transform steps only, so the
-//!   same step list on two shapes of one operator has one signature but
-//!   different features and seconds: a cache may only be shared inside a
-//!   class. There, sharing across seeds is determinism-transparent — a
-//!   hit returns exactly what a cold measurement or featurization of the
-//!   same program would.
+//!   `State::signature()`, which names the program (DAG content and
+//!   steps); the class adds what a measurement also depends on — target
+//!   and fault spec — and is the unit the byte budget evicts. Sharing
+//!   across seeds is determinism-transparent — a hit returns exactly what
+//!   a cold measurement or featurization of the same program would.
 //! - **Tuning records** per class, persisted as the store file and used
 //!   both to re-prime the measurement caches after a restart (each record
 //!   is replayed to its program signature) and to warm-start jobs that opt
@@ -243,14 +242,15 @@ impl WarmStore {
 
     /// The measurement cache for a workload class. Only sessions of the
     /// same class (same `JobSpec::class_key`) may share it — the key pins
-    /// DAG, target and fault configuration, which is exactly the condition
+    /// target and fault configuration, which is exactly the condition
     /// `Measurer::set_result_cache` requires.
     pub fn measure_cache(&self, class_key: &str) -> Arc<SigCache<MeasureResult>> {
         self.class_caches(class_key).measure
     }
 
     /// The featurization cache for a workload class (features are pure in
-    /// the program, and a signature names a program only within one DAG).
+    /// the program; per class because a class is what the byte budget
+    /// evicts).
     pub fn feature_cache(&self, class_key: &str) -> Arc<SigCache<FeatureBlock>> {
         self.class_caches(class_key).features
     }

@@ -3,7 +3,7 @@
 //! trace retrieval, and the job journal.
 
 use ansor_serve::journal::{read_journal, JournalEvent};
-use ansor_serve::{Client, JobSpec, ServeConfig, Server};
+use ansor_serve::{Client, JobSpec, ServeConfig, Server, WarmStore};
 
 fn spec(seed: u64, trials: usize) -> JobSpec {
     JobSpec {
@@ -118,6 +118,39 @@ fn warm_store_survives_restart() {
     assert_eq!(warm.log_fingerprint, cold.log_fingerprint);
     second.shutdown(true);
     second.wait();
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// The store file holds records, not signatures, so the change of every
+/// signature's value needed no `STORE_VERSION` bump: a file written by the
+/// build before it (the fixture: one GMM s0 b1 job on intel, 24 trials,
+/// seed 3) loads, re-primes its class cache by replay, and serves the
+/// repeat job every one of its measurements.
+#[test]
+fn a_store_written_before_the_signature_rework_warms_a_repeat_job() {
+    let path = temp_dir("old-store").join("store.json");
+    std::fs::copy(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/store_pr14.json"
+        ),
+        &path,
+    )
+    .unwrap();
+    let (_, stats) = WarmStore::open(&path).expect("the old file loads");
+    assert_eq!((stats.entries, stats.records), (1, 24), "{stats:?}");
+    assert_eq!((stats.primed, stats.replay_failures), (24, 0), "{stats:?}");
+
+    let server = start(1, 8, Some(path.to_string_lossy().to_string()));
+    let mut c = client(&server);
+    let warm = c.submit(spec(3, 24)).expect("submit");
+    let warm = c.wait(&warm).expect("wait");
+    assert_eq!(warm.state, "done");
+    assert_eq!(warm.warm.measure_hits, 24, "{:?}", warm.warm);
+    // The result the old build recorded for this job.
+    assert_eq!(warm.best_seconds, Some(0.0004303500266666667));
+    server.shutdown(true);
+    server.wait();
     std::fs::remove_file(&path).unwrap();
 }
 

@@ -177,7 +177,7 @@ impl DagBuilder {
 
     /// Finalizes the DAG, validating topological order and arities.
     pub fn build(self) -> Result<ComputeDag, String> {
-        let dag = ComputeDag { nodes: self.nodes };
+        let dag = ComputeDag::new(self.nodes);
         dag.validate()?;
         Ok(dag)
     }

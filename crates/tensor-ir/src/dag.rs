@@ -5,7 +5,10 @@
 //! are placeholders or compute definitions, and edges are implied by
 //! [`Expr::Load`] references inside compute bodies.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -43,7 +46,7 @@ impl Reducer {
 }
 
 /// The computation performed by a compute node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct ComputeSpec {
     /// Output shape (extent of each spatial axis).
     pub shape: Vec<i64>,
@@ -110,8 +113,27 @@ pub enum NodeKind {
     Compute(ComputeSpec),
 }
 
+// By hand because of the `f32` contents, hashed by bit pattern.
+impl Hash for NodeKind {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        match self {
+            NodeKind::Placeholder {
+                shape,
+                is_const,
+                data,
+            } => {
+                (0u8, shape, is_const, data.is_some()).hash(h);
+                for v in data.iter().flatten() {
+                    v.to_bits().hash(h);
+                }
+            }
+            NodeKind::Compute(c) => (1u8, c).hash(h),
+        }
+    }
+}
+
 /// A named node of the DAG.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct Node {
     /// Stable identifier (index into [`ComputeDag::nodes`]).
     pub id: NodeId,
@@ -184,15 +206,52 @@ fn is_affine_single_axis(e: &Expr) -> bool {
 /// A directed acyclic graph of tensor computations.
 ///
 /// Nodes are stored in topological order (producers before consumers); the
-/// builder validates this. Scheduling may append derived nodes (cache stages,
-/// rfactor stages); appended nodes keep all existing ids stable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// builder validates this. A DAG is immutable once built and is shared by
+/// `Arc`; the structural scheduling steps (cache-write, rfactor) insert
+/// derived nodes into a state's own copy.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ComputeDag {
-    /// All nodes, producers before consumers.
+    /// All nodes, producers before consumers. Not to be written once the
+    /// DAG is in use: the fingerprint memo does not see a direct write.
     pub nodes: Vec<Node>,
+    /// Memo of [`ComputeDag::fingerprint`].
+    #[serde(skip)]
+    fingerprint: OnceLock<u64>,
+}
+
+impl PartialEq for ComputeDag {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes
+    }
 }
 
 impl ComputeDag {
+    pub(crate) fn new(nodes: Vec<Node>) -> ComputeDag {
+        ComputeDag {
+            nodes,
+            fingerprint: OnceLock::new(),
+        }
+    }
+
+    /// Content fingerprint: a hash of every node's name, shapes and body,
+    /// so equal DAGs built twice agree and DAGs that differ in one extent
+    /// do not. Computed on first use and kept — it seeds the signature of
+    /// every [`crate::State`] created for this DAG.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut h = DefaultHasher::new();
+            self.nodes.hash(&mut h);
+            h.finish()
+        })
+    }
+
+    /// The nodes, for the structural steps to edit; forgets the
+    /// fingerprint memo.
+    pub(crate) fn nodes_mut(&mut self) -> &mut Vec<Node> {
+        self.fingerprint = OnceLock::new();
+        &mut self.nodes
+    }
+
     /// Looks up a node by name.
     pub fn node_by_name(&self, name: &str) -> Option<&Node> {
         self.nodes.iter().find(|n| n.name == name)
@@ -345,15 +404,6 @@ impl ComputeDag {
                 s < 256 && r >= 16 * s.max(1)
             })
             .unwrap_or(false)
-    }
-
-    /// Appends a node, returning its id. The caller must keep topological
-    /// order valid (used by cache/rfactor scheduling steps, which rewrite
-    /// bodies accordingly).
-    pub fn push_node(&mut self, name: String, kind: NodeKind) -> NodeId {
-        let id = self.nodes.len();
-        self.nodes.push(Node { id, name, kind });
-        id
     }
 
     /// Per-node op counts of the body expression (placeholders yield zeros).

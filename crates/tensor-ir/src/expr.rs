@@ -8,6 +8,8 @@
 //! 2. **Lowered phase**: after lowering, every [`Expr::Axis`] has been
 //!    substituted by an expression over loop variables ([`Expr::LoopVar`]).
 
+use std::hash::{Hash, Hasher};
+
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a DAG node (index into [`crate::dag::ComputeDag::nodes`]).
@@ -124,6 +126,24 @@ pub enum Expr {
         /// Value otherwise.
         other: Box<Expr>,
     },
+}
+
+// By hand because of `FloatConst`, hashed by bit pattern.
+impl Hash for Expr {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            Expr::FloatConst(v) => v.to_bits().hash(h),
+            Expr::IntConst(v) => v.hash(h),
+            Expr::Axis(a) => a.hash(h),
+            Expr::LoopVar(v) => v.hash(h),
+            Expr::Load { node, indices } => (node, indices).hash(h),
+            Expr::Binary { op, lhs, rhs } => (op, lhs, rhs).hash(h),
+            Expr::Unary { op, arg } => (op, arg).hash(h),
+            Expr::Cmp { op, lhs, rhs } => (op, lhs, rhs).hash(h),
+            Expr::Select { cond, then, other } => (cond, then, other).hash(h),
+        }
+    }
 }
 
 impl Expr {

@@ -7,6 +7,7 @@
 //! extractor and the hardware model.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -59,8 +60,9 @@ pub struct VarInfo {
 /// A lowered, complete tensor program.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Program {
-    /// The (scheduled) DAG; buffer shapes come from here.
-    pub dag: ComputeDag,
+    /// The (scheduled) DAG, shared with the state it was lowered from;
+    /// buffer shapes come from here.
+    pub dag: Arc<ComputeDag>,
     /// Top-level statements.
     pub body: Vec<Stmt>,
     /// Loop-variable table indexed by [`VarId`].

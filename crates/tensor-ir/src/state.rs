@@ -9,6 +9,8 @@
 //! replaying its steps on a fresh state, which is the basis of tile-size
 //! mutation and node-based crossover.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -217,18 +219,22 @@ impl Stage {
 }
 
 /// A (partially) scheduled program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Cloning copies the stages and the steps; the DAG is shared.
+#[derive(Debug, Clone, PartialEq)]
 pub struct State {
-    /// The scheduled DAG; scheduling steps may extend it with cache and
-    /// rfactor nodes, so this is an owned copy of the original.
-    pub dag: ComputeDag,
-    /// The original, unscheduled DAG (replay target).
-    #[serde(skip)]
-    pub original_dag: Option<Arc<ComputeDag>>,
+    /// The scheduled DAG: the task's own `Arc`, shared by every state of
+    /// the task, until a structural step (`CacheWrite`, `Rfactor`) extends
+    /// it with a cache or rfactor node and copies it on write.
+    pub dag: Arc<ComputeDag>,
     /// One stage per DAG node, in DAG order.
     pub stages: Vec<Stage>,
-    /// Transform history — the program's genes.
+    /// Transform history — the program's genes. Written only by
+    /// [`State::apply`] and [`State::replay`]/[`State::replay_owned`],
+    /// which fold every step into the signature; read freely.
     pub steps: Vec<Step>,
+    /// See [`State::signature`].
+    signature: u64,
 }
 
 impl State {
@@ -251,8 +257,8 @@ impl State {
             })
             .collect();
         State {
-            dag: (*dag).clone(),
-            original_dag: Some(dag),
+            signature: dag.fingerprint(),
+            dag,
             stages,
             steps: Vec::new(),
         }
@@ -260,25 +266,29 @@ impl State {
 
     /// Replays a step sequence on a fresh state for `dag`.
     pub fn replay(dag: Arc<ComputeDag>, steps: &[Step]) -> Result<State, Error> {
+        State::replay_owned(dag, steps.to_vec())
+    }
+
+    /// [`State::replay`] over a step list the caller gives up: the list
+    /// becomes the new state's history without being copied again.
+    pub fn replay_owned(dag: Arc<ComputeDag>, steps: Vec<Step>) -> Result<State, Error> {
         let mut s = State::new(dag);
-        for step in steps {
-            s.apply(step.clone())?;
+        for step in &steps {
+            s.apply_ref(step)?;
         }
+        s.steps = steps;
         Ok(s)
     }
 
-    /// Stable content signature of the transform-step history — the
-    /// program's complete genome. Two states with equal signatures lower
-    /// to the same program, so signature-keyed caches (measurement,
-    /// cost-model scores) can serve duplicates produced by mutation and
-    /// crossover without re-lowering.
+    /// Stable content signature of the program: the fingerprint of the DAG
+    /// the state started from ([`ComputeDag::fingerprint`]) folded with
+    /// every applied step, `sig' = H(sig, step)`. Two states with equal
+    /// signatures lower to the same program — also across tasks — so
+    /// signature-keyed caches (measurement, features, cost-model scores)
+    /// can serve duplicates produced by mutation and crossover without
+    /// re-lowering. Reading it is a field load.
     pub fn signature(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        for s in &self.steps {
-            format!("{s:?}").hash(&mut h);
-        }
-        h.finish()
+        self.signature
     }
 
     /// The stage computing the node with the given name.
@@ -294,8 +304,19 @@ impl State {
 
     /// Applies one transform step, recording it in the history.
     pub fn apply(&mut self, step: Step) -> Result<(), Error> {
-        self.apply_inner(&step)?;
+        self.apply_ref(&step)?;
         self.steps.push(step);
+        Ok(())
+    }
+
+    /// Applies `step` and folds it into the signature; the caller records
+    /// it in `steps`.
+    fn apply_ref(&mut self, step: &Step) -> Result<(), Error> {
+        self.apply_inner(step)?;
+        let mut h = DefaultHasher::new();
+        self.signature.hash(&mut h);
+        step.hash(&mut h);
+        self.signature = h.finish();
         Ok(())
     }
 
@@ -589,7 +610,7 @@ impl State {
             node: cache_id,
             indices: (0..n_spatial).map(Expr::axis).collect(),
         };
-        if let NodeKind::Compute(c) = &mut self.dag.nodes[orig].kind {
+        if let NodeKind::Compute(c) = &mut Arc::make_mut(&mut self.dag).nodes_mut()[orig].kind {
             let names: Vec<String> = c.axis_names[..n_spatial].to_vec();
             c.body = copy_body;
             c.reduce_extents.clear();
@@ -650,7 +671,7 @@ impl State {
         // The original node reduces X.rf over k_i.
         let mut idx: Vec<Expr> = (0..n).map(Expr::axis).collect();
         idx.push(Expr::axis(n)); // the new reduce axis k_i
-        if let NodeKind::Compute(c) = &mut self.dag.nodes[orig].kind {
+        if let NodeKind::Compute(c) = &mut Arc::make_mut(&mut self.dag).nodes_mut()[orig].kind {
             c.body = Expr::Load {
                 node: rf_id,
                 indices: idx,
@@ -668,10 +689,13 @@ impl State {
 
     /// Inserts a new compute node immediately before `pos`, renumbering all
     /// node ids ≥ `pos` in DAG bodies and stages. Returns the new node's id
-    /// (= `pos`).
+    /// (= `pos`). This is where a state stops sharing its task's DAG: the
+    /// first structural step copies it (`Arc::make_mut`), later ones find
+    /// the copy unshared.
     fn insert_node_before(&mut self, pos: NodeId, name: String, kind: NodeKind) -> NodeId {
+        let nodes = Arc::make_mut(&mut self.dag).nodes_mut();
         // Renumber loads in all bodies.
-        for n in &mut self.dag.nodes {
+        for n in nodes.iter_mut() {
             if let NodeKind::Compute(c) = &mut n.kind {
                 c.body = c.body.map(&mut |e| match e {
                     Expr::Load { node, indices } if node >= pos => Expr::Load {
@@ -682,7 +706,7 @@ impl State {
                 });
             }
         }
-        for n in &mut self.dag.nodes {
+        for n in nodes.iter_mut() {
             if n.id >= pos {
                 n.id += 1;
             }
@@ -697,7 +721,7 @@ impl State {
                 }
             }
         }
-        self.dag.nodes.insert(
+        nodes.insert(
             pos,
             crate::dag::Node {
                 id: pos,
@@ -773,10 +797,14 @@ mod tests {
     use crate::dag::Reducer;
 
     fn matmul_dag() -> Arc<ComputeDag> {
+        matmul_rows(64)
+    }
+
+    fn matmul_rows(rows: i64) -> Arc<ComputeDag> {
         let mut b = DagBuilder::new();
-        let a = b.placeholder("A", &[64, 32]);
+        let a = b.placeholder("A", &[rows, 32]);
         let w = b.placeholder("B", &[32, 16]);
-        b.compute_reduce("C", &[64, 16], &[32], Reducer::Sum, |ax| {
+        b.compute_reduce("C", &[rows, 16], &[32], Reducer::Sum, |ax| {
             Expr::load(a, vec![ax[0].clone(), ax[2].clone()])
                 * Expr::load(w, vec![ax[2].clone(), ax[1].clone()])
         });
@@ -903,5 +931,43 @@ mod tests {
         .unwrap();
         let replayed = State::replay(dag, &st.steps).unwrap();
         assert_eq!(replayed.stages, st.stages);
+    }
+
+    #[test]
+    fn signature_names_the_program_not_just_the_steps() {
+        let steps = [
+            Step::Split {
+                node: "C".into(),
+                iter: "i".into(),
+                lengths: vec![8, 2],
+            },
+            Step::Annotate {
+                node: "C".into(),
+                iter: "i.2".into(),
+                ann: Annotation::Vectorize,
+            },
+        ];
+        // An untouched state is named by its DAG alone.
+        let dag = matmul_rows(64);
+        assert_eq!(State::new(dag.clone()).signature(), dag.fingerprint());
+        // Equal DAG content built twice: one program, one signature.
+        let a = State::replay(dag, &steps).unwrap();
+        let b = State::replay(matmul_rows(64), &steps).unwrap();
+        assert_eq!(a.signature(), b.signature());
+        assert_ne!(a.signature(), State::new(matmul_rows(64)).signature());
+        // The same steps on a DAG that differs only in one extent: two.
+        let c = State::replay(matmul_rows(128), &steps).unwrap();
+        assert_eq!(c.steps, a.steps);
+        assert_ne!(c.signature(), a.signature());
+        // A failed step leaves no trace in the signature.
+        let mut d = a.clone();
+        assert!(d
+            .apply(Step::Split {
+                node: "C".into(),
+                iter: "j".into(),
+                lengths: vec![7],
+            })
+            .is_err());
+        assert_eq!(d.signature(), a.signature());
     }
 }

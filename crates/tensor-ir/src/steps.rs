@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use crate::state::Annotation;
 
 /// One schedule transformation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum Step {
     /// Split an iterator into `lengths.len() + 1` parts; `lengths` are the
     /// inner extents and must divide the iterator's extent exactly.

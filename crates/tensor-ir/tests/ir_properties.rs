@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use rand::prelude::*;
 use tensor_ir::{
     analysis, interp, lower, print_program, Annotation, CmpOp, ComputeDag, DagBuilder, Expr,
     Reducer, State, Step,
@@ -97,6 +98,103 @@ proptest! {
         st.apply(Step::ComputeAt { node: "C".into(), target: "D".into(), prefix_len: prefix }).unwrap();
         let bufs = interp::run(&lower(&st).unwrap(), &inputs).unwrap();
         prop_assert_eq!(bufs.get(3), reference.get(3));
+    }
+}
+
+/// A random walk over the step kinds, structural ones included. Steps that
+/// do not apply (a dead iterator, an rfactor after a cache-write) are
+/// dropped, which is also what a failed mutation does.
+fn random_walk(dag: &Arc<ComputeDag>, seed: u64) -> State {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut st = State::new(dag.clone());
+    for _ in 0..rng.gen_range(0..10) {
+        let node = ["C", "C.cache", "C.rf"]
+            .choose(&mut rng)
+            .unwrap()
+            .to_string();
+        let iter = ["i", "j", "k", "i.0", "j.1", "k_o"]
+            .choose(&mut rng)
+            .unwrap()
+            .to_string();
+        let step = match rng.gen_range(0..6) {
+            0 | 1 => Step::Split {
+                node,
+                iter,
+                lengths: vec![if rng.gen_bool(0.5) { 2 } else { 4 }],
+            },
+            2 => Step::Annotate {
+                node,
+                iter,
+                ann: Annotation::Unroll,
+            },
+            3 => Step::Pragma {
+                node,
+                max_unroll: 16,
+            },
+            4 => Step::CacheWrite { node: "C".into() },
+            _ => Step::Rfactor {
+                node: "C".into(),
+                factor: 4,
+            },
+        };
+        let before = st.signature();
+        if st.apply(step).is_err() {
+            assert_eq!(
+                st.signature(),
+                before,
+                "a refused step must not be folded in"
+            );
+        }
+    }
+    st
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The carried signature against its from-scratch oracle (replay), and
+    /// the sharing rules of the DAG: the task's own `Arc` until a
+    /// structural step, the state's `Arc` in the lowered program.
+    #[test]
+    fn signature_and_dag_sharing_invariants(seed in any::<u64>()) {
+        let dag = matmul(16, 16, 16);
+        let st = random_walk(&dag, seed);
+        let replayed = State::replay(dag.clone(), &st.steps).unwrap();
+        prop_assert_eq!(st.signature(), replayed.signature());
+        prop_assert_eq!(&st, &replayed);
+        prop_assert_eq!(st.clone().signature(), st.signature());
+        let structural = st.steps.iter().any(Step::is_structural);
+        prop_assert_eq!(Arc::ptr_eq(&st.dag, &dag), !structural);
+        prop_assert!(Arc::ptr_eq(&lower(&st).unwrap().dag, &st.dag));
+        // One more step, one more fold: never the same name again.
+        let mut next = st.clone();
+        next.apply(Step::Pragma { node: "C".into(), max_unroll: 64 }).unwrap();
+        prop_assert!(next.signature() != st.signature());
+    }
+
+    /// Copy-on-write: a structural step on a clone leaves the sibling's
+    /// and the task's DAG as they were.
+    #[test]
+    fn structural_step_on_a_clone_copies_the_dag(seed in any::<u64>(), cache in any::<bool>()) {
+        let dag = matmul(16, 16, 16);
+        let pristine = (*dag).clone();
+        let sibling = random_walk(&dag, seed);
+        let sibling_dag = (*sibling.dag).clone();
+        let mut clone = sibling.clone();
+        prop_assert!(Arc::ptr_eq(&clone.dag, &sibling.dag));
+        let step = if cache {
+            Step::CacheWrite { node: "C".into() }
+        } else {
+            Step::Rfactor { node: "C".into(), factor: 2 }
+        };
+        if clone.apply(step).is_ok() {
+            prop_assert!(!Arc::ptr_eq(&clone.dag, &sibling.dag));
+            prop_assert!(clone.dag.nodes.len() == sibling.dag.nodes.len() + 1);
+        }
+        prop_assert_eq!(&*sibling.dag, &sibling_dag);
+        prop_assert_eq!(&*dag, &pristine);
+        prop_assert_eq!(dag.fingerprint(), pristine.fingerprint());
+        sibling.validate().unwrap();
     }
 }
 

@@ -10,8 +10,9 @@
 //! report exactly the results of the same eight jobs run one at a time.
 //! Caches may change *when* a measurement is computed, never *what* it is.
 //! And it must survive a mixed daemon: two shapes of one operator produce
-//! the same step lists (hence the same `State::signature()`) over
-//! different DAGs, so nothing keyed by signature may cross classes.
+//! the same step lists over different DAGs, which `State::signature()`
+//! tells apart (it is seeded by the DAG's fingerprint) and the store's
+//! per-class caches keep apart besides.
 //!
 //! Runs under whatever `ANSOR_THREADS` the CI matrix sets (the runtime
 //! reads the variable itself), so the 1- and 4-thread legs both cover it.
