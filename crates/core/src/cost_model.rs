@@ -12,17 +12,18 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ansor_features::{extract_program_features, extract_state_matrix, FeatureMatrix, FEATURE_DIM};
+use ansor_features::{extract_state_features, FeatureMatrix, ProgramFeatures, FEATURE_DIM};
 use ansor_runtime::SigCache;
 use gbdt::{Gbdt, GbdtParams, Matrix, SplitStrategy, TreeParams};
-use tensor_ir::{lower, State};
+use tensor_ir::State;
 
 use crate::search_task::SearchTask;
 
-/// Cached result of featurizing one state: the packed per-statement rows,
-/// or the lowering error. `Arc` so cache hits hand out a pointer instead of
-/// cloning a feature block.
-pub type FeatureBlock = Arc<Result<FeatureMatrix, String>>;
+/// Cached result of featurizing one state: the packed per-statement rows
+/// with the buffer each row's statement stores to, or the lowering error.
+/// `Arc` so cache hits hand out a pointer instead of cloning a feature
+/// block.
+pub type FeatureBlock = Arc<Result<ProgramFeatures, String>>;
 
 /// Scores used to rank candidate programs; higher is better.
 ///
@@ -374,14 +375,16 @@ impl LearnedCostModel {
     /// Featurizes one state through the signature-keyed cache.
     fn features_for(&self, state: &State) -> FeatureBlock {
         self.feature_cache
-            .get_or_insert_with(state.signature(), || Arc::new(extract_state_matrix(state)))
+            .get_or_insert_with(state.signature(), || {
+                Arc::new(extract_state_features(state))
+            })
     }
 
     /// Scores one state through the signature-keyed score cache.
     fn score_one(&self, s: &State) -> f64 {
         self.score_cache
             .get_or_insert_with(s.signature(), || match self.features_for(s).as_ref() {
-                Ok(block) => self.score_rows(block.data()),
+                Ok(block) => self.score_rows(block.rows.data()),
                 Err(_) => f64::NEG_INFINITY,
             })
     }
@@ -424,7 +427,7 @@ impl LearnedCostModel {
         let scores: Vec<f64> = blocks
             .iter()
             .map(|b| match b.as_ref() {
-                Ok(rows) => self.score_rows(rows.data()),
+                Ok(block) => self.score_rows(block.rows.data()),
                 Err(_) => f64::NEG_INFINITY,
             })
             .collect();
@@ -526,21 +529,26 @@ impl CostModel for LearnedCostModel {
         self.score_batch(states)
     }
 
+    /// Per-row predictions over the state's cached feature block, summed by
+    /// the base name of the node each row stores to. A parent that was just
+    /// ranked costs no lowering here; the lookups count in
+    /// [`feature_cache_stats`](LearnedCostModel::feature_cache_stats) but
+    /// not in the `features/cache_*` counters, which stay per scored or
+    /// recorded batch.
     fn predict_per_node(&self, _task: &SearchTask, state: &State) -> HashMap<String, f64> {
         let mut out = HashMap::new();
-        let Ok(program) = lower(state) else {
+        let block = self.features_for(state);
+        let Ok(features) = block.as_ref() else {
             return out;
         };
-        let features = extract_program_features(&program);
-        let analyses = tensor_ir::analysis::analyze(&program);
-        for (f, a) in features.iter().zip(&analyses) {
-            let node = program.dag.nodes[a.buffer].name.clone();
-            let base = node.split('.').next().unwrap_or(&node).to_string();
+        for (row, &buffer) in features.rows.segment_rows(0).zip(&features.buffers) {
+            let node = &state.dag.nodes[buffer].name;
+            let base = node.split('.').next().unwrap_or(node);
             let score = match &self.model {
                 None => 0.0,
-                Some(m) => m.predict(f) as f64,
+                Some(m) => m.predict(row) as f64,
             };
-            *out.entry(base).or_insert(0.0) += score;
+            *out.entry(base.to_string()).or_insert(0.0) += score;
         }
         out
     }
@@ -557,8 +565,8 @@ impl CostModel for LearnedCostModel {
             self.emit_feature_cache_deltas(f0);
             for (block, &sec) in blocks.iter().zip(seconds) {
                 let record = match block.as_ref() {
-                    Ok(rows) => Record {
-                        seg: self.features.push_packed_segment(rows.data()),
+                    Ok(block) => Record {
+                        seg: self.features.push_packed_segment(block.rows.data()),
                         seconds: sec,
                         task: task.name.clone(),
                         error: None,
@@ -740,6 +748,55 @@ mod tests {
         let per_node = model.predict_per_node(&t, &train[0]);
         // All statements fold back to base node "C" (cache stages included).
         assert!(per_node.contains_key("C"), "{per_node:?}");
+    }
+
+    #[test]
+    fn per_node_scores_are_served_from_the_feature_cache_bit_for_bit() {
+        for op in ["C2D", "GMM", "NRM"] {
+            let dag = ansor_workloads::build_case(op, 0, 1).expect("shape 0 exists");
+            let t = SearchTask::new(op, dag, HardwareTarget::intel_20core());
+            let mut measurer = Measurer::new(t.target.clone());
+            let train = sample_states(&t, 24, 9);
+            let secs: Vec<f64> = train.iter().map(|s| measurer.measure(s).seconds).collect();
+            let mut model = LearnedCostModel::new();
+            model.update(&t, &train, &secs);
+            let gbdt = model.model.as_ref().expect("trained");
+            for state in sample_states(&t, 8, 10) {
+                let served = model.predict_per_node(&t, &state);
+                // Recomputed from scratch, row by row.
+                let program = tensor_ir::lower(&state).unwrap();
+                let mut want: HashMap<String, f64> = HashMap::new();
+                for a in tensor_ir::analyze(&program) {
+                    let name = &program.dag.nodes[a.buffer].name;
+                    let base = name.split('.').next().unwrap().to_string();
+                    let row = ansor_features::extract_store_features(&a);
+                    *want.entry(base).or_insert(0.0) += gbdt.predict(&row) as f64;
+                }
+                let bits = |m: &HashMap<String, f64>| -> Vec<(String, u64)> {
+                    let mut v: Vec<_> = m.iter().map(|(k, s)| (k.clone(), s.to_bits())).collect();
+                    v.sort();
+                    v
+                };
+                assert!(!served.is_empty(), "{op}");
+                assert_eq!(bits(&served), bits(&want), "{op}");
+                // Asking again featurizes nothing.
+                let (_, misses) = model.feature_cache_stats();
+                assert_eq!(bits(&model.predict_per_node(&t, &state)), bits(&want));
+                assert_eq!(model.feature_cache_stats().1, misses, "{op}");
+            }
+        }
+    }
+
+    #[test]
+    fn per_node_scores_of_an_unlowerable_state_are_empty() {
+        let t = task();
+        let mut broken = sample_states(&t, 1, 12).remove(0);
+        let sid = broken.stage_by_node_name("C").unwrap();
+        broken.stages[sid].loop_order.pop();
+        assert!(tensor_ir::lower(&broken).is_err());
+        let model = LearnedCostModel::new();
+        assert!(model.predict_per_node(&t, &broken).is_empty());
+        assert_eq!(model.predict(&t, &[broken]), vec![f64::NEG_INFINITY]);
     }
 
     #[test]

@@ -492,8 +492,8 @@ impl SketchPolicy {
         if to_measure.is_empty() {
             return 0;
         }
-        let states: Vec<tensor_ir::State> = to_measure.iter().map(|i| i.state.clone()).collect();
-        let results = measurer.measure_batch(&states);
+        let states: Vec<&tensor_ir::State> = to_measure.iter().map(|i| &i.state).collect();
+        let results = measurer.measure_batch_refs(&states);
         tel.emit(|| {
             let valid = results.iter().filter(|r| r.is_valid()).count() as u64;
             let mut kinds: std::collections::BTreeMap<&'static str, u64> =

@@ -4,6 +4,7 @@
 //! just the steps — caches shared between tasks never serve one task's
 //! entry to another.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use ansor_core::annotate::{sample_program, AnnotationConfig};
@@ -15,7 +16,7 @@ use ansor_features::extract_state_matrix;
 use ansor_workloads::{build_case, ops, OP_CLASSES};
 use hwsim::{HardwareTarget, Measurer};
 use rand::prelude::*;
-use tensor_ir::{lower, State, Step};
+use tensor_ir::{lower, print_program, State, Step};
 
 /// Returns whether the state ran a structural step (owns its DAG).
 fn check_invariants(task: &SearchTask, state: &State, what: &str) -> bool {
@@ -44,14 +45,12 @@ fn check_invariants(task: &SearchTask, state: &State, what: &str) -> bool {
     structural
 }
 
-/// Every operator (CPU and GPU sketch rules) × every sketch × sampled
-/// annotations, then every offspring of a 4-generation evolution over
-/// those samples.
-#[test]
-fn signature_and_dag_sharing_hold_for_every_operator_sketch_and_offspring() {
+/// The walk both batteries below share: every operator (CPU and GPU
+/// sketch rules) × every sketch × 3 sampled annotations, then every
+/// offspring of a 4-generation evolution over those samples. `visit` sees
+/// each program once, in a fixed order.
+fn for_every_program(mut visit: impl FnMut(&SearchTask, &State, &str)) {
     let cfg = AnnotationConfig::default();
-    // States seen that own their DAG / share the task's.
-    let mut seen = [0usize; 2];
     let cases = OP_CLASSES.iter().flat_map(|&op| {
         [
             HardwareTarget::intel_20core(),
@@ -69,8 +68,7 @@ fn signature_and_dag_sharing_hold_for_every_operator_sketch_and_offspring() {
         for (id, sketch) in sketches.iter().enumerate() {
             for _ in 0..3 {
                 if let Some(state) = sample_program(sketch, &task, &cfg, &mut rng) {
-                    let owns = check_invariants(&task, &state, &format!("{op} sketch {id}"));
-                    seen[owns as usize] += 1;
+                    visit(&task, &state, &format!("{op} sketch {id}"));
                     population.push(Individual::new(state, id));
                 }
             }
@@ -101,16 +99,76 @@ fn signature_and_dag_sharing_hold_for_every_operator_sketch_and_offspring() {
             );
             population = offspring.into_iter().map(|o| o.individual).collect();
             for ind in &population {
-                let owns = check_invariants(&task, &ind.state, &format!("{op} generation {gen}"));
-                seen[owns as usize] += 1;
+                visit(&task, &ind.state, &format!("{op} generation {gen}"));
             }
         }
         assert_eq!(*task.dag, pristine, "{op}: the task's DAG was written to");
     }
+}
+
+#[test]
+fn signature_and_dag_sharing_hold_for_every_operator_sketch_and_offspring() {
+    // States seen that own their DAG / share the task's.
+    let mut seen = [0usize; 2];
+    for_every_program(|task, state, what| {
+        seen[check_invariants(task, state, what) as usize] += 1;
+    });
     assert!(
         seen[0] > 100 && seen[1] > 100,
         "one side untested: {seen:?}"
     );
+}
+
+const LOWERED_FINGERPRINTS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/lowered.fingerprints"
+);
+
+/// One line per program of the walk: `<what> <fnv1a-64 of the printed
+/// program, its statement tree (`Debug`: loop-variable ids, not just
+/// names), loop-variable table, unroll pragmas and rewritten layouts>`.
+fn lowered_fingerprints() -> String {
+    let mut out = String::new();
+    for_every_program(|_, state, what| {
+        let program = lower(state).expect("lowers");
+        let mut pragmas: Vec<_> = program.pragma_unroll.iter().collect();
+        pragmas.sort();
+        let text = format!(
+            "{}{:?}{:?}{pragmas:?}{:?}",
+            print_program(&program),
+            program.body,
+            program.vars,
+            program.layout_rewritten
+        );
+        let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        writeln!(out, "{what} {hash:016x}").expect("writing to a String");
+    });
+    out
+}
+
+/// The lowering oracle: the fixture was written by the three-pass `lower`
+/// this repository had before the one-traversal rewrite, and any lowering
+/// must reproduce it line for line.
+#[test]
+fn lowering_reproduces_the_committed_fingerprints() {
+    let golden = std::fs::read_to_string(LOWERED_FINGERPRINTS).expect("fixture is committed");
+    let now = lowered_fingerprints();
+    assert!(golden.lines().count() > 500, "fixture is too small");
+    for (n, (want, got)) in golden.lines().zip(now.lines()).enumerate() {
+        assert_eq!(want, got, "program {n} lowers differently");
+    }
+    assert_eq!(golden.lines().count(), now.lines().count());
+}
+
+/// `cargo test -p ansor-core --test state_identity -- --ignored bless`
+/// rewrites the fixture; only a deliberate change of what `lower` emits
+/// justifies it.
+#[test]
+#[ignore]
+fn bless_lowered_fingerprints() {
+    std::fs::write(LOWERED_FINGERPRINTS, lowered_fingerprints()).expect("fixture is writable");
 }
 
 /// Two tasks behind one measurer and one model, as in a `TaskScheduler`,
@@ -189,8 +247,8 @@ fn tasks_sharing_caches_are_never_served_each_others_entries() {
         );
         let cached = features.get(state.signature()).expect("featurized above");
         assert_eq!(
-            *cached,
-            extract_state_matrix(&state),
+            cached.as_ref().as_ref().map(|block| &block.rows),
+            extract_state_matrix(&state).as_ref(),
             "{}: the shared feature cache served another program's rows",
             task.name
         );

@@ -22,7 +22,7 @@ mod matrix;
 pub use matrix::FeatureMatrix;
 
 use tensor_ir::analysis::{AccessType, BufferAccess, LoopCtx, StoreAnalysis};
-use tensor_ir::{Annotation, IterKind, Program};
+use tensor_ir::{Annotation, IterKind, NodeId, Program};
 
 /// Number of entries in one statement's feature vector.
 pub const FEATURE_DIM: usize = 164;
@@ -38,10 +38,50 @@ fn lg(x: f64) -> f32 {
     (1.0 + x.max(0.0)).log2() as f32
 }
 
-/// Extracts feature vectors for every innermost statement of a program.
-///
-/// Compatibility view over [`extract_program_matrix`]; new code that feeds
-/// the cost model should prefer the packed matrix form.
+/// One program's features as the cost model caches them: the packed
+/// per-statement rows and, row for row, the buffer each statement stores to
+/// (what a per-node score breakdown groups by). Built by one `analyze` pass
+/// at exact capacity — a cache holds thousands of these.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProgramFeatures {
+    /// Single-segment matrix, one [`FEATURE_DIM`]-wide row per statement.
+    pub rows: FeatureMatrix,
+    /// `buffers[r]` is the DAG node row `r`'s statement stores to.
+    pub buffers: Vec<NodeId>,
+}
+
+impl ProgramFeatures {
+    /// Featurizes every innermost statement of a lowered program.
+    pub fn extract(program: &Program) -> ProgramFeatures {
+        let analyses = tensor_ir::analysis::analyze(program);
+        let mut data = Vec::with_capacity(analyses.len() * FEATURE_DIM);
+        for s in &analyses {
+            push_store_features(&mut data, s);
+        }
+        ProgramFeatures {
+            rows: FeatureMatrix::from_packed(data, FEATURE_DIM),
+            buffers: analyses.iter().map(|s| s.buffer).collect(),
+        }
+    }
+}
+
+/// Lowers and featurizes one schedule state; the error is the lowering
+/// failure's message.
+pub fn extract_state_features(state: &tensor_ir::State) -> Result<ProgramFeatures, String> {
+    match tensor_ir::lower(state) {
+        Ok(p) => Ok(ProgramFeatures::extract(&p)),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// [`extract_state_features`] without the per-row buffers: just the packed
+/// single-segment matrix.
+pub fn extract_state_matrix(state: &tensor_ir::State) -> Result<FeatureMatrix, String> {
+    extract_state_features(state).map(|f| f.rows)
+}
+
+/// The nested per-statement view of a program's features, for inspection
+/// and tests; the cost model reads [`ProgramFeatures`].
 pub fn extract_program_features(program: &Program) -> Vec<Vec<f32>> {
     tensor_ir::analysis::analyze(program)
         .iter()
@@ -49,47 +89,16 @@ pub fn extract_program_features(program: &Program) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// Extracts one program's per-statement features into a packed
-/// single-segment [`FeatureMatrix`] (the cost model's storage form).
-pub fn extract_program_matrix(program: &Program) -> FeatureMatrix {
-    let mut m = FeatureMatrix::new(FEATURE_DIM);
-    m.push_segment(
-        tensor_ir::analysis::analyze(program)
-            .iter()
-            .map(extract_store_features),
-    );
-    m
-}
-
-/// Lowers and featurizes one schedule state into a packed single-segment
-/// matrix; the error is the lowering failure's message.
-pub fn extract_state_matrix(state: &tensor_ir::State) -> Result<FeatureMatrix, String> {
-    match tensor_ir::lower(state) {
-        Ok(p) => Ok(extract_program_matrix(&p)),
-        Err(e) => Err(e.to_string()),
-    }
-}
-
-/// Extracts features for a batch of programs on the parallel runtime's
-/// worker threads. Results are in input order and bit-identical across
-/// thread counts (each program is featurized independently).
-pub fn extract_features_batch(programs: &[Program]) -> Vec<Vec<Vec<f32>>> {
-    ansor_runtime::parallel_map(programs, extract_program_features)
-}
-
-/// Lowers and featurizes a batch of schedule states in parallel; `Err`
-/// carries the lowering failure's message so callers can record *why* a
-/// state produced no features instead of silently dropping it.
-pub fn extract_states_features(states: &[tensor_ir::State]) -> Vec<Result<Vec<Vec<f32>>, String>> {
-    ansor_runtime::parallel_map(states, |s| match tensor_ir::lower(s) {
-        Ok(p) => Ok(extract_program_features(&p)),
-        Err(e) => Err(e.to_string()),
-    })
-}
-
 /// Extracts the 164-entry feature vector of one analyzed statement.
 pub fn extract_store_features(s: &StoreAnalysis) -> Vec<f32> {
     let mut f = Vec::with_capacity(FEATURE_DIM);
+    push_store_features(&mut f, s);
+    f
+}
+
+/// Appends one analyzed statement's [`FEATURE_DIM`] features to `f`.
+fn push_store_features(f: &mut Vec<f32>, s: &StoreAnalysis) {
+    let start = f.len();
 
     // --- Arithmetic features (10) ---
     let trips = s.trip_count();
@@ -111,9 +120,9 @@ pub fn extract_store_features(s: &StoreAnalysis) -> Vec<f32> {
     f.push(lg(s.flops_per_iter() * trips));
 
     // --- Vectorize / unroll / parallel groups (3 × 11) ---
-    annotation_group(&mut f, s, Annotation::Vectorize);
-    annotation_group(&mut f, s, Annotation::Unroll);
-    annotation_group(&mut f, s, Annotation::Parallel);
+    annotation_group(f, s, Annotation::Vectorize);
+    annotation_group(f, s, Annotation::Unroll);
+    annotation_group(f, s, Annotation::Parallel);
 
     // --- GPU thread binding features (7) ---
     let prod_of = |ann: Annotation| -> f64 {
@@ -140,7 +149,7 @@ pub fn extract_store_features(s: &StoreAnalysis) -> Vec<f32> {
     f.push(if threads > 1.0 { 1.0 } else { 0.0 });
 
     // --- Arithmetic intensity curve (10 samples) ---
-    intensity_curve(&mut f, s);
+    intensity_curve(f, s);
 
     // --- Allocation features (2) ---
     let out_bytes = s
@@ -170,13 +179,12 @@ pub fn extract_store_features(s: &StoreAnalysis) -> Vec<f32> {
     });
     for slot in 0..N_BUFFER_SLOTS {
         match accesses.get(slot) {
-            Some(a) => buffer_group(&mut f, s, a),
+            Some(a) => buffer_group(f, s, a),
             None => f.extend(std::iter::repeat_n(0.0, BUFFER_FEATURES)),
         }
     }
 
-    debug_assert_eq!(f.len(), FEATURE_DIM);
-    f
+    debug_assert_eq!(f.len() - start, FEATURE_DIM);
 }
 
 /// The 11 features of one annotation kind: innermost annotated length,
@@ -512,38 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_extraction_matches_serial_in_order() {
-        let mut b = DagBuilder::new();
-        let a = b.placeholder("A", &[64, 64]);
-        let w = b.placeholder("B", &[64, 64]);
-        b.compute_reduce("C", &[64, 64], &[64], Reducer::Sum, |ax| {
-            Expr::load(a, vec![ax[0].clone(), ax[2].clone()])
-                * Expr::load(w, vec![ax[2].clone(), ax[1].clone()])
-        });
-        let dag = Arc::new(b.build().unwrap());
-        let mut states = Vec::new();
-        for f in [1i64, 2, 4, 8, 16, 32] {
-            let steps = if f > 1 {
-                vec![Step::Split {
-                    node: "C".into(),
-                    iter: "i".into(),
-                    lengths: vec![f],
-                }]
-            } else {
-                vec![]
-            };
-            states.push(State::replay(dag.clone(), &steps).unwrap());
-        }
-        let programs: Vec<_> = states.iter().map(|s| lower(s).unwrap()).collect();
-        let batch = extract_features_batch(&programs);
-        let from_states = extract_states_features(&states);
-        for (i, p) in programs.iter().enumerate() {
-            assert_eq!(batch[i], extract_program_features(p));
-            assert_eq!(from_states[i].as_ref().unwrap(), &batch[i]);
-        }
-    }
-
-    #[test]
     fn matrix_extraction_matches_nested_extraction() {
         // Oracle: the packed matrix is exactly the nested representation,
         // row for row, for the same program.
@@ -558,13 +534,16 @@ mod tests {
         let st = State::replay(dag, &[]).unwrap();
         let program = lower(&st).unwrap();
         let nested = extract_program_features(&program);
-        let m = extract_program_matrix(&program);
+        let features = ProgramFeatures::extract(&program);
+        let m = &features.rows;
         assert_eq!(m.n_cols(), FEATURE_DIM);
         assert_eq!(m.n_segments(), 1);
         assert_eq!(m.segment_nested(0), nested);
-        assert_eq!(m, FeatureMatrix::from_nested(&[nested], FEATURE_DIM));
-        let via_state = extract_state_matrix(&st).unwrap();
-        assert_eq!(via_state, m);
+        assert_eq!(*m, FeatureMatrix::from_nested(&[nested], FEATURE_DIM));
+        // Init and compute statements both store to C.
+        assert_eq!(features.buffers, vec![2, 2]);
+        assert_eq!(extract_state_features(&st).unwrap(), features);
+        assert_eq!(extract_state_matrix(&st).unwrap(), features.rows);
     }
 
     #[test]

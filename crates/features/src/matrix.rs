@@ -41,6 +41,27 @@ impl FeatureMatrix {
         }
     }
 
+    /// Wraps an already-packed row-major buffer as a single-segment matrix,
+    /// taking the buffer as is — a caller that sized it exactly gets a
+    /// matrix with no spare capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` is not a multiple of `n_cols`.
+    pub fn from_packed(data: Vec<f32>, n_cols: usize) -> FeatureMatrix {
+        assert_eq!(
+            data.len() % n_cols.max(1),
+            0,
+            "packed block is not whole rows"
+        );
+        let n_rows = data.len() / n_cols.max(1);
+        FeatureMatrix {
+            data,
+            n_cols,
+            segments: vec![0, n_rows],
+        }
+    }
+
     /// Row width.
     pub fn n_cols(&self) -> usize {
         self.n_cols
@@ -212,6 +233,17 @@ mod tests {
         let mut b = FeatureMatrix::new(3);
         b.push_segment(block.segment_rows(0).collect::<Vec<_>>());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn from_packed_is_one_exact_segment() {
+        let block = sample();
+        let m = FeatureMatrix::from_packed(block.segment_slice(0).to_vec(), 3);
+        let mut pushed = FeatureMatrix::new(3);
+        pushed.push_packed_segment(block.segment_slice(0));
+        assert_eq!(m, pushed);
+        assert_eq!(m.n_segments(), 1);
+        assert_eq!(m.segment_len(0), 2);
     }
 
     #[test]

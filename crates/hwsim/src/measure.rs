@@ -7,6 +7,7 @@
 //! carry deterministic, seeded log-normal noise to mimic real measurement
 //! variance; noise defaults to zero so experiments are reproducible.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -252,10 +253,20 @@ impl Measurer {
     /// in submission order and bit-identical across thread counts (see
     /// `ansor-runtime`'s determinism contract).
     pub fn measure_batch(&mut self, states: &[State]) -> Vec<MeasureResult> {
+        self.measure_all(states)
+    }
+
+    /// [`measure_batch`](Measurer::measure_batch) over borrowed states, for
+    /// callers whose states live inside other values.
+    pub fn measure_batch_refs(&mut self, states: &[&State]) -> Vec<MeasureResult> {
+        self.measure_all(states)
+    }
+
+    fn measure_all<S: Borrow<State> + Sync>(&mut self, states: &[S]) -> Vec<MeasureResult> {
         self.trials += states.len() as u64;
         let _phase = self.telemetry.span("measurement");
         let this = &*self;
-        let results = ansor_runtime::parallel_map(states, |s| this.measure_cached(s));
+        let results = ansor_runtime::parallel_map(states, |s| this.measure_cached(s.borrow()));
         self.record_outcome(&results);
         results
     }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::dag::{ComputeDag, Reducer};
+use crate::dag::{ComputeDag, ComputeSpec, Reducer};
 use crate::error::Error;
 use crate::expr::{BinOp, Expr, NodeId, VarId};
 use crate::state::{Annotation, ComputeLoc, IterId, IterKind, IterSource, StageId, State};
@@ -116,27 +116,29 @@ impl Program {
 }
 
 /// Lowers a scheduled state into a complete program.
+///
+/// One traversal: every expression of the result is built exactly once, in
+/// its final form — load indices through [`simplify`]'s per-node rule as
+/// they are assembled, everything else as written — so lowering allocates
+/// little beyond the tree it returns.
 pub fn lower(state: &State) -> Result<Program, Error> {
     state.validate().map_err(|e| Error::Lower(e.to_string()))?;
+    let mut iter_base = Vec::with_capacity(state.stages.len());
+    let mut n_iters = 0;
+    for stage in &state.stages {
+        iter_base.push(n_iters);
+        n_iters += stage.iters.len();
+    }
     let mut ctx = LowerCtx {
         state,
         vars: Vec::new(),
-        bindings: HashMap::new(),
-        attach: HashMap::new(),
+        iter_base,
+        bindings: vec![None; n_iters],
     };
-    // Group compute-at stages under their target stage.
-    for (sid, stage) in state.stages.iter().enumerate() {
-        if let ComputeLoc::At { target, prefix_len } = stage.loc {
-            let tsid = state
-                .stage_of_node(target)
-                .ok_or_else(|| Error::Lower("dangling compute_at target".into()))?;
-            ctx.attach.entry(tsid).or_default().push((sid, prefix_len));
-        }
-    }
     let mut body = Vec::new();
     for (sid, stage) in state.stages.iter().enumerate() {
         if stage.loc == ComputeLoc::Root && state.dag.nodes[stage.node].compute().is_some() {
-            body.extend(ctx.emit_stage(sid, &[])?);
+            ctx.emit_stage(sid, 0, &mut body)?;
         }
     }
     Ok(Program {
@@ -158,250 +160,272 @@ pub fn lower(state: &State) -> Result<Program, Error> {
     })
 }
 
+/// How a binary node of the result is made: [`Expr::binary`] where the
+/// value is kept as written, [`simplify_binary`] inside a load or store
+/// index. Operands are built first, so a simplified value never exists in
+/// unsimplified form.
+type MakeBinary = fn(BinOp, Expr, Expr) -> Expr;
+
+/// What [`Expr::Axis`] stands for while a compute body is walked.
+enum Axes<'e> {
+    /// Axis `k` is root iterator `k` of the stage being emitted.
+    Stage(StageId),
+    /// The body of a producer inlined at a load: axis `k` is the load's
+    /// index `k`, itself read under the loading body's axes.
+    Inlined(&'e [Expr], &'e Axes<'e>),
+}
+
 struct LowerCtx<'a> {
     state: &'a State,
     vars: Vec<VarInfo>,
-    /// Value of each (stage, iterator): a loop var or a prefix substitution.
-    bindings: HashMap<(StageId, IterId), Expr>,
-    /// target stage → [(producer stage, prefix_len)]
-    attach: HashMap<StageId, Vec<(StageId, usize)>>,
+    /// Where each stage's iterators start in `bindings`.
+    iter_base: Vec<usize>,
+    /// Value of each live iterator once its loop is open: a loop variable,
+    /// or zero for a length-one loop. Indexed `iter_base[stage] + iter`.
+    bindings: Vec<Option<Expr>>,
 }
 
-impl LowerCtx<'_> {
-    /// Emits one stage's loop nest. `prefix_vals` are the expressions bound
-    /// to the stage's first iterators (empty for root stages).
-    fn emit_stage(&mut self, sid: StageId, prefix_vals: &[Expr]) -> Result<Vec<Stmt>, Error> {
-        let stage = &self.state.stages[sid];
-        for (p, val) in prefix_vals.iter().enumerate() {
-            self.bindings
-                .insert((sid, stage.loop_order[p]), val.clone());
-        }
-        let skip = prefix_vals.len();
-        let mut out = Vec::new();
-        // Initialize the reduction accumulator over the (emitted) spatial
-        // iterators before the compute loops.
-        let spec = self.state.dag.nodes[stage.node]
+impl<'a> LowerCtx<'a> {
+    /// Emits one stage's loop nest into `out`. The stage's first `skip`
+    /// iterators are already bound (a compute-at prefix; 0 for root stages).
+    fn emit_stage(&mut self, sid: StageId, skip: usize, out: &mut Vec<Stmt>) -> Result<(), Error> {
+        let spec = self.state.dag.nodes[self.state.stages[sid].node]
             .compute()
             .ok_or_else(|| Error::Lower("placeholder stage emitted".into()))?;
+        // Initialize the reduction accumulator over the (emitted) spatial
+        // iterators before the compute loops.
         if let Some(reducer) = spec.reducer {
-            let spatial: Vec<IterId> = stage.loop_order[skip..]
-                .iter()
-                .copied()
-                .filter(|&i| stage.iters[i].kind == IterKind::Space)
-                .collect();
-            let nest = self.emit_init_nest(sid, &spatial, reducer)?;
-            out.extend(nest);
+            self.emit_init_nest(sid, skip, reducer, out)?;
         }
-        let nest = self.emit_loops(sid, skip)?;
-        out.extend(nest);
-        Ok(out)
+        self.emit_loops(sid, skip, out)
     }
 
     fn emit_init_nest(
         &mut self,
         sid: StageId,
-        spatial: &[IterId],
+        skip: usize,
         reducer: Reducer,
-    ) -> Result<Vec<Stmt>, Error> {
+        out: &mut Vec<Stmt>,
+    ) -> Result<(), Error> {
         let stage = &self.state.stages[sid];
-        // Fresh loop vars for the init nest; length-one loops are pinned.
-        let mut saved = Vec::new();
-        for &it in spatial {
-            let binding = if self.state.stages[sid].iters[it].extent == 1 {
+        let spatial = || {
+            stage.loop_order[skip..]
+                .iter()
+                .map(|&it| (it, &stage.iters[it]))
+                .filter(|(_, info)| info.kind == IterKind::Space)
+        };
+        // Fresh loop vars for the init nest (the compute nest rebinds its
+        // iterators as it opens them); length-one loops are pinned.
+        for (it, info) in spatial() {
+            let value = if info.extent == 1 {
                 Expr::IntConst(0)
             } else {
                 Expr::LoopVar(self.fresh_var(sid, it))
             };
-            saved.push(((sid, it), self.bindings.insert((sid, it), binding)));
+            self.bind(sid, it, value);
         }
-        let indices = self.spatial_axis_exprs(sid)?;
-        let store = Stmt::Store {
+        let mut nest = Stmt::Store {
             buffer: stage.node,
-            indices,
+            indices: self.store_indices(sid)?,
             value: Expr::FloatConst(reducer.identity() as f64),
             reduce: None,
         };
-        let mut body = vec![store];
-        for &it in spatial.iter().rev() {
-            let Expr::LoopVar(var) = self.bindings[&(sid, it)] else {
+        for (it, info) in spatial().rev() {
+            let Some(&Expr::LoopVar(var)) = self.bound(sid, it) else {
                 continue; // pinned length-one loop
             };
             // The init nest inherits parallel/bind/vectorize annotations
             // (accumulators are initialized by the same workers that own
             // them); unrolling is left to the code generator.
-            let info = &self.state.stages[sid].iters[it];
             let ann = if info.annotation == Annotation::Unroll {
                 Annotation::None
             } else {
                 info.annotation
             };
-            body = vec![Stmt::For {
+            nest = Stmt::For {
                 var,
                 extent: info.extent,
                 ann,
-                body,
-            }];
+                body: vec![nest],
+            };
         }
-        // Restore previous bindings (remove the init vars).
-        for (key, old) in saved {
-            match old {
-                Some(v) => {
-                    self.bindings.insert(key, v);
-                }
-                None => {
-                    self.bindings.remove(&key);
-                }
-            }
-        }
-        Ok(body)
+        out.push(nest);
+        Ok(())
     }
 
-    fn emit_loops(&mut self, sid: StageId, pos: usize) -> Result<Vec<Stmt>, Error> {
-        let stage = &self.state.stages[sid];
-        let mut out = Vec::new();
-        // Producers attached at this depth run before the rest of the nest.
-        if let Some(attached) = self.attach.get(&sid).cloned() {
-            for (psid, prefix_len) in attached {
-                if prefix_len == pos {
-                    let vals: Vec<Expr> = (0..prefix_len)
-                        .map(|p| {
-                            self.bindings[&(sid, self.state.stages[sid].loop_order[p])].clone()
-                        })
-                        .collect();
-                    out.extend(self.emit_stage(psid, &vals)?);
+    fn emit_loops(&mut self, sid: StageId, pos: usize, out: &mut Vec<Stmt>) -> Result<(), Error> {
+        let state = self.state;
+        let stage = &state.stages[sid];
+        // Producers attached at this depth run before the rest of the nest,
+        // their first `pos` iterators bound to this stage's. (`validate`
+        // has checked that every compute-at target has a stage.)
+        let here = ComputeLoc::At {
+            target: stage.node,
+            prefix_len: pos,
+        };
+        for (psid, producer) in state.stages.iter().enumerate() {
+            if producer.loc == here {
+                for p in 0..pos {
+                    let value = self.bound(sid, stage.loop_order[p]).cloned();
+                    self.bind(
+                        psid,
+                        producer.loop_order[p],
+                        value.expect("loops above `pos` are open"),
+                    );
                 }
+                self.emit_stage(psid, pos, out)?;
             }
         }
         if pos == stage.loop_order.len() {
             out.push(self.emit_body(sid)?);
-            return Ok(out);
+            return Ok(());
         }
         let it = stage.loop_order[pos];
         let info = &stage.iters[it];
-        let extent = info.extent;
-        let ann = info.annotation;
-        if extent == 1 {
+        if info.extent == 1 {
             // Length-one loops are simplified away (§4.2): the variable is
             // pinned to zero and no loop is emitted.
-            self.bindings.insert((sid, it), Expr::IntConst(0));
-            out.extend(self.emit_loops(sid, pos + 1)?);
-            return Ok(out);
+            self.bind(sid, it, Expr::IntConst(0));
+            return self.emit_loops(sid, pos + 1, out);
         }
         let var = self.fresh_var(sid, it);
-        self.bindings.insert((sid, it), Expr::LoopVar(var));
-        let body = self.emit_loops(sid, pos + 1)?;
+        self.bind(sid, it, Expr::LoopVar(var));
+        let mut body = Vec::new();
+        self.emit_loops(sid, pos + 1, &mut body)?;
         out.push(Stmt::For {
             var,
-            extent,
-            ann,
+            extent: info.extent,
+            ann: info.annotation,
             body,
         });
-        Ok(out)
+        Ok(())
     }
 
-    fn emit_body(&mut self, sid: StageId) -> Result<Stmt, Error> {
-        let stage = &self.state.stages[sid];
-        let spec = self.state.dag.nodes[stage.node].compute().unwrap();
-        let n_axes = spec.num_spatial() + spec.num_reduce();
-        let axis_exprs: Vec<Expr> = (0..n_axes)
-            .map(|a| self.iter_value(sid, stage.root_iters[a]))
-            .collect::<Result<Vec<_>, _>>()?;
-        let value = self.lower_expr(&spec.body.substitute_axes(&axis_exprs))?;
-        let indices = axis_exprs[..spec.num_spatial()]
-            .iter()
-            .map(simplify)
-            .collect();
+    /// The value a live iterator is bound to, if its loop is open.
+    fn bound(&self, sid: StageId, it: IterId) -> Option<&Expr> {
+        self.bindings[self.iter_base[sid] + it].as_ref()
+    }
+
+    fn bind(&mut self, sid: StageId, it: IterId, value: Expr) {
+        let slot = self.iter_base[sid] + it;
+        self.bindings[slot] = Some(value);
+    }
+
+    /// The compute definition of a stage `emit_stage` accepted.
+    fn spec(&self, sid: StageId) -> &'a ComputeSpec {
+        self.state.dag.nodes[self.state.stages[sid].node]
+            .compute()
+            .expect("emit_stage refuses placeholder stages")
+    }
+
+    fn emit_body(&self, sid: StageId) -> Result<Stmt, Error> {
+        let spec = self.spec(sid);
         Ok(Stmt::Store {
-            buffer: stage.node,
-            indices,
-            value,
+            buffer: self.state.stages[sid].node,
+            indices: self.store_indices(sid)?,
+            value: self.build(&spec.body, &Axes::Stage(sid), Expr::binary)?,
             reduce: spec.reducer,
         })
     }
 
-    /// Substitutes inlined-producer loads inside a lowered body expression.
-    fn lower_expr(&self, e: &Expr) -> Result<Expr, Error> {
-        let mut err = None;
-        let out = e.map(&mut |e| match e {
+    /// The stage's spatial axes as (simplified) buffer indices.
+    fn store_indices(&self, sid: StageId) -> Result<Vec<Expr>, Error> {
+        let roots = &self.state.stages[sid].root_iters;
+        (0..self.spec(sid).num_spatial())
+            .map(|a| self.iter_value(sid, roots[a], simplify_binary))
+            .collect()
+    }
+
+    /// Builds the lowered form of a compute-body expression: axes replaced
+    /// by their values over live loop variables, inlined producers expanded
+    /// at their load sites, every remaining load's indices simplified.
+    fn build(&self, e: &Expr, axes: &Axes, make: MakeBinary) -> Result<Expr, Error> {
+        Ok(match e {
+            Expr::FloatConst(_) | Expr::IntConst(_) | Expr::LoopVar(_) => e.clone(),
+            Expr::Axis(k) => match axes {
+                Axes::Stage(sid) => {
+                    self.iter_value(*sid, self.state.stages[*sid].root_iters[*k], make)?
+                }
+                Axes::Inlined(indices, outer) => self.build(&indices[*k], outer, make)?,
+            },
             Expr::Load { node, indices } => {
-                let sid = self.state.stage_of_node(node);
-                let inlined = sid
-                    .map(|s| {
-                        self.state.stages[s].loc == ComputeLoc::Inlined
-                            && self.state.dag.nodes[node].compute().is_some()
-                    })
-                    .unwrap_or(false);
-                if inlined {
-                    let spec = self.state.dag.nodes[node].compute().unwrap();
-                    let body = spec.body.substitute_axes(&indices);
-                    match self.lower_expr(&body) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            err = Some(e);
-                            Expr::FloatConst(0.0)
-                        }
+                let inlined = self
+                    .state
+                    .stage_of_node(*node)
+                    .is_some_and(|s| self.state.stages[s].loc == ComputeLoc::Inlined);
+                match self.state.dag.nodes[*node].compute() {
+                    Some(spec) if inlined => {
+                        self.build(&spec.body, &Axes::Inlined(indices, axes), make)?
                     }
-                } else {
-                    Expr::Load {
-                        node,
-                        indices: indices.iter().map(simplify).collect(),
-                    }
+                    _ => Expr::Load {
+                        node: *node,
+                        indices: indices
+                            .iter()
+                            .map(|i| self.build(i, axes, simplify_binary))
+                            .collect::<Result<_, _>>()?,
+                    },
                 }
             }
-            other => other,
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+            Expr::Binary { op, lhs, rhs } => make(
+                *op,
+                self.build(lhs, axes, make)?,
+                self.build(rhs, axes, make)?,
+            ),
+            Expr::Unary { op, arg } => Expr::unary(*op, self.build(arg, axes, make)?),
+            Expr::Cmp { op, lhs, rhs } => Expr::cmp(
+                *op,
+                self.build(lhs, axes, make)?,
+                self.build(rhs, axes, make)?,
+            ),
+            Expr::Select { cond, then, other } => Expr::select(
+                self.build(cond, axes, make)?,
+                self.build(then, axes, make)?,
+                self.build(other, axes, make)?,
+            ),
+        })
     }
 
     /// Value of an iterator as an expression over live loop variables.
-    fn iter_value(&self, sid: StageId, it: IterId) -> Result<Expr, Error> {
-        if let Some(e) = self.bindings.get(&(sid, it)) {
+    fn iter_value(&self, sid: StageId, it: IterId, make: MakeBinary) -> Result<Expr, Error> {
+        if let Some(e) = self.bound(sid, it) {
             return Ok(e.clone());
         }
-        let info = &self.state.stages[sid].iters[it];
+        let iters = &self.state.stages[sid].iters;
+        let info = &iters[it];
+        let volume = |its: &[IterId]| its.iter().map(|&i| iters[i].extent).product::<i64>();
         if let Some(children) = &info.split_children {
             // value = sum(child_value * stride_of_child)
-            let extents: Vec<i64> = children
-                .iter()
-                .map(|&c| self.state.stages[sid].iters[c].extent)
-                .collect();
             let mut acc: Option<Expr> = None;
             for (j, &c) in children.iter().enumerate() {
-                let stride: i64 = extents[j + 1..].iter().product();
-                let v = self.iter_value(sid, c)?;
+                let stride = volume(&children[j + 1..]);
+                let v = self.iter_value(sid, c, make)?;
                 let term = if stride == 1 {
                     v
                 } else {
-                    v * Expr::int(stride)
+                    make(BinOp::Mul, v, Expr::int(stride))
                 };
                 acc = Some(match acc {
                     None => term,
-                    Some(a) => a + term,
+                    Some(a) => make(BinOp::Add, a, term),
                 });
             }
             return Ok(acc.expect("split has children"));
         }
         if let Some((f, pos)) = info.fused_into {
-            let IterSource::Fused(parts) = &self.state.stages[sid].iters[f].source else {
+            let IterSource::Fused(parts) = &iters[f].source else {
                 return Err(Error::Lower("fused_into target is not a fuse node".into()));
             };
-            let stride: i64 = parts[pos + 1..]
-                .iter()
-                .map(|&p| self.state.stages[sid].iters[p].extent)
-                .product();
-            let fv = self.iter_value(sid, f)?;
+            let stride = volume(&parts[pos + 1..]);
+            let fv = self.iter_value(sid, f, make)?;
             let divided = if stride == 1 {
                 fv
             } else {
-                Expr::binary(BinOp::Div, fv, Expr::int(stride))
+                make(BinOp::Div, fv, Expr::int(stride))
             };
             let modded = if pos == 0 {
                 divided
             } else {
-                Expr::binary(BinOp::Mod, divided, Expr::int(info.extent))
+                make(BinOp::Mod, divided, Expr::int(info.extent))
             };
             return Ok(modded);
         }
@@ -409,17 +433,6 @@ impl LowerCtx<'_> {
             "iterator {:?} has no value (neither live nor derived)",
             info.name
         )))
-    }
-
-    fn spatial_axis_exprs(&self, sid: StageId) -> Result<Vec<Expr>, Error> {
-        let stage = &self.state.stages[sid];
-        let spec = self.state.dag.nodes[stage.node].compute().unwrap();
-        (0..spec.num_spatial())
-            .map(|a| {
-                self.iter_value(sid, stage.root_iters[a])
-                    .map(|e| simplify(&e))
-            })
-            .collect()
     }
 
     fn fresh_var(&mut self, sid: StageId, it: IterId) -> VarId {
@@ -436,29 +449,35 @@ impl LowerCtx<'_> {
 }
 
 /// Light algebraic simplification of index expressions: removes `* 1`,
-/// `+ 0`, `/ 1` and folds constant arithmetic.
+/// `+ 0`, `/ 1` and folds constant arithmetic, bottom-up.
 pub fn simplify(e: &Expr) -> Expr {
     e.map(&mut |e| match e {
-        Expr::Binary { op, lhs, rhs } => match (op, lhs.as_ref(), rhs.as_ref()) {
-            (BinOp::Mul, x, Expr::IntConst(1)) | (BinOp::Add, x, Expr::IntConst(0)) => x.clone(),
-            (BinOp::Mul, Expr::IntConst(1), x) | (BinOp::Add, Expr::IntConst(0), x) => x.clone(),
-            (BinOp::Mul, _, Expr::IntConst(0)) | (BinOp::Mul, Expr::IntConst(0), _) => {
-                Expr::IntConst(0)
-            }
-            (BinOp::Div, x, Expr::IntConst(1)) => x.clone(),
-            (BinOp::Mod, _, Expr::IntConst(1)) => Expr::IntConst(0),
-            (op, Expr::IntConst(a), Expr::IntConst(b)) => match op {
-                BinOp::Add => Expr::IntConst(a + b),
-                BinOp::Sub => Expr::IntConst(a - b),
-                BinOp::Mul => Expr::IntConst(a * b),
-                BinOp::Div if *b != 0 => Expr::IntConst(a / b),
-                BinOp::Mod if *b != 0 => Expr::IntConst(a % b),
-                _ => Expr::Binary { op, lhs, rhs },
-            },
-            _ => Expr::Binary { op, lhs, rhs },
-        },
+        Expr::Binary { op, lhs, rhs } => simplify_binary(op, *lhs, *rhs),
         other => other,
     })
+}
+
+/// [`simplify`]'s rule for one binary node whose operands are already
+/// simplified.
+fn simplify_binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
+    match (op, &lhs, &rhs) {
+        (BinOp::Mul, _, Expr::IntConst(1)) | (BinOp::Add, _, Expr::IntConst(0)) => lhs,
+        (BinOp::Mul, Expr::IntConst(1), _) | (BinOp::Add, Expr::IntConst(0), _) => rhs,
+        (BinOp::Mul, _, Expr::IntConst(0)) | (BinOp::Mul, Expr::IntConst(0), _) => {
+            Expr::IntConst(0)
+        }
+        (BinOp::Div, _, Expr::IntConst(1)) => lhs,
+        (BinOp::Mod, _, Expr::IntConst(1)) => Expr::IntConst(0),
+        (op, &Expr::IntConst(a), &Expr::IntConst(b)) => match op {
+            BinOp::Add => Expr::IntConst(a + b),
+            BinOp::Sub => Expr::IntConst(a - b),
+            BinOp::Mul => Expr::IntConst(a * b),
+            BinOp::Div if b != 0 => Expr::IntConst(a / b),
+            BinOp::Mod if b != 0 => Expr::IntConst(a % b),
+            _ => Expr::binary(op, lhs, rhs),
+        },
+        _ => Expr::binary(op, lhs, rhs),
+    }
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::prelude::*;
 use tensor_ir::{
-    analysis, interp, lower, print_program, Annotation, CmpOp, ComputeDag, DagBuilder, Expr,
-    Reducer, State, Step,
+    analysis, interp, lower, print_program, simplify, Annotation, BinOp, CmpOp, ComputeDag,
+    DagBuilder, Expr, Reducer, State, Step, UnOp,
 };
 
 fn matmul(n: i64, m: i64, k: i64) -> Arc<ComputeDag> {
@@ -196,6 +196,101 @@ proptest! {
         prop_assert_eq!(dag.fingerprint(), pristine.fingerprint());
         sibling.validate().unwrap();
     }
+}
+
+/// The rule table `simplify` had as one `Expr::map` pass before `lower`
+/// began building indices through the per-node rule: the reference the
+/// rule is held to, kept nowhere else.
+fn simplify_by_the_old_table(e: &Expr) -> Expr {
+    e.map(&mut |e| match e {
+        Expr::Binary { op, lhs, rhs } => match (op, lhs.as_ref(), rhs.as_ref()) {
+            (BinOp::Mul, x, Expr::IntConst(1)) | (BinOp::Add, x, Expr::IntConst(0)) => x.clone(),
+            (BinOp::Mul, Expr::IntConst(1), x) | (BinOp::Add, Expr::IntConst(0), x) => x.clone(),
+            (BinOp::Mul, _, Expr::IntConst(0)) | (BinOp::Mul, Expr::IntConst(0), _) => {
+                Expr::IntConst(0)
+            }
+            (BinOp::Div, x, Expr::IntConst(1)) => x.clone(),
+            (BinOp::Mod, _, Expr::IntConst(1)) => Expr::IntConst(0),
+            (op, Expr::IntConst(a), Expr::IntConst(b)) => match op {
+                BinOp::Add => Expr::IntConst(a + b),
+                BinOp::Sub => Expr::IntConst(a - b),
+                BinOp::Mul => Expr::IntConst(a * b),
+                BinOp::Div if *b != 0 => Expr::IntConst(a / b),
+                BinOp::Mod if *b != 0 => Expr::IntConst(a % b),
+                _ => Expr::Binary { op, lhs, rhs },
+            },
+            _ => Expr::Binary { op, lhs, rhs },
+        },
+        other => other,
+    })
+}
+
+/// A random index expression: small constants (so `* 1`, `1 *`, `+ 0`,
+/// `* 0`, `/ 1`, `% 1`, `/ 0` and constant folds all come up), loop
+/// variables, every binary operator, nested loads and the node kinds the
+/// rules pass through.
+fn random_index_expr(rng: &mut StdRng, depth: usize) -> Expr {
+    if depth == 0 || rng.gen_bool(0.25) {
+        return if rng.gen_bool(0.6) {
+            Expr::IntConst(*[0i64, 0, 1, 1, 2, 3, -1].choose(rng).unwrap())
+        } else {
+            Expr::LoopVar(rng.gen_range(0..3))
+        };
+    }
+    let sub = |rng: &mut StdRng| random_index_expr(rng, depth - 1);
+    match rng.gen_range(0..12) {
+        0 => Expr::load(rng.gen_range(0..3), vec![sub(rng), sub(rng)]),
+        1 => Expr::unary(UnOp::Neg, sub(rng)),
+        2 => Expr::cmp(CmpOp::Lt, sub(rng), sub(rng)),
+        3 => Expr::select(sub(rng), sub(rng), sub(rng)),
+        _ => {
+            let op = [
+                BinOp::Add,
+                BinOp::Add,
+                BinOp::Sub,
+                BinOp::Mul,
+                BinOp::Mul,
+                BinOp::Div,
+                BinOp::Mod,
+                BinOp::Min,
+                BinOp::Max,
+            ];
+            Expr::binary(*op.choose(rng).unwrap(), sub(rng), sub(rng))
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `simplify` equals the old rule table on random index expressions,
+    /// and simplifying twice changes nothing — what lets `lower` build an
+    /// index simplified from simplified parts.
+    #[test]
+    fn simplify_equals_the_old_rule_table(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let e = random_index_expr(&mut rng, 5);
+        let simplified = simplify(&e);
+        prop_assert_eq!(&simplified, &simplify_by_the_old_table(&e));
+        prop_assert_eq!(&simplify(&simplified), &simplified);
+    }
+}
+
+#[test]
+fn simplify_leaves_division_by_zero_unfolded() {
+    let by_zero = Expr::binary(BinOp::Div, Expr::int(6), Expr::int(0));
+    assert_eq!(simplify(&by_zero), by_zero);
+    let rem_zero = Expr::binary(BinOp::Mod, Expr::int(6), Expr::int(0));
+    assert_eq!(simplify(&rem_zero), rem_zero);
+    // A load nested in a load index is simplified through.
+    let nested = Expr::load(
+        0,
+        vec![Expr::load(1, vec![Expr::LoopVar(0) * Expr::int(1)])],
+    );
+    assert_eq!(
+        simplify(&nested),
+        Expr::load(0, vec![Expr::load(1, vec![Expr::LoopVar(0)])])
+    );
 }
 
 #[test]
