@@ -52,9 +52,13 @@ impl BinnedDataset {
             let mut values: Vec<f32> = included.iter().map(|&i| x.get(i, f)).collect();
             values.sort_unstable_by(f32::total_cmp);
             let cuts = build_cuts(&values, max_bins);
-            let codes = (0..n_rows)
-                .map(|i| cuts.partition_point(|c| *c <= x.get(i, f)) as u8)
-                .collect();
+            let codes = if cuts.is_empty() {
+                vec![0u8; n_rows]
+            } else {
+                (0..n_rows)
+                    .map(|i| cuts.partition_point(|c| *c <= x.get(i, f)) as u8)
+                    .collect()
+            };
             (cuts, codes)
         };
         let per_col: Vec<(Vec<f32>, Vec<u8>)> =
@@ -82,6 +86,11 @@ impl BinnedDataset {
     #[inline]
     pub fn code(&self, i: usize, f: usize) -> usize {
         self.codes[f * self.n_rows + i] as usize
+    }
+
+    /// Bin codes of feature `f`, one per sample.
+    pub fn codes(&self, f: usize) -> &[u8] {
+        &self.codes[f * self.n_rows..(f + 1) * self.n_rows]
     }
 
     /// Cut thresholds of feature `f`; boundary `b` splits at `cuts[b]`.

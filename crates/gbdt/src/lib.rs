@@ -152,26 +152,9 @@ impl Default for GbdtParams {
     }
 }
 
-/// Below this many samples, batch prediction and residual updates stay
-/// serial — thread spawn overhead would dwarf the per-sample tree walks.
+/// Below this many samples, batch prediction stays serial — thread spawn
+/// overhead would dwarf the per-sample tree walks.
 const PARALLEL_BATCH: usize = 1024;
-
-/// Subtracts `lr · tree(x.row(i))` from every residual. Predictions for
-/// large training sets run on the parallel runtime; the subtraction itself
-/// is per-sample, so results match the serial loop bit for bit.
-fn apply_tree(residual: &mut [f32], x: Matrix<'_>, tree: &RegressionTree, lr: f32) {
-    if x.n_rows() < PARALLEL_BATCH {
-        for (i, r) in residual.iter_mut().enumerate() {
-            *r -= lr * tree.predict(x.row(i));
-        }
-        return;
-    }
-    let rows: Vec<usize> = (0..x.n_rows()).collect();
-    let preds = ansor_runtime::parallel_map(&rows, |&i| tree.predict(x.row(i)));
-    for (r, p) in residual.iter_mut().zip(preds) {
-        *r -= lr * p;
-    }
-}
 
 /// The deterministic per-round feature subset for column subsampling: an
 /// LCG keyed on the round index, identical across thread counts and runs.
@@ -291,12 +274,13 @@ impl Gbdt {
         // shared by every boosting round.
         let binned = binned_for(x, w, params);
         let binned = binned.as_ref().map(|(b, cutoff)| (b, *cutoff));
+        let mut pass = tree::TrainPass::new(x, w, binned);
         for round in 0..params.n_trees {
             let mut tp = params.tree.clone();
             if params.colsample < 1.0 && n_features > 0 {
                 tp.feature_subset = colsample_subset(round, n_features, params.colsample);
             }
-            let tree = RegressionTree::fit_view(x, &residual, w, &tp, binned);
+            let tree = pass.grow(&residual, &tp);
             if tree.num_nodes() <= 1 {
                 // No useful split left; residuals are (weighted-)constant.
                 let leaf = tree.predict(&[]);
@@ -304,7 +288,7 @@ impl Gbdt {
                     break;
                 }
             }
-            apply_tree(&mut residual, x, &tree, params.learning_rate);
+            pass.apply(&tree, &mut residual, params.learning_rate);
             trees.push(tree);
         }
         Gbdt {
@@ -312,60 +296,6 @@ impl Gbdt {
             trees,
             learning_rate: params.learning_rate,
         }
-    }
-
-    /// Trains with early stopping: after each boosting round the weighted
-    /// MSE on the validation set is evaluated; training stops once it has
-    /// not improved for `patience` rounds, and the ensemble is truncated to
-    /// the best round.
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_with_validation(
-        x: &[Vec<f32>],
-        y: &[f32],
-        w: &[f32],
-        val_x: &[Vec<f32>],
-        val_y: &[f32],
-        val_w: &[f32],
-        params: &GbdtParams,
-        patience: usize,
-    ) -> Gbdt {
-        let (flat, n_cols) = flatten_rows(x);
-        let xm = Matrix::new(&flat, n_cols);
-        let (val_flat, val_cols) = flatten_rows(val_x);
-        let vm = Matrix::new(&val_flat, val_cols);
-        let mut model = Self::train_impl(
-            xm,
-            y,
-            w,
-            &GbdtParams {
-                n_trees: 0,
-                ..params.clone()
-            },
-        );
-        let mut residual: Vec<f32> = y.iter().map(|&yi| yi - model.base).collect();
-        let n_features = xm.n_cols();
-        let binned = binned_for(xm, w, params);
-        let binned = binned.as_ref().map(|(b, cutoff)| (b, *cutoff));
-        let mut best_mse = model.weighted_mse_matrix(vm, val_y, val_w);
-        let mut best_len = 0usize;
-        for round in 0..params.n_trees {
-            let mut tp = params.tree.clone();
-            if params.colsample < 1.0 && n_features > 0 {
-                tp.feature_subset = colsample_subset(round, n_features, params.colsample);
-            }
-            let tree = RegressionTree::fit_view(xm, &residual, w, &tp, binned);
-            apply_tree(&mut residual, xm, &tree, params.learning_rate);
-            model.trees.push(tree);
-            let mse = model.weighted_mse_matrix(vm, val_y, val_w);
-            if mse < best_mse - 1e-12 {
-                best_mse = mse;
-                best_len = model.trees.len();
-            } else if model.trees.len() - best_len >= patience {
-                break;
-            }
-        }
-        model.trees.truncate(best_len.max(1));
-        model
     }
 
     /// Predicts one feature vector.
@@ -544,42 +474,5 @@ mod tests {
     fn empty_dataset_predicts_zero() {
         let m = Gbdt::train(&[], &[], &[], &GbdtParams::default());
         assert_eq!(m.predict(&[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn early_stopping_prevents_overfitting_noise() {
-        // Train targets = signal + strong noise; validation = clean signal.
-        // Early stopping must keep fewer trees than the full budget.
-        let n = 200;
-        let x: Vec<Vec<f32>> = (0..n).map(|i| vec![(i % 20) as f32]).collect();
-        let noise = |i: usize| ((i * 2654435761) % 1000) as f32 / 250.0 - 2.0;
-        let y: Vec<f32> = (0..n).map(|i| x[i][0] * 2.0 + noise(i)).collect();
-        let w = vec![1.0; n];
-        let val_x: Vec<Vec<f32>> = (0..40).map(|i| vec![(i % 20) as f32]).collect();
-        let val_y: Vec<f32> = val_x.iter().map(|v| v[0] * 2.0).collect();
-        let val_w = vec![1.0; 40];
-        let params = GbdtParams {
-            n_trees: 200,
-            learning_rate: 0.5,
-            ..Default::default()
-        };
-        let es = Gbdt::train_with_validation(&x, &y, &w, &val_x, &val_y, &val_w, &params, 5);
-        assert!(es.num_trees() < 200, "kept {} trees", es.num_trees());
-        let full = Gbdt::train(&x, &y, &w, &params);
-        // Early-stopped model generalizes at least as well.
-        assert!(
-            es.weighted_mse(&val_x, &val_y, &val_w)
-                <= full.weighted_mse(&val_x, &val_y, &val_w) + 1e-9
-        );
-    }
-
-    #[test]
-    fn early_stopping_matches_plain_training_on_clean_data() {
-        let (x, y, w) = toy_dataset(150);
-        let params = GbdtParams::default();
-        let es = Gbdt::train_with_validation(&x, &y, &w, &x, &y, &w, &params, 10);
-        // On clean data validated against itself, it trains to completion
-        // (or stops only when converged) and fits well.
-        assert!(es.weighted_mse(&x, &y, &w) < 1.0);
     }
 }

@@ -1,19 +1,25 @@
 //! Weighted regression trees: the weak learner of the boosting ensemble.
 //!
-//! Two split-search paths grow structurally identical trees:
+//! One grower, `TrainPass`, built once per retrain and reused by every
+//! boosting round. Two split searches run inside it and grow structurally
+//! identical trees:
 //!
-//! - **exact**: per feature, sort the node's samples by value and scan the
-//!   boundaries between distinct values;
-//! - **histogram** (see [`crate::binned`]): per feature, accumulate per-bin
-//!   `(Σw, Σw·y)` gradient histograms over pre-quantized codes and scan the
-//!   ≤255 bin boundaries. A node's histograms are either accumulated fresh
-//!   or derived from its parent via the subtraction trick: the smaller
-//!   child is accumulated, the larger child is `parent − smaller`.
+//! - **exact**: per candidate feature, sort the node's samples by value and
+//!   scan the boundaries between distinct values;
+//! - **histogram** (see [`crate::binned`]): per candidate feature,
+//!   accumulate per-bin `(Σw, Σw·y)` sums over pre-quantized codes and scan
+//!   the ≤255 bin boundaries. A node's histogram is either accumulated
+//!   fresh or derived from its parent's by the subtraction trick: the
+//!   smaller child is accumulated, the larger child is `parent − smaller`.
 //!
-//! Both paths fold per-feature results in candidate order with a
-//! strict-greater comparison and accumulate per-feature sums serially in
-//! row order, so the chosen split — gain ties included — is identical on
-//! every thread count.
+//! Every f64 sum is accumulated serially in ascending row order (or, on the
+//! exact path, in the sorted order of the node's rows) and boundaries fold
+//! in candidate order with a strict-greater comparison, so the chosen split
+//! — gain ties included — is identical on every thread count. What the
+//! pass saves over growing each node from scratch (columns that cannot
+//! split dropped, pooled histograms, node-local scans, residuals by leaf)
+//! changes no operand and no order of any of those sums: see
+//! docs/COST_MODEL.md.
 
 use serde::{Deserialize, Serialize};
 
@@ -94,30 +100,7 @@ impl RegressionTree {
         params: &TreeParams,
         binned: Option<(&BinnedDataset, usize)>,
     ) -> RegressionTree {
-        assert_eq!(x.n_rows(), y.len());
-        assert_eq!(x.n_rows(), w.len());
-        let idx: Vec<usize> = (0..x.n_rows()).filter(|&i| w[i] > 0.0).collect();
-        let mut tree = RegressionTree { nodes: Vec::new() };
-        if idx.is_empty() {
-            tree.nodes.push(TreeNode::Leaf { value: 0.0 });
-            return tree;
-        }
-        let all_features: Vec<usize> = (0..x.n_cols()).collect();
-        let candidates = if params.feature_subset.is_empty() {
-            all_features
-        } else {
-            params.feature_subset.clone()
-        };
-        let grower = Grower {
-            x,
-            y,
-            w,
-            params,
-            binned,
-            candidates,
-        };
-        grower.grow(&mut tree, idx, 0, None);
-        tree
+        TrainPass::new(x, w, binned).grow(y, params)
     }
 
     /// Predicts one sample.
@@ -166,82 +149,196 @@ struct Split {
     gain: f64,
 }
 
-/// Per-bin gradient sums of one candidate feature at one node.
-struct Hist {
-    w: Vec<f64>,
-    wy: Vec<f64>,
-}
+/// `[Σw, Σw·y]`: of one row, of one histogram bin, or of a whole node.
+type Pair = [f64; 2];
 
-/// Histograms of every candidate feature at one node, aligned with the
-/// grower's candidate list.
-type NodeHists = Vec<Hist>;
+/// Histograms of every candidate feature at one node, end to end:
+/// candidate `c`'s bins are `offsets[c]..offsets[c + 1]`.
+type NodeHist = Vec<Pair>;
 
-/// Below this many (sample × feature) scan steps the split search stays
-/// serial: thread spawn overhead would dwarf the work.
+/// Below this many (sample × feature) steps a histogram fill (and the
+/// quantization pass) stays serial: thread spawn overhead would dwarf the
+/// work.
 pub(crate) const PARALLEL_SPLIT_WORK: usize = 32 * 1024;
 
-/// Shared context of one tree's growth.
-struct Grower<'a> {
+/// The grower: everything about one retrain that does not depend on the
+/// boosting round is computed once here, and every buffer a tree or a node
+/// needs is kept for the next one.
+pub(crate) struct TrainPass<'a> {
     x: Matrix<'a>,
-    y: &'a [f32],
     w: &'a [f32],
-    params: &'a TreeParams,
     binned: Option<(&'a BinnedDataset, usize)>,
+    /// Rows with `w > 0`, ascending, and all the others.
+    included: Vec<usize>,
+    excluded: Vec<usize>,
+    /// Whether a column takes more than one value over the included rows.
+    /// One that does not can never split a node — it has no cut on the
+    /// histogram path and no `xn > xv` boundary on the exact one — so no
+    /// tree lists it as a candidate.
+    varying: Vec<bool>,
+    /// Per row, `[w as f64, (w·y) as f64]`; the second half is rewritten
+    /// for every tree.
+    grad: Vec<Pair>,
+
+    // The tree being grown.
+    max_depth: usize,
+    min_child_weight: f64,
+    min_gain: f64,
     /// Candidate features, in the order gain ties are broken.
     candidates: Vec<usize>,
+    /// Where each candidate's bins start in a [`NodeHist`], then the total.
+    offsets: Vec<usize>,
+    /// The included rows, partitioned in place as nodes split: a node is a
+    /// range of this buffer, ascending.
+    rows: Vec<usize>,
+    /// `(lo, hi, value)` of every leaf: its range of `rows` and prediction.
+    leaves: Vec<(usize, usize, f32)>,
+
+    // Scratch kept across nodes and trees.
+    spill: Vec<usize>,
+    free_hists: Vec<NodeHist>,
+    node_grad: Vec<Pair>,
+    node_values: Vec<f32>,
+    order: Vec<usize>,
 }
 
-impl Grower<'_> {
-    /// Grows the subtree over `idx` (ascending row indices) and returns its
-    /// arena slot. `hists` carries this node's histograms when the parent
-    /// derived them via the subtraction trick.
-    fn grow(
-        &self,
+impl<'a> TrainPass<'a> {
+    pub(crate) fn new(
+        x: Matrix<'a>,
+        w: &'a [f32],
+        binned: Option<(&'a BinnedDataset, usize)>,
+    ) -> TrainPass<'a> {
+        assert_eq!(x.n_rows(), w.len());
+        let (included, excluded): (Vec<usize>, Vec<usize>) =
+            (0..w.len()).partition(|&i| w[i] > 0.0);
+        let mut varying = vec![false; x.n_cols()];
+        if let Some((&first, rest)) = included.split_first() {
+            let first = x.row(first);
+            for &i in rest {
+                for ((varies, v), v0) in varying.iter_mut().zip(x.row(i)).zip(first) {
+                    // `!=`, so a NaN column stays a candidate.
+                    *varies |= v != v0;
+                }
+            }
+        }
+        TrainPass {
+            x,
+            w,
+            binned,
+            included,
+            excluded,
+            varying,
+            grad: w.iter().map(|&wi| [wi as f64, 0.0]).collect(),
+            max_depth: 0,
+            min_child_weight: 0.0,
+            min_gain: 0.0,
+            candidates: Vec::new(),
+            offsets: Vec::new(),
+            rows: Vec::new(),
+            leaves: Vec::new(),
+            spill: Vec::new(),
+            free_hists: Vec::new(),
+            node_grad: Vec::new(),
+            node_values: Vec::new(),
+            order: Vec::new(),
+        }
+    }
+
+    /// Grows one tree on targets `y` (the current residuals).
+    pub(crate) fn grow(&mut self, y: &[f32], params: &TreeParams) -> RegressionTree {
+        assert_eq!(self.w.len(), y.len());
+        self.start_tree(y, params);
+        let mut tree = RegressionTree { nodes: Vec::new() };
+        if self.rows.is_empty() {
+            tree.nodes.push(TreeNode::Leaf { value: 0.0 });
+        } else {
+            self.grow_node(&mut tree, 0, self.rows.len(), 0, None);
+        }
+        tree
+    }
+
+    /// Subtracts `lr · tree(row)` from every residual, `tree` being the one
+    /// [`TrainPass::grow`] returned last: a row that went into a leaf's
+    /// range passed exactly the `x[feature] < threshold` tests `predict`
+    /// would apply, so it takes that leaf's value; rows outside the tree's
+    /// training set are walked down it.
+    pub(crate) fn apply(&self, tree: &RegressionTree, residual: &mut [f32], lr: f32) {
+        for &(lo, hi, value) in &self.leaves {
+            for &i in &self.rows[lo..hi] {
+                residual[i] -= lr * value;
+            }
+        }
+        for &i in &self.excluded {
+            residual[i] -= lr * tree.predict(self.x.row(i));
+        }
+    }
+
+    fn start_tree(&mut self, y: &[f32], params: &TreeParams) {
+        self.max_depth = params.max_depth;
+        self.min_child_weight = params.min_child_weight;
+        self.min_gain = params.min_gain;
+        let varying = &self.varying;
+        let can_split = |f: &usize| varying.get(*f).is_some_and(|&v| v);
+        self.candidates.clear();
+        if params.feature_subset.is_empty() {
+            self.candidates.extend((0..varying.len()).filter(can_split));
+        } else {
+            let subset = params.feature_subset.iter().copied();
+            self.candidates.extend(subset.filter(can_split));
+        }
+        self.offsets.clear();
+        self.offsets.push(0);
+        if let Some((binned, _)) = self.binned {
+            let mut end = 0;
+            for &f in &self.candidates {
+                end += binned.n_bins(f);
+                self.offsets.push(end);
+            }
+        }
+        self.rows.clear();
+        self.rows.extend_from_slice(&self.included);
+        for &i in &self.included {
+            self.grad[i][1] = (self.w[i] * y[i]) as f64;
+        }
+        self.leaves.clear();
+    }
+
+    /// Grows the subtree over `rows[lo..hi]` and returns its arena slot.
+    /// `hist` carries this node's histogram when the parent derived it.
+    fn grow_node(
+        &mut self,
         tree: &mut RegressionTree,
-        idx: Vec<usize>,
+        lo: usize,
+        hi: usize,
         depth: usize,
-        hists: Option<NodeHists>,
+        mut hist: Option<NodeHist>,
     ) -> usize {
-        let (total_w, total_wy) = weighted_sums(&idx, self.y, self.w);
-        let mean = if total_w > 0.0 {
-            (total_wy / total_w) as f32
+        let total = self.node_total(lo, hi);
+        let value = if total[0] > 0.0 {
+            (total[1] / total[0]) as f32
         } else {
             0.0
         };
         let node_id = tree.nodes.len();
-        tree.nodes.push(TreeNode::Leaf { value: mean });
-        if depth >= self.params.max_depth
-            || idx.len() < 2
-            || total_w < 2.0 * self.params.min_child_weight
-        {
-            return node_id;
-        }
-        let binned_node = self
-            .binned
-            .is_some_and(|(_, exact_below)| idx.len() >= exact_below);
-        let (best, own_hists) = if binned_node {
-            let h = hists.unwrap_or_else(|| self.compute_hists(&idx));
-            let best = self.scan_hists(&h, total_w, total_wy);
-            (best, Some(h))
+        tree.nodes.push(TreeNode::Leaf { value });
+        let n = hi - lo;
+        let best = if depth >= self.max_depth || n < 2 || total[0] < 2.0 * self.min_child_weight {
+            None
+        } else if self.binned.is_some_and(|(_, exact_below)| n >= exact_below) {
+            let own = hist.get_or_insert_with(|| self.fresh_hist(lo, hi));
+            self.scan_hist(own, total)
         } else {
-            (self.best_split_exact(&idx, total_w, total_wy), None)
+            self.best_split_exact(lo, hi, total)
         };
         let Some(best) = best else {
+            self.free_hists.extend(hist);
+            self.leaves.push((lo, hi, value));
             return node_id;
         };
-        // Order-preserving partition: both children stay ascending, so
-        // their histogram accumulation order is deterministic.
-        let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
-        for &i in &idx {
-            if self.x.get(i, best.feature) < best.threshold {
-                left_idx.push(i);
-            } else {
-                right_idx.push(i);
-            }
-        }
-        let (left_hists, right_hists) = self.child_hists(own_hists, depth, &left_idx, &right_idx);
-        let left = self.grow(tree, left_idx, depth + 1, left_hists);
-        let right = self.grow(tree, right_idx, depth + 1, right_hists);
+        let mid = self.partition(lo, hi, &best);
+        let (left_hist, right_hist) = self.child_hists(hist, depth, lo, mid, hi);
+        let left = self.grow_node(tree, lo, mid, depth + 1, left_hist);
+        let right = self.grow_node(tree, mid, hi, depth + 1, right_hist);
         tree.nodes[node_id] = TreeNode::Split {
             feature: best.feature,
             threshold: best.threshold,
@@ -252,207 +349,212 @@ impl Grower<'_> {
         node_id
     }
 
-    /// The subtraction trick: accumulate the smaller child's histograms
-    /// fresh and derive the larger child's as `parent − smaller` (ties go
-    /// to the left child, deterministically). Skipped when the children
-    /// are leaves-to-be or too small to take the histogram path.
+    /// `[Σw, Σw·y]` over `rows[lo..hi]`, accumulated in row order — the same
+    /// association on every thread count and on both split paths.
+    fn node_total(&self, lo: usize, hi: usize) -> Pair {
+        let mut total = [0.0f64; 2];
+        for &i in &self.rows[lo..hi] {
+            total[0] += self.grad[i][0];
+            total[1] += self.grad[i][1];
+        }
+        total
+    }
+
+    /// Splits `rows[lo..hi]` in place into `lo..mid` (left) and `mid..hi`
+    /// and returns `mid`. Order-preserving — the left rows are compacted,
+    /// the right ones spilled and copied back — so both children stay
+    /// ascending and their accumulation order deterministic.
+    fn partition(&mut self, lo: usize, hi: usize, split: &Split) -> usize {
+        self.spill.clear();
+        let mut mid = lo;
+        for k in lo..hi {
+            let i = self.rows[k];
+            if self.x.get(i, split.feature) < split.threshold {
+                self.rows[mid] = i;
+                mid += 1;
+            } else {
+                self.spill.push(i);
+            }
+        }
+        self.rows[mid..hi].copy_from_slice(&self.spill);
+        mid
+    }
+
+    /// The subtraction trick: accumulate the smaller child's histogram
+    /// fresh and turn the parent's buffer into the larger child's as
+    /// `parent − smaller` (ties go to the left child, deterministically).
+    /// Skipped when the children are leaves-to-be or too small to take the
+    /// histogram path.
     fn child_hists(
-        &self,
-        parent: Option<NodeHists>,
+        &mut self,
+        parent: Option<NodeHist>,
         depth: usize,
-        left_idx: &[usize],
-        right_idx: &[usize],
-    ) -> (Option<NodeHists>, Option<NodeHists>) {
-        let (Some(parent), Some((_, exact_below))) = (parent, self.binned) else {
+        lo: usize,
+        mid: usize,
+        hi: usize,
+    ) -> (Option<NodeHist>, Option<NodeHist>) {
+        let (Some(mut parent), Some((_, exact_below))) = (parent, self.binned) else {
             return (None, None);
         };
-        if depth + 1 >= self.params.max_depth {
-            return (None, None);
-        }
-        let larger_is_left = left_idx.len() >= right_idx.len();
+        let larger_is_left = mid - lo >= hi - mid;
         let (small, large) = if larger_is_left {
-            (right_idx, left_idx)
+            (mid..hi, mid - lo)
         } else {
-            (left_idx, right_idx)
+            (lo..mid, hi - mid)
         };
-        if large.len() < exact_below.max(2) {
+        let floor = exact_below.max(2);
+        if depth + 1 >= self.max_depth || large < floor {
+            self.free_hists.push(parent);
             return (None, None);
         }
-        let small_hists = self.compute_hists(small);
-        let large_hists = subtract_hists(parent, &small_hists);
-        let small_hists = (small.len() >= exact_below.max(2)).then_some(small_hists);
-        if larger_is_left {
-            (Some(large_hists), small_hists)
-        } else {
-            (small_hists, Some(large_hists))
+        let small_hist = self.fresh_hist(small.start, small.end);
+        for (p, s) in parent.iter_mut().zip(&small_hist) {
+            p[0] -= s[0];
+            p[1] -= s[1];
         }
-    }
-
-    /// Builds per-candidate-feature gradient histograms for one node.
-    /// Features run on the parallel runtime above the work threshold; each
-    /// feature's accumulation is serial in ascending row order.
-    fn compute_hists(&self, idx: &[usize]) -> NodeHists {
-        let (binned, _) = self.binned.expect("histogram path without binned data");
-        let build = |&f: &usize| -> Hist {
-            if f >= self.x.n_cols() {
-                return Hist {
-                    w: Vec::new(),
-                    wy: Vec::new(),
-                };
-            }
-            let nb = binned.n_bins(f);
-            let mut hw = vec![0.0f64; nb];
-            let mut hwy = vec![0.0f64; nb];
-            for &i in idx {
-                let b = binned.code(i, f);
-                hw[b] += self.w[i] as f64;
-                hwy[b] += (self.w[i] * self.y[i]) as f64;
-            }
-            Hist { w: hw, wy: hwy }
+        let small_hist = if small.len() >= floor {
+            Some(small_hist)
+        } else {
+            self.free_hists.push(small_hist);
+            None
         };
-        if idx.len() * self.candidates.len() >= PARALLEL_SPLIT_WORK {
-            ansor_runtime::parallel_map_indexed(&self.candidates, |_, f| build(f))
+        if larger_is_left {
+            (Some(parent), small_hist)
         } else {
-            self.candidates.iter().map(build).collect()
+            (small_hist, Some(parent))
         }
     }
 
-    /// Scans bin boundaries of every candidate feature's histogram, folding
-    /// in candidate order with a strict-greater comparison (first best
-    /// wins), like the exact path.
-    fn scan_hists(&self, hists: &NodeHists, total_w: f64, total_wy: f64) -> Option<Split> {
+    /// Accumulates the histogram of `rows[lo..hi]` into a pooled, zeroed
+    /// buffer, one candidate feature at a time over its column of codes, so
+    /// every bin receives its rows in ascending order. Above the work
+    /// threshold and with more than one thread, features run on the
+    /// parallel runtime into buffers of their own, copied in afterwards.
+    fn fresh_hist(&mut self, lo: usize, hi: usize) -> NodeHist {
+        let (binned, _) = self.binned.expect("histogram path without binned data");
+        let mut hist = self.free_hists.pop().unwrap_or_default();
+        hist.clear();
+        hist.resize(self.offsets[self.candidates.len()], [0.0; 2]);
+        let (rows, grad, offsets) = (&self.rows[lo..hi], &self.grad, &self.offsets);
+        let fill = |f: usize, bins: &mut [Pair]| {
+            let codes = binned.codes(f);
+            for &i in rows {
+                let bin = &mut bins[codes[i] as usize];
+                bin[0] += grad[i][0];
+                bin[1] += grad[i][1];
+            }
+        };
+        if rows.len() * self.candidates.len() >= PARALLEL_SPLIT_WORK && ansor_runtime::threads() > 1
+        {
+            let per_feature = ansor_runtime::parallel_map_indexed(&self.candidates, |c, &f| {
+                let mut bins = vec![[0.0; 2]; offsets[c + 1] - offsets[c]];
+                fill(f, &mut bins);
+                bins
+            });
+            for (c, bins) in per_feature.iter().enumerate() {
+                hist[offsets[c]..offsets[c + 1]].copy_from_slice(bins);
+            }
+        } else {
+            for (c, &f) in self.candidates.iter().enumerate() {
+                fill(f, &mut hist[offsets[c]..offsets[c + 1]]);
+            }
+        }
+        hist
+    }
+
+    /// Scans the bin boundaries of every candidate feature, folding in
+    /// candidate order with a strict-greater comparison (first best wins),
+    /// like the exact path. An empty bin is skipped: its boundary has the
+    /// sums, hence the gain, of the one before it, which `>` never prefers.
+    fn scan_hist(&self, hist: &[Pair], total: Pair) -> Option<Split> {
         let (binned, _) = self.binned.expect("histogram path without binned data");
         let mut best: Option<Split> = None;
-        for (ci, &f) in self.candidates.iter().enumerate() {
-            let h = &hists[ci];
-            if h.w.is_empty() {
-                continue;
-            }
-            let mut lw = 0.0f64;
-            let mut lwy = 0.0f64;
-            for (b, &cut) in binned.cuts(f).iter().enumerate() {
-                lw += h.w[b];
-                lwy += h.wy[b];
-                let rw = total_w - lw;
-                let rwy = total_wy - lwy;
-                if lw < self.params.min_child_weight || rw < self.params.min_child_weight {
+        for (c, &f) in self.candidates.iter().enumerate() {
+            let mut left = [0.0f64; 2];
+            for (bin, &cut) in hist[self.offsets[c]..].iter().zip(binned.cuts(f)) {
+                if *bin == [0.0; 2] {
                     continue;
                 }
-                let gain = lwy * lwy / lw + rwy * rwy / rw - total_wy * total_wy / total_w;
-                if gain > self.params.min_gain
-                    && best.as_ref().map(|b| gain > b.gain).unwrap_or(true)
-                {
-                    best = Some(Split {
-                        feature: f,
-                        threshold: cut,
-                        gain,
-                    });
-                }
+                left[0] += bin[0];
+                left[1] += bin[1];
+                self.consider(&mut best, total, left, f, cut);
             }
         }
         best
     }
 
     /// Exact greedy split search: for every candidate feature, sort the
-    /// node's samples by value and scan boundaries between distinct values,
-    /// maximizing the weighted-variance reduction.
-    ///
-    /// Large nodes search candidate features on the parallel runtime's
-    /// worker threads; per-feature results are folded in candidate order
-    /// with a strict-greater comparison, so the chosen split — gain ties
-    /// included — is identical to the serial scan on every thread count.
-    fn best_split_exact(&self, idx: &[usize], total_w: f64, total_wy: f64) -> Option<Split> {
-        let per_feature =
-            |&f: &usize| -> Option<Split> { self.best_split_on_feature(idx, f, total_w, total_wy) };
-        let found: Vec<Option<Split>> = if idx.len() * self.candidates.len() >= PARALLEL_SPLIT_WORK
-        {
-            ansor_runtime::parallel_map(&self.candidates, per_feature)
-        } else {
-            self.candidates.iter().map(per_feature).collect()
-        };
-        let mut best: Option<Split> = None;
-        for s in found.into_iter().flatten() {
-            if best.as_ref().map(|b| s.gain > b.gain).unwrap_or(true) {
-                best = Some(s);
+    /// node's samples by value and scan the boundaries between distinct
+    /// values, folding like [`TrainPass::scan_hist`]. The node's sums and
+    /// each candidate's values are gathered once into node-local scratch,
+    /// and what is sorted is the positions `0..n` in that scratch: with the
+    /// same comparator on the same values, the sort makes the comparisons,
+    /// hence the permutation (ties included), it would make on the row
+    /// indices themselves.
+    fn best_split_exact(&mut self, lo: usize, hi: usize, total: Pair) -> Option<Split> {
+        let (n, rows) = (hi - lo, &self.rows[lo..hi]);
+        self.node_grad.clear();
+        self.node_grad.extend(rows.iter().map(|&i| self.grad[i]));
+        // Every entry below is overwritten: no need to clear first.
+        self.node_values.resize(n * self.candidates.len(), 0.0);
+        for (p, &i) in rows.iter().enumerate() {
+            let row = self.x.row(i);
+            for (c, &f) in self.candidates.iter().enumerate() {
+                self.node_values[c * n + p] = row[f];
             }
         }
-        best
-    }
-
-    /// The boundary scan of [`Grower::best_split_exact`] for one candidate
-    /// feature.
-    fn best_split_on_feature(
-        &self,
-        idx: &[usize],
-        f: usize,
-        total_w: f64,
-        total_wy: f64,
-    ) -> Option<Split> {
-        if f >= self.x.n_cols() {
-            return None;
-        }
-        let mut order: Vec<usize> = idx.to_vec();
-        order.sort_unstable_by(|&a, &b| {
-            self.x
-                .get(a, f)
-                .partial_cmp(&self.x.get(b, f))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
         let mut best: Option<Split> = None;
-        let mut lw = 0.0f64;
-        let mut lwy = 0.0f64;
-        for k in 0..order.len() - 1 {
-            let i = order[k];
-            lw += self.w[i] as f64;
-            lwy += (self.w[i] * self.y[i]) as f64;
-            let xv = self.x.get(i, f);
-            let xn = self.x.get(order[k + 1], f);
-            if xn <= xv {
+        for (c, &f) in self.candidates.iter().enumerate() {
+            let values = &self.node_values[c * n..(c + 1) * n];
+            if values.iter().all(|v| *v == values[0]) {
                 continue; // no boundary between equal values
             }
-            let rw = total_w - lw;
-            let rwy = total_wy - lwy;
-            if lw < self.params.min_child_weight || rw < self.params.min_child_weight {
-                continue;
-            }
-            // Variance reduction ∝ (Σwy)²/Σw for each side.
-            let gain = lwy * lwy / lw + rwy * rwy / rw - total_wy * total_wy / total_w;
-            if gain > self.params.min_gain && best.as_ref().map(|b| gain > b.gain).unwrap_or(true) {
-                best = Some(Split {
-                    feature: f,
-                    threshold: (xv + xn) * 0.5,
-                    gain,
-                });
+            self.order.clear();
+            self.order.extend(0..n);
+            self.order.sort_unstable_by(|&a, &b| {
+                values[a]
+                    .partial_cmp(&values[b])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            let mut left = [0.0f64; 2];
+            for pair in self.order.windows(2) {
+                left[0] += self.node_grad[pair[0]][0];
+                left[1] += self.node_grad[pair[0]][1];
+                let (xv, xn) = (values[pair[0]], values[pair[1]]);
+                if xn <= xv {
+                    continue;
+                }
+                self.consider(&mut best, total, left, f, (xv + xn) * 0.5);
             }
         }
         best
     }
-}
 
-/// `(Σw, Σw·y)` over `idx`, accumulated in index order — the same
-/// association on every thread count and on both split paths.
-fn weighted_sums(idx: &[usize], y: &[f32], w: &[f32]) -> (f64, f64) {
-    let mut wsum = 0.0f64;
-    let mut wysum = 0.0f64;
-    for &i in idx {
-        wsum += w[i] as f64;
-        wysum += (w[i] * y[i]) as f64;
-    }
-    (wsum, wysum)
-}
-
-/// Derives the larger child's histograms as `parent − smaller`, consuming
-/// the parent's buffers.
-fn subtract_hists(mut parent: NodeHists, small: &NodeHists) -> NodeHists {
-    for (p, s) in parent.iter_mut().zip(small) {
-        for (pv, sv) in p.w.iter_mut().zip(&s.w) {
-            *pv -= sv;
+    /// Folds the boundary with `left` on its left side into `best`.
+    #[inline]
+    fn consider(
+        &self,
+        best: &mut Option<Split>,
+        total: Pair,
+        left: Pair,
+        feature: usize,
+        threshold: f32,
+    ) {
+        let [lw, lwy] = left;
+        let (rw, rwy) = (total[0] - lw, total[1] - lwy);
+        if lw < self.min_child_weight || rw < self.min_child_weight {
+            return;
         }
-        for (pv, sv) in p.wy.iter_mut().zip(&s.wy) {
-            *pv -= sv;
+        // Variance reduction ∝ (Σwy)²/Σw for each side.
+        let gain = lwy * lwy / lw + rwy * rwy / rw - total[1] * total[1] / total[0];
+        if gain > self.min_gain && best.as_ref().map(|b| gain > b.gain).unwrap_or(true) {
+            *best = Some(Split {
+                feature,
+                threshold,
+                gain,
+            });
         }
     }
-    parent
 }
 
 #[cfg(test)]
@@ -532,5 +634,159 @@ mod tests {
         let tree = RegressionTree::fit(&x, &y, &w, &TreeParams::default());
         assert_eq!(tree.num_nodes(), 1);
         assert!((tree.predict(&[3.0]) - 2.5).abs() < 1e-6);
+    }
+
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    /// `n × 8` packed rows, targets and weights: columns 2 and 5 constant,
+    /// column 7 continuous, the rest on `levels` values; every ninth row at
+    /// weight 0. With `dyadic`, everything is a small multiple of 0.25, so
+    /// every f64 sum over it is exact.
+    fn dataset(n: usize, seed: u64, dyadic: bool) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let mut s = seed | 1;
+        let (mut x, mut y, mut w) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..n {
+            let start = x.len();
+            for c in 0..8 {
+                x.push(match c {
+                    2 | 5 => c as f32,
+                    7 if !dyadic => lcg(&mut s) as f32 / 1e6,
+                    _ => (lcg(&mut s) % 12) as f32 * if dyadic { 0.25 } else { 0.3 },
+                });
+            }
+            let noise = (lcg(&mut s) % 8) as f32 * 0.25;
+            y.push(x[start] * 0.5 + x[start + 3] * x[start + 6] * 0.25 + noise);
+            let failed = i % 9 == 4;
+            w.push(if failed {
+                0.0
+            } else {
+                (lcg(&mut s) % 4 + 1) as f32 * 0.25
+            });
+            if !dyadic {
+                y[i] *= 0.37;
+            }
+        }
+        (x, y, w)
+    }
+
+    /// The three ways a node picks its split search.
+    fn cutoffs(binned: &BinnedDataset) -> [Option<(&BinnedDataset, usize)>; 3] {
+        [None, Some((binned, 0)), Some((binned, 64))]
+    }
+
+    #[test]
+    fn apply_equals_walking_every_row_down_the_tree() {
+        let (x, y, w) = dataset(400, 11, false);
+        let xm = Matrix::new(&x, 8);
+        let binned = BinnedDataset::build(xm, &w, 256);
+        for cutoff in cutoffs(&binned) {
+            let mut pass = TrainPass::new(xm, &w, cutoff);
+            let mut residual = y.clone();
+            for _round in 0..3 {
+                let tree = pass.grow(&residual, &TreeParams::default());
+                assert!(tree.num_nodes() > 3);
+                let walked: Vec<u32> = (0..residual.len())
+                    .map(|i| (residual[i] - 0.25 * tree.predict(xm.row(i))).to_bits())
+                    .collect();
+                pass.apply(&tree, &mut residual, 0.25);
+                let applied: Vec<u32> = residual.iter().map(|r| r.to_bits()).collect();
+                assert_eq!(applied, walked);
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_constant_columns_change_no_split() {
+        let (x, y, w) = dataset(400, 12, false);
+        // Column `f` moves to `2f + 1`, between columns that never vary.
+        let wide: Vec<f32> = x
+            .chunks(8)
+            .flat_map(|row| {
+                (0..17).map(|c| {
+                    if c % 2 == 1 {
+                        row[c / 2]
+                    } else {
+                        c as f32 - 3.0
+                    }
+                })
+            })
+            .collect();
+        let (xm, wm) = (Matrix::new(&x, 8), Matrix::new(&wide, 17));
+        let (binned, wide_binned) = (
+            BinnedDataset::build(xm, &w, 256),
+            BinnedDataset::build(wm, &w, 256),
+        );
+        for subset in [vec![], vec![6, 0, 7, 3, 2]] {
+            let params = TreeParams {
+                feature_subset: subset.clone(),
+                ..Default::default()
+            };
+            let wide_params = TreeParams {
+                feature_subset: subset.iter().map(|f| 2 * f + 1).collect(),
+                ..Default::default()
+            };
+            for (cutoff, wide_cutoff) in cutoffs(&binned).into_iter().zip(cutoffs(&wide_binned)) {
+                let mut tree = RegressionTree::fit_view(xm, &y, &w, &params, cutoff);
+                let wide_tree = RegressionTree::fit_view(wm, &y, &w, &wide_params, wide_cutoff);
+                assert!(tree.num_nodes() > 3);
+                for node in &mut tree.nodes {
+                    if let TreeNode::Split { feature, .. } = node {
+                        *feature = 2 * *feature + 1;
+                    }
+                }
+                // `gain` and `threshold` compare as floats: equal, not close.
+                assert_eq!(tree, wide_tree);
+            }
+        }
+    }
+
+    #[test]
+    fn derived_histograms_equal_fresh_ones_where_sums_are_exact() {
+        let (x, y, w) = dataset(600, 13, true);
+        let xm = Matrix::new(&x, 8);
+        let binned = BinnedDataset::build(xm, &w, 256);
+        let mut pass = TrainPass::new(xm, &w, Some((&binned, 0)));
+        pass.start_tree(&y, &TreeParams::default());
+        let n = pass.rows.len();
+        // Two levels: the root's children, then the left child's.
+        let mut node = (0, n, pass.fresh_hist(0, n));
+        for depth in 0..2 {
+            let (lo, hi, hist) = node;
+            let split = pass
+                .scan_hist(&hist, pass.node_total(lo, hi))
+                .expect("splits");
+            let mid = pass.partition(lo, hi, &split);
+            let (left, right) = pass.child_hists(Some(hist), depth, lo, mid, hi);
+            let (left, right) = (left.expect("large enough"), right.expect("large enough"));
+            assert_eq!(left, pass.fresh_hist(lo, mid));
+            assert_eq!(right, pass.fresh_hist(mid, hi));
+            node = (lo, mid, left);
+        }
+    }
+
+    #[test]
+    fn pooled_histograms_carry_nothing_from_tree_to_tree() {
+        let (x, y, w) = dataset(500, 14, false);
+        let xm = Matrix::new(&x, 8);
+        let binned = BinnedDataset::build(xm, &w, 256);
+        // Different candidates, so different histogram layouts, back to back.
+        let subsets = [vec![7, 1, 3], vec![0, 4, 6, 1], vec![7]];
+        let params = subsets.map(|feature_subset| TreeParams {
+            feature_subset,
+            ..Default::default()
+        });
+        for cutoff in cutoffs(&binned) {
+            let mut shared = TrainPass::new(xm, &w, cutoff);
+            for tp in &params {
+                let fresh = TrainPass::new(xm, &w, cutoff).grow(&y, tp);
+                assert_eq!(shared.grow(&y, tp), fresh);
+                assert!(fresh.num_nodes() > 3);
+            }
+        }
     }
 }

@@ -36,35 +36,44 @@ pub mod cache;
 pub use cache::SigCache;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// Configured worker count: 0 = not set (fall back to `ANSOR_THREADS`,
-/// then to the machine's available parallelism).
+/// Worker count from [`set_threads`]; 0 = not set (use [`default_threads`]).
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
+/// The worker count when [`set_threads`] has not chosen one, resolved at
+/// first use: reading the environment and asking the OS for the available
+/// parallelism costs microseconds, and [`threads`] is called per batch.
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
+
 /// Sets the worker count used by [`parallel_map`] (the `--threads N`
-/// flag). `0` restores auto-detection.
+/// flag). `0` restores the default (see [`threads`]).
 pub fn set_threads(n: usize) {
     THREADS.store(n, Ordering::SeqCst);
 }
 
 /// The effective worker count: the value from [`set_threads`], else the
-/// `ANSOR_THREADS` environment variable, else available parallelism.
-/// Always at least 1.
+/// `ANSOR_THREADS` environment variable, else available parallelism —
+/// the last two read once, at the first call that needs them. Always at
+/// least 1.
 pub fn threads() -> usize {
-    let n = THREADS.load(Ordering::SeqCst);
-    if n > 0 {
-        return n;
+    match THREADS.load(Ordering::SeqCst) {
+        0 => *DEFAULT_THREADS
+            .get_or_init(|| default_threads(std::env::var("ANSOR_THREADS").ok().as_deref())),
+        n => n,
     }
-    if let Ok(v) = std::env::var("ANSOR_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+}
+
+/// `ANSOR_THREADS` (given its value, if set) when it is a positive
+/// number, else the machine's available parallelism.
+fn default_threads(env: Option<&str>) -> usize {
+    env.and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
 }
 
 /// Derives an independent RNG seed for item `index` of a run seeded with
@@ -289,12 +298,21 @@ mod tests {
     }
 
     #[test]
-    fn threads_env_var_is_a_fallback_only() {
+    fn set_threads_overrides_the_environment_which_overrides_detection() {
         let _globals = globals();
-        set_threads(3);
-        assert_eq!(threads(), 3);
+        let detected = default_threads(None);
+        assert!(detected >= 1);
+        assert_eq!(default_threads(Some(" 3 ")), 3);
+        for not_a_count in ["0", "", "many", "-2"] {
+            assert_eq!(default_threads(Some(not_a_count)), detected);
+        }
+        // This process's default, however it resolved (CI sets the variable).
+        let default = default_threads(std::env::var("ANSOR_THREADS").ok().as_deref());
+        set_threads(default + 2);
+        assert_eq!(threads(), default + 2);
         set_threads(0);
-        assert!(threads() >= 1);
+        assert_eq!(threads(), default, "0 returns to the resolved default");
+        assert_eq!(threads(), default, "and the default does not drift");
     }
 
     #[test]
