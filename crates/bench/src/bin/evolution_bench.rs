@@ -32,7 +32,7 @@ use ansor_core::{
 use hwsim::{HardwareTarget, Measurer};
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
-use tensor_ir::{DagBuilder, Expr, Reducer};
+use tensor_ir::{DagBuilder, Expr, Reducer, State};
 
 #[derive(Serialize, Deserialize)]
 struct BenchReport {
@@ -124,7 +124,7 @@ fn main() {
     // and crossover never fires).
     let mut model = LearnedCostModel::new();
     let mut measurer = Measurer::new(task.target.clone());
-    let states: Vec<_> = pop.iter().map(|p| p.state.clone()).collect();
+    let states: Vec<State> = pop.iter().map(|p| State::clone(&p.state)).collect();
     let secs: Vec<f64> = states.iter().map(|s| measurer.measure(s).seconds).collect();
     model.update(&task, &states, &secs);
 
@@ -134,7 +134,7 @@ fn main() {
         crossover_prob: 0.5,
         ..Default::default()
     };
-    let state_refs: Vec<&tensor_ir::State> = pop.iter().map(|p| &p.state).collect();
+    let state_refs: Vec<&State> = pop.iter().map(|p| &*p.state).collect();
     let scores = model.predict_refs(&task, &state_refs);
     let generation_seed = ansor_runtime::derive_seed(0xE702, 0);
 

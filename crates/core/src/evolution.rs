@@ -18,7 +18,8 @@
 //!   replaying the steps (out-of-order rewrites that break dependencies are
 //!   rejected).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 use rand::prelude::*;
 use tensor_ir::{State, Step};
@@ -32,10 +33,16 @@ use crate::sketch::Sketch;
 /// A candidate program: a fully annotated state plus the sketch it came
 /// from (needed to locate tunable splits) and the provenance record of how
 /// it was derived.
+///
+/// The state is built once, by the operator that proposes the candidate,
+/// and from then on held behind a shared handle: the population, the
+/// best-so-far set, a fallback lane and the policy's retained best all
+/// hold the same program, and `clone()` copies the handle and the lineage,
+/// never the state.
 #[derive(Debug, Clone)]
 pub struct Individual {
     /// Complete program state.
-    pub state: State,
+    pub state: Arc<State>,
     /// Index into the task's sketch list.
     pub sketch: usize,
     /// Provenance: generating operator, sketch-rule chain, generation,
@@ -48,7 +55,7 @@ impl Individual {
     /// for callers outside the search loop (tests, benches, baselines).
     pub fn new(state: State, sketch: usize) -> Individual {
         Individual {
-            state,
+            state: Arc::new(state),
             sketch,
             lineage: Lineage::default(),
         }
@@ -121,15 +128,14 @@ struct LanePlan {
 
 /// One lane's result: the individual landing at that population index,
 /// plus the flags the serial fold needs to tally [`EvolutionStats`].
-/// `fresh` is false when every operator failed and the lane fell back to a
-/// genetically identical parent clone (not tallied, like the old serial
-/// loop).
+/// `fresh` is false when every operator failed and the lane fell back to
+/// its parent (the same program by handle; not tallied).
 #[derive(Debug, Clone)]
 pub struct Offspring {
     /// The individual produced by this lane.
     pub individual: Individual,
-    /// Whether an operator actually produced a new program (vs. a
-    /// fallback clone of the parent).
+    /// Whether an operator actually produced a new program (vs. falling
+    /// back to the parent).
     pub fresh: bool,
     /// Whether a planned crossover failed and the lane fell back to
     /// mutation.
@@ -229,9 +235,24 @@ fn evolve(
     let mut seen: HashSet<u64> = HashSet::new();
 
     for gen in 0..=cfg.generations {
-        let state_refs: Vec<&State> = population.iter().map(|p| &p.state).collect();
+        let state_refs: Vec<&State> = population.iter().map(|p| &*p.state).collect();
         let scores = model.predict_refs(task, &state_refs);
-        for (ind, &score) in population.iter().zip(&scores) {
+        // The offspring are bred while the population is still whole; it is
+        // then moved, not copied, into the best-so-far set.
+        let offspring = (gen < cfg.generations).then(|| {
+            let generation_seed = ansor_runtime::derive_seed(evolution_seed, gen as u64);
+            produce_generation(
+                task,
+                sketches,
+                &population,
+                &scores,
+                model,
+                cfg,
+                generation_seed,
+                rng,
+            )
+        });
+        for (ind, score) in population.into_iter().zip(scores) {
             if !score.is_finite() {
                 continue;
             }
@@ -240,26 +261,15 @@ fn evolve(
                 continue;
             }
             if seen.insert(sig) {
-                best.push((score, ind.clone()));
+                best.push((score, ind));
             }
         }
         best.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
         best.truncate(4 * top_k.max(8));
-        if gen == cfg.generations {
+        let Some(offspring) = offspring else {
             break;
-        }
+        };
         stats.generations += 1;
-        let generation_seed = ansor_runtime::derive_seed(evolution_seed, gen as u64);
-        let offspring = produce_generation(
-            task,
-            sketches,
-            &population,
-            &scores,
-            model,
-            cfg,
-            generation_seed,
-            rng,
-        );
         // Fold lane results back serially, in lane order, so the stats
         // tallies and the next population are independent of scheduling.
         let mut next = Vec::with_capacity(offspring.len());
@@ -277,7 +287,13 @@ fn evolve(
                     .entry(ind.lineage.op.name())
                     .or_insert(0) += 1;
                 for rule in &ind.lineage.rules {
-                    *stats.proposed_by_rule.entry(rule.clone()).or_insert(0) += 1;
+                    // Looked up first: the key is only copied when new.
+                    match stats.proposed_by_rule.get_mut(rule) {
+                        Some(n) => *n += 1,
+                        None => {
+                            stats.proposed_by_rule.insert(rule.clone(), 1);
+                        }
+                    }
                 }
             }
             next.push(ind);
@@ -355,7 +371,7 @@ pub fn produce_generation(
 }
 
 /// One offspring lane: crossover if planned (falling back to mutation on
-/// failure), else mutation; a parent clone if every operator fails.
+/// failure), else mutation; the parent itself if every operator fails.
 fn produce_lane(
     task: &SearchTask,
     sketches: &[Sketch],
@@ -383,8 +399,8 @@ fn produce_lane(
             fresh: true,
             crossover_fell_back,
         },
-        // Every operator failed: fall back to cloning the parent, keeping
-        // the parent's lineage (the clone is genetically identical).
+        // Every operator failed: the lane carries its parent on, by handle
+        // and with the parent's lineage.
         None => Offspring {
             individual: parent.clone(),
             fresh: false,
@@ -411,35 +427,53 @@ pub fn mutate(
     }
 }
 
+/// The lengths of the step a tunable split of the sketch points at, when
+/// that step still is the sketch's split (same node, iterator and arity).
+fn aligned_lengths<'a>(
+    sketch: &Sketch,
+    steps: &'a [Step],
+    sv: &crate::sketch::SplitVar,
+) -> Option<&'a Vec<i64>> {
+    match (steps.get(sv.step), &sketch.steps[sv.step]) {
+        (
+            Some(Step::Split {
+                node,
+                iter,
+                lengths,
+            }),
+            Step::Split {
+                node: snode,
+                iter: siter,
+                ..
+            },
+        ) if node == snode && iter == siter && lengths.len() == sv.nparts => Some(lengths),
+        _ => None,
+    }
+}
+
 /// Current lengths of each tunable split in an individual's step list.
 ///
 /// Returns `None` when the step list is not aligned with the sketch (e.g.
 /// the individual came out of crossover, which splices per-node step
 /// groups and reorders the list) — structural mutations then bail out and
-/// the caller falls back to cloning the parent.
+/// the lane falls back to its parent.
 fn split_lengths(sketch: &Sketch, steps: &[Step]) -> Option<Vec<Vec<i64>>> {
     sketch
         .splits
         .iter()
-        .map(|sv| match (steps.get(sv.step), &sketch.steps[sv.step]) {
-            (
-                Some(Step::Split {
-                    node,
-                    iter,
-                    lengths,
-                    ..
-                }),
-                Step::Split {
-                    node: snode,
-                    iter: siter,
-                    ..
-                },
-            ) if node == snode && iter == siter && lengths.len() == sv.nparts => {
-                Some(lengths.clone())
-            }
-            _ => None,
-        })
+        .map(|sv| aligned_lengths(sketch, steps, sv).cloned())
         .collect()
+}
+
+/// Whether `steps` starts with the sketch's own steps, tunable splits in
+/// place: [`split_lengths`]`.is_some()` on a list at least as long as the
+/// sketch's, without building the lengths.
+fn is_sketch_aligned(sketch: &Sketch, steps: &[Step]) -> bool {
+    steps.len() >= sketch.steps.len()
+        && sketch
+            .splits
+            .iter()
+            .all(|sv| aligned_lengths(sketch, steps, sv).is_some())
 }
 
 /// Patches follower splits after their leader changed.
@@ -509,11 +543,7 @@ fn mutate_tile_size(
     if !crate::annotate::gpu_limits_ok(&state, task, &AnnotationConfig::default()) {
         return None;
     }
-    Some(Individual {
-        state,
-        sketch: parent.sketch,
-        lineage: child_lineage(Operator::MutateTileSize, sketch, parent),
-    })
+    Some(mutant(state, Operator::MutateTileSize, sketch, parent))
 }
 
 /// Annotation mutation: keep the tile structure, resample annotations.
@@ -524,9 +554,7 @@ fn reannotate(
     ann_cfg: &AnnotationConfig,
     rng: &mut impl Rng,
 ) -> Option<Individual> {
-    if parent.state.steps.len() < sketch.steps.len()
-        || split_lengths(sketch, &parent.state.steps).is_none()
-    {
+    if !is_sketch_aligned(sketch, &parent.state.steps) {
         return None; // crossover offspring: steps not sketch-aligned
     }
     let structural = &parent.state.steps[..sketch.steps.len()];
@@ -535,11 +563,7 @@ fn reannotate(
     if !crate::annotate::gpu_limits_ok(&state, task, ann_cfg) {
         return None;
     }
-    Some(Individual {
-        state,
-        sketch: parent.sketch,
-        lineage: child_lineage(Operator::MutateAnnotation, sketch, parent),
-    })
+    Some(mutant(state, Operator::MutateAnnotation, sketch, parent))
 }
 
 /// Computation-location mutation: change a `compute_at`'s shared-prefix
@@ -554,9 +578,7 @@ fn mutate_location(
     if sketch.compute_ats.is_empty() || task.is_gpu() {
         return None;
     }
-    if parent.state.steps.len() < sketch.steps.len()
-        || split_lengths(sketch, &parent.state.steps).is_none()
-    {
+    if !is_sketch_aligned(sketch, &parent.state.steps) {
         return None;
     }
     let mut structural = parent.state.steps[..sketch.steps.len()].to_vec();
@@ -575,11 +597,7 @@ fn mutate_location(
     if !crate::annotate::gpu_limits_ok(&state, task, ann_cfg) {
         return None;
     }
-    Some(Individual {
-        state,
-        sketch: parent.sketch,
-        lineage: child_lineage(Operator::MutateLocation, sketch, parent),
-    })
+    Some(mutant(state, Operator::MutateLocation, sketch, parent))
 }
 
 /// Rfactor-factor mutation (falls back to tile mutation for sketches
@@ -594,9 +612,7 @@ fn mutate_rfactor_or_tile(
     if sketch.rfactors.is_empty() {
         return mutate_tile_size(task, sketch, parent, rng);
     }
-    if parent.state.steps.len() < sketch.steps.len()
-        || split_lengths(sketch, &parent.state.steps).is_none()
-    {
+    if !is_sketch_aligned(sketch, &parent.state.steps) {
         return None;
     }
     let rf_idx = rng.gen_range(0..sketch.rfactors.len());
@@ -620,11 +636,7 @@ fn mutate_rfactor_or_tile(
     }
     let mut state = State::replay_owned(task.dag.clone(), structural).ok()?;
     annotate_state(&mut state, task, ann_cfg, rng).ok()?;
-    Some(Individual {
-        state,
-        sketch: parent.sketch,
-        lineage: child_lineage(Operator::MutateRfactorOrTile, sketch, parent),
-    })
+    Some(mutant(state, Operator::MutateRfactorOrTile, sketch, parent))
 }
 
 /// Node-based crossover (§5.1): merge per-node step groups from two
@@ -639,74 +651,83 @@ pub fn crossover(
     if a.sketch != b.sketch {
         return None; // different high-level structures rarely merge cleanly
     }
+    // Steps name nodes of the task's DAG (derived stages by their base
+    // node), so genes are grouped by node index; `None` for a step list
+    // that names anything else — it could not replay on this task.
+    let node_of = |name: &str| task.dag.node_id(name.split('.').next().unwrap_or(name));
+    let genes = |steps: &[Step]| -> Option<Vec<usize>> {
+        steps.iter().map(|s| node_of(s.base_node())).collect()
+    };
+    let (genes_a, genes_b) = (genes(&a.state.steps)?, genes(&b.state.steps)?);
     // Cluster nodes that are coupled by compute_at (producer ↔ host): their
-    // steps must travel together or tile ties break.
-    let mut cluster: HashMap<String, String> = HashMap::new();
-    let root = |m: &HashMap<String, String>, mut n: String| -> String {
-        while let Some(p) = m.get(&n) {
-            if *p == n {
-                break;
-            }
-            n = p.clone();
+    // steps must travel together or tile ties break. A union-find over the
+    // nodes either parent schedules; `ABSENT` marks the others.
+    const ABSENT: usize = usize::MAX;
+    let mut cluster = vec![ABSENT; task.dag.nodes.len()];
+    fn root(cluster: &[usize], mut n: usize) -> usize {
+        while cluster[n] != n {
+            n = cluster[n];
         }
         n
-    };
-    for steps in [&a.state.steps, &b.state.steps] {
-        for s in steps.iter() {
-            let base = s.base_node().to_string();
-            cluster.entry(base.clone()).or_insert(base.clone());
-            if let Step::ComputeAt { target, .. } = s {
-                let tbase = target.split('.').next().unwrap_or(target).to_string();
-                cluster.entry(tbase.clone()).or_insert(tbase.clone());
-                let ra = root(&cluster, base.clone());
-                let rb = root(&cluster, tbase);
-                cluster.insert(ra, rb);
+    }
+    for (steps, genes) in [(&a.state.steps, &genes_a), (&b.state.steps, &genes_b)] {
+        for (s, &base) in steps.iter().zip(genes) {
+            if cluster[base] == ABSENT {
+                cluster[base] = base;
             }
+            if let Step::ComputeAt { target, .. } = s {
+                let tbase = node_of(target)?;
+                if cluster[tbase] == ABSENT {
+                    cluster[tbase] = tbase;
+                }
+                let (ra, rb) = (root(&cluster, base), root(&cluster, tbase));
+                cluster[ra] = rb;
+            }
+        }
+    }
+    // From here on every scheduled node points straight at its cluster.
+    for n in 0..cluster.len() {
+        if cluster[n] != ABSENT {
+            cluster[n] = root(&cluster, n);
         }
     }
     let scores_a = model.predict_per_node(task, &a.state);
     let scores_b = model.predict_per_node(task, &b.state);
-    // Decide per cluster-root which parent wins (sum of member scores).
-    let mut take_b: HashSet<String> = HashSet::new();
-    let roots: HashSet<String> = cluster.keys().map(|k| root(&cluster, k.clone())).collect();
-    for r in roots {
-        let members: Vec<&String> = cluster
-            .keys()
-            .filter(|k| root(&cluster, (*k).clone()) == r)
-            .collect();
-        let sa: f64 = members.iter().filter_map(|m| scores_a.get(*m)).sum();
-        let sb: f64 = members.iter().filter_map(|m| scores_b.get(*m)).sum();
-        if sb > sa {
-            take_b.insert(r);
+    // Decide per cluster which parent wins: the members' scores, summed in
+    // node order so the sums do not depend on any map's iteration order.
+    let mut sums = vec![(0.0f64, 0.0f64); cluster.len()];
+    for (node, &c) in task.dag.nodes.iter().zip(&cluster) {
+        if c != ABSENT {
+            sums[c].0 += scores_a.get(&node.name).copied().unwrap_or(0.0);
+            sums[c].1 += scores_b.get(&node.name).copied().unwrap_or(0.0);
         }
     }
-    if take_b.is_empty() {
+    // Indexed by cluster: whether B's genes replace A's.
+    let take_b: Vec<bool> = sums.iter().map(|&(sa, sb)| sb > sa).collect();
+    if !take_b.contains(&true) {
         return None; // offspring would equal parent A
     }
     // Splice: keep A's steps for A-clusters; replace B-clusters' steps (in
     // B's order) at the position of A's first step of that cluster.
-    let cluster_of = |s: &Step| root(&cluster, s.base_node().to_string());
     let mut merged: Vec<Step> = Vec::with_capacity(a.state.steps.len());
-    let mut inserted: HashSet<String> = HashSet::new();
-    for s in &a.state.steps {
-        let c = cluster_of(s);
-        if take_b.contains(&c) {
-            if inserted.insert(c.clone()) {
-                for bs in &b.state.steps {
-                    if cluster_of(bs) == c {
-                        merged.push(bs.clone());
-                    }
+    let mut inserted = vec![false; cluster.len()];
+    for (s, &base) in a.state.steps.iter().zip(&genes_a) {
+        let c = cluster[base];
+        if !take_b[c] {
+            merged.push(s.clone());
+        } else if !std::mem::replace(&mut inserted[c], true) {
+            for (bs, &bbase) in b.state.steps.iter().zip(&genes_b) {
+                if cluster[bbase] == c {
+                    merged.push(bs.clone());
                 }
             }
-        } else {
-            merged.push(s.clone());
         }
     }
     // Verify the merged gene sequence by replaying it.
     let state = State::replay_owned(task.dag.clone(), merged).ok()?;
     state.validate().ok()?;
     Some(Individual {
-        state,
+        state: Arc::new(state),
         sketch: a.sketch,
         lineage: Lineage {
             // Parents share a sketch, so A's chain is the offspring's too.
@@ -718,15 +739,20 @@ pub fn crossover(
     })
 }
 
-/// Lineage of a mutation offspring: the operator, the generating sketch's
-/// rule chain, and the parent's signature. The generation number is filled
-/// in by the evolution loop (0 for direct `mutate` callers).
-fn child_lineage(op: Operator, sketch: &Sketch, parent: &Individual) -> Lineage {
-    Lineage {
-        rules: sketch.rule_chain.clone(),
-        op,
-        generation: 0,
-        parents: vec![parent.signature()],
+/// A mutation offspring: the new state behind its handle, and a lineage of
+/// the operator, the generating sketch's rule chain and the parent's
+/// signature. The generation number is filled in by the evolution loop (0
+/// for direct `mutate` callers).
+fn mutant(state: State, op: Operator, sketch: &Sketch, parent: &Individual) -> Individual {
+    Individual {
+        state: Arc::new(state),
+        sketch: parent.sketch,
+        lineage: Lineage {
+            rules: sketch.rule_chain.clone(),
+            op,
+            generation: 0,
+            parents: vec![parent.signature()],
+        },
     }
 }
 
@@ -737,7 +763,6 @@ mod tests {
     use crate::cost_model::{LearnedCostModel, RandomModel};
     use crate::sketch::generate_sketches;
     use hwsim::{HardwareTarget, Measurer};
-    use std::sync::Arc;
     use tensor_ir::{DagBuilder, Expr, Reducer};
 
     fn task() -> SearchTask {
@@ -881,7 +906,7 @@ mod tests {
         // Train a quick model so per-node scores differ.
         let mut model = LearnedCostModel::new();
         let mut measurer = Measurer::new(t.target.clone());
-        let states: Vec<State> = pop.iter().map(|p| p.state.clone()).collect();
+        let states: Vec<State> = pop.iter().map(|p| State::clone(&p.state)).collect();
         let secs: Vec<f64> = states.iter().map(|s| measurer.measure(s).seconds).collect();
         model.update(&t, &states, &secs);
         let mut offspring = 0;
@@ -913,7 +938,7 @@ mod tests {
             .fold(f64::INFINITY, f64::min);
         // Train a model on that population, then evolve.
         let mut model = LearnedCostModel::new();
-        let states: Vec<State> = pop.iter().map(|p| p.state.clone()).collect();
+        let states: Vec<State> = pop.iter().map(|p| State::clone(&p.state)).collect();
         let secs: Vec<f64> = states.iter().map(|s| measurer.measure(s).seconds).collect();
         model.update(&t, &states, &secs);
         let cfg = EvolutionConfig {
@@ -955,13 +980,24 @@ mod tests {
         }
     }
 
+    /// What `Individual::clone` was before the state sat behind a handle: a
+    /// copy that shares nothing with the original.
+    fn deep_copy(ind: &Individual) -> Individual {
+        Individual {
+            state: Arc::new(State::clone(&ind.state)),
+            ..ind.clone()
+        }
+    }
+
     /// Straight-line serial oracle for the parallel offspring path: the
     /// same plan pre-draw and per-lane seeding as `produce_generation`,
     /// but executed one lane at a time (no `parallel_map_indexed`, no
     /// `predict_refs`). An independent re-derivation of the per-lane
     /// stream contract — any divergence in plan order, lane seeding,
     /// result placement, or stats folding shows up as a population or
-    /// stats mismatch.
+    /// stats mismatch. It also keeps the copying discipline `evolve` gave
+    /// up: the best-so-far set and the fallback lanes hold deep copies, and
+    /// the population is scored and pushed before any offspring is bred.
     #[allow(clippy::too_many_arguments)]
     fn serial_reference_search(
         task: &SearchTask,
@@ -984,7 +1020,7 @@ mod tests {
         let mut best: Vec<(f64, Individual)> = Vec::new();
         let mut seen: HashSet<u64> = HashSet::new();
         for gen in 0..=cfg.generations {
-            let states: Vec<State> = population.iter().map(|p| p.state.clone()).collect();
+            let states: Vec<State> = population.iter().map(|p| State::clone(&p.state)).collect();
             // The oracle uses the plain scoring path: the differential test
             // runs a RandomModel, whose `predict_population` defaults to
             // `predict_refs` with no survivor mask, so the two are
@@ -999,7 +1035,7 @@ mod tests {
                     continue;
                 }
                 if seen.insert(sig) {
-                    best.push((score, ind.clone()));
+                    best.push((score, deep_copy(ind)));
                 }
             }
             best.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
@@ -1070,7 +1106,7 @@ mod tests {
                         }
                         next.push(c);
                     }
-                    None => next.push(parent.clone()),
+                    None => next.push(deep_copy(parent)),
                 }
             }
             population = next;

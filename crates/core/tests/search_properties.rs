@@ -12,7 +12,7 @@ use ansor_core::{
 };
 use hwsim::{HardwareTarget, Measurer};
 use rand::prelude::*;
-use tensor_ir::{interp, lower, Annotation, ComputeDag, DagBuilder, Expr, Reducer};
+use tensor_ir::{interp, lower, Annotation, ComputeDag, DagBuilder, Expr, Reducer, State};
 
 fn matmul_relu(n: i64) -> Arc<ComputeDag> {
     let mut b = DagBuilder::new();
@@ -52,7 +52,7 @@ fn crossover_offspring_compute_correct_results() {
     }
     let mut model = LearnedCostModel::new();
     let mut measurer = Measurer::new(task.target.clone());
-    let states: Vec<_> = pop.iter().map(|p| p.state.clone()).collect();
+    let states: Vec<State> = pop.iter().map(|p| State::clone(&p.state)).collect();
     let secs: Vec<f64> = states.iter().map(|s| measurer.measure(s).seconds).collect();
     model.update(&task, &states, &secs);
 

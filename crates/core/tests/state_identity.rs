@@ -1,9 +1,10 @@
 //! What a `State` promises the search: its carried signature equals the
 //! from-scratch one (replay is the oracle), it shares the task's DAG until
-//! a structural step, and — because the signature names the program, not
-//! just the steps — caches shared between tasks never serve one task's
-//! entry to another.
+//! a structural step and from then on the one DAG that step derives, and —
+//! because the signature names the program, not just the steps — caches
+//! shared between tasks never serve one task's entry to another.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -16,9 +17,9 @@ use ansor_features::extract_state_matrix;
 use ansor_workloads::{build_case, ops, OP_CLASSES};
 use hwsim::{HardwareTarget, Measurer};
 use rand::prelude::*;
-use tensor_ir::{lower, print_program, State, Step};
+use tensor_ir::{lower, print_program, ComputeDag, State, Step};
 
-/// Returns whether the state ran a structural step (owns its DAG).
+/// Returns whether the state ran a structural step (is on a derived DAG).
 fn check_invariants(task: &SearchTask, state: &State, what: &str) -> bool {
     let replayed = State::replay(task.dag.clone(), &state.steps).expect("steps replay");
     assert_eq!(
@@ -26,6 +27,17 @@ fn check_invariants(task: &SearchTask, state: &State, what: &str) -> bool {
         replayed.signature(),
         "{what}: carried vs replayed"
     );
+    // However the program was made — sampled, mutated, crossed over — it
+    // sits on the DAG its replay is handed from the task DAG's memo ...
+    assert!(
+        Arc::ptr_eq(&state.dag, &replayed.dag),
+        "{what}: one DAG per structural step"
+    );
+    // ... and that DAG is what the same steps derive on a copy of the task
+    // DAG, whose memo is empty.
+    let unshared = Arc::new(ComputeDag::clone(&task.dag));
+    let derived_afresh = State::replay(unshared, &state.steps).expect("steps replay");
+    assert_eq!(*state, derived_afresh, "{what}: memo hit vs derivation");
     assert_eq!(
         state.clone().signature(),
         state.signature(),
@@ -85,7 +97,7 @@ fn for_every_program(mut visit: impl FnMut(&SearchTask, &State, &str)) {
             ..Default::default()
         };
         for gen in 0..4 {
-            let refs: Vec<&State> = population.iter().map(|p| &p.state).collect();
+            let refs: Vec<&State> = population.iter().map(|p| &*p.state).collect();
             let scores = model.predict_refs(&task, &refs);
             let offspring = produce_generation(
                 &task,
@@ -108,14 +120,33 @@ fn for_every_program(mut visit: impl FnMut(&SearchTask, &State, &str)) {
 
 #[test]
 fn signature_and_dag_sharing_hold_for_every_operator_sketch_and_offspring() {
-    // States seen that own their DAG / share the task's.
+    // States seen that share the task's DAG / sit on a derived one.
     let mut seen = [0usize; 2];
+    // The derived DAG first seen for a task's structural steps, and how
+    // many later programs with the same steps were found on it.
+    let mut derived: HashMap<String, Arc<ComputeDag>> = HashMap::new();
+    let mut shared = 0;
     for_every_program(|task, state, what| {
-        seen[check_invariants(task, state, what) as usize] += 1;
+        let structural = check_invariants(task, state, what);
+        seen[structural as usize] += 1;
+        if structural {
+            let steps: Vec<&Step> = state.steps.iter().filter(|s| s.is_structural()).collect();
+            let first = derived
+                .entry(format!("{} gpu={} {steps:?}", task.name, task.is_gpu()))
+                .or_insert_with(|| state.dag.clone());
+            assert!(Arc::ptr_eq(first, &state.dag), "{what}: {steps:?}");
+            shared += 1;
+        }
     });
     assert!(
         seen[0] > 100 && seen[1] > 100,
         "one side untested: {seen:?}"
+    );
+    assert!(
+        derived.len() > 20 && shared > 4 * derived.len(),
+        "{} programs on {} derived DAGs",
+        shared,
+        derived.len()
     );
 }
 

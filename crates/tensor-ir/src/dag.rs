@@ -7,8 +7,9 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -203,20 +204,51 @@ fn is_affine_single_axis(e: &Expr) -> bool {
     walk(e, &mut axes) && axes <= 1
 }
 
+/// The structural step that derives one DAG from another: the key of the
+/// memo behind [`ComputeDag::derived`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Derivation {
+    /// `Step::CacheWrite` on the node.
+    CacheWrite { node: NodeId },
+    /// `Step::Rfactor` on the node with the given inner factor.
+    Rfactor { node: NodeId, factor: i64 },
+}
+
+/// Memo of [`ComputeDag::derived`]. It belongs to one DAG value: a clone
+/// starts with an empty one.
+#[derive(Default)]
+struct DerivedDags(RwLock<HashMap<Derivation, Arc<ComputeDag>>>);
+
+impl Clone for DerivedDags {
+    fn clone(&self) -> Self {
+        DerivedDags::default()
+    }
+}
+
+impl fmt::Debug for DerivedDags {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DerivedDags").finish_non_exhaustive()
+    }
+}
+
 /// A directed acyclic graph of tensor computations.
 ///
 /// Nodes are stored in topological order (producers before consumers); the
 /// builder validates this. A DAG is immutable once built and is shared by
-/// `Arc`; the structural scheduling steps (cache-write, rfactor) insert
-/// derived nodes into a state's own copy.
+/// `Arc`; the structural scheduling steps (cache-write, rfactor) move a
+/// state to a derived DAG (`ComputeDag::derived`) and leave this one as
+/// it was.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ComputeDag {
     /// All nodes, producers before consumers. Not to be written once the
-    /// DAG is in use: the fingerprint memo does not see a direct write.
+    /// DAG is in use: the memos below do not see a direct write.
     pub nodes: Vec<Node>,
     /// Memo of [`ComputeDag::fingerprint`].
     #[serde(skip)]
     fingerprint: OnceLock<u64>,
+    /// Memo of [`ComputeDag::derived`].
+    #[serde(skip)]
+    derived: DerivedDags,
 }
 
 impl PartialEq for ComputeDag {
@@ -230,6 +262,7 @@ impl ComputeDag {
         ComputeDag {
             nodes,
             fingerprint: OnceLock::new(),
+            derived: DerivedDags::default(),
         }
     }
 
@@ -245,11 +278,43 @@ impl ComputeDag {
         })
     }
 
-    /// The nodes, for the structural steps to edit; forgets the
-    /// fingerprint memo.
+    /// The nodes, for the structural steps to edit; forgets both memos.
     pub(crate) fn nodes_mut(&mut self) -> &mut Vec<Node> {
         self.fingerprint = OnceLock::new();
+        self.derived = DerivedDags::default();
         &mut self.nodes
+    }
+
+    /// The DAG the structural step `key` derives from this one: `derive`
+    /// edits the nodes of a copy the first time the key is asked for, and
+    /// every later caller — any program of any sketch that runs the same
+    /// step on this DAG — is handed the same `Arc`. `derive` must be a
+    /// function of `key` and the nodes alone, so that a hit and a miss give
+    /// equal content. The derived DAG lives as long as this one.
+    pub(crate) fn derived(
+        &self,
+        key: Derivation,
+        derive: impl FnOnce(&mut Vec<Node>),
+    ) -> Arc<ComputeDag> {
+        // Poison-tolerant: the one write is a single insert, so the map is
+        // consistent whenever a lock holder panicked.
+        let memo = &self.derived.0;
+        if let Some(hit) = memo
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
+            return hit.clone();
+        }
+        // Derived outside the lock; of threads racing here the first to
+        // insert wins and the others drop their (equal) copies.
+        let mut dag = self.clone();
+        derive(dag.nodes_mut());
+        memo.write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key)
+            .or_insert_with(|| Arc::new(dag))
+            .clone()
     }
 
     /// Looks up a node by name.

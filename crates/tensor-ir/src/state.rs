@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::dag::{ComputeDag, ComputeSpec, NodeKind};
+use crate::dag::{ComputeDag, ComputeSpec, Derivation, Node, NodeKind};
 use crate::error::Error;
 use crate::expr::{Expr, NodeId};
 use crate::steps::Step;
@@ -224,8 +224,10 @@ impl Stage {
 #[derive(Debug, Clone, PartialEq)]
 pub struct State {
     /// The scheduled DAG: the task's own `Arc`, shared by every state of
-    /// the task, until a structural step (`CacheWrite`, `Rfactor`) extends
-    /// it with a cache or rfactor node and copies it on write.
+    /// the task, until a structural step (`CacheWrite`, `Rfactor`) moves
+    /// the state to the DAG with the cache or rfactor node, derived once
+    /// per step and shared by every state that runs it
+    /// (`ComputeDag::derived`).
     pub dag: Arc<ComputeDag>,
     /// One stage per DAG node, in DAG order.
     pub stages: Vec<Stage>,
@@ -598,30 +600,24 @@ impl State {
         let node = self.stages[sid].node;
         let spec = self.dag.nodes[node]
             .compute()
-            .ok_or(Error::Invalid("cache_write on placeholder".into()))?
-            .clone();
-        let cache_name = format!("{}.cache", self.dag.nodes[node].name);
-        let cache_spec = spec.clone();
-        let cache_id = self.insert_node_before(node, cache_name, NodeKind::Compute(cache_spec));
-        // After insertion, the original node is at `node + 1`.
-        let orig = node + 1;
-        let n_spatial = self.dag.nodes[orig].compute().unwrap().num_spatial();
-        let copy_body = Expr::Load {
-            node: cache_id,
-            indices: (0..n_spatial).map(Expr::axis).collect(),
-        };
-        if let NodeKind::Compute(c) = &mut Arc::make_mut(&mut self.dag).nodes_mut()[orig].kind {
-            let names: Vec<String> = c.axis_names[..n_spatial].to_vec();
-            c.body = copy_body;
+            .ok_or(Error::Invalid("cache_write on placeholder".into()))?;
+        let dag = self.dag.derived(Derivation::CacheWrite { node }, |nodes| {
+            let cache_name = format!("{}.cache", nodes[node].name);
+            insert_node_before(nodes, node, cache_name, spec.clone());
+            // After insertion, the original node is at `node + 1`.
+            let NodeKind::Compute(c) = &mut nodes[node + 1].kind else {
+                unreachable!("the cached node computes");
+            };
+            let n_spatial = c.num_spatial();
+            c.body = Expr::Load {
+                node,
+                indices: (0..n_spatial).map(Expr::axis).collect(),
+            };
             c.reduce_extents.clear();
             c.reducer = None;
-            c.axis_names = names;
-        }
-        // Rebuild the original node's stage: it is now element-wise.
-        let spec = self.dag.nodes[orig].compute().unwrap().clone();
-        let sid_orig = self.stage_of_node(orig).expect("stage exists");
-        self.stages[sid_orig] = Stage::from_spec(orig, &spec);
-        Ok(cache_id)
+            c.axis_names.truncate(n_spatial);
+        });
+        Ok(self.move_to_derived(dag, node))
     }
 
     /// Factorizes a reduction (Rule 6, rfactor): splits the single reduction
@@ -632,8 +628,7 @@ impl State {
         let node = self.stages[sid].node;
         let spec = self.dag.nodes[node]
             .compute()
-            .ok_or(Error::Invalid("rfactor on placeholder".into()))?
-            .clone();
+            .ok_or(Error::Invalid("rfactor on placeholder".into()))?;
         if spec.reduce_extents.len() != 1 {
             return Err(Error::Invalid(
                 "rfactor requires exactly one reduction axis".into(),
@@ -646,71 +641,50 @@ impl State {
                 inner: factor,
             });
         }
-        let n = spec.num_spatial();
-        // New body: old Axis(n) (= k) becomes k_o * factor + k_i where
-        // k_i = new Axis(n) (spatial) and k_o = new Axis(n + 1) (reduce).
-        let substituted = spec.body.map(&mut |e| match e {
-            Expr::Axis(a) if a == n => Expr::axis(n + 1) * Expr::int(factor) + Expr::axis(n),
-            other => other,
-        });
-        let mut rf_shape = spec.shape.clone();
-        rf_shape.push(factor);
-        let mut rf_axis_names: Vec<String> = spec.axis_names[..n].to_vec();
-        rf_axis_names.push(format!("{}_i", spec.axis_names[n]));
-        rf_axis_names.push(format!("{}_o", spec.axis_names[n]));
-        let rf_spec = ComputeSpec {
-            shape: rf_shape,
-            reduce_extents: vec![k_extent / factor],
-            reducer: spec.reducer,
-            body: substituted,
-            axis_names: rf_axis_names,
-        };
-        let rf_name = format!("{}.rf", self.dag.nodes[node].name);
-        let rf_id = self.insert_node_before(node, rf_name, NodeKind::Compute(rf_spec));
-        let orig = node + 1;
-        // The original node reduces X.rf over k_i.
-        let mut idx: Vec<Expr> = (0..n).map(Expr::axis).collect();
-        idx.push(Expr::axis(n)); // the new reduce axis k_i
-        if let NodeKind::Compute(c) = &mut Arc::make_mut(&mut self.dag).nodes_mut()[orig].kind {
+        let key = Derivation::Rfactor { node, factor };
+        let dag = self.dag.derived(key, |nodes| {
+            let n = spec.num_spatial();
+            // New body: old Axis(n) (= k) becomes k_o * factor + k_i where
+            // k_i = new Axis(n) (spatial) and k_o = new Axis(n + 1) (reduce).
+            let substituted = spec.body.map(&mut |e| match e {
+                Expr::Axis(a) if a == n => Expr::axis(n + 1) * Expr::int(factor) + Expr::axis(n),
+                other => other,
+            });
+            let mut rf_shape = spec.shape.clone();
+            rf_shape.push(factor);
+            let k_name = &spec.axis_names[n];
+            let mut rf_axis_names: Vec<String> = spec.axis_names[..n].to_vec();
+            rf_axis_names.push(format!("{k_name}_i"));
+            rf_axis_names.push(format!("{k_name}_o"));
+            let rf_spec = ComputeSpec {
+                shape: rf_shape,
+                reduce_extents: vec![k_extent / factor],
+                reducer: spec.reducer,
+                body: substituted,
+                axis_names: rf_axis_names,
+            };
+            let rf_name = format!("{}.rf", nodes[node].name);
+            insert_node_before(nodes, node, rf_name, rf_spec);
+            // The original node, now at `node + 1`, reduces X.rf over k_i.
+            let NodeKind::Compute(c) = &mut nodes[node + 1].kind else {
+                unreachable!("the factorized node computes");
+            };
             c.body = Expr::Load {
-                node: rf_id,
-                indices: idx,
+                node,
+                indices: (0..=n).map(Expr::axis).collect(),
             };
             c.reduce_extents = vec![factor];
-            let base = c.axis_names[n].clone();
-            c.axis_names = c.axis_names[..n].to_vec();
-            c.axis_names.push(format!("{}_i", base));
-        }
-        let spec = self.dag.nodes[orig].compute().unwrap().clone();
-        let sid_orig = self.stage_of_node(orig).expect("stage exists");
-        self.stages[sid_orig] = Stage::from_spec(orig, &spec);
-        Ok(rf_id)
+            c.axis_names.truncate(n);
+            c.axis_names.push(format!("{k_name}_i"));
+        });
+        Ok(self.move_to_derived(dag, node))
     }
 
-    /// Inserts a new compute node immediately before `pos`, renumbering all
-    /// node ids ≥ `pos` in DAG bodies and stages. Returns the new node's id
-    /// (= `pos`). This is where a state stops sharing its task's DAG: the
-    /// first structural step copies it (`Arc::make_mut`), later ones find
-    /// the copy unshared.
-    fn insert_node_before(&mut self, pos: NodeId, name: String, kind: NodeKind) -> NodeId {
-        let nodes = Arc::make_mut(&mut self.dag).nodes_mut();
-        // Renumber loads in all bodies.
-        for n in nodes.iter_mut() {
-            if let NodeKind::Compute(c) = &mut n.kind {
-                c.body = c.body.map(&mut |e| match e {
-                    Expr::Load { node, indices } if node >= pos => Expr::Load {
-                        node: node + 1,
-                        indices,
-                    },
-                    other => other,
-                });
-            }
-        }
-        for n in nodes.iter_mut() {
-            if n.id >= pos {
-                n.id += 1;
-            }
-        }
+    /// The stage-side half of a structural step. `dag` is this state's DAG
+    /// with a compute node inserted at `pos` and the node that was there,
+    /// now at `pos + 1`, rewritten: renumbers the stages, gives both nodes
+    /// fresh naive stages and moves the state onto `dag`. Returns `pos`.
+    fn move_to_derived(&mut self, dag: Arc<ComputeDag>, pos: NodeId) -> NodeId {
         for s in &mut self.stages {
             if s.node >= pos {
                 s.node += 1;
@@ -721,25 +695,14 @@ impl State {
                 }
             }
         }
-        nodes.insert(
-            pos,
-            crate::dag::Node {
-                id: pos,
-                name,
-                kind: kind.clone(),
-            },
-        );
-        let stage = match &kind {
-            NodeKind::Compute(spec) => Stage::from_spec(pos, spec),
-            NodeKind::Placeholder { .. } => unreachable!("only compute nodes are inserted"),
+        let fresh = |id: NodeId| {
+            let spec = dag.nodes[id].compute().expect("both nodes compute");
+            Stage::from_spec(id, spec)
         };
-        // Insert the stage right before the stage of the shifted original.
-        let insert_at = self
-            .stages
-            .iter()
-            .position(|s| s.node == pos + 1)
-            .unwrap_or(self.stages.len());
-        self.stages.insert(insert_at, stage);
+        let at = self.stage_of_node(pos + 1).expect("stage exists");
+        self.stages[at] = fresh(pos + 1);
+        self.stages.insert(at, fresh(pos));
+        self.dag = dag;
         pos
     }
 
@@ -788,6 +751,35 @@ impl State {
         }
         Ok(())
     }
+}
+
+/// Inserts a new compute node immediately before `pos`, renumbering all
+/// node ids ≥ `pos` in the nodes and in the loads of their bodies — the
+/// DAG-side half of a structural step ([`State::move_to_derived`] is the
+/// other).
+fn insert_node_before(nodes: &mut Vec<Node>, pos: NodeId, name: String, spec: ComputeSpec) {
+    for n in nodes.iter_mut() {
+        if let NodeKind::Compute(c) = &mut n.kind {
+            c.body = c.body.map(&mut |e| match e {
+                Expr::Load { node, indices } if node >= pos => Expr::Load {
+                    node: node + 1,
+                    indices,
+                },
+                other => other,
+            });
+        }
+        if n.id >= pos {
+            n.id += 1;
+        }
+    }
+    nodes.insert(
+        pos,
+        Node {
+            id: pos,
+            name,
+            kind: NodeKind::Compute(spec),
+        },
+    );
 }
 
 #[cfg(test)]
@@ -891,14 +883,7 @@ mod tests {
 
     #[test]
     fn rfactor_factorizes_reduction() {
-        let mut b = DagBuilder::new();
-        let a = b.placeholder("A", &[4, 512]);
-        b.compute_reduce("E", &[4], &[512], Reducer::Sum, |ax| {
-            Expr::load(a, vec![ax[0].clone(), ax[1].clone()])
-                * Expr::load(a, vec![ax[0].clone(), ax[1].clone()])
-        });
-        let dag = Arc::new(b.build().unwrap());
-        let mut st = State::new(dag);
+        let mut st = State::new(norm_dag());
         st.apply(Step::Rfactor {
             node: "E".into(),
             factor: 16,
@@ -911,6 +896,93 @@ mod tests {
         assert_eq!(e.compute().unwrap().reduce_extents, vec![16]);
         st.dag.validate().unwrap();
         st.validate().unwrap();
+    }
+
+    fn norm_dag() -> Arc<ComputeDag> {
+        let mut b = DagBuilder::new();
+        let a = b.placeholder("A", &[4, 512]);
+        b.compute_reduce("E", &[4], &[512], Reducer::Sum, |ax| {
+            Expr::load(a, vec![ax[0].clone(), ax[1].clone()])
+                * Expr::load(a, vec![ax[0].clone(), ax[1].clone()])
+        });
+        Arc::new(b.build().unwrap())
+    }
+
+    fn rfactored(dag: &Arc<ComputeDag>, factor: i64) -> State {
+        let node = "E".into();
+        State::replay(dag.clone(), &[Step::Rfactor { node, factor }]).unwrap()
+    }
+
+    #[test]
+    fn a_structural_step_derives_its_dag_once_per_key() {
+        let dag = norm_dag();
+        let pristine = (*dag).clone();
+        let first = rfactored(&dag, 16);
+        let again = rfactored(&dag, 16);
+        let other = rfactored(&dag, 32);
+        assert!(Arc::ptr_eq(&first.dag, &again.dag), "one DAG per factor");
+        assert_eq!(first, again);
+        assert!(!Arc::ptr_eq(&first.dag, &other.dag));
+        assert_ne!(first.dag, other.dag, "two factors, two DAGs");
+        // A hit is what a miss derives: `pristine` has an empty memo.
+        let fresh = rfactored(&Arc::new(pristine.clone()), 16);
+        assert!(!Arc::ptr_eq(&first.dag, &fresh.dag));
+        assert_eq!(first, fresh);
+        assert_ne!(first.dag.fingerprint(), dag.fingerprint());
+        assert_eq!(*dag, pristine, "the DAG derived from is not written");
+        // A failed step derives nothing.
+        let mut st = State::new(dag.clone());
+        let sid = st.stage_by_node_name("E").unwrap();
+        assert!(st.rfactor(sid, 7).is_err());
+        assert!(Arc::ptr_eq(&st.dag, &dag));
+    }
+
+    #[test]
+    fn an_edited_clone_neither_sees_nor_disturbs_the_memo() {
+        let dag = matmul_dag();
+        let cache_write = [Step::CacheWrite { node: "C".into() }];
+        let derived = State::replay(dag.clone(), &cache_write).unwrap().dag;
+        // The clone is edited as a structural step would edit it.
+        let mut edited = (*dag).clone();
+        edited.nodes_mut()[2].name = "C2".into();
+        let edited = Arc::new(edited);
+        assert!(State::replay(edited.clone(), &cache_write).is_err());
+        let of_edited = State::replay(edited, &[Step::CacheWrite { node: "C2".into() }])
+            .unwrap()
+            .dag;
+        assert!(of_edited.node_by_name("C2.cache").is_some());
+        assert!(of_edited.node_by_name("C.cache").is_none());
+        // The original still serves what it derived before.
+        let again = State::replay(dag, &cache_write).unwrap().dag;
+        assert!(Arc::ptr_eq(&derived, &again));
+        assert!(again.node_by_name("C.cache").is_some());
+    }
+
+    #[test]
+    fn threads_racing_on_the_first_derivation_agree() {
+        let reference = rfactored(&norm_dag(), 16);
+        for _ in 0..8 {
+            let dag = norm_dag();
+            let barrier = std::sync::Barrier::new(4);
+            let states: Vec<State> = std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..4)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            rfactored(&dag, 16)
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            for st in &states {
+                assert_eq!(*st, reference);
+                assert!(
+                    Arc::ptr_eq(&st.dag, &states[0].dag),
+                    "the first insert wins"
+                );
+            }
+        }
     }
 
     #[test]
