@@ -556,7 +556,7 @@ impl CostModel for LearnedCostModel {
     fn update(&mut self, task: &SearchTask, states: &[State], seconds: &[f64]) {
         let blocks = {
             let _phase = self.telemetry.span("feature_extraction");
-            // Lowering + featurization of the measured batch runs on the
+            // Analysis + featurization of the measured batch runs on the
             // parallel runtime through the featurization cache (the states
             // were just scored, so their rows are usually already cached);
             // records are appended in input order.
@@ -793,10 +793,24 @@ mod tests {
         let mut broken = sample_states(&t, 1, 12).remove(0);
         let sid = broken.stage_by_node_name("C").unwrap();
         broken.stages[sid].loop_order.pop();
-        assert!(tensor_ir::lower(&broken).is_err());
-        let model = LearnedCostModel::new();
+        // Analysis builds no program, and still fails as lowering does.
+        let message = tensor_ir::lower(&broken).unwrap_err().to_string();
+        assert!(message.starts_with("lowering error: invalid transform: stage"));
+        assert_eq!(
+            ansor_features::extract_state_features(&broken).unwrap_err(),
+            message
+        );
+        let mut model = LearnedCostModel::new();
         assert!(model.predict_per_node(&t, &broken).is_empty());
-        assert_eq!(model.predict(&t, &[broken]), vec![f64::NEG_INFINITY]);
+        assert_eq!(
+            model.predict(&t, std::slice::from_ref(&broken)),
+            vec![f64::NEG_INFINITY]
+        );
+        // The failure record carries that message.
+        model.update(&t, &[broken], &[f64::INFINITY]);
+        let record = model.checkpoint().records.pop().expect("recorded");
+        assert_eq!(record.error.as_deref(), Some(message.as_str()));
+        assert!(record.features.is_empty());
     }
 
     #[test]

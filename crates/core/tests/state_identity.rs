@@ -13,11 +13,11 @@ use ansor_core::{
     generate_sketches, produce_generation, CostModel, EvolutionConfig, Individual,
     LearnedCostModel, RandomModel, SearchTask, SketchPolicy, TuningOptions,
 };
-use ansor_features::extract_state_matrix;
-use ansor_workloads::{build_case, ops, OP_CLASSES};
+use ansor_features::{extract_state_features, extract_state_matrix, ProgramFeatures};
+use ansor_workloads::{build_case, ops, winograd_conv2d, OP_CLASSES};
 use hwsim::{HardwareTarget, Measurer};
 use rand::prelude::*;
-use tensor_ir::{lower, print_program, ComputeDag, State, Step};
+use tensor_ir::{analyze, analyze_state, lower, print_program, ComputeDag, State, Step};
 
 /// Returns whether the state ran a structural step (is on a derived DAG).
 fn check_invariants(task: &SearchTask, state: &State, what: &str) -> bool {
@@ -57,21 +57,35 @@ fn check_invariants(task: &SearchTask, state: &State, what: &str) -> bool {
     structural
 }
 
-/// The walk both batteries below share: every operator (CPU and GPU
-/// sketch rules) × every sketch × 3 sampled annotations, then every
-/// offspring of a 4-generation evolution over those samples. `visit` sees
-/// each program once, in a fixed order.
-fn for_every_program(mut visit: impl FnMut(&SearchTask, &State, &str)) {
+/// One target per set of sketch rules: CPU and GPU.
+fn targets() -> [HardwareTarget; 2] {
+    [
+        HardwareTarget::intel_20core(),
+        HardwareTarget::nvidia_v100(),
+    ]
+}
+
+/// Every operator class at shape 0, under the CPU and the GPU sketch rules.
+fn operator_cases() -> Vec<(String, Arc<ComputeDag>, HardwareTarget)> {
+    OP_CLASSES
+        .iter()
+        .flat_map(|&op| {
+            let dag = || build_case(op, 0, 1).expect("shape 0 exists");
+            targets().map(|t| (op.to_string(), dag(), t))
+        })
+        .collect()
+}
+
+/// The walk the batteries below share: every case × every sketch × 3
+/// sampled annotations, then every offspring of a 4-generation evolution
+/// over those samples. `visit` sees each program once, in a fixed order.
+fn for_every_program(
+    cases: Vec<(String, Arc<ComputeDag>, HardwareTarget)>,
+    mut visit: impl FnMut(&SearchTask, &State, &str),
+) {
     let cfg = AnnotationConfig::default();
-    let cases = OP_CLASSES.iter().flat_map(|&op| {
-        [
-            HardwareTarget::intel_20core(),
-            HardwareTarget::nvidia_v100(),
-        ]
-        .map(|t| (op, t))
-    });
-    for (i, (op, target)) in cases.enumerate() {
-        let dag = build_case(op, 0, 1).expect("shape 0 exists");
+    for (i, (op, dag, target)) in cases.into_iter().enumerate() {
+        let op = op.as_str();
         let pristine = (*dag).clone();
         let task = SearchTask::new(format!("{op}:s0b1"), dag, target);
         let sketches = generate_sketches(&task);
@@ -118,6 +132,46 @@ fn for_every_program(mut visit: impl FnMut(&SearchTask, &State, &str)) {
     }
 }
 
+/// The search loop never builds a `Program`: `analyze_state` reads the
+/// statements' numbers off the `State`. Here it is held, program by
+/// program, to the path that does build one — analysis, feature rows and
+/// simulated seconds, bit for bit. Winograd convolution rides along for
+/// its transforms, the deepest inlining chain among the workloads.
+#[test]
+fn analysis_without_a_program_equals_analysis_of_the_lowered_program() {
+    let mut cases = operator_cases();
+    for target in targets() {
+        cases.push(("WINO".into(), winograd_conv2d(1, 8, 8, 8), target));
+    }
+    let (mut programs, mut stores, mut deepest) = (0, 0, 0);
+    for_every_program(cases, |task, state, what| {
+        let program = lower(state).expect("lowers");
+        let from_program = analyze(&program);
+        let from_state = analyze_state(state).expect("analyses");
+        assert_eq!(from_state, from_program, "{what}: analysis");
+        let rows = extract_state_features(state).expect("featurizes");
+        let want = ProgramFeatures::extract(&program);
+        assert_eq!(rows.buffers, want.buffers, "{what}: row buffers");
+        let bits = |m: &ProgramFeatures| -> Vec<u32> {
+            m.rows.data().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&rows), bits(&want), "{what}: feature rows");
+        let mut measurer = Measurer::new(task.target.clone());
+        assert_eq!(
+            measurer.measure(state).seconds.to_bits(),
+            measurer.time_only(&program).to_bits(),
+            "{what}: simulated seconds"
+        );
+        programs += 1;
+        stores += from_state.len();
+        deepest = deepest.max(from_state.iter().map(|s| s.loops.len()).max().unwrap_or(0));
+    });
+    assert!(
+        programs > 1000 && stores > 5 * programs && deepest >= 16,
+        "{programs} programs, {stores} statements, deepest nest {deepest}"
+    );
+}
+
 #[test]
 fn signature_and_dag_sharing_hold_for_every_operator_sketch_and_offspring() {
     // States seen that share the task's DAG / sit on a derived one.
@@ -126,7 +180,7 @@ fn signature_and_dag_sharing_hold_for_every_operator_sketch_and_offspring() {
     // many later programs with the same steps were found on it.
     let mut derived: HashMap<String, Arc<ComputeDag>> = HashMap::new();
     let mut shared = 0;
-    for_every_program(|task, state, what| {
+    for_every_program(operator_cases(), |task, state, what| {
         let structural = check_invariants(task, state, what);
         seen[structural as usize] += 1;
         if structural {
@@ -160,7 +214,7 @@ const LOWERED_FINGERPRINTS: &str = concat!(
 /// names), loop-variable table, unroll pragmas and rewritten layouts>`.
 fn lowered_fingerprints() -> String {
     let mut out = String::new();
-    for_every_program(|_, state, what| {
+    for_every_program(operator_cases(), |_, state, what| {
         let program = lower(state).expect("lowers");
         let mut pragmas: Vec<_> = program.pragma_unroll.iter().collect();
         pragmas.sort();

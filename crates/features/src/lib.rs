@@ -40,8 +40,8 @@ fn lg(x: f64) -> f32 {
 
 /// One program's features as the cost model caches them: the packed
 /// per-statement rows and, row for row, the buffer each statement stores to
-/// (what a per-node score breakdown groups by). Built by one `analyze` pass
-/// at exact capacity — a cache holds thousands of these.
+/// (what a per-node score breakdown groups by). Built from one analysis at
+/// exact capacity — a cache holds thousands of these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramFeatures {
     /// Single-segment matrix, one [`FEATURE_DIM`]-wide row per statement.
@@ -53,9 +53,13 @@ pub struct ProgramFeatures {
 impl ProgramFeatures {
     /// Featurizes every innermost statement of a lowered program.
     pub fn extract(program: &Program) -> ProgramFeatures {
-        let analyses = tensor_ir::analysis::analyze(program);
+        ProgramFeatures::of_statements(&tensor_ir::analysis::analyze(program))
+    }
+
+    /// Featurizes a program's analyzed statements, one row each.
+    pub fn of_statements(analyses: &[StoreAnalysis]) -> ProgramFeatures {
         let mut data = Vec::with_capacity(analyses.len() * FEATURE_DIM);
-        for s in &analyses {
+        for s in analyses {
             push_store_features(&mut data, s);
         }
         ProgramFeatures {
@@ -65,11 +69,12 @@ impl ProgramFeatures {
     }
 }
 
-/// Lowers and featurizes one schedule state; the error is the lowering
-/// failure's message.
+/// Featurizes one schedule state as [`ProgramFeatures::extract`] featurizes
+/// the program it lowers to, from the state's analysis alone — no
+/// `Program` is built. The error is the lowering failure's message.
 pub fn extract_state_features(state: &tensor_ir::State) -> Result<ProgramFeatures, String> {
-    match tensor_ir::lower(state) {
-        Ok(p) => Ok(ProgramFeatures::extract(&p)),
+    match tensor_ir::analyze_state(state) {
+        Ok(analyses) => Ok(ProgramFeatures::of_statements(&analyses)),
         Err(e) => Err(e.to_string()),
     }
 }

@@ -50,16 +50,26 @@ pub struct StoreCost {
 
 /// Estimates the execution time of a program in seconds.
 pub fn estimate_seconds(program: &Program, target: &HardwareTarget) -> f64 {
-    estimate_detailed(program, target)
+    seconds_of_statements(&tensor_ir::analysis::analyze(program), target)
+}
+
+/// Estimates the program and returns per-store breakdowns.
+pub fn estimate_detailed(program: &Program, target: &HardwareTarget) -> Vec<StoreCost> {
+    cost_of_statements(&tensor_ir::analysis::analyze(program), target)
+}
+
+/// Execution time, in seconds, of the program whose analyzed statements
+/// these are.
+pub fn seconds_of_statements(stores: &[StoreAnalysis], target: &HardwareTarget) -> f64 {
+    cost_of_statements(stores, target)
         .iter()
         .map(|c| c.total_s)
         .sum::<f64>()
         + 1e-7
 }
 
-/// Estimates the program and returns per-store breakdowns.
-pub fn estimate_detailed(program: &Program, target: &HardwareTarget) -> Vec<StoreCost> {
-    let stores = tensor_ir::analysis::analyze(program);
+/// The cost breakdown of each analyzed statement.
+pub fn cost_of_statements(stores: &[StoreAnalysis], target: &HardwareTarget) -> Vec<StoreCost> {
     stores
         .iter()
         .map(|s| match target.kind {
@@ -79,8 +89,8 @@ pub fn gflops(program: &Program, target: &HardwareTarget) -> f64 {
 /// schedule is slow.
 pub fn explain(program: &Program, target: &HardwareTarget) -> String {
     use std::fmt::Write as _;
-    let costs = estimate_detailed(program, target);
     let analyses = tensor_ir::analysis::analyze(program);
+    let costs = cost_of_statements(&analyses, target);
     let mut out = String::new();
     let _ = writeln!(
         out,

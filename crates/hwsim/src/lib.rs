@@ -16,7 +16,10 @@ pub mod faults;
 pub mod measure;
 pub mod target;
 
-pub use analytical::{estimate_detailed, estimate_seconds, explain, gflops, StoreCost};
+pub use analytical::{
+    cost_of_statements, estimate_detailed, estimate_seconds, explain, gflops,
+    seconds_of_statements, StoreCost,
+};
 pub use cache::{miss_traffic, CacheHierarchy, CacheLevel};
 pub use faults::{default_plan, is_terminal_fault, set_default_plan, FaultOutcome, FaultPlan};
 pub use measure::{error_kind, MeasureOptions, MeasureResult, Measurer};

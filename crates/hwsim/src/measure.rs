@@ -15,9 +15,9 @@ use std::sync::Arc;
 
 use ansor_runtime::SigCache;
 use serde::{Deserialize, Serialize};
-use tensor_ir::{lower, Program, State};
+use tensor_ir::{analyze_state, Program, State};
 
-use crate::analytical::estimate_seconds;
+use crate::analytical::{estimate_seconds, seconds_of_statements};
 use crate::faults::{FaultOutcome, FaultPlan, INJECTED_PREFIX};
 use crate::target::HardwareTarget;
 
@@ -285,14 +285,16 @@ impl Measurer {
         r
     }
 
-    /// Builds and times one state without touching the trial counter.
+    /// Builds and times one state without touching the trial counter. The
+    /// "build" is the analysis of the state's statements — all the machine
+    /// model reads — so no `Program` is made.
     fn measure_one(&self, state: &State) -> MeasureResult {
-        let lowered = {
+        let analysed = {
             let _phase = self.telemetry.span("lowering");
-            lower(state)
+            analyze_state(state)
         };
-        let program = match lowered {
-            Ok(p) => p,
+        let stores = match analysed {
+            Ok(stores) => stores,
             // Lowering failures are deterministic program defects, not
             // hardware flakes: never retried, never fault-injected.
             Err(e) => {
@@ -302,7 +304,7 @@ impl Measurer {
                 }
             }
         };
-        let base = self.time_program(&program, state);
+        let base = self.with_noise(seconds_of_statements(&stores, &self.target), state);
         let Some(plan) = &self.faults else {
             return MeasureResult {
                 seconds: base,
@@ -365,8 +367,8 @@ impl Measurer {
         estimate_seconds(program, &self.target)
     }
 
-    fn time_program(&self, program: &Program, state: &State) -> f64 {
-        let base = estimate_seconds(program, &self.target);
+    /// `base` under this measurer's (seeded, per-program) noise.
+    fn with_noise(&self, base: f64, state: &State) -> f64 {
         if self.options.noise <= 0.0 {
             return base;
         }
@@ -411,6 +413,33 @@ mod tests {
         assert!(r.seconds > 0.0);
         m.measure_batch(&[st.clone(), st]);
         assert_eq!(m.trials(), 3);
+    }
+
+    #[test]
+    fn an_unlowerable_state_measures_to_its_lowering_error() {
+        // Fails `validate`; and a reduction whose init nest cannot index
+        // its output (j fused with k).
+        let mut no_loop = simple_state();
+        no_loop.stages[2].loop_order.pop();
+        let mut no_value = simple_state();
+        no_value
+            .apply(Step::Fuse {
+                node: "C".into(),
+                iters: vec!["j".into(), "k".into()],
+            })
+            .unwrap();
+        let tel = telemetry::Telemetry::with_metrics();
+        let mut m = Measurer::new(HardwareTarget::intel_20core());
+        m.set_telemetry(tel.clone());
+        for broken in [no_loop, no_value] {
+            // The measurer builds no program, and fails as `lower` does.
+            let message = tensor_ir::lower(&broken).unwrap_err().to_string();
+            let r = m.measure(&broken);
+            assert_eq!(r.seconds, f64::INFINITY);
+            assert_eq!(r.error.as_deref(), Some(message.as_str()));
+            assert_eq!(error_kind(&message), "lowering");
+        }
+        assert_eq!(tel.counter_value("measure/errors/lowering"), 2);
     }
 
     #[test]

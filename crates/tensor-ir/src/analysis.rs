@@ -9,9 +9,10 @@
 use serde::{Deserialize, Serialize};
 
 use crate::dag::Reducer;
-use crate::expr::{Expr, NodeId, OpCounts, VarId};
-use crate::lower::{Program, Stmt};
-use crate::state::{Annotation, IterKind};
+use crate::error::Error;
+use crate::expr::{BinOp, CmpOp, Expr, NodeId, OpCounts, UnOp, VarId};
+use crate::lower::{walk, Atom, Leaf, Pos, Program, Simplified, Stmt};
+use crate::state::{Annotation, IterInfo, IterKind, Stage, StageId, State};
 
 /// One loop of the chain enclosing a store statement (outer→inner).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -334,6 +335,404 @@ pub fn analyze(program: &Program) -> Vec<StoreAnalysis> {
     out
 }
 
+/// Analyzes every innermost store statement of the program `state` lowers
+/// to, without building it: equal to `analyze(&lower(state)?)`, errors
+/// included, at the cost of the numbers alone. This is the entry the search
+/// loop uses (featurization and the simulated measurement); `lower` and
+/// [`analyze`] serve the callers that need the tree, and are the reference
+/// this one is tested against.
+///
+/// The nest is walked by `lower`'s own traversal (`lower::walk`). Where
+/// `lower` builds an expression, the leaf here keeps its `Shape` — all
+/// `analyze` could tell about the built node — and, inside an index, its
+/// integer value under every assignment `analyze` differentiates over.
+pub fn analyze_state(state: &State) -> Result<Vec<StoreAnalysis>, Error> {
+    // Scratch sized for the usual nest (as deep as the longest loop order,
+    // a handful of accesses and open values); it grows if a nest is not.
+    let depth = state.stages.iter().map(|s| s.loop_order.len()).max();
+    let depth = depth.unwrap_or(0);
+    let leaf = Analyser {
+        state,
+        out: Vec::new(),
+        loops: Vec::with_capacity(depth),
+        lanes: Vec::with_capacity(8 * (1 + depth)),
+        ops: OpCounts::default(),
+        accesses: Vec::with_capacity(8),
+        strides: Vec::with_capacity(8 * depth),
+        guards: Vec::new(),
+    };
+    Ok(walk(state, leaf)?.out)
+}
+
+/// What `analyze` reads off a built expression, carried in its place.
+#[derive(Clone, Copy)]
+struct Shape {
+    /// `Some(c)` when the expression is the literal `IntConst(c)`: all the
+    /// simplification rules ask of an operand.
+    literal: Option<i64>,
+    /// Where the expression started. What it added to the statement's
+    /// counts and lists lies between here and wherever the analysis stands,
+    /// so a rule that drops the expression takes the analysis back here.
+    from: Mark,
+}
+
+/// A point in the analysis of a statement: the lengths of
+/// [`Analyser::accesses`] and [`Analyser::guards`], and the counts of
+/// [`Analyser::ops`] that grow inside an index.
+#[derive(Clone, Copy)]
+struct Mark {
+    accesses: usize,
+    guards: usize,
+    int_ops: u64,
+    loads: u64,
+    selects: u64,
+}
+
+/// An access whose indices are being made.
+struct OpenAccess {
+    /// Where it started; `from.accesses` is its own place in
+    /// [`Analyser::accesses`].
+    from: Mark,
+    /// Indices given so far.
+    dims: usize,
+}
+
+/// [`analyze_state`]'s leaf.
+///
+/// Strides are finite differences of the flattened index, as in
+/// [`flat_strides`], but of values, not of a tree: inside an index every
+/// value is held in `1 + depth` *lanes* — lane 0 with every enclosing loop
+/// variable at zero, lane `1 + k` with the variable of loop `k` at one —
+/// computed with [`eval_int`]'s semantics on a stack that follows the
+/// operand order of [`Leaf`]. The simplification rules preserve a value
+/// under those semantics, so the lanes are computed as if none applied.
+struct Analyser<'a> {
+    state: &'a State,
+    out: Vec<StoreAnalysis>,
+    /// The open loops, outer→inner.
+    loops: Vec<LoopCtx>,
+    /// The lane stack: one frame of `1 + loops.len()` lanes per index value
+    /// in the making, and one per open access (its flat index so far).
+    lanes: Vec<i64>,
+    /// `op_counts` of what has been made of the statement in the making,
+    /// its store indices included.
+    ops: OpCounts,
+    /// The nodes the statement accesses, in `Expr::visit` order, the store
+    /// first.
+    accesses: Vec<NodeId>,
+    /// `loops.len()` strides per entry of `accesses`.
+    strides: Vec<i64>,
+    /// Loop variables in the statement's `Select` conditions, in
+    /// first-visit order.
+    guards: Vec<VarId>,
+}
+
+impl Analyser<'_> {
+    fn width(&self) -> usize {
+        1 + self.loops.len()
+    }
+
+    fn push_lanes(&mut self, v: i64) {
+        let n = self.lanes.len() + self.width();
+        self.lanes.resize(n, v);
+    }
+
+    fn pop_lanes(&mut self) {
+        let n = self.lanes.len() - self.width();
+        self.lanes.truncate(n);
+    }
+
+    /// The innermost frame.
+    fn top_lanes(&mut self) -> &mut [i64] {
+        let n = self.lanes.len() - self.width();
+        &mut self.lanes[n..]
+    }
+
+    /// Pops the innermost frame into the one below it, lane by lane:
+    /// `below = f(below, top)`.
+    fn fold_lanes(&mut self, f: impl Fn(i64, i64) -> i64) {
+        let w = self.width();
+        let n = self.lanes.len();
+        let (below, top) = self.lanes[n - 2 * w..].split_at_mut(w);
+        for (b, t) in below.iter_mut().zip(top) {
+            *b = f(*b, *t);
+        }
+        self.lanes.truncate(n - w);
+    }
+
+    /// Replaces the innermost `operands` frames by the frame of a value
+    /// [`eval_int`] reads as 0.
+    fn zero_lanes(&mut self, operands: usize) {
+        for _ in 1..operands {
+            self.pop_lanes();
+        }
+        self.top_lanes().fill(0);
+    }
+
+    fn mark(&self) -> Mark {
+        Mark {
+            accesses: self.accesses.len(),
+            guards: self.guards.len(),
+            int_ops: self.ops.int_ops,
+            loads: self.ops.loads,
+            selects: self.ops.selects,
+        }
+    }
+
+    /// Takes the analysis back to where a dropped index expression
+    /// started. (Inside an index nothing else is counted.)
+    fn rewind(&mut self, to: Mark) {
+        self.accesses.truncate(to.accesses);
+        self.strides.truncate(to.accesses * self.loops.len());
+        self.guards.truncate(to.guards);
+        self.ops.int_ops = to.int_ops;
+        self.ops.loads = to.loads;
+        self.ops.selects = to.selects;
+    }
+
+    /// A value without operands, starting here.
+    fn operand(&self, literal: Option<i64>) -> Shape {
+        Shape {
+            literal,
+            from: self.mark(),
+        }
+    }
+
+    /// The strides of an access whose indices are all in, from its flat
+    /// index, which is popped.
+    fn close_access(&mut self, access: &OpenAccess) {
+        let depth = self.loops.len();
+        let n = self.lanes.len() - self.width();
+        let base = self.lanes[n];
+        let at = access.from.accesses * depth;
+        for (stride, with_var) in self.strides[at..at + depth]
+            .iter_mut()
+            .zip(&self.lanes[n + 1..])
+        {
+            *stride = with_var - base;
+        }
+        self.lanes.truncate(n);
+    }
+}
+
+impl Leaf for Analyser<'_> {
+    type Value = Shape;
+    type Access = OpenAccess;
+    type Loop = ();
+
+    fn open_loop(&mut self, var: VarId, _: StageId, info: &IterInfo, ann: Annotation) {
+        self.loops.push(LoopCtx {
+            var,
+            extent: info.extent,
+            ann,
+            kind: info.kind,
+        });
+    }
+
+    fn close_loop(&mut self, (): ()) {
+        self.loops.pop();
+    }
+
+    // `Expr::visit` is pre-order — an access comes before those of the
+    // loads in its own indices — so its slot is taken here.
+    fn begin_access(&mut self, node: NodeId, _rank: usize) -> OpenAccess {
+        let from = self.mark();
+        self.accesses.push(node);
+        let n = self.strides.len() + self.loops.len();
+        self.strides.resize(n, 0);
+        self.push_lanes(0);
+        OpenAccess { from, dims: 0 }
+    }
+
+    fn push_index(&mut self, access: &mut OpenAccess, _: Shape) {
+        // Row-major. An index beyond the buffer's rank is not part of the
+        // flat index (`flat_strides` zips it away).
+        let shape = self.state.dag.nodes[self.accesses[access.from.accesses]].shape();
+        match shape.get(access.dims + 1..) {
+            Some(inner) => {
+                let dim_stride: i64 = inner.iter().product();
+                self.fold_lanes(|flat, index| flat + index * dim_stride);
+            }
+            None => self.pop_lanes(),
+        }
+        access.dims += 1;
+    }
+
+    fn load(&mut self, access: OpenAccess, pos: Pos) -> Shape {
+        self.close_access(&access);
+        if pos.index {
+            self.push_lanes(0);
+        }
+        self.ops.loads += 1;
+        Shape {
+            literal: None,
+            from: access.from,
+        }
+    }
+
+    fn store(&mut self, stage: &Stage, access: OpenAccess, value: Shape, reduce: Option<Reducer>) {
+        self.close_access(&access);
+        debug_assert!(self.lanes.is_empty());
+        let dag = &self.state.dag;
+        let depth = self.loops.len();
+        // Merged as `push_access` merges: first match on (node, strides).
+        let mut accesses: Vec<BufferAccess> = Vec::with_capacity(self.accesses.len());
+        for (slot, &node) in self.accesses.iter().enumerate() {
+            let strides = &self.strides[slot * depth..(slot + 1) * depth];
+            let access = match (slot, reduce) {
+                (0, Some(_)) => AccessType::ReadWrite,
+                (0, None) => AccessType::Write,
+                _ => AccessType::Read,
+            };
+            match accesses
+                .iter_mut()
+                .find(|a| a.node == node && a.strides == strides)
+            {
+                Some(a) => {
+                    a.count += 1;
+                    if a.access != access {
+                        a.access = AccessType::ReadWrite;
+                    }
+                }
+                None => accesses.push(BufferAccess {
+                    node,
+                    access,
+                    strides: strides.to_vec(),
+                    count: 1,
+                    buffer_elems: dag.nodes[node].num_elements(),
+                    packed: slot > 0
+                        && stage.layout_rewritten
+                        && dag.nodes[node].is_const_placeholder(),
+                }),
+            }
+        }
+        // The stored value's counts: the store's own indices came before
+        // it, and are not in `Stmt::Store::value`.
+        let mut ops = std::mem::take(&mut self.ops);
+        ops.int_ops -= value.from.int_ops;
+        ops.loads -= value.from.loads;
+        ops.selects -= value.from.selects;
+        self.out.push(StoreAnalysis {
+            buffer: stage.node,
+            loops: self.loops.clone(),
+            ops,
+            reduce,
+            accesses,
+            pragma_unroll: stage.max_unroll_step.max(0),
+            guard_vars: self.guards.clone(),
+        });
+        self.accesses.clear();
+        self.strides.clear();
+        self.guards.clear();
+    }
+
+    fn atom(&mut self, atom: Atom, pos: Pos) -> Shape {
+        let Atom::Var(var) = atom else {
+            return self.int(0, pos);
+        };
+        let shape = self.operand(None);
+        if pos.guard && !self.guards.contains(&var) {
+            self.guards.push(var);
+        }
+        if pos.index {
+            self.push_lanes(0);
+            // A variable of no enclosing loop is 0 under every assignment.
+            if let Some(k) = self.loops.iter().position(|l| l.var == var) {
+                self.top_lanes()[1 + k] = 1;
+            }
+        }
+        shape
+    }
+
+    fn int(&mut self, v: i64, pos: Pos) -> Shape {
+        if pos.index {
+            self.push_lanes(v);
+        }
+        self.operand(Some(v))
+    }
+
+    fn float(&mut self, v: f64, pos: Pos) -> Shape {
+        if pos.index {
+            self.push_lanes(v as i64);
+        }
+        self.operand(None)
+    }
+
+    fn binary(&mut self, op: BinOp, lhs: Shape, rhs: Shape, pos: Pos) -> Shape {
+        let kept = Shape {
+            literal: None,
+            from: lhs.from,
+        };
+        if !pos.index {
+            // Kept as written, whatever the operands (`Expr::binary`).
+            match op {
+                BinOp::Add => self.ops.float_add += 1,
+                BinOp::Sub => self.ops.float_sub += 1,
+                BinOp::Mul => self.ops.float_mul += 1,
+                BinOp::Div => self.ops.float_div += 1,
+                BinOp::Mod => self.ops.float_mod += 1,
+                BinOp::Min | BinOp::Max => self.ops.float_cmp += 1,
+            }
+            return kept;
+        }
+        self.fold_lanes(|l, r| eval_binary(op, l, r));
+        match Simplified::of(op, lhs.literal, rhs.literal) {
+            // The other operand is a literal: it added nothing.
+            Simplified::Lhs => lhs,
+            Simplified::Rhs => rhs,
+            Simplified::Literal(c) => {
+                // The operands go, and their loads, guard variables and
+                // counts with them.
+                self.rewind(lhs.from);
+                self.operand(Some(c))
+            }
+            Simplified::Kept => {
+                self.ops.int_ops += 1;
+                kept
+            }
+        }
+    }
+
+    fn unary(&mut self, op: UnOp, arg: Shape, pos: Pos) -> Shape {
+        if pos.index {
+            self.zero_lanes(1);
+        } else {
+            match op {
+                UnOp::Neg | UnOp::Abs => self.ops.float_add += 1,
+                UnOp::Sqrt | UnOp::Exp | UnOp::Tanh | UnOp::Erf => self.ops.math_calls += 1,
+            }
+        }
+        Shape {
+            literal: None,
+            from: arg.from,
+        }
+    }
+
+    fn cmp(&mut self, _: CmpOp, lhs: Shape, _: Shape, pos: Pos) -> Shape {
+        if pos.index {
+            self.zero_lanes(2);
+            self.ops.int_ops += 1;
+        } else {
+            self.ops.float_cmp += 1;
+        }
+        Shape {
+            literal: None,
+            from: lhs.from,
+        }
+    }
+
+    fn select(&mut self, cond: Shape, _: Shape, _: Shape, pos: Pos) -> Shape {
+        self.ops.selects += 1;
+        if pos.index {
+            self.zero_lanes(3);
+        }
+        Shape {
+            literal: None,
+            from: cond.from,
+        }
+    }
+}
+
 fn push_access(
     accesses: &mut Vec<BufferAccess>,
     program: &Program,
@@ -392,38 +791,38 @@ fn flat_strides(program: &Program, node: NodeId, indices: &[Expr], vars: &[VarId
 /// Non-integer constructs evaluate to 0 (they do not appear in indices
 /// produced by lowering).
 fn eval_int(e: &Expr, env: &dyn Fn(VarId) -> i64) -> i64 {
-    use crate::expr::BinOp;
     match e {
         Expr::IntConst(v) => *v,
         Expr::FloatConst(v) => *v as i64,
         Expr::LoopVar(v) => env(*v),
         Expr::Axis(_) | Expr::Load { .. } | Expr::Select { .. } | Expr::Unary { .. } => 0,
         Expr::Cmp { .. } => 0,
-        Expr::Binary { op, lhs, rhs } => {
-            let l = eval_int(lhs, env);
-            let r = eval_int(rhs, env);
-            match op {
-                BinOp::Add => l + r,
-                BinOp::Sub => l - r,
-                BinOp::Mul => l * r,
-                BinOp::Div => {
-                    if r == 0 {
-                        0
-                    } else {
-                        l / r
-                    }
-                }
-                BinOp::Mod => {
-                    if r == 0 {
-                        0
-                    } else {
-                        l % r
-                    }
-                }
-                BinOp::Min => l.min(r),
-                BinOp::Max => l.max(r),
+        Expr::Binary { op, lhs, rhs } => eval_binary(*op, eval_int(lhs, env), eval_int(rhs, env)),
+    }
+}
+
+/// [`eval_int`]'s arithmetic: division and remainder by zero are 0.
+fn eval_binary(op: BinOp, l: i64, r: i64) -> i64 {
+    match op {
+        BinOp::Add => l + r,
+        BinOp::Sub => l - r,
+        BinOp::Mul => l * r,
+        BinOp::Div => {
+            if r == 0 {
+                0
+            } else {
+                l / r
             }
         }
+        BinOp::Mod => {
+            if r == 0 {
+                0
+            } else {
+                l % r
+            }
+        }
+        BinOp::Min => l.min(r),
+        BinOp::Max => l.max(r),
     }
 }
 

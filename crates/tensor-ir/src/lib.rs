@@ -54,7 +54,7 @@ pub mod printer;
 pub mod state;
 pub mod steps;
 
-pub use analysis::{analyze, AccessType, BufferAccess, LoopCtx, StoreAnalysis};
+pub use analysis::{analyze, analyze_state, AccessType, BufferAccess, LoopCtx, StoreAnalysis};
 pub use builder::DagBuilder;
 pub use compiled::CompiledProgram;
 pub use dag::{ComputeDag, ComputeSpec, Node, NodeKind, Reducer};

@@ -11,10 +11,12 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::dag::{ComputeDag, ComputeSpec, Reducer};
+use crate::dag::{ComputeDag, Reducer};
 use crate::error::Error;
-use crate::expr::{BinOp, Expr, NodeId, VarId};
-use crate::state::{Annotation, ComputeLoc, IterId, IterKind, IterSource, StageId, State};
+use crate::expr::{BinOp, CmpOp, Expr, NodeId, UnOp, VarId};
+use crate::state::{
+    Annotation, ComputeLoc, IterId, IterInfo, IterKind, IterSource, Stage, StageId, State,
+};
 
 /// One statement of a lowered program.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -117,34 +119,16 @@ impl Program {
 
 /// Lowers a scheduled state into a complete program.
 ///
-/// One traversal: every expression of the result is built exactly once, in
-/// its final form — load indices through [`simplify`]'s per-node rule as
-/// they are assembled, everything else as written — so lowering allocates
-/// little beyond the tree it returns.
+/// One traversal (`walk`): every expression of the result is built
+/// exactly once, in its final form — load indices through [`simplify`]'s
+/// per-node rule as they are assembled, everything else as written — so
+/// lowering allocates little beyond the tree it returns.
 pub fn lower(state: &State) -> Result<Program, Error> {
-    state.validate().map_err(|e| Error::Lower(e.to_string()))?;
-    let mut iter_base = Vec::with_capacity(state.stages.len());
-    let mut n_iters = 0;
-    for stage in &state.stages {
-        iter_base.push(n_iters);
-        n_iters += stage.iters.len();
-    }
-    let mut ctx = LowerCtx {
-        state,
-        vars: Vec::new(),
-        iter_base,
-        bindings: vec![None; n_iters],
-    };
-    let mut body = Vec::new();
-    for (sid, stage) in state.stages.iter().enumerate() {
-        if stage.loc == ComputeLoc::Root && state.dag.nodes[stage.node].compute().is_some() {
-            ctx.emit_stage(sid, 0, &mut body)?;
-        }
-    }
+    let tree = walk(state, TreeBuilder::default())?;
     Ok(Program {
         dag: state.dag.clone(),
-        body,
-        vars: ctx.vars,
+        body: tree.body,
+        vars: tree.vars,
         pragma_unroll: state
             .stages
             .iter()
@@ -160,11 +144,130 @@ pub fn lower(state: &State) -> Result<Program, Error> {
     })
 }
 
-/// How a binary node of the result is made: [`Expr::binary`] where the
-/// value is kept as written, [`simplify_binary`] inside a load or store
-/// index. Operands are built first, so a simplified value never exists in
-/// unsimplified form.
-type MakeBinary = fn(BinOp, Expr, Expr) -> Expr;
+/// What an open iterator stands for: the variable of its loop, or zero for
+/// a length-one loop, which is pinned and never emitted (§4.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Atom {
+    /// The loop's variable.
+    Var(VarId),
+    /// A length-one loop.
+    Zero,
+}
+
+/// Where in a statement a value is being made.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pos {
+    /// Inside a load or store index: a binary node goes through
+    /// [`simplify_binary`] and counts as integer arithmetic. Elsewhere it
+    /// is kept as written ([`Expr::binary`]) and counts as a float op.
+    pub index: bool,
+    /// Inside the condition of a `Select`.
+    pub guard: bool,
+}
+
+impl Pos {
+    const VALUE: Pos = Pos {
+        index: false,
+        guard: false,
+    };
+    const INDEX: Pos = Pos {
+        index: true,
+        guard: false,
+    };
+}
+
+/// What [`walk`] produces from the nest it traverses. The walk owns the
+/// structure — which loop opens where, which variable it gets, what every
+/// iterator and axis stands for, where producers attach and inline — and a
+/// leaf only says what a loop, an access and a scalar value *are*:
+/// [`lower`]'s leaf builds the `Program` tree, `analysis::analyze_state`'s
+/// computes each statement's numbers without one.
+///
+/// Values are made operands first, left to right, and handed to the
+/// constructor of the node over them.
+pub(crate) trait Leaf {
+    /// A scalar value.
+    type Value;
+    /// A load or store whose indices are still being made.
+    type Access;
+    /// An open loop.
+    type Loop;
+
+    /// Opens the loop of `info` (an iterator of stage `sid`) under `ann`.
+    /// Variables are numbered in opening order, from zero.
+    fn open_loop(
+        &mut self,
+        var: VarId,
+        sid: StageId,
+        info: &IterInfo,
+        ann: Annotation,
+    ) -> Self::Loop;
+    /// Closes the innermost open loop.
+    fn close_loop(&mut self, lp: Self::Loop);
+
+    /// Starts an access to `node`'s buffer; `rank` indices follow, then
+    /// [`Leaf::load`] or [`Leaf::store`].
+    fn begin_access(&mut self, node: NodeId, rank: usize) -> Self::Access;
+    /// The access's next index.
+    fn push_index(&mut self, access: &mut Self::Access, index: Self::Value);
+    /// The value loaded by a complete access.
+    fn load(&mut self, access: Self::Access, pos: Pos) -> Self::Value;
+    /// The statement `stage` stores `value` with, under the open loops.
+    fn store(
+        &mut self,
+        stage: &Stage,
+        access: Self::Access,
+        value: Self::Value,
+        reduce: Option<Reducer>,
+    );
+
+    /// The value of an open iterator.
+    fn atom(&mut self, atom: Atom, pos: Pos) -> Self::Value;
+    /// An integer constant.
+    fn int(&mut self, v: i64, pos: Pos) -> Self::Value;
+    /// A float constant.
+    fn float(&mut self, v: f64, pos: Pos) -> Self::Value;
+    /// A binary node; simplified when `pos.index`.
+    fn binary(&mut self, op: BinOp, lhs: Self::Value, rhs: Self::Value, pos: Pos) -> Self::Value;
+    /// A unary intrinsic.
+    fn unary(&mut self, op: UnOp, arg: Self::Value, pos: Pos) -> Self::Value;
+    /// A comparison.
+    fn cmp(&mut self, op: CmpOp, lhs: Self::Value, rhs: Self::Value, pos: Pos) -> Self::Value;
+    /// A selection; `cond` was made with `pos.guard` set.
+    fn select(
+        &mut self,
+        cond: Self::Value,
+        then: Self::Value,
+        other: Self::Value,
+        pos: Pos,
+    ) -> Self::Value;
+}
+
+/// Traverses the loop nest `state` describes — root stages in order, each
+/// reduction's init nest before its compute nest, producers where they are
+/// attached — and returns the leaf it fed.
+pub(crate) fn walk<L: Leaf>(state: &State, leaf: L) -> Result<L, Error> {
+    state.validate().map_err(|e| Error::Lower(e.to_string()))?;
+    let mut iter_base = Vec::with_capacity(state.stages.len());
+    let mut n_iters = 0;
+    for stage in &state.stages {
+        iter_base.push(n_iters);
+        n_iters += stage.iters.len();
+    }
+    let mut nest = Nest {
+        state,
+        leaf,
+        n_vars: 0,
+        iter_base,
+        bindings: vec![None; n_iters],
+    };
+    for (sid, stage) in state.stages.iter().enumerate() {
+        if stage.loc == ComputeLoc::Root && state.dag.nodes[stage.node].compute().is_some() {
+            nest.emit_stage(sid, 0)?;
+        }
+    }
+    Ok(nest.leaf)
+}
 
 /// What [`Expr::Axis`] stands for while a compute body is walked.
 enum Axes<'e> {
@@ -175,257 +278,227 @@ enum Axes<'e> {
     Inlined(&'e [Expr], &'e Axes<'e>),
 }
 
-struct LowerCtx<'a> {
+struct Nest<'a, L> {
     state: &'a State,
-    vars: Vec<VarInfo>,
+    leaf: L,
+    /// Loop variables handed out so far.
+    n_vars: VarId,
     /// Where each stage's iterators start in `bindings`.
     iter_base: Vec<usize>,
-    /// Value of each live iterator once its loop is open: a loop variable,
-    /// or zero for a length-one loop. Indexed `iter_base[stage] + iter`.
-    bindings: Vec<Option<Expr>>,
+    /// Value of each live iterator once its loop is open. Indexed
+    /// `iter_base[stage] + iter`.
+    bindings: Vec<Option<Atom>>,
 }
 
-impl<'a> LowerCtx<'a> {
-    /// Emits one stage's loop nest into `out`. The stage's first `skip`
-    /// iterators are already bound (a compute-at prefix; 0 for root stages).
-    fn emit_stage(&mut self, sid: StageId, skip: usize, out: &mut Vec<Stmt>) -> Result<(), Error> {
+impl<'a, L: Leaf> Nest<'a, L> {
+    /// Emits one stage's loop nest. The stage's first `skip` iterators are
+    /// already bound (a compute-at prefix; 0 for root stages).
+    fn emit_stage(&mut self, sid: StageId, skip: usize) -> Result<(), Error> {
         let spec = self.state.dag.nodes[self.state.stages[sid].node]
             .compute()
             .ok_or_else(|| Error::Lower("placeholder stage emitted".into()))?;
         // Initialize the reduction accumulator over the (emitted) spatial
         // iterators before the compute loops.
         if let Some(reducer) = spec.reducer {
-            self.emit_init_nest(sid, skip, reducer, out)?;
+            self.emit_loops(sid, skip, Some(reducer))?;
         }
-        self.emit_loops(sid, skip, out)
+        self.emit_loops(sid, skip, None)
     }
 
-    fn emit_init_nest(
-        &mut self,
-        sid: StageId,
-        skip: usize,
-        reducer: Reducer,
-        out: &mut Vec<Stmt>,
-    ) -> Result<(), Error> {
-        let stage = &self.state.stages[sid];
-        let spatial = || {
-            stage.loop_order[skip..]
-                .iter()
-                .map(|&it| (it, &stage.iters[it]))
-                .filter(|(_, info)| info.kind == IterKind::Space)
-        };
-        // Fresh loop vars for the init nest (the compute nest rebinds its
-        // iterators as it opens them); length-one loops are pinned.
-        for (it, info) in spatial() {
-            let value = if info.extent == 1 {
-                Expr::IntConst(0)
-            } else {
-                Expr::LoopVar(self.fresh_var(sid, it))
-            };
-            self.bind(sid, it, value);
-        }
-        let mut nest = Stmt::Store {
-            buffer: stage.node,
-            indices: self.store_indices(sid)?,
-            value: Expr::FloatConst(reducer.identity() as f64),
-            reduce: None,
-        };
-        for (it, info) in spatial().rev() {
-            let Some(&Expr::LoopVar(var)) = self.bound(sid, it) else {
-                continue; // pinned length-one loop
-            };
-            // The init nest inherits parallel/bind/vectorize annotations
-            // (accumulators are initialized by the same workers that own
-            // them); unrolling is left to the code generator.
-            let ann = if info.annotation == Annotation::Unroll {
-                Annotation::None
-            } else {
-                info.annotation
-            };
-            nest = Stmt::For {
-                var,
-                extent: info.extent,
-                ann,
-                body: vec![nest],
-            };
-        }
-        out.push(nest);
-        Ok(())
-    }
-
-    fn emit_loops(&mut self, sid: StageId, pos: usize, out: &mut Vec<Stmt>) -> Result<(), Error> {
+    /// Emits the loops of a stage from position `pos` of its loop order
+    /// down to its store: the compute nest, or with `init` the nest that
+    /// sets the reduction's accumulators to the identity. The init nest
+    /// runs over the spatial loops only, with fresh variables of its own
+    /// (the compute nest rebinds its iterators as it opens them).
+    fn emit_loops(&mut self, sid: StageId, pos: usize, init: Option<Reducer>) -> Result<(), Error> {
         let state = self.state;
         let stage = &state.stages[sid];
-        // Producers attached at this depth run before the rest of the nest,
-        // their first `pos` iterators bound to this stage's. (`validate`
-        // has checked that every compute-at target has a stage.)
-        let here = ComputeLoc::At {
-            target: stage.node,
-            prefix_len: pos,
-        };
-        for (psid, producer) in state.stages.iter().enumerate() {
-            if producer.loc == here {
-                for p in 0..pos {
-                    let value = self.bound(sid, stage.loop_order[p]).cloned();
-                    self.bind(
-                        psid,
-                        producer.loop_order[p],
-                        value.expect("loops above `pos` are open"),
-                    );
+        if init.is_none() {
+            // Producers attached at this depth run before the rest of the
+            // nest, their first `pos` iterators bound to this stage's.
+            // (`validate` has checked that every compute-at target has a
+            // stage.)
+            let here = ComputeLoc::At {
+                target: stage.node,
+                prefix_len: pos,
+            };
+            for (psid, producer) in state.stages.iter().enumerate() {
+                if producer.loc == here {
+                    for p in 0..pos {
+                        let value = self
+                            .bound(sid, stage.loop_order[p])
+                            .expect("loops above `pos` are open");
+                        self.bind(psid, producer.loop_order[p], value);
+                    }
+                    self.emit_stage(psid, pos)?;
                 }
-                self.emit_stage(psid, pos, out)?;
             }
         }
-        if pos == stage.loop_order.len() {
-            out.push(self.emit_body(sid)?);
-            return Ok(());
-        }
-        let it = stage.loop_order[pos];
+        let Some(&it) = stage.loop_order.get(pos) else {
+            return self.emit_store(sid, init);
+        };
         let info = &stage.iters[it];
+        if init.is_some() && info.kind != IterKind::Space {
+            return self.emit_loops(sid, pos + 1, init);
+        }
         if info.extent == 1 {
             // Length-one loops are simplified away (§4.2): the variable is
             // pinned to zero and no loop is emitted.
-            self.bind(sid, it, Expr::IntConst(0));
-            return self.emit_loops(sid, pos + 1, out);
+            self.bind(sid, it, Atom::Zero);
+            return self.emit_loops(sid, pos + 1, init);
         }
-        let var = self.fresh_var(sid, it);
-        self.bind(sid, it, Expr::LoopVar(var));
-        let mut body = Vec::new();
-        self.emit_loops(sid, pos + 1, &mut body)?;
-        out.push(Stmt::For {
-            var,
-            extent: info.extent,
-            ann: info.annotation,
-            body,
-        });
+        // The init nest inherits parallel/bind/vectorize annotations
+        // (accumulators are initialized by the same workers that own
+        // them); unrolling is left to the code generator.
+        let ann = match info.annotation {
+            Annotation::Unroll if init.is_some() => Annotation::None,
+            ann => ann,
+        };
+        let var = self.n_vars;
+        self.n_vars += 1;
+        self.bind(sid, it, Atom::Var(var));
+        let lp = self.leaf.open_loop(var, sid, info, ann);
+        self.emit_loops(sid, pos + 1, init)?;
+        self.leaf.close_loop(lp);
         Ok(())
     }
 
     /// The value a live iterator is bound to, if its loop is open.
-    fn bound(&self, sid: StageId, it: IterId) -> Option<&Expr> {
-        self.bindings[self.iter_base[sid] + it].as_ref()
+    fn bound(&self, sid: StageId, it: IterId) -> Option<Atom> {
+        self.bindings[self.iter_base[sid] + it]
     }
 
-    fn bind(&mut self, sid: StageId, it: IterId, value: Expr) {
+    fn bind(&mut self, sid: StageId, it: IterId, value: Atom) {
         let slot = self.iter_base[sid] + it;
         self.bindings[slot] = Some(value);
     }
 
-    /// The compute definition of a stage `emit_stage` accepted.
-    fn spec(&self, sid: StageId) -> &'a ComputeSpec {
-        self.state.dag.nodes[self.state.stages[sid].node]
+    /// The stage's store under the open loops: its spatial axes as
+    /// (simplified) buffer indices, then the reducer's identity (`init`) or
+    /// the compute body.
+    fn emit_store(&mut self, sid: StageId, init: Option<Reducer>) -> Result<(), Error> {
+        let stage = &self.state.stages[sid];
+        let spec = self.state.dag.nodes[stage.node]
             .compute()
-            .expect("emit_stage refuses placeholder stages")
+            .expect("emit_stage refuses placeholder stages");
+        let n_spatial = spec.num_spatial();
+        let mut access = self.leaf.begin_access(stage.node, n_spatial);
+        for &root in &stage.root_iters[..n_spatial] {
+            let index = self.iter_value(sid, root, Pos::INDEX)?;
+            self.leaf.push_index(&mut access, index);
+        }
+        let (value, reduce) = match init {
+            Some(reducer) => (self.leaf.float(reducer.identity() as f64, Pos::VALUE), None),
+            None => (
+                self.value(&spec.body, &Axes::Stage(sid), Pos::VALUE)?,
+                spec.reducer,
+            ),
+        };
+        self.leaf.store(stage, access, value, reduce);
+        Ok(())
     }
 
-    fn emit_body(&self, sid: StageId) -> Result<Stmt, Error> {
-        let spec = self.spec(sid);
-        Ok(Stmt::Store {
-            buffer: self.state.stages[sid].node,
-            indices: self.store_indices(sid)?,
-            value: self.build(&spec.body, &Axes::Stage(sid), Expr::binary)?,
-            reduce: spec.reducer,
-        })
-    }
-
-    /// The stage's spatial axes as (simplified) buffer indices.
-    fn store_indices(&self, sid: StageId) -> Result<Vec<Expr>, Error> {
-        let roots = &self.state.stages[sid].root_iters;
-        (0..self.spec(sid).num_spatial())
-            .map(|a| self.iter_value(sid, roots[a], simplify_binary))
-            .collect()
-    }
-
-    /// Builds the lowered form of a compute-body expression: axes replaced
-    /// by their values over live loop variables, inlined producers expanded
-    /// at their load sites, every remaining load's indices simplified.
-    fn build(&self, e: &Expr, axes: &Axes, make: MakeBinary) -> Result<Expr, Error> {
+    /// The lowered form of a compute-body expression: axes replaced by
+    /// their values over live loop variables, inlined producers expanded at
+    /// their load sites, every remaining load's indices simplified.
+    fn value(&mut self, e: &Expr, axes: &Axes, pos: Pos) -> Result<L::Value, Error> {
+        let state = self.state;
         Ok(match e {
-            Expr::FloatConst(_) | Expr::IntConst(_) | Expr::LoopVar(_) => e.clone(),
+            Expr::FloatConst(v) => self.leaf.float(*v, pos),
+            Expr::IntConst(v) => self.leaf.int(*v, pos),
+            Expr::LoopVar(v) => self.leaf.atom(Atom::Var(*v), pos),
             Expr::Axis(k) => match axes {
                 Axes::Stage(sid) => {
-                    self.iter_value(*sid, self.state.stages[*sid].root_iters[*k], make)?
+                    self.iter_value(*sid, state.stages[*sid].root_iters[*k], pos)?
                 }
-                Axes::Inlined(indices, outer) => self.build(&indices[*k], outer, make)?,
+                Axes::Inlined(indices, outer) => self.value(&indices[*k], outer, pos)?,
             },
             Expr::Load { node, indices } => {
-                let inlined = self
-                    .state
+                let inlined = state
                     .stage_of_node(*node)
-                    .is_some_and(|s| self.state.stages[s].loc == ComputeLoc::Inlined);
-                match self.state.dag.nodes[*node].compute() {
+                    .is_some_and(|s| state.stages[s].loc == ComputeLoc::Inlined);
+                match state.dag.nodes[*node].compute() {
                     Some(spec) if inlined => {
-                        self.build(&spec.body, &Axes::Inlined(indices, axes), make)?
+                        self.value(&spec.body, &Axes::Inlined(indices, axes), pos)?
                     }
-                    _ => Expr::Load {
-                        node: *node,
-                        indices: indices
-                            .iter()
-                            .map(|i| self.build(i, axes, simplify_binary))
-                            .collect::<Result<_, _>>()?,
-                    },
+                    _ => {
+                        let mut access = self.leaf.begin_access(*node, indices.len());
+                        let index_pos = Pos { index: true, ..pos };
+                        for i in indices {
+                            let index = self.value(i, axes, index_pos)?;
+                            self.leaf.push_index(&mut access, index);
+                        }
+                        self.leaf.load(access, pos)
+                    }
                 }
             }
-            Expr::Binary { op, lhs, rhs } => make(
-                *op,
-                self.build(lhs, axes, make)?,
-                self.build(rhs, axes, make)?,
-            ),
-            Expr::Unary { op, arg } => Expr::unary(*op, self.build(arg, axes, make)?),
-            Expr::Cmp { op, lhs, rhs } => Expr::cmp(
-                *op,
-                self.build(lhs, axes, make)?,
-                self.build(rhs, axes, make)?,
-            ),
-            Expr::Select { cond, then, other } => Expr::select(
-                self.build(cond, axes, make)?,
-                self.build(then, axes, make)?,
-                self.build(other, axes, make)?,
-            ),
+            Expr::Binary { op, lhs, rhs } => {
+                let lhs = self.value(lhs, axes, pos)?;
+                let rhs = self.value(rhs, axes, pos)?;
+                self.leaf.binary(*op, lhs, rhs, pos)
+            }
+            Expr::Unary { op, arg } => {
+                let arg = self.value(arg, axes, pos)?;
+                self.leaf.unary(*op, arg, pos)
+            }
+            Expr::Cmp { op, lhs, rhs } => {
+                let lhs = self.value(lhs, axes, pos)?;
+                let rhs = self.value(rhs, axes, pos)?;
+                self.leaf.cmp(*op, lhs, rhs, pos)
+            }
+            Expr::Select { cond, then, other } => {
+                let cond = self.value(cond, axes, Pos { guard: true, ..pos })?;
+                let then = self.value(then, axes, pos)?;
+                let other = self.value(other, axes, pos)?;
+                self.leaf.select(cond, then, other, pos)
+            }
         })
     }
 
-    /// Value of an iterator as an expression over live loop variables.
-    fn iter_value(&self, sid: StageId, it: IterId, make: MakeBinary) -> Result<Expr, Error> {
-        if let Some(e) = self.bound(sid, it) {
-            return Ok(e.clone());
+    /// Value of an iterator over live loop variables.
+    fn iter_value(&mut self, sid: StageId, it: IterId, pos: Pos) -> Result<L::Value, Error> {
+        if let Some(atom) = self.bound(sid, it) {
+            return Ok(self.leaf.atom(atom, pos));
         }
         let iters = &self.state.stages[sid].iters;
         let info = &iters[it];
         let volume = |its: &[IterId]| its.iter().map(|&i| iters[i].extent).product::<i64>();
         if let Some(children) = &info.split_children {
             // value = sum(child_value * stride_of_child)
-            let mut acc: Option<Expr> = None;
+            let mut acc: Option<L::Value> = None;
             for (j, &c) in children.iter().enumerate() {
                 let stride = volume(&children[j + 1..]);
-                let v = self.iter_value(sid, c, make)?;
+                let v = self.iter_value(sid, c, pos)?;
                 let term = if stride == 1 {
                     v
                 } else {
-                    make(BinOp::Mul, v, Expr::int(stride))
+                    let stride = self.leaf.int(stride, pos);
+                    self.leaf.binary(BinOp::Mul, v, stride, pos)
                 };
                 acc = Some(match acc {
                     None => term,
-                    Some(a) => make(BinOp::Add, a, term),
+                    Some(a) => self.leaf.binary(BinOp::Add, a, term, pos),
                 });
             }
             return Ok(acc.expect("split has children"));
         }
-        if let Some((f, pos)) = info.fused_into {
+        if let Some((f, part)) = info.fused_into {
             let IterSource::Fused(parts) = &iters[f].source else {
                 return Err(Error::Lower("fused_into target is not a fuse node".into()));
             };
-            let stride = volume(&parts[pos + 1..]);
-            let fv = self.iter_value(sid, f, make)?;
+            let stride = volume(&parts[part + 1..]);
+            let fv = self.iter_value(sid, f, pos)?;
             let divided = if stride == 1 {
                 fv
             } else {
-                make(BinOp::Div, fv, Expr::int(stride))
+                let stride = self.leaf.int(stride, pos);
+                self.leaf.binary(BinOp::Div, fv, stride, pos)
             };
-            let modded = if pos == 0 {
+            let modded = if part == 0 {
                 divided
             } else {
-                make(BinOp::Mod, divided, Expr::int(info.extent))
+                let extent = self.leaf.int(info.extent, pos);
+                self.leaf.binary(BinOp::Mod, divided, extent, pos)
             };
             return Ok(modded);
         }
@@ -434,17 +507,112 @@ impl<'a> LowerCtx<'a> {
             info.name
         )))
     }
+}
 
-    fn fresh_var(&mut self, sid: StageId, it: IterId) -> VarId {
-        let info = &self.state.stages[sid].iters[it];
-        let id = self.vars.len() as VarId;
+/// [`lower`]'s leaf: the statement tree and the loop-variable table.
+#[derive(Default)]
+struct TreeBuilder {
+    vars: Vec<VarInfo>,
+    /// Statements so far of the innermost open loop (of the program, with
+    /// none open).
+    body: Vec<Stmt>,
+}
+
+impl Leaf for TreeBuilder {
+    type Value = Expr;
+    type Access = (NodeId, Vec<Expr>);
+    /// The loop's header and the body it sits in.
+    type Loop = (VarId, i64, Annotation, Vec<Stmt>);
+
+    fn open_loop(
+        &mut self,
+        var: VarId,
+        sid: StageId,
+        info: &IterInfo,
+        ann: Annotation,
+    ) -> Self::Loop {
+        debug_assert_eq!(var as usize, self.vars.len());
         self.vars.push(VarInfo {
             name: info.name.clone(),
             extent: info.extent,
             stage: sid,
             kind: info.kind,
         });
-        id
+        (var, info.extent, ann, std::mem::take(&mut self.body))
+    }
+
+    fn close_loop(&mut self, (var, extent, ann, outer): Self::Loop) {
+        let body = std::mem::replace(&mut self.body, outer);
+        self.body.push(Stmt::For {
+            var,
+            extent,
+            ann,
+            body,
+        });
+    }
+
+    fn begin_access(&mut self, node: NodeId, rank: usize) -> Self::Access {
+        (node, Vec::with_capacity(rank))
+    }
+
+    fn push_index(&mut self, access: &mut Self::Access, index: Expr) {
+        access.1.push(index);
+    }
+
+    fn load(&mut self, (node, indices): Self::Access, _: Pos) -> Expr {
+        Expr::Load { node, indices }
+    }
+
+    fn store(
+        &mut self,
+        _: &Stage,
+        (buffer, indices): Self::Access,
+        value: Expr,
+        reduce: Option<Reducer>,
+    ) {
+        self.body.push(Stmt::Store {
+            buffer,
+            indices,
+            value,
+            reduce,
+        });
+    }
+
+    fn atom(&mut self, atom: Atom, _: Pos) -> Expr {
+        match atom {
+            Atom::Var(v) => Expr::LoopVar(v),
+            Atom::Zero => Expr::IntConst(0),
+        }
+    }
+
+    fn int(&mut self, v: i64, _: Pos) -> Expr {
+        Expr::IntConst(v)
+    }
+
+    fn float(&mut self, v: f64, _: Pos) -> Expr {
+        Expr::FloatConst(v)
+    }
+
+    // Operands are built first, so a simplified value never exists in
+    // unsimplified form.
+    fn binary(&mut self, op: BinOp, lhs: Expr, rhs: Expr, pos: Pos) -> Expr {
+        if pos.index {
+            simplify_binary(op, lhs, rhs)
+        } else {
+            Expr::binary(op, lhs, rhs)
+        }
+    }
+
+    fn unary(&mut self, op: UnOp, arg: Expr, _: Pos) -> Expr {
+        Expr::unary(op, arg)
+    }
+
+    fn cmp(&mut self, op: CmpOp, lhs: Expr, rhs: Expr, _: Pos) -> Expr {
+        Expr::cmp(op, lhs, rhs)
+    }
+
+    fn select(&mut self, cond: Expr, then: Expr, other: Expr, _: Pos) -> Expr {
+        Expr::select(cond, then, other)
     }
 }
 
@@ -460,23 +628,51 @@ pub fn simplify(e: &Expr) -> Expr {
 /// [`simplify`]'s rule for one binary node whose operands are already
 /// simplified.
 fn simplify_binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-    match (op, &lhs, &rhs) {
-        (BinOp::Mul, _, Expr::IntConst(1)) | (BinOp::Add, _, Expr::IntConst(0)) => lhs,
-        (BinOp::Mul, Expr::IntConst(1), _) | (BinOp::Add, Expr::IntConst(0), _) => rhs,
-        (BinOp::Mul, _, Expr::IntConst(0)) | (BinOp::Mul, Expr::IntConst(0), _) => {
-            Expr::IntConst(0)
+    let literal = |e: &Expr| match e {
+        Expr::IntConst(c) => Some(*c),
+        _ => None,
+    };
+    match Simplified::of(op, literal(&lhs), literal(&rhs)) {
+        Simplified::Lhs => lhs,
+        Simplified::Rhs => rhs,
+        Simplified::Literal(c) => Expr::IntConst(c),
+        Simplified::Kept => Expr::binary(op, lhs, rhs),
+    }
+}
+
+/// What [`simplify`]'s rules make of one binary node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Simplified {
+    /// The left operand alone.
+    Lhs,
+    /// The right operand alone.
+    Rhs,
+    /// An integer literal; both operands are dropped.
+    Literal(i64),
+    /// The node as written.
+    Kept,
+}
+
+impl Simplified {
+    /// The rule table. All it asks of an operand is whether it is an
+    /// integer literal, and which.
+    pub(crate) fn of(op: BinOp, lhs: Option<i64>, rhs: Option<i64>) -> Simplified {
+        match (op, lhs, rhs) {
+            (BinOp::Mul, _, Some(1)) | (BinOp::Add, _, Some(0)) => Simplified::Lhs,
+            (BinOp::Mul, Some(1), _) | (BinOp::Add, Some(0), _) => Simplified::Rhs,
+            (BinOp::Mul, _, Some(0)) | (BinOp::Mul, Some(0), _) => Simplified::Literal(0),
+            (BinOp::Div, _, Some(1)) => Simplified::Lhs,
+            (BinOp::Mod, _, Some(1)) => Simplified::Literal(0),
+            (op, Some(a), Some(b)) => match op {
+                BinOp::Add => Simplified::Literal(a + b),
+                BinOp::Sub => Simplified::Literal(a - b),
+                BinOp::Mul => Simplified::Literal(a * b),
+                BinOp::Div if b != 0 => Simplified::Literal(a / b),
+                BinOp::Mod if b != 0 => Simplified::Literal(a % b),
+                _ => Simplified::Kept,
+            },
+            _ => Simplified::Kept,
         }
-        (BinOp::Div, _, Expr::IntConst(1)) => lhs,
-        (BinOp::Mod, _, Expr::IntConst(1)) => Expr::IntConst(0),
-        (op, &Expr::IntConst(a), &Expr::IntConst(b)) => match op {
-            BinOp::Add => Expr::IntConst(a + b),
-            BinOp::Sub => Expr::IntConst(a - b),
-            BinOp::Mul => Expr::IntConst(a * b),
-            BinOp::Div if b != 0 => Expr::IntConst(a / b),
-            BinOp::Mod if b != 0 => Expr::IntConst(a % b),
-            _ => Expr::binary(op, lhs, rhs),
-        },
-        _ => Expr::binary(op, lhs, rhs),
     }
 }
 

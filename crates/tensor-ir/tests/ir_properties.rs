@@ -436,3 +436,371 @@ fn multi_reduce_axes_tile_and_run() {
         assert!((x - y).abs() < 1e-4);
     }
 }
+
+// ---------------------------------------------------------------------
+// `analyze_state` against its reference, `analyze(&lower(state)?)`.
+// ---------------------------------------------------------------------
+
+/// Both paths on one state, results and errors alike.
+fn analysed_both_ways(st: &State) -> Result<Vec<analysis::StoreAnalysis>, tensor_ir::Error> {
+    let from_program = lower(st).map(|p| analysis::analyze(&p));
+    let from_state = analysis::analyze_state(st);
+    assert_eq!(from_state, from_program, "steps {:?}", st.steps);
+    from_state
+}
+
+/// A padded input (inlinable, select-guarded), a matmul-like reduction over
+/// it with a constant weight, and an element-wise consumer.
+fn padded_matmul() -> Arc<ComputeDag> {
+    let mut b = DagBuilder::new();
+    let a = b.placeholder("A", &[16, 14]);
+    let w = b.constant("W", &[16, 16]);
+    let p = b.compute("P", &[16, 16], |ax| {
+        Expr::select(
+            Expr::cmp(CmpOp::Ge, ax[1].clone(), Expr::int(1)),
+            Expr::load(a, vec![ax[0].clone(), ax[1].clone() - Expr::int(1)]),
+            Expr::float(0.0),
+        )
+    });
+    let c = b.compute_reduce("C", &[16, 16], &[16], Reducer::Sum, |ax| {
+        Expr::load(p, vec![ax[0].clone(), ax[2].clone()])
+            * Expr::load(w, vec![ax[2].clone(), ax[1].clone()])
+    });
+    b.compute("D", &[16, 16], |ax| {
+        Expr::max(
+            Expr::load(c, vec![ax[0].clone(), ax[1].clone()]),
+            Expr::float(0.0),
+        )
+    });
+    Arc::new(b.build().unwrap())
+}
+
+/// A random schedule over every kind of step: splits (length-one parts
+/// included), fuses of adjacent loops (the div/mod path; a space ⊗ reduce
+/// fuse leaves the init nest an iterator without a value, so errors are
+/// compared too), reorders, compute-at under matching tiles, inlining,
+/// cache-write, rfactor, annotations, pragmas and layout rewrites. Steps
+/// that do not apply are dropped.
+fn random_schedule(dag: &Arc<ComputeDag>, seed: u64) -> State {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut st = State::new(dag.clone());
+    let name_of = |st: &State, sid: usize, it: usize| st.stages[sid].iters[it].name.clone();
+    for _ in 0..rng.gen_range(0..14) {
+        // A stage that computes (placeholders have no loops).
+        let computing: Vec<usize> = (0..st.stages.len())
+            .filter(|&s| !st.stages[s].loop_order.is_empty())
+            .collect();
+        let sid = *computing.choose(&mut rng).unwrap();
+        let node = st.dag.nodes[st.stages[sid].node].name.clone();
+        let order = st.stages[sid].loop_order.clone();
+        let at = rng.gen_range(0..order.len());
+        let step = match rng.gen_range(0..12) {
+            0..=2 => Step::Split {
+                node,
+                iter: name_of(&st, sid, order[at]),
+                lengths: (0..rng.gen_range(1..4))
+                    .map(|_| *[1i64, 2, 2, 4].choose(&mut rng).unwrap())
+                    .collect(),
+            },
+            3 if at + 1 < order.len() => Step::Fuse {
+                node,
+                iters: vec![
+                    name_of(&st, sid, order[at]),
+                    name_of(&st, sid, order[at + 1]),
+                ],
+            },
+            4 => {
+                let mut shuffled = order.clone();
+                shuffled.shuffle(&mut rng);
+                Step::Reorder {
+                    node,
+                    order: shuffled.iter().map(|&i| name_of(&st, sid, i)).collect(),
+                }
+            }
+            5 => {
+                // Tile producer and consumer alike, then attach.
+                let factor = *[2i64, 4].choose(&mut rng).unwrap();
+                for n in ["C", "D"] {
+                    for ax in ["i", "j"] {
+                        let _ = st.apply(Step::Split {
+                            node: n.into(),
+                            iter: ax.into(),
+                            lengths: vec![factor],
+                        });
+                    }
+                    let mut tiled: Vec<String> =
+                        ["i.0", "j.0", "i.1", "j.1"].map(String::from).to_vec();
+                    if n == "C" {
+                        tiled.push("k".into());
+                    }
+                    let _ = st.apply(Step::Reorder {
+                        node: n.into(),
+                        order: tiled,
+                    });
+                }
+                Step::ComputeAt {
+                    node: "C".into(),
+                    target: "D".into(),
+                    prefix_len: rng.gen_range(1..=4),
+                }
+            }
+            6 => Step::ComputeInline { node: "P".into() },
+            7 => Step::CacheWrite { node: "C".into() },
+            8 => Step::Rfactor {
+                node: "C".into(),
+                factor: *[2i64, 4].choose(&mut rng).unwrap(),
+            },
+            9 => Step::Annotate {
+                node,
+                iter: name_of(&st, sid, order[at]),
+                ann: *[
+                    Annotation::Unroll,
+                    Annotation::Vectorize,
+                    Annotation::Parallel,
+                ]
+                .choose(&mut rng)
+                .unwrap(),
+            },
+            10 => Step::Pragma {
+                node,
+                max_unroll: *[0i64, 16, 64].choose(&mut rng).unwrap(),
+            },
+            _ => Step::LayoutRewrite { node },
+        };
+        let _ = st.apply(step);
+    }
+    st
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Whatever the schedule, the state analyses to what its program does —
+    /// or fails to lower with the same error.
+    #[test]
+    fn analysis_of_a_state_equals_analysis_of_its_program(seed in any::<u64>()) {
+        let st = random_schedule(&padded_matmul(), seed);
+        let _ = analysed_both_ways(&st);
+    }
+}
+
+/// The random schedules above do reach what they are there for.
+#[test]
+fn random_schedules_cover_every_kind_of_step_and_both_outcomes() {
+    let dag = padded_matmul();
+    // Analysed; refused by `validate`; refused where a value was needed.
+    let (mut ok, mut invalid, mut valueless) = (0, 0, 0);
+    let mut kinds = std::collections::BTreeSet::new();
+    for seed in 0..400 {
+        let st = random_schedule(&dag, seed);
+        for step in &st.steps {
+            let debug = format!("{step:?}");
+            kinds.insert(debug.split([' ', '{']).next().unwrap().to_string());
+        }
+        match analysed_both_ways(&st) {
+            Ok(_) => ok += 1,
+            Err(e) if e.to_string().contains("has no value") => valueless += 1,
+            Err(e) => {
+                assert!(e.to_string().contains("invalid transform"), "{e}");
+                invalid += 1;
+            }
+        }
+    }
+    assert_eq!(kinds.len(), 10, "{kinds:?}");
+    assert!(
+        ok > 200 && invalid > 2 && valueless > 2,
+        "{ok} analysed, {invalid} invalid, {valueless} without a value"
+    );
+}
+
+/// `C[i] = A[<index>]` over `A[8]`, `B[8]`: the one statement's analysis.
+fn analysed_gather(index: impl FnOnce(&Expr, usize) -> Expr) -> analysis::StoreAnalysis {
+    let mut b = DagBuilder::new();
+    let a = b.placeholder("A", &[8]);
+    let idx = b.placeholder("B", &[8]);
+    b.compute("C", &[8], |ax| Expr::load(a, vec![index(&ax[0], idx)]));
+    let st = State::new(Arc::new(b.build().unwrap()));
+    analysed_both_ways(&st).unwrap().remove(0)
+}
+
+#[test]
+fn an_operand_dropped_from_an_index_takes_its_loads_ops_and_guards_along() {
+    let nodes =
+        |s: &analysis::StoreAnalysis| -> Vec<usize> { s.accesses.iter().map(|a| a.node).collect() };
+    // Kept: the indirect load is an access of its own, after A's.
+    let kept = analysed_gather(|i, b| Expr::load(b, vec![i.clone()]) + i.clone());
+    assert_eq!(nodes(&kept), vec![2, 0, 1]);
+    assert_eq!((kept.ops.loads, kept.ops.int_ops), (2, 1));
+    // `x * 0`, `0 * x`, `x % 1`: the index is `i`, and B is not read.
+    type Drop = fn(Expr) -> Expr;
+    let drops: [Drop; 3] = [
+        |x| x * Expr::int(0),
+        |x| Expr::int(0) * x,
+        |x| Expr::binary(BinOp::Mod, x, Expr::int(1)),
+    ];
+    for drop in drops {
+        let s = analysed_gather(|i, b| {
+            // The dropped operand: a load, index arithmetic and a guard.
+            let x = Expr::select(
+                Expr::cmp(CmpOp::Lt, i.clone(), Expr::int(4)),
+                Expr::load(b, vec![i.clone() + Expr::int(1)]),
+                Expr::int(2),
+            );
+            drop(x) + i.clone()
+        });
+        assert_eq!(nodes(&s), vec![2, 0]);
+        assert_eq!(s.accesses[1].strides, vec![1]);
+        assert_eq!(
+            (s.ops.loads, s.ops.int_ops, s.ops.selects),
+            (1, 0, 0),
+            "{:?}",
+            s.ops
+        );
+        assert!(s.guard_vars.is_empty(), "{:?}", s.guard_vars);
+    }
+    // A guard that survives next to one that is dropped.
+    let s = analysed_gather(|i, b| {
+        let guarded = |v: Expr| {
+            Expr::select(
+                Expr::cmp(CmpOp::Lt, i.clone(), Expr::int(4)),
+                v,
+                Expr::int(0),
+            )
+        };
+        guarded(Expr::load(b, vec![i.clone()])) * Expr::int(0) + guarded(i.clone())
+    });
+    assert_eq!(nodes(&s), vec![2, 0]);
+    assert_eq!(s.guard_vars, vec![0]);
+    assert_eq!((s.ops.selects, s.ops.int_ops), (1, 1));
+}
+
+#[test]
+fn accesses_come_in_visit_order_and_merge_on_first_match() {
+    // C[i] = A[B[i]] + B[i]: A's access precedes that of the load in its
+    // own index, and B's two equal accesses are one entry.
+    let mut b = DagBuilder::new();
+    let a = b.placeholder("A", &[8]);
+    let idx = b.placeholder("B", &[8]);
+    b.compute("C", &[8], |ax| {
+        Expr::load(a, vec![Expr::load(idx, vec![ax[0].clone()])])
+            + Expr::load(idx, vec![ax[0].clone()])
+    });
+    let st = State::new(Arc::new(b.build().unwrap()));
+    let s = analysed_both_ways(&st).unwrap().remove(0);
+    let seen: Vec<(usize, u32, &[i64])> = s
+        .accesses
+        .iter()
+        .map(|x| (x.node, x.count, &x.strides[..]))
+        .collect();
+    // A's index is a load: it evaluates to 0 under every assignment.
+    assert_eq!(seen, vec![(2, 1, &[1][..]), (0, 1, &[0]), (1, 2, &[1])]);
+    // In[i] += In[i]-style: a read of the stored buffer with the store's
+    // strides merges into it as a read-write.
+    let mut b = DagBuilder::new();
+    let a = b.placeholder("A", &[8]);
+    let c = b.compute("C", &[8], |ax| Expr::load(a, vec![ax[0].clone()]));
+    b.compute("D", &[8], |ax| {
+        Expr::load(c, vec![ax[0].clone()]) + Expr::load(c, vec![ax[0].clone()])
+    });
+    let mut st = State::new(Arc::new(b.build().unwrap()));
+    // Inlined by hand: D reads A twice where it read C.
+    st.stages[1].loc = tensor_ir::ComputeLoc::Inlined;
+    let s = analysed_both_ways(&st).unwrap().remove(0);
+    assert_eq!(s.accesses.len(), 2);
+    assert_eq!((s.accesses[1].node, s.accesses[1].count), (0, 2));
+}
+
+#[test]
+fn value_position_arithmetic_on_split_axes_is_float_work_and_never_folded() {
+    // A padding guard on an axis split four ways, one part of length one:
+    // in the guard the axis is `((i.0*4 + 0*2) + i.2*2) + i.3`-shaped, kept
+    // as written and counted as float ops; in A's index it is simplified
+    // and counted as integer ops.
+    let mut b = DagBuilder::new();
+    let a = b.placeholder("A", &[16]);
+    b.compute("C", &[16], |ax| {
+        Expr::select(
+            Expr::cmp(CmpOp::Ge, ax[0].clone(), Expr::int(1)),
+            Expr::load(a, vec![ax[0].clone() - Expr::int(1)]),
+            Expr::float(0.0),
+        )
+    });
+    let mut st = State::new(Arc::new(b.build().unwrap()));
+    st.apply(Step::Split {
+        node: "C".into(),
+        iter: "i".into(),
+        lengths: vec![1, 2, 2],
+    })
+    .unwrap();
+    let s = analysed_both_ways(&st).unwrap().remove(0);
+    assert_eq!(s.loops.len(), 3, "the length-one part is pinned");
+    // Guard: 3 multiplications (one of them `0 * 4`), 3 additions, 1 cmp.
+    assert_eq!(
+        (s.ops.float_mul, s.ops.float_add, s.ops.float_cmp),
+        (3, 3, 1)
+    );
+    // Index: `i.0*4 + i.2*2 + i.3 - 1` — the pinned part is gone.
+    assert_eq!(s.ops.int_ops, 5);
+    assert_eq!(s.accesses[1].strides, vec![4, 2, 1]);
+    assert_eq!(s.guard_vars, vec![0, 1, 2]);
+}
+
+#[test]
+fn guard_variables_come_in_first_visit_order() {
+    // The guard reads j before i; the loops are i (var 0) then j (var 1).
+    let mut b = DagBuilder::new();
+    let a = b.placeholder("A", &[4, 4]);
+    b.compute("C", &[4, 4], |ax| {
+        Expr::select(
+            Expr::cmp(CmpOp::Lt, ax[1].clone() + ax[0].clone(), Expr::int(4)),
+            Expr::load(a, vec![ax[0].clone(), ax[1].clone()]),
+            Expr::float(0.0),
+        )
+    });
+    let st = State::new(Arc::new(b.build().unwrap()));
+    let s = analysed_both_ways(&st).unwrap().remove(0);
+    assert_eq!(s.guard_vars, vec![1, 0]);
+}
+
+#[test]
+fn a_nest_of_any_depth_analyses() {
+    // Six axes, each split four ways: 24 loops around one statement.
+    let mut b = DagBuilder::new();
+    let a = b.placeholder("A", &[16; 6]);
+    b.compute("C", &[16; 6], |ax| Expr::load(a, ax.to_vec()));
+    let mut st = State::new(Arc::new(b.build().unwrap()));
+    for axis in st.stages[1].root_iters.clone() {
+        st.split(1, axis, &[2, 2, 2]).unwrap();
+    }
+    let s = analysed_both_ways(&st).unwrap().remove(0);
+    assert_eq!(s.loops.len(), 24);
+    let innermost_first: Vec<i64> = s.accesses[1].strides.iter().rev().copied().collect();
+    let powers: Vec<i64> = (0..24).map(|k| 1 << k).collect();
+    assert_eq!(innermost_first, powers);
+}
+
+#[test]
+fn a_state_that_does_not_lower_fails_analysis_with_the_same_error() {
+    // Fails `validate`: a loop is missing.
+    let mut st = State::new(matmul(8, 8, 8));
+    st.stages[2].loop_order.pop();
+    let e = analysed_both_ways(&st).unwrap_err();
+    assert!(
+        e.to_string()
+            .starts_with("lowering error: invalid transform: stage \"C\": loop volume"),
+        "{e}"
+    );
+    // An iterator with no value: j is fused with the reduction axis, so
+    // the init nest, which runs over spatial loops only, cannot index C.
+    let mut st = State::new(matmul(8, 8, 8));
+    st.apply(Step::Fuse {
+        node: "C".into(),
+        iters: vec!["j".into(), "k".into()],
+    })
+    .unwrap();
+    let e = analysed_both_ways(&st).unwrap_err();
+    assert_eq!(
+        e.to_string(),
+        "lowering error: iterator \"j@k\" has no value (neither live nor derived)"
+    );
+}
