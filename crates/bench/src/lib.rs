@@ -27,14 +27,13 @@
 pub mod serve_report;
 
 use std::io::Write as _;
-use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Count allocations in every bench binary so the live exporter (and
 /// `docs/OPERATIONS.md` walkthroughs) can report `alloc/*` gauges. The
 /// bookkeeping is three relaxed atomics per alloc/free — noise next to
-/// the system allocator itself (the `model-bench` CI gate pins this).
+/// the system allocator itself.
 #[global_allocator]
 static ALLOC: telemetry::CountingAlloc = telemetry::CountingAlloc;
 
@@ -92,7 +91,11 @@ impl Args {
     }
 
     /// Parses an explicit argument list (testable form of [`Args::parse`];
-    /// does *not* touch the global runtime configuration).
+    /// does *not* touch the global runtime configuration). A flag that
+    /// takes a value and is given none, or a `--threads` / `--faults`
+    /// value that does not parse, is a usage error: a message naming the
+    /// flag on stderr and exit status 2, never a silent fall-back to the
+    /// default.
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Args {
         let mut scale = Scale::Default;
         let mut json = None;
@@ -105,29 +108,33 @@ impl Args {
         let mut flags = Vec::new();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
+            let mut val = || {
+                it.next()
+                    .unwrap_or_else(|| usage_error(format_args!("{a}: missing value")))
+            };
             match a.as_str() {
                 "--smoke" => scale = Scale::Smoke,
                 "--full" => scale = Scale::Full,
-                "--json" => json = it.next(),
-                "--trace" => trace = it.next(),
+                "--json" => json = Some(val()),
+                "--trace" => trace = Some(val()),
                 "--quiet" => quiet = true,
                 "--threads" => {
-                    threads = it.next().and_then(|v| v.parse().ok());
+                    let v = val();
+                    threads = Some(v.parse().unwrap_or_else(|_| {
+                        usage_error(format_args!("--threads: invalid value {v:?}"))
+                    }));
                 }
                 "--faults" => {
-                    let spec = it.next().unwrap_or_default();
+                    let spec = val();
                     match hwsim::FaultPlan::parse(&spec) {
                         Ok(plan) => {
                             faults = (!plan.is_inert()).then_some(plan);
                             faults_spec = spec;
                         }
-                        Err(e) => {
-                            eprintln!("--faults: {e}");
-                            std::process::exit(2);
-                        }
+                        Err(e) => usage_error(format_args!("--faults: {e}")),
                     }
                 }
-                "--metrics-addr" => metrics_addr = it.next(),
+                "--metrics-addr" => metrics_addr = Some(val()),
                 other => flags.push(other.to_string()),
             }
         }
@@ -183,10 +190,7 @@ impl Args {
                     );
                     exporter.detach();
                 }
-                Err(e) => {
-                    eprintln!("--metrics-addr {addr}: {e}");
-                    std::process::exit(2);
-                }
+                Err(e) => usage_error(format_args!("--metrics-addr {addr}: {e}")),
             }
         }
         tel
@@ -208,105 +212,18 @@ impl Args {
     }
 }
 
+/// Reports a command-line usage error and exits with status 2.
+fn usage_error(message: std::fmt::Arguments) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
+}
+
 /// Scrape-time sampler wiring the parallel runtime's pool utilization
 /// into the live exporter (`runtime/busy_workers`, `runtime/items_queued`).
 pub fn runtime_gauges(out: &mut std::collections::BTreeMap<String, f64>) {
     let (busy, queued) = ansor_runtime::pool_stats();
     out.insert("runtime/busy_workers".into(), busy as f64);
     out.insert("runtime/items_queued".into(), queued as f64);
-}
-
-/// One point in the cross-PR benchmark trajectory
-/// (`results/BENCH_trajectory.json`): the gated ratio of `bench` as it
-/// stood when `key` (a PR tag such as `pr6`, or `ci`) was recorded.
-#[derive(Serialize, Deserialize, Clone)]
-pub struct TrajectoryEntry {
-    /// PR tag or run key.
-    pub key: String,
-    /// Benchmark binary name (`model-bench`, `evolution-bench`, …).
-    pub bench: String,
-    /// Metric name within the benchmark.
-    pub metric: String,
-    /// Recorded value.
-    pub value: f64,
-}
-
-/// The trajectory file: a schema tag plus the recorded entries.
-#[derive(Serialize, Deserialize)]
-pub struct Trajectory {
-    /// Schema identifier (`ansor-bench-trajectory/v1`).
-    pub schema: String,
-    /// Recorded points, in insertion order.
-    pub entries: Vec<TrajectoryEntry>,
-}
-
-/// Insert-or-replace one benchmark ratio in the trajectory file. Entries
-/// are keyed by `(key, bench, metric)`; re-running under the same key
-/// refreshes the value in place so CI stays idempotent.
-pub fn upsert_trajectory(path: &str, key: &str, bench: &str, metric: &str, value: f64) {
-    let mut traj = match std::fs::read_to_string(path) {
-        Ok(text) => serde_json::from_str::<Trajectory>(&text).unwrap_or_else(|e| {
-            eprintln!("--trajectory: cannot parse {path}: {e}");
-            std::process::exit(2);
-        }),
-        Err(_) => Trajectory {
-            schema: "ansor-bench-trajectory/v1".to_string(),
-            entries: Vec::new(),
-        },
-    };
-    let entry = TrajectoryEntry {
-        key: key.to_string(),
-        bench: bench.to_string(),
-        metric: metric.to_string(),
-        value,
-    };
-    match traj
-        .entries
-        .iter_mut()
-        .find(|e| e.key == entry.key && e.bench == entry.bench && e.metric == entry.metric)
-    {
-        Some(existing) => *existing = entry,
-        None => traj.entries.push(entry),
-    }
-    let text = serde_json::to_string_pretty(&traj).expect("trajectory serializes");
-    if let Err(e) = std::fs::write(path, text + "\n") {
-        eprintln!("--trajectory: cannot write {path}: {e}");
-        std::process::exit(2);
-    }
-    println!("trajectory: recorded {key} {metric}={value:.3} in {path}");
-}
-
-/// Handles the shared `--trajectory <path> [--trajectory-key <key>]`
-/// flow: when the flag is present, upserts `value` under
-/// `(key, bench, metric)` (key defaults to `dev`).
-pub fn maybe_record_trajectory(args: &Args, bench: &str, metric: &str, value: f64) {
-    let Some(i) = args.flags.iter().position(|f| f == "--trajectory") else {
-        return;
-    };
-    let path = args.flags.get(i + 1).cloned().unwrap_or_else(|| {
-        eprintln!("--trajectory requires a path");
-        std::process::exit(2);
-    });
-    let key = args
-        .flags
-        .iter()
-        .position(|f| f == "--trajectory-key")
-        .and_then(|j| args.flags.get(j + 1).cloned())
-        .unwrap_or_else(|| "dev".to_string());
-    upsert_trajectory(&path, &key, bench, metric, value);
-}
-
-/// Median wall-clock milliseconds of `reps` runs of `f`.
-pub fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 /// Geometric mean.
@@ -418,8 +335,6 @@ mod tests {
     #[test]
     fn threads_flag_parses() {
         assert_eq!(args(&["--threads", "4"]).threads, Some(4));
-        assert_eq!(args(&["--threads"]).threads, None, "missing value");
-        assert_eq!(args(&["--threads", "zero?"]).threads, None, "bad value");
     }
 
     #[test]

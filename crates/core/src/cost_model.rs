@@ -287,7 +287,11 @@ impl LearnedCostModel {
                 .records
                 .iter()
                 .map(|r| crate::checkpoint::ModelRecord {
-                    features: self.features.segment_nested(r.seg),
+                    features: self
+                        .features
+                        .segment_rows(r.seg)
+                        .map(<[f32]>::to_vec)
+                        .collect(),
                     seconds: r.seconds.is_finite().then_some(r.seconds),
                     task: r.task.clone(),
                     error: r.error.clone(),
@@ -842,6 +846,13 @@ mod tests {
         let mut model = LearnedCostModel::new();
         model.update(&t, &train, &secs);
         let mut ck = model.checkpoint();
+        // The export is the model's packed block, record by record and row
+        // for row.
+        assert_eq!(ck.records.len(), train.len());
+        for (rec, out) in model.records.iter().zip(&ck.records) {
+            assert!(out.features.iter().all(|row| row.len() == FEATURE_DIM));
+            assert_eq!(out.features.concat(), model.features.segment_slice(rec.seg));
+        }
         // Simulate a failure record as written by the extraction-error path.
         ck.records.push(crate::checkpoint::ModelRecord {
             features: vec![],

@@ -88,11 +88,6 @@ impl SessionCacheStats {
             feature_misses: self.feature_misses.saturating_sub(earlier.feature_misses),
         }
     }
-
-    /// Total hits across all three caches.
-    pub fn total_hits(&self) -> u64 {
-        self.measure_hits + self.score_hits + self.feature_hits
-    }
 }
 
 /// One tuning run's complete state: search policy, learned cost model,

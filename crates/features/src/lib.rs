@@ -85,15 +85,6 @@ pub fn extract_state_matrix(state: &tensor_ir::State) -> Result<FeatureMatrix, S
     extract_state_features(state).map(|f| f.rows)
 }
 
-/// The nested per-statement view of a program's features, for inspection
-/// and tests; the cost model reads [`ProgramFeatures`].
-pub fn extract_program_features(program: &Program) -> Vec<Vec<f32>> {
-    tensor_ir::analysis::analyze(program)
-        .iter()
-        .map(extract_store_features)
-        .collect()
-}
-
 /// Extracts the 164-entry feature vector of one analyzed statement.
 pub fn extract_store_features(s: &StoreAnalysis) -> Vec<f32> {
     let mut f = Vec::with_capacity(FEATURE_DIM);
@@ -427,7 +418,7 @@ mod tests {
     use std::sync::Arc;
     use tensor_ir::{lower, DagBuilder, Expr, Reducer, State, Step};
 
-    fn matmul_features(steps: &[Step]) -> Vec<Vec<f32>> {
+    fn matmul_features(steps: &[Step]) -> FeatureMatrix {
         let mut b = DagBuilder::new();
         let a = b.placeholder("A", &[64, 64]);
         let w = b.placeholder("B", &[64, 64]);
@@ -437,16 +428,14 @@ mod tests {
         });
         let dag = Arc::new(b.build().unwrap());
         let st = State::replay(dag, steps).unwrap();
-        extract_program_features(&lower(&st).unwrap())
+        ProgramFeatures::extract(&lower(&st).unwrap()).rows
     }
 
     #[test]
     fn dimension_is_exactly_164() {
         let feats = matmul_features(&[]);
-        assert_eq!(feats.len(), 2); // init + compute statements
-        for f in &feats {
-            assert_eq!(f.len(), FEATURE_DIM);
-        }
+        assert_eq!(feats.n_rows(), 2); // init + compute statements
+        assert_eq!(feats.n_cols(), FEATURE_DIM);
         assert_eq!(feature_names().len(), FEATURE_DIM);
     }
 
@@ -472,8 +461,8 @@ mod tests {
         // The compute statement is the one with a reduction flag set.
         let names = feature_names();
         let vec_len = names.iter().position(|n| n == "vec_len").unwrap();
-        let base_c = &base[1];
-        let vect_c = &vect[1];
+        let base_c = base.row(1);
+        let vect_c = vect.row(1);
         assert_eq!(base_c[vec_len], 0.0);
         assert!((vect_c[vec_len] - lg(8.0)).abs() < 1e-6);
         let pos_none = names.iter().position(|n| n == "vec_pos_none").unwrap();
@@ -487,7 +476,7 @@ mod tests {
     fn buffer_reuse_classification() {
         let feats = matmul_features(&[]);
         let names = feature_names();
-        let compute = &feats[1];
+        let compute = feats.row(1);
         // All three big buffers (C store, A, B) show loop reuse: each has an
         // invariant loop in the naive matmul nest.
         for b in 0..3 {
@@ -511,7 +500,7 @@ mod tests {
         }]);
         let names = feature_names();
         let pe = names.iter().position(|n| n == "par_extent").unwrap();
-        assert!((feats[1][pe] - lg(64.0)).abs() < 1e-6);
+        assert!((feats.row(1)[pe] - lg(64.0)).abs() < 1e-6);
     }
 
     #[test]
@@ -520,14 +509,14 @@ mod tests {
         let feats = matmul_features(&[]);
         let names = feature_names();
         let ai0 = names.iter().position(|n| n == "ai_0").unwrap();
-        let c = &feats[1];
+        let c = feats.row(1);
         assert!(c[ai0 + 9] >= c[ai0], "{:?}", &c[ai0..ai0 + 10]);
     }
 
     #[test]
-    fn matrix_extraction_matches_nested_extraction() {
-        // Oracle: the packed matrix is exactly the nested representation,
-        // row for row, for the same program.
+    fn state_extraction_matches_program_extraction() {
+        // Oracle: featurizing a state from its analysis gives exactly what
+        // featurizing the program it lowers to gives.
         let mut b = DagBuilder::new();
         let a = b.placeholder("A", &[64, 64]);
         let w = b.placeholder("B", &[64, 64]);
@@ -537,14 +526,9 @@ mod tests {
         });
         let dag = Arc::new(b.build().unwrap());
         let st = State::replay(dag, &[]).unwrap();
-        let program = lower(&st).unwrap();
-        let nested = extract_program_features(&program);
-        let features = ProgramFeatures::extract(&program);
-        let m = &features.rows;
-        assert_eq!(m.n_cols(), FEATURE_DIM);
-        assert_eq!(m.n_segments(), 1);
-        assert_eq!(m.segment_nested(0), nested);
-        assert_eq!(*m, FeatureMatrix::from_nested(&[nested], FEATURE_DIM));
+        let features = ProgramFeatures::extract(&lower(&st).unwrap());
+        assert_eq!(features.rows.n_cols(), FEATURE_DIM);
+        assert_eq!(features.rows.n_segments(), 1);
         // Init and compute statements both store to C.
         assert_eq!(features.buffers, vec![2, 2]);
         assert_eq!(extract_state_features(&st).unwrap(), features);
@@ -553,10 +537,8 @@ mod tests {
 
     #[test]
     fn features_are_finite() {
-        for f in matmul_features(&[]) {
-            for (i, v) in f.iter().enumerate() {
-                assert!(v.is_finite(), "feature {i} = {v}");
-            }
+        for (i, v) in matmul_features(&[]).data().iter().enumerate() {
+            assert!(v.is_finite(), "feature {} = {v}", i % FEATURE_DIM);
         }
     }
 }

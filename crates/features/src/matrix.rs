@@ -154,34 +154,6 @@ impl FeatureMatrix {
         self.segments.push(self.data.len() / self.n_cols.max(1));
         self.segments.len() - 2
     }
-
-    /// Compatibility view: segment `s` as the legacy nested per-statement
-    /// representation.
-    pub fn segment_nested(&self, s: usize) -> Vec<Vec<f32>> {
-        self.segment_rows(s).map(|r| r.to_vec()).collect()
-    }
-
-    /// Compatibility view: the whole matrix as the legacy
-    /// per-program/per-statement/per-feature triple nesting.
-    pub fn to_nested(&self) -> Vec<Vec<Vec<f32>>> {
-        (0..self.n_segments())
-            .map(|s| self.segment_nested(s))
-            .collect()
-    }
-
-    /// Builds a matrix from the legacy nested representation (one inner
-    /// `Vec<Vec<f32>>` per segment).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row's length differs from `n_cols`.
-    pub fn from_nested(nested: &[Vec<Vec<f32>>], n_cols: usize) -> FeatureMatrix {
-        let mut m = FeatureMatrix::new(n_cols);
-        for seg in nested {
-            m.push_segment(seg);
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -212,16 +184,6 @@ mod tests {
             vec![&[7.0, 8.0, 9.0]]
         );
         assert_eq!(m.resident_bytes(), 9 * 4);
-    }
-
-    #[test]
-    fn nested_round_trip() {
-        let m = sample();
-        let nested = m.to_nested();
-        assert_eq!(nested.len(), 3);
-        assert!(nested[1].is_empty());
-        let back = FeatureMatrix::from_nested(&nested, 3);
-        assert_eq!(back, m);
     }
 
     #[test]

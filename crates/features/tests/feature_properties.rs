@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use ansor_features::{extract_program_features, feature_names, FEATURE_DIM};
+use ansor_features::{feature_names, ProgramFeatures, FEATURE_DIM};
 use proptest::prelude::*;
 use tensor_ir::{lower, Annotation, ComputeDag, DagBuilder, Expr, Reducer, State, Step};
 
@@ -53,12 +53,10 @@ proptest! {
                 node: "C".into(), iter: "i.0".into(), ann: Annotation::Parallel,
             }).unwrap();
         }
-        let feats = extract_program_features(&lower(&st).unwrap());
-        for f in &feats {
-            prop_assert_eq!(f.len(), FEATURE_DIM);
-            for (i, v) in f.iter().enumerate() {
-                prop_assert!(v.is_finite(), "feature {i} not finite");
-            }
+        let feats = ProgramFeatures::extract(&lower(&st).unwrap()).rows;
+        prop_assert_eq!(feats.n_cols(), FEATURE_DIM);
+        for (i, v) in feats.data().iter().enumerate() {
+            prop_assert!(v.is_finite(), "feature {} not finite", i % FEATURE_DIM);
         }
     }
 }
@@ -79,8 +77,8 @@ fn unroll_group_activates_on_unrolled_loop() {
         ann: Annotation::Unroll,
     })
     .unwrap();
-    let feats = extract_program_features(&lower(&st).unwrap());
-    let compute = &feats[1]; // init stmt first, compute second
+    let feats = ProgramFeatures::extract(&lower(&st).unwrap()).rows;
+    let compute = feats.row(1); // init stmt first, compute second
     assert!(compute[slot("unroll_len")] > 0.0);
     assert_eq!(compute[slot("unroll_num")], 1.0);
     assert_eq!(compute[slot("unroll_pos_none")], 0.0);
@@ -110,8 +108,8 @@ fn gpu_binding_features_reflect_launch_shape() {
         ann: Annotation::BindThread,
     })
     .unwrap();
-    let feats = extract_program_features(&lower(&st).unwrap());
-    let compute = &feats[1];
+    let feats = ProgramFeatures::extract(&lower(&st).unwrap()).rows;
+    let compute = feats.row(1);
     assert!((compute[slot("gpu_blocks")] - (1.0f32 + 4.0).log2()).abs() < 1e-6);
     assert!((compute[slot("gpu_threads")] - (1.0f32 + 16.0).log2()).abs() < 1e-6);
     assert_eq!(compute[slot("gpu_has_b")], 1.0);
@@ -129,8 +127,8 @@ fn pragma_feature_tracks_value() {
         max_unroll: 512,
     })
     .unwrap();
-    let feats = extract_program_features(&lower(&st).unwrap());
-    let compute = &feats[1];
+    let feats = ProgramFeatures::extract(&lower(&st).unwrap()).rows;
+    let compute = feats.row(1);
     assert!((compute[slot("pragma_unroll")] - (513.0f32).log2()).abs() < 1e-5);
 }
 
@@ -147,11 +145,11 @@ fn stride_feature_distinguishes_transposed_access() {
     });
     let dag = Arc::new(b.build().unwrap());
     let st = State::new(dag);
-    let feats = extract_program_features(&lower(&st).unwrap());
+    let feats = ProgramFeatures::extract(&lower(&st).unwrap()).rows;
     // Statement 0 = R (stride-1 load), statement 1 = T (stride-64 load).
     // buf1 is the loaded input for both (buf0 is the store).
     let stride = slot("buf1_stride");
-    assert!(feats[0][stride] < feats[1][stride]);
+    assert!(feats.row(0)[stride] < feats.row(1)[stride]);
 }
 
 #[test]
@@ -163,8 +161,8 @@ fn feature_names_are_unique() {
 
 #[test]
 fn reduction_flag_separates_init_from_compute() {
-    let feats = extract_program_features(&lower(&State::new(matmul(16))).unwrap());
+    let feats = ProgramFeatures::extract(&lower(&State::new(matmul(16))).unwrap()).rows;
     let is_reduce = slot("is_reduce");
-    assert_eq!(feats[0][is_reduce], 0.0); // init
-    assert_eq!(feats[1][is_reduce], 1.0); // accumulation
+    assert_eq!(feats.row(0)[is_reduce], 0.0); // init
+    assert_eq!(feats.row(1)[is_reduce], 1.0); // accumulation
 }

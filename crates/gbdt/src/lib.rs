@@ -10,15 +10,16 @@
 //! # Examples
 //!
 //! ```
-//! use gbdt::{Gbdt, GbdtParams};
+//! use gbdt::{Gbdt, GbdtParams, Matrix};
 //!
-//! // y = 2·x₀ + x₁, uniformly weighted.
-//! let x: Vec<Vec<f32>> = (0..200)
-//!     .map(|i| vec![(i % 20) as f32, (i / 20) as f32])
+//! // y = 2·x₀ + x₁, uniformly weighted; 200 rows of 2 columns, packed.
+//! let x: Vec<f32> = (0..200)
+//!     .flat_map(|i| [(i % 20) as f32, (i / 20) as f32])
 //!     .collect();
-//! let y: Vec<f32> = x.iter().map(|v| 2.0 * v[0] + v[1]).collect();
-//! let w = vec![1.0; x.len()];
-//! let model = Gbdt::train(&x, &y, &w, &GbdtParams::default());
+//! let y: Vec<f32> = x.chunks(2).map(|v| 2.0 * v[0] + v[1]).collect();
+//! let w = vec![1.0; y.len()];
+//! let tel = telemetry::Telemetry::disabled();
+//! let model = Gbdt::train_matrix(Matrix::new(&x, 2), &y, &w, &GbdtParams::default(), &tel);
 //! let err = (model.predict(&[10.0, 5.0]) - 25.0).abs();
 //! assert!(err < 2.0, "{err}");
 //! ```
@@ -78,21 +79,6 @@ impl<'a> Matrix<'a> {
     pub fn get(&self, i: usize, f: usize) -> f32 {
         self.data[i * self.n_cols + f]
     }
-}
-
-/// Flattens nested rows into a packed buffer (the legacy-API shim).
-///
-/// # Panics
-///
-/// Panics if rows have differing lengths.
-pub(crate) fn flatten_rows(x: &[Vec<f32>]) -> (Vec<f32>, usize) {
-    let n_cols = x.first().map(|r| r.len()).unwrap_or(0);
-    let mut flat = Vec::with_capacity(x.len() * n_cols);
-    for row in x {
-        assert_eq!(row.len(), n_cols, "ragged feature rows");
-        flat.extend_from_slice(row);
-    }
-    (flat, n_cols)
 }
 
 /// How tree growth searches for splits.
@@ -203,33 +189,15 @@ pub struct Gbdt {
 
 impl Gbdt {
     /// Trains on `(x, y)` with per-sample weights `w` (weighted squared
-    /// error). Each boosting round fits a tree to the current residuals.
+    /// error), `x` a packed row-major matrix view. Each boosting round fits
+    /// a tree to the current residuals. Times the pass under the
+    /// `gbdt_train` phase, counts training passes/samples/trees, and emits
+    /// one `GbdtRound` trace event summarizing the pass (number of the
+    /// training invocation, trees fit, final weighted training MSE).
     ///
     /// # Panics
     ///
     /// Panics if `x`, `y` and `w` have different lengths.
-    pub fn train(x: &[Vec<f32>], y: &[f32], w: &[f32], params: &GbdtParams) -> Gbdt {
-        Self::train_with_telemetry(x, y, w, params, &telemetry::Telemetry::disabled())
-    }
-
-    /// [`Gbdt::train`] with observability: times the pass under the
-    /// `gbdt_train` phase, counts training passes/samples/trees, and emits
-    /// one `GbdtRound` trace event summarizing the pass (number of the
-    /// training invocation, trees fit, final weighted training MSE).
-    pub fn train_with_telemetry(
-        x: &[Vec<f32>],
-        y: &[f32],
-        w: &[f32],
-        params: &GbdtParams,
-        tel: &telemetry::Telemetry,
-    ) -> Gbdt {
-        let (flat, n_cols) = flatten_rows(x);
-        Self::train_matrix(Matrix::new(&flat, n_cols), y, w, params, tel)
-    }
-
-    /// Trains directly on a packed row-major matrix view — the zero-copy
-    /// entry point for callers that keep features packed (the learned cost
-    /// model). Telemetry as in [`Gbdt::train_with_telemetry`].
     pub fn train_matrix(
         x: Matrix<'_>,
         y: &[f32],
@@ -307,16 +275,6 @@ impl Gbdt {
         v
     }
 
-    /// Predicts a batch of feature vectors on the parallel runtime's
-    /// worker threads (each sample is independent, so results are
-    /// bit-identical across thread counts).
-    pub fn predict_batch(&self, xs: &[Vec<f32>]) -> Vec<f32> {
-        if xs.len() < PARALLEL_BATCH {
-            return xs.iter().map(|x| self.predict(x)).collect();
-        }
-        ansor_runtime::parallel_map(xs, |x| self.predict(x))
-    }
-
     /// Predicts every row of a packed matrix view, in row order — the
     /// batch-inference path over a packed feature store. Parallel above the
     /// batch threshold, bit-identical across thread counts.
@@ -329,22 +287,6 @@ impl Gbdt {
     }
 
     /// Weighted mean squared error on a dataset.
-    pub fn weighted_mse(&self, x: &[Vec<f32>], y: &[f32], w: &[f32]) -> f64 {
-        let mut num = 0.0f64;
-        let mut den = 0.0f64;
-        for i in 0..x.len() {
-            let d = (self.predict(&x[i]) - y[i]) as f64;
-            num += w[i] as f64 * d * d;
-            den += w[i] as f64;
-        }
-        if den > 0.0 {
-            num / den
-        } else {
-            0.0
-        }
-    }
-
-    /// [`Gbdt::weighted_mse`] over a packed matrix view.
     pub fn weighted_mse_matrix(&self, x: Matrix<'_>, y: &[f32], w: &[f32]) -> f64 {
         let mut num = 0.0f64;
         let mut den = 0.0f64;
@@ -360,15 +302,6 @@ impl Gbdt {
         }
     }
 
-    /// Total split gain per feature across all trees.
-    pub fn feature_importance(&self, n_features: usize) -> Vec<f64> {
-        let mut imp = vec![0.0; n_features];
-        for t in &self.trees {
-            t.accumulate_importance(&mut imp);
-        }
-        imp
-    }
-
     /// Number of trees actually fit.
     pub fn num_trees(&self) -> usize {
         self.trees.len()
@@ -379,15 +312,23 @@ impl Gbdt {
 mod tests {
     use super::*;
 
-    fn toy_dataset(n: usize) -> (Vec<Vec<f32>>, Vec<f32>, Vec<f32>) {
-        let x: Vec<Vec<f32>> = (0..n)
-            .map(|i| {
+    fn train(x: Matrix<'_>, y: &[f32], w: &[f32], params: &GbdtParams) -> Gbdt {
+        Gbdt::train_matrix(x, y, w, params, &telemetry::Telemetry::disabled())
+    }
+
+    /// `n` packed rows of 3 columns, targets and unit weights.
+    fn toy_dataset(n: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let x: Vec<f32> = (0..n)
+            .flat_map(|i| {
                 let a = (i % 17) as f32;
                 let b = ((i * 7) % 13) as f32;
-                vec![a, b, (i % 3) as f32]
+                [a, b, (i % 3) as f32]
             })
             .collect();
-        let y: Vec<f32> = x.iter().map(|v| v[0] * v[0] * 0.1 + 2.0 * v[1]).collect();
+        let y: Vec<f32> = x
+            .chunks(3)
+            .map(|v| v[0] * v[0] * 0.1 + 2.0 * v[1])
+            .collect();
         let w = vec![1.0; n];
         (x, y, w)
     }
@@ -395,10 +336,11 @@ mod tests {
     #[test]
     fn boosting_reduces_training_error_monotonically() {
         let (x, y, w) = toy_dataset(300);
+        let x = Matrix::new(&x, 3);
         let mut prev = f64::INFINITY;
         for n_trees in [1, 5, 20, 60] {
-            let m = Gbdt::train(
-                &x,
+            let m = train(
+                x,
                 &y,
                 &w,
                 &GbdtParams {
@@ -406,7 +348,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let mse = m.weighted_mse(&x, &y, &w);
+            let mse = m.weighted_mse_matrix(x, &y, &w);
             assert!(mse <= prev + 1e-9, "mse {mse} should be <= {prev}");
             prev = mse;
         }
@@ -416,9 +358,10 @@ mod tests {
     #[test]
     fn ranking_is_preserved_on_train_data() {
         let (x, y, w) = toy_dataset(200);
-        let m = Gbdt::train(&x, &y, &w, &GbdtParams::default());
+        let x = Matrix::new(&x, 3);
+        let m = train(x, &y, &w, &GbdtParams::default());
         // Pairwise comparison accuracy must be well above chance.
-        let pred = m.predict_batch(&x);
+        let pred = m.predict_matrix(x);
         let mut correct = 0;
         let mut total = 0;
         for i in (0..200).step_by(7) {
@@ -438,41 +381,27 @@ mod tests {
     #[test]
     fn high_weight_samples_fit_better() {
         // Two contradictory regimes; weights decide which one wins.
-        let x: Vec<Vec<f32>> = (0..100).map(|i| vec![(i % 10) as f32]).collect();
+        let x: Vec<f32> = (0..100).map(|i| (i % 10) as f32).collect();
         let y: Vec<f32> = (0..100).map(|i| if i < 50 { 1.0 } else { -1.0 }).collect();
         // Same features repeat in both halves; weight the first half high.
         let w: Vec<f32> = (0..100).map(|i| if i < 50 { 10.0 } else { 0.1 }).collect();
-        let m = Gbdt::train(&x, &y, &w, &GbdtParams::default());
+        let m = train(Matrix::new(&x, 1), &y, &w, &GbdtParams::default());
         let p = m.predict(&[5.0]);
         assert!(p > 0.8, "prediction {p} should lean toward heavy samples");
     }
 
     #[test]
-    fn feature_importance_finds_the_informative_feature() {
-        // y depends only on feature 1.
-        let x: Vec<Vec<f32>> = (0..200)
-            .map(|i| vec![((i * 13) % 7) as f32, (i % 10) as f32, 0.5])
-            .collect();
-        let y: Vec<f32> = x.iter().map(|v| v[1] * 3.0).collect();
-        let w = vec![1.0; 200];
-        let m = Gbdt::train(&x, &y, &w, &GbdtParams::default());
-        let imp = m.feature_importance(3);
-        assert!(imp[1] > 10.0 * imp[0]);
-        assert!(imp[1] > 10.0 * imp[2]);
-    }
-
-    #[test]
     fn serde_roundtrip() {
         let (x, y, w) = toy_dataset(50);
-        let m = Gbdt::train(&x, &y, &w, &GbdtParams::default());
+        let m = train(Matrix::new(&x, 3), &y, &w, &GbdtParams::default());
         let json = serde_json::to_string(&m).unwrap();
         let back: Gbdt = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.predict(&x[0]), m.predict(&x[0]));
+        assert_eq!(back.predict(&x[..3]), m.predict(&x[..3]));
     }
 
     #[test]
     fn empty_dataset_predicts_zero() {
-        let m = Gbdt::train(&[], &[], &[], &GbdtParams::default());
+        let m = train(Matrix::new(&[], 0), &[], &[], &GbdtParams::default());
         assert_eq!(m.predict(&[1.0, 2.0]), 0.0);
     }
 }

@@ -81,15 +81,8 @@ impl Default for TreeParams {
 }
 
 impl RegressionTree {
-    /// Fits a tree on `(x, y, w)` triples with exact split search. `x` is
-    /// row-major: one feature vector per sample (all rows the same length).
-    /// Rows with non-positive weight are ignored.
-    pub fn fit(x: &[Vec<f32>], y: &[f32], w: &[f32], params: &TreeParams) -> RegressionTree {
-        let (flat, n_cols) = crate::flatten_rows(x);
-        Self::fit_view(Matrix::new(&flat, n_cols), y, w, params, None)
-    }
-
-    /// Fits a tree on a packed row-major matrix view. When
+    /// Fits a tree on `(x, y, w)` triples, `x` a packed row-major matrix
+    /// view; rows with non-positive weight are ignored. When
     /// `binned = Some((dataset, exact_below))`, nodes with at least
     /// `exact_below` samples use histogram split search over `dataset`;
     /// smaller nodes (and `binned = None`) use the exact sort-based scan.
@@ -121,17 +114,6 @@ impl RegressionTree {
                     } else {
                         *right
                     };
-                }
-            }
-        }
-    }
-
-    /// Accumulates split gains per feature into `importance`.
-    pub fn accumulate_importance(&self, importance: &mut [f64]) {
-        for n in &self.nodes {
-            if let TreeNode::Split { feature, gain, .. } = n {
-                if *feature < importance.len() {
-                    importance[*feature] += gain;
                 }
             }
         }
@@ -561,12 +543,17 @@ impl<'a> TrainPass<'a> {
 mod tests {
     use super::*;
 
+    /// Exact-scan fit on a single-column dataset.
+    fn exact_fit(x: &[f32], y: &[f32], w: &[f32], params: &TreeParams) -> RegressionTree {
+        RegressionTree::fit_view(Matrix::new(x, 1), y, w, params, None)
+    }
+
     #[test]
     fn fits_a_step_function() {
-        let x: Vec<Vec<f32>> = (0..100).map(|i| vec![i as f32]).collect();
+        let x: Vec<f32> = (0..100).map(|i| i as f32).collect();
         let y: Vec<f32> = (0..100).map(|i| if i < 50 { 1.0 } else { 3.0 }).collect();
         let w = vec![1.0; 100];
-        let tree = RegressionTree::fit(&x, &y, &w, &TreeParams::default());
+        let tree = exact_fit(&x, &y, &w, &TreeParams::default());
         assert!((tree.predict(&[10.0]) - 1.0).abs() < 1e-5);
         assert!((tree.predict(&[90.0]) - 3.0).abs() < 1e-5);
     }
@@ -574,15 +561,14 @@ mod tests {
     #[test]
     fn histogram_fit_matches_exact_fit_on_a_step_function() {
         let n = 100;
-        let x: Vec<Vec<f32>> = (0..n).map(|i| vec![i as f32]).collect();
+        let x: Vec<f32> = (0..n).map(|i| i as f32).collect();
         let y: Vec<f32> = (0..n).map(|i| if i < 50 { 1.0 } else { 3.0 }).collect();
         let w = vec![1.0; n];
-        let (flat, n_cols) = crate::flatten_rows(&x);
-        let xm = Matrix::new(&flat, n_cols);
+        let xm = Matrix::new(&x, 1);
         let binned = BinnedDataset::build(xm, &w, 256);
         let exact = RegressionTree::fit_view(xm, &y, &w, &TreeParams::default(), None);
         let hist = RegressionTree::fit_view(xm, &y, &w, &TreeParams::default(), Some((&binned, 0)));
-        for row in &x {
+        for row in x.chunks(1) {
             assert_eq!(
                 exact.predict(row).to_bits(),
                 hist.predict(row).to_bits(),
@@ -594,14 +580,14 @@ mod tests {
 
     #[test]
     fn respects_max_depth() {
-        let x: Vec<Vec<f32>> = (0..64).map(|i| vec![i as f32]).collect();
-        let y: Vec<f32> = (0..64).map(|i| i as f32).collect();
+        let x: Vec<f32> = (0..64).map(|i| i as f32).collect();
+        let y = x.clone();
         let w = vec![1.0; 64];
         let params = TreeParams {
             max_depth: 1,
             ..Default::default()
         };
-        let tree = RegressionTree::fit(&x, &y, &w, &params);
+        let tree = exact_fit(&x, &y, &w, &params);
         // Depth 1 → at most 3 nodes.
         assert!(tree.num_nodes() <= 3);
     }
@@ -609,29 +595,29 @@ mod tests {
     #[test]
     fn weights_shift_the_split() {
         // Two clusters; the heavier cluster dominates the leaf values.
-        let x = vec![vec![0.0], vec![1.0]];
+        let x = [0.0, 1.0];
         let y = vec![0.0, 10.0];
         let w = vec![1.0, 100.0];
-        let tree = RegressionTree::fit(&x, &y, &w, &TreeParams::default());
+        let tree = exact_fit(&x, &y, &w, &TreeParams::default());
         assert!((tree.predict(&[0.0]) - 0.0).abs() < 1e-5);
         assert!((tree.predict(&[1.0]) - 10.0).abs() < 1e-5);
     }
 
     #[test]
     fn zero_weight_rows_are_ignored() {
-        let x = vec![vec![0.0], vec![1.0], vec![2.0]];
+        let x = [0.0, 1.0, 2.0];
         let y = vec![5.0, 7.0, 1000.0];
         let w = vec![1.0, 1.0, 0.0];
-        let tree = RegressionTree::fit(&x, &y, &w, &TreeParams::default());
+        let tree = exact_fit(&x, &y, &w, &TreeParams::default());
         assert!(tree.predict(&[2.0]) <= 7.0 + 1e-5);
     }
 
     #[test]
     fn constant_target_yields_single_leaf() {
-        let x: Vec<Vec<f32>> = (0..10).map(|i| vec![i as f32]).collect();
+        let x: Vec<f32> = (0..10).map(|i| i as f32).collect();
         let y = vec![2.5; 10];
         let w = vec![1.0; 10];
-        let tree = RegressionTree::fit(&x, &y, &w, &TreeParams::default());
+        let tree = exact_fit(&x, &y, &w, &TreeParams::default());
         assert_eq!(tree.num_nodes(), 1);
         assert!((tree.predict(&[3.0]) - 2.5).abs() < 1e-6);
     }

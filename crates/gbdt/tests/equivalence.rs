@@ -10,7 +10,7 @@
 //! models. Off the grid (more distinct values than bins) the quantile cuts
 //! coarsen the search; there we assert determinism and loose quality.
 
-use gbdt::{Gbdt, GbdtParams, SplitStrategy};
+use gbdt::{Gbdt, GbdtParams, Matrix, SplitStrategy};
 use proptest::prelude::*;
 
 /// Deterministic LCG so datasets derive from a scalar seed (the vendored
@@ -22,19 +22,20 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 33
 }
 
-/// Dataset on the dyadic grid: features and targets are multiples of 0.25
-/// with at most 16 distinct feature values, weights in {0.25, 0.5, 0.75, 1}.
-fn dyadic_dataset(n: usize, n_features: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<f32>, Vec<f32>) {
+fn train(x: Matrix<'_>, y: &[f32], w: &[f32], params: &GbdtParams) -> Gbdt {
+    Gbdt::train_matrix(x, y, w, params, &telemetry::Telemetry::disabled())
+}
+
+/// Dataset on the dyadic grid, rows packed `n_features` wide: features and
+/// targets are multiples of 0.25 with at most 16 distinct feature values,
+/// weights in {0.25, 0.5, 0.75, 1}.
+fn dyadic_dataset(n: usize, n_features: usize, seed: u64) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let mut s = seed | 1;
-    let x: Vec<Vec<f32>> = (0..n)
-        .map(|_| {
-            (0..n_features)
-                .map(|_| (lcg(&mut s) % 16) as f32 * 0.25)
-                .collect()
-        })
+    let x: Vec<f32> = (0..n * n_features)
+        .map(|_| (lcg(&mut s) % 16) as f32 * 0.25)
         .collect();
     let y: Vec<f32> = x
-        .iter()
+        .chunks(n_features)
         .map(|r| r[0] * 0.5 + r.last().unwrap() * 0.25 + (lcg(&mut s) % 8) as f32 * 0.25)
         .collect();
     let w: Vec<f32> = (0..n)
@@ -55,16 +56,17 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (x, y, w) = dyadic_dataset(n, n_features, seed);
-        let exact = Gbdt::train(&x, &y, &w, &GbdtParams {
+        let xm = Matrix::new(&x, n_features);
+        let exact = train(xm, &y, &w, &GbdtParams {
             split: SplitStrategy::Exact,
             ..Default::default()
         });
-        let binned = Gbdt::train(&x, &y, &w, &GbdtParams {
+        let binned = train(xm, &y, &w, &GbdtParams {
             split: SplitStrategy::Histogram,
             ..Default::default()
         });
         prop_assert_eq!(exact.num_trees(), binned.num_trees());
-        for row in &x {
+        for row in x.chunks(n_features) {
             let (pe, pb) = (exact.predict(row), binned.predict(row));
             prop_assert_eq!(pe.to_bits(), pb.to_bits(), "exact {pe} vs binned {pb}");
         }
@@ -76,27 +78,29 @@ proptest! {
     fn quantile_binning_is_deterministic_and_sane(seed in any::<u64>()) {
         let mut s = seed | 1;
         let n = 400;
-        let x: Vec<Vec<f32>> = (0..n)
-            .map(|_| vec![lcg(&mut s) as f32 / 4e8, lcg(&mut s) as f32 / 4e8])
-            .collect();
-        let y: Vec<f32> = x.iter().map(|r| 2.0 * r[0] - r[1]).collect();
+        let x: Vec<f32> = (0..n * 2).map(|_| lcg(&mut s) as f32 / 4e8).collect();
+        let xm = Matrix::new(&x, 2);
+        let y: Vec<f32> = x.chunks(2).map(|r| 2.0 * r[0] - r[1]).collect();
         let w = vec![1.0; n];
         let params = GbdtParams {
             split: SplitStrategy::Histogram,
             max_bins: 16,
             ..Default::default()
         };
-        let a = Gbdt::train(&x, &y, &w, &params);
-        let b = Gbdt::train(&x, &y, &w, &params);
-        let (pa, pb) = (a.predict_batch(&x), b.predict_batch(&x));
+        let a = train(xm, &y, &w, &params);
+        let b = train(xm, &y, &w, &params);
+        let (pa, pb) = (a.predict_matrix(xm), b.predict_matrix(xm));
         for i in 0..n {
             prop_assert_eq!(pa[i].to_bits(), pb[i].to_bits());
         }
-        let exact = Gbdt::train(&x, &y, &w, &GbdtParams {
+        let exact = train(xm, &y, &w, &GbdtParams {
             split: SplitStrategy::Exact,
             ..params
         });
-        let (mse_b, mse_e) = (a.weighted_mse(&x, &y, &w), exact.weighted_mse(&x, &y, &w));
+        let (mse_b, mse_e) = (
+            a.weighted_mse_matrix(xm, &y, &w),
+            exact.weighted_mse_matrix(xm, &y, &w),
+        );
         // 16 bins on 400 distinct values is a real approximation; just
         // require it in the same regime as the exact fit, not diverged.
         prop_assert!(mse_b.is_finite() && mse_b <= mse_e * 10.0 + 0.1,
@@ -114,14 +118,15 @@ fn binned_training_is_thread_count_invariant() {
         split: SplitStrategy::Histogram,
         ..Default::default()
     };
+    let xm = Matrix::new(&x, 6);
     ansor_runtime::set_threads(1);
-    let one = Gbdt::train(&x, &y, &w, &params);
+    let one = train(xm, &y, &w, &params);
     ansor_runtime::set_threads(4);
-    let four = Gbdt::train(&x, &y, &w, &params);
+    let four = train(xm, &y, &w, &params);
     ansor_runtime::set_threads(0);
-    let (p1, p4) = (one.predict_batch(&x), four.predict_batch(&x));
+    let (p1, p4) = (one.predict_matrix(xm), four.predict_matrix(xm));
     assert_eq!(one.num_trees(), four.num_trees());
-    for i in 0..x.len() {
+    for i in 0..y.len() {
         assert_eq!(p1[i].to_bits(), p4[i].to_bits(), "row {i}");
     }
 }

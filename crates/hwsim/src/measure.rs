@@ -216,11 +216,6 @@ impl Measurer {
         self.trials
     }
 
-    /// Resets the trial counter.
-    pub fn reset_trials(&mut self) {
-        self.trials = 0;
-    }
-
     /// Builds and measures one state, consuming one trial.
     pub fn measure(&mut self, state: &State) -> MeasureResult {
         self.trials += 1;

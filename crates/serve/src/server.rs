@@ -689,7 +689,6 @@ fn run_job(
     let before = session.cache_stats();
     let tel_before = job_tel.live_snapshot();
     let flops = dag.flop_count();
-    let legacy_gauge = format!("serve/session/{id}/trials");
     let gflops_gauge = format!("serve/job/{id}/best_gflops");
     let mut last_round = 0u64;
     session.run(|s| {
@@ -700,7 +699,6 @@ fn run_job(
             p.best_seconds = s.best_seconds().is_finite().then(|| s.best_seconds());
             *p
         };
-        shared_tel.gauge_set(&legacy_gauge, p.trials as f64);
         shared.publish_job_gauges(id, JobState::Running, &p, spec.trials as u64);
         if let Some(best) = p.best_seconds {
             shared_tel.gauge_set(&gflops_gauge, flops / best / 1e9);
@@ -741,7 +739,6 @@ fn run_job(
             .then(|| session.best_seconds());
         *p
     };
-    shared_tel.gauge_set(&legacy_gauge, final_progress.trials as f64);
     let final_state = if was_cancelled {
         JobState::Cancelled
     } else {

@@ -559,8 +559,6 @@ pub struct ServeStatus {
     /// Trials completed across all jobs, finished and live.
     #[serde(default)]
     pub trials_total: u64,
-    /// Trials completed so far per live session, keyed by job id.
-    pub session_trials: BTreeMap<String, u64>,
     /// Per-job progress keyed by job id (`serve/job/<id>/…` gauges).
     #[serde(default)]
     pub jobs: BTreeMap<String, ServeJob>,
@@ -640,15 +638,6 @@ fn serve_status(snap: &Snapshot) -> Option<ServeStatus> {
         store_entries: gauge("serve/store_entries"),
         store_records: gauge("serve/store_records"),
         trials_total: gauge("serve/trials_total"),
-        session_trials: snap
-            .metrics
-            .gauges
-            .iter()
-            .filter_map(|(k, &v)| {
-                let job = k.strip_prefix("serve/session/")?.strip_suffix("/trials")?;
-                Some((job.to_string(), v as u64))
-            })
-            .collect(),
         jobs,
         queue_wait_ms: snap.metrics.histograms.get("serve/queue_wait_ms").cloned(),
         request_ms: snap
@@ -881,7 +870,6 @@ mod tests {
         t.gauge_set("serve/store_entries", 2.0);
         t.gauge_set("serve/store_records", 96.0);
         t.gauge_set("serve/trials_total", 192.0);
-        t.gauge_set("serve/session/job-6/trials", 32.0);
         t.gauge_set("serve/job/job-6/state", 1.0);
         t.gauge_set("serve/job/job-6/trials", 32.0);
         t.gauge_set("serve/job/job-6/trials_budget", 200.0);
@@ -903,7 +891,6 @@ mod tests {
         assert!(serve.draining);
         assert_eq!(serve.store_records, 96);
         assert_eq!(serve.trials_total, 192);
-        assert_eq!(serve.session_trials["job-6"], 32);
         let job = &serve.jobs["job-6"];
         assert_eq!(job.state, "running");
         assert_eq!(job.trials, 32);

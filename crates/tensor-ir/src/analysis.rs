@@ -151,18 +151,6 @@ impl StoreAnalysis {
             .map(|(i, l)| (i, l.extent))
     }
 
-    /// Outermost loop annotated `Parallel`, if any: `(level index, extent)`.
-    ///
-    /// Adjacent parallel loops at the top of the chain are combined into a
-    /// single parallel extent by [`StoreAnalysis::parallel_extent`].
-    pub fn parallel_level(&self) -> Option<(usize, i64)> {
-        self.loops
-            .iter()
-            .enumerate()
-            .find(|(_, l)| l.ann == Annotation::Parallel)
-            .map(|(i, l)| (i, l.extent))
-    }
-
     /// Product of the extents of leading `Parallel` loops (the paper's
     /// fused-outer-parallel pattern yields one loop; explicit collapsed
     /// nests also work).

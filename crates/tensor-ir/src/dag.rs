@@ -13,7 +13,7 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use serde::{Deserialize, Serialize};
 
-use crate::expr::{Expr, NodeId, OpCounts};
+use crate::expr::{Expr, NodeId};
 
 /// Associative reduction operators supported by compute nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -469,14 +469,6 @@ impl ComputeDag {
                 s < 256 && r >= 16 * s.max(1)
             })
             .unwrap_or(false)
-    }
-
-    /// Per-node op counts of the body expression (placeholders yield zeros).
-    pub fn node_op_counts(&self, id: NodeId) -> OpCounts {
-        self.nodes[id]
-            .compute()
-            .map(|c| c.body.op_counts())
-            .unwrap_or_default()
     }
 
     /// Validates internal consistency (topological order, axis arity,

@@ -255,14 +255,6 @@ impl Expr {
         }
     }
 
-    /// Substitutes every [`Expr::Axis`] reference using the given mapping.
-    pub fn substitute_axes(&self, axes: &[Expr]) -> Expr {
-        self.map(&mut |e| match e {
-            Expr::Axis(i) => axes[i].clone(),
-            other => other,
-        })
-    }
-
     /// Returns the set of DAG nodes loaded (directly) by this expression.
     pub fn loaded_nodes(&self) -> Vec<NodeId> {
         let mut out = Vec::new();
@@ -407,19 +399,6 @@ impl std::ops::Div for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn substitute_axes_replaces_all_references() {
-        let e = Expr::axis(0) * Expr::axis(1) + Expr::axis(0);
-        let s = e.substitute_axes(&[Expr::int(3), Expr::int(4)]);
-        let mut axes = 0;
-        s.visit(&mut |e| {
-            if matches!(e, Expr::Axis(_)) {
-                axes += 1;
-            }
-        });
-        assert_eq!(axes, 0);
-    }
 
     #[test]
     fn op_counts_distinguish_index_math() {

@@ -207,15 +207,6 @@ impl Stage {
             .map(|&i| self.iters[i].extent)
             .product()
     }
-
-    /// Live iterators of the given kind, in loop order.
-    pub fn iters_of_kind(&self, kind: IterKind) -> Vec<IterId> {
-        self.loop_order
-            .iter()
-            .copied()
-            .filter(|&i| self.iters[i].kind == kind)
-            .collect()
-    }
 }
 
 /// A (partially) scheduled program.

@@ -17,9 +17,7 @@ use ansor::parse_flag;
 use ansor_bench::Args;
 use ansor_serve::{ServeConfig, Server};
 
-/// The value following flag `name` on the command line. Reads the raw
-/// arguments, not `Args::flags`, so the flags `Args` consumes leniently
-/// (`--threads`) are validated here like the daemon's own.
+/// The value following the daemon's own flag `name` on the command line.
 fn flag_value(name: &str) -> Option<String> {
     std::env::args().skip_while(|a| a != name).nth(1)
 }
@@ -72,7 +70,7 @@ fn main() {
         queue_cap,
         store_path: store_path.clone(),
         faults: args.faults_spec.clone(),
-        threads: numeric_flag("--threads").unwrap_or(0),
+        threads: args.threads.unwrap_or(0),
         store_budget,
         telemetry: telemetry.clone(),
         trace_dir,

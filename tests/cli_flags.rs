@@ -31,8 +31,8 @@ fn ansor_tune_rejects_a_mistyped_number() {
 fn ansor_serve_rejects_a_mistyped_number() {
     let bin = env!("CARGO_BIN_EXE_ansor-serve");
     assert_rejects(bin, &["--addr", "127.0.0.1:0", "--workers", "2x"]);
-    // `--threads` is shared with the experiment harnesses, which read it
-    // leniently; the daemon does not.
+    // `--threads` is parsed by `ansor_bench::Args`, shared with the
+    // experiment harnesses.
     assert_rejects(bin, &["--addr", "127.0.0.1:0", "--threads", "-1"]);
 }
 
