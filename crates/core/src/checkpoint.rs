@@ -8,8 +8,9 @@
 //! cost model's training records, the measurer's trial/simulated-clock
 //! accounting, and the offset of records already flushed to the on-disk
 //! log. The cost model itself is *not* serialized — GBDT training is a
-//! deterministic pure function of the record list, so restoring replays one
-//! retrain and lands on the identical model (see `docs/ROBUSTNESS.md`).
+//! deterministic pure function of the record list, so restoring loads the
+//! records and the first read trains the identical model (see
+//! `docs/ROBUSTNESS.md`).
 //!
 //! Files are JSON with a leading `version` field; [`TuneCheckpoint::save`]
 //! writes atomically (temp file + rename) so a crash mid-write never
@@ -96,14 +97,15 @@ pub struct ModelRecord {
 }
 
 /// Serialized state of a `LearnedCostModel`: just its record list. The
-/// trained GBDT is a deterministic function of the records, so restore
-/// retrains once instead of persisting trees.
+/// trained GBDT is a deterministic function of the records, so no trees
+/// are persisted: the restored model trains when it is first read.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ModelCheckpoint {
     /// Stored training records, oldest first.
     pub records: Vec<ModelRecord>,
-    /// GBDT training passes completed so far (the `gbdt/train_passes`
-    /// telemetry counter). Restored into the resumed run's telemetry so
+    /// GBDT training passes run so far (the `gbdt/train_passes` telemetry
+    /// counter; a model still waiting for its first read is not among
+    /// them). Restored into the resumed run's telemetry so
     /// `GbdtRound` trace events keep numbering where the killed run left
     /// off.
     pub train_passes: u64,

@@ -10,7 +10,7 @@
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ansor_features::{extract_state_features, FeatureMatrix, ProgramFeatures, FEATURE_DIM};
 use ansor_runtime::SigCache;
@@ -101,7 +101,13 @@ pub struct LearnedCostModel {
     /// retrain reads (a contiguous suffix), not the resident store, whose
     /// size is surfaced through the `model/feature_bytes` gauge.
     features: FeatureMatrix,
-    model: Option<Gbdt>,
+    /// The model is a memo of `records[..trained_on]`: training is a pure
+    /// function of that prefix, so `update` and `restore` only move the
+    /// prefix and empty the cell, and [`LearnedCostModel::model`] trains on
+    /// the first read — a retrain nothing reads is never run. `None` inside
+    /// the cell: the prefix's training window held no eligible row.
+    model: OnceLock<Option<Gbdt>>,
+    trained_on: usize,
     params: GbdtParams,
     /// Cap on the number of most recent records used per training pass.
     max_train_records: usize,
@@ -110,7 +116,7 @@ pub struct LearnedCostModel {
     /// duplication (failed mutations clone the parent, retained-best
     /// individuals re-enter every generation), and a score is a pure
     /// function of `(state, model)` — so duplicates are never re-lowered,
-    /// re-featurized, or re-scored. Cleared on every retrain.
+    /// re-featurized, or re-scored. Cleared on every `update`/`restore`.
     score_cache: SigCache<f64>,
     /// Signature-keyed featurization cache. Features depend only on the
     /// state (not on the model), so entries survive retrains; measured
@@ -134,7 +140,8 @@ impl LearnedCostModel {
         LearnedCostModel {
             records: Vec::new(),
             features: FeatureMatrix::new(FEATURE_DIM),
-            model: None,
+            model: OnceLock::new(),
+            trained_on: 0,
             params: GbdtParams {
                 n_trees: 25,
                 learning_rate: 0.25,
@@ -181,7 +188,8 @@ impl LearnedCostModel {
     }
 
     /// Selects the GBDT split-search strategy (exact sort-based scan,
-    /// histogram-binned, or the size-adaptive default) for later retrains.
+    /// histogram-binned, or the size-adaptive default) for every model not
+    /// yet trained — one pending its first read included.
     pub fn set_split_strategy(&mut self, split: SplitStrategy) {
         self.params.split = split;
     }
@@ -204,12 +212,21 @@ impl LearnedCostModel {
     /// `(concordant − discordant) / pairs`. `None` without a trained model
     /// or with fewer than two comparable records.
     pub fn ranking_quality(&self, cap: usize) -> Option<(u64, f64, f64)> {
-        self.model.as_ref()?;
-        let recent: Vec<&Record> = self
-            .records
+        self.ranking_quality_of(self.model()?, &self.records, cap)
+    }
+
+    /// [`ranking_quality`](LearnedCostModel::ranking_quality) of `model`
+    /// over `records`.
+    fn ranking_quality_of(
+        &self,
+        model: &Gbdt,
+        records: &[Record],
+        cap: usize,
+    ) -> Option<(u64, f64, f64)> {
+        let recent: Vec<&Record> = records
             .iter()
             .rev()
-            .filter(|r| r.seconds.is_finite() && self.features.segment_len(r.seg) > 0)
+            .filter(|r| self.is_eligible(r))
             .take(cap)
             .collect();
         if recent.len() < 2 {
@@ -217,7 +234,7 @@ impl LearnedCostModel {
         }
         let scores: Vec<f64> = recent
             .iter()
-            .map(|r| self.score_rows(self.features.segment_slice(r.seg)))
+            .map(|r| self.score_rows(model, self.features.segment_slice(r.seg)))
             .collect();
         let mut pairs = 0u64;
         let mut discordant = 0u64;
@@ -240,14 +257,13 @@ impl LearnedCostModel {
         Some((pairs, loss, 1.0 - 2.0 * loss))
     }
 
-    /// Rebuilds this model from a checkpoint: records are restored and one
-    /// deterministic retrain reproduces the exact GBDT the checkpointed
-    /// model held (training is a pure function of the record list — no RNG
-    /// state crosses calls). Telemetry is suppressed for the retrain so a
-    /// resumed run's trace carries no extra `ModelRetrain`/`GbdtRound`
-    /// events.
+    /// Rebuilds this model from a checkpoint: the records are restored and
+    /// the first read trains the exact GBDT the checkpointed model held, or
+    /// would have trained on its own first read (training is a pure
+    /// function of the record list — no RNG state crosses calls). The pass
+    /// counter is re-seeded so `GbdtRound` trace events in the resumed run
+    /// continue the killed run's numbering.
     pub fn restore(&mut self, ck: &crate::checkpoint::ModelCheckpoint) {
-        let tel = std::mem::replace(&mut self.telemetry, telemetry::Telemetry::disabled());
         self.features = FeatureMatrix::new(FEATURE_DIM);
         self.records = ck
             .records
@@ -263,15 +279,9 @@ impl LearnedCostModel {
                 error: r.error.clone(),
             })
             .collect();
-        self.model = None;
         self.score_cache.clear();
-        if !self.records.is_empty() {
-            self.retrain("checkpoint-restore");
-        }
-        self.telemetry = tel;
-        // Re-seed the pass counter so `GbdtRound` trace events in the
-        // resumed run continue the killed run's numbering (the restore
-        // retrain above ran under the disabled handle, so it added nothing).
+        self.trained_on = self.records.len();
+        self.model = OnceLock::new();
         let done = self.telemetry.counter_value("gbdt/train_passes");
         if ck.train_passes > done {
             self.telemetry
@@ -301,42 +311,64 @@ impl LearnedCostModel {
         }
     }
 
-    fn retrain(&mut self, task_name: &str) {
+    /// Whether a record can enter a training pass: measured, with rows.
+    fn is_eligible(&self, r: &Record) -> bool {
+        r.seconds.is_finite() && self.features.segment_len(r.seg) > 0
+    }
+
+    /// The training window of `records[..end]`: its most recent
+    /// `max_train_records`.
+    fn window(&self, end: usize) -> &[Record] {
+        &self.records[end.saturating_sub(self.max_train_records)..end]
+    }
+
+    /// Whether a training pass over `records[..end]` has a row to fit.
+    fn has_training_rows(&self, end: usize) -> bool {
+        self.window(end).iter().any(|r| self.is_eligible(r))
+    }
+
+    /// The model of `records[..trained_on]`, trained by whichever caller
+    /// reads it first; every other reader waits for that one pass.
+    fn model(&self) -> Option<&Gbdt> {
+        self.model.get_or_init(|| self.train()).as_ref()
+    }
+
+    /// One training pass over the window of `records[..trained_on]`, with
+    /// its `GbdtRound` and `ModelRetrain` events; `None` when the window
+    /// has nothing to fit.
+    fn train(&self) -> Option<Gbdt> {
+        if !self.has_training_rows(self.trained_on) {
+            return None;
+        }
+        let records = &self.records[..self.trained_on];
+        let window = self.window(self.trained_on);
+        let (first, last) = (&window[0], &window[window.len() - 1]);
         let _phase = self.telemetry.span("model_retrain");
-        // Scores are about to change with the model; stale entries must
-        // not survive.
-        self.score_cache.clear();
         // Per-task normalization: y = min_seconds / seconds ∈ (0, 1].
         let mut min_per_task: HashMap<&str, f64> = HashMap::new();
-        for r in &self.records {
+        for r in records {
             let m = min_per_task.entry(r.task.as_str()).or_insert(f64::INFINITY);
             *m = m.min(r.seconds);
         }
         // Train on the packed rows of the most recent records in place: a
-        // matrix view over the contiguous row suffix starting at the
-        // window's first record, with full-length label/weight arrays.
-        // Records outside the training criteria (failed measurement, empty
-        // features) keep their rows at weight 0, which contributes exact
-        // +0.0 terms to every f64 accumulation — bit-identical to copying
-        // the eligible rows out, without the copies.
-        let start = self.records.len().saturating_sub(self.max_train_records);
-        let row0 = match self.records.get(start) {
-            Some(r) => self.features.segment_range(r.seg).start,
-            None => return,
-        };
+        // matrix view over the contiguous rows from the window's first
+        // record to the prefix's last, with full-length label/weight
+        // arrays. Records outside the training criteria (failed
+        // measurement, empty features) keep their rows at weight 0, which
+        // contributes exact +0.0 terms to every f64 accumulation —
+        // bit-identical to copying the eligible rows out, without the
+        // copies.
+        let row0 = self.features.segment_range(first.seg).start;
+        let row_end = self.features.segment_range(last.seg).end;
         let n_cols = self.features.n_cols();
-        let x = Matrix::new(&self.features.data()[row0 * n_cols..], n_cols);
+        let x = Matrix::new(
+            &self.features.data()[row0 * n_cols..row_end * n_cols],
+            n_cols,
+        );
         let mut y = vec![0.0f32; x.n_rows()];
         let mut w = vec![0.0f32; x.n_rows()];
-        let mut any = false;
-        for r in &self.records[start..] {
-            if !r.seconds.is_finite() {
-                continue;
-            }
+        for r in window.iter().filter(|r| self.is_eligible(r)) {
             let rows = self.features.segment_range(r.seg);
-            if rows.is_empty() {
-                continue;
-            }
             let label = (min_per_task[r.task.as_str()] / r.seconds) as f32;
             let share = label / rows.len() as f32;
             for row in rows {
@@ -344,36 +376,31 @@ impl LearnedCostModel {
                 // The paper weighs samples by throughput y.
                 w[row - row0] = label.max(1e-3);
             }
-            any = true;
         }
-        if !any {
-            return;
-        }
-        self.model = Some(Gbdt::train_matrix(x, &y, &w, &self.params, &self.telemetry));
+        let model = Gbdt::train_matrix(x, &y, &w, &self.params, &self.telemetry);
         if self.telemetry.is_tracing() {
-            if let Some((pairs, ranking_loss, rank_corr)) = self.ranking_quality(200) {
-                let task = task_name.to_string();
+            if let Some((pairs, ranking_loss, rank_corr)) =
+                self.ranking_quality_of(&model, records, 200)
+            {
                 self.telemetry.emit(|| telemetry::TraceEvent::ModelRetrain {
-                    task,
+                    task: last.task.clone(),
                     pairs,
                     ranking_loss,
                     pred_vs_measured_rank_corr: rank_corr,
                 });
             }
         }
+        Some(model)
     }
 
     /// Program score of one packed block of per-statement rows: per-row
     /// predictions summed in row order (§5.2's `Σ_{s∈S(P)} f(s)`).
-    fn score_rows(&self, rows: &[f32]) -> f64 {
-        match &self.model {
-            None => 0.0,
-            Some(m) => m
-                .predict_matrix(Matrix::new(rows, self.features.n_cols()))
-                .iter()
-                .map(|&v| v as f64)
-                .sum(),
-        }
+    fn score_rows(&self, model: &Gbdt, rows: &[f32]) -> f64 {
+        model
+            .predict_matrix(Matrix::new(rows, self.features.n_cols()))
+            .iter()
+            .map(|&v| v as f64)
+            .sum()
     }
 
     /// Featurizes one state through the signature-keyed cache.
@@ -384,25 +411,30 @@ impl LearnedCostModel {
             })
     }
 
-    /// Scores one state through the signature-keyed score cache.
-    fn score_one(&self, s: &State) -> f64 {
+    /// Scores one state under `model` through the signature-keyed score
+    /// cache.
+    fn score_one(&self, model: Option<&Gbdt>, s: &State) -> f64 {
         self.score_cache
             .get_or_insert_with(s.signature(), || match self.features_for(s).as_ref() {
-                Ok(block) => self.score_rows(block.rows.data()),
+                // An untrained model scores every program 0.
+                Ok(block) => model.map_or(0.0, |m| self.score_rows(m, block.rows.data())),
                 Err(_) => f64::NEG_INFINITY,
             })
     }
 
     /// The one body of `predict` (owned states) and `predict_refs`
     /// (borrowed): lowering + feature extraction + inference run on the
-    /// parallel runtime's worker threads behind the score cache.
+    /// parallel runtime's worker threads behind the score cache. The model
+    /// is read once, before the fan-out, so a pending retrain runs on the
+    /// calling thread under this span.
     fn score_batch<S: Borrow<State> + Sync>(&self, states: &[S]) -> Vec<f64> {
         let _phase = self.telemetry.span("model_predict");
         self.telemetry
             .incr("model/predictions", states.len() as u64);
+        let model = self.model();
         let (h0, m0) = self.cache_stats();
         let f0 = self.feature_cache_stats();
-        let scores = ansor_runtime::parallel_map(states, |s| self.score_one(s.borrow()));
+        let scores = ansor_runtime::parallel_map(states, |s| self.score_one(model, s.borrow()));
         let (h1, m1) = self.cache_stats();
         self.telemetry.incr("model/score_cache_hits", h1 - h0);
         self.telemetry.incr("model/score_cache_misses", m1 - m0);
@@ -418,7 +450,8 @@ impl LearnedCostModel {
     }
 
     /// Held-out calibration (the online analogue of the paper's Fig. 15):
-    /// scores the just-measured batch with the *pre-retrain* model and
+    /// scores the just-measured batch with `model`, the one the batch was
+    /// picked under, and
     /// emits a `ModelCalibration` event — pairwise rank accuracy over
     /// comparable pairs (≥5% measured gap, mirroring `ranking_quality`'s
     /// ln-ratio threshold), top-k recall for k = 1 and 8, and quantiles of
@@ -427,11 +460,17 @@ impl LearnedCostModel {
     /// traffic. Skipped (no event) when fewer than two candidates are
     /// scoreable or no pair is comparable. Only called while tracing with
     /// a trained model, so the fresh-model and disabled paths pay nothing.
-    fn emit_calibration(&self, task_name: &str, blocks: &[FeatureBlock], seconds: &[f64]) {
+    fn emit_calibration(
+        &self,
+        model: &Gbdt,
+        task_name: &str,
+        blocks: &[FeatureBlock],
+        seconds: &[f64],
+    ) {
         let scores: Vec<f64> = blocks
             .iter()
             .map(|b| match b.as_ref() {
-                Ok(block) => self.score_rows(block.rows.data()),
+                Ok(block) => self.score_rows(model, block.rows.data()),
                 Err(_) => f64::NEG_INFINITY,
             })
             .collect();
@@ -545,10 +584,11 @@ impl CostModel for LearnedCostModel {
         let Ok(features) = block.as_ref() else {
             return out;
         };
+        let model = self.model();
         for (row, &buffer) in features.rows.segment_rows(0).zip(&features.buffers) {
             let node = &state.dag.nodes[buffer].name;
             let base = node.split('.').next().unwrap_or(node);
-            let score = match &self.model {
+            let score = match model {
                 None => 0.0,
                 Some(m) => m.predict(row) as f64,
             };
@@ -600,16 +640,26 @@ impl CostModel for LearnedCostModel {
                 .gauge_set("model/feature_bytes", self.features.resident_bytes() as f64);
             blocks
         };
-        // Held-out calibration against the pre-retrain model, before the
-        // new batch can influence it.
-        if self.telemetry.is_tracing() && self.model.is_some() {
-            self.emit_calibration(&task.name, &blocks, seconds);
+        // Held-out calibration against the model of the records before
+        // this batch (read, hence trained, here if nothing scored with it).
+        if self.telemetry.is_tracing() {
+            if let Some(model) = self.model() {
+                self.emit_calibration(model, &task.name, &blocks, seconds);
+            }
         }
-        self.retrain(&task.name);
+        // Scores are about to change with the model; stale entries must
+        // not survive.
+        self.score_cache.clear();
+        // The superseded model is freed now, not when its successor exists
+        // — unless the new window holds nothing to train on: it stays then.
+        if self.has_training_rows(self.records.len()) {
+            self.trained_on = self.records.len();
+            self.model = OnceLock::new();
+        }
     }
 
     fn is_trained(&self) -> bool {
-        self.model.is_some()
+        self.model().is_some()
     }
 }
 
@@ -668,6 +718,7 @@ mod tests {
     use crate::sketch::generate_sketches;
     use hwsim::{HardwareTarget, Measurer};
     use rand::prelude::*;
+    use std::collections::HashSet;
     use std::sync::Arc;
     use tensor_ir::{DagBuilder, Expr, Reducer};
 
@@ -764,7 +815,7 @@ mod tests {
             let secs: Vec<f64> = train.iter().map(|s| measurer.measure(s).seconds).collect();
             let mut model = LearnedCostModel::new();
             model.update(&t, &train, &secs);
-            let gbdt = model.model.as_ref().expect("trained");
+            let gbdt = model.model().expect("trained");
             for state in sample_states(&t, 8, 10) {
                 let served = model.predict_per_node(&t, &state);
                 // Recomputed from scratch, row by row.
@@ -835,6 +886,111 @@ mod tests {
         assert_eq!(h1, states.len() as u64);
         assert_eq!(m1, m0);
         assert!(model.feature_bytes() > 0);
+    }
+
+    /// `n` measured samples of `t`, from `seed`.
+    fn measured(t: &SearchTask, n: usize, seed: u64) -> (Vec<State>, Vec<f64>) {
+        let mut measurer = Measurer::new(t.target.clone());
+        let states = sample_states(t, n, seed);
+        let secs = states.iter().map(|s| measurer.measure(s).seconds).collect();
+        (states, secs)
+    }
+
+    fn bits(scores: &[f64]) -> Vec<u64> {
+        scores.iter().map(|s| s.to_bits()).collect()
+    }
+
+    #[test]
+    fn update_and_restore_train_nothing_until_the_first_read() {
+        let t = task();
+        let (train, secs) = measured(&t, 30, 6);
+        let probe = sample_states(&t, 8, 7);
+        let passes = |tel: &telemetry::Telemetry| tel.counter_value("gbdt/train_passes");
+        let tel = telemetry::Telemetry::with_metrics();
+        let mut model = LearnedCostModel::new();
+        model.set_telemetry(tel.clone());
+        model.update(&t, &train, &secs);
+        assert_eq!(passes(&tel), 0);
+        let ck = model.checkpoint();
+        assert_eq!(ck.train_passes, 0);
+
+        let restored_tel = telemetry::Telemetry::with_metrics();
+        let mut restored = LearnedCostModel::new();
+        restored.set_telemetry(restored_tel.clone());
+        restored.restore(&ck);
+        assert_eq!(passes(&restored_tel), 0);
+
+        // The first read trains, once; both train the same model.
+        let want = bits(&model.predict(&t, &probe));
+        assert_eq!(bits(&restored.predict(&t, &probe)), want);
+        assert!(model.is_trained() && restored.is_trained());
+        assert_eq!(bits(&restored.predict(&t, &probe)), want);
+        assert!(restored.ranking_quality(200).is_some());
+        assert_eq!((passes(&tel), passes(&restored_tel)), (1, 1));
+        assert!(want.iter().collect::<HashSet<_>>().len() > 1);
+    }
+
+    #[test]
+    fn a_retrain_nothing_read_changes_no_score() {
+        let t = task();
+        let (first, first_secs) = measured(&t, 20, 21);
+        let (second, second_secs) = measured(&t, 20, 22);
+        let probe = sample_states(&t, 8, 23);
+        // Read after every update, as the search does: two passes.
+        let tel = telemetry::Telemetry::with_metrics();
+        let mut read_each = LearnedCostModel::new();
+        read_each.set_telemetry(tel.clone());
+        read_each.update(&t, &first, &first_secs);
+        let after_first = bits(&read_each.predict(&t, &probe));
+        read_each.update(&t, &second, &second_secs);
+        let want = bits(&read_each.predict(&t, &probe));
+        assert_ne!(after_first, want);
+        assert_eq!(tel.counter_value("gbdt/train_passes"), 2);
+        // Two updates and then the first read: one pass, the same model.
+        let tel = telemetry::Telemetry::with_metrics();
+        let mut read_last = LearnedCostModel::new();
+        read_last.set_telemetry(tel.clone());
+        read_last.update(&t, &first, &first_secs);
+        read_last.update(&t, &second, &second_secs);
+        assert_eq!(bits(&read_last.predict(&t, &probe)), want);
+        assert_eq!(tel.counter_value("gbdt/train_passes"), 1);
+    }
+
+    #[test]
+    fn an_update_with_nothing_to_train_on_keeps_the_previous_model() {
+        let t = task();
+        let (good, good_secs) = measured(&t, 20, 24);
+        let (failed, _) = measured(&t, 8, 25);
+        let failed_secs = vec![f64::INFINITY; failed.len()];
+        let probe = sample_states(&t, 8, 26);
+        let windowed = || {
+            let mut m = LearnedCostModel::new();
+            m.max_train_records = failed.len();
+            m
+        };
+        let mut only_good = windowed();
+        only_good.update(&t, &good, &good_secs);
+        let want = bits(&only_good.predict(&t, &probe));
+        assert!(want.iter().collect::<HashSet<_>>().len() > 1);
+        // The failed batch fills the window: the model of the records before
+        // it stays, whether it was read before that update or is read after.
+        for read_between in [true, false] {
+            let mut m = windowed();
+            m.update(&t, &good, &good_secs);
+            if read_between {
+                assert_eq!(bits(&m.predict(&t, &probe)), want);
+            }
+            m.update(&t, &failed, &failed_secs);
+            assert_eq!(m.num_records(), good.len() + failed.len());
+            assert_eq!(bits(&m.predict(&t, &probe)), want, "{read_between}");
+        }
+        // A restore has no previous model to keep.
+        let mut m = windowed();
+        m.update(&t, &good, &good_secs);
+        m.update(&t, &failed, &failed_secs);
+        let mut restored = windowed();
+        restored.restore(&m.checkpoint());
+        assert!(!restored.is_trained());
     }
 
     #[test]

@@ -264,7 +264,8 @@ impl TuningSession {
 
     /// Restores the session from a checkpoint taken under the same
     /// fingerprint; a resumed session continues bit-identically to the
-    /// uninterrupted run.
+    /// uninterrupted run. Nothing is trained here: the model is rebuilt by
+    /// the next round's first read, and never if no round follows.
     pub fn restore(&mut self, ck: &TuneCheckpoint) -> Result<(), String> {
         if ck.fingerprint != self.fingerprint {
             return Err(format!(
@@ -297,6 +298,7 @@ impl TuningSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost_model::CostModel;
     use hwsim::HardwareTarget;
     use std::sync::Arc as StdArc;
     use tensor_ir::{DagBuilder, Expr, Reducer};
@@ -405,6 +407,89 @@ mod tests {
             full.best_seconds().to_bits()
         );
         assert_eq!(resumed.log(), full.log());
+    }
+
+    /// A traced session in rounds of 16 trials, its handle and its trace.
+    fn traced_session(
+        trials: usize,
+    ) -> (TuningSession, telemetry::Telemetry, telemetry::SharedBuf) {
+        let buf = telemetry::SharedBuf::new();
+        let tel = telemetry::Telemetry::to_writer(Box::new(buf.clone()));
+        let t = task("mm64");
+        let options = TuningOptions {
+            num_measure_trials: trials,
+            measures_per_round: 16,
+            init_population: 24,
+            seed: 13,
+            telemetry: tel.clone(),
+            ..Default::default()
+        };
+        let mut measurer = Measurer::new(t.target.clone());
+        measurer.set_telemetry(tel.clone());
+        (TuningSession::new(t, options, measurer, "traced"), tel, buf)
+    }
+
+    /// The events of a trace, without sequence numbers, timestamps and the
+    /// wall-clock `PhaseProfile`.
+    fn events(buf: &telemetry::SharedBuf, tel: &telemetry::Telemetry) -> Vec<String> {
+        tel.flush();
+        let (lines, skipped) = telemetry::read_trace(buf.contents().as_slice()).unwrap();
+        assert_eq!(skipped, 0);
+        lines
+            .into_iter()
+            .filter(|l| !matches!(l.event, telemetry::TraceEvent::PhaseProfile { .. }))
+            .map(|l| serde_json::to_string(&l.event).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn a_session_trains_one_model_per_round_that_reads_one() {
+        let (mut s, tel, _) = traced_session(64);
+        s.run(|_| true);
+        assert_eq!(s.rounds(), 4);
+        // Rounds 2–4 each read the model of the rounds before them; nothing
+        // reads the model of all four. Calibration needs no model of its
+        // own: it scores a batch with the model the batch was picked under.
+        assert_eq!(tel.counter_value("gbdt/train_passes"), 3);
+        assert_eq!(tel.counter_value("model/calibrations"), 3);
+
+        // Restoring continues the numbering and trains nothing…
+        let ck = s.checkpoint();
+        let (mut resumed, tel, _) = traced_session(64);
+        resumed.restore(&ck).unwrap();
+        assert_eq!(tel.counter_value("gbdt/train_passes"), 3);
+        assert_eq!(tel.counter_value("gbdt/train_samples"), 0);
+        // …until something reads the model.
+        let best = [(*s.best_individual().unwrap().state).clone()];
+        let score = resumed.model().predict(resumed.task(), &best);
+        assert_eq!(tel.counter_value("gbdt/train_passes"), 4);
+        assert!(tel.counter_value("gbdt/train_samples") > 0);
+        assert_eq!(score, s.model().predict(s.task(), &best));
+    }
+
+    #[test]
+    fn a_finished_session_resumes_under_a_larger_budget() {
+        let (mut full, full_tel, full_buf) = traced_session(128);
+        full.run(|_| true);
+
+        let (mut first, first_tel, first_buf) = traced_session(64);
+        first.run(|_| true);
+        assert_eq!(first.trials(), 64);
+        let ck = first.checkpoint();
+        let (mut resumed, resumed_tel, resumed_buf) = traced_session(128);
+        resumed.restore(&ck).unwrap();
+        resumed.run(|_| true);
+
+        assert_eq!(resumed.log(), full.log());
+        assert_eq!(
+            resumed.best_seconds().to_bits(),
+            full.best_seconds().to_bits()
+        );
+        // The model of the first 64 trials is trained by the round that
+        // reads it — after the boundary, in both runs.
+        let mut joined = events(&first_buf, &first_tel);
+        joined.extend(events(&resumed_buf, &resumed_tel));
+        assert_eq!(joined, events(&full_buf, &full_tel));
     }
 
     #[test]

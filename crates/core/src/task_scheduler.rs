@@ -518,7 +518,9 @@ impl TaskScheduler {
         }
     }
 
-    /// Restores the state captured by [`TaskScheduler::checkpoint`].
+    /// Restores the state captured by [`TaskScheduler::checkpoint`]. The
+    /// shared model gets its records back and trains on the next step's
+    /// first read, as it would have in the run that was checkpointed.
     pub fn restore(&mut self, ck: &crate::checkpoint::SchedulerCheckpoint) -> Result<(), String> {
         let n = self.tasks.len();
         if ck.policies.len() != n

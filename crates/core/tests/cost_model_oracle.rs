@@ -1,7 +1,7 @@
 //! The cost-model oracle: one `LearnedCostModel` is fed hwsim-measured
-//! samples of three operators in batches (a retrain per batch, the last
-//! one over every record, as under a `TaskScheduler`) and then scores
-//! held-out samples. `tests/golden/cost_model.predictions` holds each
+//! samples of three operators in batches (an `update` per batch, as under
+//! a `TaskScheduler`; the model that scores is the one over every record)
+//! and then scores held-out samples. `tests/golden/cost_model.predictions` holds each
 //! score's bit pattern, written with the GBDT trainer this repository had
 //! before `TrainPass`; any trainer must reproduce every line.
 

@@ -49,17 +49,15 @@ impl BinnedDataset {
         let (n_rows, n_cols) = (x.n_rows(), x.n_cols());
         let included: Vec<usize> = (0..n_rows).filter(|&i| w[i] > 0.0).collect();
         let per_feature = |f: usize| -> (Vec<f32>, Vec<u8>) {
-            let mut values: Vec<f32> = included.iter().map(|&i| x.get(i, f)).collect();
-            values.sort_unstable_by(f32::total_cmp);
-            let cuts = build_cuts(&values, max_bins);
-            let codes = if cuts.is_empty() {
-                vec![0u8; n_rows]
+            // A column that takes one value over the included rows cannot
+            // split: no cuts, all-zero codes, and nothing to gather or sort.
+            // (`==`, so a NaN column takes the full path.)
+            let first = included.first().map(|&i| x.get(i, f));
+            if included.iter().all(|&i| Some(x.get(i, f)) == first) {
+                (Vec::new(), vec![0u8; n_rows])
             } else {
-                (0..n_rows)
-                    .map(|i| cuts.partition_point(|c| *c <= x.get(i, f)) as u8)
-                    .collect()
-            };
-            (cuts, codes)
+                quantize_column(x, &included, f, max_bins)
+            }
         };
         let per_col: Vec<(Vec<f32>, Vec<u8>)> =
             if n_rows.saturating_mul(n_cols) >= crate::tree::PARALLEL_SPLIT_WORK {
@@ -107,6 +105,27 @@ impl BinnedDataset {
     pub fn n_rows(&self) -> usize {
         self.n_rows
     }
+}
+
+/// Cuts and codes of feature `f`: cuts from its values over the `included`
+/// rows, a code for every row.
+fn quantize_column(
+    x: Matrix<'_>,
+    included: &[usize],
+    f: usize,
+    max_bins: usize,
+) -> (Vec<f32>, Vec<u8>) {
+    let mut values: Vec<f32> = included.iter().map(|&i| x.get(i, f)).collect();
+    values.sort_unstable_by(f32::total_cmp);
+    let cuts = build_cuts(&values, max_bins);
+    let codes = if cuts.is_empty() {
+        vec![0u8; x.n_rows()]
+    } else {
+        (0..x.n_rows())
+            .map(|i| cuts.partition_point(|c| *c <= x.get(i, f)) as u8)
+            .collect()
+    };
+    (cuts, codes)
 }
 
 /// Builds strictly-ascending cut thresholds from one feature's included
@@ -217,6 +236,61 @@ mod tests {
         // Only {0, 1} shape the cuts; 100.0 codes into the top bin.
         assert_eq!(b.cuts(0), &[0.5]);
         assert_eq!(b.code(2, 0), 1);
+    }
+
+    #[test]
+    fn columns_that_cannot_split_skip_the_sort_and_change_nothing() {
+        // Per row: constant, NaN, two-valued, continuous, constant on the
+        // included rows only, `-0.0`/`0.0` (equal, so constant too).
+        let n = 300;
+        let mut s = 7u64;
+        let mut lcg = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) as f32
+        };
+        let w: Vec<f32> = (0..n).map(|i| if i % 7 == 3 { 0.0 } else { 0.5 }).collect();
+        let rows: Vec<Vec<f32>> = (0..n)
+            .map(|i| {
+                vec![
+                    4.25,
+                    f32::NAN,
+                    (i % 2) as f32,
+                    lcg() / 1e6,
+                    if w[i] > 0.0 { 1.0 } else { i as f32 },
+                    if i % 3 == 0 { -0.0 } else { 0.0 },
+                ]
+            })
+            .collect();
+        let (data, n_cols) = matrix_of(&rows);
+        let x = Matrix::new(&data, n_cols);
+        for weights in [w.clone(), vec![0.0; n], vec![1.0; n]] {
+            for max_bins in [256, 16] {
+                let built = BinnedDataset::build(x, &weights, max_bins);
+                let included: Vec<usize> = (0..n).filter(|&i| weights[i] > 0.0).collect();
+                let (mut cuts, mut codes) = (Vec::new(), Vec::new());
+                for f in 0..n_cols {
+                    let (c, col) = quantize_column(x, &included, f, max_bins);
+                    cuts.push(c);
+                    codes.extend(col);
+                }
+                let reference = BinnedDataset {
+                    codes,
+                    n_rows: n,
+                    n_cols,
+                    cuts,
+                };
+                assert_eq!(built, reference);
+            }
+        }
+        // The fixture is what it says: with `w`, columns 2 and 3 split and
+        // a zero-weight row of column 4 still gets its (only) code.
+        let built = BinnedDataset::build(x, &w, 256);
+        let bins: Vec<usize> = (0..n_cols).map(|f| built.n_bins(f)).collect();
+        assert_eq!(bins[..3], [1, 1, 2]);
+        assert!(bins[3] > 100);
+        assert_eq!(bins[4..], [1, 1]);
     }
 
     #[test]

@@ -408,37 +408,39 @@ impl<'a> TrainPass<'a> {
     }
 
     /// Accumulates the histogram of `rows[lo..hi]` into a pooled, zeroed
-    /// buffer, one candidate feature at a time over its column of codes, so
-    /// every bin receives its rows in ascending order. Above the work
-    /// threshold and with more than one thread, features run on the
-    /// parallel runtime into buffers of their own, copied in afterwards.
+    /// buffer. A candidate's bins are filled from its column of codes over
+    /// the node's rows in ascending order, whichever way the candidates are
+    /// walked: four to a sweep of the rows when serial ([`fill_four`]), or,
+    /// above the work threshold and with more than one thread, one each on
+    /// the parallel runtime into buffers of their own, copied in afterwards.
     fn fresh_hist(&mut self, lo: usize, hi: usize) -> NodeHist {
         let (binned, _) = self.binned.expect("histogram path without binned data");
         let mut hist = self.free_hists.pop().unwrap_or_default();
         hist.clear();
         hist.resize(self.offsets[self.candidates.len()], [0.0; 2]);
         let (rows, grad, offsets) = (&self.rows[lo..hi], &self.grad, &self.offsets);
-        let fill = |f: usize, bins: &mut [Pair]| {
-            let codes = binned.codes(f);
-            for &i in rows {
-                let bin = &mut bins[codes[i] as usize];
-                bin[0] += grad[i][0];
-                bin[1] += grad[i][1];
-            }
-        };
         if rows.len() * self.candidates.len() >= PARALLEL_SPLIT_WORK && ansor_runtime::threads() > 1
         {
             let per_feature = ansor_runtime::parallel_map_indexed(&self.candidates, |c, &f| {
                 let mut bins = vec![[0.0; 2]; offsets[c + 1] - offsets[c]];
-                fill(f, &mut bins);
+                fill_one(binned.codes(f), rows, grad, &mut bins);
                 bins
             });
             for (c, bins) in per_feature.iter().enumerate() {
                 hist[offsets[c]..offsets[c + 1]].copy_from_slice(bins);
             }
         } else {
-            for (c, &f) in self.candidates.iter().enumerate() {
-                fill(f, &mut hist[offsets[c]..offsets[c + 1]]);
+            let candidates = &self.candidates;
+            let quads = candidates.len() / 4 * 4;
+            for c in (0..quads).step_by(4) {
+                let codes = [0, 1, 2, 3].map(|k| binned.codes(candidates[c + k]));
+                let widths = [0, 1, 2].map(|k| offsets[c + k + 1] - offsets[c + k]);
+                let bins = &mut hist[offsets[c]..offsets[c + 4]];
+                fill_four(codes, rows, grad, bins, widths);
+            }
+            for c in quads..candidates.len() {
+                let bins = &mut hist[offsets[c]..offsets[c + 1]];
+                fill_one(binned.codes(candidates[c]), rows, grad, bins);
             }
         }
         hist
@@ -450,6 +452,7 @@ impl<'a> TrainPass<'a> {
     /// sums, hence the gain, of the one before it, which `>` never prefers.
     fn scan_hist(&self, hist: &[Pair], total: Pair) -> Option<Split> {
         let (binned, _) = self.binned.expect("histogram path without binned data");
+        let whole = unsplit_term(total);
         let mut best: Option<Split> = None;
         for (c, &f) in self.candidates.iter().enumerate() {
             let mut left = [0.0f64; 2];
@@ -459,7 +462,7 @@ impl<'a> TrainPass<'a> {
                 }
                 left[0] += bin[0];
                 left[1] += bin[1];
-                self.consider(&mut best, total, left, f, cut);
+                self.consider(&mut best, total, whole, left, f, cut);
             }
         }
         best
@@ -485,6 +488,7 @@ impl<'a> TrainPass<'a> {
                 self.node_values[c * n + p] = row[f];
             }
         }
+        let whole = unsplit_term(total);
         let mut best: Option<Split> = None;
         for (c, &f) in self.candidates.iter().enumerate() {
             let values = &self.node_values[c * n..(c + 1) * n];
@@ -506,18 +510,20 @@ impl<'a> TrainPass<'a> {
                 if xn <= xv {
                     continue;
                 }
-                self.consider(&mut best, total, left, f, (xv + xn) * 0.5);
+                self.consider(&mut best, total, whole, left, f, (xv + xn) * 0.5);
             }
         }
         best
     }
 
-    /// Folds the boundary with `left` on its left side into `best`.
+    /// Folds the boundary with `left` on its left side into `best`; `whole`
+    /// is the node's [`unsplit_term`].
     #[inline]
     fn consider(
         &self,
         best: &mut Option<Split>,
         total: Pair,
+        whole: f64,
         left: Pair,
         feature: usize,
         threshold: f32,
@@ -528,7 +534,7 @@ impl<'a> TrainPass<'a> {
             return;
         }
         // Variance reduction ∝ (Σwy)²/Σw for each side.
-        let gain = lwy * lwy / lw + rwy * rwy / rw - total[1] * total[1] / total[0];
+        let gain = lwy * lwy / lw + rwy * rwy / rw - whole;
         if gain > self.min_gain && best.as_ref().map(|b| gain > b.gain).unwrap_or(true) {
             *best = Some(Split {
                 feature,
@@ -536,6 +542,50 @@ impl<'a> TrainPass<'a> {
                 gain,
             });
         }
+    }
+}
+
+/// `(Σwy)²/Σw` of a whole node: what every boundary's gain subtracts, so it
+/// is computed once per node rather than once per boundary.
+fn unsplit_term(total: Pair) -> f64 {
+    total[1] * total[1] / total[0]
+}
+
+/// Adds every row's pair to the bin its code names, in the order of `rows`.
+fn fill_one(codes: &[u8], rows: &[usize], grad: &[Pair], bins: &mut [Pair]) {
+    for &i in rows {
+        add(&mut bins[codes[i] as usize], grad[i]);
+    }
+}
+
+#[inline]
+fn add(bin: &mut Pair, pair: Pair) {
+    bin[0] += pair[0];
+    bin[1] += pair[1];
+}
+
+/// [`fill_one`] for four candidates in one sweep of `rows`: `bins` holds
+/// their four histograms end to end, the first three `widths` wide, and a
+/// row's pair is loaded once for all four. The four ranges are disjoint and
+/// each still receives the rows in order, so every bin ends up with the sum
+/// — operands and order — that four separate sweeps give it.
+fn fill_four(
+    codes: [&[u8]; 4],
+    rows: &[usize],
+    grad: &[Pair],
+    bins: &mut [Pair],
+    widths: [usize; 3],
+) {
+    let (b0, rest) = bins.split_at_mut(widths[0]);
+    let (b1, rest) = rest.split_at_mut(widths[1]);
+    let (b2, b3) = rest.split_at_mut(widths[2]);
+    let [c0, c1, c2, c3] = codes;
+    for &i in rows {
+        let pair = grad[i];
+        add(&mut b0[c0[i] as usize], pair);
+        add(&mut b1[c1[i] as usize], pair);
+        add(&mut b2[c2[i] as usize], pair);
+        add(&mut b3[c3[i] as usize], pair);
     }
 }
 
@@ -752,6 +802,39 @@ mod tests {
             assert_eq!(left, pass.fresh_hist(lo, mid));
             assert_eq!(right, pass.fresh_hist(mid, hi));
             node = (lo, mid, left);
+        }
+    }
+
+    #[test]
+    fn four_candidates_a_sweep_fill_what_one_a_sweep_fills() {
+        let (x, y, w) = dataset(500, 15, false);
+        let xm = Matrix::new(&x, 8);
+        let binned = BinnedDataset::build(xm, &w, 256);
+        let mut pass = TrainPass::new(xm, &w, Some((&binned, 0)));
+        // Every remainder of four, with a repeated candidate among them.
+        let order = [7, 0, 3, 6, 1, 4, 7, 3, 0];
+        for n_candidates in 1..=order.len() {
+            let params = TreeParams {
+                feature_subset: order[..n_candidates].to_vec(),
+                ..Default::default()
+            };
+            pass.start_tree(&y, &params);
+            assert_eq!(pass.candidates, order[..n_candidates]);
+            let n = pass.rows.len();
+            // The root, and a node that is a sub-range of `rows`.
+            for (lo, hi) in [(0, n), (n / 3, n / 3 + 131)] {
+                let mut one_by_one = vec![[0.0; 2]; pass.offsets[n_candidates]];
+                for (c, &f) in pass.candidates.iter().enumerate() {
+                    fill_one(
+                        binned.codes(f),
+                        &pass.rows[lo..hi],
+                        &pass.grad,
+                        &mut one_by_one[pass.offsets[c]..pass.offsets[c + 1]],
+                    );
+                }
+                assert!(one_by_one.iter().filter(|bin| bin[0] > 0.0).count() > n_candidates);
+                assert_eq!(pass.fresh_hist(lo, hi), one_by_one);
+            }
         }
     }
 

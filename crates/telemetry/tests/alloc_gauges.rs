@@ -11,8 +11,9 @@ use telemetry::CountingAlloc;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The counters are process-global, so tests that assert on deltas must
-/// not allocate concurrently with each other.
+/// The counters are process-global, so a test that asserts on deltas must
+/// not run while any other test of this binary allocates: every test takes
+/// the guard, the ones that assert nothing about the counters included.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 #[test]
@@ -61,6 +62,8 @@ fn realloc_keeps_the_books_balanced() {
 
 #[test]
 fn rss_is_reported_on_linux() {
+    // Reading `/proc/self/statm` allocates.
+    let _guard = SERIAL.lock().unwrap();
     if let Some(rss) = rss_bytes() {
         // A test process is at least a page and under a terabyte.
         assert!(rss >= 4096, "rss too small: {rss}");
