@@ -13,7 +13,7 @@
 //! Modules:
 //!
 //! - [`proto`] — wire types and line framing;
-//! - [`store`] — the shared warm store (caches + atomic JSON persistence);
+//! - [`store`] — the shared warm store (caches + an append-only record log);
 //! - [`journal`] — the append-only job journal (the daemon's flight
 //!   recorder, replayed on restart);
 //! - [`server`] — the daemon (accept loop, bounded job queue, session

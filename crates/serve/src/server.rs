@@ -364,7 +364,8 @@ impl Server {
     }
 
     /// Blocks until the server has fully stopped (all jobs settled, all
-    /// threads exited) and persists the store one final time.
+    /// threads exited) and saves the store one final time: free unless a
+    /// job's save failed or a version-1 file was loaded and no job ran.
     pub fn wait(mut self) {
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -508,7 +509,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             let faults = spec.faults.as_deref().unwrap_or(&shared.cfg.faults);
             absorbed_records = shared.store.absorb(&spec, faults, &log) as u64;
             if let Err(e) = shared.store.save() {
-                eprintln!("warning: store save failed: {e}");
+                eprintln!("warning: store save failed, lines kept for the next save: {e}");
             }
         }
 

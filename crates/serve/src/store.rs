@@ -19,25 +19,43 @@
 //!   is replayed to its program signature) and to warm-start jobs that opt
 //!   in.
 //!
-//! Persistence reuses the atomic write-temp-then-rename discipline of the
-//! checkpoint machinery: the store file is either the old version or the
-//! new one, never a torn mix.
+//! The store file is an append-only log, one JSON object per line (see
+//! `docs/SERVING.md`, *The store file*): the version line, then per
+//! absorbed job one [`StoreEntry`] holding the class as it stands after
+//! the job and only the records the job added, and `{"evict":"<key>"}`
+//! where the byte budget dropped a class. A job therefore costs what it
+//! learned: [`WarmStore::absorb`] hashes and serialises the incoming
+//! records only, [`WarmStore::save`] appends the queued lines with the
+//! journal's discipline (append mode, one `write_all` of whole lines,
+//! flush), so a crash leaves whole lines plus at most one torn tail, which
+//! [`WarmStore::open`] ignores and the next append cuts. Only when dead
+//! bytes (superseded headers, evicted classes) outweigh live ones is the
+//! file written whole, through a temp file and a rename.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fs::OpenOptions;
+use std::hash::{Hash, Hasher};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ansor_core::{FeatureBlock, TuningRecordLog};
 use ansor_runtime::SigCache;
 use ansor_workloads::build_case;
 use hwsim::MeasureResult;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 use crate::proto::JobSpec;
 
-/// Store file format version.
-pub const STORE_VERSION: u32 = 1;
+/// Store file format version: 2 is the record log; 1 was one JSON
+/// document, still read (and written as a log by the next save).
+pub const STORE_VERSION: u32 = 2;
+
+/// First line of a store file.
+const VERSION_LINE: &str = "{\"version\":2}\n";
 
 /// Per-class measurement-cache capacity (entries).
 const MEASURE_CACHE_CAPACITY: usize = 1 << 15;
@@ -45,11 +63,14 @@ const MEASURE_CACHE_CAPACITY: usize = 1 << 15;
 /// Per-class featurization-cache capacity (entries).
 const FEATURE_CACHE_CAPACITY: usize = 1 << 15;
 
-/// Records retained per class entry; oldest are dropped beyond this.
+/// Records retained per class entry. A full entry absorbs no further
+/// records — the newest are the ones left out — though it still learns a
+/// better `best_seconds` from them.
 const MAX_RECORDS_PER_ENTRY: usize = 8192;
 
-/// Everything the store remembers about one workload class.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Everything the store remembers about one workload class. Also the form
+/// of a log line, where `records` holds only what that job added.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StoreEntry {
     /// Class key (`JobSpec::class_key`).
     pub key: String,
@@ -77,10 +98,12 @@ pub struct StoreEntry {
     pub last_used: u64,
 }
 
-/// On-disk form of the store.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct StoreFile {
+/// First line of a store file: the version line of a log, or the whole of
+/// a version-1 document.
+#[derive(Deserialize)]
+struct Preamble {
     version: u32,
+    #[serde(default)]
     entries: Vec<StoreEntry>,
 }
 
@@ -104,16 +127,161 @@ struct ClassCaches {
     features: Arc<SigCache<FeatureBlock>>,
 }
 
+/// One class in memory: a [`StoreEntry`] taken apart, with what lets an
+/// absorb cost only what it adds.
+#[derive(Debug, Default)]
+struct Slot {
+    /// The entry without its records (`head.records` stays empty): what a
+    /// log line's header is serialised from.
+    head: StoreEntry,
+    /// The entry's records.
+    records: Vec<TuningRecordLog>,
+    /// `steps_hash` of every record in `records`: the dedup set.
+    seen: HashSet<u64>,
+    /// Length of `head` as JSON (see [`Slot::head_json`]).
+    head_bytes: u64,
+    /// Length of `records` as JSON array elements, commas included.
+    record_bytes: u64,
+}
+
+impl Slot {
+    /// Whether `r` is new to the entry (by step history) and the entry has
+    /// room for it; marks it seen.
+    fn admits(&mut self, r: &TuningRecordLog) -> bool {
+        self.seen.len() < MAX_RECORDS_PER_ENTRY && self.seen.insert(steps_hash(r))
+    }
+
+    /// Appends `records`, which as JSON array elements, commas included,
+    /// are `json_len` bytes.
+    fn extend(&mut self, records: Vec<TuningRecordLog>, json_len: usize) {
+        if !records.is_empty() {
+            self.record_bytes += json_len as u64 + u64::from(!self.records.is_empty());
+            self.records.extend(records);
+        }
+    }
+
+    /// `head` as JSON; call after changing it, to keep `head_bytes` true.
+    fn head_json(&mut self) -> String {
+        let json = serde_json::to_string(&self.head).expect("store entry serializes");
+        self.head_bytes = json.len() as u64;
+        json
+    }
+
+    /// Length of the whole entry as JSON.
+    fn bytes(&self) -> u64 {
+        self.head_bytes + self.record_bytes
+    }
+
+    /// The whole entry, as [`WarmStore::entries`] hands it out.
+    fn entry(&self) -> StoreEntry {
+        StoreEntry {
+            records: self.records.clone(),
+            ..self.head.clone()
+        }
+    }
+
+    /// Folds in one log line (or one entry of a version-1 document),
+    /// `line_len` bytes of JSON: the header replaces the slot's, the
+    /// records follow the slot's. What the store wrote is taken as it is —
+    /// deduplicated, and as long as serialising it again would make it.
+    fn fold(&mut self, mut line: StoreEntry, line_len: usize) {
+        let records = std::mem::take(&mut line.records);
+        self.head = line;
+        // A line is its header with the records put in.
+        let records_len = line_len.saturating_sub(self.head_json().len());
+        self.seen.extend(records.iter().map(steps_hash));
+        self.extend(records, records_len);
+    }
+}
+
+/// A log line: `head` (a record-less [`StoreEntry`] as JSON) with
+/// `records` — JSON array elements — put into its empty `records` array.
+fn entry_line(head: &str, records: &str) -> String {
+    const OPEN: &str = "\"records\":[";
+    // Quotes inside a JSON string are escaped, so the first match is the key.
+    let at = head.find(OPEN).expect("a store entry has a records array") + OPEN.len();
+    [&head[..at], records, &head[at..], "\n"].concat()
+}
+
+/// The store file as this process knows it.
+#[derive(Debug, Default)]
+struct Log {
+    /// Whole lines not yet on disk, in the order `open` will fold them.
+    pending: String,
+    /// Bytes of whole lines on disk; anything beyond is a torn tail (or
+    /// what a failed append got out) and is cut by the next append.
+    len: u64,
+    /// The next save writes the file whole: set after loading a version-1
+    /// document and when dead bytes come to exceed live ones.
+    rewrite: bool,
+}
+
+impl Log {
+    /// Queues whole lines; the first ever are preceded by the version line.
+    fn queue(&mut self, lines: &str) {
+        if self.len == 0 && self.pending.is_empty() {
+            self.pending.push_str(VERSION_LINE);
+        }
+        self.pending.push_str(lines);
+    }
+
+    /// Appends the queued lines as one write. `Ok(false)`, nothing
+    /// written, when the file has to be written whole instead. On an error
+    /// the lines stay queued for the next save.
+    fn append(&mut self, path: &Path) -> Result<bool, String> {
+        if self.rewrite {
+            return Ok(false);
+        }
+        if self.pending.is_empty() {
+            return Ok(true);
+        }
+        let err = |e: std::io::Error| format!("append {}: {e}", path.display());
+        let mut file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(err)?;
+        let on_disk = file.metadata().map_err(err)?.len();
+        if on_disk < self.len {
+            // Removed or replaced under the daemon: the lines this process
+            // wrote are gone, and the entries in memory are what is left.
+            self.rewrite = true;
+            return Ok(false);
+        }
+        if on_disk > self.len {
+            file.set_len(self.len).map_err(err)?;
+        }
+        file.write_all(self.pending.as_bytes()).map_err(err)?;
+        file.flush().map_err(err)?;
+        self.len += self.pending.len() as u64;
+        self.pending.clear();
+        Ok(true)
+    }
+
+    /// Replaces the file with `text` atomically (write a temp file, then
+    /// rename: the file is the old log or the new one, never a mix). A
+    /// temp file a killed rewrite left behind is overwritten.
+    fn write_whole(&mut self, path: &Path, text: &str) -> Result<(), String> {
+        let tmp = path.with_extension("tmp");
+        std::fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
+        std::fs::rename(&tmp, path)
+            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))?;
+        self.len = text.len() as u64;
+        self.pending.clear();
+        self.rewrite = false;
+        Ok(())
+    }
+}
+
 /// The shared warm store: caches plus persisted records.
 #[derive(Debug)]
 pub struct WarmStore {
     path: Option<PathBuf>,
-    entries: Mutex<BTreeMap<String, StoreEntry>>,
+    entries: Mutex<BTreeMap<String, Slot>>,
     caches: Mutex<HashMap<String, ClassCaches>>,
-    /// Cached serialized byte size per entry (updated on absorb/evict),
-    /// so the compaction check and the `store_bytes` gauge never
-    /// re-serialize the whole store.
-    entry_bytes: Mutex<BTreeMap<String, u64>>,
+    /// Taken after `entries` where both are held. Held across a save's
+    /// write, so concurrent workers' lines reach the file in queue order.
+    log: Mutex<Log>,
     /// Store-wide serialized-entry byte budget; 0 = unlimited.
     byte_budget: AtomicU64,
     /// LRU clock: next `last_used` tick.
@@ -121,9 +289,6 @@ pub struct WarmStore {
     /// Entries evicted by byte-budget compaction over this process's
     /// lifetime.
     evictions: AtomicU64,
-    /// Serializes [`WarmStore::save`] calls: concurrent workers would
-    /// otherwise race on the shared temp file between write and rename.
-    save_lock: Mutex<()>,
 }
 
 impl WarmStore {
@@ -134,83 +299,120 @@ impl WarmStore {
             path: None,
             entries: Mutex::new(BTreeMap::new()),
             caches: Mutex::new(HashMap::new()),
-            entry_bytes: Mutex::new(BTreeMap::new()),
+            log: Mutex::new(Log::default()),
             byte_budget: AtomicU64::new(0),
             clock: AtomicU64::new(1),
             evictions: AtomicU64::new(0),
-            save_lock: Mutex::new(()),
         }
     }
 
     /// Opens (or creates) a persistent store at `path`, re-priming the
     /// per-class measurement caches by replaying every stored record to
-    /// its program signature. A missing file is an empty store; a corrupt
-    /// or wrong-version file is an error (the operator should move it
-    /// aside rather than have it silently overwritten).
+    /// its program signature. A missing or empty file is an empty store,
+    /// and bytes after the last newline of a log are a torn append, left
+    /// for the next save to cut; a line that does not parse or a version
+    /// this build does not know is an error (the operator should move the
+    /// file aside rather than have it silently overwritten). Nothing is
+    /// written here.
     pub fn open(path: impl AsRef<Path>) -> Result<(WarmStore, StoreLoadStats), String> {
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
         let mut store = WarmStore::in_memory();
-        store.path = Some(path.clone());
+        store.path = Some(path.to_path_buf());
         let mut stats = StoreLoadStats::default();
-        let data = match std::fs::read_to_string(&path) {
+        let data = match std::fs::read(path) {
             Ok(d) => d,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok((store, stats));
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(format!("read {}: {e}", path.display())),
         };
-        let file: StoreFile =
-            serde_json::from_str(&data).map_err(|e| format!("parse {}: {e:?}", path.display()))?;
-        if file.version != STORE_VERSION {
-            return Err(format!(
-                "store {} has version {}, expected {STORE_VERSION}",
-                path.display(),
-                file.version
-            ));
+        // Nothing yet, or a first save cut inside its version line.
+        if VERSION_LINE.as_bytes().starts_with(&data) {
+            return Ok((store, stats));
+        }
+        let parse_err = |e: &dyn std::fmt::Debug| format!("parse {}: {e:?}", path.display());
+        let parse = |line: &[u8]| -> Result<Value, String> {
+            let text = std::str::from_utf8(line).map_err(|e| parse_err(&e))?;
+            serde_json::from_str(text).map_err(|e| parse_err(&e))
+        };
+        let mut entries: BTreeMap<String, Slot> = BTreeMap::new();
+        let mut log = Log::default();
+        let first_end = data.iter().position(|&b| b == b'\n').unwrap_or(data.len());
+        let preamble: Preamble =
+            serde_json::from_value(&parse(&data[..first_end])?).map_err(|e| parse_err(&e))?;
+        match preamble.version {
+            1 => {
+                for entry in preamble.entries {
+                    let len = serde_json::to_string(&entry)
+                        .expect("store entry serializes")
+                        .len();
+                    entries
+                        .entry(entry.key.clone())
+                        .or_default()
+                        .fold(entry, len);
+                }
+                log.len = data.len() as u64;
+                log.rewrite = true;
+            }
+            STORE_VERSION => {
+                let whole = data.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+                let lines = data.get(first_end + 1..whole).unwrap_or_default();
+                for line in lines.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
+                    let value = parse(line)?;
+                    if let Some(key) = value.get("evict").and_then(Value::as_str) {
+                        entries.remove(key);
+                    } else {
+                        let entry: StoreEntry =
+                            serde_json::from_value(&value).map_err(|e| parse_err(&e))?;
+                        entries
+                            .entry(entry.key.clone())
+                            .or_default()
+                            .fold(entry, line.len());
+                    }
+                }
+                log.len = whole as u64;
+            }
+            version => {
+                return Err(format!(
+                    "store {} has version {version}, expected {STORE_VERSION}",
+                    path.display()
+                ));
+            }
         }
         let mut max_tick = 0;
-        for entry in file.entries {
+        for slot in entries.values() {
             stats.entries += 1;
-            stats.records += entry.records.len();
-            max_tick = max_tick.max(entry.last_used);
-            let (primed, failed) = store.prime_class(&entry);
+            stats.records += slot.records.len();
+            max_tick = max_tick.max(slot.head.last_used);
+            let (primed, failed) = store.prime_class(slot);
             stats.primed += primed;
             stats.replay_failures += failed;
-            store
-                .entries
-                .lock()
-                .expect("store lock poisoned")
-                .insert(entry.key.clone(), entry);
         }
         store.clock.store(max_tick + 1, Ordering::Relaxed);
-        store.recompute_entry_bytes();
+        store.entries = Mutex::new(entries);
+        store.log = Mutex::new(log);
         Ok((store, stats))
     }
 
-    /// Rebuilds the per-entry serialized-size cache from scratch (load
-    /// path only; absorb maintains it incrementally).
-    fn recompute_entry_bytes(&self) {
-        let entries = self.entries.lock().expect("store lock poisoned");
-        let mut bytes = self.entry_bytes.lock().expect("store lock poisoned");
-        bytes.clear();
-        for (key, entry) in entries.iter() {
-            let json = serde_json::to_string(entry).expect("store entry serializes");
-            bytes.insert(key.clone(), json.len() as u64);
-        }
+    fn lock_entries(&self) -> MutexGuard<'_, BTreeMap<String, Slot>> {
+        self.entries.lock().expect("store lock poisoned")
+    }
+
+    fn lock_log(&self) -> MutexGuard<'_, Log> {
+        self.log.lock().expect("store log lock poisoned")
     }
 
     /// Replays one entry's records into its class measurement cache.
     /// Returns `(primed, replay_failures)`.
-    fn prime_class(&self, entry: &StoreEntry) -> (usize, usize) {
-        let Some(dag) = build_case(&entry.op, entry.shape, entry.batch) else {
+    fn prime_class(&self, slot: &Slot) -> (usize, usize) {
+        let head = &slot.head;
+        let Some(dag) = build_case(&head.op, head.shape, head.batch) else {
             // Unknown workload (e.g. a store written by a newer binary):
             // keep the records, just don't prime from them.
-            return (0, entry.records.len());
+            return (0, slot.records.len());
         };
-        let cache = self.measure_cache(&entry.key);
+        let cache = self.measure_cache(&head.key);
         let mut primed = 0;
         let mut failed = 0;
-        for r in &entry.records {
+        for r in &slot.records {
             match r.replay(dag.clone()) {
                 Ok(state) => {
                     cache.insert(
@@ -256,117 +458,119 @@ impl WarmStore {
     }
 
     /// Stored tuning records for a class (for opt-in warm starts). Counts
-    /// as a use for LRU compaction.
+    /// as a use for LRU compaction: the tick is queued as a line without
+    /// records, so the file says what memory does whenever it is saved.
     pub fn records_for(&self, class_key: &str) -> Vec<TuningRecordLog> {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.entries.lock().expect("store lock poisoned");
-        entries
-            .get_mut(class_key)
-            .map(|e| {
-                e.last_used = tick;
-                e.records.clone()
-            })
-            .unwrap_or_default()
+        let mut entries = self.lock_entries();
+        let Some(slot) = entries.get_mut(class_key) else {
+            return Vec::new();
+        };
+        slot.head.last_used = tick;
+        let head = slot.head_json();
+        if self.path.is_some() {
+            self.lock_log().queue(&entry_line(&head, ""));
+        }
+        slot.records.clone()
     }
 
     /// Best stored seconds for a class, if any job has found one.
     pub fn best_seconds_for(&self, class_key: &str) -> Option<f64> {
-        self.entries
-            .lock()
-            .expect("store lock poisoned")
+        self.lock_entries()
             .get(class_key)
-            .and_then(|e| e.best_seconds)
+            .and_then(|s| s.head.best_seconds)
     }
 
     /// Merges a finished job's tuning log into the store (deduplicated by
-    /// step history, capped per entry) and updates the class's best. The
-    /// measurement cache is already warm — the job wrote into it while
-    /// running — so only the persisted layer needs the records. Returns
-    /// the number of newly absorbed (deduplicated) records, which the
-    /// daemon's journal records per job.
+    /// step history, capped per entry) and updates the class's best, over
+    /// every valid record of the log. The measurement cache is already
+    /// warm — the job wrote into it while running — so only the persisted
+    /// layer needs the records: the job's line is queued for the next
+    /// [`WarmStore::save`]. Returns the number of newly absorbed
+    /// (deduplicated) records, which the daemon's journal records per job.
     pub fn absorb(&self, spec: &JobSpec, faults: &str, log: &[TuningRecordLog]) -> usize {
         let key = spec.class_key(faults);
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.entries.lock().expect("store lock poisoned");
-        let entry = entries.entry(key.clone()).or_insert_with(|| StoreEntry {
-            key: key.clone(),
-            op: spec.op.clone(),
-            shape: spec.shape,
-            batch: spec.batch,
-            target: spec.target.clone(),
-            faults: faults.to_string(),
-            best_seconds: None,
-            jobs_absorbed: 0,
-            records: Vec::new(),
-            last_used: 0,
+        let mut entries = self.lock_entries();
+        let slot = entries.entry(key.clone()).or_insert_with(|| Slot {
+            head: StoreEntry {
+                key: key.clone(),
+                op: spec.op.clone(),
+                shape: spec.shape,
+                batch: spec.batch,
+                target: spec.target.clone(),
+                faults: faults.to_string(),
+                ..StoreEntry::default()
+            },
+            ..Slot::default()
         });
-        entry.jobs_absorbed += 1;
-        entry.last_used = tick;
-        let mut seen: std::collections::HashSet<u64> =
-            entry.records.iter().map(steps_hash).collect();
-        let mut absorbed = 0;
+        slot.head.jobs_absorbed += 1;
+        slot.head.last_used = tick;
+        // The records this job adds, and their JSON as array elements: a
+        // record's one serialisation, for the line and for the entry's size.
+        let mut fresh = Vec::new();
+        let mut added = String::new();
         for r in log {
-            if entry.records.len() >= MAX_RECORDS_PER_ENTRY {
-                break;
-            }
-            if seen.insert(steps_hash(r)) {
-                entry.records.push(r.clone());
-                absorbed += 1;
+            if slot.admits(r) {
+                if !fresh.is_empty() {
+                    added.push(',');
+                }
+                added.push_str(&serde_json::to_string(r).expect("tuning record serializes"));
+                fresh.push(r.clone());
             }
             if r.is_valid() {
                 // (not `map_or`/`is_none_or`: the latter postdates the MSRV)
-                let better = match entry.best_seconds {
+                let better = match slot.head.best_seconds {
                     Some(b) => r.seconds < b,
                     None => true,
                 };
                 if better {
-                    entry.best_seconds = Some(r.seconds);
+                    slot.head.best_seconds = Some(r.seconds);
                 }
             }
         }
-        let entry_json = serde_json::to_string(&*entry).expect("store entry serializes");
-        self.entry_bytes
-            .lock()
-            .expect("store lock poisoned")
-            .insert(key.clone(), entry_json.len() as u64);
-        drop(entries);
-        self.compact(&key);
+        let absorbed = fresh.len();
+        slot.extend(fresh, added.len());
+        let head = slot.head_json();
+        let evicted = self.evict_over_budget(&mut entries, &key);
+        if self.path.is_some() {
+            let mut log = self.lock_log();
+            log.queue(&entry_line(&head, &added));
+            for key in &evicted {
+                let key = serde_json::to_string(key).expect("class key serializes");
+                log.queue(&format!("{{\"evict\":{key}}}\n"));
+            }
+            // What a rewrite would leave: the version line and a line per entry.
+            let live =
+                VERSION_LINE.len() as u64 + entries.values().map(|s| s.bytes() + 1).sum::<u64>();
+            if log.len + log.pending.len() as u64 > 2 * live {
+                log.rewrite = true;
+            }
+        }
         absorbed
     }
 
     /// Evicts least-recently-used entries (never `keep_key`, the entry the
     /// caller just touched) until the summed serialized entry size fits
-    /// the byte budget. A no-op when no budget is set.
-    fn compact(&self, keep_key: &str) {
+    /// the byte budget, and returns their keys in eviction order. A no-op
+    /// when no budget is set.
+    fn evict_over_budget(
+        &self,
+        entries: &mut BTreeMap<String, Slot>,
+        keep_key: &str,
+    ) -> Vec<String> {
         let budget = self.byte_budget.load(Ordering::Relaxed);
-        if budget == 0 {
-            return;
-        }
-        loop {
-            let victim = {
-                let entries = self.entries.lock().expect("store lock poisoned");
-                let bytes = self.entry_bytes.lock().expect("store lock poisoned");
-                let total: u64 = bytes.values().sum();
-                if total <= budget || entries.len() <= 1 {
-                    return;
-                }
-                match entries
-                    .values()
-                    .filter(|e| e.key != keep_key)
-                    .min_by_key(|e| e.last_used)
-                {
-                    Some(e) => e.key.clone(),
-                    None => return,
-                }
+        let mut evicted = Vec::new();
+        while budget > 0 && entries.values().map(Slot::bytes).sum::<u64>() > budget {
+            let Some(victim) = entries
+                .values()
+                .filter(|s| s.head.key != keep_key)
+                .min_by_key(|s| s.head.last_used)
+                .map(|s| s.head.key.clone())
+            else {
+                break;
             };
-            self.entries
-                .lock()
-                .expect("store lock poisoned")
-                .remove(&victim);
-            self.entry_bytes
-                .lock()
-                .expect("store lock poisoned")
-                .remove(&victim);
+            entries.remove(&victim);
             // Drop the class's caches too: with the records gone the
             // measurement cache can no longer be re-primed after a restart,
             // and keeping them would hold the evicted memory live.
@@ -375,7 +579,9 @@ impl WarmStore {
                 .expect("store lock poisoned")
                 .remove(&victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
+            evicted.push(victim);
         }
+        evicted
     }
 
     /// Sets the store-wide serialized-entry byte budget (`None` =
@@ -385,13 +591,9 @@ impl WarmStore {
             .store(budget.unwrap_or(0), Ordering::Relaxed);
     }
 
-    /// Approximate serialized size of all entries, in bytes.
+    /// Serialized size of all entries, in bytes.
     pub fn resident_bytes(&self) -> u64 {
-        self.entry_bytes
-            .lock()
-            .expect("store lock poisoned")
-            .values()
-            .sum()
+        self.lock_entries().values().map(Slot::bytes).sum()
     }
 
     /// Entries evicted by byte-budget compaction in this process.
@@ -401,55 +603,50 @@ impl WarmStore {
 
     /// Number of class entries.
     pub fn entry_count(&self) -> usize {
-        self.entries.lock().expect("store lock poisoned").len()
+        self.lock_entries().len()
     }
 
     /// Total records across all entries.
     pub fn record_count(&self) -> usize {
-        self.entries
-            .lock()
-            .expect("store lock poisoned")
-            .values()
-            .map(|e| e.records.len())
-            .sum()
+        self.lock_entries().values().map(|s| s.records.len()).sum()
     }
 
-    /// Persists the store atomically (write temp file, then rename). A
-    /// no-op for in-memory stores.
+    /// A copy of every entry, in key order.
+    pub fn entries(&self) -> Vec<StoreEntry> {
+        self.lock_entries().values().map(Slot::entry).collect()
+    }
+
+    /// Brings the store file up to date: appends the lines queued since
+    /// the last save, or — when the file is due a rewrite — writes it
+    /// whole. Free when nothing is queued, and a no-op for in-memory
+    /// stores. After an error everything unsaved stays queued, and the
+    /// next save tries again.
     pub fn save(&self) -> Result<(), String> {
         let Some(path) = &self.path else {
             return Ok(());
         };
-        let _guard = self.save_lock.lock().expect("save lock poisoned");
-        let entries: Vec<StoreEntry> = self
-            .entries
-            .lock()
-            .expect("store lock poisoned")
-            .values()
-            .cloned()
-            .collect();
-        let file = StoreFile {
-            version: STORE_VERSION,
-            entries,
-        };
-        let json = serde_json::to_string(&file).expect("store serializes");
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, json).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+        if self.lock_log().append(path)? {
+            return Ok(());
+        }
+        let entries = self.lock_entries();
+        let mut log = self.lock_log();
+        let mut text = String::from(VERSION_LINE);
+        for slot in entries.values() {
+            text.push_str(&serde_json::to_string(&slot.entry()).expect("store entry serializes"));
+            text.push('\n');
+        }
+        // An absorb that comes now waits for the log and lands after this.
+        drop(entries);
+        log.write_whole(path, &text)
     }
 }
 
-/// FNV-1a hash of a record's step history (the dedup key — two records
-/// with the same steps describe the same program).
+/// Hash of a record's step history (the dedup key — two records with the
+/// same steps describe the same program).
 fn steps_hash(r: &TuningRecordLog) -> u64 {
-    let json = serde_json::to_string(&r.steps).expect("steps serialize");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in json.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    let mut h = DefaultHasher::new();
+    r.steps.hash(&mut h);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -499,6 +696,50 @@ mod tests {
     }
 
     #[test]
+    fn a_full_entry_still_learns_a_better_time() {
+        let store = WarmStore::in_memory();
+        let s = spec();
+        let full: Vec<TuningRecordLog> = (0..MAX_RECORDS_PER_ENTRY as i64)
+            .map(|k| record_with_steps(k as u64, 2e-3, k))
+            .collect();
+        assert_eq!(store.absorb(&s, "none", &full), MAX_RECORDS_PER_ENTRY);
+        // No room for the newest record, but its time counts.
+        let late = [
+            record_with_steps(1, 3e-3, -1),
+            record_with_steps(2, 1e-3, -2),
+        ];
+        assert_eq!(store.absorb(&s, "none", &late), 0);
+        assert_eq!(store.record_count(), MAX_RECORDS_PER_ENTRY);
+        assert_eq!(store.best_seconds_for(&s.class_key("none")), Some(1e-3));
+    }
+
+    #[test]
+    fn a_log_line_is_the_entry_as_serde_writes_it() {
+        // …whatever its strings hold: the splice finds the key, not a look-alike.
+        let entry = StoreEntry {
+            key: "k \"records\":[ k".into(),
+            faults: "\"records\":[]".into(),
+            best_seconds: Some(2e-3),
+            records: vec![record(1, 2e-3), record_with_steps(2, f64::INFINITY, 4)],
+            ..StoreEntry::default()
+        };
+        let head = StoreEntry {
+            records: Vec::new(),
+            ..entry.clone()
+        };
+        let records: Vec<String> = entry
+            .records
+            .iter()
+            .map(|r| serde_json::to_string(r).unwrap())
+            .collect();
+        assert_eq!(
+            entry_line(&serde_json::to_string(&head).unwrap(), &records.join(",")),
+            serde_json::to_string(&entry).unwrap() + "\n"
+        );
+        assert_eq!(VERSION_LINE, format!("{{\"version\":{STORE_VERSION}}}\n"));
+    }
+
+    #[test]
     fn save_and_reopen_round_trips() {
         let dir = std::env::temp_dir().join(format!("ansor-store-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -515,6 +756,24 @@ mod tests {
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.records, 1);
         assert_eq!(reopened.best_seconds_for(&s.class_key("none")), Some(3e-3));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_first_save_cut_inside_the_version_line_is_an_empty_store() {
+        let dir = std::env::temp_dir().join(format!("ansor-store-c-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.json");
+        for cut in 0..=VERSION_LINE.len() {
+            std::fs::write(&path, &VERSION_LINE[..cut]).unwrap();
+            let (store, stats) = WarmStore::open(&path).unwrap();
+            assert_eq!(stats, StoreLoadStats::default(), "cut {cut}");
+            store.absorb(&spec(), "none", &[record(1, 3e-3)]);
+            store.save().unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert!(text.starts_with(VERSION_LINE) && text.lines().count() == 2);
+            assert_eq!(WarmStore::open(&path).unwrap().1.records, 1, "cut {cut}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
