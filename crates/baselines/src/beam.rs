@@ -14,7 +14,9 @@ use ansor_core::annotate::sample_lengths;
 use ansor_core::{CostModel, LearnedCostModel, SearchTask, TuningRecord};
 use hwsim::Measurer;
 use rand::prelude::*;
-use tensor_ir::{Annotation, ComputeLoc, State, Step};
+use std::sync::Arc;
+
+use tensor_ir::{Annotation, ComputeLoc, Name, State, Step};
 
 use crate::{FrameworkResult, SearchFramework};
 
@@ -121,28 +123,28 @@ impl HalideBeam {
         let Some(spec) = node.compute() else {
             return vec![state.clone()];
         };
-        let name = node.name.clone();
+        let name = state.dag.name_of(i);
         let mut out = Vec::new();
         // Inline decision.
         if state.dag.is_strict_inlinable(i) && !state.dag.consumers(i).is_empty() {
             let mut s = state.clone();
-            if s.apply(Step::ComputeInline { node: name.clone() }).is_ok() {
+            if s.apply(Step::ComputeInline { node: name }).is_ok() {
                 out.push(s);
             }
         }
         // Skip (leave naive) and skip+annotate decisions.
         out.push(state.clone());
-        if let Some(s) = annotate_simple(state, &name) {
+        if let Some(s) = annotate_simple(state, name) {
             out.push(s);
         }
         // Multi-level tiling decisions for reduction nodes.
         if !spec.reduce_extents.is_empty() {
             let spec = spec.clone();
             for _ in 0..self.branch_samples {
-                if let Some(s) = tile_node(task, state, &name, &spec, rng, false) {
+                if let Some(s) = tile_node(task, state, name, &spec, rng, false) {
                     out.push(s);
                 }
-                if let Some(s) = tile_node(task, state, &name, &spec, rng, true) {
+                if let Some(s) = tile_node(task, state, name, &spec, rng, true) {
                     out.push(s);
                 }
             }
@@ -152,24 +154,24 @@ impl HalideBeam {
 }
 
 /// Parallel-outer + vectorize-inner annotation of a naive stage.
-fn annotate_simple(state: &State, name: &str) -> Option<State> {
+fn annotate_simple(state: &State, name: Name) -> Option<State> {
     let mut s = state.clone();
-    let sid = s.stage_by_node_name(name)?;
-    let loops: Vec<(String, tensor_ir::IterKind, i64)> = {
+    let sid = s.stage_by_node_name(&name)?;
+    let loops: Vec<(Name, tensor_ir::IterKind, i64)> = {
         let st = &s.stages[sid];
         st.loop_order
             .iter()
             .map(|&it| {
                 let i = &st.iters[it];
-                (i.name.clone(), i.kind, i.extent)
+                (i.name, i.kind, i.extent)
             })
             .collect()
     };
     let first = loops.first()?;
     if first.1 == tensor_ir::IterKind::Space && first.2 > 1 {
         s.apply(Step::Annotate {
-            node: name.to_string(),
-            iter: first.0.clone(),
+            node: name,
+            iter: first.0,
             ann: Annotation::Parallel,
         })
         .ok()?;
@@ -177,8 +179,8 @@ fn annotate_simple(state: &State, name: &str) -> Option<State> {
     if let Some(last) = loops.last() {
         if last.1 == tensor_ir::IterKind::Space && last.2 > 1 && loops.len() > 1 {
             s.apply(Step::Annotate {
-                node: name.to_string(),
-                iter: last.0.clone(),
+                node: name,
+                iter: last.0,
                 ann: Annotation::Vectorize,
             })
             .ok()?;
@@ -192,97 +194,78 @@ fn annotate_simple(state: &State, name: &str) -> Option<State> {
 fn tile_node(
     task: &SearchTask,
     state: &State,
-    name: &str,
+    name: Name,
     spec: &tensor_ir::ComputeSpec,
     rng: &mut StdRng,
     fuse: bool,
 ) -> Option<State> {
     let mut s = state.clone();
-    let nid = s.dag.node_id(name)?;
-    let spatial: Vec<String> = spec.axis_names[..spec.num_spatial()].to_vec();
-    let reduce: Vec<String> = spec.axis_names[spec.num_spatial()..].to_vec();
+    let dag = Arc::clone(&s.dag);
+    let nid = dag.find_node(name)?;
+    let (spatial, reduce) = dag.axes(nid).split_at(spec.num_spatial());
     let mut spatial_lengths = Vec::new();
-    for (a, ax) in spatial.iter().enumerate() {
+    for (a, &ax) in spatial.iter().enumerate() {
         let lengths = sample_lengths(spec.shape[a], 3, rng);
         s.apply(Step::Split {
-            node: name.to_string(),
-            iter: ax.clone(),
+            node: name,
+            iter: ax,
             lengths: lengths.clone(),
         })
         .ok()?;
         spatial_lengths.push(lengths);
     }
-    for (a, ax) in reduce.iter().enumerate() {
+    for (a, &ax) in reduce.iter().enumerate() {
         let lengths = sample_lengths(spec.reduce_extents[a], 1, rng);
         s.apply(Step::Split {
-            node: name.to_string(),
-            iter: ax.clone(),
+            node: name,
+            iter: ax,
             lengths,
         })
         .ok()?;
     }
+    let level = |axes: &[Name], lvl| axes.iter().map(move |a| a.part(lvl)).collect::<Vec<_>>();
     let mut order = Vec::new();
     for lvl in 0..2 {
-        for ax in &spatial {
-            order.push(format!("{ax}.{lvl}"));
-        }
+        order.extend(level(spatial, lvl));
     }
-    for r in &reduce {
-        order.push(format!("{r}.0"));
-    }
-    for ax in &spatial {
-        order.push(format!("{ax}.2"));
-    }
-    for r in &reduce {
-        order.push(format!("{r}.1"));
-    }
-    for ax in &spatial {
-        order.push(format!("{ax}.3"));
-    }
-    s.apply(Step::Reorder {
-        node: name.to_string(),
-        order,
-    })
-    .ok()?;
+    order.extend(level(reduce, 0));
+    order.extend(level(spatial, 2));
+    order.extend(level(reduce, 1));
+    order.extend(level(spatial, 3));
+    s.apply(Step::Reorder { node: name, order }).ok()?;
     if fuse {
         // Requires an untouched element-wise consumer at root.
-        let cons = s.dag.fusible_consumer(nid)?;
+        let cons = dag.fusible_consumer(nid)?;
         let csid = s.stage_of_node(cons)?;
-        let cname = s.dag.nodes[cons].name.clone();
-        let cspec = s.dag.nodes[cons].compute()?.clone();
-        if s.stages[csid].loc != ComputeLoc::Root
-            || s.stages[csid].loop_order.len() != cspec.num_spatial()
-        {
+        let cname = dag.name_of(cons);
+        let n_spatial = dag.nodes[cons].compute()?.num_spatial();
+        if s.stages[csid].loc != ComputeLoc::Root || s.stages[csid].loop_order.len() != n_spatial {
             return None;
         }
-        for (a, ax) in cspec.axis_names[..cspec.num_spatial()].iter().enumerate() {
+        let caxes = &dag.axes(cons)[..n_spatial];
+        for (a, &ax) in caxes.iter().enumerate() {
             let l = &spatial_lengths[a];
             s.apply(Step::Split {
-                node: cname.clone(),
-                iter: ax.clone(),
+                node: cname,
+                iter: ax,
                 lengths: vec![l[0], l[1] * l[2]],
             })
             .ok()?;
         }
-        let mut corder = Vec::new();
-        for lvl in 0..3 {
-            for ax in &cspec.axis_names[..cspec.num_spatial()] {
-                order_push(&mut corder, ax, lvl);
-            }
-        }
+        let corder = (0..3).flat_map(|lvl| level(caxes, lvl)).collect();
         s.apply(Step::Reorder {
-            node: cname.clone(),
+            node: cname,
             order: corder,
         })
         .ok()?;
         s.apply(Step::ComputeAt {
-            node: name.to_string(),
-            target: cname.clone(),
-            prefix_len: 2 * cspec.num_spatial(),
+            node: name,
+            target: cname,
+            prefix_len: 2 * n_spatial,
         })
         .ok()?;
         // Annotate the host.
-        annotate_tiled(&mut s, &cname)?;
+        annotate_tiled(&mut s, cname)?;
     } else {
         annotate_tiled(&mut s, name)?;
     }
@@ -290,24 +273,20 @@ fn tile_node(
     Some(s)
 }
 
-fn order_push(order: &mut Vec<String>, ax: &str, lvl: usize) {
-    order.push(format!("{ax}.{lvl}"));
-}
-
 /// Parallelize the outermost loop, vectorize the innermost spatial loop.
-fn annotate_tiled(s: &mut State, name: &str) -> Option<()> {
-    let sid = s.stage_by_node_name(name)?;
+fn annotate_tiled(s: &mut State, name: Name) -> Option<()> {
+    let sid = s.stage_by_node_name(&name)?;
     let (first, last) = {
         let st = &s.stages[sid];
         let info = |it: usize| {
             let i = &st.iters[it];
-            (i.name.clone(), i.kind, i.extent)
+            (i.name, i.kind, i.extent)
         };
         (info(*st.loop_order.first()?), info(*st.loop_order.last()?))
     };
     if first.1 == tensor_ir::IterKind::Space && first.2 > 1 {
         s.apply(Step::Annotate {
-            node: name.to_string(),
+            node: name,
             iter: first.0,
             ann: Annotation::Parallel,
         })
@@ -315,7 +294,7 @@ fn annotate_tiled(s: &mut State, name: &str) -> Option<()> {
     }
     if last.1 == tensor_ir::IterKind::Space && last.2 > 1 {
         s.apply(Step::Annotate {
-            node: name.to_string(),
+            node: name,
             iter: last.0,
             ann: Annotation::Vectorize,
         })

@@ -8,7 +8,7 @@
 //! tile structure.
 
 use rand::prelude::*;
-use tensor_ir::{Annotation, ComputeLoc, IterKind, State, Step};
+use tensor_ir::{Annotation, ComputeLoc, IterInfo, IterKind, Name, Stage, StageId, State, Step};
 
 use crate::search_task::SearchTask;
 use crate::sketch::Sketch;
@@ -84,39 +84,66 @@ pub fn divisors(n: i64) -> Vec<i64> {
 
 /// Samples `nparts` inner lengths whose product divides `extent`.
 pub fn sample_lengths(extent: i64, nparts: usize, rng: &mut impl Rng) -> Vec<i64> {
-    let mut rem = extent;
     let mut out = vec![1i64; nparts];
+    fill_lengths(&divisors(extent), extent, &mut out, rng);
+    out
+}
+
+/// [`sample_lengths`] into `out`, one slot per inner length, drawing from
+/// `divs`: every divisor of `extent` (and possibly of a multiple of it),
+/// ascending. A sketch keeps that list per split, so a draw allocates
+/// nothing — and draws what `sample_lengths` draws: the divisors of what
+/// remains of the extent are the listed ones that divide it, in the same
+/// order, under the same weights and the same RNG calls.
+pub(crate) fn fill_lengths(divs: &[i64], extent: i64, out: &mut [i64], rng: &mut impl Rng) {
+    const INLINE: usize = 8;
+    let (mut inline, mut spilled) = ([0usize; INLINE], Vec::new());
+    let order = if out.len() <= INLINE {
+        &mut inline[..out.len()]
+    } else {
+        spilled.resize(out.len(), 0);
+        &mut spilled[..]
+    };
+    for (p, slot) in order.iter_mut().enumerate() {
+        *slot = p;
+    }
     // Fill positions in random order so no level is systematically favored.
-    let mut order: Vec<usize> = (0..nparts).collect();
     order.shuffle(rng);
-    for &p in &order {
-        let divs = divisors(rem);
-        // Bias toward small-to-medium factors: weight 1/sqrt(d).
-        let weights: Vec<f64> = divs.iter().map(|&d| 1.0 / (d as f64).sqrt()).collect();
-        let total: f64 = weights.iter().sum();
+    // Bias toward small-to-medium factors: weight 1/sqrt(d).
+    let weight = |d: i64| 1.0 / (d as f64).sqrt();
+    let mut rem = extent;
+    for &p in order.iter() {
+        let fits = divs.iter().copied().filter(|&d| rem % d == 0);
+        let total: f64 = fits.clone().map(weight).sum();
         let mut pick = rng.gen::<f64>() * total;
-        let mut chosen = divs[0];
-        for (d, w) in divs.iter().zip(&weights) {
-            pick -= w;
+        let mut chosen = 1;
+        for d in fits {
+            pick -= weight(d);
             if pick <= 0.0 {
-                chosen = *d;
+                chosen = d;
                 break;
             }
         }
         out[p] = chosen;
         rem /= chosen;
     }
-    out
 }
 
 /// Derives a follower's lengths from its leader's: the first `nparts - 1`
 /// leader lengths are kept, the remaining leader lengths collapse into the
 /// follower's innermost length.
 pub fn follow_lengths(leader: &[i64], nparts: usize) -> Vec<i64> {
-    assert!(nparts >= 1 && nparts <= leader.len());
-    let mut out: Vec<i64> = leader[..nparts - 1].to_vec();
-    out.push(leader[nparts - 1..].iter().product());
+    let mut out = Vec::with_capacity(nparts);
+    follow_into(leader, nparts, &mut out);
     out
+}
+
+/// [`follow_lengths`] into `out`, which keeps its buffer.
+fn follow_into(leader: &[i64], nparts: usize, out: &mut Vec<i64>) {
+    assert!(nparts >= 1 && nparts <= leader.len());
+    out.clear();
+    out.extend_from_slice(&leader[..nparts - 1]);
+    out.push(leader[nparts - 1..].iter().product());
 }
 
 /// Instantiates a sketch's structural steps with sampled tile sizes,
@@ -130,32 +157,45 @@ pub fn instantiate_steps(
     let mut steps = sketch.steps.clone();
     // Sample rfactor factors first: splits of the factored axis depend on
     // them.
-    let mut factors: Vec<i64> = Vec::with_capacity(sketch.rfactors.len());
     for rv in &sketch.rfactors {
-        let divs: Vec<i64> = divisors(rv.extent)
-            .into_iter()
-            .filter(|&d| d > 1 && d < rv.extent)
-            .collect();
-        let factor = divs.choose(rng).copied().unwrap_or(1.max(rv.extent / 2));
+        let factor = rv
+            .factors()
+            .choose(rng)
+            .copied()
+            .unwrap_or(1.max(rv.extent / 2));
         if let Step::Rfactor { factor: f, .. } = &mut steps[rv.step] {
             *f = factor;
         }
-        factors.push(factor);
     }
-    let mut sampled: Vec<Vec<i64>> = Vec::with_capacity(sketch.splits.len());
     for sv in &sketch.splits {
-        let extent = match sv.follow_rfactor {
-            Some(rf) => factors[rf],
-            None => sv.extent,
+        // Tile sizes are written into the copied steps in place; a
+        // follower reads its leader's, which come earlier.
+        let (before, rest) = steps.split_at_mut(sv.step);
+        let Step::Split { lengths, .. } = &mut rest[0] else {
+            continue;
         };
-        let lengths = match sv.follow {
-            Some(leader) => follow_lengths(&sampled[leader], sv.nparts),
-            None => sample_lengths(extent, sv.nparts, rng),
-        };
-        if let Step::Split { lengths: l, .. } = &mut steps[sv.step] {
-            *l = lengths.clone();
+        match sv.follow {
+            Some(leader) => {
+                let Step::Split { lengths: led, .. } = &before[sketch.splits[leader].step] else {
+                    unreachable!("a leader is an earlier split");
+                };
+                follow_into(led, sv.nparts, lengths);
+            }
+            None => {
+                let (divs, extent) = match sv.follow_rfactor {
+                    Some(rf) => {
+                        let rv = &sketch.rfactors[rf];
+                        let Step::Rfactor { factor, .. } = before[rv.step] else {
+                            unreachable!("an rfactor precedes the splits of its axis");
+                        };
+                        (&rv.divisors[..], factor)
+                    }
+                    None => (&sv.divisors[..], sv.extent),
+                };
+                lengths.resize(sv.nparts, 1);
+                fill_lengths(divs, extent, lengths, rng);
+            }
         }
-        sampled.push(lengths);
     }
     // Computation-location tweak: occasionally halve the shared prefix so
     // the producer computes a larger tile at a shallower position.
@@ -192,29 +232,36 @@ pub fn sample_program(
     None
 }
 
+/// The hints of a node `AnnotationConfig::hints` does not list.
+const NO_HINT: AnnotationHint = AnnotationHint {
+    no_vectorize: false,
+    no_parallel: false,
+    unroll_pragma: None,
+};
+
 /// Applies the random annotation pass to an instantiated state.
+///
+/// Stages are visited in order and their loops read by position.
+/// Annotation adds no stage, so a stage id stays valid throughout, and a
+/// placement changes only from one `compute_at` prefix to another.
 pub fn annotate_state(
     state: &mut State,
     task: &SearchTask,
     cfg: &AnnotationConfig,
     rng: &mut impl Rng,
 ) -> Result<(), tensor_ir::Error> {
-    let stage_nodes: Vec<(String, ComputeLoc)> = state
-        .stages
-        .iter()
-        .filter(|s| state.dag.nodes[s.node].compute().is_some())
-        .map(|s| (state.dag.nodes[s.node].name.clone(), s.loc))
-        .collect();
-    for (node, loc) in stage_nodes {
-        if loc == ComputeLoc::Inlined {
+    for sid in 0..state.stages.len() {
+        let (nid, loc) = (state.stages[sid].node, state.stages[sid].loc);
+        if state.dag.nodes[nid].compute().is_none() || loc == ComputeLoc::Inlined {
             continue;
         }
-        let base = node.split('.').next().unwrap_or(&node).to_string();
-        let hint = cfg.hints.get(&base).cloned().unwrap_or_default();
+        let node = state.dag.name_of(nid);
+        let base = node.as_str().split('.').next().unwrap_or(node.as_str());
+        let hint = cfg.hints.get(base).unwrap_or(&NO_HINT);
         if task.is_gpu() {
-            annotate_gpu_stage(state, task, &node, loc, cfg, &hint, rng)?;
+            annotate_gpu_stage(state, sid, node, loc, cfg, hint, rng)?;
         } else {
-            annotate_cpu_stage(state, &node, loc, cfg, &hint, rng)?;
+            annotate_cpu_stage(state, sid, node, loc, cfg, hint, rng)?;
         }
         // Unroll pragma for the stage: hinted value wins over sampling.
         let pragma = match hint.unroll_pragma {
@@ -223,68 +270,65 @@ pub fn annotate_state(
         };
         if pragma > 0 {
             state.apply(Step::Pragma {
-                node: node.clone(),
+                node,
                 max_unroll: pragma,
             })?;
         }
         // Layout rewrite: constant inputs of multi-level-tiled stages are
         // repacked to match the tile structure (§4.2).
-        let sid = state.stage_by_node_name(&node).expect("stage exists");
-        let nid = state.stages[sid].node;
         let loads_const = state
             .dag
             .producers(nid)
             .iter()
             .any(|&p| state.dag.nodes[p].is_const_placeholder());
         if loads_const && state.stages[sid].loop_order.len() >= 6 {
-            state.apply(Step::LayoutRewrite { node: node.clone() })?;
+            state.apply(Step::LayoutRewrite { node })?;
         }
     }
     Ok(())
 }
 
-fn live_loops(state: &State, node: &str) -> Vec<(String, IterKind, i64, Annotation)> {
-    let sid = state.stage_by_node_name(node).expect("stage exists");
-    let st = &state.stages[sid];
-    st.loop_order
+/// How many of the stage's outermost loops are spatial and unannotated.
+fn leading_free_loops(stage: &Stage) -> usize {
+    stage
+        .loop_order
         .iter()
-        .map(|&it| {
-            let i = &st.iters[it];
-            (i.name.clone(), i.kind, i.extent, i.annotation)
+        .take_while(|&&it| {
+            let i = &stage.iters[it];
+            i.kind == IterKind::Space && i.annotation == Annotation::None
         })
+        .count()
+}
+
+/// The names of the stage's `n` outermost loops.
+fn outer_names(stage: &Stage, n: usize) -> Vec<Name> {
+    stage.loop_order[..n]
+        .iter()
+        .map(|&it| stage.iters[it].name)
         .collect()
 }
 
-/// Producers computed at `node` and their shared-prefix lengths.
-fn attached_producers(state: &State, node: &str) -> Vec<(String, usize)> {
-    let nid = state.dag.node_id(node).expect("node exists");
-    state
-        .stages
-        .iter()
-        .filter_map(|s| match s.loc {
-            ComputeLoc::At { target, prefix_len } if target == nid => {
-                Some((state.dag.nodes[s.node].name.clone(), prefix_len))
-            }
-            _ => None,
-        })
-        .collect()
+/// The stage's loop at position `pos` of its nest.
+fn loop_at(stage: &Stage, pos: usize) -> &IterInfo {
+    &stage.iters[stage.loop_order[pos]]
 }
 
 fn annotate_cpu_stage(
     state: &mut State,
-    node: &str,
+    sid: StageId,
+    node: Name,
     loc: ComputeLoc,
     cfg: &AnnotationConfig,
     hint: &AnnotationHint,
     rng: &mut impl Rng,
 ) -> Result<(), tensor_ir::Error> {
     if loc == ComputeLoc::Root && !hint.no_parallel && rng.gen_bool(cfg.parallel_prob) {
-        parallelize_outer(state, node, rng)?;
+        parallelize_outer(state, sid, node, rng)?;
     }
     if !hint.no_vectorize {
-        vectorize_inner(state, node, cfg, rng)?;
+        vectorize_inner(state, sid, node, cfg, rng)?;
     }
-    unroll_small_inner(state, node, cfg, rng)?;
+    unroll_small_inner(state, sid, node, cfg, rng)?;
     Ok(())
 }
 
@@ -292,25 +336,24 @@ fn annotate_cpu_stage(
 /// keeping any attached producers' shared prefixes consistent.
 fn parallelize_outer(
     state: &mut State,
-    node: &str,
+    sid: StageId,
+    node: Name,
     rng: &mut impl Rng,
 ) -> Result<(), tensor_ir::Error> {
-    let loops = live_loops(state, node);
-    let mut leading = 0;
-    for (_, kind, _, ann) in &loops {
-        if *kind == IterKind::Space && *ann == Annotation::None {
-            leading += 1;
-        } else {
-            break;
-        }
-    }
+    let leading = leading_free_loops(&state.stages[sid]);
     if leading == 0 {
         return Ok(());
     }
-    let producers = attached_producers(state, node);
-    let cap = producers
+    // The shared-prefix length of a producer computed at this stage.
+    let nid = state.stages[sid].node;
+    let attached = |s: &Stage| match s.loc {
+        ComputeLoc::At { target, prefix_len } if target == nid => Some(prefix_len),
+        _ => None,
+    };
+    let cap = state
+        .stages
         .iter()
-        .map(|(_, p)| *p)
+        .filter_map(attached)
         .min()
         .unwrap_or(leading)
         .min(leading);
@@ -318,35 +361,34 @@ fn parallelize_outer(
         return Ok(());
     }
     let nf = rng.gen_range(1..=cap);
-    let fused_name = if nf >= 2 {
-        let names: Vec<String> = loops[..nf].iter().map(|(n, ..)| n.clone()).collect();
-        state.apply(Step::Fuse {
-            node: node.to_string(),
-            iters: names.clone(),
-        })?;
+    if nf >= 2 {
+        let iters = outer_names(&state.stages[sid], nf);
+        state.apply(Step::Fuse { node, iters })?;
         // Keep shared prefixes loop-for-loop compatible: fuse the same
         // leading loops of every attached producer and refresh its
         // compute_at with the shortened prefix.
-        for (p, prefix_len) in &producers {
-            let ploops = live_loops(state, p);
-            let pnames: Vec<String> = ploops[..nf].iter().map(|(n, ..)| n.clone()).collect();
+        for psid in 0..state.stages.len() {
+            let Some(prefix_len) = attached(&state.stages[psid]) else {
+                continue;
+            };
+            let producer = state.dag.name_of(state.stages[psid].node);
+            let iters = outer_names(&state.stages[psid], nf);
             state.apply(Step::Fuse {
-                node: p.clone(),
-                iters: pnames,
+                node: producer,
+                iters,
             })?;
             state.apply(Step::ComputeAt {
-                node: p.clone(),
-                target: node.to_string(),
+                node: producer,
+                target: node,
                 prefix_len: prefix_len - nf + 1,
             })?;
         }
-        names.join("@")
-    } else {
-        loops[0].0.clone()
-    };
+    }
+    // The outermost loop: the fused one, or the single leading loop.
+    let iter = loop_at(&state.stages[sid], 0).name;
     state.apply(Step::Annotate {
-        node: node.to_string(),
-        iter: fused_name,
+        node,
+        iter,
         ann: Annotation::Parallel,
     })?;
     Ok(())
@@ -354,44 +396,56 @@ fn parallelize_outer(
 
 fn vectorize_inner(
     state: &mut State,
-    node: &str,
+    sid: StageId,
+    node: Name,
     cfg: &AnnotationConfig,
     rng: &mut impl Rng,
 ) -> Result<(), tensor_ir::Error> {
     if !rng.gen_bool(cfg.vectorize_prob) {
         return Ok(());
     }
-    let loops = live_loops(state, node);
-    if let Some((name, kind, extent, ann)) = loops.last() {
-        if *kind == IterKind::Space && *ann == Annotation::None && *extent > 1 && *extent <= 512 {
-            state.apply(Step::Annotate {
-                node: node.to_string(),
-                iter: name.clone(),
-                ann: Annotation::Vectorize,
-            })?;
-        }
+    let stage = &state.stages[sid];
+    let Some(&inner) = stage.loop_order.last() else {
+        return Ok(());
+    };
+    let i = &stage.iters[inner];
+    if i.kind == IterKind::Space
+        && i.annotation == Annotation::None
+        && i.extent > 1
+        && i.extent <= 512
+    {
+        let iter = i.name;
+        state.apply(Step::Annotate {
+            node,
+            iter,
+            ann: Annotation::Vectorize,
+        })?;
     }
     Ok(())
 }
 
 fn unroll_small_inner(
     state: &mut State,
-    node: &str,
+    sid: StageId,
+    node: Name,
     cfg: &AnnotationConfig,
     rng: &mut impl Rng,
 ) -> Result<(), tensor_ir::Error> {
-    let loops = live_loops(state, node);
-    let n = loops.len();
+    let n = state.stages[sid].loop_order.len();
     for pos in [n.wrapping_sub(2), n.wrapping_sub(3)] {
         if pos >= n {
             continue;
         }
-        let (name, _, extent, ann) = &loops[pos];
-        if *ann == Annotation::None && *extent > 1 && *extent <= 32 && rng.gen_bool(cfg.unroll_prob)
+        let i = loop_at(&state.stages[sid], pos);
+        if i.annotation == Annotation::None
+            && i.extent > 1
+            && i.extent <= 32
+            && rng.gen_bool(cfg.unroll_prob)
         {
+            let iter = i.name;
             state.apply(Step::Annotate {
-                node: node.to_string(),
-                iter: name.clone(),
+                node,
+                iter,
                 ann: Annotation::Unroll,
             })?;
         }
@@ -401,22 +455,25 @@ fn unroll_small_inner(
 
 fn annotate_gpu_stage(
     state: &mut State,
-    _task: &SearchTask,
-    node: &str,
+    sid: StageId,
+    node: Name,
     loc: ComputeLoc,
     cfg: &AnnotationConfig,
     hint: &AnnotationHint,
     rng: &mut impl Rng,
 ) -> Result<(), tensor_ir::Error> {
-    let loops = live_loops(state, node);
-    let has_bind = loops
-        .iter()
-        .any(|(_, _, _, ann)| matches!(ann, Annotation::BindBlock | Annotation::BindThread));
+    let stage = &state.stages[sid];
+    let has_bind = stage.loop_order.iter().any(|&it| {
+        matches!(
+            stage.iters[it].annotation,
+            Annotation::BindBlock | Annotation::BindThread
+        )
+    });
     if loc == ComputeLoc::Root && !has_bind {
-        gpu_default_bind(state, node, rng)?;
+        gpu_default_bind(state, sid, node)?;
     }
     if !hint.no_vectorize {
-        vectorize_inner(state, node, cfg, rng)?;
+        vectorize_inner(state, sid, node, cfg, rng)?;
     }
     Ok(())
 }
@@ -424,60 +481,43 @@ fn annotate_gpu_stage(
 /// Default GPU binding for stages the sketch rules left unbound (e.g.
 /// rfactor stages and standalone element-wise outputs): fuse the leading
 /// spatial loops, split off a thread block and bind.
-fn gpu_default_bind(
-    state: &mut State,
-    node: &str,
-    rng: &mut impl Rng,
-) -> Result<(), tensor_ir::Error> {
-    let loops = live_loops(state, node);
-    let mut leading: Vec<(String, i64)> = Vec::new();
-    for (name, kind, extent, ann) in &loops {
-        if *kind == IterKind::Space && *ann == Annotation::None {
-            leading.push((name.clone(), *extent));
-        } else {
-            break;
-        }
-    }
-    if leading.is_empty() {
+fn gpu_default_bind(state: &mut State, sid: StageId, node: Name) -> Result<(), tensor_ir::Error> {
+    let stage = &state.stages[sid];
+    let leading = leading_free_loops(stage);
+    if leading == 0 {
         return Ok(());
     }
-    let fused = if leading.len() >= 2 {
-        state.apply(Step::Fuse {
-            node: node.to_string(),
-            iters: leading.iter().map(|(n, _)| n.clone()).collect(),
-        })?;
-        leading
-            .iter()
-            .map(|(n, _)| n.clone())
-            .collect::<Vec<_>>()
-            .join("@")
-    } else {
-        leading[0].0.clone()
-    };
-    let total: i64 = leading.iter().map(|(_, e)| e).product();
-    let divs: Vec<i64> = divisors(total).into_iter().filter(|&d| d <= 1024).collect();
+    let total: i64 = (0..leading).map(|p| loop_at(stage, p).extent).product();
+    if leading >= 2 {
+        let iters = outer_names(stage, leading);
+        state.apply(Step::Fuse { node, iters })?;
+    }
+    let fused = loop_at(&state.stages[sid], 0).name;
     // Prefer thread counts near 256.
-    let threads = *divs.iter().min_by_key(|&&d| (d - 256).abs()).unwrap_or(&1);
-    let _ = rng;
+    let threads = divisors(total)
+        .into_iter()
+        .filter(|&d| d <= 1024)
+        .min_by_key(|&d| (d - 256).abs())
+        .unwrap_or(1);
     if threads > 1 && threads < total {
         state.apply(Step::Split {
-            node: node.to_string(),
-            iter: fused.clone(),
+            node,
+            iter: fused,
             lengths: vec![threads],
         })?;
         state.apply(Step::Annotate {
-            node: node.to_string(),
-            iter: format!("{fused}.0"),
+            node,
+            iter: fused.part(0),
             ann: Annotation::BindBlock,
         })?;
         state.apply(Step::Annotate {
-            node: node.to_string(),
-            iter: format!("{fused}.1"),
+            node,
+            iter: fused.part(1),
             ann: Annotation::BindThread,
         })?;
     } else {
         state.apply(Step::Annotate {
-            node: node.to_string(),
+            node,
             iter: fused,
             ann: Annotation::BindThread,
         })?;
@@ -672,6 +712,63 @@ mod tests {
             checked += 1;
         }
         assert!(checked >= 10);
+    }
+
+    /// Why NRM at batch 1 samples nothing on a GPU (ROADMAP item 1): every
+    /// kernel of the 2-norm computes a one-element output — the sum `S`
+    /// (a single spatial point, whether or not its reduction is factored)
+    /// and the square root `N` — so the most threads any binding of their
+    /// loops can launch is 1, and `gpu_limits_ok` asks every root kernel
+    /// for 2 to 1024. Sketch, replay and annotation all succeed; the limit
+    /// alone refuses. At batch 4 the same operator samples.
+    #[test]
+    fn nrm_at_batch_1_on_a_gpu_fails_only_the_thread_limit() {
+        let cfg = AnnotationConfig::default();
+        let gpu = |batch| {
+            let dag = ansor_workloads::build_case("NRM", 0, batch).expect("NRM shape 0");
+            SearchTask::new("NRM", dag, HardwareTarget::nvidia_v100())
+        };
+        let task = gpu(1);
+        let sketches = generate_sketches(&task);
+        assert!(sketches.iter().any(|s| !s.rfactors.is_empty()));
+        let mut rng = StdRng::seed_from_u64(1);
+        for sketch in &sketches {
+            assert!(sample_program(sketch, &task, &cfg, &mut rng).is_none());
+            for _ in 0..16 {
+                let steps = instantiate_steps(sketch, &task, &cfg, &mut rng);
+                let mut state = State::replay_owned(task.dag.clone(), steps).expect("replays");
+                annotate_state(&mut state, &task, &cfg, &mut rng).expect("annotates");
+                assert!(!gpu_limits_ok(&state, &task, &cfg));
+                // Every program holds a one-element kernel, and each such
+                // kernel launches one thread. (Others may be refused too,
+                // by a draw: `S.rf` with a thread level of 1.)
+                let mut one_element = 0;
+                for stage in &state.stages {
+                    let node = &state.dag.nodes[stage.node];
+                    if stage.loc != ComputeLoc::Root || node.compute().is_none() {
+                        continue;
+                    }
+                    let threads: i64 = stage
+                        .loop_order
+                        .iter()
+                        .map(|&it| &stage.iters[it])
+                        .filter(|i| i.annotation == Annotation::BindThread)
+                        .map(|i| i.extent)
+                        .product();
+                    if node.num_elements() == 1 {
+                        assert_eq!(threads, 1, "{}", node.name);
+                        one_element += 1;
+                    }
+                }
+                assert!(one_element > 0);
+            }
+        }
+        let task = gpu(4);
+        let sampled = generate_sketches(&task)
+            .iter()
+            .filter(|s| sample_program(s, &task, &cfg, &mut rng).is_some())
+            .count();
+        assert!(sampled > 0, "NRM at batch 4 samples on a GPU");
     }
 
     #[test]

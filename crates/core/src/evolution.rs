@@ -617,11 +617,7 @@ fn mutate_rfactor_or_tile(
     }
     let rf_idx = rng.gen_range(0..sketch.rfactors.len());
     let rv = &sketch.rfactors[rf_idx];
-    let divs: Vec<i64> = crate::annotate::divisors(rv.extent)
-        .into_iter()
-        .filter(|&d| d > 1 && d < rv.extent)
-        .collect();
-    let &factor = divs.choose(rng)?;
+    let &factor = rv.factors().choose(rng)?;
     let mut structural = parent.state.steps[..sketch.steps.len()].to_vec();
     if let Step::Rfactor { factor: f, .. } = &mut structural[rv.step] {
         *f = factor;
@@ -630,7 +626,8 @@ fn mutate_rfactor_or_tile(
     for sv in &sketch.splits {
         if sv.follow_rfactor == Some(rf_idx) {
             if let Step::Split { lengths, .. } = &mut structural[sv.step] {
-                *lengths = crate::annotate::sample_lengths(factor, sv.nparts, rng);
+                lengths.resize(sv.nparts, 1);
+                crate::annotate::fill_lengths(&rv.divisors, factor, lengths, rng);
             }
         }
     }

@@ -26,8 +26,9 @@
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use tensor_ir::{ComputeDag, State, Step};
+use tensor_ir::{ComputeDag, Name, NodeId, State, Step};
 
+use crate::annotate::divisors;
 use crate::search_task::SearchTask;
 
 /// A tunable multi-way split recorded in a sketch.
@@ -48,6 +49,25 @@ pub struct SplitVar {
     /// factor of `Sketch::rfactors[idx]` (the rfactor rule splits the
     /// factored spatial axis `k_i`, whose extent is the tunable factor).
     pub follow_rfactor: Option<usize>,
+    /// The divisors of `extent`, ascending, that annotation draws tile
+    /// sizes from — computed once, with the sketch. Empty for a split that
+    /// does not draw from its own extent: a follower, or a split of an
+    /// rfactor axis (it draws from [`RfactorVar::divisors`]).
+    pub divisors: Vec<i64>,
+}
+
+impl SplitVar {
+    /// A split that draws its `nparts` lengths from `extent`'s divisors.
+    fn drawn(step: usize, extent: i64, nparts: usize) -> SplitVar {
+        SplitVar {
+            step,
+            extent,
+            nparts,
+            follow: None,
+            follow_rfactor: None,
+            divisors: divisors(extent),
+        }
+    }
 }
 
 /// A tunable reduction factorization recorded in a sketch.
@@ -57,6 +77,18 @@ pub struct RfactorVar {
     pub step: usize,
     /// Extent of the reduction axis being factorized.
     pub extent: i64,
+    /// The divisors of `extent`, ascending, computed with the sketch.
+    pub divisors: Vec<i64>,
+}
+
+impl RfactorVar {
+    /// The factors annotation chooses from: the divisors strictly between
+    /// 1 and the extent.
+    pub(crate) fn factors(&self) -> &[i64] {
+        self.divisors
+            .get(1..self.divisors.len().saturating_sub(1))
+            .unwrap_or(&[])
+    }
 }
 
 /// A generated sketch: structural steps plus the inventory of low-level
@@ -243,8 +275,8 @@ pub fn generate_sketches_full(
         .collect()
 }
 
-fn node_name(ws: &Working) -> String {
-    ws.state.dag.nodes[ws.i as usize].name.clone()
+fn node_name(ws: &Working) -> Name {
+    ws.state.dag.name_of(ws.i as usize)
 }
 
 fn is_inlinable(ws: &Working) -> bool {
@@ -274,86 +306,62 @@ impl SketchRule for RuleAlwaysInline {
     }
 }
 
+/// Part `level` of every axis in `axes`: one tile level of a loop nest.
+fn level(axes: &[Name], level: usize) -> impl Iterator<Item = Name> + '_ {
+    axes.iter().map(move |a| a.part(level))
+}
+
 /// Applies the multi-level tile structure (Rule 3's core): "SSRSRS" on CPU
 /// and "SSSRRS" on GPU, where the first three space levels become the
 /// blockIdx / vthread / threadIdx bindings. Returns the recorded
 /// split-variable indices per spatial axis.
 fn apply_multi_level_tiling(
     ws: &mut Working,
-    node: &str,
+    nid: NodeId,
     gpu: bool,
 ) -> Result<Vec<usize>, tensor_ir::Error> {
-    let nid = ws
-        .state
-        .dag
-        .node_id(node)
-        .ok_or_else(|| tensor_ir::Error::UnknownNode(node.to_string()))?;
-    let spec = ws.state.dag.nodes[nid]
+    let dag = Arc::clone(&ws.state.dag);
+    let node = dag.name_of(nid);
+    let spec = dag.nodes[nid]
         .compute()
-        .ok_or_else(|| tensor_ir::Error::Invalid("tiling a placeholder".into()))?
-        .clone();
-    let spatial: Vec<String> = spec.axis_names[..spec.num_spatial()].to_vec();
-    let reduce: Vec<String> = spec.axis_names[spec.num_spatial()..].to_vec();
+        .ok_or_else(|| tensor_ir::Error::Invalid("tiling a placeholder".into()))?;
+    let (spatial, reduce) = dag.axes(nid).split_at(spec.num_spatial());
     let mut spatial_vars = Vec::new();
-    for (a, name) in spatial.iter().enumerate() {
+    for (a, &iter) in spatial.iter().enumerate() {
         let step_idx = ws.state.steps.len();
         ws.state.apply(Step::Split {
-            node: node.to_string(),
-            iter: name.clone(),
+            node,
+            iter,
             lengths: vec![1, 1, 1],
         })?;
         spatial_vars.push(ws.splits.len());
-        ws.splits.push(SplitVar {
-            step: step_idx,
-            extent: spec.shape[a],
-            nparts: 3,
-            follow: None,
-            follow_rfactor: None,
-        });
+        ws.splits.push(SplitVar::drawn(step_idx, spec.shape[a], 3));
     }
-    for (a, name) in reduce.iter().enumerate() {
+    for (a, &iter) in reduce.iter().enumerate() {
         let step_idx = ws.state.steps.len();
         ws.state.apply(Step::Split {
-            node: node.to_string(),
-            iter: name.clone(),
+            node,
+            iter,
             lengths: vec![1],
         })?;
-        ws.splits.push(SplitVar {
-            step: step_idx,
-            extent: spec.reduce_extents[a],
-            nparts: 1,
-            follow: None,
-            follow_rfactor: None,
-        });
+        ws.splits
+            .push(SplitVar::drawn(step_idx, spec.reduce_extents[a], 1));
     }
     // CPU: S S R S R S — (s.0*, s.1*, r.0*, s.2*, r.1*, s.3*).
     // GPU: S S S R R S — (s.0*, s.1*, s.2*, r.0*, r.1*, s.3*), the first
     // three space levels feeding blockIdx / vthread / threadIdx.
-    let mut order: Vec<String> = Vec::new();
+    let mut order: Vec<Name> = Vec::new();
     let spatial_levels = if gpu { 3 } else { 2 };
     for lvl in 0..spatial_levels {
-        for s in &spatial {
-            order.push(format!("{s}.{lvl}"));
-        }
+        order.extend(level(spatial, lvl));
     }
-    for r in &reduce {
-        order.push(format!("{r}.0"));
-    }
+    order.extend(level(reduce, 0));
     if !gpu {
-        for s in &spatial {
-            order.push(format!("{s}.2"));
-        }
+        order.extend(level(spatial, 2));
     }
-    for r in &reduce {
-        order.push(format!("{r}.1"));
-    }
-    for s in &spatial {
-        order.push(format!("{s}.3"));
-    }
-    ws.state.apply(Step::Reorder {
-        node: node.to_string(),
-        order,
-    })?;
+    order.extend(level(reduce, 1));
+    order.extend(level(spatial, 3));
+    ws.state.apply(Step::Reorder { node, order })?;
     Ok(spatial_vars)
 }
 
@@ -362,8 +370,8 @@ fn apply_multi_level_tiling(
 /// variant of the tile structure).
 fn gpu_fuse_and_bind(
     ws: &mut Working,
-    host: &str,
-    level_names: [Vec<String>; 3],
+    host: Name,
+    level_names: [Vec<Name>; 3],
 ) -> Result<(), tensor_ir::Error> {
     use tensor_ir::Annotation;
     for (names, ann) in level_names.into_iter().zip([
@@ -373,20 +381,31 @@ fn gpu_fuse_and_bind(
     ]) {
         let iter = if names.len() >= 2 {
             ws.state.apply(Step::Fuse {
-                node: host.to_string(),
+                node: host,
                 iters: names.clone(),
             })?;
-            names.join("@")
+            Name::fused(&names)
         } else {
-            names[0].clone()
+            names[0]
         };
         ws.state.apply(Step::Annotate {
-            node: host.to_string(),
+            node: host,
             iter,
             ann,
         })?;
     }
     Ok(())
+}
+
+/// The names of node `id`'s spatial axes.
+fn spatial_axes(dag: &ComputeDag, id: NodeId) -> &[Name] {
+    let n = dag.nodes[id].compute().map_or(0, |c| c.num_spatial());
+    &dag.axes(id)[..n]
+}
+
+/// The three tile levels of `axes` a GPU kernel binds.
+fn gpu_levels(axes: &[Name]) -> [Vec<Name>; 3] {
+    [0, 1, 2].map(|lvl| level(axes, lvl).collect())
 }
 
 /// Rule 4: multi-level tiling with fusion of the (single) element-wise
@@ -422,70 +441,59 @@ impl SketchRule for RuleMultiLevelTilingWithFusion {
         }
         let mut next = ws.clone();
         let node = node_name(ws);
-        let cons = next.state.dag.nodes[consumer].name.clone();
+        let cons = next.state.dag.name_of(consumer);
         let result = (|| -> Result<(), tensor_ir::Error> {
             let gpu = task.is_gpu();
-            let producer_vars = apply_multi_level_tiling(&mut next, &node, gpu)?;
+            let producer_vars = apply_multi_level_tiling(&mut next, i, gpu)?;
             // Tile the consumer's spatial axes to follow the producer's
             // outer levels (two on CPU, three on GPU).
-            let cspec = next.state.dag.nodes[next.state.dag.node_id(&cons).unwrap()]
-                .compute()
-                .unwrap()
-                .clone();
-            let spatial: Vec<String> = cspec.axis_names[..cspec.num_spatial()].to_vec();
+            let dag = Arc::clone(&next.state.dag);
+            let spatial = spatial_axes(&dag, consumer);
             let nparts = if gpu { 3 } else { 2 };
-            for (a, name) in spatial.iter().enumerate() {
+            for (a, &iter) in spatial.iter().enumerate() {
                 let step_idx = next.state.steps.len();
                 next.state.apply(Step::Split {
-                    node: cons.clone(),
-                    iter: name.clone(),
+                    node: cons,
+                    iter,
                     lengths: vec![1; nparts],
                 })?;
                 next.splits.push(SplitVar {
                     step: step_idx,
-                    extent: cspec.shape[a],
+                    extent: dag.nodes[consumer].shape()[a],
                     nparts,
                     follow: Some(producer_vars[a]),
                     follow_rfactor: None,
+                    divisors: Vec::new(),
                 });
             }
-            let mut order = Vec::new();
-            for lvl in 0..=nparts {
-                for s in &spatial {
-                    order.push(format!("{s}.{lvl}"));
-                }
-            }
-            next.state.apply(Step::Reorder {
-                node: cons.clone(),
-                order,
-            })?;
+            let order = (0..=nparts).flat_map(|lvl| level(spatial, lvl)).collect();
+            next.state.apply(Step::Reorder { node: cons, order })?;
             let n = spatial.len();
             if gpu {
                 // Fuse+bind the shared three levels on both stages so the
                 // compute_at prefix stays loop-for-loop compatible.
-                let levels: [Vec<String>; 3] =
-                    [0, 1, 2].map(|lvl| spatial.iter().map(|s| format!("{s}.{lvl}")).collect());
+                let levels = gpu_levels(spatial);
                 if n >= 2 {
                     for level in &levels {
                         next.state.apply(Step::Fuse {
-                            node: node.clone(),
+                            node,
                             iters: level.clone(),
                         })?;
                     }
                 }
-                gpu_fuse_and_bind(&mut next, &cons, levels)?;
+                gpu_fuse_and_bind(&mut next, cons, levels)?;
                 let step_idx = next.state.steps.len();
                 next.state.apply(Step::ComputeAt {
-                    node: node.clone(),
-                    target: cons.clone(),
+                    node,
+                    target: cons,
                     prefix_len: 3.min(n * 3),
                 })?;
                 next.compute_ats.push(step_idx);
             } else {
                 let step_idx = next.state.steps.len();
                 next.state.apply(Step::ComputeAt {
-                    node: node.clone(),
-                    target: cons.clone(),
+                    node,
+                    target: cons,
                     prefix_len: 2 * n,
                 })?;
                 next.compute_ats.push(step_idx);
@@ -519,16 +527,10 @@ impl SketchRule for RuleMultiLevelTiling {
         let node = node_name(ws);
         let result = (|| -> Result<(), tensor_ir::Error> {
             let gpu = task.is_gpu();
-            apply_multi_level_tiling(&mut next, &node, gpu)?;
+            apply_multi_level_tiling(&mut next, i, gpu)?;
             if gpu {
-                let spec = next.state.dag.nodes[next.state.dag.node_id(&node).unwrap()]
-                    .compute()
-                    .unwrap()
-                    .clone();
-                let spatial: Vec<String> = spec.axis_names[..spec.num_spatial()].to_vec();
-                let levels: [Vec<String>; 3] =
-                    [0, 1, 2].map(|lvl| spatial.iter().map(|s| format!("{s}.{lvl}")).collect());
-                gpu_fuse_and_bind(&mut next, &node, levels)?;
+                let levels = gpu_levels(spatial_axes(&next.state.dag, i));
+                gpu_fuse_and_bind(&mut next, node, levels)?;
             }
             Ok(())
         })();
@@ -579,8 +581,8 @@ impl SketchRule for RuleAddRfactor {
         if !ws.state.dag.has_more_reduction_parallel(i) {
             return RuleResult::Pass;
         }
-        let spec = match ws.state.dag.nodes[i].compute() {
-            Some(s) if s.reduce_extents.len() == 1 => s.clone(),
+        let extent = match ws.state.dag.nodes[i].compute() {
+            Some(s) if s.reduce_extents.len() == 1 => s.reduce_extents[0],
             _ => return RuleResult::Pass,
         };
         let mut next = ws.clone();
@@ -593,49 +595,46 @@ impl SketchRule for RuleAddRfactor {
         let rf_idx = next.rfactors.len();
         next.rfactors.push(RfactorVar {
             step: step_idx,
-            extent: spec.reduce_extents[0],
+            extent,
+            divisors: divisors(extent),
         });
         // Shape the rfactor stage like the paper's Sketch 3: split the
         // factored spatial axis `k_i` and order (spatial…, k_i.0, k_o,
         // k_i.1) so annotation can parallelize k_i.0 and vectorize k_i.1.
-        let node = node_name(ws);
-        let rf_name = format!("{node}.rf");
-        let rf_spec = next
+        // The rfactor stage is the node inserted at `i`.
+        let dag = Arc::clone(&next.state.dag);
+        let rf_name = dag.name_of(i);
+        let Some(rf_spec) = dag.nodes[i].compute() else {
+            next.i -= 1;
+            return RuleResult::Apply(vec![next]);
+        };
+        let n_sp = rf_spec.num_spatial();
+        let axes = dag.axes(i);
+        let (ki, ko) = (axes[n_sp - 1], axes[n_sp]);
+        let split_step = next.state.steps.len();
+        let split_ok = next
             .state
-            .dag
-            .node_by_name(&rf_name)
-            .and_then(|n| n.compute())
-            .cloned();
-        if let Some(rf_spec) = rf_spec {
-            let n_sp = rf_spec.num_spatial();
-            let ki = rf_spec.axis_names[n_sp - 1].clone();
-            let ko = rf_spec.axis_names[n_sp].clone();
-            let split_step = next.state.steps.len();
-            let split_ok = next
-                .state
-                .apply(Step::Split {
-                    node: rf_name.clone(),
-                    iter: ki.clone(),
-                    lengths: vec![1],
-                })
-                .is_ok();
-            if split_ok {
-                next.splits.push(SplitVar {
-                    step: split_step,
-                    extent: 1, // dynamic: equals the sampled rfactor factor
-                    nparts: 1,
-                    follow: None,
-                    follow_rfactor: Some(rf_idx),
-                });
-                let mut order: Vec<String> = rf_spec.axis_names[..n_sp - 1].to_vec();
-                order.push(format!("{ki}.0"));
-                order.push(ko);
-                order.push(format!("{ki}.1"));
-                let _ = next.state.apply(Step::Reorder {
-                    node: rf_name,
-                    order,
-                });
-            }
+            .apply(Step::Split {
+                node: rf_name,
+                iter: ki,
+                lengths: vec![1],
+            })
+            .is_ok();
+        if split_ok {
+            next.splits.push(SplitVar {
+                step: split_step,
+                extent: 1, // dynamic: equals the sampled rfactor factor
+                nparts: 1,
+                follow: None,
+                follow_rfactor: Some(rf_idx),
+                divisors: Vec::new(),
+            });
+            let mut order: Vec<Name> = axes[..n_sp - 1].to_vec();
+            order.extend([ki.part(0), ko, ki.part(1)]);
+            let _ = next.state.apply(Step::Reorder {
+                node: rf_name,
+                order,
+            });
         }
         next.i -= 1;
         RuleResult::Apply(vec![next])

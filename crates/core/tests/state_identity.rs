@@ -4,8 +4,10 @@
 //! because the signature names the program, not just the steps — caches
 //! shared between tasks never serve one task's entry to another.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use ansor_core::annotate::{sample_program, AnnotationConfig};
@@ -17,7 +19,10 @@ use ansor_features::{extract_state_features, extract_state_matrix, ProgramFeatur
 use ansor_workloads::{build_case, ops, winograd_conv2d, OP_CLASSES};
 use hwsim::{HardwareTarget, Measurer};
 use rand::prelude::*;
-use tensor_ir::{analyze, analyze_state, lower, print_program, ComputeDag, State, Step};
+use serde::Serialize;
+use tensor_ir::{
+    analyze, analyze_state, lower, print_program, Annotation, ComputeDag, Name, State, Step,
+};
 
 /// Returns whether the state ran a structural step (is on a derived DAG).
 fn check_invariants(task: &SearchTask, state: &State, what: &str) -> bool {
@@ -74,6 +79,16 @@ fn operator_cases() -> Vec<(String, Arc<ComputeDag>, HardwareTarget)> {
             targets().map(|t| (op.to_string(), dag(), t))
         })
         .collect()
+}
+
+/// [`operator_cases`] and Winograd convolution, for its transforms — the
+/// deepest inlining chain among the workloads.
+fn cases_with_winograd() -> Vec<(String, Arc<ComputeDag>, HardwareTarget)> {
+    let mut cases = operator_cases();
+    for target in targets() {
+        cases.push(("WINO".into(), winograd_conv2d(1, 8, 8, 8), target));
+    }
+    cases
 }
 
 /// The walk the batteries below share: every case × every sketch × 3
@@ -135,16 +150,11 @@ fn for_every_program(
 /// The search loop never builds a `Program`: `analyze_state` reads the
 /// statements' numbers off the `State`. Here it is held, program by
 /// program, to the path that does build one — analysis, feature rows and
-/// simulated seconds, bit for bit. Winograd convolution rides along for
-/// its transforms, the deepest inlining chain among the workloads.
+/// simulated seconds, bit for bit.
 #[test]
 fn analysis_without_a_program_equals_analysis_of_the_lowered_program() {
-    let mut cases = operator_cases();
-    for target in targets() {
-        cases.push(("WINO".into(), winograd_conv2d(1, 8, 8, 8), target));
-    }
     let (mut programs, mut stores, mut deepest) = (0, 0, 0);
-    for_every_program(cases, |task, state, what| {
+    for_every_program(cases_with_winograd(), |task, state, what| {
         let program = lower(state).expect("lowers");
         let from_program = analyze(&program);
         let from_state = analyze_state(state).expect("analyses");
@@ -201,6 +211,141 @@ fn signature_and_dag_sharing_hold_for_every_operator_sketch_and_offspring() {
         "{} programs on {} derived DAGs",
         shared,
         derived.len()
+    );
+}
+
+/// `Step` as it was before its names were interned: the same variants
+/// and fields in the same order, every name a `String`.
+#[derive(Hash, Serialize)]
+enum StringStep {
+    Split {
+        node: String,
+        iter: String,
+        lengths: Vec<i64>,
+    },
+    Fuse {
+        node: String,
+        iters: Vec<String>,
+    },
+    Reorder {
+        node: String,
+        order: Vec<String>,
+    },
+    ComputeAt {
+        node: String,
+        target: String,
+        prefix_len: usize,
+    },
+    ComputeInline {
+        node: String,
+    },
+    ComputeRoot {
+        node: String,
+    },
+    CacheWrite {
+        node: String,
+    },
+    Rfactor {
+        node: String,
+        factor: i64,
+    },
+    Annotate {
+        node: String,
+        iter: String,
+        ann: Annotation,
+    },
+    Pragma {
+        node: String,
+        max_unroll: i64,
+    },
+    LayoutRewrite {
+        node: String,
+    },
+}
+
+impl From<&Step> for StringStep {
+    fn from(step: &Step) -> StringStep {
+        let s = |n: &Name| n.to_string();
+        let all = |ns: &[Name]| ns.iter().map(s).collect();
+        match step {
+            Step::Split {
+                node,
+                iter,
+                lengths,
+            } => StringStep::Split {
+                node: s(node),
+                iter: s(iter),
+                lengths: lengths.clone(),
+            },
+            Step::Fuse { node, iters } => StringStep::Fuse {
+                node: s(node),
+                iters: all(iters),
+            },
+            Step::Reorder { node, order } => StringStep::Reorder {
+                node: s(node),
+                order: all(order),
+            },
+            Step::ComputeAt {
+                node,
+                target,
+                prefix_len,
+            } => StringStep::ComputeAt {
+                node: s(node),
+                target: s(target),
+                prefix_len: *prefix_len,
+            },
+            Step::ComputeInline { node } => StringStep::ComputeInline { node: s(node) },
+            Step::ComputeRoot { node } => StringStep::ComputeRoot { node: s(node) },
+            Step::CacheWrite { node } => StringStep::CacheWrite { node: s(node) },
+            Step::Rfactor { node, factor } => StringStep::Rfactor {
+                node: s(node),
+                factor: *factor,
+            },
+            Step::Annotate { node, iter, ann } => StringStep::Annotate {
+                node: s(node),
+                iter: s(iter),
+                ann: *ann,
+            },
+            Step::Pragma { node, max_unroll } => StringStep::Pragma {
+                node: s(node),
+                max_unroll: *max_unroll,
+            },
+            Step::LayoutRewrite { node } => StringStep::LayoutRewrite { node: s(node) },
+        }
+    }
+}
+
+/// Interning the names moved no signature and no byte of a step list: on
+/// every program of the walk the carried signature is the fold of the
+/// `String` mirror's derived hash from the task DAG's fingerprint, and the
+/// steps serialise to the mirror's JSON.
+#[test]
+fn interned_steps_hash_and_serialise_as_their_string_mirror() {
+    // Programs seen: all, on a GPU, with a cache-write, with an rfactor.
+    let mut seen = [0usize; 4];
+    for_every_program(cases_with_winograd(), |task, state, what| {
+        let mirror: Vec<StringStep> = state.steps.iter().map(StringStep::from).collect();
+        let signature = mirror.iter().fold(task.dag.fingerprint(), |sig, step| {
+            let mut h = DefaultHasher::new();
+            sig.hash(&mut h);
+            step.hash(&mut h);
+            h.finish()
+        });
+        assert_eq!(state.signature(), signature, "{what}: signature");
+        assert_eq!(
+            serde_json::to_string(&state.steps).unwrap(),
+            serde_json::to_string(&mirror).unwrap(),
+            "{what}: JSON"
+        );
+        let has = |kind: fn(&Step) -> bool| state.steps.iter().any(kind) as usize;
+        seen[0] += 1;
+        seen[1] += task.is_gpu() as usize;
+        seen[2] += has(|s| matches!(s, Step::CacheWrite { .. }));
+        seen[3] += has(|s| matches!(s, Step::Rfactor { .. }));
+    });
+    assert!(
+        seen[0] > 1000 && seen[1] > 100 && seen[2] > 100 && seen[3] > 10,
+        "programs / gpu / cache-write / rfactor: {seen:?}"
     );
 }
 

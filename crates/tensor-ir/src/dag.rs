@@ -14,6 +14,7 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use serde::{Deserialize, Serialize};
 
 use crate::expr::{Expr, NodeId};
+use crate::name::Name;
 
 /// Associative reduction operators supported by compute nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -231,6 +232,68 @@ impl fmt::Debug for DerivedDags {
     }
 }
 
+/// What the scheduling steps look up per node, on every program of a task:
+/// its interned name and axis names, and its edges. Built on first use
+/// from the nodes alone.
+#[derive(Debug)]
+struct NodeIndex {
+    names: Vec<Name>,
+    /// The names of each node's axes, spatial then reduce (none for a
+    /// placeholder).
+    axes: Vec<Vec<Name>>,
+    /// Nodes loaded by each node's body, in order of first load.
+    producers: Vec<Vec<NodeId>>,
+    /// Nodes whose body loads each node, ascending.
+    consumers: Vec<Vec<NodeId>>,
+}
+
+impl NodeIndex {
+    fn of(nodes: &[Node]) -> NodeIndex {
+        let producers: Vec<Vec<NodeId>> = nodes
+            .iter()
+            .map(|n| {
+                n.compute()
+                    .map(|c| c.body.loaded_nodes())
+                    .unwrap_or_default()
+            })
+            .collect();
+        let mut consumers = vec![Vec::new(); nodes.len()];
+        for (c, loaded) in producers.iter().enumerate() {
+            for &p in loaded {
+                consumers[p].push(c);
+            }
+        }
+        NodeIndex {
+            names: nodes.iter().map(|n| Name::new(&n.name)).collect(),
+            axes: nodes
+                .iter()
+                .map(|n| match n.compute() {
+                    Some(c) => c.axis_names.iter().map(|a| Name::new(a)).collect(),
+                    None => Vec::new(),
+                })
+                .collect(),
+            producers,
+            consumers,
+        }
+    }
+}
+
+/// Memo of [`NodeIndex`]. Like [`DerivedDags`], a clone starts empty.
+#[derive(Default)]
+struct IndexMemo(OnceLock<NodeIndex>);
+
+impl Clone for IndexMemo {
+    fn clone(&self) -> Self {
+        IndexMemo::default()
+    }
+}
+
+impl fmt::Debug for IndexMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IndexMemo").finish_non_exhaustive()
+    }
+}
+
 /// A directed acyclic graph of tensor computations.
 ///
 /// Nodes are stored in topological order (producers before consumers); the
@@ -249,6 +312,10 @@ pub struct ComputeDag {
     /// Memo of [`ComputeDag::derived`].
     #[serde(skip)]
     derived: DerivedDags,
+    /// Memo of the per-node lookups ([`ComputeDag::name_of`],
+    /// [`ComputeDag::consumers`], …).
+    #[serde(skip)]
+    index: IndexMemo,
 }
 
 impl PartialEq for ComputeDag {
@@ -263,6 +330,7 @@ impl ComputeDag {
             nodes,
             fingerprint: OnceLock::new(),
             derived: DerivedDags::default(),
+            index: IndexMemo::default(),
         }
     }
 
@@ -278,11 +346,16 @@ impl ComputeDag {
         })
     }
 
-    /// The nodes, for the structural steps to edit; forgets both memos.
+    /// The nodes, for the structural steps to edit; forgets every memo.
     pub(crate) fn nodes_mut(&mut self) -> &mut Vec<Node> {
         self.fingerprint = OnceLock::new();
         self.derived = DerivedDags::default();
+        self.index = IndexMemo::default();
         &mut self.nodes
+    }
+
+    fn index(&self) -> &NodeIndex {
+        self.index.0.get_or_init(|| NodeIndex::of(&self.nodes))
     }
 
     /// The DAG the structural step `key` derives from this one: `derive`
@@ -327,25 +400,31 @@ impl ComputeDag {
         self.nodes.iter().position(|n| n.name == name)
     }
 
-    /// Direct consumers of `id` (nodes whose body loads `id`).
-    pub fn consumers(&self, id: NodeId) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| {
-                n.compute()
-                    .map(|c| c.body.loaded_nodes().contains(&id))
-                    .unwrap_or(false)
-            })
-            .map(|n| n.id)
-            .collect()
+    /// [`ComputeDag::node_id`] of an interned name: compares handles.
+    pub fn find_node(&self, name: Name) -> Option<NodeId> {
+        self.index().names.iter().position(|&n| n == name)
     }
 
-    /// Direct producers of `id` (nodes loaded by its body).
-    pub fn producers(&self, id: NodeId) -> Vec<NodeId> {
-        self.nodes[id]
-            .compute()
-            .map(|c| c.body.loaded_nodes())
-            .unwrap_or_default()
+    /// The interned name of node `id`.
+    pub fn name_of(&self, id: NodeId) -> Name {
+        self.index().names[id]
+    }
+
+    /// The interned names of node `id`'s axes, spatial then reduce (none
+    /// for a placeholder).
+    pub fn axes(&self, id: NodeId) -> &[Name] {
+        &self.index().axes[id]
+    }
+
+    /// Direct consumers of `id` (nodes whose body loads `id`), ascending.
+    pub fn consumers(&self, id: NodeId) -> &[NodeId] {
+        &self.index().consumers[id]
+    }
+
+    /// Direct producers of `id` (nodes loaded by its body), in order of
+    /// first load.
+    pub fn producers(&self, id: NodeId) -> &[NodeId] {
+        &self.index().producers[id]
     }
 
     /// Output nodes (compute nodes with no consumers).

@@ -50,6 +50,7 @@ pub mod error;
 pub mod expr;
 pub mod interp;
 pub mod lower;
+pub mod name;
 pub mod printer;
 pub mod state;
 pub mod steps;
@@ -61,6 +62,7 @@ pub use dag::{ComputeDag, ComputeSpec, Node, NodeKind, Reducer};
 pub use error::Error;
 pub use expr::{BinOp, CmpOp, Expr, NodeId, OpCounts, UnOp, VarId};
 pub use lower::{lower, simplify, Program, Stmt, VarInfo};
+pub use name::Name;
 pub use printer::{print_expr, print_program};
 pub use state::{
     Annotation, ComputeLoc, IterId, IterInfo, IterKind, IterSource, Stage, StageId, State,

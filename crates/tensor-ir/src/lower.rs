@@ -14,6 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::dag::{ComputeDag, Reducer};
 use crate::error::Error;
 use crate::expr::{BinOp, CmpOp, Expr, NodeId, UnOp, VarId};
+use crate::name::Name;
 use crate::state::{
     Annotation, ComputeLoc, IterId, IterInfo, IterKind, IterSource, Stage, StageId, State,
 };
@@ -50,7 +51,7 @@ pub enum Stmt {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VarInfo {
     /// Display name, e.g. `i.1` or `i.0@j.0`.
-    pub name: String,
+    pub name: Name,
     /// Trip count.
     pub extent: i64,
     /// Stage the loop belongs to.
@@ -533,7 +534,7 @@ impl Leaf for TreeBuilder {
     ) -> Self::Loop {
         debug_assert_eq!(var as usize, self.vars.len());
         self.vars.push(VarInfo {
-            name: info.name.clone(),
+            name: info.name,
             extent: info.extent,
             stage: sid,
             kind: info.kind,

@@ -90,7 +90,7 @@ pub fn print_expr(program: &Program, e: &Expr) -> String {
         Expr::LoopVar(v) => program
             .vars
             .get(*v as usize)
-            .map(|i| i.name.clone())
+            .map(|i| i.name.to_string())
             .unwrap_or_else(|| format!("v{v}")),
         Expr::Load { node, indices } => {
             let name = &program.dag.nodes[*node].name;

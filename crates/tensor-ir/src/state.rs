@@ -11,6 +11,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -18,6 +19,7 @@ use serde::{Deserialize, Serialize};
 use crate::dag::{ComputeDag, ComputeSpec, Derivation, Node, NodeKind};
 use crate::error::Error;
 use crate::expr::{Expr, NodeId};
+use crate::name::Name;
 use crate::steps::Step;
 
 /// Identifier of a stage (index into [`State::stages`]).
@@ -91,7 +93,7 @@ pub enum IterSource {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IterInfo {
     /// Unique (within the stage) display name, e.g. `i.0` or `i.0@j.0`.
-    pub name: String,
+    pub name: Name,
     /// Trip count.
     pub extent: i64,
     /// Spatial / reduction / mixed.
@@ -154,15 +156,30 @@ pub struct Stage {
 }
 
 impl Stage {
-    /// Creates the naive-loop stage for a compute node.
-    pub fn from_spec(node: NodeId, spec: &ComputeSpec) -> Stage {
-        let mut iters = Vec::new();
-        let mut root_iters = Vec::new();
+    /// Creates the naive-loop stage of node `node` of `dag`: one root
+    /// iterator per axis of a compute node, none (and inlined) for a
+    /// placeholder.
+    pub fn new(dag: &ComputeDag, node: NodeId) -> Stage {
+        let Some(spec) = dag.nodes[node].compute() else {
+            return Stage {
+                node,
+                iters: vec![],
+                root_iters: vec![],
+                loop_order: vec![],
+                loc: ComputeLoc::Inlined,
+                max_unroll_step: 0,
+                layout_rewritten: false,
+            };
+        };
         let n_spatial = spec.num_spatial();
-        for a in 0..n_spatial + spec.num_reduce() {
-            let id = iters.len();
+        // Pushed, not collected: splits and fuses go on pushing to the
+        // arena, and from an exact-size start (7 axes: 7, 14, 28, 56 slots)
+        // a state would hold up to twice what growth from empty holds (8,
+        // 16, 32).
+        let mut iters = Vec::new();
+        for (a, &name) in dag.axes(node).iter().enumerate() {
             iters.push(IterInfo {
-                name: spec.axis_names[a].clone(),
+                name,
                 extent: spec.axis_extent(a),
                 kind: if a < n_spatial {
                     IterKind::Space
@@ -174,13 +191,12 @@ impl Stage {
                 split_children: None,
                 fused_into: None,
             });
-            root_iters.push(id);
         }
         Stage {
             node,
             loop_order: (0..iters.len()).collect(),
+            root_iters: (0..iters.len()).collect(),
             iters,
-            root_iters,
             loc: ComputeLoc::Root,
             max_unroll_step: 0,
             layout_rewritten: false,
@@ -233,22 +249,7 @@ pub struct State {
 impl State {
     /// Creates the initial (naive-program) state for a DAG.
     pub fn new(dag: Arc<ComputeDag>) -> State {
-        let stages = dag
-            .nodes
-            .iter()
-            .map(|n| match &n.kind {
-                NodeKind::Compute(spec) => Stage::from_spec(n.id, spec),
-                NodeKind::Placeholder { .. } => Stage {
-                    node: n.id,
-                    iters: vec![],
-                    root_iters: vec![],
-                    loop_order: vec![],
-                    loc: ComputeLoc::Inlined,
-                    max_unroll_step: 0,
-                    layout_rewritten: false,
-                },
-            })
-            .collect();
+        let stages = (0..dag.nodes.len()).map(|n| Stage::new(&dag, n)).collect();
         State {
             signature: dag.fingerprint(),
             dag,
@@ -313,16 +314,22 @@ impl State {
         Ok(())
     }
 
-    fn resolve(&self, node: &str) -> Result<StageId, Error> {
-        self.stage_by_node_name(node)
+    fn resolve(&self, node: Name) -> Result<StageId, Error> {
+        self.dag
+            .find_node(node)
+            .and_then(|id| self.stage_of_node(id))
             .ok_or_else(|| Error::UnknownNode(node.to_string()))
     }
 
-    fn resolve_iter(&self, sid: StageId, iter: &str) -> Result<IterId, Error> {
-        self.stages[sid]
-            .iter_by_name(iter)
+    fn resolve_iter(&self, sid: StageId, iter: Name) -> Result<IterId, Error> {
+        let stage = &self.stages[sid];
+        stage
+            .loop_order
+            .iter()
+            .copied()
+            .find(|&i| stage.iters[i].name == iter)
             .ok_or_else(|| Error::UnknownIter {
-                node: self.dag.nodes[self.stages[sid].node].name.clone(),
+                node: self.dag.nodes[stage.node].name.clone(),
                 iter: iter.to_string(),
             })
     }
@@ -334,23 +341,25 @@ impl State {
                 iter,
                 lengths,
             } => {
-                let sid = self.resolve(node)?;
-                let it = self.resolve_iter(sid, iter)?;
-                self.split(sid, it, lengths)?;
+                let sid = self.resolve(*node)?;
+                let it = self.resolve_iter(sid, *iter)?;
+                self.split_parts(sid, it, lengths)?;
             }
             Step::Fuse { node, iters } => {
-                let sid = self.resolve(node)?;
+                let sid = self.resolve(*node)?;
                 let ids = iters
                     .iter()
-                    .map(|n| self.resolve_iter(sid, n))
+                    .map(|&n| self.resolve_iter(sid, n))
                     .collect::<Result<Vec<_>, _>>()?;
-                self.fuse(sid, &ids)?;
+                self.check_fusible(sid, &ids)?;
+                // The resolved iterators are the ones `iters` names.
+                self.fuse_checked(sid, ids, Name::fused(iters));
             }
             Step::Reorder { node, order } => {
-                let sid = self.resolve(node)?;
+                let sid = self.resolve(*node)?;
                 let ids = order
                     .iter()
-                    .map(|n| self.resolve_iter(sid, n))
+                    .map(|&n| self.resolve_iter(sid, n))
                     .collect::<Result<Vec<_>, _>>()?;
                 self.reorder(sid, &ids)?;
             }
@@ -359,40 +368,40 @@ impl State {
                 target,
                 prefix_len,
             } => {
-                let sid = self.resolve(node)?;
+                let sid = self.resolve(*node)?;
                 let tnode = self
                     .dag
-                    .node_id(target)
-                    .ok_or_else(|| Error::UnknownNode(target.clone()))?;
+                    .find_node(*target)
+                    .ok_or_else(|| Error::UnknownNode(target.to_string()))?;
                 self.compute_at(sid, tnode, *prefix_len)?;
             }
             Step::ComputeInline { node } => {
-                let sid = self.resolve(node)?;
+                let sid = self.resolve(*node)?;
                 self.compute_inline(sid)?;
             }
             Step::ComputeRoot { node } => {
-                let sid = self.resolve(node)?;
+                let sid = self.resolve(*node)?;
                 self.stages[sid].loc = ComputeLoc::Root;
             }
             Step::CacheWrite { node } => {
-                let sid = self.resolve(node)?;
+                let sid = self.resolve(*node)?;
                 self.cache_write(sid)?;
             }
             Step::Rfactor { node, factor } => {
-                let sid = self.resolve(node)?;
+                let sid = self.resolve(*node)?;
                 self.rfactor(sid, *factor)?;
             }
             Step::Annotate { node, iter, ann } => {
-                let sid = self.resolve(node)?;
-                let it = self.resolve_iter(sid, iter)?;
+                let sid = self.resolve(*node)?;
+                let it = self.resolve_iter(sid, *iter)?;
                 self.annotate(sid, it, *ann)?;
             }
             Step::Pragma { node, max_unroll } => {
-                let sid = self.resolve(node)?;
+                let sid = self.resolve(*node)?;
                 self.stages[sid].max_unroll_step = *max_unroll;
             }
             Step::LayoutRewrite { node } => {
-                let sid = self.resolve(node)?;
+                let sid = self.resolve(*node)?;
                 self.stages[sid].layout_rewritten = true;
             }
         }
@@ -408,6 +417,16 @@ impl State {
         iter: IterId,
         lengths: &[i64],
     ) -> Result<Vec<IterId>, Error> {
+        Ok(self.split_parts(sid, iter, lengths)?.collect())
+    }
+
+    /// [`State::split`], returning the parts' (consecutive) ids.
+    fn split_parts(
+        &mut self,
+        sid: StageId,
+        iter: IterId,
+        lengths: &[i64],
+    ) -> Result<Range<IterId>, Error> {
         if lengths.is_empty() {
             return Err(Error::Invalid("split needs at least one length".into()));
         }
@@ -420,17 +439,16 @@ impl State {
         if inner <= 0 || extent % inner != 0 {
             return Err(Error::BadSplit { extent, inner });
         }
-        let kind = stage.iters[iter].kind;
-        let base = stage.iters[iter].name.clone();
-        let mut parts = Vec::with_capacity(lengths.len() + 1);
-        let mut extents = Vec::with_capacity(lengths.len() + 1);
-        extents.push(extent / inner);
-        extents.extend_from_slice(lengths);
-        for (p, &e) in extents.iter().enumerate() {
-            let id = stage.iters.len();
+        let (kind, base) = (stage.iters[iter].kind, stage.iters[iter].name);
+        let parts = stage.iters.len()..stage.iters.len() + lengths.len() + 1;
+        for p in 0..parts.len() {
             stage.iters.push(IterInfo {
-                name: format!("{}.{}", base, p),
-                extent: e,
+                name: base.part(p),
+                extent: if p == 0 {
+                    extent / inner
+                } else {
+                    lengths[p - 1]
+                },
                 kind,
                 source: IterSource::SplitPart {
                     parent: iter,
@@ -440,19 +458,27 @@ impl State {
                 split_children: None,
                 fused_into: None,
             });
-            parts.push(id);
         }
-        stage.iters[iter].split_children = Some(parts.clone());
-        stage.loop_order.splice(pos..=pos, parts.iter().copied());
+        stage.iters[iter].split_children = Some(parts.clone().collect());
+        stage.loop_order.splice(pos..=pos, parts.clone());
         Ok(parts)
     }
 
     /// Fuses adjacent live iterators (outer→inner order) into one.
     pub fn fuse(&mut self, sid: StageId, ids: &[IterId]) -> Result<IterId, Error> {
+        self.check_fusible(sid, ids)?;
+        let iters = &self.stages[sid].iters;
+        let names: Vec<Name> = ids.iter().map(|&i| iters[i].name).collect();
+        Ok(self.fuse_checked(sid, ids.to_vec(), Name::fused(&names)))
+    }
+
+    /// Whether `ids` may be fused: at least two live iterators, adjacent
+    /// outer→inner.
+    fn check_fusible(&self, sid: StageId, ids: &[IterId]) -> Result<(), Error> {
         if ids.len() < 2 {
             return Err(Error::Invalid("fuse needs at least two iterators".into()));
         }
-        let stage = &mut self.stages[sid];
+        let stage = &self.stages[sid];
         let pos0 = stage
             .iter_pos(ids[0])
             .ok_or_else(|| Error::Invalid("fuse target not live".into()))?;
@@ -462,53 +488,57 @@ impl State {
                 _ => return Err(Error::Invalid("fused iterators must be adjacent".into())),
             }
         }
+        Ok(())
+    }
+
+    /// [`State::fuse`] of iterators [`State::check_fusible`] accepted;
+    /// `name` is their names joined.
+    fn fuse_checked(&mut self, sid: StageId, ids: Vec<IterId>, name: Name) -> IterId {
+        let stage = &mut self.stages[sid];
+        let pos0 = stage.iter_pos(ids[0]).expect("checked live");
         let extent = ids.iter().map(|&i| stage.iters[i].extent).product();
-        let kinds: Vec<IterKind> = ids.iter().map(|&i| stage.iters[i].kind).collect();
-        let kind = if kinds.iter().all(|&k| k == IterKind::Space) {
+        let all = |kind| ids.iter().all(|&i| stage.iters[i].kind == kind);
+        let kind = if all(IterKind::Space) {
             IterKind::Space
-        } else if kinds.iter().all(|&k| k == IterKind::Reduce) {
+        } else if all(IterKind::Reduce) {
             IterKind::Reduce
         } else {
             IterKind::Mixed
         };
-        let name = ids
-            .iter()
-            .map(|&i| stage.iters[i].name.clone())
-            .collect::<Vec<_>>()
-            .join("@");
         let fid = stage.iters.len();
-        stage.iters.push(IterInfo {
-            name,
-            extent,
-            kind,
-            source: IterSource::Fused(ids.to_vec()),
-            annotation: Annotation::None,
-            split_children: None,
-            fused_into: None,
-        });
         for (p, &id) in ids.iter().enumerate() {
             stage.iters[id].fused_into = Some((fid, p));
         }
         stage
             .loop_order
             .splice(pos0..pos0 + ids.len(), std::iter::once(fid));
-        Ok(fid)
+        stage.iters.push(IterInfo {
+            name,
+            extent,
+            kind,
+            source: IterSource::Fused(ids),
+            annotation: Annotation::None,
+            split_children: None,
+            fused_into: None,
+        });
+        fid
     }
 
     /// Reorders the loop nest; `order` must be a permutation of the live
     /// iterators.
     pub fn reorder(&mut self, sid: StageId, order: &[IterId]) -> Result<(), Error> {
         let stage = &mut self.stages[sid];
-        let mut sorted = order.to_vec();
-        sorted.sort_unstable();
-        let mut cur = stage.loop_order.clone();
-        cur.sort_unstable();
-        if sorted != cur {
+        let permutes = order.len() == stage.loop_order.len()
+            && order
+                .iter()
+                .enumerate()
+                .all(|(k, i)| stage.loop_order.contains(i) && !order[..k].contains(i));
+        if !permutes {
             return Err(Error::Invalid(
                 "reorder must permute exactly the live iterators".into(),
             ));
         }
-        stage.loop_order = order.to_vec();
+        stage.loop_order.copy_from_slice(order);
         Ok(())
     }
 
@@ -686,13 +716,9 @@ impl State {
                 }
             }
         }
-        let fresh = |id: NodeId| {
-            let spec = dag.nodes[id].compute().expect("both nodes compute");
-            Stage::from_spec(id, spec)
-        };
         let at = self.stage_of_node(pos + 1).expect("stage exists");
-        self.stages[at] = fresh(pos + 1);
-        self.stages.insert(at, fresh(pos));
+        self.stages[at] = Stage::new(&dag, pos + 1);
+        self.stages.insert(at, Stage::new(&dag, pos));
         self.dag = dag;
         pos
     }

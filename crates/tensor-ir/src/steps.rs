@@ -1,13 +1,15 @@
 //! Transform steps — the rewriting history that forms a program's "genes"
 //! (§5.1 of the paper).
 //!
-//! Steps address stages by *node name* and iterators by *iterator name*.
-//! Names are deterministic functions of the step sequence, so a step list can
-//! be replayed on a fresh state ([`crate::State::replay`]); node-based
+//! Steps address stages by *node name* and iterators by *iterator name*,
+//! each an interned [`Name`] (`"C".into()` builds one). Names are
+//! deterministic functions of the step sequence, so a step list can be
+//! replayed on a fresh state ([`crate::State::replay`]); node-based
 //! crossover merges per-node step groups from two parents and replays them.
 
 use serde::{Deserialize, Serialize};
 
+use crate::name::Name;
 use crate::state::Annotation;
 
 /// One schedule transformation.
@@ -17,79 +19,79 @@ pub enum Step {
     /// inner extents and must divide the iterator's extent exactly.
     Split {
         /// Node whose stage is transformed.
-        node: String,
+        node: Name,
         /// Iterator name.
-        iter: String,
+        iter: Name,
         /// Inner extents, outer→inner.
         lengths: Vec<i64>,
     },
     /// Fuse adjacent iterators into one.
     Fuse {
         /// Node whose stage is transformed.
-        node: String,
+        node: Name,
         /// Iterator names, outer→inner; must be adjacent in the loop order.
-        iters: Vec<String>,
+        iters: Vec<Name>,
     },
     /// Permute the loop nest.
     Reorder {
         /// Node whose stage is transformed.
-        node: String,
+        node: Name,
         /// New order: names of all live iterators.
-        order: Vec<String>,
+        order: Vec<Name>,
     },
     /// Compute this node inside the loop nest of `target`, sharing the first
     /// `prefix_len` loops (extents must match pairwise).
     ComputeAt {
         /// Producer node being placed.
-        node: String,
+        node: Name,
         /// Consumer node hosting the computation.
-        target: String,
+        target: Name,
         /// Number of shared leading loops.
         prefix_len: usize,
     },
     /// Inline a strictly-inlinable node into its consumers (Rule 2).
     ComputeInline {
         /// Node to inline.
-        node: String,
+        node: Name,
     },
     /// Reset placement to root.
     ComputeRoot {
         /// Node to move back to root.
-        node: String,
+        node: Name,
     },
     /// Add a cache-write stage `{node}.cache` (Rule 5).
     CacheWrite {
         /// Node to cache.
-        node: String,
+        node: Name,
     },
     /// Factorize the single reduction axis with the given inner factor,
     /// creating `{node}.rf` (Rule 6).
     Rfactor {
         /// Node to factorize.
-        node: String,
+        node: Name,
         /// Inner extent that becomes a spatial axis of the rfactor stage.
         factor: i64,
     },
     /// Annotate an iterator (parallel / vectorize / unroll / GPU bindings).
     Annotate {
         /// Node whose stage is annotated.
-        node: String,
+        node: Name,
         /// Iterator name.
-        iter: String,
+        iter: Name,
         /// The annotation.
         ann: Annotation,
     },
     /// Set the `auto_unroll_max_step` pragma for a stage.
     Pragma {
         /// Node whose stage is annotated.
-        node: String,
+        node: Name,
         /// Maximum body size the code generator may unroll.
         max_unroll: i64,
     },
     /// Rewrite constant-input layouts to match the tile structure (§4.2).
     LayoutRewrite {
         /// Node whose constant inputs are repacked.
-        node: String,
+        node: Name,
     },
 }
 
@@ -97,7 +99,7 @@ impl Step {
     /// The (original-DAG) node this step concerns — used to group steps into
     /// per-node genes for crossover. Derived stage names (`X.cache`, `X.rf`)
     /// map back to their base node `X`.
-    pub fn base_node(&self) -> &str {
+    pub fn base_node(&self) -> &'static str {
         let name = match self {
             Step::Split { node, .. }
             | Step::Fuse { node, .. }
@@ -111,6 +113,7 @@ impl Step {
             | Step::Pragma { node, .. }
             | Step::LayoutRewrite { node } => node,
         };
+        let name = name.as_str();
         name.split('.').next().unwrap_or(name)
     }
 

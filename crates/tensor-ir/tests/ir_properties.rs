@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rand::prelude::*;
 use tensor_ir::{
     analysis, interp, lower, print_program, simplify, Annotation, BinOp, CmpOp, ComputeDag,
-    DagBuilder, Expr, Reducer, State, Step, UnOp,
+    DagBuilder, Expr, Name, Reducer, State, Step, UnOp,
 };
 
 fn matmul(n: i64, m: i64, k: i64) -> Arc<ComputeDag> {
@@ -55,7 +55,7 @@ proptest! {
         let reference = interp::run_naive(&dag, &inputs).unwrap();
         let mut st = State::new(dag);
         let names = ["i", "j", "k"];
-        let order: Vec<String> = perm.iter().map(|&p| names[p].to_string()).collect();
+        let order: Vec<Name> = perm.iter().map(|&p| names[p].into()).collect();
         st.apply(Step::Reorder { node: "C".into(), order }).unwrap();
         let bufs = interp::run(&lower(&st).unwrap(), &inputs).unwrap();
         for (a, b) in bufs.get(2).iter().zip(reference.get(2)) {
@@ -90,8 +90,8 @@ proptest! {
                 node: node.into(),
                 order: ["i.0", "j.0", "i.1", "j.1"]
                     .iter()
-                    .map(|s| s.to_string())
-                    .chain(if node == "C" { vec!["k".to_string()] } else { vec![] })
+                    .chain(if node == "C" { &["k"][..] } else { &[] })
+                    .map(|&s| s.into())
                     .collect(),
             }).unwrap();
         }
@@ -108,14 +108,12 @@ fn random_walk(dag: &Arc<ComputeDag>, seed: u64) -> State {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut st = State::new(dag.clone());
     for _ in 0..rng.gen_range(0..10) {
-        let node = ["C", "C.cache", "C.rf"]
-            .choose(&mut rng)
-            .unwrap()
-            .to_string();
-        let iter = ["i", "j", "k", "i.0", "j.1", "k_o"]
-            .choose(&mut rng)
-            .unwrap()
-            .to_string();
+        let node = Name::new(["C", "C.cache", "C.rf"].choose(&mut rng).unwrap());
+        let iter = Name::new(
+            ["i", "j", "k", "i.0", "j.1", "k_o"]
+                .choose(&mut rng)
+                .unwrap(),
+        );
         let step = match rng.gen_range(0..6) {
             0 | 1 => Step::Split {
                 node,
@@ -484,14 +482,14 @@ fn padded_matmul() -> Arc<ComputeDag> {
 fn random_schedule(dag: &Arc<ComputeDag>, seed: u64) -> State {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut st = State::new(dag.clone());
-    let name_of = |st: &State, sid: usize, it: usize| st.stages[sid].iters[it].name.clone();
+    let name_of = |st: &State, sid: usize, it: usize| st.stages[sid].iters[it].name;
     for _ in 0..rng.gen_range(0..14) {
         // A stage that computes (placeholders have no loops).
         let computing: Vec<usize> = (0..st.stages.len())
             .filter(|&s| !st.stages[s].loop_order.is_empty())
             .collect();
         let sid = *computing.choose(&mut rng).unwrap();
-        let node = st.dag.nodes[st.stages[sid].node].name.clone();
+        let node = st.dag.name_of(st.stages[sid].node);
         let order = st.stages[sid].loop_order.clone();
         let at = rng.gen_range(0..order.len());
         let step = match rng.gen_range(0..12) {
@@ -528,8 +526,7 @@ fn random_schedule(dag: &Arc<ComputeDag>, seed: u64) -> State {
                             lengths: vec![factor],
                         });
                     }
-                    let mut tiled: Vec<String> =
-                        ["i.0", "j.0", "i.1", "j.1"].map(String::from).to_vec();
+                    let mut tiled: Vec<Name> = ["i.0", "j.0", "i.1", "j.1"].map(Name::new).to_vec();
                     if n == "C" {
                         tiled.push("k".into());
                     }
@@ -803,4 +800,63 @@ fn a_state_that_does_not_lower_fails_analysis_with_the_same_error() {
         e.to_string(),
         "lowering error: iterator \"j@k\" has no value (neither live nor derived)"
     );
+}
+
+/// Records the bytes and words a `Hash` impl feeds its hasher.
+#[derive(Default, PartialEq, Debug)]
+struct Fed(Vec<u8>);
+
+impl std::hash::Hasher for Fed {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+    fn finish(&self) -> u64 {
+        0
+    }
+}
+
+/// A string drawn from `seed`: up to 12 characters over an alphabet with
+/// name punctuation, JSON escapes and multi-byte characters.
+fn text_of(seed: u64) -> String {
+    const ALPHABET: [char; 14] = [
+        'i', 'k', 'C', '0', '7', '.', '@', '_', '"', '\\', '\n', ' ', 'é', '𝛼',
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..rng.gen_range(0..=12))
+        .map(|_| *ALPHABET.choose(&mut rng).unwrap())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A `Name` is its string everywhere but equality: it feeds a hasher
+    /// the same bytes (so signatures do not move), orders, prints and
+    /// serialises the same, and reads back as the same handle.
+    #[test]
+    fn a_name_hashes_orders_prints_and_serialises_as_its_string(a in any::<u64>(), b in any::<u64>()) {
+        use std::hash::{Hash, Hasher};
+        let (text, other) = (text_of(a), text_of(b));
+        let name = Name::new(&text);
+        let (mut fed_name, mut fed_text) = (Fed::default(), Fed::default());
+        name.hash(&mut fed_name);
+        text.hash(&mut fed_text);
+        prop_assert_eq!(fed_name, fed_text);
+        let (mut h_name, mut h_text) = (
+            std::collections::hash_map::DefaultHasher::new(),
+            std::collections::hash_map::DefaultHasher::new(),
+        );
+        name.hash(&mut h_name);
+        text.hash(&mut h_text);
+        prop_assert_eq!(h_name.finish(), h_text.finish());
+        prop_assert_eq!(name.cmp(&Name::new(&other)), text.cmp(&other));
+        prop_assert_eq!(name == Name::new(&other), text == other);
+        prop_assert_eq!(format!("{name}"), format!("{text}"));
+        prop_assert_eq!(format!("{name:?}"), format!("{text:?}"));
+        prop_assert_eq!(format!("{name:>16}|{name:<3}"), format!("{text:>16}|{text:<3}"));
+        let json = serde_json::to_string(&name).unwrap();
+        prop_assert_eq!(&json, &serde_json::to_string(&text).unwrap());
+        let back: Name = serde_json::from_str(&json).unwrap();
+        prop_assert!(back == name && std::ptr::eq(back.as_str(), name.as_str()));
+    }
 }

@@ -51,7 +51,7 @@ impl SketchRule for AggressiveUnrollRule {
             return RuleResult::Pass;
         }
         // Only fire once per node: skip if the pragma is already set.
-        let name = ws.state.dag.nodes[i].name.clone();
+        let name = ws.state.dag.name_of(i);
         let already = ws
             .state
             .steps
