@@ -187,7 +187,7 @@ impl LearnedCostModel {
         self.features.resident_bytes()
     }
 
-    /// Selects the GBDT split-search strategy (exact sort-based scan,
+    /// Selects the GBDT split-search strategy (exact scan over value ranks,
     /// histogram-binned, or the size-adaptive default) for every model not
     /// yet trained — one pending its first read included.
     pub fn set_split_strategy(&mut self, split: SplitStrategy) {

@@ -1,18 +1,36 @@
-//! Feature quantization for histogram-based split search.
+//! The quantization pass: one sort per varying column per retrain.
 //!
-//! Before boosting starts, every feature column is bucketed into at most
-//! [`MAX_BINS`] bins delimited by deterministic cut thresholds; each sample's
-//! column value is replaced by a `u8` bin code. Tree growth then builds
-//! per-node *gradient histograms* — per bin, the sums `Σw` and `Σw·y` — and
-//! scans the ≤255 bin boundaries instead of sorting the node's samples at
-//! every depth. Bins depend only on `x` and the row-inclusion mask, so one
+//! Before boosting starts, each column that takes more than one value over
+//! the included rows (`w > 0`) is sorted once. From that one sort the pass
+//! keeps, per column:
+//!
+//! - per included row, the *rank* of its value among the column's distinct
+//!   included values, and per rank its value. The exact scan of a small
+//!   node buckets the node's rows by rank instead of sorting them
+//!   (`crate::tree`). Ranks are stored in the narrowest unsigned type that
+//!   holds every rank of the dataset, so they never wrap;
+//! - when the pass is binned ([`BinnedDataset::build`]), at most
+//!   [`MAX_BINS`] bins delimited by deterministic cut thresholds, and each
+//!   row's `u8` bin code: a per-rank lookup for an included row. Tree
+//!   growth then builds per-node *gradient histograms* — per bin, the sums
+//!   `Σw` and `Σw·y` — and scans the ≤255 bin boundaries.
+//!
+//! A column that takes one value over the included rows can never split a
+//! node: it is not sorted, has no ranks and no cuts, and its codes are 0.
+//! Everything here depends only on `x` and the row-inclusion mask, so one
 //! [`BinnedDataset`] is reused by every tree of a training pass.
 //!
-//! Determinism contract (docs/PARALLELISM.md): cuts are a pure function of
-//! the included values in row order; per-feature work (cut construction,
-//! code assignment, histogram accumulation) is serial in row order and only
-//! *across* features does it run on the parallel runtime, so the result is
-//! bit-identical at every thread count.
+//! Rank semantics: values are ordered by `f32::total_cmp`, and a new rank
+//! starts wherever a value is not `==` the current rank's first value. So
+//! `-0.0` and `0.0` share a rank — as `==` and the exact scan's boundaries
+//! between distinct values treat them — and every NaN row has a rank of its
+//! own.
+//!
+//! Determinism contract (docs/PARALLELISM.md): ranks, cuts and codes are a
+//! pure function of the included values; each column's work is serial and
+//! only *across* columns does the pass run on the parallel runtime, its
+//! results appended in column order, so the result is bit-identical at
+//! every thread count.
 //!
 //! Cut semantics: cuts are strictly ascending; `bin(x)` is the number of
 //! cuts `≤ x`. Splitting at boundary `b` routes `bin(x) ≤ b` left, which is
@@ -25,59 +43,126 @@ use crate::Matrix;
 /// Upper bound on bins per feature (bin codes are `u8`).
 pub const MAX_BINS: usize = 256;
 
-/// Quantized view of a training matrix: per-feature cut thresholds plus
-/// column-major `u8` bin codes for every sample.
+/// The one sort per varying column of a training matrix: per-row ranks and
+/// per-rank values for the exact scan, and — when binned — per-feature cut
+/// thresholds plus column-major `u8` bin codes for every sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinnedDataset {
-    /// Column-major codes: feature `f`'s codes are
-    /// `codes[f*n_rows .. (f+1)*n_rows]`.
-    codes: Vec<u8>,
     n_rows: usize,
     n_cols: usize,
-    /// Per-feature strictly-ascending cut thresholds; feature `f` has
-    /// `cuts[f].len() + 1` bins.
-    cuts: Vec<Vec<f32>>,
+    /// Rows with `w > 0`, ascending: the rows that are ranked and shape
+    /// the cuts.
+    included: Vec<usize>,
+    /// The values of every sorted column's ranks, ascending, column after
+    /// column: column `f`'s are `values[value_ends[f]..value_ends[f + 1]]`
+    /// (none for a column that was not sorted).
+    values: Vec<f32>,
+    value_ends: Vec<usize>,
+    /// One rank per row for every sorted column, `n_rows` at a time; an
+    /// excluded row's rank is 0 and never read.
+    ranks: Ranks,
+    /// Where each column's ranks start in `ranks` (sorted columns only).
+    rank_starts: Vec<usize>,
+    /// Column-major codes: feature `f`'s codes are
+    /// `codes[f*n_rows .. (f+1)*n_rows]`. Empty when the pass keeps ranks
+    /// only.
+    codes: Vec<u8>,
+    /// Strictly-ascending cut thresholds, column after column: feature `f`
+    /// has `cut_ends[f + 1] - cut_ends[f] + 1` bins.
+    cuts: Vec<f32>,
+    cut_ends: Vec<usize>,
 }
 
 impl BinnedDataset {
-    /// Quantizes `x` into at most `max_bins` bins per feature. Cuts are
-    /// derived only from rows with `w > 0` (excluded rows still receive
-    /// codes so any row can be routed). Features are processed on the
-    /// parallel runtime; each feature's work is serial in row order.
+    /// Quantizes `x` into at most `max_bins` bins per feature. Ranks and
+    /// cuts are derived only from rows with `w > 0` (excluded rows still
+    /// receive codes so any row can be routed).
     pub fn build(x: Matrix<'_>, w: &[f32], max_bins: usize) -> BinnedDataset {
-        let max_bins = max_bins.clamp(2, MAX_BINS);
+        Self::pass(x, w, Some(max_bins.clamp(2, MAX_BINS)))
+    }
+
+    /// The pass without bins: what a training pass that has no histogram
+    /// node needs.
+    pub(crate) fn ranks_only(x: Matrix<'_>, w: &[f32]) -> BinnedDataset {
+        Self::pass(x, w, None)
+    }
+
+    fn pass(x: Matrix<'_>, w: &[f32], max_bins: Option<usize>) -> BinnedDataset {
         let (n_rows, n_cols) = (x.n_rows(), x.n_cols());
+        assert_eq!(n_rows, w.len());
+        // A sort entry packs the row index into 32 bits.
+        assert!(u32::try_from(n_rows).is_ok(), "too many rows to rank");
         let included: Vec<usize> = (0..n_rows).filter(|&i| w[i] > 0.0).collect();
-        let per_feature = |f: usize| -> (Vec<f32>, Vec<u8>) {
-            // A column that takes one value over the included rows cannot
-            // split: no cuts, all-zero codes, and nothing to gather or sort.
-            // (`==`, so a NaN column takes the full path.)
-            let first = included.first().map(|&i| x.get(i, f));
-            if included.iter().all(|&i| Some(x.get(i, f)) == first) {
-                (Vec::new(), vec![0u8; n_rows])
-            } else {
-                quantize_column(x, &included, f, max_bins)
-            }
-        };
-        let per_col: Vec<(Vec<f32>, Vec<u8>)> =
-            if n_rows.saturating_mul(n_cols) >= crate::tree::PARALLEL_SPLIT_WORK {
-                let features: Vec<usize> = (0..n_cols).collect();
-                ansor_runtime::parallel_map_indexed(&features, |_, &f| per_feature(f))
-            } else {
-                (0..n_cols).map(per_feature).collect()
-            };
-        let mut codes = Vec::with_capacity(n_rows * n_cols);
-        let mut cuts = Vec::with_capacity(n_cols);
-        for (c, col) in per_col {
-            cuts.push(c);
-            codes.extend_from_slice(&col);
-        }
-        BinnedDataset {
-            codes,
+        // The columns that take more than one value over the included rows
+        // (`==`, so a NaN column is sorted).
+        let sorted_cols: Vec<bool> = (0..n_cols)
+            .map(|f| {
+                let first = included.first().map(|&i| x.get(i, f));
+                !included.iter().all(|&i| Some(x.get(i, f)) == first)
+            })
+            .collect();
+        let n_sorted = sorted_cols.iter().filter(|&&s| s).count();
+        let mut data = BinnedDataset {
             n_rows,
             n_cols,
-            cuts,
+            included: Vec::new(),
+            values: Vec::new(),
+            value_ends: Vec::with_capacity(n_cols + 1),
+            ranks: Ranks::new(included.len(), n_sorted * n_rows),
+            rank_starts: Vec::with_capacity(n_cols),
+            codes: match max_bins {
+                Some(_) => vec![0; n_rows * n_cols],
+                None => Vec::new(),
+            },
+            cuts: Vec::new(),
+            cut_ends: Vec::with_capacity(n_cols + 1),
+        };
+        data.value_ends.push(0);
+        data.cut_ends.push(0);
+        let fill = |f: usize, column: &mut Column| column.fill(x, w, &included, f, max_bins);
+        if n_rows.saturating_mul(n_cols) >= crate::tree::PARALLEL_SPLIT_WORK
+            && ansor_runtime::threads() > 1
+        {
+            let features: Vec<usize> = (0..n_cols).collect();
+            let columns = ansor_runtime::parallel_map(&features, |&f| {
+                sorted_cols[f].then(|| {
+                    let mut column = Column::default();
+                    fill(f, &mut column);
+                    column
+                })
+            });
+            for (f, column) in columns.iter().enumerate() {
+                data.push_column(f, column.as_ref());
+            }
+        } else {
+            // One column's buffers, reused by the next.
+            let mut column = Column::default();
+            for (f, &sort) in sorted_cols.iter().enumerate() {
+                if sort {
+                    fill(f, &mut column);
+                }
+                data.push_column(f, sort.then_some(&column));
+            }
         }
+        data.included = included;
+        data
+    }
+
+    /// Appends feature `f`'s share of the pass: `column`, or nothing for a
+    /// column that was not sorted.
+    fn push_column(&mut self, f: usize, column: Option<&Column>) {
+        self.rank_starts.push(self.ranks.len());
+        if let Some(column) = column {
+            self.ranks.push(&column.ranks, column.values.len());
+            self.values.extend_from_slice(&column.values);
+            self.cuts.extend_from_slice(&column.cuts);
+            if !column.cuts.is_empty() {
+                let n = self.n_rows;
+                self.codes[f * n..(f + 1) * n].copy_from_slice(&column.codes);
+            }
+        }
+        self.value_ends.push(self.values.len());
+        self.cut_ends.push(self.cuts.len());
     }
 
     /// Bin code of sample `i`'s feature `f`.
@@ -93,61 +178,247 @@ impl BinnedDataset {
 
     /// Cut thresholds of feature `f`; boundary `b` splits at `cuts[b]`.
     pub fn cuts(&self, f: usize) -> &[f32] {
-        &self.cuts[f]
+        &self.cuts[self.cut_ends[f]..self.cut_ends[f + 1]]
     }
 
     /// Number of bins of feature `f`.
     pub fn n_bins(&self, f: usize) -> usize {
-        self.cuts[f].len() + 1
+        self.cuts(f).len() + 1
     }
 
     /// Number of rows quantized.
     pub fn n_rows(&self) -> usize {
         self.n_rows
     }
+
+    /// Rows with `w > 0`, ascending.
+    pub(crate) fn included(&self) -> &[usize] {
+        &self.included
+    }
+
+    /// The values of feature `f`'s ranks, ascending.
+    pub(crate) fn values(&self, f: usize) -> &[f32] {
+        &self.values[self.value_ends[f]..self.value_ends[f + 1]]
+    }
+
+    /// Whether `f` names a column with more than one rank. One that has
+    /// fewer can never split a node — it has no cut on the histogram path
+    /// and no boundary between ranks on the exact one — so no tree lists
+    /// it as a candidate.
+    pub(crate) fn varies(&self, f: usize) -> bool {
+        f < self.n_cols && self.values(f).len() > 1
+    }
+
+    /// The most ranks any column has.
+    pub(crate) fn max_ranks(&self) -> usize {
+        (0..self.n_cols)
+            .map(|f| self.values(f).len())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Adds `grad[i]` into `buckets[rank of row i in feature f]` for every
+    /// row of `rows`, in that order, and sets the rank's bit in `present`
+    /// (bit `r % 64` of word `r / 64`). Returns the lowest and highest rank
+    /// seen. `f` must have been sorted and `rows` be non-empty and included.
+    pub(crate) fn bucket_rows(
+        &self,
+        f: usize,
+        rows: &[usize],
+        grad: &[[f64; 2]],
+        buckets: &mut [[f64; 2]],
+        present: &mut [u64],
+    ) -> (usize, usize) {
+        let start = self.rank_starts[f];
+        let end = start + self.n_rows;
+        match &self.ranks {
+            Ranks::U8(r) => bucket(&r[start..end], rows, grad, buckets, present),
+            Ranks::U16(r) => bucket(&r[start..end], rows, grad, buckets, present),
+            Ranks::U32(r) => bucket(&r[start..end], rows, grad, buckets, present),
+        }
+    }
 }
 
-/// Cuts and codes of feature `f`: cuts from its values over the `included`
-/// rows, a code for every row.
-fn quantize_column(
-    x: Matrix<'_>,
-    included: &[usize],
-    f: usize,
-    max_bins: usize,
-) -> (Vec<f32>, Vec<u8>) {
-    let mut values: Vec<f32> = included.iter().map(|&i| x.get(i, f)).collect();
-    values.sort_unstable_by(f32::total_cmp);
-    let cuts = build_cuts(&values, max_bins);
-    let codes = if cuts.is_empty() {
-        vec![0u8; x.n_rows()]
+/// `v`'s place in `f32::total_cmp` order, as an unsigned integer.
+fn order_key(v: f32) -> u64 {
+    let bits = v.to_bits();
+    (if bits >> 31 == 1 {
+        !bits
     } else {
-        (0..x.n_rows())
-            .map(|i| cuts.partition_point(|c| *c <= x.get(i, f)) as u8)
-            .collect()
-    };
-    (cuts, codes)
+        bits | 1 << 31
+    }) as u64
 }
 
-/// Builds strictly-ascending cut thresholds from one feature's included
-/// values, pre-sorted ascending (duplicates retained).
+/// The value whose [`order_key`] is in the top half of a sort entry.
+fn entry_value(entry: u64) -> f32 {
+    let key = (entry >> 32) as u32;
+    f32::from_bits(if key >> 31 == 1 {
+        key & !(1 << 31)
+    } else {
+        !key
+    })
+}
+
+/// The ranks of every sorted column, in the narrowest type that holds
+/// every rank of the dataset.
+#[derive(Debug, Clone, PartialEq)]
+enum Ranks {
+    U8(Vec<u8>),
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+}
+
+impl Ranks {
+    /// Room for `len` ranks below `n_included`, the most a column can have.
+    fn new(n_included: usize, len: usize) -> Ranks {
+        if n_included <= 1 << 8 {
+            Ranks::U8(Vec::with_capacity(len))
+        } else if n_included <= 1 << 16 {
+            Ranks::U16(Vec::with_capacity(len))
+        } else {
+            Ranks::U32(Vec::with_capacity(len))
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Ranks::U8(r) => r.len(),
+            Ranks::U16(r) => r.len(),
+            Ranks::U32(r) => r.len(),
+        }
+    }
+
+    /// Appends one column's ranks, all below `n_ranks`.
+    fn push(&mut self, column: &[u32], n_ranks: usize) {
+        let fits = match self {
+            Ranks::U8(_) => n_ranks <= 1 << 8,
+            Ranks::U16(_) => n_ranks <= 1 << 16,
+            Ranks::U32(_) => true,
+        };
+        assert!(fits, "{n_ranks} ranks do not fit the rank type");
+        match self {
+            Ranks::U8(r) => r.extend(column.iter().map(|&k| k as u8)),
+            Ranks::U16(r) => r.extend(column.iter().map(|&k| k as u16)),
+            Ranks::U32(r) => r.extend_from_slice(column),
+        }
+    }
+}
+
+/// One column's share of the pass, and the buffers it is built in.
+#[derive(Default)]
+struct Column {
+    /// `(order key << 32) | row` of each included row, sorted.
+    sorted: Vec<u64>,
+    /// Per row, the rank of its value; 0 for an excluded row.
+    ranks: Vec<u32>,
+    /// Per rank, its value, ascending.
+    values: Vec<f32>,
+    /// Cut thresholds (binned only).
+    cuts: Vec<f32>,
+    /// Per rank, then per row, the bin code (binned, with cuts, only).
+    rank_codes: Vec<u8>,
+    codes: Vec<u8>,
+}
+
+impl Column {
+    /// Sorts feature `f`'s values over the `included` rows once and keeps
+    /// what the pass keeps; bins only with `max_bins`.
+    fn fill(
+        &mut self,
+        x: Matrix<'_>,
+        w: &[f32],
+        included: &[usize],
+        f: usize,
+        max_bins: Option<usize>,
+    ) {
+        let sorted = &mut self.sorted;
+        sorted.clear();
+        sorted.extend(
+            included
+                .iter()
+                .map(|&i| (order_key(x.get(i, f)) << 32) | i as u64),
+        );
+        // By key only, so that a run of one value sorts as one: its rows
+        // share a rank whatever their order. NaNs, a rank each, are ordered
+        // by row too; they lie at the two ends.
+        sorted.sort_unstable_by_key(|&entry| entry >> 32);
+        let is_nan = |entry: &&u64| entry_value(**entry).is_nan();
+        let head = sorted.iter().take_while(is_nan).count();
+        sorted[..head].sort_unstable();
+        let tail = sorted.len() - sorted[head..].iter().rev().take_while(is_nan).count();
+        sorted[tail..].sort_unstable();
+        // A new rank wherever the value is not `==` the current rank's
+        // first.
+        self.ranks.resize(x.n_rows(), 0);
+        self.values.clear();
+        let (mut rank, mut first) = (0, entry_value(sorted[0]));
+        self.values.push(first);
+        self.ranks[sorted[0] as u32 as usize] = 0;
+        for &entry in &sorted[1..] {
+            let v = entry_value(entry);
+            if v != first {
+                rank += 1;
+                first = v;
+                self.values.push(v);
+            }
+            self.ranks[entry as u32 as usize] = rank;
+        }
+        self.cuts.clear();
+        self.codes.clear();
+        let Some(max_bins) = max_bins else {
+            return;
+        };
+        push_cuts(&mut self.cuts, &self.values, sorted, max_bins);
+        if self.cuts.is_empty() {
+            return;
+        }
+        let cuts = &self.cuts;
+        let bin = |v: f32| cuts.partition_point(|c| *c <= v) as u8;
+        self.rank_codes.clear();
+        self.rank_codes.extend(self.values.iter().map(|&v| bin(v)));
+        let (ranks, rank_codes) = (&self.ranks, &self.rank_codes);
+        self.codes.extend((0..x.n_rows()).map(|i| {
+            if w[i] > 0.0 {
+                rank_codes[ranks[i] as usize]
+            } else {
+                bin(x.get(i, f))
+            }
+        }));
+    }
+}
+
+/// [`BinnedDataset::bucket_rows`] over one column of ranks.
+fn bucket<R: Copy + Into<u32>>(
+    ranks: &[R],
+    rows: &[usize],
+    grad: &[[f64; 2]],
+    buckets: &mut [[f64; 2]],
+    present: &mut [u64],
+) -> (usize, usize) {
+    let (mut lowest, mut highest) = (usize::MAX, 0);
+    for &i in rows {
+        let r = ranks[i].into() as usize;
+        let bucket = &mut buckets[r];
+        bucket[0] += grad[i][0];
+        bucket[1] += grad[i][1];
+        present[r / 64] |= 1 << (r % 64);
+        lowest = lowest.min(r);
+        highest = highest.max(r);
+    }
+    (lowest, highest)
+}
+
+/// Appends the strictly-ascending cut thresholds of one column to the
+/// empty `cuts`: `distinct` holds its rank values, `sorted` its sort
+/// entries (every included row, duplicates retained).
 ///
 /// With at most `max_bins` distinct values every adjacent distinct pair
 /// gets a cut at its midpoint — the same `(lo + hi) * 0.5` threshold the
-/// exact sort-based scan produces, which is what makes the binned and exact
-/// paths agree exactly in that regime. Otherwise cuts are placed at
+/// exact scan produces, which is what makes the binned and exact paths
+/// agree exactly in that regime. Otherwise cuts are placed at
 /// `max_bins`-quantile ranks of the value distribution (duplicates weight
 /// their value's rank, as in LightGBM), again at adjacent-value midpoints.
-fn build_cuts(sorted: &[f32], max_bins: usize) -> Vec<f32> {
-    if sorted.is_empty() {
-        return Vec::new();
-    }
-    let mut distinct: Vec<f32> = Vec::new();
-    for &v in sorted {
-        if distinct.last() != Some(&v) {
-            distinct.push(v);
-        }
-    }
-    let mut cuts = Vec::new();
+fn push_cuts(cuts: &mut Vec<f32>, distinct: &[f32], sorted: &[u64], max_bins: usize) {
     let mut push = |lo: f32, hi: f32| {
         let mid = (lo + hi) * 0.5;
         // A midpoint that rounds onto `lo` (adjacent floats) or out of the
@@ -166,12 +437,12 @@ fn build_cuts(sorted: &[f32], max_bins: usize) -> Vec<f32> {
         let n = sorted.len();
         for j in 1..max_bins {
             let pos = j * n / max_bins;
-            if pos > 0 && sorted[pos] > sorted[pos - 1] {
-                push(sorted[pos - 1], sorted[pos]);
+            let (lo, hi) = (entry_value(sorted[pos - 1]), entry_value(sorted[pos]));
+            if hi > lo {
+                push(lo, hi);
             }
         }
     }
-    cuts
 }
 
 #[cfg(test)]
@@ -239,58 +510,126 @@ mod tests {
     }
 
     #[test]
-    fn columns_that_cannot_split_skip_the_sort_and_change_nothing() {
-        // Per row: constant, NaN, two-valued, continuous, constant on the
-        // included rows only, `-0.0`/`0.0` (equal, so constant too).
-        let n = 300;
-        let mut s = 7u64;
-        let mut lcg = move || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (s >> 33) as f32
+    fn order_keys_sort_like_total_cmp_and_decode_to_the_value() {
+        let mut values = vec![
+            f32::NEG_INFINITY,
+            -3.5,
+            -f32::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            1e-45,
+            2.25,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        for v in &values {
+            assert_eq!(
+                entry_value((order_key(*v) << 32) | 7).to_bits(),
+                v.to_bits()
+            );
+        }
+        let mut by_key = values.clone();
+        by_key.sort_by_key(|v| order_key(*v));
+        values.sort_by(f32::total_cmp);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&by_key), bits(&values));
+    }
+
+    #[test]
+    fn ranks_follow_the_value_order_and_equal_values_share_one() {
+        // Per row: `-0.0`/`0.0`, NaN, a value repeated out of order; row 4
+        // is excluded.
+        let rows = [
+            [0.0, f32::NAN, 3.0],
+            [-0.0, 1.0, -1.0],
+            [-0.0, f32::NAN, 3.0],
+            [2.0, 1.0, 0.5],
+            [-5.0, -7.0, 99.0],
+        ];
+        let data: Vec<f32> = rows.iter().flatten().copied().collect();
+        let x = Matrix::new(&data, 3);
+        let w = [1.0, 0.5, 2.0, 1.0, 0.0];
+        let ranked = BinnedDataset::ranks_only(x, &w);
+        assert_eq!(ranked.included(), &[0, 1, 2, 3]);
+        assert!(ranked.codes.is_empty() && ranked.cuts.is_empty());
+        let grad: Vec<[f64; 2]> = w.iter().map(|&wi| [wi as f64, 1.0]).collect();
+        let ranks_of = |f: usize| -> Vec<usize> {
+            (0..4)
+                .map(|i| {
+                    let mut buckets = vec![[0.0; 2]; ranked.max_ranks()];
+                    let mut present = vec![0; 1];
+                    ranked
+                        .bucket_rows(f, &[i], &grad, &mut buckets, &mut present)
+                        .0
+                })
+                .collect()
         };
-        let w: Vec<f32> = (0..n).map(|i| if i % 7 == 3 { 0.0 } else { 0.5 }).collect();
-        let rows: Vec<Vec<f32>> = (0..n)
-            .map(|i| {
-                vec![
-                    4.25,
-                    f32::NAN,
-                    (i % 2) as f32,
-                    lcg() / 1e6,
-                    if w[i] > 0.0 { 1.0 } else { i as f32 },
-                    if i % 3 == 0 { -0.0 } else { 0.0 },
-                ]
+        assert_eq!(ranks_of(0), [0, 0, 0, 1]);
+        assert_eq!(ranked.values(0)[0].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(ranks_of(1), [1, 0, 2, 0]);
+        assert_eq!(ranks_of(2), [2, 0, 2, 1]);
+        assert_eq!(ranked.values(2), &[-1.0, 0.5, 3.0]);
+        // Two rows of rank 2 land in one bucket, in row order.
+        let mut buckets = vec![[0.0; 2]; ranked.max_ranks()];
+        let mut present = vec![0; 1];
+        let seen = ranked.bucket_rows(2, &[0, 2, 3], &grad, &mut buckets, &mut present);
+        assert_eq!(seen, (1, 2));
+        assert_eq!(present, [0b110]);
+        assert_eq!(buckets[..3], [[0.0; 2], [1.0, 1.0], [3.0, 2.0]]);
+    }
+
+    #[test]
+    fn every_nan_row_has_a_rank_of_its_own_in_row_order() {
+        // NaN of both signs on every third row, four values between them:
+        // enough rows that the sort partitions rather than inserts.
+        let data: Vec<f32> = (0..300)
+            .map(|i| match i % 6 {
+                0 => f32::NAN,
+                3 => -f32::NAN,
+                k => k as f32,
             })
             .collect();
-        let (data, n_cols) = matrix_of(&rows);
-        let x = Matrix::new(&data, n_cols);
-        for weights in [w.clone(), vec![0.0; n], vec![1.0; n]] {
-            for max_bins in [256, 16] {
-                let built = BinnedDataset::build(x, &weights, max_bins);
-                let included: Vec<usize> = (0..n).filter(|&i| weights[i] > 0.0).collect();
-                let (mut cuts, mut codes) = (Vec::new(), Vec::new());
-                for f in 0..n_cols {
-                    let (c, col) = quantize_column(x, &included, f, max_bins);
-                    cuts.push(c);
-                    codes.extend(col);
-                }
-                let reference = BinnedDataset {
-                    codes,
-                    n_rows: n,
-                    n_cols,
-                    cuts,
-                };
-                assert_eq!(built, reference);
-            }
+        let ranked = BinnedDataset::ranks_only(Matrix::new(&data, 1), &[1.0; 300]);
+        let grad = vec![[1.0, 0.0]; 300];
+        let mut buckets = vec![[0.0; 2]; ranked.max_ranks()];
+        let mut present = vec![0; ranked.max_ranks().div_ceil(64)];
+        let mut rank_of = |i: usize| {
+            let (r, _) = ranked.bucket_rows(0, &[i], &grad, &mut buckets, &mut present);
+            buckets[r] = [0.0; 2];
+            present[r / 64] = 0;
+            r
+        };
+        let negative: Vec<usize> = (3..300).step_by(6).map(&mut rank_of).collect();
+        let values: Vec<usize> = [1, 2, 4, 5].into_iter().map(&mut rank_of).collect();
+        let positive: Vec<usize> = (0..300).step_by(6).map(&mut rank_of).collect();
+        assert_eq!(negative, (0..50).collect::<Vec<_>>());
+        assert_eq!(values, [50, 51, 52, 53]);
+        assert_eq!(positive, (54..104).collect::<Vec<_>>());
+        assert_eq!(ranked.max_ranks(), 104);
+    }
+
+    #[test]
+    fn rank_type_is_the_narrowest_that_holds_every_rank() {
+        for (n, bits) in [(256, 8), (257, 16), (1 << 16, 16), ((1 << 16) + 1, 32)] {
+            let data: Vec<f32> = (0..n).map(|i| (n - i) as f32).collect();
+            let ranked = BinnedDataset::ranks_only(Matrix::new(&data, 1), &vec![1.0; n]);
+            let width = match ranked.ranks {
+                Ranks::U8(_) => 8,
+                Ranks::U16(_) => 16,
+                Ranks::U32(_) => 32,
+            };
+            assert_eq!(width, bits, "{n} rows");
+            assert_eq!(ranked.values(0).len(), n);
+            assert_eq!(ranked.max_ranks(), n);
+            // The last row holds the smallest value, the first the largest.
+            let mut buckets = vec![[0.0; 2]; n];
+            let mut present = vec![0; n.div_ceil(64)];
+            let grad = vec![[1.0, 0.0]; n];
+            let seen = ranked.bucket_rows(0, &[n - 1, 0], &grad, &mut buckets, &mut present);
+            assert_eq!(seen, (0, n - 1));
         }
-        // The fixture is what it says: with `w`, columns 2 and 3 split and
-        // a zero-weight row of column 4 still gets its (only) code.
-        let built = BinnedDataset::build(x, &w, 256);
-        let bins: Vec<usize> = (0..n_cols).map(|f| built.n_bins(f)).collect();
-        assert_eq!(bins[..3], [1, 1, 2]);
-        assert!(bins[3] > 100);
-        assert_eq!(bins[4..], [1, 1]);
     }
 
     #[test]
@@ -301,5 +640,6 @@ mod tests {
         let b = BinnedDataset::build(x, &[1.0; 10], 256);
         assert_eq!(b.n_bins(0), 1);
         assert!(b.cuts(0).is_empty());
+        assert!(b.values(0).is_empty());
     }
 }

@@ -84,7 +84,8 @@ impl<'a> Matrix<'a> {
 /// How tree growth searches for splits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SplitStrategy {
-    /// Sort-based exact scan at every node.
+    /// Exact scan at every node: the node's rows bucketed by value rank,
+    /// every boundary between two distinct values considered.
     Exact,
     /// Histogram scan over pre-binned features at every node (equivalence
     /// tests and benchmarks force this).
@@ -95,9 +96,9 @@ pub enum SplitStrategy {
     Auto,
 }
 
-/// Under [`SplitStrategy::Auto`], datasets with fewer rows than this skip
-/// binning entirely: the quantization pass would cost more than the exact
-/// scans it replaces.
+/// Under [`SplitStrategy::Auto`], datasets with fewer rows than this get no
+/// bins: the pass still ranks their values, but histograms would cost more
+/// than the exact scans they replace.
 const AUTO_BINNED_MIN_ROWS: usize = 256;
 
 /// Under [`SplitStrategy::Auto`], nodes with fewer samples than this fall
@@ -238,8 +239,9 @@ impl Gbdt {
         let mut residual: Vec<f32> = y.iter().map(|&yi| yi - base).collect();
         let mut trees = Vec::with_capacity(params.n_trees);
         let n_features = x.n_cols();
-        // Bins depend only on (x, row mask), so one quantization pass is
-        // shared by every boosting round.
+        // Ranks and bins depend only on (x, row mask), so one sort per
+        // column is shared by every boosting round; without bins the pass
+        // ranks only.
         let binned = binned_for(x, w, params);
         let binned = binned.as_ref().map(|(b, cutoff)| (b, *cutoff));
         let mut pass = tree::TrainPass::new(x, w, binned);

@@ -2,24 +2,29 @@
 //!
 //! One grower, `TrainPass`, built once per retrain and reused by every
 //! boosting round. Two split searches run inside it and grow structurally
-//! identical trees:
+//! identical trees, both over the retrain's one sort per column
+//! ([`crate::binned`]):
 //!
-//! - **exact**: per candidate feature, sort the node's samples by value and
-//!   scan the boundaries between distinct values;
-//! - **histogram** (see [`crate::binned`]): per candidate feature,
-//!   accumulate per-bin `(Σw, Σw·y)` sums over pre-quantized codes and scan
-//!   the ≤255 bin boundaries. A node's histogram is either accumulated
-//!   fresh or derived from its parent's by the subtraction trick: the
-//!   smaller child is accumulated, the larger child is `parent − smaller`.
+//! - **exact**: per candidate feature, add each of the node's rows into the
+//!   bucket of its value's rank and scan the boundaries between the ranks
+//!   present, in ascending order;
+//! - **histogram**: per candidate feature, accumulate per-bin `(Σw, Σw·y)`
+//!   sums over pre-quantized codes and scan the ≤255 bin boundaries. A
+//!   node's histogram is either accumulated fresh or derived from its
+//!   parent's by the subtraction trick: the smaller child is accumulated,
+//!   the larger child is `parent − smaller`.
 //!
-//! Every f64 sum is accumulated serially in ascending row order (or, on the
-//! exact path, in the sorted order of the node's rows) and boundaries fold
+//! Every f64 sum is accumulated serially in ascending row order — a node's
+//! totals, a bin, a rank's bucket — and a boundary's left side is the sum of
+//! the bins or buckets below it, added in ascending order. Boundaries fold
 //! in candidate order with a strict-greater comparison, so the chosen split
 //! — gain ties included — is identical on every thread count. What the
 //! pass saves over growing each node from scratch (columns that cannot
 //! split dropped, pooled histograms, node-local scans, residuals by leaf)
 //! changes no operand and no order of any of those sums: see
 //! docs/COST_MODEL.md.
+
+use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 
@@ -84,8 +89,11 @@ impl RegressionTree {
     /// Fits a tree on `(x, y, w)` triples, `x` a packed row-major matrix
     /// view; rows with non-positive weight are ignored. When
     /// `binned = Some((dataset, exact_below))`, nodes with at least
-    /// `exact_below` samples use histogram split search over `dataset`;
-    /// smaller nodes (and `binned = None`) use the exact sort-based scan.
+    /// `exact_below` samples use histogram split search over `dataset`, and
+    /// smaller nodes the exact scan over its ranks; `dataset` must have
+    /// been built with the same `w > 0` mask. With `binned = None` every
+    /// node uses the exact scan, over ranks from a pass of this call's own
+    /// that sorts each column once and builds no bins.
     pub fn fit_view(
         x: Matrix<'_>,
         y: &[f32],
@@ -139,8 +147,7 @@ type Pair = [f64; 2];
 type NodeHist = Vec<Pair>;
 
 /// Below this many (sample × feature) steps a histogram fill (and the
-/// quantization pass) stays serial: thread spawn overhead would dwarf the
-/// work.
+/// ranking pass) stays serial: thread spawn overhead would dwarf the work.
 pub(crate) const PARALLEL_SPLIT_WORK: usize = 32 * 1024;
 
 /// The grower: everything about one retrain that does not depend on the
@@ -149,15 +156,13 @@ pub(crate) const PARALLEL_SPLIT_WORK: usize = 32 * 1024;
 pub(crate) struct TrainPass<'a> {
     x: Matrix<'a>,
     w: &'a [f32],
-    binned: Option<(&'a BinnedDataset, usize)>,
-    /// Rows with `w > 0`, ascending, and all the others.
-    included: Vec<usize>,
+    /// The retrain's one sort per column: ranks for the exact scan, and
+    /// bins when nodes of `exact_below` rows or more take the histogram
+    /// path; `exact_below` is `None` when none does.
+    data: Cow<'a, BinnedDataset>,
+    exact_below: Option<usize>,
+    /// Rows with `w ≤ 0` (or NaN), ascending: no node holds them.
     excluded: Vec<usize>,
-    /// Whether a column takes more than one value over the included rows.
-    /// One that does not can never split a node — it has no cut on the
-    /// histogram path and no `xn > xv` boundary on the exact one — so no
-    /// tree lists it as a candidate.
-    varying: Vec<bool>,
     /// Per row, `[w as f64, (w·y) as f64]`; the second half is rewritten
     /// for every tree.
     grad: Vec<Pair>,
@@ -179,9 +184,10 @@ pub(crate) struct TrainPass<'a> {
     // Scratch kept across nodes and trees.
     spill: Vec<usize>,
     free_hists: Vec<NodeHist>,
-    node_grad: Vec<Pair>,
-    node_values: Vec<f32>,
-    order: Vec<usize>,
+    /// The exact scan's buckets, one per rank, and a bit per rank marking
+    /// the ones a candidate's rows filled: all zero between candidates.
+    buckets: Vec<Pair>,
+    present: Vec<u64>,
 }
 
 impl<'a> TrainPass<'a> {
@@ -191,25 +197,25 @@ impl<'a> TrainPass<'a> {
         binned: Option<(&'a BinnedDataset, usize)>,
     ) -> TrainPass<'a> {
         assert_eq!(x.n_rows(), w.len());
+        let (data, exact_below) = match binned {
+            Some((data, exact_below)) => (Cow::Borrowed(data), Some(exact_below)),
+            None => (Cow::Owned(BinnedDataset::ranks_only(x, w)), None),
+        };
         let (included, excluded): (Vec<usize>, Vec<usize>) =
             (0..w.len()).partition(|&i| w[i] > 0.0);
-        let mut varying = vec![false; x.n_cols()];
-        if let Some((&first, rest)) = included.split_first() {
-            let first = x.row(first);
-            for &i in rest {
-                for ((varies, v), v0) in varying.iter_mut().zip(x.row(i)).zip(first) {
-                    // `!=`, so a NaN column stays a candidate.
-                    *varies |= v != v0;
-                }
-            }
-        }
+        assert!(
+            data.n_rows() == w.len() && data.included() == included,
+            "the dataset was built with another row mask"
+        );
+        let n_ranks = data.max_ranks();
         TrainPass {
             x,
             w,
-            binned,
-            included,
+            data,
+            exact_below,
             excluded,
-            varying,
+            buckets: vec![[0.0; 2]; n_ranks],
+            present: vec![0; n_ranks.div_ceil(64)],
             grad: w.iter().map(|&wi| [wi as f64, 0.0]).collect(),
             max_depth: 0,
             min_child_weight: 0.0,
@@ -220,9 +226,6 @@ impl<'a> TrainPass<'a> {
             leaves: Vec::new(),
             spill: Vec::new(),
             free_hists: Vec::new(),
-            node_grad: Vec::new(),
-            node_values: Vec::new(),
-            order: Vec::new(),
         }
     }
 
@@ -259,27 +262,28 @@ impl<'a> TrainPass<'a> {
         self.max_depth = params.max_depth;
         self.min_child_weight = params.min_child_weight;
         self.min_gain = params.min_gain;
-        let varying = &self.varying;
-        let can_split = |f: &usize| varying.get(*f).is_some_and(|&v| v);
+        let data = &self.data;
+        let can_split = |f: &usize| data.varies(*f);
         self.candidates.clear();
         if params.feature_subset.is_empty() {
-            self.candidates.extend((0..varying.len()).filter(can_split));
+            self.candidates
+                .extend((0..self.x.n_cols()).filter(can_split));
         } else {
             let subset = params.feature_subset.iter().copied();
             self.candidates.extend(subset.filter(can_split));
         }
         self.offsets.clear();
         self.offsets.push(0);
-        if let Some((binned, _)) = self.binned {
+        if self.exact_below.is_some() {
             let mut end = 0;
             for &f in &self.candidates {
-                end += binned.n_bins(f);
+                end += data.n_bins(f);
                 self.offsets.push(end);
             }
         }
         self.rows.clear();
-        self.rows.extend_from_slice(&self.included);
-        for &i in &self.included {
+        self.rows.extend_from_slice(data.included());
+        for &i in data.included() {
             self.grad[i][1] = (self.w[i] * y[i]) as f64;
         }
         self.leaves.clear();
@@ -306,7 +310,7 @@ impl<'a> TrainPass<'a> {
         let n = hi - lo;
         let best = if depth >= self.max_depth || n < 2 || total[0] < 2.0 * self.min_child_weight {
             None
-        } else if self.binned.is_some_and(|(_, exact_below)| n >= exact_below) {
+        } else if self.exact_below.is_some_and(|exact_below| n >= exact_below) {
             let own = hist.get_or_insert_with(|| self.fresh_hist(lo, hi));
             self.scan_hist(own, total)
         } else {
@@ -375,7 +379,7 @@ impl<'a> TrainPass<'a> {
         mid: usize,
         hi: usize,
     ) -> (Option<NodeHist>, Option<NodeHist>) {
-        let (Some(mut parent), Some((_, exact_below))) = (parent, self.binned) else {
+        let (Some(mut parent), Some(exact_below)) = (parent, self.exact_below) else {
             return (None, None);
         };
         let larger_is_left = mid - lo >= hi - mid;
@@ -414,7 +418,7 @@ impl<'a> TrainPass<'a> {
     /// above the work threshold and with more than one thread, one each on
     /// the parallel runtime into buffers of their own, copied in afterwards.
     fn fresh_hist(&mut self, lo: usize, hi: usize) -> NodeHist {
-        let (binned, _) = self.binned.expect("histogram path without binned data");
+        let binned = &self.data;
         let mut hist = self.free_hists.pop().unwrap_or_default();
         hist.clear();
         hist.resize(self.offsets[self.candidates.len()], [0.0; 2]);
@@ -451,12 +455,11 @@ impl<'a> TrainPass<'a> {
     /// like the exact path. An empty bin is skipped: its boundary has the
     /// sums, hence the gain, of the one before it, which `>` never prefers.
     fn scan_hist(&self, hist: &[Pair], total: Pair) -> Option<Split> {
-        let (binned, _) = self.binned.expect("histogram path without binned data");
         let whole = unsplit_term(total);
         let mut best: Option<Split> = None;
         for (c, &f) in self.candidates.iter().enumerate() {
             let mut left = [0.0f64; 2];
-            for (bin, &cut) in hist[self.offsets[c]..].iter().zip(binned.cuts(f)) {
+            for (bin, &cut) in hist[self.offsets[c]..].iter().zip(self.data.cuts(f)) {
                 if *bin == [0.0; 2] {
                     continue;
                 }
@@ -468,51 +471,45 @@ impl<'a> TrainPass<'a> {
         best
     }
 
-    /// Exact greedy split search: for every candidate feature, sort the
-    /// node's samples by value and scan the boundaries between distinct
-    /// values, folding like [`TrainPass::scan_hist`]. The node's sums and
-    /// each candidate's values are gathered once into node-local scratch,
-    /// and what is sorted is the positions `0..n` in that scratch: with the
-    /// same comparator on the same values, the sort makes the comparisons,
-    /// hence the permutation (ties included), it would make on the row
-    /// indices themselves.
+    /// Exact split search, per candidate feature: each of the node's rows
+    /// adds its `[w, w·y]` into the bucket of its value's rank, in row
+    /// order; then the ranks present are visited in ascending order, and
+    /// the boundary between consecutive ones `r < r'` — every boundary
+    /// between distinct values, in value order — has the buckets up to `r`
+    /// on its left, added in that order, and the threshold
+    /// `(value[r] + value[r']) * 0.5`. Boundaries fold like
+    /// [`TrainPass::scan_hist`]; a candidate constant over the node has one
+    /// rank present and no boundary. Visiting a rank empties its bucket and
+    /// clears its bit, so the scratch is all zero for the next candidate.
     fn best_split_exact(&mut self, lo: usize, hi: usize, total: Pair) -> Option<Split> {
-        let (n, rows) = (hi - lo, &self.rows[lo..hi]);
-        self.node_grad.clear();
-        self.node_grad.extend(rows.iter().map(|&i| self.grad[i]));
-        // Every entry below is overwritten: no need to clear first.
-        self.node_values.resize(n * self.candidates.len(), 0.0);
-        for (p, &i) in rows.iter().enumerate() {
-            let row = self.x.row(i);
-            for (c, &f) in self.candidates.iter().enumerate() {
-                self.node_values[c * n + p] = row[f];
-            }
-        }
+        let mut buckets = std::mem::take(&mut self.buckets);
+        let mut present = std::mem::take(&mut self.present);
+        let rows = &self.rows[lo..hi];
         let whole = unsplit_term(total);
         let mut best: Option<Split> = None;
-        for (c, &f) in self.candidates.iter().enumerate() {
-            let values = &self.node_values[c * n..(c + 1) * n];
-            if values.iter().all(|v| *v == values[0]) {
-                continue; // no boundary between equal values
-            }
-            self.order.clear();
-            self.order.extend(0..n);
-            self.order.sort_unstable_by(|&a, &b| {
-                values[a]
-                    .partial_cmp(&values[b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+        for &f in &self.candidates {
+            let (lowest, highest) =
+                self.data
+                    .bucket_rows(f, rows, &self.grad, &mut buckets, &mut present);
+            let values = self.data.values(f);
             let mut left = [0.0f64; 2];
-            for pair in self.order.windows(2) {
-                left[0] += self.node_grad[pair[0]][0];
-                left[1] += self.node_grad[pair[0]][1];
-                let (xv, xn) = (values[pair[0]], values[pair[1]]);
-                if xn <= xv {
-                    continue;
+            let mut below: Option<f32> = None;
+            let words = &mut present[lowest / 64..=highest / 64];
+            for (word, bits) in (lowest / 64..).zip(words) {
+                let mut bits = std::mem::take(bits);
+                while bits != 0 {
+                    let r = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if let Some(v) = below {
+                        self.consider(&mut best, total, whole, left, f, (v + values[r]) * 0.5);
+                    }
+                    add(&mut left, std::mem::take(&mut buckets[r]));
+                    below = Some(values[r]);
                 }
-                self.consider(&mut best, total, whole, left, f, (xv + xn) * 0.5);
             }
         }
+        self.buckets = buckets;
+        self.present = present;
         best
     }
 

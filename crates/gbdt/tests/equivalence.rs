@@ -1,5 +1,5 @@
 //! Equivalence and determinism properties of the histogram-binned split
-//! path against the exact sort-based path.
+//! path against the exact path.
 //!
 //! On a *dyadic grid* — all inputs multiples of 0.25, bounded, with fewer
 //! distinct values per feature than bins — every f64 accumulation both

@@ -10,7 +10,9 @@
 //! exact and scaled copies of columns (gain ties between candidates),
 //! records of 1–4 rows sharing a label and a weight, and failed records at
 //! weight 0 — including a column that varies only on those rows and one
-//! that is constant except for `-0.0` against `0.0`.
+//! that is constant except for `-0.0` against `0.0`. On the same sets, the
+//! cuts and codes `BinnedDataset::build` derives from its ranks must be
+//! those a sort of each column's values gives.
 
 use std::fmt::Write as _;
 
@@ -210,6 +212,109 @@ fn model_fingerprints() -> String {
         .expect("writing to a String");
     }
     out
+}
+
+/// The reference bins: per column, the included values sorted with
+/// `total_cmp`, cuts from them, and every row's code a binary search over
+/// the cuts.
+fn sorted_bins(x: Matrix<'_>, w: &[f32], max_bins: usize) -> Vec<(Vec<f32>, Vec<u8>)> {
+    let included: Vec<usize> = (0..x.n_rows()).filter(|&i| w[i] > 0.0).collect();
+    (0..x.n_cols())
+        .map(|f| {
+            let mut values: Vec<f32> = included.iter().map(|&i| x.get(i, f)).collect();
+            values.sort_unstable_by(f32::total_cmp);
+            let cuts = sorted_cuts(&values, max_bins.clamp(2, 256));
+            let codes = (0..x.n_rows())
+                .map(|i| cuts.partition_point(|c| *c <= x.get(i, f)) as u8)
+                .collect();
+            (cuts, codes)
+        })
+        .collect()
+}
+
+/// The cut rule over one column's sorted values: every distinct midpoint
+/// when they fit, else the midpoints at `max_bins`-quantile positions.
+fn sorted_cuts(sorted: &[f32], max_bins: usize) -> Vec<f32> {
+    let mut distinct: Vec<f32> = Vec::new();
+    for &v in sorted {
+        if distinct.last() != Some(&v) {
+            distinct.push(v);
+        }
+    }
+    let mut cuts = Vec::new();
+    let mut push = |lo: f32, hi: f32| {
+        let mid = (lo + hi) * 0.5;
+        if mid > lo && mid.is_finite() && cuts.last() != Some(&mid) {
+            cuts.push(mid);
+        }
+    };
+    if distinct.len() <= max_bins {
+        for pair in distinct.windows(2) {
+            push(pair[0], pair[1]);
+        }
+    } else {
+        let n = sorted.len();
+        for j in 1..max_bins {
+            let pos = j * n / max_bins;
+            if pos > 0 && sorted[pos] > sorted[pos - 1] {
+                push(sorted[pos - 1], sorted[pos]);
+            }
+        }
+    }
+    cuts
+}
+
+fn assert_bins_are_the_sorted_ones(x: Matrix<'_>, w: &[f32], max_bins: usize) -> BinnedDataset {
+    let built = BinnedDataset::build(x, w, max_bins);
+    for (f, (cuts, codes)) in sorted_bins(x, w, max_bins).iter().enumerate() {
+        assert_eq!(built.cuts(f), &cuts[..], "column {f}, {max_bins} bins");
+        assert_eq!(built.codes(f), &codes[..], "column {f}, {max_bins} bins");
+    }
+    built
+}
+
+#[test]
+fn bins_from_ranks_are_the_bins_of_a_sort_per_column() {
+    for (n, seed) in [(157, 1), (725, 2), (2148, 3)] {
+        let set = realistic(n, seed);
+        for max_bins in [256, 16, 2] {
+            assert_bins_are_the_sorted_ones(set.view(), &set.w, max_bins);
+        }
+    }
+}
+
+#[test]
+fn columns_that_cannot_split_skip_the_sort_and_change_nothing() {
+    // Per row: constant, NaN, two-valued, continuous, constant on the
+    // included rows only, `-0.0`/`0.0` (equal, so constant too).
+    let n = 300;
+    let mut s = 7u64;
+    let w: Vec<f32> = (0..n).map(|i| if i % 7 == 3 { 0.0 } else { 0.5 }).collect();
+    let data: Vec<f32> = (0..n)
+        .flat_map(|i| {
+            [
+                4.25,
+                f32::NAN,
+                (i % 2) as f32,
+                lcg(&mut s) as f32 / 1e6,
+                if w[i] > 0.0 { 1.0 } else { i as f32 },
+                if i % 3 == 0 { -0.0 } else { 0.0 },
+            ]
+        })
+        .collect();
+    let x = Matrix::new(&data, 6);
+    for weights in [w.clone(), vec![0.0; n], vec![1.0; n]] {
+        for max_bins in [256, 16] {
+            assert_bins_are_the_sorted_ones(x, &weights, max_bins);
+        }
+    }
+    // The fixture is what it says: with `w`, columns 2 and 3 split and
+    // a zero-weight row of column 4 still gets its (only) code.
+    let built = BinnedDataset::build(x, &w, 256);
+    let bins: Vec<usize> = (0..6).map(|f| built.n_bins(f)).collect();
+    assert_eq!(bins[..3], [1, 1, 2]);
+    assert!(bins[3] > 100);
+    assert_eq!(bins[4..], [1, 1]);
 }
 
 const FINGERPRINTS: &str = concat!(
