@@ -8,8 +8,9 @@
 //! cost model's training records, the measurer's trial/simulated-clock
 //! accounting, and the offset of records already flushed to the on-disk
 //! log. The cost model itself is *not* serialized — GBDT training is a
-//! deterministic pure function of the record list, so restoring loads the
-//! records and the first read trains the identical model (see
+//! deterministic pure function of the record prefix it was trained on, so
+//! restoring loads the records and that prefix's length, and the first
+//! read trains the identical model (see
 //! `docs/ROBUSTNESS.md`).
 //!
 //! Files are JSON with a leading `version` field; [`TuneCheckpoint::save`]
@@ -96,9 +97,10 @@ pub struct ModelRecord {
     pub error: Option<String>,
 }
 
-/// Serialized state of a `LearnedCostModel`: just its record list. The
-/// trained GBDT is a deterministic function of the records, so no trees
-/// are persisted: the restored model trains when it is first read.
+/// Serialized state of a `LearnedCostModel`: its record list and how much
+/// of it the model is trained on. The trained GBDT is a deterministic
+/// function of that prefix, so no trees are persisted: the restored model
+/// trains when it is first read.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ModelCheckpoint {
     /// Stored training records, oldest first.
@@ -109,6 +111,23 @@ pub struct ModelCheckpoint {
     /// `GbdtRound` trace events keep numbering where the killed run left
     /// off.
     pub train_passes: u64,
+    /// Length of the record prefix the model is trained on: `update`
+    /// retrains only once half a window is new, so the model can lag the
+    /// records. `None` (a checkpoint written before the field existed, when
+    /// every update retrained) restores as trained on every record.
+    #[serde(default)]
+    pub trained_on: Option<usize>,
+    /// Whether that prefix's training pass had already run (is among
+    /// `train_passes`). The killed run then never runs it again, so the
+    /// resumed model's first read repeats it silently: no `GbdtRound` or
+    /// `ModelRetrain` event, no pass counted. Absent: `false`.
+    #[serde(default)]
+    pub trained: bool,
+    /// How many of the records a warm start absorbed before the session
+    /// measured anything. The retrain window counts only the records after
+    /// them. Absent: 0, a cold session.
+    #[serde(default)]
+    pub warm_records: usize,
 }
 
 /// Serialized state of a `TaskScheduler` (per-task policies included).
@@ -248,6 +267,9 @@ mod tests {
                         error: None,
                     }],
                     train_passes: 2,
+                    trained_on: Some(1),
+                    trained: true,
+                    warm_records: 1,
                 },
             }),
             scheduler: None,
@@ -331,6 +353,10 @@ mod tests {
         let back: ModelCheckpoint = serde_json::from_str(json).unwrap();
         assert_eq!(back.train_passes, 3);
         assert!(back.records.is_empty());
+        // Written before the trained prefix was recorded: every record,
+        // not yet trained, none of them from a warm start.
+        assert_eq!((back.trained_on, back.trained), (None, false));
+        assert_eq!(back.warm_records, 0);
     }
 
     #[test]

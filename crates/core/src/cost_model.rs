@@ -76,6 +76,19 @@ pub trait CostModel: Sync {
 /// Inert remnant (see [`CostModel::predict_population`]); the mask is `None`.
 pub type PopulationScores = (Vec<f64>, Option<Vec<bool>>);
 
+/// `update` retrains once the records added since the last training are
+/// at least `1 / RETRAIN_DIVISOR` of that training's window. The search
+/// reads the model only to *order* candidates (§5.2), and a refit whose
+/// window still shares most of its records with its predecessor's orders
+/// them almost as that one did — so a model is kept until half its window
+/// is new. A 1 024-trial session of 64-record batches then trains at 64 /
+/// 128 / 192 / 320 / 512 / 768 records instead of after all 15 batches
+/// that are read, and the score cache, which a retrain empties, lives
+/// across the updates in between. The window counts no record a warm start
+/// absorbed ([`LearnedCostModel::end_warm_start`]): a warm session retrains
+/// on its own batches where a cold one does.
+const RETRAIN_DIVISOR: usize = 2;
+
 /// One stored training record: an index into the model's shared
 /// [`FeatureMatrix`] plus the measurement. Feature rows live packed in the
 /// matrix, so records are a few words each and a training pass never clones
@@ -104,10 +117,22 @@ pub struct LearnedCostModel {
     /// The model is a memo of `records[..trained_on]`: training is a pure
     /// function of that prefix, so `update` and `restore` only move the
     /// prefix and empty the cell, and [`LearnedCostModel::model`] trains on
-    /// the first read — a retrain nothing reads is never run. `None` inside
-    /// the cell: the prefix's training window held no eligible row.
+    /// the first read — a retrain nothing reads is never run. `update`
+    /// moves the prefix only when a retrain is due (`RETRAIN_DIVISOR`).
+    /// `None` inside the cell: the prefix's training window held no
+    /// eligible row.
     model: OnceLock<Option<Gbdt>>,
     trained_on: usize,
+    /// The pass for `records[..trained_on]` already ran before a
+    /// `restore` (`ModelCheckpoint::trained`): the first read repeats it
+    /// with telemetry off, so the resumed trace and pass count are the
+    /// uninterrupted run's.
+    replay: bool,
+    /// Records a warm start absorbed before the session measured anything
+    /// ([`LearnedCostModel::end_warm_start`]). The retrain window counts
+    /// from after them, so a warm session retrains on its own batches as
+    /// a cold one does.
+    warm_records: usize,
     params: GbdtParams,
     /// Cap on the number of most recent records used per training pass.
     max_train_records: usize,
@@ -116,7 +141,8 @@ pub struct LearnedCostModel {
     /// duplication (failed mutations clone the parent, retained-best
     /// individuals re-enter every generation), and a score is a pure
     /// function of `(state, model)` — so duplicates are never re-lowered,
-    /// re-featurized, or re-scored. Cleared on every `update`/`restore`.
+    /// re-featurized, or re-scored. Cleared whenever the model moves: on
+    /// a retraining `update` and on `restore`.
     score_cache: SigCache<f64>,
     /// Signature-keyed featurization cache. Features depend only on the
     /// state (not on the model), so entries survive retrains; measured
@@ -142,6 +168,8 @@ impl LearnedCostModel {
             features: FeatureMatrix::new(FEATURE_DIM),
             model: OnceLock::new(),
             trained_on: 0,
+            replay: false,
+            warm_records: 0,
             params: GbdtParams {
                 n_trees: 25,
                 learning_rate: 0.25,
@@ -257,12 +285,15 @@ impl LearnedCostModel {
         Some((pairs, loss, 1.0 - 2.0 * loss))
     }
 
-    /// Rebuilds this model from a checkpoint: the records are restored and
-    /// the first read trains the exact GBDT the checkpointed model held, or
-    /// would have trained on its own first read (training is a pure
-    /// function of the record list — no RNG state crosses calls). The pass
-    /// counter is re-seeded so `GbdtRound` trace events in the resumed run
-    /// continue the killed run's numbering.
+    /// Rebuilds this model from a checkpoint: the records and the trained
+    /// prefix are restored and the first read trains the exact GBDT the
+    /// checkpointed model held, or would have trained on its own first read
+    /// (training is a pure function of `records[..trained_on]` — no RNG
+    /// state crosses calls). A checkpoint without `trained_on` restores as
+    /// trained on every record. The pass counter is re-seeded so
+    /// `GbdtRound` trace events in the resumed run continue the killed
+    /// run's numbering, and a pass the killed run had already run is
+    /// repeated without them.
     pub fn restore(&mut self, ck: &crate::checkpoint::ModelCheckpoint) {
         self.features = FeatureMatrix::new(FEATURE_DIM);
         self.records = ck
@@ -280,7 +311,11 @@ impl LearnedCostModel {
             })
             .collect();
         self.score_cache.clear();
-        self.trained_on = self.records.len();
+        self.trained_on = ck
+            .trained_on
+            .map_or(self.records.len(), |n| n.min(self.records.len()));
+        self.replay = ck.trained;
+        self.warm_records = ck.warm_records.min(self.records.len());
         self.model = OnceLock::new();
         let done = self.telemetry.counter_value("gbdt/train_passes");
         if ck.train_passes > done {
@@ -289,8 +324,9 @@ impl LearnedCostModel {
         }
     }
 
-    /// Serializes the model's training records (the model itself is a
-    /// deterministic function of them; see [`LearnedCostModel::restore`]).
+    /// Serializes the model's training records and how many of them it is
+    /// trained on (the model itself is a deterministic function of that
+    /// prefix; see [`LearnedCostModel::restore`]).
     pub fn checkpoint(&self) -> crate::checkpoint::ModelCheckpoint {
         crate::checkpoint::ModelCheckpoint {
             records: self
@@ -308,7 +344,18 @@ impl LearnedCostModel {
                 })
                 .collect(),
             train_passes: self.telemetry.counter_value("gbdt/train_passes"),
+            trained_on: Some(self.trained_on),
+            trained: self.model.get().is_some(),
+            warm_records: self.warm_records,
         }
+    }
+
+    /// Marks every record held so far as absorbed by a warm start: the
+    /// retrain window counts only the records measured after this call.
+    /// Without it, a store of W records would make a session wait for
+    /// min(W, `max_train_records`) / 2 of its own before it refits on any.
+    pub fn end_warm_start(&mut self) {
+        self.warm_records = self.records.len();
     }
 
     /// Whether a record can enter a training pass: measured, with rows.
@@ -325,6 +372,23 @@ impl LearnedCostModel {
     /// Whether a training pass over `records[..end]` has a row to fit.
     fn has_training_rows(&self, end: usize) -> bool {
         self.window(end).iter().any(|r| self.is_eligible(r))
+    }
+
+    /// Whether `update` moves the model to `records[..end]`: never when
+    /// that window has nothing to fit, always when the current one has not
+    /// (the first trainable batch), and otherwise once the records since
+    /// the last training are `1 / RETRAIN_DIVISOR` of its window, counted
+    /// without the records of a warm start.
+    fn retrain_due(&self, end: usize) -> bool {
+        if !self.has_training_rows(end) {
+            return false;
+        }
+        let trained_window = self
+            .trained_on
+            .saturating_sub(self.warm_records)
+            .min(self.max_train_records);
+        !self.has_training_rows(self.trained_on)
+            || RETRAIN_DIVISOR * (end - self.trained_on) >= trained_window
     }
 
     /// The model of `records[..trained_on]`, trained by whichever caller
@@ -377,8 +441,14 @@ impl LearnedCostModel {
                 w[row - row0] = label.max(1e-3);
             }
         }
-        let model = Gbdt::train_matrix(x, &y, &w, &self.params, &self.telemetry);
-        if self.telemetry.is_tracing() {
+        let disabled = telemetry::Telemetry::disabled();
+        let telemetry = if self.replay {
+            &disabled
+        } else {
+            &self.telemetry
+        };
+        let model = Gbdt::train_matrix(x, &y, &w, &self.params, telemetry);
+        if telemetry.is_tracing() {
             if let Some((pairs, ranking_loss, rank_corr)) =
                 self.ranking_quality_of(&model, records, 200)
             {
@@ -640,20 +710,20 @@ impl CostModel for LearnedCostModel {
                 .gauge_set("model/feature_bytes", self.features.resident_bytes() as f64);
             blocks
         };
-        // Held-out calibration against the model of the records before
-        // this batch (read, hence trained, here if nothing scored with it).
+        // Held-out calibration against the model the batch was picked
+        // under (read, hence trained, here if nothing scored with it).
         if self.telemetry.is_tracing() {
             if let Some(model) = self.model() {
                 self.emit_calibration(model, &task.name, &blocks, seconds);
             }
         }
-        // Scores are about to change with the model; stale entries must
-        // not survive.
-        self.score_cache.clear();
-        // The superseded model is freed now, not when its successor exists
-        // — unless the new window holds nothing to train on: it stays then.
-        if self.has_training_rows(self.records.len()) {
+        // A retrain frees the superseded model now, not when its successor
+        // exists, and drops the scores it gave. Otherwise the model and
+        // every cached score stay exactly as they were.
+        if self.retrain_due(self.records.len()) {
+            self.score_cache.clear();
             self.trained_on = self.records.len();
+            self.replay = false;
             self.model = OnceLock::new();
         }
     }
@@ -984,13 +1054,186 @@ mod tests {
             assert_eq!(m.num_records(), good.len() + failed.len());
             assert_eq!(bits(&m.predict(&t, &probe)), want, "{read_between}");
         }
-        // A restore has no previous model to keep.
+        // A restore keeps it too: the checkpoint names the trained prefix.
+        // One without it trains on every record, and here finds nothing.
         let mut m = windowed();
         m.update(&t, &good, &good_secs);
         m.update(&t, &failed, &failed_secs);
+        let mut ck = m.checkpoint();
+        assert_eq!(ck.trained_on, Some(good.len()));
         let mut restored = windowed();
-        restored.restore(&m.checkpoint());
+        restored.restore(&ck);
+        assert_eq!(bits(&restored.predict(&t, &probe)), want);
+        ck.trained_on = None;
+        let mut restored = windowed();
+        restored.restore(&ck);
         assert!(!restored.is_trained());
+    }
+
+    /// A warm start of `warm` measured samples (none if 0), then `batches`
+    /// updates of `size` each, the model read after every one as a session
+    /// reads it; returns the model, its telemetry, and the trained prefix
+    /// after each batch.
+    fn session_of(
+        t: &SearchTask,
+        warm: usize,
+        batches: usize,
+        size: usize,
+    ) -> (LearnedCostModel, telemetry::Telemetry, Vec<usize>) {
+        let probe = sample_states(t, 4, 99);
+        let tel = telemetry::Telemetry::with_metrics();
+        let mut model = LearnedCostModel::new();
+        model.set_telemetry(tel.clone());
+        if warm > 0 {
+            let (states, secs) = measured(t, warm, 7);
+            model.update(t, &states, &secs);
+            model.end_warm_start();
+            model.predict(t, &probe);
+        }
+        let mut prefixes = Vec::new();
+        for b in 0..batches {
+            let (states, secs) = measured(t, size, 100 + b as u64);
+            model.update(t, &states, &secs);
+            model.predict(t, &probe);
+            prefixes.push(model.trained_on);
+        }
+        (model, tel, prefixes)
+    }
+
+    #[test]
+    fn a_model_retrains_once_half_its_window_is_new() {
+        let t = task();
+        let (model, tel, prefixes) = session_of(&t, 0, 16, 64);
+        assert_eq!(model.num_records(), 1024);
+        let mut trained: Vec<usize> = prefixes.clone();
+        trained.dedup();
+        assert_eq!(trained, [64, 128, 192, 320, 512, 768]);
+        assert_eq!(tel.counter_value("gbdt/train_passes"), 6);
+        // At 768 records the next retrain waits for 384 more: past the end.
+        assert_eq!(prefixes[12..], [768; 4]);
+    }
+
+    #[test]
+    fn a_session_of_four_rounds_reads_the_models_of_every_batch() {
+        // Four rounds read the model after three updates: each of those
+        // retrains, whatever the batch size, as when every update did.
+        let t = task();
+        for size in [5, 16, 64] {
+            let (_, tel, prefixes) = session_of(&t, 0, 4, size);
+            assert_eq!(prefixes[..3], [size, 2 * size, 3 * size], "{size}");
+            assert_eq!(prefixes[3], 3 * size, "{size}");
+            assert_eq!(tel.counter_value("gbdt/train_passes"), 3, "{size}");
+        }
+    }
+
+    #[test]
+    fn a_warm_session_of_four_rounds_reads_the_models_of_every_batch() {
+        // The window counts no record of the warm start: after 96 of them
+        // the session's own batches retrain where a cold session's do. Were
+        // they counted, the model would wait for 48 new records.
+        let t = task();
+        for size in [5, 16, 64] {
+            let (model, tel, prefixes) = session_of(&t, 96, 4, size);
+            let want = [96 + size, 96 + 2 * size, 96 + 3 * size, 96 + 3 * size];
+            assert_eq!(prefixes, want, "{size}");
+            // The warm start's pass, then one per batch before the last.
+            assert_eq!(tel.counter_value("gbdt/train_passes"), 4, "{size}");
+            assert_eq!(model.checkpoint().warm_records, 96, "{size}");
+        }
+        // A checkpoint carries the count: the resumed model takes the next
+        // retrain where the killed one would.
+        let (mut model, _, _) = session_of(&t, 96, 4, 16);
+        let mut restored = LearnedCostModel::new();
+        restored.restore(&model.checkpoint());
+        let (states, secs) = measured(&t, 16, 43);
+        model.update(&t, &states, &secs);
+        restored.update(&t, &states, &secs);
+        assert_eq!((model.trained_on, restored.trained_on), (176, 176));
+    }
+
+    #[test]
+    fn an_update_that_does_not_retrain_serves_every_score_from_the_cache() {
+        let t = task();
+        let (mut model, tel, prefixes) = session_of(&t, 0, 3, 16);
+        assert_eq!(prefixes, [16, 32, 48]);
+        let probe = sample_states(&t, 12, 31);
+        let unique = probe
+            .iter()
+            .map(|s| s.signature())
+            .collect::<HashSet<_>>()
+            .len();
+        let (h0, m0) = model.cache_stats();
+        let want = bits(&model.predict(&t, &probe));
+        assert_eq!(
+            model.cache_stats(),
+            (h0 + (probe.len() - unique) as u64, m0 + unique as u64)
+        );
+        let (states, secs) = measured(&t, 16, 32);
+        model.update(&t, &states, &secs);
+        assert_eq!(model.trained_on, 48);
+        let passes = tel.counter_value("gbdt/train_passes");
+        let (h1, m1) = model.cache_stats();
+        assert_eq!(bits(&model.predict(&t, &probe)), want);
+        // Every score was a hit: no state was featurized or run through
+        // the ensemble again, and nothing trained.
+        assert_eq!(model.cache_stats(), (h1 + probe.len() as u64, m1));
+        assert_eq!(tel.counter_value("gbdt/train_passes"), passes);
+    }
+
+    #[test]
+    fn a_checkpoint_between_retrains_restores_the_model_it_held() {
+        let t = task();
+        let (mut model, tel, prefixes) = session_of(&t, 0, 4, 16);
+        assert_eq!(prefixes[3], 48);
+        let ck = model.checkpoint();
+        assert_eq!((ck.records.len(), ck.trained_on), (64, Some(48)));
+        assert_eq!((ck.train_passes, ck.trained), (3, true));
+        let restored_tel = telemetry::Telemetry::with_metrics();
+        let mut restored = LearnedCostModel::new();
+        restored.set_telemetry(restored_tel.clone());
+        restored.restore(&ck);
+        let probe = sample_states(&t, 8, 41);
+        let want = bits(&model.predict(&t, &probe));
+        assert_eq!(bits(&restored.predict(&t, &probe)), want);
+        // The killed run had run that pass: repeating it counts nothing.
+        let passes = |tel: &telemetry::Telemetry| tel.counter_value("gbdt/train_passes");
+        assert_eq!((passes(&tel), passes(&restored_tel)), (3, 3));
+        // And both take the next retrain at the same point, counted.
+        let (states, secs) = measured(&t, 16, 42);
+        model.update(&t, &states, &secs);
+        restored.update(&t, &states, &secs);
+        assert_eq!((model.trained_on, restored.trained_on), (80, 80));
+        let want = bits(&model.predict(&t, &probe));
+        assert_eq!(bits(&restored.predict(&t, &probe)), want);
+        assert_eq!((passes(&tel), passes(&restored_tel)), (4, 4));
+    }
+
+    #[test]
+    fn a_checkpoint_without_a_trained_prefix_restores_as_trained_on_every_record() {
+        // The format written before `trained_on` existed, when every update
+        // retrained.
+        let t = task();
+        let (model, _, _) = session_of(&t, 0, 4, 16);
+        let mut json = serde_json::to_value(&model.checkpoint());
+        let serde_json::Value::Object(fields) = &mut json else {
+            panic!("a checkpoint is an object")
+        };
+        assert!(fields.remove("trained_on").is_some());
+        let old: crate::checkpoint::ModelCheckpoint = serde_json::from_value(&json).unwrap();
+        assert_eq!(old.trained_on, None);
+        let mut restored = LearnedCostModel::new();
+        restored.restore(&old);
+        assert_eq!(restored.trained_on, 64);
+        assert_eq!(restored.checkpoint().trained_on, Some(64));
+        let mut all = LearnedCostModel::new();
+        all.restore(&crate::checkpoint::ModelCheckpoint {
+            trained_on: Some(64),
+            ..old.clone()
+        });
+        let probe = sample_states(&t, 8, 51);
+        let want = bits(&all.predict(&t, &probe));
+        assert_eq!(bits(&restored.predict(&t, &probe)), want);
+        assert_ne!(bits(&model.predict(&t, &probe)), want);
     }
 
     #[test]

@@ -228,7 +228,9 @@ impl TuningSession {
     /// transfer path of Chen et al.; *not* on the bit-identity path — a
     /// warm-started run legitimately differs from a cold one).
     pub fn warm_start(&mut self, records: &[TuningRecordLog]) -> usize {
-        self.policy.warm_start(records, &mut self.model)
+        let absorbed = self.policy.warm_start(records, &mut self.model);
+        self.model.end_warm_start();
+        absorbed
     }
 
     /// Number of log records already flushed to an external record log.
@@ -453,17 +455,21 @@ mod tests {
         assert_eq!(tel.counter_value("gbdt/train_passes"), 3);
         assert_eq!(tel.counter_value("model/calibrations"), 3);
 
-        // Restoring continues the numbering and trains nothing…
+        // The fourth update kept the model: half its window was not new.
         let ck = s.checkpoint();
+        let model = &ck.single.as_ref().unwrap().model;
+        assert_eq!((model.records.len(), model.trained_on), (64, Some(48)));
+        // Restoring continues the numbering and trains nothing…
         let (mut resumed, tel, _) = traced_session(64);
         resumed.restore(&ck).unwrap();
         assert_eq!(tel.counter_value("gbdt/train_passes"), 3);
         assert_eq!(tel.counter_value("gbdt/train_samples"), 0);
-        // …until something reads the model.
+        // …until something reads the model; the killed run had trained
+        // this one, so the pass is repeated without being counted.
         let best = [(*s.best_individual().unwrap().state).clone()];
         let score = resumed.model().predict(resumed.task(), &best);
-        assert_eq!(tel.counter_value("gbdt/train_passes"), 4);
-        assert!(tel.counter_value("gbdt/train_samples") > 0);
+        assert_eq!(tel.counter_value("gbdt/train_passes"), 3);
+        assert_eq!(tel.counter_value("gbdt/train_samples"), 0);
         assert_eq!(score, s.model().predict(s.task(), &best));
     }
 

@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A bounded, thread-safe map from a 64-bit program signature to a cached
 /// value. Once `capacity` entries are stored, further misses compute
@@ -40,18 +40,26 @@ impl<V: Clone> SigCache<V> {
         }
     }
 
+    /// The map, whether or not a panicking holder poisoned its lock: every
+    /// mutation is one `HashMap` call, and a panic inside one (a value's
+    /// `Clone`) leaves the map without that entry, never half-written — so
+    /// a poisoned map is as consistent as a clean one.
+    fn lock(&self) -> MutexGuard<'_, HashMap<u64, V>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Looks up `key`, computing and (capacity permitting) inserting the
     /// value on a miss. `compute` runs outside the lock, so concurrent
     /// misses on the same key may compute twice — both arrive at the same
     /// value, and one wins the insert.
     pub fn get_or_insert_with(&self, key: u64, compute: impl FnOnce() -> V) -> V {
-        if let Some(v) = self.map.lock().expect("cache lock poisoned").get(&key) {
+        if let Some(v) = self.lock().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return v.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let v = compute();
-        let mut map = self.map.lock().expect("cache lock poisoned");
+        let mut map = self.lock();
         if map.len() < self.capacity {
             map.entry(key).or_insert_with(|| v.clone());
         }
@@ -60,7 +68,7 @@ impl<V: Clone> SigCache<V> {
 
     /// Cached value for `key`, if present.
     pub fn get(&self, key: u64) -> Option<V> {
-        let map = self.map.lock().expect("cache lock poisoned");
+        let map = self.lock();
         let v = map.get(&key).cloned();
         match v {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -71,7 +79,7 @@ impl<V: Clone> SigCache<V> {
 
     /// Inserts a value computed elsewhere (no-op at capacity).
     pub fn insert(&self, key: u64, value: V) {
-        let mut map = self.map.lock().expect("cache lock poisoned");
+        let mut map = self.lock();
         if map.len() < self.capacity {
             map.insert(key, value);
         }
@@ -80,12 +88,12 @@ impl<V: Clone> SigCache<V> {
     /// Drops every entry (e.g. when the model behind the values retrains)
     /// but keeps the lifetime hit/miss counters.
     pub fn clear(&self) {
-        self.map.lock().expect("cache lock poisoned").clear();
+        self.lock().clear();
     }
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache lock poisoned").len()
+        self.lock().len()
     }
 
     /// Whether the cache holds no entries.
@@ -139,6 +147,40 @@ mod tests {
         assert_eq!(c.hits(), 1);
         c.get_or_insert_with(1, || 2);
         assert_eq!(c.get(1), Some(2));
+    }
+
+    /// A value whose `Clone` panics when it holds 13.
+    #[derive(Debug, PartialEq)]
+    struct Fragile(u64);
+
+    impl Clone for Fragile {
+        fn clone(&self) -> Fragile {
+            assert_ne!(self.0, 13, "clone of a fragile value");
+            Fragile(self.0)
+        }
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_poisons_nothing_that_matters() {
+        let c: SigCache<Fragile> = SigCache::new(8);
+        assert_eq!(c.get_or_insert_with(1, || Fragile(1)), Fragile(1));
+        // The insert clones the computed value under the lock: the panic
+        // poisons it, and the entry is never written.
+        let insert = std::panic::catch_unwind(|| c.get_or_insert_with(2, || Fragile(13)));
+        assert!(insert.is_err());
+        assert!(c.map.is_poisoned());
+        assert_eq!((c.hits(), c.misses()), (0, 2));
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.get(2), None);
+        assert_eq!(c.get(1), Some(Fragile(1)));
+        assert_eq!(c.get_or_insert_with(1, || panic!("cached")), Fragile(1));
+        assert_eq!(c.get_or_insert_with(3, || Fragile(3)), Fragile(3));
+        assert_eq!((c.hits(), c.misses()), (2, 4));
+        assert_eq!(c.len(), 2);
+        c.clear();
+        assert!(c.is_empty());
+        assert_eq!(c.get_or_insert_with(1, || Fragile(4)), Fragile(4));
+        assert_eq!((c.hits(), c.misses()), (2, 5));
     }
 
     #[test]

@@ -4,12 +4,19 @@
 //! that was never interrupted. Runs under whatever `ANSOR_THREADS` the CI
 //! matrix sets; the determinism contract makes the comparison valid at any
 //! thread count.
+//!
+//! The cost model retrains only once half its training window is new, so
+//! a checkpoint can fall between two retrains: the model then lags its
+//! records, and the checkpoint must carry how far (`trained_on`) and
+//! whether that model had been trained (`trained`). The test asserts that
+//! such a boundary occurs before the run ends; `crash_resume_scheduler.rs`
+//! covers the same case for a `TaskScheduler`'s shared model.
 
 use std::sync::Arc;
 
 use ansor::core::{
-    LearnedCostModel, SinglePolicyCheckpoint, SketchPolicy, TuneCheckpoint, TuningRecordLog,
-    CHECKPOINT_VERSION,
+    LearnedCostModel, ModelCheckpoint, SinglePolicyCheckpoint, SketchPolicy, TuneCheckpoint,
+    TuningRecordLog, CHECKPOINT_VERSION,
 };
 use ansor::prelude::*;
 use hwsim::FaultPlan;
@@ -33,7 +40,7 @@ fn task() -> SearchTask {
 fn options(tel: Telemetry) -> TuningOptions {
     TuningOptions {
         num_measure_trials: 64,
-        measures_per_round: 16,
+        measures_per_round: 8,
         init_population: 24,
         seed: 0xC0DE,
         telemetry: tel,
@@ -158,6 +165,17 @@ fn killed_and_resumed_at_every_boundary_is_bit_identical() {
         "need multiple rounds to test boundaries, got {}",
         boundaries.len()
     );
+    let models: Vec<ModelCheckpoint> = boundaries
+        .iter()
+        .map(|(path, _)| {
+            let ck = TuneCheckpoint::load(path).expect("checkpoint loads");
+            ck.single.expect("single-op checkpoint").model
+        })
+        .collect();
+    assert!(
+        models[..models.len() - 1].iter().any(lags),
+        "no kill boundary falls between two retrains"
+    );
     assert!(full.best_seconds.is_finite());
     for (k, (path, pre_events)) in boundaries.iter().enumerate() {
         let resumed = resume_from(path);
@@ -195,4 +213,10 @@ fn killed_and_resumed_at_every_boundary_is_bit_identical() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Whether a checkpointed model is trained on fewer records than it holds:
+/// the update before the checkpoint did not retrain.
+fn lags(model: &ModelCheckpoint) -> bool {
+    model.trained_on.expect("written with the trained prefix") < model.records.len()
 }
