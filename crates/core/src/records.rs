@@ -7,15 +7,15 @@
 //! the program's complete genome — so `State::replay` reconstructs the
 //! exact schedule.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use serde::{DeError, Deserialize, Map, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 use tensor_ir::{ComputeDag, State, Step};
 
 /// One measured program.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TuningRecordLog {
     /// Task name the record belongs to.
     pub task: String,
@@ -43,30 +43,12 @@ impl TuningRecordLog {
     }
 }
 
-// Serialization is manual (not derived) because `seconds` needs an explicit
-// validity convention: non-finite times are written as `null` and recovered
-// as `f64::INFINITY` on load, so failed measurements survive the round trip
-// instead of being dropped as corrupt lines. Legacy logs without the
-// `error` field still load (`error` defaults to `None`).
-impl Serialize for TuningRecordLog {
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("task".into(), self.task.to_value());
-        m.insert("trial".into(), self.trial.to_value());
-        m.insert("steps".into(), self.steps.to_value());
-        m.insert(
-            "seconds".into(),
-            if self.seconds.is_finite() {
-                self.seconds.to_value()
-            } else {
-                Value::Null
-            },
-        );
-        m.insert("error".into(), self.error.to_value());
-        Value::Object(m)
-    }
-}
-
+// Deserialization is manual (not derived) because `seconds` needs an
+// explicit validity convention: non-finite times are written as `null` (as
+// every non-finite float is) and recovered as `f64::INFINITY` on load, so
+// failed measurements survive the round trip instead of being dropped as
+// corrupt lines. Legacy logs without the `error` field still load (`error`
+// defaults to `None`).
 impl Deserialize for TuningRecordLog {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let Value::Object(m) = v else {
@@ -87,17 +69,34 @@ impl Deserialize for TuningRecordLog {
     }
 }
 
-/// Appends records to a JSON-lines log file.
+/// Appends records to a JSON-lines log file, as one write of whole lines.
+/// A file whose last line has no newline — a writer killed between a line
+/// and its end — gets one first, so the torn line stays the only corrupt
+/// one instead of swallowing the first record appended after it.
 pub fn save_records(path: impl AsRef<Path>, records: &[TuningRecordLog]) -> std::io::Result<()> {
     let mut f = std::fs::OpenOptions::new()
         .create(true)
+        .read(true)
         .append(true)
         .open(path)?;
-    for r in records {
-        let line = serde_json::to_string(r).expect("records serialize");
-        writeln!(f, "{line}")?;
+    if records.is_empty() {
+        return Ok(());
     }
-    Ok(())
+    let mut batch = String::new();
+    let len = f.metadata()?.len();
+    if len > 0 {
+        let mut last = [0u8];
+        f.seek(SeekFrom::Start(len - 1))?;
+        f.read_exact(&mut last)?;
+        if last != *b"\n" {
+            batch.push('\n');
+        }
+    }
+    for r in records {
+        r.write_json(&mut batch);
+        batch.push('\n');
+    }
+    f.write_all(batch.as_bytes())
 }
 
 /// Loads all records from a JSON-lines log file. Corrupt lines are skipped
@@ -132,10 +131,13 @@ pub fn log_fingerprint(records: &[TuningRecordLog]) -> u64 {
         }
     }
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    // Every line is rendered into the same buffer.
+    let mut line = String::with_capacity(1024);
     for r in records {
-        let line = serde_json::to_string(r).expect("records serialize");
+        line.clear();
+        r.write_json(&mut line);
+        line.push('\n');
         mix(&mut h, line.as_bytes());
-        mix(&mut h, b"\n");
     }
     h
 }

@@ -125,7 +125,7 @@ impl Default for TuningOptions {
 }
 
 /// One measurement record.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TuningRecord {
     /// 1-based measurement trial index.
     pub trial: u64,
@@ -135,26 +135,10 @@ pub struct TuningRecord {
     pub best_seconds: f64,
 }
 
-// Manual serde: failed trials carry `f64::INFINITY`, which JSON encodes as
-// `null`; the custom impls recover the infinity on load so checkpointed
-// tuning curves round-trip exactly (same convention as `TuningRecordLog`).
-impl Serialize for TuningRecord {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        let enc = |s: f64| {
-            if s.is_finite() {
-                s.to_value()
-            } else {
-                serde::Value::Null
-            }
-        };
-        m.insert("trial".into(), self.trial.to_value());
-        m.insert("seconds".into(), enc(self.seconds));
-        m.insert("best_seconds".into(), enc(self.best_seconds));
-        serde::Value::Object(m)
-    }
-}
-
+// Manual deserialization: failed trials carry `f64::INFINITY`, which JSON
+// encodes as `null`; the custom impl recovers the infinity on load so
+// checkpointed tuning curves round-trip exactly (same convention as
+// `TuningRecordLog`).
 impl Deserialize for TuningRecord {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let serde::Value::Object(m) = v else {

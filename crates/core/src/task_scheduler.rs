@@ -115,7 +115,7 @@ impl Default for TaskSchedulerConfig {
 }
 
 /// One scheduler history record (for tuning curves like Figure 10).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SchedulerRecord {
     /// Total measurement trials spent so far across all tasks.
     pub total_trials: u64,
@@ -127,32 +127,11 @@ pub struct SchedulerRecord {
     pub objective: f64,
 }
 
-// Manual serde: latencies and the objective are `f64::INFINITY` until every
-// task in a DNN has a measurement, and JSON encodes non-finite floats as
-// `null`; the custom impls recover the infinities on load so checkpointed
-// scheduler histories round-trip exactly (same convention as
+// Manual deserialization: latencies and the objective are `f64::INFINITY`
+// until every task in a DNN has a measurement, and JSON encodes non-finite
+// floats as `null`; the custom impl recovers the infinities on load so
+// checkpointed scheduler histories round-trip exactly (same convention as
 // `TuningRecordLog`).
-impl Serialize for SchedulerRecord {
-    fn to_value(&self) -> serde::Value {
-        let enc = |s: &f64| {
-            if s.is_finite() {
-                s.to_value()
-            } else {
-                serde::Value::Null
-            }
-        };
-        let mut m = serde::Map::new();
-        m.insert("total_trials".into(), self.total_trials.to_value());
-        m.insert("chosen_task".into(), self.chosen_task.to_value());
-        m.insert(
-            "dnn_latencies".into(),
-            serde::Value::Array(self.dnn_latencies.iter().map(enc).collect()),
-        );
-        m.insert("objective".into(), enc(&self.objective));
-        serde::Value::Object(m)
-    }
-}
-
 impl Deserialize for SchedulerRecord {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let serde::Value::Object(m) = v else {

@@ -4,7 +4,9 @@
 //!   valid records, failed records (`seconds: null`), and legacy records
 //!   (no `error` field);
 //! - corrupted lines are skipped and *counted*, and never panic the
-//!   loader, no matter how they are interleaved with valid lines.
+//!   loader, no matter how they are interleaved with valid lines;
+//! - an append after a torn last line (a writer killed mid-line) loses
+//!   only that line: every record appended after it loads.
 
 use ansor_core::{load_records, save_records, TuningRecordLog};
 use proptest::prelude::*;
@@ -149,5 +151,33 @@ proptest! {
             prop_assert_eq!(loaded[0].seconds.to_bits(), seconds.to_bits());
             prop_assert!(loaded[0].is_valid());
         }
+    }
+
+    #[test]
+    fn an_append_after_a_torn_line_loses_only_that_line(
+        seed in 0u64..100_000,
+        cut in 1usize..1_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let before: Vec<TuningRecordLog> =
+            (0..rng.gen_range(1..5usize)).map(|_| random_record(&mut rng)).collect();
+        let after: Vec<TuningRecordLog> =
+            (0..rng.gen_range(1..5usize)).map(|_| random_record(&mut rng)).collect();
+        let path = temp_log("torn", seed);
+        let _ = std::fs::remove_file(&path);
+        save_records(&path, &before).unwrap();
+        // Cut the last line short of its newline, somewhere inside it.
+        let text = std::fs::read(&path).unwrap();
+        let last = serde_json::to_string(before.last().unwrap()).unwrap().len();
+        let keep = text.len() - 1 - last + cut % last;
+        std::fs::write(&path, &text[..keep]).unwrap();
+        save_records(&path, &after).unwrap();
+        let (loaded, skipped) = load_records(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        // A cut at the line's start leaves nothing of it to skip.
+        prop_assert_eq!(skipped, usize::from(cut % last > 0));
+        let mut want = before[..before.len() - 1].to_vec();
+        want.extend(after);
+        prop_assert_eq!(loaded, want);
     }
 }

@@ -21,7 +21,7 @@ use std::io::BufReader;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ansor_core::{log_fingerprint, SearchTask, TuningOptions, TuningSession};
@@ -137,6 +137,10 @@ impl JobState {
     }
 }
 
+/// A running job's counters, for `status` and the gauges. Its lock is
+/// taken poison-tolerantly: a holder that panicked left at worst a count
+/// one round stale, which the next round overwrites, so a reader never
+/// needs to fail over it.
 #[derive(Debug, Clone, Copy, Default)]
 struct Progress {
     rounds: u64,
@@ -694,7 +698,7 @@ fn run_job(
     let mut last_round = 0u64;
     session.run(|s| {
         let p = {
-            let mut p = progress.lock().expect("progress lock poisoned");
+            let mut p = progress.lock().unwrap_or_else(PoisonError::into_inner);
             p.rounds = s.rounds();
             p.trials = s.trials();
             p.best_seconds = s.best_seconds().is_finite().then(|| s.best_seconds());
@@ -731,7 +735,7 @@ fn run_job(
     let was_cancelled = cancel.load(Ordering::Relaxed);
 
     let final_progress = {
-        let mut p = progress.lock().expect("progress lock poisoned");
+        let mut p = progress.lock().unwrap_or_else(PoisonError::into_inner);
         p.rounds = session.rounds();
         p.trials = session.trials();
         p.best_seconds = session
@@ -1000,7 +1004,7 @@ fn handle_submit(shared: &Arc<Shared>, req: &Request) -> Response {
 }
 
 fn job_status(id: &str, job: &Job) -> JobStatus {
-    let p = *job.progress.lock().expect("progress lock poisoned");
+    let p = *job.progress.lock().unwrap_or_else(PoisonError::into_inner);
     JobStatus {
         job: id.to_string(),
         state: job.state.as_str().into(),
@@ -1104,4 +1108,80 @@ fn handle_stats(shared: &Arc<Shared>, req: &Request) -> Response {
         trials_total: t.trials_total,
     });
     resp
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A daemon's shared state with no threads (the test runs the worker),
+    /// and the listener its stop wakes.
+    fn idle_daemon() -> (Arc<Shared>, TcpListener) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("a local port");
+        let shared = Arc::new(Shared {
+            cfg: ServeConfig::default(),
+            store: WarmStore::in_memory(),
+            jobs: Mutex::new(JobTable::default()),
+            work_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+            journal: None,
+            wake_addr: listener.local_addr().expect("a bound address"),
+        });
+        (shared, listener)
+    }
+
+    fn request(method: &str, job: Option<&str>) -> Request {
+        Request {
+            id: 1,
+            method: method.into(),
+            job: job.map(str::to_string),
+            spec: None,
+            drain: None,
+            offset: None,
+        }
+    }
+
+    #[test]
+    fn poisoned_progress_and_cache_locks_neither_stop_a_job_nor_status() {
+        let (shared, _listener) = idle_daemon();
+        shared.store.poison_caches();
+        let mut submit = request("submit", None);
+        submit.spec = Some(JobSpec {
+            op: "GMM".into(),
+            shape: 0,
+            batch: 1,
+            target: "intel".into(),
+            trials: 8,
+            seed: 1,
+            warm_start: None,
+            threads: None,
+            faults: None,
+            prerank_keep: None,
+            transfer: None,
+        });
+        let id = dispatch(&shared, &submit).job.expect("a job id");
+        let progress = Arc::clone(&shared.jobs.lock().unwrap().jobs[&id].progress);
+        let holder = std::thread::spawn(move || {
+            let _p = progress.lock();
+            panic!("a holder of the progress panics");
+        });
+        assert!(holder.join().is_err());
+
+        let status = dispatch(&shared, &request("status", Some(&id)));
+        assert_eq!(status.status.expect("a status").state, "queued");
+        // Draining first: the worker runs the queued job, then stops, so a
+        // worker that died on a lock fails the join instead of hanging.
+        initiate_shutdown(&shared, true);
+        let worker = {
+            let sh = Arc::clone(&shared);
+            std::thread::spawn(move || worker_loop(&sh))
+        };
+        worker.join().expect("the worker runs the job and stops");
+        let result = dispatch(&shared, &request("result", Some(&id)));
+        let result = result.result.expect("a result");
+        assert_eq!((result.state.as_str(), result.trials), ("done", 8));
+        let status = dispatch(&shared, &request("status", Some(&id)));
+        let status = status.status.expect("a status");
+        assert_eq!((status.state.as_str(), status.trials), ("done", 8));
+    }
 }

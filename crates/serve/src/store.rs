@@ -39,7 +39,7 @@ use std::hash::{Hash, Hasher};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ansor_core::{FeatureBlock, TuningRecordLog};
 use ansor_runtime::SigCache;
@@ -400,6 +400,12 @@ impl WarmStore {
         self.log.lock().expect("store log lock poisoned")
     }
 
+    /// The class-cache map, whether or not a holder panicked: every holder
+    /// makes one `insert` or `remove`, so no panic leaves it half-changed.
+    fn lock_caches(&self) -> MutexGuard<'_, HashMap<String, ClassCaches>> {
+        self.caches.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Replays one entry's records into its class measurement cache.
     /// Returns `(primed, replay_failures)`.
     fn prime_class(&self, slot: &Slot) -> (usize, usize) {
@@ -430,10 +436,22 @@ impl WarmStore {
         (primed, failed)
     }
 
+    /// Poisons the class-cache lock as a holder that panics would.
+    #[cfg(test)]
+    pub(crate) fn poison_caches(&self) {
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _caches = self.caches.lock();
+                panic!("a holder of the class caches panics");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(self.caches.is_poisoned());
+    }
+
     /// The caches of a workload class, created on first use.
     fn class_caches(&self, class_key: &str) -> ClassCaches {
-        let mut caches = self.caches.lock().expect("store lock poisoned");
-        caches
+        self.lock_caches()
             .entry(class_key.to_string())
             .or_insert_with(|| ClassCaches {
                 measure: Arc::new(SigCache::new(MEASURE_CACHE_CAPACITY)),
@@ -515,7 +533,7 @@ impl WarmStore {
                 if !fresh.is_empty() {
                     added.push(',');
                 }
-                added.push_str(&serde_json::to_string(r).expect("tuning record serializes"));
+                r.write_json(&mut added);
                 fresh.push(r.clone());
             }
             if r.is_valid() {
@@ -574,10 +592,7 @@ impl WarmStore {
             // Drop the class's caches too: with the records gone the
             // measurement cache can no longer be re-primed after a restart,
             // and keeping them would hold the evicted memory live.
-            self.caches
-                .lock()
-                .expect("store lock poisoned")
-                .remove(&victim);
+            self.lock_caches().remove(&victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
             evicted.push(victim);
         }
@@ -825,6 +840,29 @@ mod tests {
         assert!(!store.records_for(&a.class_key("none")).is_empty());
         assert!(!store.records_for(&c.class_key("none")).is_empty());
         assert!(store.resident_bytes() <= two_entries + 8);
+    }
+
+    #[test]
+    fn a_poisoned_class_cache_lock_still_hands_out_and_evicts_caches() {
+        let store = WarmStore::in_memory();
+        store.poison_caches();
+        let a = spec();
+        let mut b = spec();
+        b.shape = 1;
+        let cache = store.measure_cache(&a.class_key("none"));
+        assert!(Arc::ptr_eq(
+            &cache,
+            &store.measure_cache(&a.class_key("none"))
+        ));
+        store.absorb(&a, "none", &[record_with_steps(1, 2e-3, 2)]);
+        store.set_byte_budget(Some(1));
+        store.absorb(&b, "none", &[record_with_steps(1, 2e-3, 4)]);
+        assert_eq!(store.eviction_count(), 1);
+        // Evicting the class dropped its caches: asking again makes new ones.
+        assert!(!Arc::ptr_eq(
+            &cache,
+            &store.measure_cache(&a.class_key("none"))
+        ));
     }
 
     #[test]

@@ -200,8 +200,8 @@ impl PartialEq<&str> for Name {
 }
 
 impl Serialize for Name {
-    fn to_value(&self) -> Value {
-        self.as_str().to_value()
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out)
     }
 }
 

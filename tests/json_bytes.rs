@@ -101,7 +101,11 @@ fn tune_checkpoint() -> ansor::core::TuneCheckpoint {
             * Expr::load(w, vec![ax[2].clone(), ax[1].clone()])
     });
     let target = HardwareTarget::intel_20core();
-    let task = SearchTask::new("json_bytes:mm96", Arc::new(b.build().unwrap()), target.clone());
+    let task = SearchTask::new(
+        "json_bytes:mm96",
+        Arc::new(b.build().unwrap()),
+        target.clone(),
+    );
     let options = TuningOptions {
         num_measure_trials: 8,
         measures_per_round: 4,
@@ -132,6 +136,8 @@ fn tune_checkpoint() -> ansor::core::TuneCheckpoint {
     ck
 }
 
+// 3.321928 is a feature value (log2 of a trip count), not the constant.
+#[allow(clippy::approx_constant)]
 fn scheduler_checkpoint() -> SchedulerCheckpoint {
     SchedulerCheckpoint {
         rng: vec![u64::MAX, 0, 1 << 63, 12345],
@@ -385,7 +391,12 @@ fn warm_store_lines() -> String {
         "none",
         &[
             record(1, 2.0e-3, steps(), None),
-            record(2, f64::INFINITY, vec![split("C", "k", vec![2])], Some("timeout")),
+            record(
+                2,
+                f64::INFINITY,
+                vec![split("C", "k", vec![2])],
+                Some("timeout"),
+            ),
             record(3, 1.0e-3, vec![split("C", "i", vec![32])], None),
         ],
     );
@@ -507,7 +518,10 @@ enum Shape {
     Unit,
     One(u8),
     Two(i16, String),
-    Named { zed: f32, alpha: Option<u8> },
+    Named {
+        zed: f32,
+        alpha: Option<u8>,
+    },
     Skipping {
         #[serde(skip)]
         hidden: u8,
@@ -573,9 +587,13 @@ fn edges() -> Edges {
         ints: (i64::MIN, u64::MAX, -1, 0),
         by_int: [(2, -2), (10, 10), (1, 1)].into_iter().collect(),
         by_signed: [(-1, true), (-10, false), (3, true)].into_iter().collect(),
-        by_text: [("b".to_string(), 2), ("a\"".to_string(), 1), ("a#".to_string(), 3)]
-            .into_iter()
-            .collect(),
+        by_text: [
+            ("b".to_string(), 2),
+            ("a\"".to_string(), 1),
+            ("a#".to_string(), 3),
+        ]
+        .into_iter()
+        .collect(),
         empty_map: BTreeMap::new(),
         empty_vec: vec![],
         array: [0, 1, u16::MAX],
@@ -594,8 +612,7 @@ fn edges() -> Edges {
             },
             Shape::Skipping { hidden: 9 },
         ],
-        value: serde_json::from_str(r#"{"b":[1,-2,3.5,null,true],"a":{"y":"z"},"0":{}}"#)
-            .unwrap(),
+        value: serde_json::from_str(r#"{"b":[1,-2,3.5,null,true],"a":{"y":"z"},"0":{}}"#).unwrap(),
         skipped: 5,
     }
 }
