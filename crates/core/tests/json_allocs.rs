@@ -5,8 +5,9 @@
 //! reused buffer. A serializer that builds a tree first pays per struct,
 //! key, name and float: 299 allocations for the 30-step record here (9
 //! without the tree), 57 616 for the 192-record fingerprint (2).
-
-use std::sync::{Mutex, MutexGuard};
+//!
+//! The count is process-wide, so the binary has a single test: with two,
+//! the harness reports one on its own threads while the other counts.
 
 use ansor_core::{log_fingerprint, TuningRecordLog};
 use telemetry::alloc::stats;
@@ -15,15 +16,6 @@ use tensor_ir::{Annotation, Step};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// The count is process-wide: the tests of this binary take turns.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Allocations (reallocations included) made while `f` runs.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
@@ -83,8 +75,8 @@ fn record(trial: u64) -> TuningRecordLog {
 }
 
 #[test]
-fn a_record_is_written_with_only_its_buffer_allocating() {
-    let _guard = serial();
+fn records_are_written_with_only_their_buffer_allocating() {
+    // One record through `to_string`.
     let r = record(5);
     assert_eq!(r.steps.len(), 30);
     let (allocs, json) = allocs_during(|| serde_json::to_string(&r).unwrap());
@@ -95,11 +87,8 @@ fn a_record_is_written_with_only_its_buffer_allocating() {
         "to_string of a {}-byte record made {allocs} allocations",
         json.len()
     );
-}
 
-#[test]
-fn a_log_is_fingerprinted_through_one_buffer() {
-    let _guard = serial();
+    // A whole log through `log_fingerprint`'s one buffer.
     let log: Vec<TuningRecordLog> = (1..=192).map(record).collect();
     let (allocs, fingerprint) = allocs_during(|| log_fingerprint(&log));
     // FNV-1a over the canonical lines, as the records' own JSON says.
