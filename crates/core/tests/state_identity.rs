@@ -401,6 +401,75 @@ fn bless_lowered_fingerprints() {
     std::fs::write(LOWERED_FINGERPRINTS, lowered_fingerprints()).expect("fixture is writable");
 }
 
+const FEATURE_ROW_FINGERPRINTS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/feature_rows.fingerprints"
+);
+
+/// FNV-1a 64 over `bytes`, continuing from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One line per operator × target × program group of the walk (its
+/// samples, then each generation): `<op> <target> <group> <fnv1a-64 of
+/// every program's row count, feature-row bits and row buffers>`, as the
+/// search featurizes them (from the state's analysis).
+fn feature_row_fingerprints() -> String {
+    let mut groups: Vec<(String, u64)> = Vec::new();
+    for_every_program(cases_with_winograd(), |task, state, what| {
+        let (op, rest) = what.split_once(' ').expect("`<op> <program>`");
+        let rest = if rest.starts_with("sketch") {
+            "samples"
+        } else {
+            rest
+        };
+        let group = format!("{op} {} {rest}", task.target.name);
+        if groups.last().map_or(true, |(g, _)| *g != group) {
+            groups.push((group, 0xcbf2_9ce4_8422_2325));
+        }
+        let hash = &mut groups.last_mut().expect("pushed").1;
+        let features = extract_state_features(state).expect("featurizes");
+        *hash = fnv1a(*hash, &(features.buffers.len() as u64).to_le_bytes());
+        for v in features.rows.data() {
+            *hash = fnv1a(*hash, &v.to_bits().to_le_bytes());
+        }
+        for &b in &features.buffers {
+            *hash = fnv1a(*hash, &(b as u64).to_le_bytes());
+        }
+    });
+    groups
+        .iter()
+        .map(|(group, hash)| format!("{group} {hash:016x}\n"))
+        .collect()
+}
+
+/// The feature-row oracle: the fixture pins, bit for bit, the rows the
+/// search's row writer produces for every program of the walk (Winograd,
+/// GPU, cache-write and rfactor programs included).
+#[test]
+fn feature_rows_reproduce_the_committed_fingerprints() {
+    let golden = std::fs::read_to_string(FEATURE_ROW_FINGERPRINTS).expect("fixture is committed");
+    let now = feature_row_fingerprints();
+    assert!(golden.lines().count() > 100, "fixture is too small");
+    for (want, got) in golden.lines().zip(now.lines()) {
+        assert_eq!(want, got, "feature rows differ");
+    }
+    assert_eq!(golden.lines().count(), now.lines().count());
+}
+
+/// `cargo test -p ansor-core --test state_identity -- --ignored
+/// bless_feature_rows` rewrites the fixture; only a deliberate change of
+/// the features justifies it.
+#[test]
+#[ignore]
+fn bless_feature_rows() {
+    std::fs::write(FEATURE_ROW_FINGERPRINTS, feature_row_fingerprints())
+        .expect("fixture is writable");
+}
+
 /// Two tasks behind one measurer and one model, as in a `TaskScheduler`,
 /// whose programs share step lists: the second task is fed the first
 /// task's measured schedules. Every result that came through a shared
