@@ -483,11 +483,10 @@ impl LearnedCostModel {
 
     /// Scores one state under `model` through the signature-keyed score
     /// cache.
-    fn score_one(&self, model: Option<&Gbdt>, s: &State) -> f64 {
+    fn score_one(&self, model: &Gbdt, s: &State) -> f64 {
         self.score_cache
             .get_or_insert_with(s.signature(), || match self.features_for(s).as_ref() {
-                // An untrained model scores every program 0.
-                Ok(block) => model.map_or(0.0, |m| self.score_rows(m, block.rows.data())),
+                Ok(block) => self.score_rows(model, block.rows.data()),
                 Err(_) => f64::NEG_INFINITY,
             })
     }
@@ -496,12 +495,22 @@ impl LearnedCostModel {
     /// (borrowed): lowering + feature extraction + inference run on the
     /// parallel runtime's worker threads behind the score cache. The model
     /// is read once, before the fan-out, so a pending retrain runs on the
-    /// calling thread under this span.
+    /// calling thread under this span. An untrained model reads no
+    /// features: it scores a program 0 if it lowers and −∞ if not, and
+    /// `State::validate` decides that without lowering anything.
     fn score_batch<S: Borrow<State> + Sync>(&self, states: &[S]) -> Vec<f64> {
         let _phase = self.telemetry.span("model_predict");
         self.telemetry
             .incr("model/predictions", states.len() as u64);
-        let model = self.model();
+        let Some(model) = self.model() else {
+            return states
+                .iter()
+                .map(|s| match s.borrow().validate() {
+                    Ok(()) => 0.0,
+                    Err(_) => f64::NEG_INFINITY,
+                })
+                .collect();
+        };
         let (h0, m0) = self.cache_stats();
         let f0 = self.feature_cache_stats();
         let scores = ansor_runtime::parallel_map(states, |s| self.score_one(model, s.borrow()));
@@ -647,22 +656,21 @@ impl CostModel for LearnedCostModel {
     /// ranked costs no lowering here; the lookups count in
     /// [`feature_cache_stats`](LearnedCostModel::feature_cache_stats) but
     /// not in the `features/cache_*` counters, which stay per scored or
-    /// recorded batch.
+    /// recorded batch. An untrained model returns an empty map: crossover
+    /// sums a missing node as 0, what that model would score it.
     fn predict_per_node(&self, _task: &SearchTask, state: &State) -> HashMap<String, f64> {
         let mut out = HashMap::new();
+        let Some(model) = self.model() else {
+            return out;
+        };
         let block = self.features_for(state);
         let Ok(features) = block.as_ref() else {
             return out;
         };
-        let model = self.model();
         for (row, &buffer) in features.rows.segment_rows(0).zip(&features.buffers) {
             let node = &state.dag.nodes[buffer].name;
             let base = node.split('.').next().unwrap_or(node);
-            let score = match model {
-                None => 0.0,
-                Some(m) => m.predict(row) as f64,
-            };
-            *out.entry(base.to_string()).or_insert(0.0) += score;
+            *out.entry(base.to_string()).or_insert(0.0) += model.predict(row) as f64;
         }
         out
     }
@@ -891,11 +899,12 @@ mod tests {
                 // Recomputed from scratch, row by row.
                 let program = tensor_ir::lower(&state).unwrap();
                 let mut want: HashMap<String, f64> = HashMap::new();
-                for a in tensor_ir::analyze(&program) {
+                let analyses = tensor_ir::analyze(&program);
+                let rows = ProgramFeatures::of_statements(&analyses).rows;
+                for (a, row) in analyses.iter().zip(rows.segment_rows(0)) {
                     let name = &program.dag.nodes[a.buffer].name;
                     let base = name.split('.').next().unwrap().to_string();
-                    let row = ansor_features::extract_store_features(&a);
-                    *want.entry(base).or_insert(0.0) += gbdt.predict(&row) as f64;
+                    *want.entry(base).or_insert(0.0) += gbdt.predict(row) as f64;
                 }
                 let bits = |m: &HashMap<String, f64>| -> Vec<(String, u64)> {
                     let mut v: Vec<_> = m.iter().map(|(k, s)| (k.clone(), s.to_bits())).collect();
@@ -943,19 +952,140 @@ mod tests {
         let t = task();
         let mut model = LearnedCostModel::new();
         let mut measurer = Measurer::new(t.target.clone());
+        let (train, train_secs) = measured(&t, 20, 4);
+        model.update(&t, &train, &train_secs);
         let states = sample_states(&t, 12, 5);
+        let unique = states
+            .iter()
+            .map(|s| s.signature())
+            .collect::<HashSet<_>>()
+            .len() as u64;
         let secs: Vec<f64> = states.iter().map(|s| measurer.measure(s).seconds).collect();
-        // Scoring featurizes each state once (all misses)…
-        model.predict(&t, &states);
+        // Scoring with a trained model featurizes each new state once…
         let (h0, m0) = model.feature_cache_stats();
-        assert_eq!(h0, 0);
-        assert_eq!(m0, states.len() as u64);
+        model.predict(&t, &states);
+        let (h1, m1) = model.feature_cache_stats();
+        assert_eq!(m1 - m0, unique);
         // …and feeding the measurements back hits the cache for every state.
         model.update(&t, &states, &secs);
-        let (h1, m1) = model.feature_cache_stats();
-        assert_eq!(h1, states.len() as u64);
-        assert_eq!(m1, m0);
+        let (h2, m2) = model.feature_cache_stats();
+        assert_eq!(h2 - h1, states.len() as u64);
+        assert_eq!(m2, m1);
+        assert_eq!(h1 - h0, states.len() as u64 - unique);
         assert!(model.feature_bytes() > 0);
+    }
+
+    /// States of `t` sampled from each of its sketches, with the sketch's
+    /// index, `per_sketch` from each.
+    fn sampled_by_sketch(t: &SearchTask, per_sketch: usize, seed: u64) -> Vec<(State, usize)> {
+        let cfg = AnnotationConfig::default();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut out = Vec::new();
+        for (id, sketch) in generate_sketches(t).iter().enumerate() {
+            for _ in 0..per_sketch {
+                if let Some(s) = sample_program(sketch, t, &cfg, &mut rng) {
+                    out.push((s, id));
+                }
+            }
+        }
+        out
+    }
+
+    /// A state `validate` refuses that still replays its steps: the loop
+    /// order lost an iterator.
+    fn unlowerable(t: &SearchTask, seed: u64) -> State {
+        let mut broken = sample_states(t, 1, seed).remove(0);
+        let sid = broken.stage_by_node_name("C").unwrap();
+        broken.stages[sid].loop_order.pop();
+        assert!(broken.validate().is_err());
+        broken
+    }
+
+    #[test]
+    fn an_untrained_model_scores_by_validity_and_featurizes_nothing() {
+        let t = task();
+        let tel = telemetry::Telemetry::with_metrics();
+        let mut model = LearnedCostModel::new();
+        model.set_telemetry(tel.clone());
+        let mut states = sample_states(&t, 16, 61);
+        states.push(unlowerable(&t, 62));
+        let refs: Vec<&State> = states.iter().collect();
+        let mut want = vec![0.0; 16];
+        want.push(f64::NEG_INFINITY);
+        assert_eq!(model.predict(&t, &states), want);
+        assert_eq!(model.predict_refs(&t, &refs), want);
+        // Nothing lowered, featurized or cached; every score counted.
+        assert_eq!(model.feature_cache_stats(), (0, 0));
+        assert_eq!(model.cache_stats(), (0, 0));
+        assert_eq!(tel.counter_value("model/predictions"), 34);
+        assert_eq!(tel.counter_value("features/cache_misses"), 0);
+        assert_eq!(tel.counter_value("model/score_cache_misses"), 0);
+        // Per node, too: nothing to read, so nothing scored.
+        for s in &states {
+            assert!(model.predict_per_node(&t, s).is_empty());
+        }
+        assert_eq!(model.feature_cache_stats(), (0, 0));
+        assert!(model.feature_cache().get(states[0].signature()).is_none());
+        assert!(!model.is_trained());
+    }
+
+    /// The per-node map an untrained model gave while it still featurized:
+    /// every node a statement stores to, scored 0.
+    struct ZeroPerNode;
+
+    impl CostModel for ZeroPerNode {
+        fn predict(&self, _: &SearchTask, states: &[State]) -> Vec<f64> {
+            vec![0.0; states.len()]
+        }
+
+        fn predict_per_node(&self, _: &SearchTask, state: &State) -> HashMap<String, f64> {
+            let Ok(features) = extract_state_features(state) else {
+                return HashMap::new();
+            };
+            features
+                .buffers
+                .iter()
+                .map(|&b| {
+                    let node = &state.dag.nodes[b].name;
+                    (node.split('.').next().unwrap_or(node).to_string(), 0.0)
+                })
+                .collect()
+        }
+
+        fn update(&mut self, _: &SearchTask, _: &[State], _: &[f64]) {}
+
+        fn is_trained(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn crossover_under_an_untrained_model_decides_as_when_it_featurized() {
+        use crate::evolution::{crossover, Individual};
+        let untrained = LearnedCostModel::new();
+        let mut pairs = 0;
+        for (op, target) in [
+            ("C2D", HardwareTarget::intel_20core()),
+            ("GMM", HardwareTarget::nvidia_v100()),
+            ("NRM", HardwareTarget::intel_20core()),
+        ] {
+            let dag = ansor_workloads::build_case(op, 0, 1).expect("shape 0 exists");
+            let t = SearchTask::new(op, dag, target);
+            let parents: Vec<Individual> = sampled_by_sketch(&t, 3, 71)
+                .into_iter()
+                .map(|(s, sketch)| Individual::new(s, sketch))
+                .collect();
+            for a in &parents {
+                for b in parents.iter().filter(|b| b.sketch == a.sketch) {
+                    let got = crossover(&t, a, b, &untrained).map(|c| c.signature());
+                    let want = crossover(&t, a, b, &ZeroPerNode).map(|c| c.signature());
+                    assert_eq!(got, want, "{op}");
+                    pairs += 1;
+                }
+            }
+        }
+        assert!(pairs > 50, "{pairs} pairs");
+        assert_eq!(untrained.feature_cache_stats(), (0, 0));
     }
 
     /// `n` measured samples of `t`, from `seed`.

@@ -356,17 +356,19 @@ mod tests {
 
     #[test]
     fn shared_caches_do_not_change_results() {
-        let mut cold = session(3, 48);
+        // Two rounds: the second is scored by a trained model, which reads
+        // features (an untrained one reads none).
+        let mut cold = session(3, 128);
         cold.run(|_| true);
 
         // Pre-warm shared caches with a different-seed run of the same
         // task, then tune with them installed: results must be unchanged.
-        let mut other = session(9, 48);
+        let mut other = session(9, 128);
         other.run(|_| true);
         let measure_cache = other.measurer().result_cache();
         let feature_cache = other.model().feature_cache();
 
-        let mut warm = session(3, 48);
+        let mut warm = session(3, 128);
         warm.share_measure_cache(StdArc::clone(&measure_cache));
         warm.share_feature_cache(feature_cache);
         let before = warm.cache_stats();

@@ -21,7 +21,8 @@ use hwsim::{HardwareTarget, Measurer};
 use rand::prelude::*;
 use serde::Serialize;
 use tensor_ir::{
-    analyze, analyze_state, lower, print_program, Annotation, ComputeDag, Name, State, Step,
+    analyze, analyze_state, lower, print_program, Annotation, ComputeDag, ComputeLoc, IterKind,
+    Name, State, Step,
 };
 
 /// Returns whether the state ran a structural step (is on a derived DAG).
@@ -399,6 +400,194 @@ fn lowering_reproduces_the_committed_fingerprints() {
 #[ignore]
 fn bless_lowered_fingerprints() {
     std::fs::write(LOWERED_FINGERPRINTS, lowered_fingerprints()).expect("fixture is writable");
+}
+
+/// Changes one field of `step`: its node, an iterator it names, a length,
+/// factor, prefix or pragma (hostile values included), its annotation, or
+/// its iterator list (an entry replaced or dropped, two swapped). `nodes` and `iters` are the names the
+/// program knows.
+fn mutate(step: &mut Step, rng: &mut StdRng, nodes: &[Name], iters: &[Name]) {
+    const NUMBERS: [i64; 9] = [0, -1, 1, 2, 3, 7, 64, 1 << 20, 1 << 62];
+    const ANNOTATIONS: [Annotation; 7] = [
+        Annotation::None,
+        Annotation::Parallel,
+        Annotation::Vectorize,
+        Annotation::Unroll,
+        Annotation::BindBlock,
+        Annotation::BindThread,
+        Annotation::BindVthread,
+    ];
+    let node = nodes[rng.gen_range(0..nodes.len())];
+    let iter = iters[rng.gen_range(0..iters.len())];
+    let number = NUMBERS[rng.gen_range(0..NUMBERS.len())];
+    let field = rng.gen_range(0..3);
+    match step {
+        Step::Split {
+            node: n,
+            iter: i,
+            lengths,
+        } => match field {
+            0 => *n = node,
+            1 => *i = iter,
+            _ => {
+                let k = rng.gen_range(0..lengths.len());
+                lengths[k] = number;
+            }
+        },
+        Step::Fuse { node: n, iters: list } | Step::Reorder { node: n, order: list } => {
+            let (k, j) = (rng.gen_range(0..list.len()), rng.gen_range(0..list.len()));
+            match rng.gen_range(0..4) {
+                0 => *n = node,
+                1 => list[k] = iter,
+                2 => {
+                    list.remove(k);
+                }
+                _ => list.swap(k, j),
+            }
+        }
+        Step::ComputeAt {
+            node: n,
+            target,
+            prefix_len,
+        } => match field {
+            0 => *n = node,
+            1 => *target = node,
+            _ => *prefix_len = number.unsigned_abs() as usize,
+        },
+        Step::Rfactor { node: n, factor } => match field {
+            0 => *n = node,
+            _ => *factor = number,
+        },
+        Step::Annotate { node: n, iter: i, ann } => match field {
+            0 => *n = node,
+            1 => *i = iter,
+            _ => *ann = ANNOTATIONS[rng.gen_range(0..ANNOTATIONS.len())],
+        },
+        Step::Pragma { node: n, max_unroll } => match field {
+            0 => *n = node,
+            _ => *max_unroll = number,
+        },
+        Step::ComputeInline { node: n }
+        | Step::ComputeRoot { node: n }
+        | Step::CacheWrite { node: n }
+        | Step::LayoutRewrite { node: n } => *n = node,
+    }
+}
+
+/// The node `step` schedules.
+fn node_of(step: &Step) -> Name {
+    match step {
+        Step::Split { node, .. }
+        | Step::Fuse { node, .. }
+        | Step::Reorder { node, .. }
+        | Step::ComputeAt { node, .. }
+        | Step::ComputeInline { node }
+        | Step::ComputeRoot { node }
+        | Step::CacheWrite { node }
+        | Step::Rfactor { node, .. }
+        | Step::Annotate { node, .. }
+        | Step::Pragma { node, .. }
+        | Step::LayoutRewrite { node } => *node,
+    }
+}
+
+/// Changes one field of one stage of `state` the way no step would: its
+/// placement (at any node, any depth), its loop order (two loops swapped,
+/// one dropped, any iterator added), or an iterator's kind.
+fn mutate_stage(state: &mut State, rng: &mut StdRng) {
+    let n_nodes = state.dag.nodes.len();
+    let sid = rng.gen_range(0..state.stages.len());
+    let stage = &mut state.stages[sid];
+    let n_iters = stage.iters.len().max(1);
+    let (k, j) = (rng.gen_range(0..n_iters), rng.gen_range(0..n_iters));
+    let order = stage.loop_order.len();
+    match rng.gen_range(0..6) {
+        0 => {
+            stage.loc = ComputeLoc::At {
+                target: rng.gen_range(0..n_nodes),
+                prefix_len: rng.gen_range(0..5),
+            }
+        }
+        1 => stage.loc = [ComputeLoc::Root, ComputeLoc::Inlined][k % 2],
+        2 if order > 0 => stage.loop_order.swap(k % order, j % order),
+        3 if order > 0 => {
+            stage.loop_order.remove(k % order);
+        }
+        4 if !stage.iters.is_empty() => stage.loop_order.push(k),
+        5 if !stage.iters.is_empty() => {
+            let kinds = [IterKind::Space, IterKind::Reduce, IterKind::Mixed];
+            stage.iters[k].kind = kinds[j % 3];
+        }
+        _ => {}
+    }
+}
+
+/// One function decides whether a state lowers: on every program of the
+/// walk; on replays of ~500 of their step lists with one field changed;
+/// and on ~500 of them with one field of a stage changed in place (the
+/// states no step makes, which `validate` must refuse wherever `lower`
+/// would fail), `validate` accepts exactly the states `analyze_state` and
+/// `lower` accept, with `lower`'s error, and nothing panics.
+#[test]
+fn validate_accepts_exactly_the_states_that_lower() {
+    let mut rng = StdRng::seed_from_u64(29);
+    // Programs; step mutants; of those, replayed; of those, refused; stage
+    // mutants; of those, refused.
+    let mut seen = [0usize; 6];
+    let check = |state: &State, what: &str| {
+        let valid = state.validate();
+        let analysed = analyze_state(state).map(|_| ());
+        let lowered = lower(state).map(|_| ());
+        assert_eq!(lowered, analysed, "{what}");
+        let want = valid.clone().map_err(|e| match e {
+            tensor_ir::Error::Lower(_) => e,
+            e => tensor_ir::Error::Lower(e.to_string()),
+        });
+        assert_eq!(analysed, want, "{what}");
+        valid.is_err()
+    };
+    for_every_program(cases_with_winograd(), |task, state, what| {
+        assert!(!check(state, what), "{what}: a program of the search lowers");
+        seen[0] += 1;
+        if seen[0] % 2 == 1 {
+            let mut mutant = state.clone();
+            mutate_stage(&mut mutant, &mut rng);
+            seen[4] += 1;
+            seen[5] += check(&mutant, &format!("{what}, stages now {:?}", mutant.stages)) as usize;
+            return;
+        }
+        if state.steps.is_empty() {
+            return;
+        }
+        let mut steps = state.steps.clone();
+        let k = rng.gen_range(0..steps.len());
+        // Names of the program's nodes, and of the iterators the stage of
+        // the step's node ever had.
+        let nodes: Vec<Name> = state.dag.nodes.iter().map(|n| n.name.as_str().into()).collect();
+        let sid = state.stage_by_node_name(node_of(&steps[k]).as_str());
+        let iters: Vec<Name> = sid.map_or_else(Vec::new, |sid| {
+            state.stages[sid].iters.iter().map(|i| i.name).collect()
+        });
+        if iters.is_empty() {
+            return;
+        }
+        mutate(&mut steps[k], &mut rng, &nodes, &iters);
+        seen[1] += 1;
+        if let Ok(mutant) = State::replay(task.dag.clone(), &steps) {
+            seen[2] += 1;
+            seen[3] += check(&mutant, &format!("{what}, step {k} now {:?}", steps[k])) as usize;
+        }
+    });
+    // A step list that replays lowers: no step mutant is refused.
+    let [programs, steps, replayed, refused, stages, stages_refused] = seen;
+    assert!(
+        programs > 1000 && steps > 450 && replayed > 100 && refused == 0,
+        "programs / step mutants / replayed / refused: {seen:?}"
+    );
+    assert!(
+        stages > 450 && stages_refused > 50 && stages - stages_refused > 50,
+        "stage mutants / refused: {seen:?}"
+    );
 }
 
 const FEATURE_ROW_FINGERPRINTS: &str = concat!(

@@ -33,9 +33,14 @@ pub const N_BUFFER_SLOTS: usize = 5;
 
 const BUFFER_FEATURES: usize = 18;
 
-/// log2(1 + x), the standard magnitude squashing for features.
+/// log2(1 + x), the standard magnitude squashing for features. A quarter
+/// of the calls ask for log2(1), which is exactly +0.
 fn lg(x: f64) -> f32 {
-    (1.0 + x.max(0.0)).log2() as f32
+    if x > 0.0 {
+        (1.0 + x).log2() as f32
+    } else {
+        0.0
+    }
 }
 
 /// One program's features as the cost model caches them: the packed
@@ -56,11 +61,14 @@ impl ProgramFeatures {
         ProgramFeatures::of_statements(&tensor_ir::analysis::analyze(program))
     }
 
-    /// Featurizes a program's analyzed statements, one row each.
+    /// Featurizes a program's analyzed statements, one row each, written in
+    /// place into the packed block.
     pub fn of_statements(analyses: &[StoreAnalysis]) -> ProgramFeatures {
-        let mut data = Vec::with_capacity(analyses.len() * FEATURE_DIM);
-        for s in analyses {
-            push_store_features(&mut data, s);
+        let mut data = vec![0.0; analyses.len() * FEATURE_DIM];
+        let depth = analyses.iter().map(|s| s.loops.len()).max().unwrap_or(0);
+        let mut levels = Vec::with_capacity(depth + 1);
+        for (s, row) in analyses.iter().zip(data.chunks_exact_mut(FEATURE_DIM)) {
+            write_row(&mut Row { f: row, at: 0 }, s, &mut levels);
         }
         ProgramFeatures {
             rows: FeatureMatrix::from_packed(data, FEATURE_DIM),
@@ -85,16 +93,84 @@ pub fn extract_state_matrix(state: &tensor_ir::State) -> Result<FeatureMatrix, S
     extract_state_features(state).map(|f| f.rows)
 }
 
-/// Extracts the 164-entry feature vector of one analyzed statement.
-pub fn extract_store_features(s: &StoreAnalysis) -> Vec<f32> {
-    let mut f = Vec::with_capacity(FEATURE_DIM);
-    push_store_features(&mut f, s);
-    f
+/// One feature row being written left to right into its slice of the
+/// packed block, which starts zeroed: a slot left at 0 is skipped.
+struct Row<'a> {
+    f: &'a mut [f32],
+    at: usize,
 }
 
-/// Appends one analyzed statement's [`FEATURE_DIM`] features to `f`.
-fn push_store_features(f: &mut Vec<f32>, s: &StoreAnalysis) {
-    let start = f.len();
+impl Row<'_> {
+    fn push(&mut self, v: f32) {
+        self.f[self.at] = v;
+        self.at += 1;
+    }
+
+    /// Leaves the next `n` slots at 0.
+    fn skip(&mut self, n: usize) {
+        self.at += n;
+    }
+
+    /// `n` slots, of which slot `hot` is 1.
+    fn one_hot(&mut self, n: usize, hot: usize) {
+        self.f[self.at + hot] = 1.0;
+        self.at += n;
+    }
+}
+
+/// What a statement's sub-nest rooted at one loop level does: how often it
+/// runs its body, the bytes its accesses touch, and the intensity-curve
+/// point of that level.
+#[derive(Clone, Copy)]
+struct Level {
+    /// Product of the extents of the loops at and below the level.
+    trips: f64,
+    /// Σ over the statement's accesses of `touched_elems(level) · 4`.
+    bytes: f64,
+    /// `lg(flops / max(bytes, 4))` of the sub-nest.
+    intensity: f32,
+}
+
+/// Fills `levels[lvl]` for every level `0..=loops.len()` of `s` in one pass
+/// from the innermost. The products are built inner to outer where
+/// `touched_elems` builds them outer to inner: both are products of integer
+/// extents below 2^53, which `f64` holds exactly, so the bits agree. Each
+/// level's bytes are summed in access order, as there.
+fn fill_levels(levels: &mut Vec<Level>, s: &StoreAnalysis, flops_per_iter: f64) {
+    let n = s.loops.len();
+    levels.clear();
+    levels.resize(
+        n + 1,
+        Level {
+            trips: 1.0,
+            bytes: 0.0,
+            intensity: 0.0,
+        },
+    );
+    for lvl in (0..n).rev() {
+        levels[lvl].trips = levels[lvl + 1].trips * s.loops[lvl].extent as f64;
+    }
+    for a in &s.accesses {
+        let elems = a.buffer_elems as f64;
+        let mut touched = 1.0f64;
+        levels[n].bytes += touched.min(elems) * 4.0;
+        for lvl in (0..n).rev() {
+            if a.strides[lvl] != 0 {
+                touched *= s.loops[lvl].extent as f64;
+            }
+            levels[lvl].bytes += touched.min(elems) * 4.0;
+        }
+    }
+    for level in levels.iter_mut() {
+        level.intensity = lg(flops_per_iter * level.trips / level.bytes.max(4.0));
+    }
+}
+
+/// Writes one analyzed statement's [`FEATURE_DIM`] features into `f`;
+/// `levels` is scratch.
+fn write_row(f: &mut Row, s: &StoreAnalysis, levels: &mut Vec<Level>) {
+    let flops_per_iter = s.flops_per_iter();
+    fill_levels(levels, s, flops_per_iter);
 
     // --- Arithmetic features (10) ---
     let trips = s.trip_count();
@@ -112,8 +188,8 @@ fn push_store_features(f: &mut Vec<f32>, s: &StoreAnalysis) {
     // --- Statement features (4) ---
     f.push(if s.reduce.is_some() { 1.0 } else { 0.0 });
     f.push(lg(trips));
-    f.push(lg(s.flops_per_iter()));
-    f.push(lg(s.flops_per_iter() * trips));
+    f.push(lg(flops_per_iter));
+    f.push(lg(flops_per_iter * trips));
 
     // --- Vectorize / unroll / parallel groups (3 × 11) ---
     annotation_group(f, s, Annotation::Vectorize);
@@ -121,16 +197,15 @@ fn push_store_features(f: &mut Vec<f32>, s: &StoreAnalysis) {
     annotation_group(f, s, Annotation::Parallel);
 
     // --- GPU thread binding features (7) ---
-    let prod_of = |ann: Annotation| -> f64 {
-        s.loops
-            .iter()
-            .filter(|l| l.ann == ann)
-            .map(|l| l.extent as f64)
-            .product()
-    };
-    let blocks = prod_of(Annotation::BindBlock);
-    let threads = prod_of(Annotation::BindThread);
-    let vthreads = prod_of(Annotation::BindVthread);
+    let (mut blocks, mut threads, mut vthreads) = (1.0f64, 1.0f64, 1.0f64);
+    for l in &s.loops {
+        match l.ann {
+            Annotation::BindBlock => blocks *= l.extent as f64,
+            Annotation::BindThread => threads *= l.extent as f64,
+            Annotation::BindVthread => vthreads *= l.extent as f64,
+            _ => {}
+        }
+    }
     f.push(lg(blocks));
     f.push(lg(threads));
     f.push(lg(vthreads));
@@ -145,7 +220,7 @@ fn push_store_features(f: &mut Vec<f32>, s: &StoreAnalysis) {
     f.push(if threads > 1.0 { 1.0 } else { 0.0 });
 
     // --- Arithmetic intensity curve (10 samples) ---
-    intensity_curve(f, s);
+    intensity_curve(f, levels);
 
     // --- Allocation features (2) ---
     let out_bytes = s
@@ -167,117 +242,94 @@ fn push_store_features(f: &mut Vec<f32>, s: &StoreAnalysis) {
     f.push(lg(s.independent_accumulators().min(1e6)));
 
     // --- Buffer access features (5 × 18) ---
-    let mut accesses: Vec<&BufferAccess> = s.accesses.iter().collect();
-    accesses.sort_by(|a, b| {
-        let ba = a.buffer_elems * a.count as i64;
-        let bb = b.buffer_elems * b.count as i64;
-        bb.cmp(&ba)
-    });
-    for slot in 0..N_BUFFER_SLOTS {
-        match accesses.get(slot) {
-            Some(a) => buffer_group(f, s, a),
-            None => f.extend(std::iter::repeat_n(0.0, BUFFER_FEATURES)),
+    // The largest accesses by bytes × count, ties in access order (a
+    // stable descending sort's first slots), picked by insertion.
+    let key = |a: &BufferAccess| a.buffer_elems * a.count as i64;
+    let mut top = [0usize; N_BUFFER_SLOTS];
+    let mut kept = 0;
+    for (i, a) in s.accesses.iter().enumerate() {
+        let at = top[..kept]
+            .iter()
+            .position(|&j| key(&s.accesses[j]) < key(a))
+            .unwrap_or(kept);
+        if at < N_BUFFER_SLOTS {
+            let end = kept.min(N_BUFFER_SLOTS - 1);
+            top.copy_within(at..end, at + 1);
+            top[at] = i;
+            kept = (kept + 1).min(N_BUFFER_SLOTS);
         }
     }
+    for &i in &top[..kept] {
+        buffer_group(f, s, &s.accesses[i], levels);
+    }
+    f.skip((N_BUFFER_SLOTS - kept) * BUFFER_FEATURES);
 
-    debug_assert_eq!(f.len() - start, FEATURE_DIM);
+    debug_assert_eq!(f.at, FEATURE_DIM);
 }
 
 /// The 11 features of one annotation kind: innermost annotated length,
 /// position one-hot (8), product of annotated lengths, count.
-fn annotation_group(f: &mut Vec<f32>, s: &StoreAnalysis, ann: Annotation) {
-    let annotated: Vec<(usize, &LoopCtx)> = s
-        .loops
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.ann == ann)
-        .collect();
-    let innermost = annotated.last();
+fn annotation_group(f: &mut Row, s: &StoreAnalysis, ann: Annotation) {
+    let mut innermost = None;
+    let mut count = 0;
+    let mut product = 1.0f64;
+    for (pos, l) in s.loops.iter().enumerate().filter(|(_, l)| l.ann == ann) {
+        innermost = Some((pos, l));
+        count += 1;
+        product *= l.extent as f64;
+    }
     f.push(lg(innermost.map(|(_, l)| l.extent as f64).unwrap_or(0.0)));
     // Position one-hot: InnerSpatial, MiddleSpatial, OuterSpatial,
     // InnerReduce, MiddleReduce, OuterReduce, Mixed, None.
-    let mut onehot = [0.0f32; 8];
-    match innermost {
-        None => onehot[7] = 1.0,
-        Some(&(pos, l)) => {
-            let same_kind: Vec<usize> = s
-                .loops
-                .iter()
-                .enumerate()
-                .filter(|(_, x)| x.kind == l.kind)
-                .map(|(i, _)| i)
-                .collect();
-            let slot = match l.kind {
-                IterKind::Space | IterKind::Reduce => {
-                    let base = if l.kind == IterKind::Space { 0 } else { 3 };
-                    if Some(&pos) == same_kind.last() {
-                        base // inner
-                    } else if Some(&pos) == same_kind.first() {
-                        base + 2 // outer
-                    } else {
-                        base + 1 // middle
-                    }
+    let slot = match innermost {
+        None => 7,
+        Some((pos, l)) => match l.kind {
+            IterKind::Space | IterKind::Reduce => {
+                let base = if l.kind == IterKind::Space { 0 } else { 3 };
+                let same_kind = |x: &LoopCtx| x.kind == l.kind;
+                if Some(pos) == s.loops.iter().rposition(same_kind) {
+                    base // inner
+                } else if Some(pos) == s.loops.iter().position(same_kind) {
+                    base + 2 // outer
+                } else {
+                    base + 1 // middle
                 }
-                IterKind::Mixed => 6,
-            };
-            onehot[slot] = 1.0;
-        }
-    }
-    f.extend_from_slice(&onehot);
-    let product: f64 = annotated.iter().map(|(_, l)| l.extent as f64).product();
-    f.push(lg(if annotated.is_empty() { 0.0 } else { product }));
-    f.push(annotated.len() as f32);
+            }
+            IterKind::Mixed => 6,
+        },
+    };
+    f.one_hot(8, slot);
+    f.push(lg(if count == 0 { 0.0 } else { product }));
+    f.push(count as f32);
 }
 
 /// Ten samples of the arithmetic-intensity curve over loop levels
 /// (flops ÷ bytes of the sub-nest at each level, log-scaled, linearly
-/// interpolated onto a fixed grid).
-fn intensity_curve(f: &mut Vec<f32>, s: &StoreAnalysis) {
-    let n = s.loops.len();
-    let mut points: Vec<f32> = Vec::with_capacity(n + 1);
-    for lvl in (0..=n).rev() {
-        let sub_trips: f64 = s.loops[lvl..].iter().map(|l| l.extent as f64).product();
-        let flops = s.flops_per_iter() * sub_trips;
-        let bytes: f64 = s
-            .accesses
-            .iter()
-            .map(|a| a.touched_elems(lvl, &s.loops) * 4.0)
-            .sum();
-        points.push(lg(flops / bytes.max(4.0)));
-    }
-    // points[0] = innermost statement … points[n] = whole nest.
-    if points.is_empty() {
-        f.extend(std::iter::repeat_n(0.0, 10));
-        return;
-    }
+/// interpolated onto a fixed grid from the innermost statement to the
+/// whole nest).
+fn intensity_curve(f: &mut Row, levels: &[Level]) {
+    let n = levels.len() - 1;
+    // Point k of the curve is level n − k.
+    let point = |k: usize| levels[n - k].intensity;
     for i in 0..10 {
-        let t = i as f64 / 9.0 * (points.len() - 1) as f64;
+        let t = i as f64 / 9.0 * n as f64;
         let lo = t.floor() as usize;
         let hi = t.ceil() as usize;
         let frac = (t - lo as f64) as f32;
-        f.push(points[lo] * (1.0 - frac) + points[hi] * frac);
+        f.push(point(lo) * (1.0 - frac) + point(hi) * frac);
     }
 }
 
 /// The 18 features of one buffer access.
-fn buffer_group(f: &mut Vec<f32>, s: &StoreAnalysis, a: &BufferAccess) {
+fn buffer_group(f: &mut Row, s: &StoreAnalysis, a: &BufferAccess, levels: &[Level]) {
     let trips = s.trip_count();
     // Access type one-hot.
-    f.push(if a.access == AccessType::Read {
-        1.0
-    } else {
-        0.0
-    });
-    f.push(if a.access == AccessType::Write {
-        1.0
-    } else {
-        0.0
-    });
-    f.push(if a.access == AccessType::ReadWrite {
-        1.0
-    } else {
-        0.0
-    });
+    let access = match a.access {
+        AccessType::Read => 0,
+        AccessType::Write => 1,
+        AccessType::ReadWrite => 2,
+    };
+    f.one_hot(3, access);
     let bytes = trips * a.count as f64 * 4.0;
     let unique_bytes = a.touched_elems(0, &s.loops) * 4.0;
     let line_elems = 16;
@@ -293,29 +345,21 @@ fn buffer_group(f: &mut Vec<f32>, s: &StoreAnalysis, a: &BufferAccess) {
     f.push(lg(unique_bytes));
     f.push(lg(lines));
     f.push(lg(unique_lines));
-    // Reuse classification.
-    let invariant_lvl = a
-        .strides
-        .iter()
-        .enumerate()
-        .rev()
-        .find(|(_, &st)| st == 0)
-        .map(|(i, _)| i);
-    let (reuse_onehot, dist_iters, dist_bytes, counter) = match invariant_lvl {
-        Some(lvl) => {
-            // LoopMultipleRead: the loop at `lvl` re-reads the same region.
-            let dist: f64 = s.loops[lvl + 1..].iter().map(|l| l.extent as f64).product();
-            let bytes_per: f64 = s
-                .accesses
-                .iter()
-                .map(|x| x.touched_elems(lvl + 1, &s.loops) * 4.0)
-                .sum();
-            ([1.0, 0.0, 0.0], dist, bytes_per, s.loops[lvl].extent as f64)
-        }
-        None if a.count > 1 => ([0.0, 1.0, 0.0], 1.0, 0.0, a.count as f64),
-        None => ([0.0, 0.0, 1.0], 0.0, 0.0, 1.0),
+    // Reuse classification: (one-hot slot, distance in iterations, in
+    // bytes, reuse counter).
+    let invariant_lvl = a.strides.iter().rposition(|&st| st == 0);
+    let (reuse, dist_iters, dist_bytes, counter) = match invariant_lvl {
+        // LoopMultipleRead: the loop at `lvl` re-reads the same region.
+        Some(lvl) => (
+            0,
+            levels[lvl + 1].trips,
+            levels[lvl + 1].bytes,
+            s.loops[lvl].extent as f64,
+        ),
+        None if a.count > 1 => (1, 1.0, 0.0, a.count as f64),
+        None => (2, 0.0, 0.0, 1.0),
     };
-    f.extend_from_slice(&reuse_onehot);
+    f.one_hot(3, reuse);
     f.push(lg(dist_iters));
     f.push(lg(dist_bytes));
     f.push(lg(counter));

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::dag::Reducer;
+use crate::dag::{ComputeDag, Reducer};
 use crate::error::Error;
 use crate::expr::{BinOp, CmpOp, Expr, NodeId, OpCounts, UnOp, VarId};
 use crate::lower::{walk, Atom, Leaf, Pos, Program, Simplified, Stmt};
@@ -563,36 +563,21 @@ impl Leaf for Analyser<'_> {
         debug_assert!(self.lanes.is_empty());
         let dag = &self.state.dag;
         let depth = self.loops.len();
-        // Merged as `push_access` merges: first match on (node, strides).
         let mut accesses: Vec<BufferAccess> = Vec::with_capacity(self.accesses.len());
         for (slot, &node) in self.accesses.iter().enumerate() {
-            let strides = &self.strides[slot * depth..(slot + 1) * depth];
             let access = match (slot, reduce) {
                 (0, Some(_)) => AccessType::ReadWrite,
                 (0, None) => AccessType::Write,
                 _ => AccessType::Read,
             };
-            match accesses
-                .iter_mut()
-                .find(|a| a.node == node && a.strides == strides)
-            {
-                Some(a) => {
-                    a.count += 1;
-                    if a.access != access {
-                        a.access = AccessType::ReadWrite;
-                    }
-                }
-                None => accesses.push(BufferAccess {
-                    node,
-                    access,
-                    strides: strides.to_vec(),
-                    count: 1,
-                    buffer_elems: dag.nodes[node].num_elements(),
-                    packed: slot > 0
-                        && stage.layout_rewritten
-                        && dag.nodes[node].is_const_placeholder(),
-                }),
-            }
+            merge_access(
+                &mut accesses,
+                dag,
+                node,
+                access,
+                &self.strides[slot * depth..(slot + 1) * depth],
+                slot > 0 && stage.layout_rewritten && dag.nodes[node].is_const_placeholder(),
+            );
         }
         // The stored value's counts: the store's own indices came before
         // it, and are not in `Stmt::Store::value`.
@@ -731,24 +716,39 @@ fn push_access(
     packed: bool,
 ) {
     let strides = flat_strides(program, node, indices, vars);
-    // Merge with an existing identical access pattern.
-    for a in accesses.iter_mut() {
-        if a.node == node && a.strides == strides {
+    merge_access(accesses, &program.dag, node, access, &strides, packed);
+}
+
+/// Records one access of a statement: merged into the first access of the
+/// same node with the same strides (counted again, read-write if the types
+/// differ), or appended as a new one.
+fn merge_access(
+    accesses: &mut Vec<BufferAccess>,
+    dag: &ComputeDag,
+    node: NodeId,
+    access: AccessType,
+    strides: &[i64],
+    packed: bool,
+) {
+    match accesses
+        .iter_mut()
+        .find(|a| a.node == node && a.strides == strides)
+    {
+        Some(a) => {
             a.count += 1;
             if a.access != access {
                 a.access = AccessType::ReadWrite;
             }
-            return;
         }
+        None => accesses.push(BufferAccess {
+            node,
+            access,
+            strides: strides.to_vec(),
+            count: 1,
+            buffer_elems: dag.nodes[node].num_elements(),
+            packed,
+        }),
     }
-    accesses.push(BufferAccess {
-        node,
-        access,
-        strides,
-        count: 1,
-        buffer_elems: program.dag.nodes[node].num_elements(),
-        packed,
-    });
 }
 
 /// Flat element stride of the access for each loop variable, measured by

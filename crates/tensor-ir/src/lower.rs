@@ -248,7 +248,11 @@ pub(crate) trait Leaf {
 /// reduction's init nest before its compute nest, producers where they are
 /// attached — and returns the leaf it fed.
 pub(crate) fn walk<L: Leaf>(state: &State, leaf: L) -> Result<L, Error> {
-    state.validate().map_err(|e| Error::Lower(e.to_string()))?;
+    // `validate` is the whole test: past it, nothing below can fail.
+    state.validate().map_err(|e| match e {
+        Error::Lower(_) => e,
+        e => Error::Lower(e.to_string()),
+    })?;
     let mut iter_base = Vec::with_capacity(state.stages.len());
     let mut n_iters = 0;
     for stage in &state.stages {
@@ -264,7 +268,7 @@ pub(crate) fn walk<L: Leaf>(state: &State, leaf: L) -> Result<L, Error> {
     };
     for (sid, stage) in state.stages.iter().enumerate() {
         if stage.loc == ComputeLoc::Root && state.dag.nodes[stage.node].compute().is_some() {
-            nest.emit_stage(sid, 0)?;
+            nest.emit_stage(sid, 0);
         }
     }
     Ok(nest.leaf)
@@ -294,16 +298,16 @@ struct Nest<'a, L> {
 impl<'a, L: Leaf> Nest<'a, L> {
     /// Emits one stage's loop nest. The stage's first `skip` iterators are
     /// already bound (a compute-at prefix; 0 for root stages).
-    fn emit_stage(&mut self, sid: StageId, skip: usize) -> Result<(), Error> {
+    fn emit_stage(&mut self, sid: StageId, skip: usize) {
         let spec = self.state.dag.nodes[self.state.stages[sid].node]
             .compute()
-            .ok_or_else(|| Error::Lower("placeholder stage emitted".into()))?;
+            .expect("`validate` refuses an emitted placeholder stage");
         // Initialize the reduction accumulator over the (emitted) spatial
         // iterators before the compute loops.
         if let Some(reducer) = spec.reducer {
-            self.emit_loops(sid, skip, Some(reducer))?;
+            self.emit_loops(sid, skip, Some(reducer));
         }
-        self.emit_loops(sid, skip, None)
+        self.emit_loops(sid, skip, None);
     }
 
     /// Emits the loops of a stage from position `pos` of its loop order
@@ -311,7 +315,7 @@ impl<'a, L: Leaf> Nest<'a, L> {
     /// sets the reduction's accumulators to the identity. The init nest
     /// runs over the spatial loops only, with fresh variables of its own
     /// (the compute nest rebinds its iterators as it opens them).
-    fn emit_loops(&mut self, sid: StageId, pos: usize, init: Option<Reducer>) -> Result<(), Error> {
+    fn emit_loops(&mut self, sid: StageId, pos: usize, init: Option<Reducer>) {
         let state = self.state;
         let stage = &state.stages[sid];
         if init.is_none() {
@@ -331,7 +335,7 @@ impl<'a, L: Leaf> Nest<'a, L> {
                             .expect("loops above `pos` are open");
                         self.bind(psid, producer.loop_order[p], value);
                     }
-                    self.emit_stage(psid, pos)?;
+                    self.emit_stage(psid, pos);
                 }
             }
         }
@@ -359,9 +363,8 @@ impl<'a, L: Leaf> Nest<'a, L> {
         self.n_vars += 1;
         self.bind(sid, it, Atom::Var(var));
         let lp = self.leaf.open_loop(var, sid, info, ann);
-        self.emit_loops(sid, pos + 1, init)?;
+        self.emit_loops(sid, pos + 1, init);
         self.leaf.close_loop(lp);
-        Ok(())
     }
 
     /// The value a live iterator is bound to, if its loop is open.
@@ -377,7 +380,7 @@ impl<'a, L: Leaf> Nest<'a, L> {
     /// The stage's store under the open loops: its spatial axes as
     /// (simplified) buffer indices, then the reducer's identity (`init`) or
     /// the compute body.
-    fn emit_store(&mut self, sid: StageId, init: Option<Reducer>) -> Result<(), Error> {
+    fn emit_store(&mut self, sid: StageId, init: Option<Reducer>) {
         let stage = &self.state.stages[sid];
         let spec = self.state.dag.nodes[stage.node]
             .compute()
@@ -385,34 +388,33 @@ impl<'a, L: Leaf> Nest<'a, L> {
         let n_spatial = spec.num_spatial();
         let mut access = self.leaf.begin_access(stage.node, n_spatial);
         for &root in &stage.root_iters[..n_spatial] {
-            let index = self.iter_value(sid, root, Pos::INDEX)?;
+            let index = self.iter_value(sid, root, Pos::INDEX);
             self.leaf.push_index(&mut access, index);
         }
         let (value, reduce) = match init {
             Some(reducer) => (self.leaf.float(reducer.identity() as f64, Pos::VALUE), None),
             None => (
-                self.value(&spec.body, &Axes::Stage(sid), Pos::VALUE)?,
+                self.value(&spec.body, &Axes::Stage(sid), Pos::VALUE),
                 spec.reducer,
             ),
         };
         self.leaf.store(stage, access, value, reduce);
-        Ok(())
     }
 
     /// The lowered form of a compute-body expression: axes replaced by
     /// their values over live loop variables, inlined producers expanded at
     /// their load sites, every remaining load's indices simplified.
-    fn value(&mut self, e: &Expr, axes: &Axes, pos: Pos) -> Result<L::Value, Error> {
+    fn value(&mut self, e: &Expr, axes: &Axes, pos: Pos) -> L::Value {
         let state = self.state;
-        Ok(match e {
+        match e {
             Expr::FloatConst(v) => self.leaf.float(*v, pos),
             Expr::IntConst(v) => self.leaf.int(*v, pos),
             Expr::LoopVar(v) => self.leaf.atom(Atom::Var(*v), pos),
             Expr::Axis(k) => match axes {
                 Axes::Stage(sid) => {
-                    self.iter_value(*sid, state.stages[*sid].root_iters[*k], pos)?
+                    self.iter_value(*sid, state.stages[*sid].root_iters[*k], pos)
                 }
-                Axes::Inlined(indices, outer) => self.value(&indices[*k], outer, pos)?,
+                Axes::Inlined(indices, outer) => self.value(&indices[*k], outer, pos),
             },
             Expr::Load { node, indices } => {
                 let inlined = state
@@ -420,13 +422,13 @@ impl<'a, L: Leaf> Nest<'a, L> {
                     .is_some_and(|s| state.stages[s].loc == ComputeLoc::Inlined);
                 match state.dag.nodes[*node].compute() {
                     Some(spec) if inlined => {
-                        self.value(&spec.body, &Axes::Inlined(indices, axes), pos)?
+                        self.value(&spec.body, &Axes::Inlined(indices, axes), pos)
                     }
                     _ => {
                         let mut access = self.leaf.begin_access(*node, indices.len());
                         let index_pos = Pos { index: true, ..pos };
                         for i in indices {
-                            let index = self.value(i, axes, index_pos)?;
+                            let index = self.value(i, axes, index_pos);
                             self.leaf.push_index(&mut access, index);
                         }
                         self.leaf.load(access, pos)
@@ -434,32 +436,33 @@ impl<'a, L: Leaf> Nest<'a, L> {
                 }
             }
             Expr::Binary { op, lhs, rhs } => {
-                let lhs = self.value(lhs, axes, pos)?;
-                let rhs = self.value(rhs, axes, pos)?;
+                let lhs = self.value(lhs, axes, pos);
+                let rhs = self.value(rhs, axes, pos);
                 self.leaf.binary(*op, lhs, rhs, pos)
             }
             Expr::Unary { op, arg } => {
-                let arg = self.value(arg, axes, pos)?;
+                let arg = self.value(arg, axes, pos);
                 self.leaf.unary(*op, arg, pos)
             }
             Expr::Cmp { op, lhs, rhs } => {
-                let lhs = self.value(lhs, axes, pos)?;
-                let rhs = self.value(rhs, axes, pos)?;
+                let lhs = self.value(lhs, axes, pos);
+                let rhs = self.value(rhs, axes, pos);
                 self.leaf.cmp(*op, lhs, rhs, pos)
             }
             Expr::Select { cond, then, other } => {
-                let cond = self.value(cond, axes, Pos { guard: true, ..pos })?;
-                let then = self.value(then, axes, pos)?;
-                let other = self.value(other, axes, pos)?;
+                let cond = self.value(cond, axes, Pos { guard: true, ..pos });
+                let then = self.value(then, axes, pos);
+                let other = self.value(other, axes, pos);
                 self.leaf.select(cond, then, other, pos)
             }
-        })
+        }
     }
 
-    /// Value of an iterator over live loop variables.
-    fn iter_value(&mut self, sid: StageId, it: IterId, pos: Pos) -> Result<L::Value, Error> {
+    /// Value of an iterator over live loop variables. (`validate` has
+    /// checked that every iterator a statement reads has one.)
+    fn iter_value(&mut self, sid: StageId, it: IterId, pos: Pos) -> L::Value {
         if let Some(atom) = self.bound(sid, it) {
-            return Ok(self.leaf.atom(atom, pos));
+            return self.leaf.atom(atom, pos);
         }
         let iters = &self.state.stages[sid].iters;
         let info = &iters[it];
@@ -469,7 +472,7 @@ impl<'a, L: Leaf> Nest<'a, L> {
             let mut acc: Option<L::Value> = None;
             for (j, &c) in children.iter().enumerate() {
                 let stride = volume(&children[j + 1..]);
-                let v = self.iter_value(sid, c, pos)?;
+                let v = self.iter_value(sid, c, pos);
                 let term = if stride == 1 {
                     v
                 } else {
@@ -481,32 +484,26 @@ impl<'a, L: Leaf> Nest<'a, L> {
                     Some(a) => self.leaf.binary(BinOp::Add, a, term, pos),
                 });
             }
-            return Ok(acc.expect("split has children"));
+            return acc.expect("split has children");
         }
-        if let Some((f, part)) = info.fused_into {
-            let IterSource::Fused(parts) = &iters[f].source else {
-                return Err(Error::Lower("fused_into target is not a fuse node".into()));
-            };
-            let stride = volume(&parts[part + 1..]);
-            let fv = self.iter_value(sid, f, pos)?;
-            let divided = if stride == 1 {
-                fv
-            } else {
-                let stride = self.leaf.int(stride, pos);
-                self.leaf.binary(BinOp::Div, fv, stride, pos)
-            };
-            let modded = if part == 0 {
-                divided
-            } else {
-                let extent = self.leaf.int(info.extent, pos);
-                self.leaf.binary(BinOp::Mod, divided, extent, pos)
-            };
-            return Ok(modded);
+        let (f, part) = info.fused_into.expect("`validate`: a dead iterator is derived");
+        let IterSource::Fused(parts) = &iters[f].source else {
+            unreachable!("`validate`: an iterator is fused into a fuse");
+        };
+        let stride = volume(&parts[part + 1..]);
+        let fv = self.iter_value(sid, f, pos);
+        let divided = if stride == 1 {
+            fv
+        } else {
+            let stride = self.leaf.int(stride, pos);
+            self.leaf.binary(BinOp::Div, fv, stride, pos)
+        };
+        if part == 0 {
+            divided
+        } else {
+            let extent = self.leaf.int(info.extent, pos);
+            self.leaf.binary(BinOp::Mod, divided, extent, pos)
         }
-        Err(Error::Lower(format!(
-            "iterator {:?} has no value (neither live nor derived)",
-            info.name
-        )))
     }
 }
 

@@ -435,7 +435,9 @@ impl State {
             .iter_pos(iter)
             .ok_or_else(|| Error::Invalid("split target not live".into()))?;
         let extent = stage.iters[iter].extent;
-        let inner: i64 = lengths.iter().product();
+        // Saturating: lengths read from a file may overflow, and a
+        // saturated product divides no extent.
+        let inner = lengths.iter().fold(1i64, |p, &l| p.saturating_mul(l));
         if inner <= 0 || extent % inner != 0 {
             return Err(Error::BadSplit { extent, inner });
         }
@@ -723,14 +725,38 @@ impl State {
         pos
     }
 
-    /// Checks structural invariants; used by tests and by crossover
-    /// verification.
+    /// Whether `lower` accepts this state: `Ok` exactly when it lowers, with
+    /// the error lowering would report otherwise (`lower` calls this first
+    /// and then cannot fail). Checks the structural invariants, then walks
+    /// the stages in `lower`'s emission order and checks that every emitted
+    /// stage computes something and that every iterator its statements read
+    /// has a value — is bound to an open loop or derives from iterators that
+    /// are. An untrained cost model scores by this alone.
     pub fn validate(&self) -> Result<(), Error> {
+        self.validate_structure()?;
+        for (sid, stage) in self.stages.iter().enumerate() {
+            if stage.loc == ComputeLoc::Root && self.dag.nodes[stage.node].compute().is_some() {
+                self.validate_emitted(sid, 0)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The invariants every stage must hold, emitted or not.
+    fn validate_structure(&self) -> Result<(), Error> {
         for stage in &self.stages {
             let Some(spec) = self.dag.nodes[stage.node].compute() else {
                 continue;
             };
-            if stage.loc == ComputeLoc::Inlined && self.dag.nodes[stage.node].compute().is_some() {
+            if stage.loc == ComputeLoc::Inlined {
+                // An inlined body is read at its consumers' load indices,
+                // which name no reduction axis.
+                if !spec.reduce_extents.is_empty() {
+                    return Err(Error::Invalid(format!(
+                        "stage {:?}: a reduction is inlined",
+                        self.dag.nodes[stage.node].name
+                    )));
+                }
                 continue;
             }
             let expect: i64 = spec.spatial_volume() * spec.reduce_volume();
@@ -767,6 +793,108 @@ impl State {
             }
         }
         Ok(())
+    }
+
+    /// What `lower` checks as it emits stage `sid` with its first `skip`
+    /// loops bound by the stage it is computed at, in `lower`'s order: the
+    /// reduction's init nest, the stages attached at each depth of the
+    /// compute nest, then the compute nest's store.
+    fn validate_emitted(&self, sid: StageId, skip: usize) -> Result<(), Error> {
+        let stage = &self.stages[sid];
+        let Some(spec) = self.dag.nodes[stage.node].compute() else {
+            return Err(Error::Lower("placeholder stage emitted".into()));
+        };
+        if spec.reducer.is_some() {
+            // The init nest opens the prefix and the spatial loops below
+            // it, and its store reads the spatial root iterators.
+            let open = OpenLoops::new(stage, skip);
+            for &root in &stage.root_iters[..spec.num_spatial()] {
+                stage.check_value(root, &open)?;
+            }
+        }
+        if self.stages.iter().any(|p| matches!(p.loc, ComputeLoc::At { target, .. } if target == stage.node)) {
+            for pos in skip..=stage.loop_order.len() {
+                let here = ComputeLoc::At {
+                    target: stage.node,
+                    prefix_len: pos,
+                };
+                for (psid, producer) in self.stages.iter().enumerate() {
+                    if producer.loc == here {
+                        self.validate_emitted(psid, pos)?;
+                    }
+                }
+            }
+        }
+        // The compute nest opens every loop; its statement may read any
+        // root iterator.
+        let open = OpenLoops::new(stage, usize::MAX);
+        for &root in &stage.root_iters {
+            stage.check_value(root, &open)?;
+        }
+        Ok(())
+    }
+}
+
+/// The iterators of a stage whose loops one of its nests opens: those at
+/// positions of its loop order below `all_below`, and the spatial ones
+/// after. A bit set when every id is below 256 (any arena the search
+/// builds), the loop order searched otherwise.
+struct OpenLoops<'a> {
+    stage: &'a Stage,
+    all_below: usize,
+    bits: Option<[u64; 4]>,
+}
+
+impl<'a> OpenLoops<'a> {
+    fn new(stage: &'a Stage, all_below: usize) -> OpenLoops<'a> {
+        let mut bits = Some([0u64; 4]);
+        for (p, &i) in stage.loop_order.iter().enumerate() {
+            if p < all_below || stage.iters[i].kind == IterKind::Space {
+                match &mut bits {
+                    Some(words) if i < 256 => words[i / 64] |= 1 << (i % 64),
+                    _ => bits = None,
+                }
+            }
+        }
+        OpenLoops {
+            stage,
+            all_below,
+            bits,
+        }
+    }
+
+    fn contains(&self, it: IterId) -> bool {
+        match &self.bits {
+            Some(words) => it < 256 && words[it / 64] >> (it % 64) & 1 == 1,
+            None => self.stage.loop_order.iter().enumerate().any(|(p, &i)| {
+                i == it && (p < self.all_below || self.stage.iters[i].kind == IterKind::Space)
+            }),
+        }
+    }
+}
+
+impl Stage {
+    /// Whether iterator `it` has a value when the loops `open` holds are
+    /// open: it is one of them, or every iterator it derives from has one
+    /// (all its split parts, or the fuse it went into).
+    fn check_value(&self, it: IterId, open: &OpenLoops) -> Result<(), Error> {
+        if open.contains(it) {
+            return Ok(());
+        }
+        let info = &self.iters[it];
+        if let Some(children) = &info.split_children {
+            return children.iter().try_for_each(|&c| self.check_value(c, open));
+        }
+        if let Some((f, part)) = info.fused_into {
+            return match &self.iters[f].source {
+                IterSource::Fused(parts) if part < parts.len() => self.check_value(f, open),
+                _ => Err(Error::Lower("fused_into target is not a fuse node".into())),
+            };
+        }
+        Err(Error::Lower(format!(
+            "iterator {:?} has no value (neither live nor derived)",
+            info.name
+        )))
     }
 }
 
@@ -1058,5 +1186,56 @@ mod tests {
             })
             .is_err());
         assert_eq!(d.signature(), a.signature());
+    }
+
+    /// `validate`'s verdict and `lower`'s, which it decides.
+    fn verdicts(st: &State) -> (Result<(), Error>, Result<(), Error>) {
+        (st.validate(), crate::lower::lower(st).map(|_| ()))
+    }
+
+    #[test]
+    fn validate_refuses_every_state_lowering_cannot_emit() {
+        let lowering = |msg: &str| Err(Error::Lower(msg.into()));
+        let st = State::new(matmul_dag());
+        let sid = st.stage_by_node_name("C").unwrap();
+        let [i, j, k] = [0, 1, 2];
+
+        // The init nest opens spatial loops only: a spatial axis fused with
+        // the reduction axis has no value there.
+        let mut mixed = st.clone();
+        let jk = mixed.fuse(sid, &[j, k]).unwrap();
+        assert_eq!(mixed.stages[sid].iters[jk].kind, IterKind::Mixed);
+        let want = lowering("iterator \"j@k\" has no value (neither live nor derived)");
+        assert_eq!(verdicts(&mixed), (want.clone(), want));
+
+        // An iterator recorded as fused into something that is no fuse.
+        let mut misfused = st.clone();
+        let ij = misfused.fuse(sid, &[i, j]).unwrap();
+        misfused.stages[sid].iters[ij].source = IterSource::Root(0);
+        let want = lowering("fused_into target is not a fuse node");
+        assert_eq!(verdicts(&misfused), (want.clone(), want));
+
+        // A placeholder computed at a loop of a stage that is emitted.
+        let mut placed = st.clone();
+        placed.stages[0].loc = ComputeLoc::At {
+            target: 2,
+            prefix_len: 0,
+        };
+        let want = lowering("placeholder stage emitted");
+        assert_eq!(verdicts(&placed), (want.clone(), want));
+        // At a stage that is not emitted (the other placeholder), it never
+        // is, and the state lowers.
+        placed.stages[0].loc = ComputeLoc::At {
+            target: 1,
+            prefix_len: 0,
+        };
+        assert_eq!(verdicts(&placed), (Ok(()), Ok(())));
+
+        // A reduction is never inlined: its body reads axes no load names.
+        let mut inlined = st.clone();
+        inlined.stages[sid].loc = ComputeLoc::Inlined;
+        let (valid, lowered) = verdicts(&inlined);
+        assert!(matches!(valid, Err(Error::Invalid(_))), "{valid:?}");
+        assert_eq!(lowered, Err(Error::Lower(valid.unwrap_err().to_string())));
     }
 }
