@@ -812,18 +812,26 @@ impl State {
                 stage.check_value(root, &open)?;
             }
         }
-        if self.stages.iter().any(|p| matches!(p.loc, ComputeLoc::At { target, .. } if target == stage.node)) {
-            for pos in skip..=stage.loop_order.len() {
-                let here = ComputeLoc::At {
-                    target: stage.node,
-                    prefix_len: pos,
-                };
-                for (psid, producer) in self.stages.iter().enumerate() {
-                    if producer.loc == here {
-                        self.validate_emitted(psid, pos)?;
-                    }
+        // The stages computed at its loops, in the order the compute nest
+        // emits them: by depth (one it opens), then in stage order.
+        let mut last = None;
+        while let Some((pos, psid)) = self
+            .stages
+            .iter()
+            .enumerate()
+            .filter_map(|(psid, p)| match p.loc {
+                ComputeLoc::At { target, prefix_len }
+                    if target == stage.node && prefix_len >= skip =>
+                {
+                    Some((prefix_len, psid))
                 }
-            }
+                _ => None,
+            })
+            .filter(|&next| last < Some(next))
+            .min()
+        {
+            self.validate_emitted(psid, pos)?;
+            last = Some((pos, psid));
         }
         // The compute nest opens every loop; its statement may read any
         // root iterator.
