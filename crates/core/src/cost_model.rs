@@ -142,15 +142,17 @@ pub struct LearnedCostModel {
     /// individuals re-enter every generation), and a score is a pure
     /// function of `(state, model)` — so duplicates are never re-lowered,
     /// re-featurized, or re-scored. Cleared whenever the model moves: on
-    /// a retraining `update` and on `restore`.
+    /// a retraining `update` and on `restore`. An untrained model scores by
+    /// `State::validate` alone and caches nothing.
     score_cache: SigCache<f64>,
     /// Signature-keyed featurization cache. Features depend only on the
-    /// state (not on the model), so entries survive retrains; measured
-    /// states were almost always just scored, so `update` usually reuses
-    /// the rows `predict` extracted. Behind an `Arc` so several models
-    /// (e.g. the tuning sessions of a serving daemon) can share one
-    /// featurization cache — unlike scores, features never depend on the
-    /// model, and the signature names the program across DAGs.
+    /// state (not on the model), so entries survive retrains; states a
+    /// trained model picked for measurement were just scored, so `update`
+    /// reuses the rows `predict` extracted (an untrained model extracts
+    /// none: the first batch is featurized by `update`). Behind an `Arc` so
+    /// several models (e.g. the tuning sessions of a serving daemon) can
+    /// share one featurization cache — unlike scores, features never depend
+    /// on the model, and the signature names the program across DAGs.
     feature_cache: Arc<SigCache<FeatureBlock>>,
 }
 

@@ -434,7 +434,14 @@ fn mutate(step: &mut Step, rng: &mut StdRng, nodes: &[Name], iters: &[Name]) {
                 lengths[k] = number;
             }
         },
-        Step::Fuse { node: n, iters: list } | Step::Reorder { node: n, order: list } => {
+        Step::Fuse {
+            node: n,
+            iters: list,
+        }
+        | Step::Reorder {
+            node: n,
+            order: list,
+        } => {
             let (k, j) = (rng.gen_range(0..list.len()), rng.gen_range(0..list.len()));
             match rng.gen_range(0..4) {
                 0 => *n = node,
@@ -458,12 +465,19 @@ fn mutate(step: &mut Step, rng: &mut StdRng, nodes: &[Name], iters: &[Name]) {
             0 => *n = node,
             _ => *factor = number,
         },
-        Step::Annotate { node: n, iter: i, ann } => match field {
+        Step::Annotate {
+            node: n,
+            iter: i,
+            ann,
+        } => match field {
             0 => *n = node,
             1 => *i = iter,
             _ => *ann = ANNOTATIONS[rng.gen_range(0..ANNOTATIONS.len())],
         },
-        Step::Pragma { node: n, max_unroll } => match field {
+        Step::Pragma {
+            node: n,
+            max_unroll,
+        } => match field {
             0 => *n = node,
             _ => *max_unroll = number,
         },
@@ -547,7 +561,10 @@ fn validate_accepts_exactly_the_states_that_lower() {
         valid.is_err()
     };
     for_every_program(cases_with_winograd(), |task, state, what| {
-        assert!(!check(state, what), "{what}: a program of the search lowers");
+        assert!(
+            !check(state, what),
+            "{what}: a program of the search lowers"
+        );
         seen[0] += 1;
         if seen[0] % 2 == 1 {
             let mut mutant = state.clone();
@@ -563,7 +580,12 @@ fn validate_accepts_exactly_the_states_that_lower() {
         let k = rng.gen_range(0..steps.len());
         // Names of the program's nodes, and of the iterators the stage of
         // the step's node ever had.
-        let nodes: Vec<Name> = state.dag.nodes.iter().map(|n| n.name.as_str().into()).collect();
+        let nodes: Vec<Name> = state
+            .dag
+            .nodes
+            .iter()
+            .map(|n| n.name.as_str().into())
+            .collect();
         let sid = state.stage_by_node_name(node_of(&steps[k]).as_str());
         let iters: Vec<Name> = sid.map_or_else(Vec::new, |sid| {
             state.stages[sid].iters.iter().map(|i| i.name).collect()
@@ -616,7 +638,7 @@ fn feature_row_fingerprints() -> String {
             rest
         };
         let group = format!("{op} {} {rest}", task.target.name);
-        if groups.last().map_or(true, |(g, _)| *g != group) {
+        if groups.last().map(|(g, _)| g) != Some(&group) {
             groups.push((group, 0xcbf2_9ce4_8422_2325));
         }
         let hash = &mut groups.last_mut().expect("pushed").1;

@@ -33,8 +33,8 @@ pub const N_BUFFER_SLOTS: usize = 5;
 
 const BUFFER_FEATURES: usize = 18;
 
-/// log2(1 + x), the standard magnitude squashing for features. A quarter
-/// of the calls ask for log2(1), which is exactly +0.
+/// log2(1 + x), the standard magnitude squashing for features. Many
+/// features are 0, and log2(1) is exactly +0: those skip the call.
 fn lg(x: f64) -> f32 {
     if x > 0.0 {
         (1.0 + x).log2() as f32

@@ -248,7 +248,9 @@ pub(crate) trait Leaf {
 /// reduction's init nest before its compute nest, producers where they are
 /// attached — and returns the leaf it fed.
 pub(crate) fn walk<L: Leaf>(state: &State, leaf: L) -> Result<L, Error> {
-    // `validate` is the whole test: past it, nothing below can fail.
+    // `validate` is the whole test: past it, nothing below can fail. Its
+    // structural errors become lowering errors; what it refuses as the
+    // nest is emitted already is one.
     state.validate().map_err(|e| match e {
         Error::Lower(_) => e,
         e => Error::Lower(e.to_string()),
@@ -411,9 +413,7 @@ impl<'a, L: Leaf> Nest<'a, L> {
             Expr::IntConst(v) => self.leaf.int(*v, pos),
             Expr::LoopVar(v) => self.leaf.atom(Atom::Var(*v), pos),
             Expr::Axis(k) => match axes {
-                Axes::Stage(sid) => {
-                    self.iter_value(*sid, state.stages[*sid].root_iters[*k], pos)
-                }
+                Axes::Stage(sid) => self.iter_value(*sid, state.stages[*sid].root_iters[*k], pos),
                 Axes::Inlined(indices, outer) => self.value(&indices[*k], outer, pos),
             },
             Expr::Load { node, indices } => {
@@ -486,7 +486,9 @@ impl<'a, L: Leaf> Nest<'a, L> {
             }
             return acc.expect("split has children");
         }
-        let (f, part) = info.fused_into.expect("`validate`: a dead iterator is derived");
+        let (f, part) = info
+            .fused_into
+            .expect("`validate`: an iterator without a loop was split or fused");
         let IterSource::Fused(parts) = &iters[f].source else {
             unreachable!("`validate`: an iterator is fused into a fuse");
         };

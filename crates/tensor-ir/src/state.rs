@@ -807,13 +807,18 @@ impl State {
         if spec.reducer.is_some() {
             // The init nest opens the prefix and the spatial loops below
             // it, and its store reads the spatial root iterators.
-            let open = OpenLoops::new(stage, skip);
+            let open =
+                |it: IterId| {
+                    stage.loop_order.iter().enumerate().any(|(p, &i)| {
+                        i == it && (p < skip || stage.iters[i].kind == IterKind::Space)
+                    })
+                };
             for &root in &stage.root_iters[..spec.num_spatial()] {
                 stage.check_value(root, &open)?;
             }
         }
         // The stages computed at its loops, in the order the compute nest
-        // emits them: by depth (one it opens), then in stage order.
+        // emits them: by the depth they attach at, then in stage order.
         let mut last = None;
         while let Some((pos, psid)) = self
             .stages
@@ -835,7 +840,7 @@ impl State {
         }
         // The compute nest opens every loop; its statement may read any
         // root iterator.
-        let open = OpenLoops::new(stage, usize::MAX);
+        let open = |it: IterId| stage.loop_order.contains(&it);
         for &root in &stage.root_iters {
             stage.check_value(root, &open)?;
         }
@@ -843,50 +848,13 @@ impl State {
     }
 }
 
-/// The iterators of a stage whose loops one of its nests opens: those at
-/// positions of its loop order below `all_below`, and the spatial ones
-/// after. A bit set when every id is below 256 (any arena the search
-/// builds), the loop order searched otherwise.
-struct OpenLoops<'a> {
-    stage: &'a Stage,
-    all_below: usize,
-    bits: Option<[u64; 4]>,
-}
-
-impl<'a> OpenLoops<'a> {
-    fn new(stage: &'a Stage, all_below: usize) -> OpenLoops<'a> {
-        let mut bits = Some([0u64; 4]);
-        for (p, &i) in stage.loop_order.iter().enumerate() {
-            if p < all_below || stage.iters[i].kind == IterKind::Space {
-                match &mut bits {
-                    Some(words) if i < 256 => words[i / 64] |= 1 << (i % 64),
-                    _ => bits = None,
-                }
-            }
-        }
-        OpenLoops {
-            stage,
-            all_below,
-            bits,
-        }
-    }
-
-    fn contains(&self, it: IterId) -> bool {
-        match &self.bits {
-            Some(words) => it < 256 && words[it / 64] >> (it % 64) & 1 == 1,
-            None => self.stage.loop_order.iter().enumerate().any(|(p, &i)| {
-                i == it && (p < self.all_below || self.stage.iters[i].kind == IterKind::Space)
-            }),
-        }
-    }
-}
-
 impl Stage {
-    /// Whether iterator `it` has a value when the loops `open` holds are
-    /// open: it is one of them, or every iterator it derives from has one
-    /// (all its split parts, or the fuse it went into).
-    fn check_value(&self, it: IterId, open: &OpenLoops) -> Result<(), Error> {
-        if open.contains(it) {
+    /// Whether iterator `it` has a value when the loops of the iterators
+    /// `open` accepts are open: it is one of them, or every iterator it
+    /// derives from has one (all its split parts, or the fuse it went
+    /// into).
+    fn check_value(&self, it: IterId, open: &dyn Fn(IterId) -> bool) -> Result<(), Error> {
+        if open(it) {
             return Ok(());
         }
         let info = &self.iters[it];
@@ -977,6 +945,17 @@ mod tests {
         let sid = st.stage_by_node_name("C").unwrap();
         let i = st.stages[sid].iter_by_name("i").unwrap();
         assert!(st.split(sid, i, &[7]).is_err());
+        // Lengths whose product overflows (read from a file, say): refused,
+        // not wrapped into a divisor.
+        let huge = st.split(sid, i, &[1 << 62, 1 << 62, 2]);
+        assert_eq!(
+            huge,
+            Err(Error::BadSplit {
+                extent: 64,
+                inner: i64::MAX
+            })
+        );
+        assert!(st.split(sid, i, &[1 << 62, 4, 0]).is_err());
     }
 
     #[test]
