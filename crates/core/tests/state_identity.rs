@@ -371,9 +371,7 @@ fn lowered_fingerprints() -> String {
             program.vars,
             program.layout_rewritten
         );
-        let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+        let hash = fnv1a(0xcbf2_9ce4_8422_2325, text.as_bytes());
         writeln!(out, "{what} {hash:016x}").expect("writing to a String");
     });
     out
@@ -393,9 +391,9 @@ fn lowering_reproduces_the_committed_fingerprints() {
     assert_eq!(golden.lines().count(), now.lines().count());
 }
 
-/// `cargo test -p ansor-core --test state_identity -- --ignored bless`
-/// rewrites the fixture; only a deliberate change of what `lower` emits
-/// justifies it.
+/// `cargo test -p ansor-core --test state_identity -- --ignored
+/// bless_lowered_fingerprints` rewrites the fixture; only a deliberate
+/// change of what `lower` emits justifies it.
 #[test]
 #[ignore]
 fn bless_lowered_fingerprints() {
@@ -404,8 +402,8 @@ fn bless_lowered_fingerprints() {
 
 /// Changes one field of `step`: its node, an iterator it names, a length,
 /// factor, prefix or pragma (hostile values included), its annotation, or
-/// its iterator list (an entry replaced or dropped, two swapped). `nodes` and `iters` are the names the
-/// program knows.
+/// its iterator list (an entry replaced or dropped, two swapped). `nodes`
+/// and `iters` are the names the program knows.
 fn mutate(step: &mut Step, rng: &mut StdRng, nodes: &[Name], iters: &[Name]) {
     const NUMBERS: [i64; 9] = [0, -1, 1, 2, 3, 7, 64, 1 << 20, 1 << 62];
     const ANNOTATIONS: [Annotation; 7] = [
@@ -485,23 +483,6 @@ fn mutate(step: &mut Step, rng: &mut StdRng, nodes: &[Name], iters: &[Name]) {
         | Step::ComputeRoot { node: n }
         | Step::CacheWrite { node: n }
         | Step::LayoutRewrite { node: n } => *n = node,
-    }
-}
-
-/// The node `step` schedules.
-fn node_of(step: &Step) -> Name {
-    match step {
-        Step::Split { node, .. }
-        | Step::Fuse { node, .. }
-        | Step::Reorder { node, .. }
-        | Step::ComputeAt { node, .. }
-        | Step::ComputeInline { node }
-        | Step::ComputeRoot { node }
-        | Step::CacheWrite { node }
-        | Step::Rfactor { node, .. }
-        | Step::Annotate { node, .. }
-        | Step::Pragma { node, .. }
-        | Step::LayoutRewrite { node } => *node,
     }
 }
 
@@ -586,7 +567,7 @@ fn validate_accepts_exactly_the_states_that_lower() {
             .iter()
             .map(|n| n.name.as_str().into())
             .collect();
-        let sid = state.stage_by_node_name(node_of(&steps[k]).as_str());
+        let sid = state.stage_by_node_name(steps[k].node().as_str());
         let iters: Vec<Name> = sid.map_or_else(Vec::new, |sid| {
             state.stages[sid].iters.iter().map(|i| i.name).collect()
         });

@@ -96,11 +96,9 @@ pub enum Step {
 }
 
 impl Step {
-    /// The (original-DAG) node this step concerns — used to group steps into
-    /// per-node genes for crossover. Derived stage names (`X.cache`, `X.rf`)
-    /// map back to their base node `X`.
-    pub fn base_node(&self) -> &'static str {
-        let name = match self {
+    /// The node whose stage this step schedules.
+    pub fn node(&self) -> Name {
+        match self {
             Step::Split { node, .. }
             | Step::Fuse { node, .. }
             | Step::Reorder { node, .. }
@@ -111,9 +109,15 @@ impl Step {
             | Step::Rfactor { node, .. }
             | Step::Annotate { node, .. }
             | Step::Pragma { node, .. }
-            | Step::LayoutRewrite { node } => node,
-        };
-        let name = name.as_str();
+            | Step::LayoutRewrite { node } => *node,
+        }
+    }
+
+    /// The (original-DAG) node this step concerns — used to group steps into
+    /// per-node genes for crossover. Derived stage names (`X.cache`, `X.rf`)
+    /// map back to their base node `X`.
+    pub fn base_node(&self) -> &'static str {
+        let name = self.node().as_str();
         name.split('.').next().unwrap_or(name)
     }
 
