@@ -151,12 +151,6 @@ fn render(
     if !mem.is_empty() {
         out.push_str(&format!("mem: {}", mem.join("  ")));
     }
-    if let (Some(busy), Some(queued)) = (
-        res.get("runtime/busy_workers"),
-        res.get("runtime/items_queued"),
-    ) {
-        out.push_str(&format!("   pool: {busy:.0} busy / {queued:.0} queued"));
-    }
     out.push('\n');
 
     if !report.tasks.is_empty() {

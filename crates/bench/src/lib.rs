@@ -10,13 +10,13 @@
 //!   docs/TELEMETRY.md; inspect with `trace-report <path>`);
 //! - `--quiet` — suppress the human-readable tables when `--json` or
 //!   `--trace` already captures the results;
-//! - `--threads <n>` — worker threads for the parallel runtime (see
-//!   docs/PARALLELISM.md; results are bit-identical at every `n`);
 //! - `--faults <spec>` — deterministic measurement-fault injection
 //!   (`none`, `default`, or `key=value,…`; see docs/ROBUSTNESS.md);
 //! - `--metrics-addr <addr>` — serve live `/metrics`, `/status`, and
 //!   `/healthz` endpoints on `addr` for the duration of the run (see
 //!   docs/OPERATIONS.md; watch with `ansor-top <addr>`).
+//!
+//! Any other flag is a usage error.
 //!
 //! Default budgets are scaled down from the paper's (documented per
 //! binary and in EXPERIMENTS.md); the *comparative shapes* are stable
@@ -59,8 +59,6 @@ pub struct Args {
     pub trace: Option<String>,
     /// Suppress tables when another output captures the results (`--quiet`).
     pub quiet: bool,
-    /// Worker-thread override (`--threads <n>`; `None` = auto).
-    pub threads: Option<usize>,
     /// Fault-injection spec (`--faults <spec>`; `None` = fault-free).
     pub faults: Option<hwsim::FaultPlan>,
     /// The raw `--faults` spec string (`"none"` when absent). Consumers
@@ -70,42 +68,33 @@ pub struct Args {
     /// Live metrics endpoint address (`--metrics-addr <addr>`; `None` =
     /// no exporter, zero extra threads).
     pub metrics_addr: Option<String>,
-    /// Extra free-form flags.
-    pub flags: Vec<String>,
 }
 
 impl Args {
-    /// Parses `std::env::args` and applies the `--threads` and `--faults`
-    /// overrides to the process-wide runtime configuration, so every binary
-    /// gets both flags for free. The fault plan is installed as the default
-    /// for all measurers — including those the baseline frameworks create
-    /// internally — and is `None` (fault-free, bit-identical to older
-    /// builds) unless `--faults` is given.
+    /// Parses `std::env::args` (see [`Args::parse_from`]) and installs the
+    /// `--faults` plan as the default for all measurers — including those
+    /// the baseline frameworks create internally. The plan is `None`
+    /// (fault-free, bit-identical to older builds) unless `--faults` is
+    /// given.
     pub fn parse() -> Args {
         let args = Args::parse_from(std::env::args().skip(1));
-        if let Some(n) = args.threads {
-            ansor_runtime::set_threads(n);
-        }
         hwsim::set_default_plan(args.faults.clone());
         args
     }
 
     /// Parses an explicit argument list (testable form of [`Args::parse`];
-    /// does *not* touch the global runtime configuration). A flag that
-    /// takes a value and is given none, or a `--threads` / `--faults`
-    /// value that does not parse, is a usage error: a message naming the
-    /// flag on stderr and exit status 2, never a silent fall-back to the
-    /// default.
+    /// installs no fault plan). An unknown flag, a flag that takes a value
+    /// and is given none, or a `--faults` value that does not parse is a
+    /// usage error: a message naming the flag on stderr and exit status 2,
+    /// never a silent run at the defaults.
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Args {
         let mut scale = Scale::Default;
         let mut json = None;
         let mut trace = None;
         let mut quiet = false;
-        let mut threads = None;
         let mut faults = None;
         let mut faults_spec = "none".to_string();
         let mut metrics_addr = None;
-        let mut flags = Vec::new();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
             let mut val = || {
@@ -118,12 +107,6 @@ impl Args {
                 "--json" => json = Some(val()),
                 "--trace" => trace = Some(val()),
                 "--quiet" => quiet = true,
-                "--threads" => {
-                    let v = val();
-                    threads = Some(v.parse().unwrap_or_else(|_| {
-                        usage_error(format_args!("--threads: invalid value {v:?}"))
-                    }));
-                }
                 "--faults" => {
                     let spec = val();
                     match hwsim::FaultPlan::parse(&spec) {
@@ -135,7 +118,7 @@ impl Args {
                     }
                 }
                 "--metrics-addr" => metrics_addr = Some(val()),
-                other => flags.push(other.to_string()),
+                other => usage_error(format_args!("unknown flag {other:?}")),
             }
         }
         Args {
@@ -143,11 +126,9 @@ impl Args {
             json,
             trace,
             quiet,
-            threads,
             faults,
             faults_spec,
             metrics_addr,
-            flags,
         }
     }
 
@@ -160,40 +141,9 @@ impl Args {
         }
     }
 
-    /// Whether a free-form flag was passed.
-    pub fn has_flag(&self, f: &str) -> bool {
-        self.flags.iter().any(|x| x == f)
-    }
-
-    /// Builds the telemetry handle for this run: a JSONL trace sink when
-    /// `--trace <path>` was given; metrics-only when just `--metrics-addr`
-    /// asks for a live endpoint; else a disabled handle (zero overhead).
-    /// When `--metrics-addr` is set this also starts the background
-    /// exporter, detached so it serves until the process exits.
+    /// Builds the telemetry handle for this run ([`start_telemetry`]).
     pub fn telemetry(&self) -> telemetry::Telemetry {
-        let tel = match &self.trace {
-            Some(path) => telemetry::Telemetry::to_file(std::path::Path::new(path))
-                .expect("create trace output"),
-            None if self.metrics_addr.is_some() => telemetry::Telemetry::with_metrics(),
-            None => telemetry::Telemetry::disabled(),
-        };
-        if let Some(addr) = &self.metrics_addr {
-            let mut opts = telemetry::export::ExportOptions::from_env();
-            opts.samplers.push(runtime_gauges);
-            match telemetry::export::serve(&tel, addr, opts) {
-                Ok(exporter) => {
-                    eprintln!(
-                        "(live metrics on http://{}/ — /metrics /status /healthz; \
-                         watch with `ansor-top {}`)",
-                        exporter.local_addr(),
-                        exporter.local_addr()
-                    );
-                    exporter.detach();
-                }
-                Err(e) => usage_error(format_args!("--metrics-addr {addr}: {e}")),
-            }
-        }
-        tel
+        start_telemetry(self.trace.as_deref(), self.metrics_addr.as_deref())
     }
 
     /// Flushes the trace sink (emits the final `PhaseProfile` snapshot) and
@@ -218,12 +168,38 @@ fn usage_error(message: std::fmt::Arguments) -> ! {
     std::process::exit(2)
 }
 
-/// Scrape-time sampler wiring the parallel runtime's pool utilization
-/// into the live exporter (`runtime/busy_workers`, `runtime/items_queued`).
-pub fn runtime_gauges(out: &mut std::collections::BTreeMap<String, f64>) {
-    let (busy, queued) = ansor_runtime::pool_stats();
-    out.insert("runtime/busy_workers".into(), busy as f64);
-    out.insert("runtime/items_queued".into(), queued as f64);
+/// Builds a run's telemetry handle, for the harnesses and `ansor-tune`: a
+/// JSONL trace sink for `trace`; metrics-only when just `metrics_addr`
+/// asks for a live endpoint; else a disabled handle (zero overhead). With
+/// `metrics_addr` it also starts the background exporter, detached so it
+/// serves until the process exits. A trace file that cannot be created or
+/// an address that cannot be bound ends the process with status 1.
+pub fn start_telemetry(trace: Option<&str>, metrics_addr: Option<&str>) -> telemetry::Telemetry {
+    let fail = |message: std::fmt::Arguments| -> ! {
+        eprintln!("error: {message}");
+        std::process::exit(1)
+    };
+    let tel = match trace {
+        Some(path) => telemetry::Telemetry::to_file(std::path::Path::new(path))
+            .unwrap_or_else(|e| fail(format_args!("--trace {path}: {e}"))),
+        None if metrics_addr.is_some() => telemetry::Telemetry::with_metrics(),
+        None => telemetry::Telemetry::disabled(),
+    };
+    if let Some(addr) = metrics_addr {
+        match telemetry::export::serve(&tel, addr, telemetry::export::ExportOptions::from_env()) {
+            Ok(exporter) => {
+                eprintln!(
+                    "(live metrics on http://{}/ — /metrics /status /healthz; \
+                     watch with `ansor-top {}`)",
+                    exporter.local_addr(),
+                    exporter.local_addr()
+                );
+                exporter.detach();
+            }
+            Err(e) => fail(format_args!("--metrics-addr {addr}: {e}")),
+        }
+    }
+    tel
 }
 
 /// Geometric mean.
@@ -324,17 +300,10 @@ mod tests {
 
     #[test]
     fn trace_and_quiet_flags_parse() {
-        let a = args(&["--smoke", "--trace", "out.jsonl", "--quiet", "--xyz"]);
+        let a = args(&["--smoke", "--trace", "out.jsonl", "--quiet"]);
         assert_eq!(a.scale, Scale::Smoke);
         assert_eq!(a.trace.as_deref(), Some("out.jsonl"));
         assert!(a.quiet);
-        assert!(a.has_flag("--xyz"));
-        assert_eq!(a.threads, None);
-    }
-
-    #[test]
-    fn threads_flag_parses() {
-        assert_eq!(args(&["--threads", "4"]).threads, Some(4));
     }
 
     #[test]
@@ -376,13 +345,5 @@ mod tests {
         let tel = a.telemetry();
         assert!(tel.is_enabled(), "metrics-only handle");
         assert!(!tel.is_tracing(), "no trace sink without --trace");
-    }
-
-    #[test]
-    fn runtime_gauges_sampler_reports_idle_pool() {
-        let mut out = std::collections::BTreeMap::new();
-        runtime_gauges(&mut out);
-        assert_eq!(out["runtime/busy_workers"], 0.0);
-        assert_eq!(out["runtime/items_queued"], 0.0);
     }
 }

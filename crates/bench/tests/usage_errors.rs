@@ -1,8 +1,8 @@
 //! The flags every experiment binary shares (`ansor_bench::Args`) are
-//! strict: a `--threads` value that is not a number, or a flag given
-//! without its value, is a usage error — exit status 2 and a message
-//! naming the flag, before any tuning starts — not a silent run at the
-//! defaults.
+//! strict: an unknown flag, a flag given without its value, or a
+//! `--faults` spec that does not parse is a usage error — exit status 2
+//! and a message naming the flag, before any tuning starts — not a silent
+//! run at the defaults.
 
 use std::process::Command;
 
@@ -10,10 +10,11 @@ use std::process::Command;
 fn mistyped_shared_flags_are_usage_errors() {
     for (args, message) in [
         (
-            &["--smoke", "--threads", "four"][..],
-            "--threads: invalid value \"four\"",
+            &["--smoke", "--threads", "4"][..],
+            "unknown flag \"--threads\"",
         ),
         (&["--smoke", "--json"][..], "--json: missing value"),
+        (&["--smoke", "--faults", "often"][..], "--faults:"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_fig6_single_op"))
             .args(args)

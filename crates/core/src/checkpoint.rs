@@ -60,8 +60,8 @@ pub struct PolicyCheckpoint {
     /// also roots each round's evolution: the policy draws one
     /// `evolution_seed` word per round, from which every generation's
     /// per-lane offspring streams are re-derived (`derive_seed`), so
-    /// restoring these words makes kill+resume bit-identical through the
-    /// parallel evolution path without persisting any per-lane state.
+    /// restoring these words makes kill+resume bit-identical through
+    /// evolution without persisting any per-lane state.
     pub rng: Vec<u64>,
     /// Measurement trials consumed.
     pub trials: u64,

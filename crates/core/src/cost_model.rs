@@ -27,11 +27,10 @@ pub type FeatureBlock = Arc<Result<ProgramFeatures, String>>;
 
 /// Scores used to rank candidate programs; higher is better.
 ///
-/// `Sync` is a supertrait: the evolution loop shares one `&dyn CostModel`
-/// across its parallel offspring lanes, so every model must be safe to
-/// query concurrently — and, for bit-identical results at any thread
-/// count, scoring must be a pure function of `(model, state)` with no
-/// order-dependent hidden state.
+/// `Sync` is a supertrait: a model may be read from several threads at
+/// once (its lazily trained GBDT is a `OnceLock`), and scoring must be a
+/// pure function of `(model, state)` with no order-dependent hidden state,
+/// so that a candidate's score does not depend on which lane asked first.
 pub trait CostModel: Sync {
     /// Predicts a throughput score for each state (−∞ for unlowerable
     /// states).
@@ -494,13 +493,12 @@ impl LearnedCostModel {
     }
 
     /// The one body of `predict` (owned states) and `predict_refs`
-    /// (borrowed): lowering + feature extraction + inference run on the
-    /// parallel runtime's worker threads behind the score cache. The model
-    /// is read once, before the fan-out, so a pending retrain runs on the
-    /// calling thread under this span. An untrained model reads no
+    /// (borrowed): lowering + feature extraction + inference behind the
+    /// score cache. The model is read once, before the batch, so a pending
+    /// retrain runs under this span. An untrained model reads no
     /// features: it scores a program 0 if it lowers and −∞ if not, and
     /// `State::validate` decides that without lowering anything.
-    fn score_batch<S: Borrow<State> + Sync>(&self, states: &[S]) -> Vec<f64> {
+    fn score_batch<S: Borrow<State>>(&self, states: &[S]) -> Vec<f64> {
         let _phase = self.telemetry.span("model_predict");
         self.telemetry
             .incr("model/predictions", states.len() as u64);
@@ -515,7 +513,10 @@ impl LearnedCostModel {
         };
         let (h0, m0) = self.cache_stats();
         let f0 = self.feature_cache_stats();
-        let scores = ansor_runtime::parallel_map(states, |s| self.score_one(model, s.borrow()));
+        let scores = states
+            .iter()
+            .map(|s| self.score_one(model, s.borrow()))
+            .collect();
         let (h1, m1) = self.cache_stats();
         self.telemetry.incr("model/score_cache_hits", h1 - h0);
         self.telemetry.incr("model/score_cache_misses", m1 - m0);
@@ -642,8 +643,7 @@ impl LearnedCostModel {
 
 impl CostModel for LearnedCostModel {
     /// Predicts scores for a batch (the evolution loop queries the model
-    /// for thousands of candidates per round, §5). Scores are
-    /// bit-identical across thread counts.
+    /// for thousands of candidates per round, §5).
     fn predict(&self, _task: &SearchTask, states: &[State]) -> Vec<f64> {
         self.score_batch(states)
     }
@@ -680,12 +680,12 @@ impl CostModel for LearnedCostModel {
     fn update(&mut self, task: &SearchTask, states: &[State], seconds: &[f64]) {
         let blocks = {
             let _phase = self.telemetry.span("feature_extraction");
-            // Analysis + featurization of the measured batch runs on the
-            // parallel runtime through the featurization cache (the states
-            // were just scored, so their rows are usually already cached);
-            // records are appended in input order.
+            // Analysis + featurization of the measured batch goes through
+            // the featurization cache (the states were just scored, so
+            // their rows are usually already cached); records are appended
+            // in input order.
             let f0 = self.feature_cache_stats();
-            let blocks = ansor_runtime::parallel_map(states, |s| self.features_for(s));
+            let blocks: Vec<FeatureBlock> = states.iter().map(|s| self.features_for(s)).collect();
             self.emit_feature_cache_deltas(f0);
             for (block, &sec) in blocks.iter().zip(seconds) {
                 let record = match block.as_ref() {

@@ -114,20 +114,8 @@ pub struct EvolutionStats {
     pub proposed_by_rule: BTreeMap<String, u64>,
 }
 
-/// One lane's serially pre-drawn breeding decision: which parent(s) the
-/// fitness-proportional tournament selected and whether the lane attempts
-/// crossover (`partner` set) or mutation. Drawing these from the caller's
-/// RNG *before* fanning out keeps the shared fitness table out of the
-/// parallel region and pins the policy RNG stream independent of thread
-/// count (docs/PARALLELISM.md).
-#[derive(Debug, Clone, Copy)]
-struct LanePlan {
-    parent: usize,
-    partner: Option<usize>,
-}
-
 /// One lane's result: the individual landing at that population index,
-/// plus the flags the serial fold needs to tally [`EvolutionStats`].
+/// plus the flags the fold needs to tally [`EvolutionStats`].
 /// `fresh` is false when every operator failed and the lane fell back to
 /// its parent (the same program by handle; not tallied).
 #[derive(Debug, Clone)]
@@ -177,9 +165,8 @@ pub fn evolutionary_search(
 ///
 /// `evolution_seed` is the root of the per-generation offspring RNG
 /// streams: generation `g`'s lanes draw from
-/// `derive_seed(derive_seed(evolution_seed, g), lane)`, so offspring are
-/// bit-identical at every thread count. `rng` only drives the serial
-/// pre-draw of tournament picks and crossover decisions.
+/// `derive_seed(derive_seed(evolution_seed, g), lane)` (docs/PARALLELISM.md).
+/// `rng` only drives tournament picks and crossover decisions.
 #[allow(clippy::too_many_arguments)]
 pub fn evolutionary_search_with_stats(
     task: &SearchTask,
@@ -208,8 +195,8 @@ pub fn evolutionary_search_with_stats(
 
 /// The search loop proper, with a per-generation `observer` hook
 /// `(generation, population, stats)` invoked after each generation's
-/// offspring replace the population (used by the serial-reference
-/// differential test; a no-op closure in production).
+/// offspring replace the population (used by the oracle differential
+/// test; a no-op closure in production).
 #[allow(clippy::too_many_arguments)]
 fn evolve(
     task: &SearchTask,
@@ -270,8 +257,6 @@ fn evolve(
             break;
         };
         stats.generations += 1;
-        // Fold lane results back serially, in lane order, so the stats
-        // tallies and the next population are independent of scheduling.
         let mut next = Vec::with_capacity(offspring.len());
         for off in offspring {
             stats.crossover_fallbacks += off.crossover_fell_back as u64;
@@ -308,16 +293,12 @@ fn evolve(
     (best.into_iter().map(|(_, ind)| ind).collect(), stats)
 }
 
-/// Produces one generation of offspring (one per population slot) on the
-/// parallel runtime.
+/// Produces one generation of offspring, one per population slot.
 ///
-/// The cheap, fitness-table-coupled decisions — tournament picks and the
-/// crossover-vs-mutation coin — are pre-drawn serially from `rng` into
-/// per-lane plans. The expensive part (operator application, state
-/// replay/legality checks, lineage stamping) then fans out over
-/// `parallel_map_indexed`, each lane reseeded from
-/// `derive_seed(generation_seed, lane)`, results landing by lane index.
-/// Output is bit-identical at every thread count.
+/// Tournament picks and the crossover-vs-mutation coin are drawn from
+/// `rng`; the operators themselves draw from the lane's own stream,
+/// `derive_seed(generation_seed, lane)`, so a lane's offspring depends on
+/// its index and its picks, never on how many draws other lanes made.
 #[allow(clippy::too_many_arguments)]
 pub fn produce_generation(
     task: &SearchTask,
@@ -356,18 +337,17 @@ pub fn produce_generation(
         }
         population.len() - 1
     };
-    let plans: Vec<LanePlan> = (0..cfg.population)
-        .map(|_| {
-            let parent = pick(rng);
-            let partner = rng.gen_bool(cfg.crossover_prob).then(|| pick(rng));
-            LanePlan { parent, partner }
+    (0..cfg.population)
+        .map(|lane| {
+            let parent = &population[pick(rng)];
+            let partner = rng
+                .gen_bool(cfg.crossover_prob)
+                .then(|| &population[pick(rng)]);
+            let mut lane_rng =
+                StdRng::seed_from_u64(ansor_runtime::derive_seed(generation_seed, lane as u64));
+            produce_lane(task, sketches, parent, partner, model, cfg, &mut lane_rng)
         })
-        .collect();
-    ansor_runtime::parallel_map_indexed(&plans, |lane, plan| {
-        let mut lane_rng =
-            StdRng::seed_from_u64(ansor_runtime::derive_seed(generation_seed, lane as u64));
-        produce_lane(task, sketches, population, plan, model, cfg, &mut lane_rng)
-    })
+        .collect()
 }
 
 /// One offspring lane: crossover if planned (falling back to mutation on
@@ -375,16 +355,15 @@ pub fn produce_generation(
 fn produce_lane(
     task: &SearchTask,
     sketches: &[Sketch],
-    population: &[Individual],
-    plan: &LanePlan,
+    parent: &Individual,
+    partner: Option<&Individual>,
     model: &dyn CostModel,
     cfg: &EvolutionConfig,
     rng: &mut impl Rng,
 ) -> Offspring {
-    let parent = &population[plan.parent];
     let mut crossover_fell_back = false;
-    if let Some(partner) = plan.partner {
-        if let Some(child) = crossover(task, parent, &population[partner], model) {
+    if let Some(partner) = partner {
+        if let Some(child) = crossover(task, parent, partner, model) {
             return Offspring {
                 individual: child,
                 fresh: true,
@@ -986,17 +965,15 @@ mod tests {
         }
     }
 
-    /// Straight-line serial oracle for the parallel offspring path: the
-    /// same plan pre-draw and per-lane seeding as `produce_generation`,
-    /// but executed one lane at a time (no `parallel_map_indexed`, no
-    /// `predict_refs`). An independent re-derivation of the per-lane
-    /// stream contract — any divergence in plan order, lane seeding,
-    /// result placement, or stats folding shows up as a population or
-    /// stats mismatch. It also keeps the copying discipline `evolve` gave
+    /// Straight-line oracle for `evolve`: the same picks and per-lane
+    /// seeding as `produce_generation`, written independently (all of a
+    /// generation's picks drawn before any lane runs, no `predict_refs`).
+    /// Any divergence in pick order, lane seeding, result placement, or
+    /// stats folding shows up as a population or stats mismatch. It also keeps the copying discipline `evolve` gave
     /// up: the best-so-far set and the fallback lanes hold deep copies, and
     /// the population is scored and pushed before any offspring is bred.
     #[allow(clippy::too_many_arguments)]
-    fn serial_reference_search(
+    fn oracle_search(
         task: &SearchTask,
         sketches: &[Sketch],
         init: Vec<Individual>,
@@ -1042,7 +1019,7 @@ mod tests {
             }
             stats.generations += 1;
             let generation_seed = ansor_runtime::derive_seed(evolution_seed, gen as u64);
-            // Serial plan pre-draw, mirroring produce_generation.
+            // All of the generation's picks first, then the lanes.
             let min = scores
                 .iter()
                 .copied()
@@ -1130,7 +1107,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_matches_serial_reference() {
+    fn evolve_matches_an_independently_written_oracle() {
         let t = task();
         let sketches = generate_sketches(&t);
         for seed in [11u64, 29, 73] {
@@ -1147,9 +1124,9 @@ mod tests {
             let banned: HashSet<u64> = [pop[0].signature()].into_iter().collect();
             let evolution_seed = ansor_runtime::derive_seed(seed, 0xE0);
 
-            let mut par_gens: GenerationLog = Vec::new();
+            let mut evo_gens: GenerationLog = Vec::new();
             let mut rng = StdRng::seed_from_u64(seed);
-            let (par_best, par_stats) = evolve(
+            let (evo_best, evo_stats) = evolve(
                 &t,
                 &sketches,
                 pop.clone(),
@@ -1159,12 +1136,12 @@ mod tests {
                 &banned,
                 evolution_seed,
                 &mut rng,
-                &mut |g, p, s| par_gens.push((g, fingerprint(p), s.clone())),
+                &mut |g, p, s| evo_gens.push((g, fingerprint(p), s.clone())),
             );
 
-            let mut ser_gens: GenerationLog = Vec::new();
+            let mut ref_gens: GenerationLog = Vec::new();
             let mut rng = StdRng::seed_from_u64(seed);
-            let (ser_best, ser_stats) = serial_reference_search(
+            let (ref_best, ref_stats) = oracle_search(
                 &t,
                 &sketches,
                 pop,
@@ -1174,28 +1151,28 @@ mod tests {
                 &banned,
                 evolution_seed,
                 &mut rng,
-                &mut |g, p, s| ser_gens.push((g, fingerprint(p), s.clone())),
+                &mut |g, p, s| ref_gens.push((g, fingerprint(p), s.clone())),
             );
 
-            assert_eq!(par_gens.len(), ser_gens.len(), "seed {seed}");
-            for ((pg, pf, ps), (sg, sf, ss)) in par_gens.iter().zip(&ser_gens) {
-                assert_eq!(pg, sg, "seed {seed}");
-                assert_eq!(pf, sf, "population diverged at gen {pg}, seed {seed}");
-                assert_eq!(ps, ss, "stats diverged at gen {pg}, seed {seed}");
+            assert_eq!(evo_gens.len(), ref_gens.len(), "seed {seed}");
+            for ((eg, ef, es), (rg, rf, rs)) in evo_gens.iter().zip(&ref_gens) {
+                assert_eq!(eg, rg, "seed {seed}");
+                assert_eq!(ef, rf, "population diverged at gen {eg}, seed {seed}");
+                assert_eq!(es, rs, "stats diverged at gen {eg}, seed {seed}");
             }
-            assert_eq!(par_stats, ser_stats, "seed {seed}");
+            assert_eq!(evo_stats, ref_stats, "seed {seed}");
             assert_eq!(
-                fingerprint(&par_best),
-                fingerprint(&ser_best),
+                fingerprint(&evo_best),
+                fingerprint(&ref_best),
                 "returned candidates diverged, seed {seed}"
             );
             // The configs above must actually exercise the interesting
             // paths, or the differential proves nothing.
             assert!(
-                par_stats.crossovers_applied > 0 || par_stats.crossover_fallbacks > 0,
+                evo_stats.crossovers_applied > 0 || evo_stats.crossover_fallbacks > 0,
                 "seed {seed}: no crossover activity"
             );
-            assert!(par_stats.mutations_applied > 0, "seed {seed}");
+            assert!(evo_stats.mutations_applied > 0, "seed {seed}");
         }
     }
 }

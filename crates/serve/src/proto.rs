@@ -45,11 +45,9 @@ pub struct JobSpec {
     /// a cold one (it begins from prior measurements, per the transfer
     /// argument of Chen et al.). Defaults to off.
     pub warm_start: Option<bool>,
-    /// Per-job runtime thread-count override (0 = auto). Determinism is
-    /// thread-count-transparent, so this only affects wall-clock speed; the
-    /// setting is process-global for the duration of the job, so under
-    /// concurrent jobs the last-started job's value wins (perf-only
-    /// effect). Defaults to the server's configured thread count.
+    /// Reserved like [`JobSpec::prerank_keep`] (was: a per-job thread
+    /// count for a pool that no longer exists): `submit` rejects a spec
+    /// that sets it.
     pub threads: Option<usize>,
     /// Per-job fault-plan override (`"none"`, `"default"`, or `"k=v,..."`
     /// — same grammar as `ansor-tune --faults`). Feeds the job's

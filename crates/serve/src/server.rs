@@ -57,10 +57,9 @@ pub struct ServeConfig {
     /// class keys). Jobs may override it per-spec; overridden jobs get
     /// their own fingerprints/class keys and an explicit measurer plan.
     pub faults: String,
-    /// Baseline runtime thread count jobs run under (0 = auto). Jobs may
-    /// override it per-spec; the setting is process-global, so under
-    /// concurrent jobs the last-started job's value wins (determinism is
-    /// thread-count-transparent — this is perf-only).
+    /// Reserved and ignored (was: the thread count of a per-process pool
+    /// that no longer exists; the frozen `e2e_bench` still sets it). Each
+    /// job runs on its worker thread; `workers` sets the concurrency.
     pub threads: usize,
     /// Warm-store serialized-entry byte budget; `None` = unlimited. When
     /// exceeded, least-recently-used class entries are evicted.
@@ -657,16 +656,14 @@ fn run_job(
     let Some(target) = HardwareTarget::by_name(&spec.target) else {
         return fail(format!("unknown target {:?}", spec.target));
     };
-    // Per-job overrides. The fault spec feeds the fingerprint and class
-    // key, so overridden jobs occupy their own warm-store class; the
-    // thread count is process-global and perf-only (see `ServeConfig`).
+    // Per-job override. The fault spec feeds the fingerprint and class
+    // key, so overridden jobs occupy their own warm-store class.
     let faults = spec.faults.as_deref().unwrap_or(&shared.cfg.faults);
     let fault_plan = match spec.faults.as_deref().map(hwsim::FaultPlan::parse) {
         Some(Ok(plan)) => Some(plan),
         Some(Err(e)) => return fail(format!("bad fault spec: {e}")),
         None => None,
     };
-    ansor_runtime::set_threads(spec.threads.unwrap_or(shared.cfg.threads));
     let (job_tel, trace_file) = job_telemetry(shared, id);
     let shared_tel = shared.cfg.telemetry.clone();
     let task = SearchTask::new(spec.task_name(), dag.clone(), target.clone());
@@ -952,6 +949,12 @@ fn handle_submit(shared: &Arc<Shared>, req: &Request) -> Response {
         return Response::failure(
             req.id,
             "prerank_keep/transfer: the surrogate prerank stage was removed (protocol 2); drop the field",
+        );
+    }
+    if spec.threads.is_some() {
+        return Response::failure(
+            req.id,
+            "threads: the thread pool was removed; a job runs on its worker thread; drop the field",
         );
     }
     let mut t = shared.jobs.lock().expect("job table lock poisoned");

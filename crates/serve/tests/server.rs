@@ -214,13 +214,16 @@ fn invalid_specs_are_rejected_at_submit() {
     assert!(c.submit(bad).unwrap_err().contains("unknown target"));
     let bad = spec(0, 0);
     assert!(c.submit(bad).unwrap_err().contains("trials"));
-    // The two reserved fields select nothing any more: setting either is
-    // an error that says so, not a silently different job.
+    // The reserved fields select nothing any more: setting one is an error
+    // that says so, not a silently different job.
     let mut bad = spec(0, 64);
     bad.prerank_keep = Some(0.25);
     assert!(c.submit(bad).unwrap_err().contains("was removed"));
     let mut bad = spec(0, 64);
     bad.transfer = Some(false);
+    assert!(c.submit(bad).unwrap_err().contains("was removed"));
+    let mut bad = spec(0, 64);
+    bad.threads = Some(1);
     assert!(c.submit(bad).unwrap_err().contains("was removed"));
     let stats = c.stats().expect("stats");
     assert_eq!(stats.jobs_submitted, 0);

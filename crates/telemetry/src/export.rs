@@ -32,26 +32,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A scrape-time gauge sampler: pushes `name -> value` pairs into the
-/// response-local gauge set (never into the registry). Plain fn pointers so
-/// binaries can contribute e.g. thread-pool gauges without `telemetry`
-/// depending on the runtime crate.
-pub type GaugeSampler = fn(&mut BTreeMap<String, f64>);
-
 /// Exporter configuration.
 pub struct ExportOptions {
     /// Seconds the heartbeat tick may stand still before `/healthz`
     /// reports unhealthy.
     pub stall_window_seconds: f64,
-    /// Extra scrape-time gauge samplers (e.g. runtime pool utilization).
-    pub samplers: Vec<GaugeSampler>,
 }
 
 impl Default for ExportOptions {
     fn default() -> Self {
         ExportOptions {
             stall_window_seconds: 30.0,
-            samplers: Vec::new(),
         }
     }
 }
@@ -215,7 +206,7 @@ fn handle_connection(
                 return;
             };
             let mut resources = BTreeMap::new();
-            sample_resources(&mut resources, &opts.samplers);
+            sample_resources(&mut resources);
             let body = render_exposition(&snap, &resources);
             write_response(&mut stream, 200, "text/plain; version=0.0.4", &body);
         }
@@ -224,7 +215,7 @@ fn handle_connection(
                 return;
             };
             let mut resources = BTreeMap::new();
-            sample_resources(&mut resources, &opts.samplers);
+            sample_resources(&mut resources);
             let report = build_status(
                 &snap,
                 prev_status.as_ref(),
@@ -294,9 +285,8 @@ fn write_response(stream: &mut TcpStream, code: u16, content_type: &str, body: &
 }
 
 /// Fill `out` with process resource gauges: allocator counters (when
-/// [`crate::CountingAlloc`] is installed), RSS, and whatever the extra
-/// samplers contribute.
-pub fn sample_resources(out: &mut BTreeMap<String, f64>, samplers: &[GaugeSampler]) {
+/// [`crate::CountingAlloc`] is installed) and RSS.
+pub fn sample_resources(out: &mut BTreeMap<String, f64>) {
     if let Some(stats) = crate::alloc::stats() {
         out.insert("alloc/live_bytes".into(), stats.live_bytes as f64);
         out.insert("alloc/peak_bytes".into(), stats.peak_bytes as f64);
@@ -304,9 +294,6 @@ pub fn sample_resources(out: &mut BTreeMap<String, f64>, samplers: &[GaugeSample
     }
     if let Some(rss) = crate::alloc::rss_bytes() {
         out.insert("process/rss_bytes".into(), rss as f64);
-    }
-    for sampler in samplers {
-        sampler(out);
     }
 }
 

@@ -131,7 +131,6 @@ fn healthz_flips_unhealthy_on_stall_and_recovers_on_heartbeat() {
     let tel = seeded_telemetry();
     let opts = ExportOptions {
         stall_window_seconds: 0.2,
-        samplers: Vec::new(),
     };
     let exporter = serve(&tel, "127.0.0.1:0", opts).expect("bind port 0");
     let addr = exporter.local_addr().to_string();

@@ -40,8 +40,7 @@ fn usage() -> ! {
          \n\
          \x20  ansor-client [--addr ADDR] submit --op OP [--shape N] [--batch N]\n\
          \x20               [--target T] [--trials N] [--seed N] [--warm-start] [--wait]\n\
-         \x20               [--threads N] [--faults SPEC]\n\
-         \x20               [--trace-out PATH]\n\
+         \x20               [--faults SPEC] [--trace-out PATH]\n\
          \x20  ansor-client [--addr ADDR] status|result|wait|cancel JOB\n\
          \x20  ansor-client [--addr ADDR] trace JOB [--trace-out PATH]\n\
          \x20  ansor-client [--addr ADDR] stats\n\
@@ -111,7 +110,6 @@ fn main() {
                     "--trials" => spec.trials = parse_flag(a, &val()),
                     "--seed" => spec.seed = parse_flag(a, &val()),
                     "--warm-start" => spec.warm_start = Some(true),
-                    "--threads" => spec.threads = Some(parse_flag(a, &val())),
                     "--faults" => spec.faults = Some(val()),
                     "--wait" => wait = true,
                     "--trace-out" => trace_out = Some(val()),

@@ -8,24 +8,15 @@
 //! Hosts concurrent tuning sessions over the newline-delimited JSON
 //! protocol (see docs/SERVING.md) with a persistent shared warm store.
 //! Submit work with `ansor-client`; stop with
-//! `ansor-client --addr <addr> shutdown`. Shares the experiment
-//! harnesses' flags (`--threads`, `--faults`, `--metrics-addr`,
-//! `--trace`) via `ansor_bench::Args`, which also installs the allocation
-//! counter used by the live `/metrics` endpoint.
+//! `ansor-client --addr <addr> shutdown`. Takes its own flags out of the
+//! command line and hands the rest to `ansor_bench::Args`, the experiment
+//! harnesses' parser (`--faults`, `--metrics-addr`, `--trace`), which also
+//! installs the allocation counter used by the live `/metrics` endpoint.
+//! An unknown flag is a usage error.
 
 use ansor::parse_flag;
 use ansor_bench::Args;
 use ansor_serve::{ServeConfig, Server};
-
-/// The value following the daemon's own flag `name` on the command line.
-fn flag_value(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
-
-/// Numeric flag `name`, strictly parsed (`None` when absent).
-fn numeric_flag<T: std::str::FromStr>(name: &str) -> Option<T> {
-    flag_value(name).map(|v| parse_flag(name, &v))
-}
 
 fn print_help() {
     println!(
@@ -40,7 +31,6 @@ fn print_help() {
          \x20                       retrievable via `ansor-client trace`\n\
          \x20  --journal PATH       append-only job journal (default: journal.jsonl next\n\
          \x20                       to --store; in-memory servers keep no journal)\n\
-         \x20  --threads N          parallel-runtime workers per session\n\
          \x20  --faults SPEC        deterministic measurement faults (docs/ROBUSTNESS.md)\n\
          \x20  --metrics-addr ADDR  live /metrics /status /healthz (docs/OPERATIONS.md)\n\
          \x20  --trace PATH         structured JSONL tuning trace (docs/TELEMETRY.md)\n\
@@ -49,34 +39,50 @@ fn print_help() {
     );
 }
 
-fn main() {
-    let args = Args::parse();
-    if args.has_flag("--help") || args.has_flag("-h") {
-        print_help();
-        return;
+/// Splits the command line into the daemon's own settings and the
+/// harness flags left for [`Args`].
+fn parse() -> (ServeConfig, Args) {
+    let mut cfg = ServeConfig {
+        addr: "127.0.0.1:4815".into(),
+        ..ServeConfig::default()
+    };
+    let mut rest = Vec::new();
+    let mut it = std::env::args().skip(1);
+    while let Some(a) = it.next() {
+        let mut val = || {
+            it.next().unwrap_or_else(|| {
+                eprintln!("{a}: missing value");
+                std::process::exit(2)
+            })
+        };
+        match a.as_str() {
+            "--addr" => cfg.addr = val(),
+            "--workers" => cfg.workers = parse_flag(&a, &val()),
+            "--queue-cap" => cfg.queue_cap = parse_flag(&a, &val()),
+            "--store" => cfg.store_path = Some(val()),
+            "--store-budget" => cfg.store_budget = Some(parse_flag(&a, &val())),
+            "--trace-dir" => cfg.trace_dir = Some(val()),
+            "--journal" => cfg.journal_path = Some(val()),
+            "--help" | "-h" => {
+                print_help();
+                std::process::exit(0);
+            }
+            _ => rest.push(a),
+        }
     }
-    let addr = flag_value("--addr").unwrap_or_else(|| "127.0.0.1:4815".into());
-    let workers = numeric_flag("--workers").unwrap_or(2);
-    let queue_cap = numeric_flag("--queue-cap").unwrap_or(64);
-    let store_path = flag_value("--store");
-    let store_budget = numeric_flag("--store-budget");
-    let trace_dir = flag_value("--trace-dir");
-    let journal_path = flag_value("--journal");
+    let args = Args::parse_from(rest);
+    ansor::hw::set_default_plan(args.faults.clone());
+    cfg.faults = args.faults_spec.clone();
+    (cfg, args)
+}
 
+fn main() {
+    let (mut cfg, args) = parse();
     let telemetry = args.telemetry();
-    let server = Server::start(ServeConfig {
-        addr,
-        workers,
-        queue_cap,
-        store_path: store_path.clone(),
-        faults: args.faults_spec.clone(),
-        threads: args.threads.unwrap_or(0),
-        store_budget,
-        telemetry: telemetry.clone(),
-        trace_dir,
-        journal_path,
-    })
-    .unwrap_or_else(|e| {
+    cfg.telemetry = telemetry.clone();
+    let (workers, queue_cap) = (cfg.workers, cfg.queue_cap);
+    let store = cfg.store_path.clone();
+    let server = Server::start(cfg).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
     });
@@ -85,7 +91,7 @@ fn main() {
         server.local_addr(),
         workers,
         queue_cap,
-        store_path.as_deref().unwrap_or("in-memory")
+        store.as_deref().unwrap_or("in-memory")
     );
     server.wait();
     args.finish_telemetry(&telemetry);

@@ -26,11 +26,6 @@ use ansor::prelude::*;
 use ansor::workloads;
 use hwsim::FaultPlan;
 
-/// Count allocations so `--metrics-addr` runs report live `alloc/*`
-/// gauges (see docs/OPERATIONS.md).
-#[global_allocator]
-static ALLOC: telemetry::CountingAlloc = telemetry::CountingAlloc;
-
 struct Cli {
     op: Option<String>,
     shape: usize,
@@ -53,39 +48,12 @@ struct Cli {
 }
 
 impl Cli {
-    /// Builds the run's telemetry handle. With `--trace` it streams the
-    /// structured provenance trace to a JSONL file; with `--metrics-addr`
-    /// the live exporter is started, detached for the life of the process;
-    /// with neither the handle is disabled and costs nothing.
+    /// Builds the run's telemetry handle (`--trace`, `--metrics-addr`),
+    /// as every experiment harness does. Linking `ansor_bench` also
+    /// installs the allocation counter behind the live `alloc/*` gauges
+    /// (docs/OPERATIONS.md).
     fn telemetry(&self) -> telemetry::Telemetry {
-        let tel = match &self.trace {
-            Some(path) => telemetry::Telemetry::to_file(std::path::Path::new(path))
-                .unwrap_or_else(|e| die(&format!("--trace {path}: {e}"))),
-            None if self.metrics_addr.is_some() => telemetry::Telemetry::with_metrics(),
-            None => return telemetry::Telemetry::disabled(),
-        };
-        let Some(addr) = &self.metrics_addr else {
-            return tel;
-        };
-        let mut opts = telemetry::export::ExportOptions::from_env();
-        opts.samplers.push(|out| {
-            let (busy, queued) = ansor::runtime::pool_stats();
-            out.insert("runtime/busy_workers".into(), busy as f64);
-            out.insert("runtime/items_queued".into(), queued as f64);
-        });
-        match telemetry::export::serve(&tel, addr, opts) {
-            Ok(exporter) => {
-                eprintln!(
-                    "(live metrics on http://{}/ — /metrics /status /healthz; \
-                     watch with `ansor-top {}`)",
-                    exporter.local_addr(),
-                    exporter.local_addr()
-                );
-                exporter.detach();
-            }
-            Err(e) => die(&format!("--metrics-addr {addr}: {e}")),
-        }
-        tel
+        ansor_bench::start_telemetry(self.trace.as_deref(), self.metrics_addr.as_deref())
     }
 }
 
@@ -130,7 +98,6 @@ fn parse() -> Cli {
             "--metrics-addr" => cli.metrics_addr = Some(val()),
             "--trace" => cli.trace = Some(val()),
             "--seed" => cli.seed = parse_flag(&a, &val()),
-            "--threads" => ansor::runtime::set_threads(parse_flag(&a, &val())),
             "--list" => cli.list = true,
             "--program" => cli.show_program = true,
             "--help" | "-h" => {
@@ -158,7 +125,6 @@ fn print_help() {
          \x20             --units N\n\
          common:\n\
          \x20  --target intel|intel-avx512|arm|gpu   (default intel)\n\
-         \x20  --threads N                            parallel-runtime workers\n\
          \x20  --seed N                               search RNG seed (default 0)\n\
          \x20  --faults none|default|k=v,...          inject measurement faults\n\
          \x20  --checkpoint PATH                      persist search state\n\

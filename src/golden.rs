@@ -61,8 +61,7 @@ pub fn golden_task() -> SearchTask {
 
 /// Runs the canonical fixed-seed tuning session and returns the
 /// deterministic trace lines (canonical JSON, wall-clock fields stripped)
-/// plus the final summary. Bit-identical across repeats, thread counts,
-/// and machines.
+/// plus the final summary. Bit-identical across repeats and machines.
 pub fn golden_run() -> (Vec<String>, GoldenSummary) {
     let buf = SharedBuf::new();
     let tel = Telemetry::to_writer(Box::new(buf.clone()));

@@ -1,9 +1,7 @@
 //! Crash/resume soundness: a tuning run killed after *every* checkpoint
 //! boundary and resumed from the on-disk file must continue bit-identically
 //! — same best program, same record log, same telemetry trace — as the run
-//! that was never interrupted. Runs under whatever `ANSOR_THREADS` the CI
-//! matrix sets; the determinism contract makes the comparison valid at any
-//! thread count.
+//! that was never interrupted.
 //!
 //! The cost model retrains only once half its training window is new, so
 //! a checkpoint can fall between two retrains: the model then lags its

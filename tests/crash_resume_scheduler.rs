@@ -1,11 +1,7 @@
 //! Crash/resume soundness for a `TaskScheduler`, whose tasks share one cost
 //! model: a run resumed from the checkpoint of a unit that ended between
 //! two retrains of that model (it lags its records) must continue
-//! bit-identically — same history, same best latencies, same trace — at
-//! threads 1 and at 4, and the two thread counts must agree.
-//!
-//! Its own test binary: `runtime::set_threads` is process-global, and
-//! `crash_resume.rs` runs at whatever thread count the CI matrix sets.
+//! bit-identically — same history, same best latencies, same trace.
 
 use std::sync::Arc;
 
@@ -123,36 +119,22 @@ fn scheduled(resume: Option<&TuneCheckpoint>) -> (SchedulerRun, Vec<(TuneCheckpo
 
 #[test]
 fn a_scheduler_resumed_between_two_retrains_of_its_shared_model_is_bit_identical() {
-    let mut per_threads = Vec::new();
-    for threads in [1, 4] {
-        ansor::runtime::set_threads(threads);
-        let (full, boundaries) = scheduled(None);
-        let between: Vec<usize> = (0..UNITS - 1)
-            .filter(|&k| lags(&boundaries[k].0.scheduler.as_ref().expect("scheduler").model))
+    let (full, boundaries) = scheduled(None);
+    let between: Vec<usize> = (0..UNITS - 1)
+        .filter(|&k| lags(&boundaries[k].0.scheduler.as_ref().expect("scheduler").model))
+        .collect();
+    assert!(!between.is_empty(), "no unit ends between two retrains");
+    for k in between {
+        let (ck, pre_events) = &boundaries[k];
+        let (resumed, _) = scheduled(Some(ck));
+        let unit = k + 1;
+        assert_eq!(resumed.history, full.history, "after unit {unit}");
+        assert_eq!(resumed.latencies, full.latencies, "after unit {unit}");
+        let stitched: Vec<String> = full.trace[..*pre_events]
+            .iter()
+            .chain(&resumed.trace)
+            .cloned()
             .collect();
-        assert!(!between.is_empty(), "no unit ends between two retrains");
-        for k in between {
-            let (ck, pre_events) = &boundaries[k];
-            let (resumed, _) = scheduled(Some(ck));
-            let unit = k + 1;
-            assert_eq!(
-                resumed.history, full.history,
-                "after unit {unit}, {threads} threads"
-            );
-            assert_eq!(
-                resumed.latencies, full.latencies,
-                "after unit {unit}, {threads} threads"
-            );
-            let stitched: Vec<String> = full.trace[..*pre_events]
-                .iter()
-                .chain(&resumed.trace)
-                .cloned()
-                .collect();
-            assert_eq!(stitched, full.trace, "after unit {unit}, {threads} threads");
-        }
-        per_threads.push(full);
+        assert_eq!(stitched, full.trace, "after unit {unit}");
     }
-    ansor::runtime::set_threads(0);
-    assert_eq!(per_threads[0].history, per_threads[1].history);
-    assert_eq!(per_threads[0].trace, per_threads[1].trace);
 }

@@ -13,9 +13,6 @@
 //! the same step lists over different DAGs, which `State::signature()`
 //! tells apart (it is seeded by the DAG's fingerprint) and the store's
 //! per-class caches keep apart besides.
-//!
-//! Runs under whatever `ANSOR_THREADS` the CI matrix sets (the runtime
-//! reads the variable itself), so the 1- and 4-thread legs both cover it.
 
 use ansor::core::{log_fingerprint, TuningSession};
 use ansor::prelude::*;

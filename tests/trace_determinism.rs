@@ -1,6 +1,7 @@
 //! Two tuning runs with the same seed must emit identical trace event
-//! sequences. Wall-clock data (`t_ms`, `PhaseProfile` snapshots) is
-//! excluded from the comparison — see docs/TELEMETRY.md.
+//! sequences, attribution events included. Wall-clock data (`t_ms`,
+//! `PhaseProfile` snapshots) is excluded from the comparison — see
+//! docs/TELEMETRY.md.
 
 use ansor::prelude::*;
 use std::sync::Arc;
@@ -21,14 +22,17 @@ fn matmul_task() -> SearchTask {
     )
 }
 
-/// Runs one short traced tuning session and returns the deterministic
-/// part of its trace: every event except `PhaseProfile` (wall-clock).
+/// Runs one short traced tuning session — three rounds, so the model
+/// trains and calibrates — and returns the deterministic part of its
+/// trace: every event except `PhaseProfile` (wall-clock).
 fn traced_run(seed: u64) -> Vec<TraceEvent> {
     let buf = SharedBuf::new();
     let tel = Telemetry::to_writer(Box::new(buf.clone()));
     let task = matmul_task();
     let options = TuningOptions {
-        num_measure_trials: 32,
+        num_measure_trials: 48,
+        measures_per_round: 16,
+        init_population: 32,
         seed,
         telemetry: tel.clone(),
         ..Default::default()
@@ -60,6 +64,43 @@ fn same_seed_runs_emit_identical_traces() {
         "trace must contain measurement batches"
     );
     assert_eq!(a, b, "same-seed traces must match event for event");
+
+    // The attribution events ride the same comparison: they must be
+    // present, so it is not vacuous for them, and consistent.
+    let count = |name: &str| {
+        a.iter()
+            .filter(|e| {
+                matches!(
+                    (name, e),
+                    ("origin", TraceEvent::CandidateOrigin { .. })
+                        | ("improve", TraceEvent::ImprovementAttributed { .. })
+                        | ("opstats", TraceEvent::OperatorStats { .. })
+                        | ("calibration", TraceEvent::ModelCalibration { .. })
+                )
+            })
+            .count()
+    };
+    assert!(count("origin") >= 32, "one origin per measurement");
+    assert!(count("improve") >= 1, "some trial must improve");
+    assert!(count("opstats") >= 2, "one stats event per round");
+    assert!(
+        count("calibration") >= 1,
+        "rounds after the first retrain must calibrate the model"
+    );
+    // Every attributed improvement refers to a candidate whose origin was
+    // recorded in the same trace.
+    let origin_sigs: std::collections::HashSet<u64> = a
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::CandidateOrigin { sig, .. } => Some(*sig),
+            _ => None,
+        })
+        .collect();
+    for e in &a {
+        if let TraceEvent::ImprovementAttributed { sig, .. } = e {
+            assert!(origin_sigs.contains(sig), "improvement without an origin");
+        }
+    }
 }
 
 #[test]
