@@ -567,9 +567,8 @@ mod tests {
     use hwsim::HardwareTarget;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::HashMap;
     use std::sync::Arc;
-    use tensor_ir::{interp, lower, DagBuilder, Expr, Reducer};
+    use tensor_ir::{lower, DagBuilder, Expr, Reducer};
 
     fn matmul_relu_task(n: i64, target: HardwareTarget) -> SearchTask {
         let mut b = DagBuilder::new();
@@ -633,40 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_programs_compute_correct_results() {
-        let task = matmul_relu_task(16, HardwareTarget::intel_20core());
-        let inputs = interp::random_inputs(&task.dag, 5);
-        let reference = interp::run_naive(&task.dag, &inputs).unwrap();
-        let ref_out = reference.get(3).to_vec(); // D
-        let sketches = generate_sketches(&task);
-        let cfg = AnnotationConfig::default();
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut checked = 0;
-        for sketch in &sketches {
-            for _ in 0..8 {
-                let Some(state) = sample_program(sketch, &task, &cfg, &mut rng) else {
-                    continue;
-                };
-                let prog = lower(&state).unwrap();
-                // Remap inputs: node ids may have shifted via cache stages.
-                let mut in2: HashMap<usize, Vec<f32>> = HashMap::new();
-                for (name, orig) in [("A", 0usize), ("B", 1usize)] {
-                    let nid = prog.dag.node_id(name).unwrap();
-                    in2.insert(nid, inputs[&orig].clone());
-                }
-                let bufs = interp::run(&prog, &in2).unwrap();
-                let d = prog.dag.node_id("D").unwrap();
-                let got = bufs.get(d);
-                for (g, e) in got.iter().zip(&ref_out) {
-                    assert!((g - e).abs() < 1e-3, "{g} vs {e} in {:?}", state.steps);
-                }
-                checked += 1;
-            }
-        }
-        assert!(checked >= 6, "checked only {checked} programs");
-    }
-
-    #[test]
     fn annotation_hints_are_respected() {
         let task = matmul_relu_task(64, HardwareTarget::intel_20core());
         let sketches = generate_sketches(&task);
@@ -714,7 +679,7 @@ mod tests {
         assert!(checked >= 10);
     }
 
-    /// Why NRM at batch 1 samples nothing on a GPU (ROADMAP item 1): every
+    /// Why NRM at batch 1 samples nothing on a GPU (ROADMAP item 10): every
     /// kernel of the 2-norm computes a one-element output — the sum `S`
     /// (a single spatial point, whether or not its reduction is factored)
     /// and the square root `N` — so the most threads any binding of their

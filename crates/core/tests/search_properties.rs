@@ -2,7 +2,6 @@
 //! semantically correct programs, annotation policy produces sane
 //! distributions, and the policy never re-measures a program.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ansor_core::annotate::{sample_program, AnnotationConfig};
@@ -40,7 +39,7 @@ fn crossover_offspring_compute_correct_results() {
     let mut rng = StdRng::seed_from_u64(5);
     let inputs = interp::random_inputs(&dag, 5);
     let reference = interp::run_naive(&dag, &inputs).unwrap();
-    let ref_out = reference.get(dag.node_id("D").unwrap()).to_vec();
+    let d = dag.node_id("D").unwrap();
 
     // Train a tiny model so per-node scores are meaningful.
     let mut pop = Vec::new();
@@ -66,14 +65,10 @@ fn crossover_offspring_compute_correct_results() {
                 continue;
             };
             let program = lower(&child.state).expect("offspring lowers");
-            let mut remapped = HashMap::new();
-            for (name, orig) in [("A", 0usize), ("B", 1usize)] {
-                let nid = program.dag.node_id(name).unwrap();
-                remapped.insert(nid, inputs[&orig].clone());
-            }
-            let bufs = interp::run(&program, &remapped).expect("offspring runs");
-            let out = bufs.get(program.dag.node_id("D").unwrap());
-            for (a, b) in out.iter().zip(&ref_out) {
+            let bufs = interp::run_scheduled(&dag, &program, &inputs).expect("offspring runs");
+            let (out, want) = (bufs.get(d), reference.get(d));
+            assert_eq!(out.len(), want.len(), "offspring computes another shape");
+            for (a, b) in out.iter().zip(want) {
                 assert!((a - b).abs() < 1e-3, "offspring computes wrong values");
             }
             verified += 1;

@@ -5,7 +5,7 @@
 //! shared between tasks never serve one task's entry to another.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -16,13 +16,13 @@ use ansor_core::{
     LearnedCostModel, RandomModel, SearchTask, SketchPolicy, TuningOptions,
 };
 use ansor_features::{extract_state_features, extract_state_matrix, ProgramFeatures};
-use ansor_workloads::{build_case, ops, winograd_conv2d, OP_CLASSES};
+use ansor_workloads::{build_case, ops, subgraphs, winograd_conv2d, OP_CLASSES};
 use hwsim::{HardwareTarget, Measurer};
 use rand::prelude::*;
 use serde::Serialize;
 use tensor_ir::{
-    analyze, analyze_state, lower, print_program, Annotation, ComputeDag, ComputeLoc, IterKind,
-    Name, State, Step,
+    analyze, analyze_state, interp, lower, print_program, Annotation, ComputeDag, ComputeLoc,
+    DagBuilder, Expr, IterKind, Name, NodeId, Reducer, State, Step,
 };
 
 /// Returns whether the state ran a structural step (is on a derived DAG).
@@ -92,6 +92,77 @@ fn cases_with_winograd() -> Vec<(String, Arc<ComputeDag>, HardwareTarget)> {
     cases
 }
 
+/// Matmul `C = A·B` with a constant `B`, and with `relu` a ReLU epilogue
+/// `D`.
+fn matmul(n: i64, m: i64, k: i64, relu: bool) -> Arc<ComputeDag> {
+    let mut b = DagBuilder::new();
+    let a = b.placeholder("A", &[n, k]);
+    let w = b.constant("B", &[k, m]);
+    let c = b.compute_reduce("C", &[n, m], &[k], Reducer::Sum, |ax| {
+        Expr::load(a, vec![ax[0].clone(), ax[2].clone()])
+            * Expr::load(w, vec![ax[2].clone(), ax[1].clone()])
+    });
+    if relu {
+        b.compute("D", &[n, m], |ax| {
+            Expr::max(
+                Expr::load(c, vec![ax[0].clone(), ax[1].clone()]),
+                Expr::float(0.0),
+            )
+        });
+    }
+    Arc::new(b.build().expect("valid matmul"))
+}
+
+/// Every operator class, Winograd and both subgraphs at shapes the
+/// interpreter runs in a millisecond, and matmuls and ConvLayers with
+/// extents that do not divide evenly (8×6×12, 12×4×8), a stride of 2 and a
+/// batch of 2; each under the CPU and the GPU sketch rules.
+fn tiny_cases() -> Vec<(String, Arc<ComputeDag>, HardwareTarget)> {
+    let dags = || -> [(&str, Arc<ComputeDag>); 22] {
+        [
+            ("C1D", ops::conv1d(1, 2, 4, 8, 3, 1, 1)),
+            ("C2D", ops::conv2d(1, 2, 4, 6, 3, 2, 1)),
+            ("C3D", ops::conv3d(1, 1, 2, 3, 4, 3, 1, 1)),
+            ("GMM", ops::gmm(1, 8, 8, 8)),
+            ("GRP", ops::group_conv2d(1, 4, 4, 6, 3, 1, 1, 2)),
+            ("DIL", ops::dilated_conv2d(1, 2, 4, 6, 3, 1, 2, 2)),
+            ("DEP", ops::depthwise_conv2d(1, 4, 6, 3, 1, 1)),
+            ("T2D", ops::transposed_conv2d(1, 1, 2, 3, 4, 2, 1)),
+            ("CAP", ops::capsule_conv2d(1, 1, 2, 4, 3, 1, 1, 2)),
+            ("NRM", ops::matrix_norm(1, 8, 8)),
+            ("WINO", winograd_conv2d(1, 1, 2, 4)),
+            ("ConvLayer", subgraphs::conv_layer(1, 2, 4, 6, 3, 1, 1)),
+            ("TBG", subgraphs::tbg(1, 4, 8)),
+            ("MM4x4x4", matmul(4, 4, 4, false)),
+            ("MM8x8x8+ReLU", matmul(8, 8, 8, true)),
+            ("MM16x8x8", matmul(16, 8, 8, false)),
+            ("MM8x6x12+ReLU", matmul(8, 6, 12, true)),
+            ("MM12x4x8", matmul(12, 4, 8, false)),
+            ("MM16x16x16+ReLU", matmul(16, 16, 16, true)),
+            (
+                "ConvLayer1x2x4x6k3s1p1",
+                subgraphs::conv_layer(1, 2, 4, 6, 3, 1, 1),
+            ),
+            (
+                "ConvLayer1x3x2x8k3s2p1",
+                subgraphs::conv_layer(1, 3, 2, 8, 3, 2, 1),
+            ),
+            (
+                "ConvLayer2x2x2x5k1s1p0",
+                subgraphs::conv_layer(2, 2, 2, 5, 1, 1, 0),
+            ),
+        ]
+    };
+    dags()
+        .into_iter()
+        .zip(dags())
+        .flat_map(|((op, cpu), (_, gpu))| {
+            let [c, g] = targets();
+            [(op.to_string(), cpu, c), (op.to_string(), gpu, g)]
+        })
+        .collect()
+}
+
 /// The walk the batteries below share: every case × every sketch × 3
 /// sampled annotations, then every offspring of a 4-generation evolution
 /// over those samples. `visit` sees each program once, in a fixed order.
@@ -146,6 +217,87 @@ fn for_every_program(
         }
         assert_eq!(*task.dag, pristine, "{op}: the task's DAG was written to");
     }
+}
+
+/// Holds programs to what their task's DAG computes: `run_naive` of the
+/// task DAG, on inputs drawn once per task.
+#[derive(Default)]
+struct Oracle {
+    /// The task (and target) `inputs` and `reference` belong to.
+    task: String,
+    inputs: HashMap<NodeId, Vec<f32>>,
+    reference: Option<interp::Buffers>,
+}
+
+impl Oracle {
+    /// Panics unless `state` lowers and its program computes every output
+    /// of the task's DAG, value for value, to within 1e-3 (float
+    /// re-association). The message carries what reproduces a mismatch:
+    /// `what`, the target, the step list as JSON and the lowered program.
+    fn check(&mut self, task: &SearchTask, state: &State, what: &str) {
+        let key = format!("{} on {}", task.name, task.target.name);
+        if self.task != key {
+            self.inputs = interp::random_inputs(&task.dag, 0);
+            let reference = interp::run_naive(&task.dag, &self.inputs);
+            self.reference = Some(reference.expect("the naive program runs"));
+            self.task = key;
+        }
+        let reference = self.reference.as_ref().expect("set above");
+        let program = lower(state);
+        let run = |p| interp::run_scheduled(&task.dag, p, &self.inputs);
+        let mismatch = match program.as_ref().map(run) {
+            Err(e) => Some(format!("does not lower: {e}")),
+            Ok(Err(e)) => Some(format!("the interpreter failed: {e}")),
+            Ok(Ok(got)) => task.dag.outputs().into_iter().find_map(|out| {
+                let name = &task.dag.nodes[out].name;
+                let (have, want) = (got.get(out), reference.get(out));
+                if have.len() != want.len() {
+                    return Some(format!(
+                        "{name} has {} values, the reference {}",
+                        have.len(),
+                        want.len()
+                    ));
+                }
+                // A NaN is never close.
+                let close = |a: f32, b: f32| (a - b).abs() <= 1e-3;
+                let i = have.iter().zip(want).position(|(&a, &b)| !close(a, b))?;
+                Some(format!("{name}[{i}] = {}, reference {}", have[i], want[i]))
+            }),
+        };
+        if let Some(mismatch) = mismatch {
+            let steps = serde_json::to_string(&state.steps).expect("steps serialise");
+            let printed = program
+                .as_ref()
+                .map_or_else(|_| String::new(), print_program);
+            let target = &task.target.name;
+            panic!("{what} on {target}: {mismatch}\nsteps: {steps}\nprogram:\n{printed}");
+        }
+    }
+}
+
+/// The value oracle: every program of the walk over [`tiny_cases`] —
+/// every sketch rule, CPU and GPU, samples and four generations of
+/// offspring — computes what the naive program of its task's DAG computes,
+/// including the programs that run on a DAG derived by `cache_write` or
+/// `rfactor`.
+#[test]
+fn every_program_computes_what_its_dag_computes() {
+    let mut oracle = Oracle::default();
+    let (mut programs, mut derived) = (0, 0);
+    let mut pairs = HashSet::new();
+    for_every_program(tiny_cases(), |task, state, what| {
+        let what = format!("{what} (program {programs} of the walk)");
+        oracle.check(task, state, &what);
+        programs += 1;
+        derived += !Arc::ptr_eq(&state.dag, &task.dag) as usize;
+        pairs.insert((task.name.clone(), task.target.name.clone()));
+    });
+    // Every (case, target) pair but NRM on a GPU, which samples nothing.
+    assert_eq!(pairs.len(), tiny_cases().len() - 1, "{pairs:?}");
+    assert!(
+        programs >= 1400 && derived >= 600,
+        "{programs} programs, {derived} on a derived DAG"
+    );
 }
 
 /// The search loop never builds a `Program`: `analyze_state` reads the
@@ -486,6 +638,34 @@ fn mutate(step: &mut Step, rng: &mut StdRng, nodes: &[Name], iters: &[Name]) {
     }
 }
 
+/// `state`'s step list with one step changed by [`mutate`], and that
+/// step's index; `None` for an empty list or a step whose node has no
+/// iterators.
+fn step_mutant(state: &State, rng: &mut StdRng) -> Option<(usize, Vec<Step>)> {
+    if state.steps.is_empty() {
+        return None;
+    }
+    let mut steps = state.steps.clone();
+    let k = rng.gen_range(0..steps.len());
+    // Names of the program's nodes, and of the iterators the stage of the
+    // step's node ever had.
+    let nodes: Vec<Name> = state
+        .dag
+        .nodes
+        .iter()
+        .map(|n| n.name.as_str().into())
+        .collect();
+    let sid = state.stage_by_node_name(steps[k].node().as_str());
+    let iters: Vec<Name> = sid.map_or_else(Vec::new, |sid| {
+        state.stages[sid].iters.iter().map(|i| i.name).collect()
+    });
+    if iters.is_empty() {
+        return None;
+    }
+    mutate(&mut steps[k], rng, &nodes, &iters);
+    Some((k, steps))
+}
+
 /// Changes one field of one stage of `state` the way no step would: its
 /// placement (at any node, any depth), its loop order (two loops swapped,
 /// one dropped, any iterator added), or an iterator's kind.
@@ -554,27 +734,9 @@ fn validate_accepts_exactly_the_states_that_lower() {
             seen[5] += check(&mutant, &format!("{what}, stages now {:?}", mutant.stages)) as usize;
             return;
         }
-        if state.steps.is_empty() {
+        let Some((k, steps)) = step_mutant(state, &mut rng) else {
             return;
-        }
-        let mut steps = state.steps.clone();
-        let k = rng.gen_range(0..steps.len());
-        // Names of the program's nodes, and of the iterators the stage of
-        // the step's node ever had.
-        let nodes: Vec<Name> = state
-            .dag
-            .nodes
-            .iter()
-            .map(|n| n.name.as_str().into())
-            .collect();
-        let sid = state.stage_by_node_name(steps[k].node().as_str());
-        let iters: Vec<Name> = sid.map_or_else(Vec::new, |sid| {
-            state.stages[sid].iters.iter().map(|i| i.name).collect()
-        });
-        if iters.is_empty() {
-            return;
-        }
-        mutate(&mut steps[k], &mut rng, &nodes, &iters);
+        };
         seen[1] += 1;
         if let Ok(mutant) = State::replay(task.dag.clone(), &steps) {
             seen[2] += 1;
@@ -590,6 +752,104 @@ fn validate_accepts_exactly_the_states_that_lower() {
     assert!(
         stages > 450 && stages_refused > 50 && stages - stages_refused > 50,
         "stage mutants / refused: {seen:?}"
+    );
+}
+
+/// A step list that replays computes what its DAG computes: four seeds
+/// of step mutants ([`step_mutant`]) of every program of the walk over
+/// [`tiny_cases`] — the step lists a record log, a checkpoint or the warm
+/// store may carry — are replayed, and every one that replays goes
+/// through the value oracle.
+#[test]
+fn every_replayed_step_mutant_computes_what_its_dag_computes() {
+    let mut rngs: Vec<StdRng> = (0..4).map(StdRng::seed_from_u64).collect();
+    let mut oracle = Oracle::default();
+    let (mut mutants, mut replayed) = (0, 0);
+    for_every_program(tiny_cases(), |task, state, what| {
+        for (seed, rng) in rngs.iter_mut().enumerate() {
+            let Some((k, steps)) = step_mutant(state, rng) else {
+                continue;
+            };
+            mutants += 1;
+            if let Ok(mutant) = State::replay(task.dag.clone(), &steps) {
+                replayed += 1;
+                let what = format!("{what}, seed {seed}: step {k} now {:?}", steps[k]);
+                oracle.check(task, &mutant, &what);
+            }
+        }
+    });
+    assert!(
+        mutants > 5000 && replayed > 1500,
+        "{mutants} mutants, {replayed} replayed"
+    );
+}
+
+/// A step list as the oracle prints it.
+fn steps(json: &str) -> Vec<Step> {
+    serde_json::from_str(json).expect("a step list")
+}
+
+/// The oracle's verdict on `steps` replayed on a task of `dag` on `target`.
+fn replay_and_check(dag: Arc<ComputeDag>, target: HardwareTarget, steps: &[Step]) {
+    let task = SearchTask::new("regression", dag, target);
+    let state = State::replay(task.dag.clone(), steps).expect("replays");
+    Oracle::default().check(&task, &state, "regression");
+}
+
+/// A `compute_at` prefix whose loops have the extents of the target's but
+/// are other loops: `C.cache` (TBG, a step mutant's reorder) runs `l.1`
+/// where `C` runs `j.1`, both of extent 2, so it wrote `C.cache[.., l.1,
+/// j.1]` where `C` read `[.., j.1, l.1]` in the same iteration. Matched by
+/// extent alone, the list replayed, lowered and computed wrong values; the
+/// loops must be the same loops, so it no longer replays.
+#[test]
+fn a_compute_at_prefix_of_other_loops_with_equal_extents_is_refused() {
+    let swapped = r#"[{"CacheWrite":{"node":"C"}},
+        {"Split":{"node":"C.cache","iter":"i","lengths":[1,1,1]}},
+        {"Split":{"node":"C.cache","iter":"j","lengths":[2,1,1]}},
+        {"Split":{"node":"C.cache","iter":"l","lengths":[2,1,1]}},
+        {"Split":{"node":"C.cache","iter":"k","lengths":[1]}},
+        {"Reorder":{"node":"C.cache","order":["i.0","j.0","l.0","i.1","l.1","j.1",
+            "k.0","i.2","j.2","l.2","k.1","i.3","j.3","l.3"]}},
+        {"Split":{"node":"C","iter":"i","lengths":[1,1]}},
+        {"Split":{"node":"C","iter":"j","lengths":[2,1]}},
+        {"Split":{"node":"C","iter":"l","lengths":[2,1]}},
+        {"Reorder":{"node":"C","order":["i.0","j.0","l.0","i.1","j.1","l.1",
+            "i.2","j.2","l.2"]}},
+        {"ComputeAt":{"node":"C.cache","target":"C","prefix_len":6}},
+        {"ComputeInline":{"node":"Kt"}},
+        {"ComputeInline":{"node":"Qt"}},
+        {"Fuse":{"node":"C","iters":["i.0","j.0","l.0"]}},
+        {"Fuse":{"node":"C.cache","iters":["i.0","j.0","l.0"]}},
+        {"ComputeAt":{"node":"C.cache","target":"C","prefix_len":4}}]"#;
+    let in_order = swapped.replace(r#""l.1","j.1""#, r#""j.1","l.1""#);
+    let intel = HardwareTarget::intel_20core();
+    replay_and_check(subgraphs::tbg(1, 4, 8), intel, &steps(&in_order));
+    let refused = "compute_at prefix mismatch at 4: \"l.1\" vs \"j.1\"";
+    assert_eq!(
+        State::replay(subgraphs::tbg(1, 4, 8), &steps(swapped)),
+        Err(tensor_ir::Error::Invalid(refused.into()))
+    );
+}
+
+/// Inlining a stage that hosts another: in Winograd, `U.cache` computed at
+/// `U` and `U` then inlined into `M`. `U`'s loops are never emitted, and
+/// `U.cache`'s with them, so `M` read a `U.cache` nobody wrote. Such a
+/// list no longer replays; either step alone still computes the
+/// reference.
+#[test]
+fn inlining_a_stage_that_hosts_another_is_refused() {
+    let cache_write = r#"{"CacheWrite":{"node":"U"}}"#;
+    let compute_at = r#"{"ComputeAt":{"node":"U.cache","target":"U","prefix_len":1}}"#;
+    let inline = r#"{"ComputeInline":{"node":"U"}}"#;
+    let list = |steps: &[&str]| self::steps(&format!("[{}]", steps.join(",")));
+    let (dag, intel) = (|| winograd_conv2d(1, 1, 2, 4), HardwareTarget::intel_20core);
+    replay_and_check(dag(), intel(), &list(&[cache_write, compute_at]));
+    replay_and_check(dag(), intel(), &list(&[cache_write, inline]));
+    let refused = "compute_at target \"U\" is never emitted";
+    assert_eq!(
+        State::replay(dag(), &list(&[cache_write, compute_at, inline])),
+        Err(tensor_ir::Error::Invalid(refused.into()))
     );
 }
 

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use crate::dag::NodeKind;
+use crate::dag::{ComputeDag, NodeKind};
 use crate::error::Error;
 use crate::expr::{BinOp, CmpOp, Expr, NodeId, UnOp};
 use crate::lower::{Program, Stmt};
@@ -93,81 +93,6 @@ impl Buffers {
     pub fn get(&self, node: NodeId) -> &[f32] {
         &self.data[node]
     }
-
-    /// Bounds-checked element load (used by the bytecode engine).
-    pub fn load(&self, node: NodeId, idx: &[i64]) -> Result<f32, Error> {
-        let flat = self.flat_index(node, idx)?;
-        Ok(self.data[node][flat])
-    }
-
-    /// The shape of a node's buffer.
-    pub fn shape(&self, node: NodeId) -> &[i64] {
-        &self.shapes[node]
-    }
-
-    /// Bounds-checked load from an iterator of indices (allocation-free
-    /// path for the bytecode engine).
-    pub fn load_iter(
-        &self,
-        node: NodeId,
-        idx: impl ExactSizeIterator<Item = i64>,
-    ) -> Result<f32, Error> {
-        let shape = &self.shapes[node];
-        if idx.len() != shape.len() {
-            return Err(Error::Interp(format!(
-                "index arity mismatch for node {node}"
-            )));
-        }
-        let mut flat: i64 = 0;
-        for (i, &e) in idx.zip(shape) {
-            if i < 0 || i >= e {
-                return Err(Error::Interp(format!(
-                    "index {i} out of bounds (extent {e}) of node {node}"
-                )));
-            }
-            flat = flat * e + i;
-        }
-        Ok(self.data[node][flat as usize])
-    }
-
-    /// Bounds-checked element store with optional reduction combine (used
-    /// by the bytecode engine).
-    pub fn store(
-        &mut self,
-        node: NodeId,
-        idx: &[i64],
-        value: f32,
-        reduce: Option<crate::dag::Reducer>,
-    ) -> Result<(), Error> {
-        let flat = self.flat_index(node, idx)?;
-        let slot = &mut self.data[node][flat];
-        *slot = match reduce {
-            Some(r) => r.combine(*slot, value),
-            None => value,
-        };
-        Ok(())
-    }
-
-    fn flat_index(&self, node: NodeId, idx: &[i64]) -> Result<usize, Error> {
-        let shape = &self.shapes[node];
-        if idx.len() != shape.len() {
-            return Err(Error::Interp(format!(
-                "index arity mismatch for node {node}: {} vs {}",
-                idx.len(),
-                shape.len()
-            )));
-        }
-        let mut flat: i64 = 0;
-        for (d, (&i, &e)) in idx.iter().zip(shape).enumerate() {
-            if i < 0 || i >= e {
-                return Err(Error::Interp(format!(
-                    "index {i} out of bounds for dim {d} (extent {e}) of node {node}"
-                )));
-            }
-            flat = flat * e + i;
-        }
-        Ok(flat as usize)
-    }
 }
 
 /// Executes a program. `inputs` maps placeholder node ids to their data;
@@ -184,12 +109,44 @@ pub fn run(program: &Program, inputs: &HashMap<NodeId, Vec<f32>>) -> Result<Buff
     Ok(bufs)
 }
 
+/// Executes `program`, lowered from a schedule of `dag`, on `inputs` keyed
+/// by `dag`'s node ids, and returns its buffers keyed by them too: what
+/// [`run_naive`] of `dag` returns wherever the schedule is correct.
+/// `cache_write` and `rfactor` run a program on a derived DAG whose node
+/// ids are shifted, so inputs and buffers move between the two by name.
+pub fn run_scheduled(
+    dag: &ComputeDag,
+    program: &Program,
+    inputs: &HashMap<NodeId, Vec<f32>>,
+) -> Result<Buffers, Error> {
+    let id = |node: NodeId| {
+        let name = &dag.nodes[node].name;
+        let missing = || Error::Interp(format!("node {name:?} is not in the program's DAG"));
+        program.dag.node_id(name).ok_or_else(missing)
+    };
+    let moved = inputs
+        .iter()
+        .map(|(&node, data)| Ok((id(node)?, data.clone())))
+        .collect::<Result<_, Error>>()?;
+    let mut bufs = run(program, &moved)?;
+    let mut out = Buffers {
+        data: Vec::new(),
+        shapes: Vec::new(),
+    };
+    for node in 0..dag.nodes.len() {
+        let i = id(node)?;
+        out.data.push(std::mem::take(&mut bufs.data[i]));
+        out.shapes.push(std::mem::take(&mut bufs.shapes[i]));
+    }
+    Ok(out)
+}
+
 /// Executes the naive (unscheduled) program of a DAG and returns its buffers.
 ///
 /// This is the reference used by equivalence tests: any scheduled program for
 /// the same DAG must produce identical output buffers.
 pub fn run_naive(
-    dag: &std::sync::Arc<crate::dag::ComputeDag>,
+    dag: &std::sync::Arc<ComputeDag>,
     inputs: &HashMap<NodeId, Vec<f32>>,
 ) -> Result<Buffers, Error> {
     let state = crate::state::State::new(dag.clone());
@@ -216,11 +173,7 @@ fn exec(stmt: &Stmt, env: &mut Vec<i64>, bufs: &mut Buffers) -> Result<(), Error
             value,
             reduce,
         } => {
-            let idx: Vec<i64> = indices
-                .iter()
-                .map(|e| eval(e, env, bufs).and_then(Value::as_i64))
-                .collect::<Result<_, _>>()?;
-            let flat = bufs.flat_index(*buffer, &idx)?;
+            let flat = flat_index(*buffer, indices, env, bufs)?;
             let v = eval(value, env, bufs)?.as_f32();
             let slot = &mut bufs.data[*buffer][flat];
             *slot = match reduce {
@@ -243,12 +196,7 @@ fn eval(e: &Expr, env: &[i64], bufs: &Buffers) -> Result<Value, Error> {
             )))
         }
         Expr::Load { node, indices } => {
-            let idx: Vec<i64> = indices
-                .iter()
-                .map(|e| eval(e, env, bufs).and_then(Value::as_i64))
-                .collect::<Result<_, _>>()?;
-            let flat = bufs.flat_index(*node, &idx)?;
-            Value::F(bufs.data[*node][flat])
+            Value::F(bufs.data[*node][flat_index(*node, indices, env, bufs)?])
         }
         Expr::Binary { op, lhs, rhs } => {
             let l = eval(lhs, env, bufs)?;
@@ -327,6 +275,30 @@ fn eval(e: &Expr, env: &[i64], bufs: &Buffers) -> Result<Value, Error> {
     })
 }
 
+/// The offset of `node`'s element at `indices`, evaluated under `env`, in
+/// its flat buffer: an error for a wrong arity or an index out of bounds.
+fn flat_index(node: NodeId, indices: &[Expr], env: &[i64], bufs: &Buffers) -> Result<usize, Error> {
+    let shape = &bufs.shapes[node];
+    if indices.len() != shape.len() {
+        return Err(Error::Interp(format!(
+            "index arity mismatch for node {node}: {} vs {}",
+            indices.len(),
+            shape.len()
+        )));
+    }
+    let mut flat: i64 = 0;
+    for (d, (e, &extent)) in indices.iter().zip(shape).enumerate() {
+        let i = eval(e, env, bufs)?.as_i64()?;
+        if i < 0 || i >= extent {
+            return Err(Error::Interp(format!(
+                "index {i} out of bounds for dim {d} (extent {extent}) of node {node}"
+            )));
+        }
+        flat = flat * extent + i;
+    }
+    Ok(flat as usize)
+}
+
 fn cmp_ord(op: CmpOp, ord: std::cmp::Ordering) -> bool {
     use std::cmp::Ordering::*;
     matches!(
@@ -358,7 +330,7 @@ pub(crate) fn erf_approx(x: f32) -> f32 {
 
 /// Generates deterministic pseudo-random input data for every placeholder of
 /// a DAG (useful for equivalence testing).
-pub fn random_inputs(dag: &crate::dag::ComputeDag, seed: u64) -> HashMap<NodeId, Vec<f32>> {
+pub fn random_inputs(dag: &ComputeDag, seed: u64) -> HashMap<NodeId, Vec<f32>> {
     let mut out = HashMap::new();
     let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
     for n in &dag.nodes {
@@ -388,7 +360,7 @@ mod tests {
     use crate::steps::Step;
     use std::sync::Arc;
 
-    fn matmul_relu_dag() -> Arc<crate::dag::ComputeDag> {
+    fn matmul_relu_dag() -> Arc<ComputeDag> {
         let mut b = DagBuilder::new();
         let a = b.placeholder("A", &[8, 4]);
         let w = b.placeholder("B", &[4, 6]);
@@ -463,23 +435,25 @@ mod tests {
             st.apply(step).unwrap();
         }
         let prog = lower(&st).unwrap();
-        let bufs = run(&prog, &inputs).unwrap();
+        let bufs = run_scheduled(&dag, &prog, &inputs).unwrap();
         assert_eq!(bufs.get(3), reference.get(3));
         // The matmul intermediate also matches.
         assert_eq!(bufs.get(2), reference.get(2));
     }
 
     #[test]
-    fn cache_write_is_semantics_preserving() {
+    fn scheduled_buffers_are_keyed_by_the_task_dags_node_ids() {
         let dag = matmul_relu_dag();
         let inputs = random_inputs(&dag, 3);
         let reference = run_naive(&dag, &inputs).unwrap();
         let mut st = State::new(dag.clone());
         st.apply(Step::CacheWrite { node: "C".into() }).unwrap();
         let prog = lower(&st).unwrap();
-        let bufs = run(&prog, &inputs).unwrap();
-        // Node ids shifted by the insertion: D is now node 4.
-        assert_eq!(bufs.get(4), reference.get(3));
+        // C.cache is node 2 of the program: D moved from 3 to 4.
+        assert_eq!(run(&prog, &inputs).unwrap().get(4), reference.get(3));
+        let bufs = run_scheduled(&dag, &prog, &inputs).unwrap();
+        assert_eq!(bufs.get(3), reference.get(3));
+        assert_eq!(bufs.get(2), reference.get(2));
     }
 
     #[test]
@@ -500,9 +474,9 @@ mod tests {
         })
         .unwrap();
         let prog = lower(&st).unwrap();
-        let bufs = run(&prog, &inputs).unwrap();
-        let got = bufs.get(2); // E shifted to id 2
-        let expect = reference.get(1);
+        let bufs = run_scheduled(&dag, &prog, &inputs).unwrap();
+        let (got, expect) = (bufs.get(1), reference.get(1));
+        assert_eq!(got.len(), expect.len());
         for (g, e) in got.iter().zip(expect) {
             assert!((g - e).abs() < 1e-3, "{g} vs {e}");
         }

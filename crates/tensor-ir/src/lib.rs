@@ -44,7 +44,6 @@
 
 pub mod analysis;
 pub mod builder;
-pub mod compiled;
 pub mod dag;
 pub mod error;
 pub mod expr;
@@ -57,7 +56,6 @@ pub mod steps;
 
 pub use analysis::{analyze, analyze_state, AccessType, BufferAccess, LoopCtx, StoreAnalysis};
 pub use builder::DagBuilder;
-pub use compiled::CompiledProgram;
 pub use dag::{ComputeDag, ComputeSpec, Node, NodeKind, Reducer};
 pub use error::Error;
 pub use expr::{BinOp, CmpOp, Expr, NodeId, OpCounts, UnOp, VarId};

@@ -381,7 +381,7 @@ impl State {
             }
             Step::ComputeRoot { node } => {
                 let sid = self.resolve(*node)?;
-                self.stages[sid].loc = ComputeLoc::Root;
+                self.place(sid, ComputeLoc::Root)?;
             }
             Step::CacheWrite { node } => {
                 let sid = self.resolve(*node)?;
@@ -553,34 +553,11 @@ impl State {
         target: NodeId,
         prefix_len: usize,
     ) -> Result<(), Error> {
-        let tsid = self
-            .stage_of_node(target)
-            .ok_or(Error::Invalid("compute_at target has no stage".into()))?;
-        if tsid == sid {
-            return Err(Error::Invalid("compute_at onto itself".into()));
-        }
         if prefix_len == 0 {
             return Err(Error::Invalid("compute_at needs a non-empty prefix".into()));
         }
-        let (this, tgt) = (&self.stages[sid], &self.stages[tsid]);
-        if this.loop_order.len() < prefix_len || tgt.loop_order.len() < prefix_len {
-            return Err(Error::Invalid("compute_at prefix too long".into()));
-        }
-        for p in 0..prefix_len {
-            let a = &this.iters[this.loop_order[p]];
-            let b = &tgt.iters[tgt.loop_order[p]];
-            if a.extent != b.extent {
-                return Err(Error::Invalid(format!(
-                    "compute_at prefix extent mismatch at {}: {} vs {}",
-                    p, a.extent, b.extent
-                )));
-            }
-            if a.kind != IterKind::Space {
-                return Err(Error::Invalid("compute_at prefix must be spatial".into()));
-            }
-        }
-        self.stages[sid].loc = ComputeLoc::At { target, prefix_len };
-        Ok(())
+        self.check_prefix(sid, target, prefix_len)?;
+        self.place(sid, ComputeLoc::At { target, prefix_len })
     }
 
     /// Inlines a strictly-inlinable stage into its consumers.
@@ -595,7 +572,106 @@ impl State {
         if self.dag.consumers(node).is_empty() {
             return Err(Error::Invalid("cannot inline an output node".into()));
         }
-        self.stages[sid].loc = ComputeLoc::Inlined;
+        self.place(sid, ComputeLoc::Inlined)
+    }
+
+    /// Moves stage `sid` to `loc`, unless that leaves a stage computed at
+    /// another where [`State::check_host`] refuses it. Only entering or
+    /// leaving an inlined placement can do that to a stage other than
+    /// `sid`: inlining a stage strands the stages it hosts, and taking one
+    /// out of a chain of inlined consumers cuts a producer off its host.
+    fn place(&mut self, sid: StageId, loc: ComputeLoc) -> Result<(), Error> {
+        let old = std::mem::replace(&mut self.stages[sid].loc, loc);
+        if old != ComputeLoc::Inlined && loc != ComputeLoc::Inlined {
+            return Ok(());
+        }
+        let placed = self
+            .stages
+            .iter()
+            .enumerate()
+            .try_for_each(|(s, stage)| match stage.loc {
+                ComputeLoc::At { target, .. } if self.dag.nodes[stage.node].compute().is_some() => {
+                    self.check_host(s, target).map(|_| ())
+                }
+                _ => Ok(()),
+            });
+        if placed.is_err() {
+            self.stages[sid].loc = old;
+        }
+        placed
+    }
+
+    /// Whether stage `sid` may be computed at the stage computing `target`,
+    /// whatever the prefix; returns that stage. It must be emitted: its
+    /// placements lead, without passing `sid`, to a root stage that
+    /// computes. And it must be where the node is read: its fusible
+    /// consumer, or the first consumer along the chain of fusible consumers
+    /// that is not inlined. That stage reads the element it writes, at the
+    /// same indices, and no other stage reads the node.
+    fn check_host(&self, sid: StageId, target: NodeId) -> Result<StageId, Error> {
+        let stage_of = |node| {
+            self.stage_of_node(node)
+                .ok_or_else(|| Error::Invalid("dangling compute_at target".into()))
+        };
+        let tsid = stage_of(target)?;
+        let mut host = tsid;
+        // A chain longer than the stages has a cycle, and ends at no root.
+        for _ in 0..=self.stages.len() {
+            if host == sid {
+                return Err(Error::Invalid("compute_at cycle".into()));
+            }
+            let ComputeLoc::At { target, .. } = self.stages[host].loc else {
+                break;
+            };
+            host = stage_of(target)?;
+        }
+        let last = &self.stages[host];
+        if last.loc != ComputeLoc::Root || self.dag.nodes[last.node].compute().is_none() {
+            return Err(Error::Invalid(format!(
+                "compute_at target {:?} is never emitted",
+                self.dag.nodes[last.node].name
+            )));
+        }
+        let node = self.stages[sid].node;
+        let inlined = |n: NodeId| {
+            self.stage_of_node(n)
+                .is_some_and(|s| self.stages[s].loc == ComputeLoc::Inlined)
+        };
+        let mut reader = self.dag.fusible_consumer(node);
+        while let Some(r) = reader.filter(|&r| r != target && inlined(r)) {
+            reader = self.dag.fusible_consumer(r);
+        }
+        if reader != Some(target) {
+            return Err(Error::Invalid(format!(
+                "{:?} does not read {:?} element for element",
+                self.dag.nodes[target].name, self.dag.nodes[node].name
+            )));
+        }
+        Ok(tsid)
+    }
+
+    /// Whether the first `prefix_len` loops of stage `sid` are those of the
+    /// stage computing `target` ([`Stage::same_loop`]), position by
+    /// position, and spatial here. Equal extents alone are not: `j.1` and
+    /// `l.1` of extent 2 are different loops.
+    fn check_prefix(&self, sid: StageId, target: NodeId, prefix_len: usize) -> Result<(), Error> {
+        let tsid = self.check_host(sid, target)?;
+        let (this, tgt) = (&self.stages[sid], &self.stages[tsid]);
+        if this.loop_order.len() < prefix_len || tgt.loop_order.len() < prefix_len {
+            return Err(Error::Invalid("compute_at prefix too long".into()));
+        }
+        for p in 0..prefix_len {
+            let (a, b) = (this.loop_order[p], tgt.loop_order[p]);
+            if !this.same_loop(a, tgt, b) {
+                return Err(Error::Invalid(format!(
+                    "compute_at prefix mismatch at {p}: {:?} vs {:?}",
+                    this.iters[a].name, tgt.iters[b].name
+                )));
+            }
+            if this.iters[a].kind != IterKind::Space {
+                return Err(Error::Invalid("compute_at prefix must be spatial".into()));
+            }
+        }
         Ok(())
     }
 
@@ -744,7 +820,7 @@ impl State {
 
     /// The invariants every stage must hold, emitted or not.
     fn validate_structure(&self) -> Result<(), Error> {
-        for stage in &self.stages {
+        for (sid, stage) in self.stages.iter().enumerate() {
             let Some(spec) = self.dag.nodes[stage.node].compute() else {
                 continue;
             };
@@ -776,20 +852,7 @@ impl State {
                 }
             }
             if let ComputeLoc::At { target, prefix_len } = stage.loc {
-                let t = self
-                    .stage_of_node(target)
-                    .ok_or(Error::Invalid("dangling compute_at target".into()))?;
-                let tgt = &self.stages[t];
-                if tgt.loop_order.len() < prefix_len || stage.loop_order.len() < prefix_len {
-                    return Err(Error::Invalid("compute_at prefix out of range".into()));
-                }
-                for p in 0..prefix_len {
-                    if stage.iters[stage.loop_order[p]].extent
-                        != tgt.iters[tgt.loop_order[p]].extent
-                    {
-                        return Err(Error::Invalid("compute_at prefix mismatch".into()));
-                    }
-                }
+                self.check_prefix(sid, target, prefix_len)?;
             }
         }
         Ok(())
@@ -849,6 +912,39 @@ impl State {
 }
 
 impl Stage {
+    /// Whether iterator `a` of this stage and `b` of `other`, a stage that
+    /// reads this one's elements at its own indices, are the same loop:
+    /// equal extents, and derived alike — the same root axis, the same
+    /// stride within a split of the same loop, or a fuse of the same loops.
+    fn same_loop(&self, a: IterId, other: &Stage, b: IterId) -> bool {
+        let (x, y) = (&self.iters[a], &other.iters[b]);
+        let stride = |stage: &Stage, parent: IterId, part: usize| -> Option<i64> {
+            let parts = stage.iters[parent].split_children.as_ref()?;
+            let later = parts.get(part + 1..)?;
+            Some(later.iter().map(|&c| stage.iters[c].extent).product())
+        };
+        x.extent == y.extent
+            && match (&x.source, &y.source) {
+                (IterSource::Root(i), IterSource::Root(j)) => i == j,
+                (
+                    &IterSource::SplitPart { parent: p, part: i },
+                    &IterSource::SplitPart { parent: q, part: j },
+                ) => {
+                    stride(self, p, i).is_some()
+                        && stride(self, p, i) == stride(other, q, j)
+                        && self.same_loop(p, other, q)
+                }
+                (IterSource::Fused(xs), IterSource::Fused(ys)) => {
+                    xs.len() == ys.len()
+                        && xs
+                            .iter()
+                            .zip(ys)
+                            .all(|(&p, &q)| self.same_loop(p, other, q))
+                }
+                _ => false,
+            }
+    }
+
     /// Whether iterator `it` has a value when the loops of the iterators
     /// `open` accepts are open: it is one of them, or every iterator it
     /// derives from has one (all its split parts, or the fuse it went
@@ -1224,5 +1320,52 @@ mod tests {
         let (valid, lowered) = verdicts(&inlined);
         assert!(matches!(valid, Err(Error::Invalid(_))), "{valid:?}");
         assert_eq!(lowered, Err(Error::Lower(valid.unwrap_err().to_string())));
+    }
+
+    /// The placements `compute_at` and `compute_inline` refuse, made in
+    /// place: `validate` refuses them too, and `lower` with it.
+    #[test]
+    fn validate_refuses_a_stage_at_other_loops_or_at_a_stage_never_emitted() {
+        // `st` with stage `sid` moved to `loc` in place is refused with `msg`.
+        let refused = |st: &State, sid: StageId, loc: ComputeLoc, msg: &str| {
+            let mut st = st.clone();
+            st.stages[sid].loc = loc;
+            let want = Error::Invalid(msg.into());
+            let lowered = Err(Error::Lower(want.to_string()));
+            assert_eq!(verdicts(&st), (Err(want), lowered));
+        };
+        let at = |target, prefix_len| ComputeLoc::At { target, prefix_len };
+        let cache_write = [Step::CacheWrite { node: "C".into() }];
+        let mut st = State::replay(matmul_rows(16), &cache_write).unwrap();
+        let (cache, c, [i, j, k]) = (2, 3, [0, 1, 2]);
+        // `C.cache` runs `j` outermost and `C` runs `i`, both of extent 16.
+        st.reorder(cache, &[j, i, k]).unwrap();
+        let mismatch = "compute_at prefix mismatch at 0: \"j\" vs \"i\"";
+        let refusal = Err(Error::Invalid(mismatch.into()));
+        assert_eq!(st.compute_at(cache, c, 1), refusal);
+        refused(&st, cache, at(c, 1), mismatch);
+        st.reorder(cache, &[i, j, k]).unwrap();
+        st.compute_at(cache, c, 1).unwrap();
+        assert_eq!(verdicts(&st), (Ok(()), Ok(())));
+        // The host inlined (an output: no step inlines it), or computed at
+        // the stage it hosts: `C.cache` is never emitted.
+        let never = "compute_at target \"C\" is never emitted";
+        refused(&st, c, ComputeLoc::Inlined, never);
+        refused(&st, c, at(cache, 1), "compute_at cycle");
+
+        // At a consumer that reads it transposed: `T`'s `i` is `C`'s `j`.
+        let mut b = DagBuilder::new();
+        let a = b.placeholder("A", &[16, 16]);
+        let c = b.compute_reduce("C", &[16, 16], &[16], Reducer::Sum, |ax| {
+            Expr::load(a, vec![ax[0].clone(), ax[2].clone()])
+        });
+        b.compute("T", &[16, 16], |ax| {
+            Expr::load(c, vec![ax[1].clone(), ax[0].clone()])
+        });
+        let mut st = State::new(Arc::new(b.build().unwrap()));
+        let transposed = "\"T\" does not read \"C\" element for element";
+        let refusal = Err(Error::Invalid(transposed.into()));
+        assert_eq!(st.compute_at(1, 2, 1), refusal);
+        refused(&st, 1, at(2, 1), transposed);
     }
 }

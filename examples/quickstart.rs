@@ -55,19 +55,17 @@ fn main() {
     println!("\n--- best program ---\n{}", print_program(&program));
 
     // 4. Verify functional correctness against the naive program.
+    // Scheduling may insert stages; `run_scheduled` keys the buffers by the
+    // original DAG's node ids all the same.
     let inputs = interp::random_inputs(&dag, 0);
     let reference = interp::run_naive(&dag, &inputs).expect("reference run");
-    let mut remapped = std::collections::HashMap::new();
-    for (name, orig) in [("A", 0usize), ("B", 1usize)] {
-        let nid = program.dag.node_id(name).expect("input exists");
-        remapped.insert(nid, inputs[&orig].clone());
-    }
-    let bufs = interp::run(&program, &remapped).expect("tuned program runs");
-    let d_tuned = program.dag.node_id("D").expect("output");
-    let max_err = bufs
-        .get(d_tuned)
+    let bufs = interp::run_scheduled(&dag, &program, &inputs).expect("tuned program runs");
+    let d = dag.node_id("D").expect("output");
+    let (tuned, naive) = (bufs.get(d), reference.get(d));
+    assert_eq!(tuned.len(), naive.len(), "output length");
+    let max_err = tuned
         .iter()
-        .zip(reference.get(3))
+        .zip(naive)
         .map(|(x, y)| (x - y).abs())
         .fold(0.0f32, f32::max);
     println!("max |tuned - naive| = {max_err:.2e}");

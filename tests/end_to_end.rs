@@ -54,14 +54,10 @@ fn tuned_depthwise_conv_is_functionally_correct() {
 
     let inputs = interp::random_inputs(&dag, 9);
     let reference = interp::run_naive(&dag, &inputs).unwrap();
-    let mut remapped = std::collections::HashMap::new();
-    for (name, orig) in [("A", 0usize), ("W", 1usize)] {
-        let nid = program.dag.node_id(name).unwrap();
-        remapped.insert(nid, inputs[&orig].clone());
-    }
-    let bufs = interp::run(&program, &remapped).unwrap();
-    let out_ref = reference.get(dag.node_id("C").unwrap());
-    let out_tuned = bufs.get(program.dag.node_id("C").unwrap());
+    let bufs = interp::run_scheduled(&dag, &program, &inputs).unwrap();
+    let c = dag.node_id("C").unwrap();
+    let (out_tuned, out_ref) = (bufs.get(c), reference.get(c));
+    assert_eq!(out_tuned.len(), out_ref.len());
     for (a, b) in out_tuned.iter().zip(out_ref) {
         assert!((a - b).abs() < 1e-3, "{a} vs {b}");
     }
