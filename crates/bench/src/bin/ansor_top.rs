@@ -23,6 +23,7 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use ansor_bench::{flag_value, parse_flag, usage_error};
 use telemetry::export::{parse_exposition, StatusReport, TaskProgress};
 
 fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
@@ -329,13 +330,12 @@ fn main() {
     let mut check: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        let mut val = || flag_value(&a, it.next());
         match a.as_str() {
-            "--interval" => {
-                interval = it.next().and_then(|v| v.parse().ok()).unwrap_or(2.0);
-            }
+            "--interval" => interval = parse_flag(&a, &val()),
             "--once" => once = true,
-            "--frames" => frames = it.next().and_then(|v| v.parse().ok()),
-            "--check" => check = it.next(),
+            "--frames" => frames = Some(parse_flag(&a, &val())),
+            "--check" => check = Some(val()),
             "--help" | "-h" => {
                 println!(
                     "usage: ansor-top [addr] [--interval <secs>] [--once | --frames <n>] \
@@ -343,6 +343,7 @@ fn main() {
                 );
                 return;
             }
+            other if other.starts_with('-') => usage_error(format_args!("unknown flag {other:?}")),
             other => addr = other.to_string(),
         }
     }

@@ -40,7 +40,7 @@
 use std::collections::BTreeMap;
 use std::io::{Seek as _, SeekFrom, Write as _};
 
-use ansor_bench::{fmt_seconds, print_table};
+use ansor_bench::{flag_value, fmt_seconds, print_table};
 use serde::Serialize;
 use telemetry::report::{self, CalibrationPoint, Efficacy, ImprovementPoint, ModelPoint};
 use telemetry::{HistogramSummary, TraceLine};
@@ -109,16 +109,17 @@ fn parse_args() -> Options {
     let mut serve = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        let mut val = || Some(flag_value(&a, it.next()));
         match a.as_str() {
             "--explain" => explain = true,
-            "--json" => json = it.next(),
+            "--json" => json = val(),
             "--strict" => strict = true,
             "--follow" => follow = true,
-            "--events" => events = it.next(),
-            "--serve" => serve = it.next(),
+            "--events" => events = val(),
+            "--serve" => serve = val(),
             other if path.is_none() && !other.starts_with("--") => path = Some(other.to_string()),
             other => {
-                eprintln!("trace-report: unrecognized argument {other}");
+                eprintln!("trace-report: unrecognized argument {other:?}");
                 usage_exit();
             }
         }
@@ -251,24 +252,23 @@ fn follow_trace(path: &std::path::Path) -> (Vec<TraceLine>, usize) {
                     pending.extend_from_slice(&chunk);
                 }
             }
-            while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                let raw: Vec<u8> = pending.drain(..=pos).collect();
-                let text = String::from_utf8_lossy(&raw);
-                let text = text.trim();
-                if text.is_empty() {
-                    continue;
+            // Whole lines only; the rest waits for its newline.
+            let whole = pending
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |i| i + 1);
+            let mut done = false;
+            skipped += serde_json::read_lines(&pending[..whole], |line: TraceLine, _| {
+                if !done {
+                    done = matches!(line.event, telemetry::TraceEvent::PhaseProfile { .. });
+                    print_live(&line);
+                    lines.push(line);
                 }
-                match serde_json::from_str::<TraceLine>(text) {
-                    Ok(line) => {
-                        let done = matches!(line.event, telemetry::TraceEvent::PhaseProfile { .. });
-                        print_live(&line);
-                        lines.push(line);
-                        if done {
-                            return (lines, skipped);
-                        }
-                    }
-                    Err(_) => skipped += 1,
-                }
+            })
+            .expect("a read from memory does not fail");
+            pending.drain(..whole);
+            if done {
+                return (lines, skipped);
             }
         }
         std::thread::sleep(std::time::Duration::from_millis(200));

@@ -84,9 +84,9 @@ impl Args {
 
     /// Parses an explicit argument list (testable form of [`Args::parse`];
     /// installs no fault plan). An unknown flag, a flag that takes a value
-    /// and is given none, or a `--faults` value that does not parse is a
-    /// usage error: a message naming the flag on stderr and exit status 2,
-    /// never a silent run at the defaults.
+    /// and is given none ([`flag_value`]), or a `--faults` value that does
+    /// not parse is a usage error: a message naming the flag on stderr and
+    /// exit status 2, never a silent run at the defaults.
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Args {
         let mut scale = Scale::Default;
         let mut json = None;
@@ -97,10 +97,7 @@ impl Args {
         let mut metrics_addr = None;
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
-            let mut val = || {
-                it.next()
-                    .unwrap_or_else(|| usage_error(format_args!("{a}: missing value")))
-            };
+            let mut val = || flag_value(&a, it.next());
             match a.as_str() {
                 "--smoke" => scale = Scale::Smoke,
                 "--full" => scale = Scale::Full,
@@ -163,9 +160,29 @@ impl Args {
 }
 
 /// Reports a command-line usage error and exits with status 2.
-fn usage_error(message: std::fmt::Arguments) -> ! {
+pub fn usage_error(message: std::fmt::Arguments) -> ! {
     eprintln!("{message}");
     std::process::exit(2)
+}
+
+/// The value of command-line flag `flag`, given the argument after it. None,
+/// or another flag (`--json --strict`), is a usage error: `--flag: missing
+/// value` on stderr, exit status 2.
+pub fn flag_value(flag: &str, next: Option<String>) -> String {
+    match next {
+        Some(value) if !value.starts_with("--") => value,
+        _ => usage_error(format_args!("{flag}: missing value")),
+    }
+}
+
+/// Parses the value of numeric command-line flag `flag`. A value that does
+/// not parse is a usage error — `--flag: invalid value "…"` on stderr, exit
+/// status 2 — never a silent fall-back to the default (`--trials 1O0` must
+/// not run 200 trials).
+pub fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(format_args!("{flag}: invalid value {value:?}")))
 }
 
 /// Builds a run's telemetry handle, for the harnesses and `ansor-tune`: a

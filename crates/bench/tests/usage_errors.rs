@@ -26,3 +26,60 @@ fn mistyped_shared_flags_are_usage_errors() {
         assert!(out.stdout.is_empty(), "{args:?}: no table may print");
     }
 }
+
+/// `trace-report` and `ansor-top` parse their own flags, to the same rule.
+#[test]
+fn mistyped_report_and_top_flags_are_usage_errors() {
+    let dir = std::env::temp_dir().join(format!("ansor-usage-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases: [(&str, &[&str], &str); 7] = [
+        (
+            env!("CARGO_BIN_EXE_trace-report"),
+            &["t.jsonl", "--json", "--strict"],
+            "--json: missing value",
+        ),
+        (
+            env!("CARGO_BIN_EXE_trace-report"),
+            &["t.jsonl", "--events"],
+            "--events: missing value",
+        ),
+        (
+            env!("CARGO_BIN_EXE_trace-report"),
+            &["t.jsonl", "--stirct"],
+            "unrecognized argument \"--stirct\"",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ansor-top"),
+            &["--interval", "x"],
+            "--interval: invalid value \"x\"",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ansor-top"),
+            &["--frames", "x", "--once"],
+            "--frames: invalid value \"x\"",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ansor-top"),
+            &["--check"],
+            "--check: missing value",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ansor-top"),
+            &["--intervall", "5"],
+            "unknown flag \"--intervall\"",
+        ),
+    ];
+    for (bin, args, message) in cases {
+        let out = Command::new(bin)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("the binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    // `--json --strict` took no file name for `--strict`.
+    assert!(!dir.join("--strict").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -14,7 +14,7 @@ use std::sync::{Arc, OnceLock};
 
 use ansor_features::{extract_state_features, FeatureMatrix, ProgramFeatures, FEATURE_DIM};
 use ansor_runtime::SigCache;
-use gbdt::{Gbdt, GbdtParams, Matrix, SplitStrategy, TreeParams};
+use gbdt::{Gbdt, GbdtParams, Matrix, TreeParams};
 use tensor_ir::State;
 
 use crate::search_task::SearchTask;
@@ -214,13 +214,6 @@ impl LearnedCostModel {
     /// Bytes resident in the packed feature store.
     pub fn feature_bytes(&self) -> usize {
         self.features.resident_bytes()
-    }
-
-    /// Selects the GBDT split-search strategy (exact scan over value ranks,
-    /// histogram-binned, or the size-adaptive default) for every model not
-    /// yet trained — one pending its first read included.
-    pub fn set_split_strategy(&mut self, split: SplitStrategy) {
-        self.params.split = split;
     }
 
     /// Number of stored measurement records.
@@ -1406,20 +1399,6 @@ mod tests {
         // record changes nothing.
         let probe = sample_states(&t, 8, 7);
         assert_eq!(model.predict(&t, &probe), restored.predict(&t, &probe));
-    }
-
-    #[test]
-    fn split_strategy_override_still_trains_a_usable_model() {
-        let t = task();
-        let mut measurer = Measurer::new(t.target.clone());
-        let train = sample_states(&t, 25, 8);
-        let secs: Vec<f64> = train.iter().map(|s| measurer.measure(s).seconds).collect();
-        let mut model = LearnedCostModel::new();
-        model.set_split_strategy(SplitStrategy::Histogram);
-        model.update(&t, &train, &secs);
-        assert!(model.is_trained());
-        let scores = model.predict(&t, &train);
-        assert!(scores.iter().all(|s| s.is_finite()));
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub use evolution::{
     crossover, evolutionary_search, evolutionary_search_with_stats, mutate, produce_generation,
     EvolutionConfig, EvolutionStats, Individual, Offspring,
 };
-pub use gbdt::SplitStrategy;
 pub use lineage::{Lineage, Operator};
 pub use records::{best_record, load_records, log_fingerprint, save_records, TuningRecordLog};
 pub use search_policy::{

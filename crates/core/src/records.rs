@@ -7,7 +7,7 @@
 //! the program's complete genome — so `State::replay` reconstructs the
 //! exact schedule.
 
-use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -69,29 +69,12 @@ impl Deserialize for TuningRecordLog {
     }
 }
 
-/// Appends records to a JSON-lines log file, as one write of whole lines.
-/// A file whose last line has no newline — a writer killed between a line
-/// and its end — gets one first, so the torn line stays the only corrupt
-/// one instead of swallowing the first record appended after it.
+/// Appends records to a JSON-lines log file, as one write of whole lines
+/// (after [`serde_json::append_lines`] ends a torn last line, so it stays
+/// the only corrupt one).
 pub fn save_records(path: impl AsRef<Path>, records: &[TuningRecordLog]) -> std::io::Result<()> {
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .read(true)
-        .append(true)
-        .open(path)?;
-    if records.is_empty() {
-        return Ok(());
-    }
+    let mut f = serde_json::append_lines(path)?;
     let mut batch = String::new();
-    let len = f.metadata()?.len();
-    if len > 0 {
-        let mut last = [0u8];
-        f.seek(SeekFrom::Start(len - 1))?;
-        f.read_exact(&mut last)?;
-        if last != *b"\n" {
-            batch.push('\n');
-        }
-    }
     for r in records {
         r.write_json(&mut batch);
         batch.push('\n');
@@ -100,22 +83,13 @@ pub fn save_records(path: impl AsRef<Path>, records: &[TuningRecordLog]) -> std:
 }
 
 /// Loads all records from a JSON-lines log file. Corrupt lines are skipped
-/// but *counted*: the second element reports how many lines failed to parse,
-/// so callers can surface silent log damage instead of quietly losing data.
+/// but *counted* (see [`serde_json::read_lines`]): the second element
+/// reports them, so callers can surface silent log damage instead of
+/// quietly losing data.
 pub fn load_records(path: impl AsRef<Path>) -> std::io::Result<(Vec<TuningRecordLog>, usize)> {
     let f = std::fs::File::open(path)?;
     let mut out = Vec::new();
-    let mut skipped = 0usize;
-    for line in BufReader::new(f).lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<TuningRecordLog>(&line) {
-            Ok(r) => out.push(r),
-            Err(_) => skipped += 1,
-        }
-    }
+    let skipped = serde_json::read_lines(BufReader::new(f), |r, _| out.push(r))?;
     Ok((out, skipped))
 }
 

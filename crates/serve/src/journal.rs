@@ -12,14 +12,16 @@
 //! mode and each event is written as a single `write_all` of the whole
 //! line (POSIX appends of one buffer do not interleave), then flushed,
 //! so a reader — or a replay after a crash — sees only whole lines plus
-//! at most one torn tail, which replay skips.
+//! at most one torn tail, which replay skips and counts. Opening the
+//! journal ends a torn tail with a newline, so the next event gets a line
+//! of its own.
 //!
 //! `trace-report --serve <journal>` builds its per-job table and
 //! fleet-wide efficacy aggregation from this file; see `docs/SERVING.md`
 //! for the event reference.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::fs::File;
+use std::io::{BufReader, Write};
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
@@ -148,10 +150,9 @@ impl JobJournal {
     /// own [`JournalEvent::DaemonStart`] after the markers.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<(JobJournal, JournalReplay)> {
         let path = path.as_ref();
-        let (events, skipped) = match File::open(path) {
-            Ok(f) => read_events(BufReader::new(f)),
+        let (events, skipped) = match read_journal(path) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), 0),
-            Err(e) => return Err(e),
+            read => read?,
         };
         let mut replay = JournalReplay {
             events: events.len(),
@@ -176,8 +177,9 @@ impl JobJournal {
                 }
             }
         }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        let mut journal = JobJournal { file };
+        let mut journal = JobJournal {
+            file: serde_json::append_lines(path)?,
+        };
         for job in open_jobs {
             journal.append(&JournalEvent::Interrupted { job: job.clone() })?;
             replay.interrupted.push(job);
@@ -194,32 +196,14 @@ impl JobJournal {
     }
 }
 
-/// Parses journal events from a reader, skipping torn or malformed
-/// lines. Returns `(events, skipped)`.
-pub fn read_events<R: BufRead>(reader: R) -> (Vec<JournalEvent>, usize) {
-    let mut events = Vec::new();
-    let mut skipped = 0;
-    for line in reader.lines() {
-        let Ok(line) = line else {
-            skipped += 1;
-            continue;
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<JournalEvent>(&line) {
-            Ok(ev) => events.push(ev),
-            Err(_) => skipped += 1,
-        }
-    }
-    (events, skipped)
-}
-
-/// Reads a journal file (see [`read_events`]). A missing file is an
-/// error — the caller wants to know the daemon never wrote one.
+/// Reads a journal file, skipping and counting torn or malformed lines
+/// (see [`serde_json::read_lines`]). Returns `(events, skipped)`. A missing
+/// file is an error — the caller wants to know the daemon never wrote one.
 pub fn read_journal(path: impl AsRef<Path>) -> std::io::Result<(Vec<JournalEvent>, usize)> {
-    let f = File::open(path)?;
-    Ok(read_events(BufReader::new(f)))
+    let mut events = Vec::new();
+    let skipped =
+        serde_json::read_lines(BufReader::new(File::open(path)?), |ev, _| events.push(ev))?;
+    Ok((events, skipped))
 }
 
 #[cfg(test)]
@@ -363,13 +347,27 @@ mod tests {
         }
         // Simulate a torn final line from a crash mid-write.
         {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
             f.write_all(b"{\"Finish\":{\"job\":\"job-1\",\"outc")
                 .unwrap();
         }
         let (_j, replay) = JobJournal::open(&path).unwrap();
         assert_eq!(replay.skipped, 1);
         assert_eq!(replay.interrupted, vec!["job-1".to_string()]);
+        // The marker went on a line of its own, not onto the torn one.
+        let (_j, replay) = JobJournal::open(&path).unwrap();
+        assert_eq!(replay.skipped, 1);
+        assert!(replay.interrupted.is_empty(), "{replay:?}");
+        let (events, _) = read_journal(&path).unwrap();
+        assert_eq!(
+            events.last(),
+            Some(&JournalEvent::Interrupted {
+                job: "job-1".into()
+            })
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

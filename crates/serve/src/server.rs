@@ -249,18 +249,15 @@ impl Server {
         let store = match &cfg.store_path {
             Some(p) => {
                 let (store, stats) = WarmStore::open(p)?;
-                if stats.entries > 0 {
+                if stats.entries > 0 || stats.skipped > 0 {
                     eprintln!(
-                        "warm store {}: {} classes, {} records, {} cache entries primed{}",
-                        p,
+                        "warm store {p}: {} classes, {} records, {} cache entries primed \
+                         ({} records failed to replay, {} corrupt lines skipped)",
                         stats.entries,
                         stats.records,
                         stats.primed,
-                        if stats.replay_failures > 0 {
-                            format!(" ({} records failed to replay)", stats.replay_failures)
-                        } else {
-                            String::new()
-                        }
+                        stats.replay_failures,
+                        stats.skipped
                     );
                 }
                 store
@@ -368,7 +365,8 @@ impl Server {
 
     /// Blocks until the server has fully stopped (all jobs settled, all
     /// threads exited) and saves the store one final time: free unless a
-    /// job's save failed or a version-1 file was loaded and no job ran.
+    /// job's save failed, or the store opened past a corrupt or torn line
+    /// and no job ran.
     pub fn wait(mut self) {
         for t in self.threads.drain(..) {
             let _ = t.join();

@@ -28,9 +28,10 @@
 //! records only, [`WarmStore::save`] appends the queued lines with the
 //! journal's discipline (append mode, one `write_all` of whole lines,
 //! flush), so a crash leaves whole lines plus at most one torn tail, which
-//! [`WarmStore::open`] ignores and the next append cuts. Only when dead
-//! bytes (superseded headers, evicted classes) outweigh live ones is the
-//! file written whole, through a temp file and a rename.
+//! [`WarmStore::open`] counts and the next save cuts. Only when dead bytes
+//! (superseded headers, evicted classes) outweigh live ones, or `open`
+//! skipped a corrupt line, is the file written whole, through a temp file
+//! and a rename.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -45,13 +46,11 @@ use ansor_core::{FeatureBlock, TuningRecordLog};
 use ansor_runtime::SigCache;
 use ansor_workloads::build_case;
 use hwsim::MeasureResult;
-use serde::{Deserialize, Serialize};
-use serde_json::Value;
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::proto::JobSpec;
 
-/// Store file format version: 2 is the record log; 1 was one JSON
-/// document, still read (and written as a log by the next save).
+/// Store file format version: 2 is the record log.
 pub const STORE_VERSION: u32 = 2;
 
 /// First line of a store file.
@@ -98,13 +97,20 @@ pub struct StoreEntry {
     pub last_used: u64,
 }
 
-/// First line of a store file: the version line of a log, or the whole of
-/// a version-1 document.
-#[derive(Deserialize)]
-struct Preamble {
-    version: u32,
-    #[serde(default)]
-    entries: Vec<StoreEntry>,
+/// A line of the log after the version line: a job's entry, or the
+/// tombstone of an evicted class.
+enum Line {
+    Entry(StoreEntry),
+    Evict(String),
+}
+
+impl Deserialize for Line {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match v.get("evict") {
+            Some(key) => String::from_value(key).map(Line::Evict),
+            None => StoreEntry::from_value(v).map(Line::Entry),
+        }
+    }
 }
 
 /// Summary of what [`WarmStore::open`] found on disk.
@@ -118,6 +124,8 @@ pub struct StoreLoadStats {
     pub primed: usize,
     /// Records that failed to replay (skipped, not fatal).
     pub replay_failures: usize,
+    /// Lines skipped as corrupt, a torn last line included.
+    pub skipped: usize,
 }
 
 /// The signature-keyed caches of one workload class.
@@ -180,10 +188,10 @@ impl Slot {
         }
     }
 
-    /// Folds in one log line (or one entry of a version-1 document),
-    /// `line_len` bytes of JSON: the header replaces the slot's, the
-    /// records follow the slot's. What the store wrote is taken as it is —
-    /// deduplicated, and as long as serialising it again would make it.
+    /// Folds in one log line, `line_len` bytes of JSON: the header
+    /// replaces the slot's, the records follow the slot's. What the store
+    /// wrote is taken as it is — deduplicated, and as long as serialising
+    /// it again would make it.
     fn fold(&mut self, mut line: StoreEntry, line_len: usize) {
         let records = std::mem::take(&mut line.records);
         self.head = line;
@@ -211,8 +219,11 @@ struct Log {
     /// Bytes of whole lines on disk; anything beyond is a torn tail (or
     /// what a failed append got out) and is cut by the next append.
     len: u64,
-    /// The next save writes the file whole: set after loading a version-1
-    /// document and when dead bytes come to exceed live ones.
+    /// `open` found a torn tail: the next save cuts it, even with nothing
+    /// queued.
+    torn: bool,
+    /// The next save writes the file whole: set when `open` skipped a
+    /// corrupt line and when dead bytes come to exceed live ones.
     rewrite: bool,
 }
 
@@ -232,7 +243,7 @@ impl Log {
         if self.rewrite {
             return Ok(false);
         }
-        if self.pending.is_empty() {
+        if self.pending.is_empty() && !self.torn {
             return Ok(true);
         }
         let err = |e: std::io::Error| format!("append {}: {e}", path.display());
@@ -255,6 +266,7 @@ impl Log {
         file.flush().map_err(err)?;
         self.len += self.pending.len() as u64;
         self.pending.clear();
+        self.torn = false;
         Ok(true)
     }
 
@@ -268,6 +280,7 @@ impl Log {
             .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))?;
         self.len = text.len() as u64;
         self.pending.clear();
+        self.torn = false;
         self.rewrite = false;
         Ok(())
     }
@@ -308,12 +321,15 @@ impl WarmStore {
 
     /// Opens (or creates) a persistent store at `path`, re-priming the
     /// per-class measurement caches by replaying every stored record to
-    /// its program signature. A missing or empty file is an empty store,
-    /// and bytes after the last newline of a log are a torn append, left
-    /// for the next save to cut; a line that does not parse or a version
-    /// this build does not know is an error (the operator should move the
-    /// file aside rather than have it silently overwritten). Nothing is
-    /// written here.
+    /// its program signature. A missing or empty file is an empty store.
+    /// The lines after the version line are read as every JSON-lines file
+    /// is ([`serde_json::read_lines`]): a corrupt one is skipped, counted,
+    /// and left out when the next save writes the file whole; bytes after
+    /// the last newline are a torn append, counted too and cut by the next
+    /// save. Only a first line other than the version line is an error: a
+    /// damaged version line cannot be told from another build's format,
+    /// and rewriting that file would destroy it (the operator should move
+    /// it aside). Nothing is written here.
     pub fn open(path: impl AsRef<Path>) -> Result<(WarmStore, StoreLoadStats), String> {
         let path = path.as_ref();
         let mut store = WarmStore::in_memory();
@@ -324,59 +340,35 @@ impl WarmStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(format!("read {}: {e}", path.display())),
         };
-        // Nothing yet, or a first save cut inside its version line.
-        if VERSION_LINE.as_bytes().starts_with(&data) {
-            return Ok((store, stats));
-        }
-        let parse_err = |e: &dyn std::fmt::Debug| format!("parse {}: {e:?}", path.display());
-        let parse = |line: &[u8]| -> Result<Value, String> {
-            let text = std::str::from_utf8(line).map_err(|e| parse_err(&e))?;
-            serde_json::from_str(text).map_err(|e| parse_err(&e))
+        let Some(lines) = data.strip_prefix(VERSION_LINE.as_bytes()) else {
+            // Nothing yet, or a first save cut inside its version line.
+            if VERSION_LINE.as_bytes().starts_with(&data) {
+                return Ok((store, stats));
+            }
+            return Err(format!(
+                "store {} is not a version-{STORE_VERSION} log",
+                path.display()
+            ));
         };
+        let whole = lines.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
         let mut entries: BTreeMap<String, Slot> = BTreeMap::new();
-        let mut log = Log::default();
-        let first_end = data.iter().position(|&b| b == b'\n').unwrap_or(data.len());
-        let preamble: Preamble =
-            serde_json::from_value(&parse(&data[..first_end])?).map_err(|e| parse_err(&e))?;
-        match preamble.version {
-            1 => {
-                for entry in preamble.entries {
-                    let len = serde_json::to_string(&entry)
-                        .expect("store entry serializes")
-                        .len();
-                    entries
-                        .entry(entry.key.clone())
-                        .or_default()
-                        .fold(entry, len);
-                }
-                log.len = data.len() as u64;
-                log.rewrite = true;
+        let skipped = serde_json::read_lines(&lines[..whole], |line, len| match line {
+            Line::Evict(key) => {
+                entries.remove(&key);
             }
-            STORE_VERSION => {
-                let whole = data.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-                let lines = data.get(first_end + 1..whole).unwrap_or_default();
-                for line in lines.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
-                    let value = parse(line)?;
-                    if let Some(key) = value.get("evict").and_then(Value::as_str) {
-                        entries.remove(key);
-                    } else {
-                        let entry: StoreEntry =
-                            serde_json::from_value(&value).map_err(|e| parse_err(&e))?;
-                        entries
-                            .entry(entry.key.clone())
-                            .or_default()
-                            .fold(entry, line.len());
-                    }
-                }
-                log.len = whole as u64;
-            }
-            version => {
-                return Err(format!(
-                    "store {} has version {version}, expected {STORE_VERSION}",
-                    path.display()
-                ));
-            }
-        }
+            Line::Entry(entry) => entries
+                .entry(entry.key.clone())
+                .or_default()
+                .fold(entry, len),
+        })
+        .expect("a read from memory does not fail");
+        let log = Log {
+            len: (VERSION_LINE.len() + whole) as u64,
+            torn: whole < lines.len(),
+            rewrite: skipped > 0,
+            ..Log::default()
+        };
+        stats.skipped = skipped + usize::from(log.torn);
         let mut max_tick = 0;
         for slot in entries.values() {
             stats.entries += 1;
@@ -863,31 +855,6 @@ mod tests {
             &cache,
             &store.measure_cache(&a.class_key("none"))
         ));
-    }
-
-    #[test]
-    fn store_files_with_a_surrogate_key_still_load() {
-        // Version-1 stores written while the (since removed) store-wide
-        // step-sequence surrogate existed carry its accumulators next to
-        // the entries. The vendored serde ignores unknown keys; an operator
-        // must not have to move a store aside over a dropped field.
-        let dir = std::env::temp_dir().join(format!("ansor-store-s-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.json");
-        std::fs::write(
-            &path,
-            r#"{"version":1,"entries":[{"key":"k","op":"GMM","shape":0,"batch":1,"target":"intel","faults":"none","best_seconds":2e-3,"jobs_absorbed":1,"records":[],"last_used":4}],"surrogate":{"version":1,"lambda":1.0,"sxx":[0.5,0.0],"sxy":[0.25,0.0],"updates":2,"task_best":[["GMM:s0b1",2e-3]]}}"#,
-        )
-        .unwrap();
-        let (store, stats) = WarmStore::open(&path).unwrap();
-        assert_eq!(stats.entries, 1);
-        assert_eq!(store.best_seconds_for("k"), Some(2e-3));
-        // …and the next save simply drops the key.
-        store.save().unwrap();
-        assert!(!std::fs::read_to_string(&path)
-            .unwrap()
-            .contains("surrogate"));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -124,8 +124,8 @@ fn warm_store_survives_restart() {
 /// The store file holds records, not signatures, so the change of every
 /// signature's value needed no `STORE_VERSION` bump: a file written by the
 /// build before it (the fixture: one GMM s0 b1 job on intel, 24 trials,
-/// seed 3) loads, re-primes its class cache by replay, and serves the
-/// repeat job every one of its measurements.
+/// seed 3, since saved as a record log) loads, re-primes its class cache by
+/// replay, and serves the repeat job every one of its measurements.
 #[test]
 fn a_store_written_before_the_signature_rework_warms_a_repeat_job() {
     let path = temp_dir("old-store").join("store.json");

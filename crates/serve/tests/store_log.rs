@@ -402,19 +402,24 @@ fn a_failed_save_keeps_its_lines_for_the_next_one() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A version-1 document is written as a log by the first save after it is
-/// loaded; a temp file a killed rewrite left behind is in nobody's way.
+/// A corrupt interior line is skipped and counted, and the first save
+/// writes the file whole without it; a temp file a killed rewrite left
+/// behind is in nobody's way.
 #[test]
-fn a_version_1_store_becomes_a_log_past_a_leftover_temp_file() {
-    let dir = scratch("v1");
+fn a_corrupt_line_is_rewritten_away_past_a_leftover_temp_file() {
+    let dir = scratch("corrupt");
     let path = dir.join("store.json");
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store_pr14.json");
-    std::fs::copy(fixture, &path).unwrap();
+    let text = std::fs::read_to_string(fixture).unwrap();
+    let (version, entry) = text.split_once('\n').unwrap();
+    let bad = b"\n{\"batch\":\xff\n";
+    std::fs::write(&path, [version.as_bytes(), bad, entry.as_bytes()].concat()).unwrap();
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, "{\"version\":2}\n{\"batch\":1,\"best_sec").unwrap();
 
     let (store, stats) = WarmStore::open(&path).unwrap();
     assert_eq!((stats.entries, stats.records, stats.primed), (1, 24, 24));
+    assert_eq!(stats.skipped, 1);
     store.save().unwrap();
     assert!(!tmp.exists());
     let text = std::fs::read_to_string(&path).unwrap();
@@ -422,6 +427,7 @@ fn a_version_1_store_becomes_a_log_past_a_leftover_temp_file() {
     assert_eq!(text.lines().count(), 2);
     let (reopened, stats) = WarmStore::open(&path).unwrap();
     assert_eq!((stats.entries, stats.records, stats.primed), (1, 24, 24));
+    assert_eq!(stats.skipped, 0);
     assert_eq!(reopened.entries(), store.entries());
     std::fs::remove_dir_all(&dir).unwrap();
 }

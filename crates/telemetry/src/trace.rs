@@ -190,21 +190,12 @@ pub struct TraceLine {
     pub event: TraceEvent,
 }
 
-/// Read a JSONL trace produced via `--trace`. Unparseable lines are counted,
-/// not fatal, so a trace truncated by a crash still reports.
+/// Read a JSONL trace produced via `--trace`. Corrupt lines are counted,
+/// not fatal (see [`serde_json::read_lines`]), so a trace truncated by a
+/// crash still reports.
 pub fn read_trace<R: BufRead>(reader: R) -> std::io::Result<(Vec<TraceLine>, usize)> {
     let mut lines = Vec::new();
-    let mut skipped = 0usize;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<TraceLine>(&line) {
-            Ok(l) => lines.push(l),
-            Err(_) => skipped += 1,
-        }
-    }
+    let skipped = serde_json::read_lines(reader, |l, _| lines.push(l))?;
     Ok((lines, skipped))
 }
 

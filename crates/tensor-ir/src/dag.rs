@@ -70,11 +70,6 @@ impl ComputeSpec {
         self.shape.len()
     }
 
-    /// Number of reduction axes.
-    pub fn num_reduce(&self) -> usize {
-        self.reduce_extents.len()
-    }
-
     /// Extent of axis `i` (spatial axes first, then reduction axes).
     pub fn axis_extent(&self, i: usize) -> i64 {
         if i < self.shape.len() {

@@ -14,7 +14,7 @@
 //! serve-smoke job parses it) and exits non-zero on any server-reported
 //! error.
 
-use ansor::parse_flag;
+use ansor_bench::parse_flag;
 use ansor_serve::proto::encode;
 use ansor_serve::{Client, JobSpec};
 

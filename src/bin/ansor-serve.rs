@@ -14,8 +14,7 @@
 //! installs the allocation counter used by the live `/metrics` endpoint.
 //! An unknown flag is a usage error.
 
-use ansor::parse_flag;
-use ansor_bench::Args;
+use ansor_bench::{parse_flag, Args};
 use ansor_serve::{ServeConfig, Server};
 
 fn print_help() {

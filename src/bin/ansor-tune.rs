@@ -21,9 +21,9 @@ use ansor::core::{
     load_records, log_fingerprint, single_fingerprint, single_task_name, TuneCheckpoint,
     TuningSession, CHECKPOINT_VERSION,
 };
-use ansor::parse_flag;
 use ansor::prelude::*;
 use ansor::workloads;
+use ansor_bench::parse_flag;
 use hwsim::FaultPlan;
 
 struct Cli {

@@ -60,23 +60,12 @@ pub use tensor_ir as ir;
 
 pub mod golden;
 
-/// Parses the value of numeric command-line flag `flag` for the
-/// `ansor-*` binaries. A value that does not parse is a usage error —
-/// `--flag: invalid value "…"` on stderr, exit status 2 — never a silent
-/// fall-back to the default (`--trials 1O0` must not run 200 trials).
-pub fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: invalid value {value:?}");
-        std::process::exit(2)
-    })
-}
-
 /// Convenient re-exports for the common tuning workflow.
 pub mod prelude {
     pub use ansor_core::{
         auto_schedule, auto_schedule_with_model, generate_sketches, sample_program,
         AnnotationConfig, CostModel, EvolutionConfig, Individual, LearnedCostModel, Objective,
-        PolicyVariant, SearchTask, Sketch, SketchPolicy, SketchRule, SplitStrategy, TaskScheduler,
+        PolicyVariant, SearchTask, Sketch, SketchPolicy, SketchRule, TaskScheduler,
         TaskSchedulerConfig, TuneTask, TuningOptions, TuningResult,
     };
     pub use hwsim::{HardwareTarget, MeasureResult, Measurer, TargetKind};
