@@ -4,41 +4,17 @@
 //!
 //! The journal records every job's submit → start → round → finish path
 //! (or its interruption by a daemon crash); each `Finish` event may name
-//! the job's provenance trace. This module folds both into one
-//! [`ServeReport`] that `trace-report --serve` renders and serializes.
+//! the job's provenance trace. [`ServeReport`] takes the per-job rows from
+//! the journal's own fold ([`fold_jobs`]) and adds what only this module
+//! does: resolving those traces and summing their efficacy, for
+//! `trace-report --serve` to render and serialize.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use ansor_serve::journal::{read_journal, JournalEvent};
+use ansor_serve::journal::{fold_jobs, read_journal, JobRow, JournalEvent};
 use serde::Serialize;
 use telemetry::report::{self, Efficacy};
-
-/// One job's lifecycle, folded from its journal events (submit order).
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct JobRow {
-    /// Job id (`job-N`).
-    pub job: String,
-    /// Task name, e.g. `GMM:s0b1`.
-    pub task: String,
-    /// `queued`, `running`, `done`, `failed`, `cancelled`, or
-    /// `interrupted` (submitted but never finished before a daemon
-    /// restart).
-    pub outcome: String,
-    /// Trials completed (the submitted budget until progress arrives).
-    pub trials: u64,
-    /// Milliseconds queued before a worker claimed the job (`None` if it
-    /// never started).
-    pub queue_wait_ms: Option<f64>,
-    /// Wall time from claim to finish (`None` until finished).
-    pub wall_ms: Option<f64>,
-    /// Best throughput the job reached (`None` when nothing measured).
-    pub best_gflops: Option<f64>,
-    /// Warm-store records this job contributed on completion.
-    pub absorbed_records: u64,
-    /// Per-job trace file, as the daemon recorded it.
-    pub trace: Option<String>,
-}
 
 /// Everything `trace-report --serve` prints, as one serializable document.
 #[derive(Debug, Default, Serialize)]
@@ -107,78 +83,30 @@ impl ServeReport {
             journal: path.display().to_string(),
             events: events.len(),
             corrupt_lines_skipped: skipped,
+            daemon_starts: events
+                .iter()
+                .filter(|e| matches!(e, JournalEvent::DaemonStart { .. }))
+                .count() as u64,
+            jobs: fold_jobs(&events),
             ..ServeReport::default()
         };
-        let mut index: BTreeMap<String, usize> = BTreeMap::new();
         for event in &events {
-            match event {
-                JournalEvent::DaemonStart { .. } => report.daemon_starts += 1,
-                JournalEvent::Submit {
-                    job, task, trials, ..
-                } => {
-                    index.insert(job.clone(), report.jobs.len());
-                    report.jobs.push(JobRow {
-                        job: job.clone(),
-                        task: task.clone(),
-                        outcome: "queued".into(),
-                        trials: *trials,
-                        ..JobRow::default()
-                    });
+            let JournalEvent::Finish {
+                trace: Some(name), ..
+            } = event
+            else {
+                continue;
+            };
+            match telemetry::read_trace_file(&resolve_trace(trace_base, name)) {
+                Ok((lines, _)) => {
+                    report.traces_read += 1;
+                    merge_efficacy(&mut report.rule_efficacy, report::rule_efficacy(&lines));
+                    merge_efficacy(
+                        &mut report.operator_efficacy,
+                        report::operator_efficacy(&lines),
+                    );
                 }
-                JournalEvent::Start { job, queue_wait_ms } => {
-                    if let Some(&i) = index.get(job) {
-                        report.jobs[i].outcome = "running".into();
-                        report.jobs[i].queue_wait_ms = Some(*queue_wait_ms);
-                    }
-                }
-                JournalEvent::Round { job, trials, .. } => {
-                    if let Some(&i) = index.get(job) {
-                        report.jobs[i].trials = *trials;
-                    }
-                }
-                JournalEvent::Finish {
-                    job,
-                    outcome,
-                    queue_wait_ms,
-                    wall_ms,
-                    trials,
-                    best_gflops,
-                    absorbed_records,
-                    trace,
-                    ..
-                } => {
-                    if let Some(&i) = index.get(job) {
-                        let row = &mut report.jobs[i];
-                        row.outcome = outcome.clone();
-                        row.queue_wait_ms = Some(*queue_wait_ms);
-                        row.wall_ms = Some(*wall_ms);
-                        row.trials = *trials;
-                        row.best_gflops = *best_gflops;
-                        row.absorbed_records = *absorbed_records;
-                        row.trace = trace.clone();
-                    }
-                    if let Some(name) = trace {
-                        match telemetry::read_trace_file(&resolve_trace(trace_base, name)) {
-                            Ok((lines, _)) => {
-                                report.traces_read += 1;
-                                merge_efficacy(
-                                    &mut report.rule_efficacy,
-                                    report::rule_efficacy(&lines),
-                                );
-                                merge_efficacy(
-                                    &mut report.operator_efficacy,
-                                    report::operator_efficacy(&lines),
-                                );
-                            }
-                            Err(_) => report.traces_missing += 1,
-                        }
-                    }
-                }
-                JournalEvent::Interrupted { job } => {
-                    if let Some(&i) = index.get(job) {
-                        report.jobs[i].outcome = "interrupted".into();
-                    }
-                }
+                Err(_) => report.traces_missing += 1,
             }
         }
         Ok(report)

@@ -20,6 +20,7 @@
 //! fleet-wide efficacy aggregation from this file; see `docs/SERVING.md`
 //! for the event reference.
 
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, Write};
 use std::path::Path;
@@ -125,8 +126,6 @@ impl JournalEvent {
 pub struct JournalReplay {
     /// Events replayed (before any interruption markers were appended).
     pub events: usize,
-    /// Jobs finished (any outcome) across all prior daemon epochs.
-    pub finished: usize,
     /// Jobs marked interrupted by *this* replay: submitted in a prior
     /// epoch but never finished.
     pub interrupted: Vec<String>,
@@ -157,32 +156,25 @@ impl JobJournal {
         let mut replay = JournalReplay {
             events: events.len(),
             skipped,
+            // Every event's id, so a job whose `Submit` line was skipped
+            // still reserves its id.
+            max_job_id: events
+                .iter()
+                .filter_map(|ev| ev.job_id()?.strip_prefix("job-")?.parse().ok())
+                .max()
+                .unwrap_or(0),
             ..JournalReplay::default()
         };
-        let mut open_jobs: Vec<String> = Vec::new();
-        for ev in &events {
-            match ev {
-                JournalEvent::Submit { job, .. } => open_jobs.push(job.clone()),
-                JournalEvent::Finish { job, .. } | JournalEvent::Interrupted { job } => {
-                    if let JournalEvent::Finish { .. } = ev {
-                        replay.finished += 1;
-                    }
-                    open_jobs.retain(|j| j != job);
-                }
-                _ => {}
-            }
-            if let Some(id) = ev.job_id() {
-                if let Some(n) = id.strip_prefix("job-").and_then(|s| s.parse::<u64>().ok()) {
-                    replay.max_job_id = replay.max_job_id.max(n);
-                }
-            }
-        }
         let mut journal = JobJournal {
             file: serde_json::append_lines(path)?,
         };
-        for job in open_jobs {
-            journal.append(&JournalEvent::Interrupted { job: job.clone() })?;
-            replay.interrupted.push(job);
+        for row in fold_jobs(&events) {
+            if row.outcome == "queued" || row.outcome == "running" {
+                journal.append(&JournalEvent::Interrupted {
+                    job: row.job.clone(),
+                })?;
+                replay.interrupted.push(row.job);
+            }
         }
         Ok((journal, replay))
     }
@@ -194,6 +186,93 @@ impl JobJournal {
         self.file.write_all(line.as_bytes())?;
         self.file.flush()
     }
+}
+
+/// One job's lifecycle, folded from its journal events.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct JobRow {
+    /// Job id (`job-N`).
+    pub job: String,
+    /// Task name, e.g. `GMM:s0b1`.
+    pub task: String,
+    /// `queued`, `running`, `done`, `failed`, `cancelled`, or
+    /// `interrupted` (submitted but never finished before a daemon
+    /// restart).
+    pub outcome: String,
+    /// Trials completed (the submitted budget until progress arrives).
+    pub trials: u64,
+    /// Milliseconds queued before a worker claimed the job (`None` if it
+    /// never started).
+    pub queue_wait_ms: Option<f64>,
+    /// Wall time from claim to finish (`None` until finished).
+    pub wall_ms: Option<f64>,
+    /// Best throughput the job reached (`None` when nothing measured).
+    pub best_gflops: Option<f64>,
+    /// Warm-store records this job contributed on completion.
+    pub absorbed_records: u64,
+    /// Per-job trace file, as the daemon recorded it.
+    pub trace: Option<String>,
+}
+
+/// Folds journal events into one row per submitted job, in submit order.
+/// An event for a job with no `Submit` (its line was skipped) is ignored.
+pub fn fold_jobs(events: &[JournalEvent]) -> Vec<JobRow> {
+    let mut rows: Vec<JobRow> = Vec::new();
+    let mut index: HashMap<&str, usize> = HashMap::new();
+    for event in events {
+        let Some(job) = event.job_id() else {
+            continue;
+        };
+        if let JournalEvent::Submit { task, trials, .. } = event {
+            let row = JobRow {
+                job: job.to_string(),
+                task: task.clone(),
+                outcome: "queued".into(),
+                trials: *trials,
+                ..JobRow::default()
+            };
+            // One row per id: a repeated `Submit` starts its row over.
+            let i = *index.entry(job).or_insert(rows.len());
+            if i < rows.len() {
+                rows[i] = row;
+            } else {
+                rows.push(row);
+            }
+            continue;
+        }
+        let Some(&i) = index.get(job) else {
+            continue;
+        };
+        let row = &mut rows[i];
+        match event {
+            JournalEvent::Start { queue_wait_ms, .. } => {
+                row.outcome = "running".into();
+                row.queue_wait_ms = Some(*queue_wait_ms);
+            }
+            JournalEvent::Round { trials, .. } => row.trials = *trials,
+            JournalEvent::Finish {
+                outcome,
+                queue_wait_ms,
+                wall_ms,
+                trials,
+                best_gflops,
+                absorbed_records,
+                trace,
+                ..
+            } => {
+                row.outcome = outcome.clone();
+                row.queue_wait_ms = Some(*queue_wait_ms);
+                row.wall_ms = Some(*wall_ms);
+                row.trials = *trials;
+                row.best_gflops = *best_gflops;
+                row.absorbed_records = *absorbed_records;
+                row.trace = trace.clone();
+            }
+            JournalEvent::Interrupted { .. } => row.outcome = "interrupted".into(),
+            JournalEvent::DaemonStart { .. } | JournalEvent::Submit { .. } => {}
+        }
+    }
+    rows
 }
 
 /// Reads a journal file, skipping and counting torn or malformed lines
@@ -322,7 +401,6 @@ mod tests {
         }
         let (_j, replay) = JobJournal::open(&path).unwrap();
         assert_eq!(replay.interrupted, vec!["job-2".to_string()]);
-        assert_eq!(replay.finished, 1);
         assert_eq!(replay.max_job_id, 2);
         let (events, _) = read_journal(&path).unwrap();
         assert_eq!(

@@ -195,7 +195,7 @@ pub struct JobCounters {
 }
 
 /// Final outcome of a job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct JobResult {
     /// Job id.
     pub job: String,
@@ -236,7 +236,7 @@ pub struct JobResult {
 }
 
 /// Server-wide counters returned by `stats`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Protocol version.
     pub protocol_version: u64,

@@ -2,12 +2,15 @@
 //! sessions over the newline-delimited JSON protocol.
 //!
 //! Architecture: an accept loop hands each connection to a detached
-//! handler thread; handlers enqueue jobs into a bounded queue; a fixed
-//! pool of session workers drains the queue, each running one
-//! [`TuningSession`] per job wired into the shared [`WarmStore`]. All
-//! coordination is one mutex around the job table plus two condvars
-//! (work available, job finished) — no async runtime, matching the
-//! repo's std-only discipline.
+//! handler thread; handlers submit jobs to the job table (at most
+//! `queue_cap` of them queued); a fixed pool of session workers claims
+//! them in id order, each running one [`TuningSession`] per job wired
+//! into the shared [`WarmStore`]. All coordination is one mutex around
+//! the job table plus two condvars (work available, job finished) — no
+//! async runtime, matching the repo's std-only discipline. A job moves
+//! only through [`submit`], [`claim`] and [`settle`], each of which
+//! writes the table, the gauges and the journal together under that
+//! mutex; the queue and every count are reads of the job states.
 //!
 //! Determinism: a job is executed exactly as `ansor-tune` would execute
 //! the same flags — same task name, same fingerprint, same cold session
@@ -16,7 +19,7 @@
 //! opt-in per job because they intentionally change the search
 //! trajectory.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
@@ -24,11 +27,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use ansor_core::{log_fingerprint, SearchTask, TuningOptions, TuningSession};
+use ansor_core::{log_fingerprint, SearchTask, TuningOptions, TuningRecordLog, TuningSession};
 use ansor_workloads::build_case;
-use hwsim::{HardwareTarget, Measurer};
+use hwsim::{FaultPlan, HardwareTarget, Measurer};
 use serde::Deserialize as _;
 use telemetry::{Snapshot, Telemetry};
+use tensor_ir::ComputeDag;
 
 use crate::journal::{JobJournal, JournalEvent};
 use crate::proto::{
@@ -101,11 +105,17 @@ enum JobState {
     Queued,
     Running,
     Done,
+    /// No job reaches it yet: the end of a job whose session panics, once
+    /// the daemon catches the panic. Counted, gauged and spelled like the
+    /// others, so the wire, the gauges and the journal already know it.
+    #[allow(dead_code)]
     Failed,
     Cancelled,
 }
 
 impl JobState {
+    /// The wire spelling: the `state` of `status` and `result`, and the
+    /// journal's `Finish` outcome.
     fn as_str(self) -> &'static str {
         match self {
             JobState::Queued => "queued",
@@ -147,32 +157,100 @@ struct Progress {
     best_seconds: Option<f64>,
 }
 
-struct Job {
+/// What a job runs — its spec and what `submit` parsed from it, so a
+/// claimed job cannot fail to start — plus the handles its worker shares
+/// with the table. The worker gets a clone when it claims the job.
+#[derive(Clone)]
+struct Work {
     spec: JobSpec,
-    state: JobState,
+    dag: Arc<ComputeDag>,
+    target: HardwareTarget,
+    fault_plan: Option<FaultPlan>,
     cancel: Arc<AtomicBool>,
     progress: Arc<Mutex<Progress>>,
+}
+
+impl Work {
+    fn progress(&self) -> Progress {
+        *self.progress.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Records what `session` has done so far as the job's progress.
+    fn record(&self, session: &TuningSession) -> Progress {
+        let best = session.best_seconds();
+        let p = Progress {
+            rounds: session.rounds(),
+            trials: session.trials(),
+            best_seconds: best.is_finite().then_some(best),
+        };
+        *self.progress.lock().unwrap_or_else(PoisonError::into_inner) = p;
+        p
+    }
+}
+
+struct Job {
+    work: Work,
+    state: JobState,
+    /// Set together with a terminal `state`, by [`settle`] alone.
     result: Option<JobResult>,
     /// When the job was accepted (queue-wait accounting).
     submitted: Instant,
 }
 
+/// How a job ended, as [`settle`] records it: a terminal state, the wire
+/// result (whose `state` `settle` spells), and what only the journal's
+/// `Finish` keeps.
+struct Ending {
+    state: JobState,
+    result: JobResult,
+    /// Deduplicated records the warm store absorbed from the job.
+    absorbed_records: u64,
+    /// The job's trace file, when the daemon traces jobs.
+    trace: Option<String>,
+}
+
+impl Ending {
+    /// Job `id` ending in `state` before any session result: it measured
+    /// nothing and waited from its submit until now.
+    fn unrun(id: u64, job: &Job, state: JobState) -> Ending {
+        Ending {
+            state,
+            result: JobResult {
+                job: job_name(id),
+                task: job.work.spec.task_name(),
+                queue_wait_ms: job.submitted.elapsed().as_secs_f64() * 1e3,
+                ..JobResult::default()
+            },
+            absorbed_records: 0,
+            trace: None,
+        }
+    }
+}
+
+/// One state and result per job plus two flags; the queue and every count
+/// are reads of the job states ([`Shared::stats`]).
 #[derive(Default)]
 struct JobTable {
+    /// Every job since the daemon started, keyed by number: id order is
+    /// submit order.
+    jobs: BTreeMap<u64, Job>,
     next_id: u64,
-    queue: VecDeque<String>,
-    jobs: HashMap<String, Job>,
-    active: usize,
     /// No new submits; queued jobs still run (graceful shutdown).
     draining: bool,
     /// Workers and the accept loop exit.
     stop: bool,
-    submitted: u64,
-    done: u64,
-    failed: u64,
-    cancelled: u64,
-    /// Measurement trials consumed by finished jobs (Σ `JobResult::trials`).
-    trials_total: u64,
+}
+
+/// The wire id of job `id`.
+fn job_name(id: u64) -> String {
+    format!("job-{id}")
+}
+
+/// The number of the job a request names: `job-N` exactly as the daemon
+/// spells it, so `job-01` names no job.
+fn job_number(name: &str) -> Option<u64> {
+    let id = name.strip_prefix("job-")?.parse().ok()?;
+    (job_name(id) == name).then_some(id)
 }
 
 struct Shared {
@@ -189,21 +267,50 @@ struct Shared {
 }
 
 impl Shared {
+    /// The daemon's counts, one fold over the job states (O(jobs)): the
+    /// `stats` answer, and what [`Shared::publish_gauges`] publishes.
+    fn stats(&self, t: &JobTable) -> ServerStats {
+        let mut s = ServerStats {
+            protocol_version: PROTOCOL_VERSION,
+            jobs_submitted: t.jobs.len() as u64,
+            queue_cap: self.cfg.queue_cap as u64,
+            workers: self.cfg.workers.max(1) as u64,
+            store_entries: self.store.entry_count() as u64,
+            store_records: self.store.record_count() as u64,
+            store_bytes: self.store.resident_bytes(),
+            store_evictions: self.store.eviction_count(),
+            draining: t.draining,
+            ..ServerStats::default()
+        };
+        for job in t.jobs.values() {
+            *match job.state {
+                JobState::Queued => &mut s.jobs_queued,
+                JobState::Running => &mut s.jobs_active,
+                JobState::Done => &mut s.jobs_done,
+                JobState::Failed => &mut s.jobs_failed,
+                JobState::Cancelled => &mut s.jobs_cancelled,
+            } += 1;
+            s.trials_total += job.result.as_ref().map_or(0, |r| r.trials);
+        }
+        s
+    }
+
     /// Publishes the `serve/*` gauge family from the (locked) job table.
     fn publish_gauges(&self, t: &JobTable) {
+        let s = self.stats(t);
         let tel = &self.cfg.telemetry;
-        tel.gauge_set("serve/queue_depth", t.queue.len() as f64);
-        tel.gauge_set("serve/active_sessions", t.active as f64);
-        tel.gauge_set("serve/jobs_submitted", t.submitted as f64);
-        tel.gauge_set("serve/jobs_done", t.done as f64);
-        tel.gauge_set("serve/jobs_failed", t.failed as f64);
-        tel.gauge_set("serve/jobs_cancelled", t.cancelled as f64);
-        tel.gauge_set("serve/draining", if t.draining { 1.0 } else { 0.0 });
-        tel.gauge_set("serve/store_entries", self.store.entry_count() as f64);
-        tel.gauge_set("serve/store_records", self.store.record_count() as f64);
-        tel.gauge_set("serve/store_bytes", self.store.resident_bytes() as f64);
-        tel.gauge_set("serve/store_evictions", self.store.eviction_count() as f64);
-        tel.gauge_set("serve/trials_total", t.trials_total as f64);
+        tel.gauge_set("serve/queue_depth", s.jobs_queued as f64);
+        tel.gauge_set("serve/active_sessions", s.jobs_active as f64);
+        tel.gauge_set("serve/jobs_submitted", s.jobs_submitted as f64);
+        tel.gauge_set("serve/jobs_done", s.jobs_done as f64);
+        tel.gauge_set("serve/jobs_failed", s.jobs_failed as f64);
+        tel.gauge_set("serve/jobs_cancelled", s.jobs_cancelled as f64);
+        tel.gauge_set("serve/draining", if s.draining { 1.0 } else { 0.0 });
+        tel.gauge_set("serve/store_entries", s.store_entries as f64);
+        tel.gauge_set("serve/store_records", s.store_records as f64);
+        tel.gauge_set("serve/store_bytes", s.store_bytes as f64);
+        tel.gauge_set("serve/store_evictions", s.store_evictions as f64);
+        tel.gauge_set("serve/trials_total", s.trials_total as f64);
     }
 
     /// Appends one journal event; journal failures are warnings, never
@@ -217,18 +324,26 @@ impl Shared {
         }
     }
 
-    /// Publishes the `serve/job/<id>/*` gauge family for one job. These
-    /// live in the daemon's shared registry (namespaced by job id, so
-    /// concurrent jobs never collide) and feed the exporter's `/status`
-    /// jobs table and the `ansor-top` jobs pane.
-    fn publish_job_gauges(&self, id: &str, state: JobState, p: &Progress, budget: u64) {
+    /// Publishes job `id`'s state gauge and the rest of its
+    /// `serve/job/<id>/*` family: at submit, claim and settle only.
+    fn publish_job(&self, id: u64, job: &Job) {
         let tel = &self.cfg.telemetry;
-        tel.gauge_set(&format!("serve/job/{id}/state"), state.gauge_code());
-        tel.gauge_set(&format!("serve/job/{id}/rounds"), p.rounds as f64);
-        tel.gauge_set(&format!("serve/job/{id}/trials"), p.trials as f64);
-        tel.gauge_set(&format!("serve/job/{id}/trials_budget"), budget as f64);
+        tel.gauge_set(&format!("serve/job/job-{id}/state"), job.state.gauge_code());
+        let budget = job.work.spec.trials as f64;
+        tel.gauge_set(&format!("serve/job/job-{id}/trials_budget"), budget);
+        self.publish_progress(id, &job.work.progress());
+    }
+
+    /// Publishes job `id`'s progress gauges. These live in the daemon's
+    /// shared registry (namespaced by job id, so concurrent jobs never
+    /// collide) and feed the exporter's `/status` jobs table and the
+    /// `ansor-top` jobs pane.
+    fn publish_progress(&self, id: u64, p: &Progress) {
+        let tel = &self.cfg.telemetry;
+        tel.gauge_set(&format!("serve/job/job-{id}/rounds"), p.rounds as f64);
+        tel.gauge_set(&format!("serve/job/job-{id}/trials"), p.trials as f64);
         if let Some(best) = p.best_seconds {
-            tel.gauge_set(&format!("serve/job/{id}/best_seconds"), best);
+            tel.gauge_set(&format!("serve/job/job-{id}/best_seconds"), best);
         }
     }
 }
@@ -383,17 +498,17 @@ fn initiate_shutdown(shared: &Arc<Shared>, drain: bool) {
     let mut t = shared.jobs.lock().expect("job table lock poisoned");
     t.draining = true;
     if !drain {
-        while let Some(id) = t.queue.pop_front() {
-            if let Some(job) = t.jobs.get_mut(&id) {
-                let queue_wait_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
-                job.state = JobState::Cancelled;
-                job.result = Some(cancelled_result(&id, &job.spec, queue_wait_ms));
-                t.cancelled += 1;
-                journal_queued_cancel(shared, &id, queue_wait_ms);
-            }
+        let queued: Vec<(u64, Ending)> = t
+            .jobs
+            .iter()
+            .filter(|(_, job)| job.state == JobState::Queued)
+            .map(|(&id, job)| (id, Ending::unrun(id, job, JobState::Cancelled)))
+            .collect();
+        for (id, end) in queued {
+            settle(shared, &mut t, id, end);
         }
         for job in t.jobs.values() {
-            job.cancel.store(true, Ordering::Relaxed);
+            job.work.cancel.store(true, Ordering::Relaxed);
         }
     }
     maybe_stop(shared, &mut t);
@@ -405,7 +520,7 @@ fn initiate_shutdown(shared: &Arc<Shared>, drain: bool) {
 
 /// If the server is draining and idle, flips to a full stop.
 fn maybe_stop(shared: &Arc<Shared>, t: &mut JobTable) {
-    if t.draining && t.queue.is_empty() && t.active == 0 && !t.stop {
+    if t.draining && !t.stop && t.jobs.values().all(|job| job.state.finished()) {
         t.stop = true;
         shared.work_cv.notify_all();
         shared.done_cv.notify_all();
@@ -418,143 +533,124 @@ fn maybe_stop(shared: &Arc<Shared>, t: &mut JobTable) {
     }
 }
 
-fn cancelled_result(id: &str, spec: &JobSpec, queue_wait_ms: f64) -> JobResult {
-    JobResult {
-        job: id.to_string(),
+/// Queues `work` as a new job, the one way into the table; refused while
+/// draining or with `queue_cap` jobs queued.
+fn submit(shared: &Arc<Shared>, work: Work) -> Result<u64, String> {
+    let mut t = shared.jobs.lock().expect("job table lock poisoned");
+    if t.draining {
+        return Err("server is draining; not accepting jobs".into());
+    }
+    let queued = shared.stats(&t).jobs_queued;
+    if queued >= shared.cfg.queue_cap as u64 {
+        return Err(format!("queue full ({queued} jobs queued)"));
+    }
+    t.next_id += 1;
+    let id = t.next_id;
+    let spec = &work.spec;
+    shared.journal_append(&JournalEvent::Submit {
+        job: job_name(id),
         task: spec.task_name(),
-        state: "cancelled".into(),
-        trials: 0,
-        best_seconds: None,
-        best_gflops: None,
-        best_signature: None,
-        log_records: 0,
-        log_fingerprint: 0,
-        warm: CacheDeltas::default(),
-        wall_ms: 0.0,
-        queue_wait_ms,
-        counters: JobCounters::default(),
-        error: None,
+        op: spec.op.clone(),
+        shape: spec.shape as u64,
+        batch: spec.batch,
+        target: spec.target.clone(),
+        trials: spec.trials as u64,
+        seed: spec.seed,
+    });
+    let job = Job {
+        work,
+        state: JobState::Queued,
+        result: None,
+        submitted: Instant::now(),
+    };
+    shared.publish_job(id, &job);
+    t.jobs.insert(id, job);
+    shared.publish_gauges(&t);
+    drop(t);
+    shared.work_cv.notify_one();
+    Ok(id)
+}
+
+/// Marks the queued job with the lowest id running and returns its id,
+/// work and queue wait, waiting while none is queued; `None` once the
+/// daemon stops.
+fn claim(shared: &Arc<Shared>) -> Option<(u64, Work, f64)> {
+    let mut t = shared.jobs.lock().expect("job table lock poisoned");
+    loop {
+        if t.stop {
+            return None;
+        }
+        let queued = t
+            .jobs
+            .iter_mut()
+            .find(|(_, job)| job.state == JobState::Queued);
+        if let Some((&id, job)) = queued {
+            job.state = JobState::Running;
+            let queue_wait_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
+            let tel = &shared.cfg.telemetry;
+            tel.observe("serve/queue_wait_ms", queue_wait_ms);
+            tel.gauge_set(&format!("serve/job/job-{id}/queue_wait_ms"), queue_wait_ms);
+            shared.publish_job(id, job);
+            shared.journal_append(&JournalEvent::Start {
+                job: job_name(id),
+                queue_wait_ms,
+            });
+            let work = job.work.clone();
+            shared.publish_gauges(&t);
+            return Some((id, work, queue_wait_ms));
+        }
+        t = shared.work_cv.wait(t).expect("job table lock poisoned");
     }
 }
 
-/// Journals and gauges a job cancelled while still queued (it never ran,
-/// so its outcome record carries queue-wait only).
-fn journal_queued_cancel(shared: &Arc<Shared>, id: &str, queue_wait_ms: f64) {
-    shared.cfg.telemetry.gauge_set(
-        &format!("serve/job/{id}/state"),
-        JobState::Cancelled.gauge_code(),
-    );
+/// Ends job `id`, the one way out of `queued` or `running`: sets its state
+/// and result together, journals its `Finish`, publishes its gauges and
+/// the `serve/*` gauges, stops a draining daemon gone idle and wakes every
+/// `wait`.
+fn settle(shared: &Arc<Shared>, t: &mut JobTable, id: u64, end: Ending) {
+    let Some(job) = t.jobs.get_mut(&id) else {
+        return;
+    };
+    let Ending {
+        state,
+        mut result,
+        absorbed_records,
+        trace,
+    } = end;
+    result.state = state.as_str().into();
     shared.journal_append(&JournalEvent::Finish {
-        job: id.to_string(),
-        outcome: "cancelled".into(),
-        queue_wait_ms,
-        wall_ms: 0.0,
-        trials: 0,
-        best_gflops: None,
-        cache: CacheDeltas::default(),
-        absorbed_records: 0,
-        trace: None,
+        job: result.job.clone(),
+        outcome: result.state.clone(),
+        queue_wait_ms: result.queue_wait_ms,
+        wall_ms: result.wall_ms,
+        trials: result.trials,
+        best_gflops: result.best_gflops,
+        cache: result.warm,
+        absorbed_records,
+        trace,
     });
+    job.state = state;
+    job.result = Some(result);
+    shared.publish_job(id, job);
+    maybe_stop(shared, t);
+    shared.publish_gauges(t);
+    shared.done_cv.notify_all();
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        // Claim the next queued job (or exit on stop).
-        let (id, spec, cancel, progress, queue_wait_ms) = {
-            let mut t = shared.jobs.lock().expect("job table lock poisoned");
-            loop {
-                if t.stop {
-                    return;
-                }
-                if let Some(id) = t.queue.pop_front() {
-                    let claimed = {
-                        let job = t.jobs.get_mut(&id).expect("queued job exists");
-                        job.state = JobState::Running;
-                        (
-                            id.clone(),
-                            job.spec.clone(),
-                            Arc::clone(&job.cancel),
-                            Arc::clone(&job.progress),
-                            job.submitted.elapsed().as_secs_f64() * 1e3,
-                        )
-                    };
-                    t.active += 1;
-                    shared.publish_gauges(&t);
-                    break claimed;
-                }
-                t = shared.work_cv.wait(t).expect("job table lock poisoned");
-            }
-        };
-
-        {
-            let tel = &shared.cfg.telemetry;
-            tel.observe("serve/queue_wait_ms", queue_wait_ms);
-            tel.gauge_set(
-                &format!("serve/job/{id}/state"),
-                JobState::Running.gauge_code(),
-            );
-            tel.gauge_set(&format!("serve/job/{id}/queue_wait_ms"), queue_wait_ms);
-        }
-        shared.journal_append(&JournalEvent::Start {
-            job: id.clone(),
-            queue_wait_ms,
-        });
-
-        let (result, log, trace_file) =
-            run_job(shared, &id, &spec, &cancel, &progress, queue_wait_ms);
-
-        let mut absorbed_records = 0u64;
-        if result.state == "done" {
-            // Persist what the job learned before reporting completion, so
-            // a client observing "done" can rely on the store being warm.
-            let faults = spec.faults.as_deref().unwrap_or(&shared.cfg.faults);
-            absorbed_records = shared.store.absorb(&spec, faults, &log) as u64;
+    while let Some((id, work, queue_wait_ms)) = claim(shared) {
+        let (mut end, log) = run_job(shared, id, &work, queue_wait_ms);
+        if end.state == JobState::Done {
+            // Persist what the job learned before it settles, so a client
+            // observing "done" can rely on the store being warm.
+            let faults = work.spec.faults.as_deref().unwrap_or(&shared.cfg.faults);
+            end.absorbed_records = shared.store.absorb(&work.spec, faults, &log) as u64;
             if let Err(e) = shared.store.save() {
                 eprintln!("warning: store save failed, lines kept for the next save: {e}");
             }
         }
-
-        shared.journal_append(&JournalEvent::Finish {
-            job: id.clone(),
-            outcome: result.state.clone(),
-            queue_wait_ms,
-            wall_ms: result.wall_ms,
-            trials: result.trials,
-            best_gflops: result.best_gflops,
-            cache: result.warm,
-            absorbed_records,
-            trace: trace_file,
-        });
-
         let mut t = shared.jobs.lock().expect("job table lock poisoned");
-        t.active -= 1;
-        t.trials_total += result.trials;
-        let final_state = match result.state.as_str() {
-            "done" => {
-                t.done += 1;
-                JobState::Done
-            }
-            "failed" => {
-                t.failed += 1;
-                JobState::Failed
-            }
-            _ => {
-                t.cancelled += 1;
-                JobState::Cancelled
-            }
-        };
-        shared
-            .cfg
-            .telemetry
-            .gauge_set(&format!("serve/job/{id}/state"), final_state.gauge_code());
-        if let Some(job) = t.jobs.get_mut(&id) {
-            job.state = final_state;
-            job.result = Some(result);
-        }
-        maybe_stop(shared, &mut t);
-        shared.publish_gauges(&t);
-        drop(t);
-        shared.done_cv.notify_all();
+        settle(shared, &mut t, id, end);
     }
 }
 
@@ -608,9 +704,9 @@ fn job_counters(before: &Option<Snapshot>, after: &Option<Snapshot>) -> JobCount
 }
 
 /// Executes one job exactly as `ansor-tune` would, plus shared caches.
-/// Returns the wire-facing result, the full tuning log (for the store;
-/// the log stays off the wire — clients get its fingerprint and count),
-/// and the job's trace file name when tracing is enabled.
+/// Returns how it ended (`done`, or `cancelled` when its flag was set)
+/// and the full tuning log (for the store; the log stays off the wire —
+/// clients get its fingerprint and count).
 ///
 /// The session runs under its *own* [`Telemetry`] — registry isolated
 /// per job, trace sink per job — so concurrent jobs never interleave
@@ -619,62 +715,32 @@ fn job_counters(before: &Option<Snapshot>, after: &Option<Snapshot>) -> JobCount
 /// `serve/*` operational gauges.
 fn run_job(
     shared: &Arc<Shared>,
-    id: &str,
-    spec: &JobSpec,
-    cancel: &Arc<AtomicBool>,
-    progress: &Arc<Mutex<Progress>>,
+    id: u64,
+    work: &Work,
     queue_wait_ms: f64,
-) -> (JobResult, Vec<ansor_core::TuningRecordLog>, Option<String>) {
+) -> (Ending, Vec<TuningRecordLog>) {
     let started = Instant::now();
-    let fail = |error: String| {
-        (
-            JobResult {
-                job: id.to_string(),
-                task: spec.task_name(),
-                state: "failed".into(),
-                trials: 0,
-                best_seconds: None,
-                best_gflops: None,
-                best_signature: None,
-                log_records: 0,
-                log_fingerprint: 0,
-                warm: CacheDeltas::default(),
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                queue_wait_ms,
-                counters: JobCounters::default(),
-                error: Some(error),
-            },
-            Vec::new(),
-            None,
-        )
-    };
-    let Some(dag) = build_case(&spec.op, spec.shape, spec.batch) else {
-        return fail(format!("unknown case {:?} shape {}", spec.op, spec.shape));
-    };
-    let Some(target) = HardwareTarget::by_name(&spec.target) else {
-        return fail(format!("unknown target {:?}", spec.target));
-    };
+    let spec = &work.spec;
     // Per-job override. The fault spec feeds the fingerprint and class
     // key, so overridden jobs occupy their own warm-store class.
     let faults = spec.faults.as_deref().unwrap_or(&shared.cfg.faults);
-    let fault_plan = match spec.faults.as_deref().map(hwsim::FaultPlan::parse) {
-        Some(Ok(plan)) => Some(plan),
-        Some(Err(e)) => return fail(format!("bad fault spec: {e}")),
-        None => None,
-    };
-    let (job_tel, trace_file) = job_telemetry(shared, id);
+    let (job_tel, trace) = job_telemetry(shared, &job_name(id));
     let shared_tel = shared.cfg.telemetry.clone();
-    let task = SearchTask::new(spec.task_name(), dag.clone(), target.clone());
+    // The session searches a copy of the job's DAG (a clone starts with
+    // empty memos): the derived DAGs it memoizes are built on this worker
+    // and die with the job instead of living on in the job table.
+    let dag = Arc::new(ComputeDag::clone(&work.dag));
+    let task = SearchTask::new(spec.task_name(), Arc::clone(&dag), work.target.clone());
     let options = TuningOptions {
         num_measure_trials: spec.trials,
         seed: spec.seed,
         telemetry: job_tel.clone(),
         ..Default::default()
     };
-    let mut measurer = Measurer::new(target);
+    let mut measurer = Measurer::new(work.target.clone());
     measurer.set_telemetry(job_tel.clone());
-    if let Some(plan) = fault_plan {
-        measurer.set_fault_plan(Some(plan));
+    if work.fault_plan.is_some() {
+        measurer.set_fault_plan(work.fault_plan.clone());
     }
     let mut session = TuningSession::new(task, options, measurer, spec.fingerprint(faults));
 
@@ -689,30 +755,24 @@ fn run_job(
     let before = session.cache_stats();
     let tel_before = job_tel.live_snapshot();
     let flops = dag.flop_count();
-    let gflops_gauge = format!("serve/job/{id}/best_gflops");
+    let gflops_gauge = format!("serve/job/job-{id}/best_gflops");
     let mut last_round = 0u64;
     session.run(|s| {
-        let p = {
-            let mut p = progress.lock().unwrap_or_else(PoisonError::into_inner);
-            p.rounds = s.rounds();
-            p.trials = s.trials();
-            p.best_seconds = s.best_seconds().is_finite().then(|| s.best_seconds());
-            *p
-        };
-        shared.publish_job_gauges(id, JobState::Running, &p, spec.trials as u64);
+        let p = work.record(s);
+        shared.publish_progress(id, &p);
         if let Some(best) = p.best_seconds {
             shared_tel.gauge_set(&gflops_gauge, flops / best / 1e9);
         }
         if p.rounds > last_round {
             last_round = p.rounds;
             shared.journal_append(&JournalEvent::Round {
-                job: id.to_string(),
+                job: job_name(id),
                 round: p.rounds,
                 trials: p.trials,
                 best_seconds: p.best_seconds,
             });
         }
-        !cancel.load(Ordering::Relaxed)
+        !work.cancel.load(Ordering::Relaxed)
     });
     let delta = session.cache_stats().since(&before);
     let warm = CacheDeltas {
@@ -727,35 +787,20 @@ fn run_job(
     // Final PhaseProfile event + sink flush; the canonical event stream
     // (which skips PhaseProfile) is unaffected.
     job_tel.flush();
-    let was_cancelled = cancel.load(Ordering::Relaxed);
-
-    let final_progress = {
-        let mut p = progress.lock().unwrap_or_else(PoisonError::into_inner);
-        p.rounds = session.rounds();
-        p.trials = session.trials();
-        p.best_seconds = session
-            .best_seconds()
-            .is_finite()
-            .then(|| session.best_seconds());
-        *p
-    };
-    let final_state = if was_cancelled {
+    let state = if work.cancel.load(Ordering::Relaxed) {
         JobState::Cancelled
     } else {
         JobState::Done
     };
-    shared.publish_job_gauges(id, final_state, &final_progress, spec.trials as u64);
 
-    let best_seconds = session.best_seconds();
-    let finite_best = best_seconds.is_finite().then_some(best_seconds);
+    let p = work.record(&session);
     let log = session.log().to_vec();
     let result = JobResult {
-        job: id.to_string(),
+        job: job_name(id),
         task: spec.task_name(),
-        state: if was_cancelled { "cancelled" } else { "done" }.into(),
-        trials: session.trials(),
-        best_seconds: finite_best,
-        best_gflops: finite_best.map(|s| flops / s / 1e9),
+        trials: p.trials,
+        best_seconds: p.best_seconds,
+        best_gflops: p.best_seconds.map(|s| flops / s / 1e9),
         best_signature: session.best_individual().map(|i| i.state.signature()),
         log_records: log.len() as u64,
         log_fingerprint: log_fingerprint(&log),
@@ -763,9 +808,15 @@ fn run_job(
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
         queue_wait_ms,
         counters,
-        error: None,
+        ..JobResult::default()
     };
-    (result, log, trace_file)
+    let ending = Ending {
+        state,
+        result,
+        absorbed_records: 0,
+        trace,
+    };
+    (ending, log)
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
@@ -876,7 +927,7 @@ fn handle_trace(shared: &Arc<Shared>, req: &Request) -> Response {
     };
     {
         let t = shared.jobs.lock().expect("job table lock poisoned");
-        match t.jobs.get(id) {
+        match job_number(id).and_then(|n| t.jobs.get(&n)) {
             None => return Response::failure(req.id, format!("no such job {id:?}")),
             Some(job) if !job.state.finished() => {
                 return Response::failure(
@@ -925,24 +976,24 @@ fn handle_submit(shared: &Arc<Shared>, req: &Request) -> Response {
     let Some(spec) = &req.spec else {
         return Response::failure(req.id, "submit requires a job spec");
     };
-    // Validate eagerly so a typo fails at submit, not minutes later.
-    if build_case(&spec.op, spec.shape, spec.batch).is_none() {
+    // Parse once, eagerly: a typo fails at submit, not minutes later, and
+    // the job keeps what was parsed.
+    let Some(dag) = build_case(&spec.op, spec.shape, spec.batch) else {
         return Response::failure(
             req.id,
             format!("unknown case {:?} shape {}", spec.op, spec.shape),
         );
-    }
-    if HardwareTarget::by_name(&spec.target).is_none() {
+    };
+    let Some(target) = HardwareTarget::by_name(&spec.target) else {
         return Response::failure(req.id, format!("unknown target {:?}", spec.target));
-    }
+    };
     if spec.trials == 0 {
         return Response::failure(req.id, "trials must be positive");
     }
-    if let Some(f) = &spec.faults {
-        if let Err(e) = hwsim::FaultPlan::parse(f) {
-            return Response::failure(req.id, format!("bad fault spec: {e}"));
-        }
-    }
+    let fault_plan = match spec.faults.as_deref().map(FaultPlan::parse).transpose() {
+        Ok(plan) => plan,
+        Err(e) => return Response::failure(req.id, format!("bad fault spec: {e}")),
+    };
     if spec.prerank_keep.is_some() || spec.transfer.is_some() {
         return Response::failure(
             req.id,
@@ -955,63 +1006,32 @@ fn handle_submit(shared: &Arc<Shared>, req: &Request) -> Response {
             "threads: the thread pool was removed; a job runs on its worker thread; drop the field",
         );
     }
-    let mut t = shared.jobs.lock().expect("job table lock poisoned");
-    if t.draining {
-        return Response::failure(req.id, "server is draining; not accepting jobs");
+    let work = Work {
+        spec: spec.clone(),
+        dag,
+        target,
+        fault_plan,
+        cancel: Arc::default(),
+        progress: Arc::default(),
+    };
+    match submit(shared, work) {
+        Ok(id) => {
+            let mut resp = Response::success(req.id);
+            resp.job = Some(job_name(id));
+            resp
+        }
+        Err(e) => Response::failure(req.id, e),
     }
-    if t.queue.len() >= shared.cfg.queue_cap {
-        return Response::failure(
-            req.id,
-            format!("queue full ({} jobs queued)", t.queue.len()),
-        );
-    }
-    t.next_id += 1;
-    let id = format!("job-{}", t.next_id);
-    t.jobs.insert(
-        id.clone(),
-        Job {
-            spec: spec.clone(),
-            state: JobState::Queued,
-            cancel: Arc::new(AtomicBool::new(false)),
-            progress: Arc::new(Mutex::new(Progress::default())),
-            result: None,
-            submitted: Instant::now(),
-        },
-    );
-    t.queue.push_back(id.clone());
-    t.submitted += 1;
-    shared.publish_gauges(&t);
-    shared.publish_job_gauges(
-        &id,
-        JobState::Queued,
-        &Progress::default(),
-        spec.trials as u64,
-    );
-    shared.journal_append(&JournalEvent::Submit {
-        job: id.clone(),
-        task: spec.task_name(),
-        op: spec.op.clone(),
-        shape: spec.shape as u64,
-        batch: spec.batch,
-        target: spec.target.clone(),
-        trials: spec.trials as u64,
-        seed: spec.seed,
-    });
-    drop(t);
-    shared.work_cv.notify_one();
-    let mut resp = Response::success(req.id);
-    resp.job = Some(id);
-    resp
 }
 
 fn job_status(id: &str, job: &Job) -> JobStatus {
-    let p = *job.progress.lock().unwrap_or_else(PoisonError::into_inner);
+    let p = job.work.progress();
     JobStatus {
         job: id.to_string(),
         state: job.state.as_str().into(),
         rounds: p.rounds,
         trials: p.trials,
-        trials_budget: job.spec.trials as u64,
+        trials_budget: job.work.spec.trials as u64,
         best_seconds: p.best_seconds,
     }
 }
@@ -1021,7 +1041,7 @@ fn handle_status(shared: &Arc<Shared>, req: &Request) -> Response {
         return Response::failure(req.id, "status requires a job id");
     };
     let t = shared.jobs.lock().expect("job table lock poisoned");
-    match t.jobs.get(id) {
+    match job_number(id).and_then(|n| t.jobs.get(&n)) {
         Some(job) => {
             let mut resp = Response::success(req.id);
             resp.status = Some(job_status(id, job));
@@ -1035,9 +1055,10 @@ fn handle_result(shared: &Arc<Shared>, req: &Request, block: bool) -> Response {
     let Some(id) = &req.job else {
         return Response::failure(req.id, "result requires a job id");
     };
+    let number = job_number(id);
     let mut t = shared.jobs.lock().expect("job table lock poisoned");
     loop {
-        match t.jobs.get(id) {
+        match number.and_then(|n| t.jobs.get(&n)) {
             None => return Response::failure(req.id, format!("no such job {id:?}")),
             Some(job) if job.state.finished() => {
                 let mut resp = Response::success(req.id);
@@ -1062,28 +1083,13 @@ fn handle_cancel(shared: &Arc<Shared>, req: &Request) -> Response {
         return Response::failure(req.id, "cancel requires a job id");
     };
     let mut t = shared.jobs.lock().expect("job table lock poisoned");
-    let (was_queued, spec, queue_wait_ms) = match t.jobs.get(id) {
-        Some(job) => {
-            job.cancel.store(true, Ordering::Relaxed);
-            (
-                job.state == JobState::Queued,
-                job.spec.clone(),
-                job.submitted.elapsed().as_secs_f64() * 1e3,
-            )
-        }
-        None => return Response::failure(req.id, format!("no such job {id:?}")),
+    let Some((n, job)) = job_number(id).and_then(|n| Some((n, t.jobs.get(&n)?))) else {
+        return Response::failure(req.id, format!("no such job {id:?}"));
     };
-    if was_queued {
-        t.queue.retain(|q| q != id);
-        let job = t.jobs.get_mut(id).expect("job exists");
-        job.state = JobState::Cancelled;
-        job.result = Some(cancelled_result(id, &spec, queue_wait_ms));
-        t.cancelled += 1;
-        journal_queued_cancel(shared, id, queue_wait_ms);
-        maybe_stop(shared, &mut t);
-        shared.publish_gauges(&t);
-        drop(t);
-        shared.done_cv.notify_all();
+    job.work.cancel.store(true, Ordering::Relaxed);
+    if job.state == JobState::Queued {
+        let end = Ending::unrun(n, job, JobState::Cancelled);
+        settle(shared, &mut t, n, end);
     }
     Response::success(req.id)
 }
@@ -1091,23 +1097,7 @@ fn handle_cancel(shared: &Arc<Shared>, req: &Request) -> Response {
 fn handle_stats(shared: &Arc<Shared>, req: &Request) -> Response {
     let t = shared.jobs.lock().expect("job table lock poisoned");
     let mut resp = Response::success(req.id);
-    resp.stats = Some(ServerStats {
-        protocol_version: PROTOCOL_VERSION,
-        jobs_submitted: t.submitted,
-        jobs_queued: t.queue.len() as u64,
-        jobs_active: t.active as u64,
-        jobs_done: t.done,
-        jobs_failed: t.failed,
-        jobs_cancelled: t.cancelled,
-        queue_cap: shared.cfg.queue_cap as u64,
-        workers: shared.cfg.workers.max(1) as u64,
-        store_entries: shared.store.entry_count() as u64,
-        store_records: shared.store.record_count() as u64,
-        store_bytes: shared.store.resident_bytes(),
-        store_evictions: shared.store.eviction_count(),
-        draining: t.draining,
-        trials_total: t.trials_total,
-    });
+    resp.stats = Some(shared.stats(&t));
     resp
 }
 
@@ -1143,6 +1133,14 @@ mod tests {
     }
 
     #[test]
+    fn only_job_n_as_the_daemon_spells_it_names_a_job() {
+        assert_eq!(job_number(&job_name(7)), Some(7));
+        for name in ["job-07", "job-+7", "job-", "7", "job-7 ", "JOB-7"] {
+            assert_eq!(job_number(name), None, "{name:?}");
+        }
+    }
+
+    #[test]
     fn poisoned_progress_and_cache_locks_neither_stop_a_job_nor_status() {
         let (shared, _listener) = idle_daemon();
         shared.store.poison_caches();
@@ -1161,7 +1159,8 @@ mod tests {
             transfer: None,
         });
         let id = dispatch(&shared, &submit).job.expect("a job id");
-        let progress = Arc::clone(&shared.jobs.lock().unwrap().jobs[&id].progress);
+        let n = job_number(&id).expect("a job-N id");
+        let progress = Arc::clone(&shared.jobs.lock().unwrap().jobs[&n].work.progress);
         let holder = std::thread::spawn(move || {
             let _p = progress.lock();
             panic!("a holder of the progress panics");

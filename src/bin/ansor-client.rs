@@ -14,7 +14,7 @@
 //! serve-smoke job parses it) and exits non-zero on any server-reported
 //! error.
 
-use ansor_bench::parse_flag;
+use ansor_bench::{flag_value, parse_flag};
 use ansor_serve::proto::encode;
 use ansor_serve::{Client, JobSpec};
 
@@ -58,7 +58,7 @@ fn main() {
     let mut it = argv.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => addr = it.next().unwrap_or_else(|| die("--addr requires a value")),
+            "--addr" => addr = flag_value(&a, it.next()),
             "--help" | "-h" => usage(),
             _ => {
                 rest.push(a);
@@ -97,11 +97,7 @@ fn main() {
             let mut trace_out: Option<String> = None;
             let mut it = opts.iter();
             while let Some(a) = it.next() {
-                let mut val = || {
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die(&format!("{a} requires a value")))
-                };
+                let mut val = || flag_value(a, it.next().cloned());
                 match a.as_str() {
                     "--op" => spec.op = val(),
                     "--shape" => spec.shape = parse_flag(a, &val()),
@@ -151,11 +147,9 @@ fn main() {
         "trace" => {
             let job = job_arg();
             match opts.get(1).map(String::as_str) {
-                Some("--trace-out") => {
-                    let path = opts
-                        .get(2)
-                        .unwrap_or_else(|| die("--trace-out requires a value"));
-                    write_trace(&mut client, &job, path);
+                Some(flag @ "--trace-out") => {
+                    let path = flag_value(flag, opts.get(2).cloned());
+                    write_trace(&mut client, &job, &path);
                 }
                 // No output path: the raw trace JSONL goes to stdout.
                 None => print!("{}", client.trace(&job).unwrap_or_else(|e| die(&e))),

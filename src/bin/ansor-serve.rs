@@ -14,7 +14,7 @@
 //! installs the allocation counter used by the live `/metrics` endpoint.
 //! An unknown flag is a usage error.
 
-use ansor_bench::{parse_flag, Args};
+use ansor_bench::{flag_value, parse_flag, Args};
 use ansor_serve::{ServeConfig, Server};
 
 fn print_help() {
@@ -48,12 +48,7 @@ fn parse() -> (ServeConfig, Args) {
     let mut rest = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut val = || {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{a}: missing value");
-                std::process::exit(2)
-            })
-        };
+        let mut val = || flag_value(&a, it.next());
         match a.as_str() {
             "--addr" => cfg.addr = val(),
             "--workers" => cfg.workers = parse_flag(&a, &val()),

@@ -23,7 +23,7 @@ use ansor::core::{
 };
 use ansor::prelude::*;
 use ansor::workloads;
-use ansor_bench::parse_flag;
+use ansor_bench::{flag_value, parse_flag};
 use hwsim::FaultPlan;
 
 struct Cli {
@@ -80,7 +80,7 @@ fn parse() -> Cli {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut val = || it.next().unwrap_or_default();
+        let mut val = || flag_value(&a, it.next());
         match a.as_str() {
             "--op" => cli.op = Some(val()),
             "--shape" => cli.shape = parse_flag(&a, &val()),
@@ -149,6 +149,14 @@ fn target(name: &str) -> HardwareTarget {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
+}
+
+/// Appends the session's new records to the `--log` file; a write that
+/// fails ends the run with status 1.
+fn write_log(session: &mut TuningSession, path: &str) -> usize {
+    session
+        .flush_records_to(path)
+        .unwrap_or_else(|e| die(&format!("--log {path}: {e}")))
 }
 
 /// Loads a `--log` file, surfacing the skipped-line count and read errors
@@ -279,7 +287,7 @@ fn main() {
             // Flush new records before the checkpoint records their offset,
             // so a resumed run appends exactly the remainder.
             if let Some(path) = &cli.log {
-                session.flush_records_to(path).expect("write log");
+                write_log(&mut session, path);
             }
             save_checkpoint(&session);
         }
@@ -302,7 +310,7 @@ fn main() {
         );
     }
     if let Some(path) = &cli.log {
-        let n = session.flush_records_to(path).expect("write log");
+        let n = write_log(&mut session, path);
         println!("appended {n} records to {path}");
     }
     save_checkpoint(&session);

@@ -2,7 +2,9 @@
 //! does not parse is a usage error (exit status 2, `--flag: invalid value
 //! "…"` on stderr), not a silent fall-back to the default — `--trials 1O0`
 //! must not tune for 200 trials — and so is a flag the binary does not
-//! know (`unknown flag "…"`), not a silent run without it.
+//! know (`unknown flag "…"`), not a silent run without it, and a flag
+//! given no value (`--flag: missing value`), refused before any work
+//! starts rather than read as an empty value or as the next flag.
 
 use std::process::Command;
 
@@ -34,6 +36,32 @@ fn ansor_tune_rejects_a_mistyped_number() {
         &["--op", "GMM", "--threads", "2"],
         "unknown flag \"--threads\"",
     );
+    // A value flag with nothing after it, or with another flag after it.
+    assert_usage_error(
+        bin,
+        &["--op", "GMM", "--trials", "8", "--log"],
+        "--log: missing value",
+    );
+    assert_usage_error(
+        bin,
+        &["--op", "GMM", "--log", "--trials", "8"],
+        "--log: missing value",
+    );
+}
+
+#[test]
+fn ansor_tune_reports_a_log_it_cannot_write() {
+    let dir = std::env::temp_dir().join(format!("ansor-cli-no-such-dir-{}", std::process::id()));
+    let log = dir.join("records.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_ansor-tune"))
+        .args(["--op", "GMM", "--trials", "8", "--log"])
+        .arg(&log)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: --log "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]
@@ -48,6 +76,11 @@ fn ansor_serve_rejects_a_mistyped_number() {
         &["--addr", "127.0.0.1:0", "--threads", "2"],
         "unknown flag \"--threads\"",
     );
+    assert_usage_error(
+        bin,
+        &["--store", "--journal", "journal.jsonl"],
+        "--store: missing value",
+    );
 }
 
 #[test]
@@ -56,8 +89,20 @@ fn ansor_client_rejects_a_mistyped_number() {
     // listener is all the daemon this test needs.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
+    let bin = env!("CARGO_BIN_EXE_ansor-client");
     assert_rejects(
-        env!("CARGO_BIN_EXE_ansor-client"),
+        bin,
         &["--addr", &addr, "submit", "--op", "GMM", "--trials", "1O0"],
+    );
+    assert_usage_error(bin, &["--addr"], "--addr: missing value");
+    assert_usage_error(
+        bin,
+        &["--addr", &addr, "submit", "--op", "GMM", "--trials"],
+        "--trials: missing value",
+    );
+    assert_usage_error(
+        bin,
+        &["--addr", &addr, "trace", "job-1", "--trace-out"],
+        "--trace-out: missing value",
     );
 }

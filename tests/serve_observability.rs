@@ -11,12 +11,20 @@
 //! 3. The job journal must feed `trace-report --serve`: per-job lifecycle
 //!    rows plus fleet-wide operator/rule efficacy aggregated across at
 //!    least two concurrently-run jobs.
+//! 4. The daemon's three views of its jobs — its `stats`/`status`/`result`
+//!    answers, its gauges as `/status` reads them, and its journal — agree
+//!    job by job and in every count, whichever way each job ended.
+
+use std::collections::BTreeMap;
+use std::path::Path;
 
 use ansor::core::{TuningOptions, TuningSession};
 use ansor::prelude::*;
+use ansor::serve::journal::{fold_jobs, read_journal};
 use ansor::serve::{Client, JobSpec, ServeConfig, Server};
 use ansor::workloads::build_case;
 use ansor_bench::serve_report::ServeReport;
+use telemetry::export::build_status;
 use telemetry::{read_trace, SharedBuf, Telemetry, TraceEvent};
 
 const TRIALS: usize = 48;
@@ -186,5 +194,127 @@ fn journal_feeds_serve_report_with_fleet_efficacy() {
     // what a single job contributes, and proposals were recorded.
     let proposed: u64 = report.operator_efficacy.values().map(|e| e.proposed).sum();
     assert!(proposed > 0, "no operator proposals aggregated");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Checks, at a point where the daemon is idle, that its answers, its
+/// gauges and its journal name the same jobs `ids` (in submit order) in
+/// the same states with the same trials, and the same counts.
+fn assert_views_agree(c: &mut Client, tel: &Telemetry, journal: &Path, ids: &[String]) {
+    let stats = c.stats().expect("stats");
+    let snap = tel.live_snapshot().expect("metrics enabled");
+    let gauges = build_status(&snap, None, &BTreeMap::new(), true, 0.0, 0.0)
+        .serve
+        .expect("a serve section");
+    let (events, skipped) = read_journal(journal).expect("journal readable");
+    assert_eq!(skipped, 0);
+    let rows = fold_jobs(&events);
+    let journaled: Vec<&String> = rows.iter().map(|row| &row.job).collect();
+    assert_eq!(journaled, ids.iter().collect::<Vec<_>>());
+    assert_eq!(gauges.jobs.len(), ids.len());
+
+    let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut trials_total = 0;
+    for row in &rows {
+        let id = &row.job;
+        let status = c.status(id).expect("status");
+        let result = c.result(id).expect("an idle daemon has ended every job");
+        let gauge = &gauges.jobs[id];
+        let outcome = row.outcome.as_str();
+        assert_eq!(
+            (
+                status.state.as_str(),
+                gauge.state.as_str(),
+                result.state.as_str()
+            ),
+            (outcome, outcome, outcome),
+            "{id}"
+        );
+        assert_eq!(
+            (status.trials, gauge.trials, result.trials),
+            (row.trials, row.trials, row.trials),
+            "{id}"
+        );
+        assert_eq!(status.rounds, gauge.rounds, "{id}");
+        *counts.entry(outcome).or_default() += 1;
+        trials_total += row.trials;
+    }
+    let count = |state: &str| counts.get(state).copied().unwrap_or(0);
+    let n = ids.len() as u64;
+    assert_eq!((stats.jobs_submitted, gauges.jobs_submitted), (n, n));
+    assert_eq!((stats.jobs_queued, gauges.queue_depth), (0, 0));
+    assert_eq!((stats.jobs_active, gauges.active_sessions), (0, 0));
+    assert_eq!(
+        (stats.jobs_done, gauges.jobs_done),
+        (count("done"), count("done"))
+    );
+    assert_eq!(
+        (stats.jobs_failed, gauges.jobs_failed),
+        (count("failed"), count("failed"))
+    );
+    assert_eq!(
+        (stats.jobs_cancelled, gauges.jobs_cancelled),
+        (count("cancelled"), count("cancelled"))
+    );
+    assert_eq!(
+        (stats.trials_total, gauges.trials_total),
+        (trials_total, trials_total)
+    );
+    assert_eq!(stats.draining, gauges.draining);
+}
+
+#[test]
+fn answers_gauges_and_journal_agree_on_every_job() {
+    let dir = temp_dir("three-views");
+    let journal = dir.join("journal.jsonl");
+    let _ = std::fs::remove_file(&journal);
+    let tel = Telemetry::with_metrics();
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_cap: 8,
+        journal_path: Some(journal.to_string_lossy().to_string()),
+        telemetry: tel.clone(),
+        ..Default::default()
+    })
+    .expect("server starts");
+    let mut c = Client::connect(&server.local_addr().to_string()).expect("connect");
+    let long = |seed| JobSpec {
+        trials: 4096,
+        ..spec(seed)
+    };
+    let until_a_round = |c: &mut Client, id: &str| {
+        while c.status(id).expect("status").rounds == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+    };
+
+    let done = c.submit(spec(1)).expect("submit");
+    assert_eq!(c.wait(&done).expect("wait").state, "done");
+    // One worker: the second job queues behind the first.
+    let running = c.submit(long(2)).expect("submit");
+    let queued = c.submit(long(3)).expect("submit");
+    c.cancel(&queued).expect("cancel");
+    until_a_round(&mut c, &running);
+    c.cancel(&running).expect("cancel");
+    for id in [&queued, &running] {
+        assert_eq!(c.wait(id).expect("wait").state, "cancelled", "{id}");
+    }
+    let mut ids = vec![done, running, queued];
+    assert_views_agree(&mut c, &tel, &journal, &ids);
+
+    // A shutdown that does not drain ends the running job and the queued
+    // one. This connection's handler outlives the daemon's threads, so it
+    // still answers once `wait` returns.
+    let running = c.submit(long(4)).expect("submit");
+    let queued = c.submit(long(5)).expect("submit");
+    until_a_round(&mut c, &running);
+    server.shutdown(false);
+    server.wait();
+    for id in [&running, &queued] {
+        assert_eq!(c.wait(id).expect("wait").state, "cancelled", "{id}");
+    }
+    ids.extend([running, queued]);
+    assert_views_agree(&mut c, &tel, &journal, &ids);
     let _ = std::fs::remove_dir_all(&dir);
 }
