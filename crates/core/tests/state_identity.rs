@@ -922,6 +922,76 @@ fn bless_feature_rows() {
         .expect("fixture is writable");
 }
 
+const SIMULATED_SECONDS_FINGERPRINTS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/simulated_seconds.fingerprints"
+);
+
+/// One line per program of the walk × machine (a CPU with an L3, one
+/// without, a GPU): `<what> <target> <bits of seconds_of_statements>
+/// <fnv1a-64 of the bits of every `StoreCost` field, statement by
+/// statement>`.
+fn simulated_seconds_fingerprints() -> String {
+    let machines = [
+        HardwareTarget::intel_20core(),
+        HardwareTarget::arm_4core(),
+        HardwareTarget::nvidia_v100(),
+    ];
+    let mut out = String::new();
+    for_every_program(cases_with_winograd(), |_, state, what| {
+        let stores = analyze_state(state).expect("analyses");
+        for target in &machines {
+            let mut hash = 0xcbf2_9ce4_8422_2325;
+            for c in hwsim::cost_of_statements(&stores, target) {
+                for v in [
+                    c.compute_s,
+                    c.l2_s,
+                    c.l3_s,
+                    c.dram_s,
+                    c.overhead_s,
+                    c.total_s,
+                    c.units_used,
+                ] {
+                    hash = fnv1a(hash, &v.to_bits().to_le_bytes());
+                }
+            }
+            let seconds = hwsim::seconds_of_statements(&stores, target).to_bits();
+            let name = &target.name;
+            writeln!(out, "{what} {name} {seconds:016x} {hash:016x}").expect("writing to a String");
+        }
+    });
+    out
+}
+
+/// The machine-model oracle: the fixture pins, bit for bit, what the
+/// analytical model makes of every statement of every program of the walk
+/// on three machines, so a change that is only meant to make the model
+/// cheaper must reproduce it unmodified.
+#[test]
+fn simulated_seconds_reproduce_the_committed_fingerprints() {
+    let golden =
+        std::fs::read_to_string(SIMULATED_SECONDS_FINGERPRINTS).expect("fixture is committed");
+    let now = simulated_seconds_fingerprints();
+    assert!(golden.lines().count() > 3000, "fixture is too small");
+    for (want, got) in golden.lines().zip(now.lines()) {
+        assert_eq!(want, got, "simulated costs differ");
+    }
+    assert_eq!(golden.lines().count(), now.lines().count());
+}
+
+/// `cargo test -p ansor-core --test state_identity -- --ignored
+/// bless_simulated_seconds` rewrites the fixture; only a deliberate change
+/// of the machine model justifies it.
+#[test]
+#[ignore]
+fn bless_simulated_seconds() {
+    std::fs::write(
+        SIMULATED_SECONDS_FINGERPRINTS,
+        simulated_seconds_fingerprints(),
+    )
+    .expect("fixture is writable");
+}
+
 /// Two tasks behind one measurer and one model, as in a `TaskScheduler`,
 /// whose programs share step lists: the second task is fed the first
 /// task's measured schedules. Every result that came through a shared
