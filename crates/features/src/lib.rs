@@ -81,10 +81,7 @@ impl ProgramFeatures {
 /// the program it lowers to, from the state's analysis alone — no
 /// `Program` is built. The error is the lowering failure's message.
 pub fn extract_state_features(state: &tensor_ir::State) -> Result<ProgramFeatures, String> {
-    match tensor_ir::analyze_state(state) {
-        Ok(analyses) => Ok(ProgramFeatures::of_statements(&analyses)),
-        Err(e) => Err(e.to_string()),
-    }
+    tensor_ir::with_analysis(state, ProgramFeatures::of_statements).map_err(|e| e.to_string())
 }
 
 /// [`extract_state_features`] without the per-row buffers: just the packed

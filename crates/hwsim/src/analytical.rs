@@ -20,7 +20,7 @@
 //! the paper approximates.
 
 use serde::{Deserialize, Serialize};
-use tensor_ir::analysis::{AccessType, StoreAnalysis};
+use tensor_ir::analysis::{lines_spanned, AccessType, StoreAnalysis};
 use tensor_ir::{Annotation, Program};
 
 use crate::target::{HardwareTarget, TargetKind};
@@ -59,24 +59,32 @@ pub fn estimate_detailed(program: &Program, target: &HardwareTarget) -> Vec<Stor
 }
 
 /// Execution time, in seconds, of the program whose analyzed statements
-/// these are.
+/// these are: the sum of their [`StoreCost::total_s`], in order.
 pub fn seconds_of_statements(stores: &[StoreAnalysis], target: &HardwareTarget) -> f64 {
-    cost_of_statements(stores, target)
+    let mut table = Footprints::default();
+    stores
         .iter()
-        .map(|c| c.total_s)
+        .map(|s| store_cost(s, target, &mut table).total_s)
         .sum::<f64>()
         + 1e-7
 }
 
 /// The cost breakdown of each analyzed statement.
 pub fn cost_of_statements(stores: &[StoreAnalysis], target: &HardwareTarget) -> Vec<StoreCost> {
+    let mut table = Footprints::default();
     stores
         .iter()
-        .map(|s| match target.kind {
-            TargetKind::Cpu => cpu_store_cost(s, target),
-            TargetKind::Gpu => gpu_store_cost(s, target),
-        })
+        .map(|s| store_cost(s, target, &mut table))
         .collect()
+}
+
+/// One statement's cost; `table` is scratch for its footprints.
+fn store_cost(s: &StoreAnalysis, t: &HardwareTarget, table: &mut Footprints) -> StoreCost {
+    table.fill(s, t.line_elems());
+    match t.kind {
+        TargetKind::Cpu => cpu_store_cost(s, t, table),
+        TargetKind::Gpu => gpu_store_cost(s, t, table),
+    }
 }
 
 /// Throughput in GFLOP/s for a program on a target (for reports).
@@ -124,7 +132,144 @@ pub fn explain(program: &Program, target: &HardwareTarget) -> String {
     out
 }
 
-fn cpu_store_cost(s: &StoreAnalysis, t: &HardwareTarget) -> StoreCost {
+/// One access's footprint at one loop level.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Footprint {
+    /// Distinct elements one execution of the sub-nest rooted at the level
+    /// touches: [`tensor_ir::BufferAccess::touched_elems`].
+    pub elems: f64,
+    /// Smallest non-zero absolute stride at or below the level, 0 when the
+    /// access is invariant there: `min_stride(lvl).unwrap_or(0)`.
+    pub min_stride: i64,
+    /// Cache lines those elements span:
+    /// [`tensor_ir::BufferAccess::touched_lines`].
+    pub lines: f64,
+    /// Product of the extents of the loops above the level that the access
+    /// varies in: how often the loops outside make it touch a new region.
+    pub outer: f64,
+}
+
+/// The footprint of every access of one statement at every loop level
+/// `0..=loops.len()`, built in one pass per access instead of a
+/// `touched_lines` (itself a walk over the nest) per access, level and
+/// cache; and the iterations of each loop. The sub-nest products are built
+/// inner to outer where `touched_elems` builds them outer to inner: both
+/// are products of integer extents below 2^53, which `f64` holds exactly,
+/// so the bits agree.
+#[derive(Debug, Default)]
+pub struct Footprints {
+    /// `loops.len() + 1`.
+    levels: usize,
+    /// `levels` cells per access, level 0 first.
+    cells: Vec<Footprint>,
+    /// `through[i]`: product of the extents of loops `0..=i`, the times
+    /// loop `i` iterates.
+    through: Vec<f64>,
+}
+
+impl Footprints {
+    /// The table of `s` with `line_elems` elements to a cache line.
+    pub fn of(s: &StoreAnalysis, line_elems: i64) -> Footprints {
+        let mut table = Footprints::default();
+        table.fill(s, line_elems);
+        table
+    }
+
+    /// Refills the table for `s`, reusing its vectors.
+    pub fn fill(&mut self, s: &StoreAnalysis, line_elems: i64) {
+        let n = s.loops.len();
+        self.levels = n + 1;
+        self.through.clear();
+        let mut iterations = 1.0f64;
+        for l in &s.loops {
+            iterations *= l.extent as f64;
+            self.through.push(iterations);
+        }
+        let empty = Footprint {
+            elems: 0.0,
+            min_stride: 0,
+            lines: 0.0,
+            outer: 0.0,
+        };
+        self.cells.clear();
+        self.cells.resize(s.accesses.len() * self.levels, empty);
+        for (a, cells) in s.accesses.iter().zip(self.cells.chunks_exact_mut(n + 1)) {
+            // Outer to inner: the varying loops above each level.
+            let mut outer = 1.0f64;
+            for (lvl, cell) in cells.iter_mut().enumerate() {
+                cell.outer = outer;
+                if lvl < n && a.strides[lvl] != 0 {
+                    outer *= s.loops[lvl].extent as f64;
+                }
+            }
+            // Inner to outer: the varying loops at and below each level,
+            // and their smallest stride.
+            let (buffer_elems, mut varying, mut stride) = (a.buffer_elems as f64, 1.0f64, 0i64);
+            for lvl in (0..=n).rev() {
+                if lvl < n && a.strides[lvl] != 0 {
+                    varying *= s.loops[lvl].extent as f64;
+                    let here = a.strides[lvl].abs();
+                    stride = if stride == 0 { here } else { stride.min(here) };
+                }
+                let cell = &mut cells[lvl];
+                cell.elems = varying.min(buffer_elems);
+                cell.min_stride = stride;
+                let read_at = if a.packed { 1 } else { stride };
+                cell.lines = lines_spanned(cell.elems, read_at, line_elems);
+            }
+        }
+    }
+
+    /// Access `access`'s footprint at level `lvl` (`0..=loops.len()`).
+    pub fn at(&self, access: usize, lvl: usize) -> Footprint {
+        self.cells[access * self.levels + lvl]
+    }
+
+    /// Bytes crossing the boundary below a cache of `cap_bytes` over the
+    /// statement's execution: the outermost sub-nest whose accesses' lines
+    /// fit in the usable capacity stays resident, and each re-entry of it
+    /// with a changed region refetches that region. No cache: every
+    /// access's whole footprint.
+    fn crossing(&self, s: &StoreAnalysis, cap_bytes: i64, line: f64) -> f64 {
+        let fit = if cap_bytes <= 0 {
+            0
+        } else {
+            self.fit(cap_bytes as f64 * CACHE_UTIL, line)
+        };
+        s.accesses
+            .iter()
+            .enumerate()
+            .map(|(k, a)| {
+                let Footprint { lines, outer, .. } = self.at(k, fit);
+                let write_factor = match a.access {
+                    AccessType::Read => 1.0,
+                    AccessType::Write => 1.0,
+                    AccessType::ReadWrite => 2.0, // read + write back
+                };
+                (outer * lines * line * write_factor)
+                    .min(2.0 * a.buffer_elems as f64 * 4.0 * outer.sqrt())
+            })
+            .sum()
+    }
+
+    /// The outermost level from which every inner sub-nest's footprint fits
+    /// in `cap` bytes (the innermost statement always fits).
+    fn fit(&self, cap: f64, line: f64) -> usize {
+        let accesses = self.cells.len() / self.levels;
+        let mut fit = self.levels - 1;
+        for lvl in (0..self.levels).rev() {
+            let fp: f64 = (0..accesses).map(|k| self.at(k, lvl).lines * line).sum();
+            if fp <= cap {
+                fit = lvl;
+            } else {
+                break;
+            }
+        }
+        fit
+    }
+}
+
+fn cpu_store_cost(s: &StoreAnalysis, t: &HardwareTarget, fp: &Footprints) -> StoreCost {
     let trips = s.trip_count();
     let flops = s.flops_per_iter() * trips;
 
@@ -151,10 +296,10 @@ fn cpu_store_cost(s: &StoreAnalysis, t: &HardwareTarget) -> StoreCost {
     let compute_cycles = flop_cycles.max(issue_cycles);
 
     // ---- Loop overhead ----
-    let overhead_cycles = loop_overhead_cycles(s, t, vec_level);
+    let overhead_cycles = loop_overhead_cycles(s, t, vec_level, fp, trips);
 
     // ---- Memory traffic ----
-    let (l2_bytes, l3_bytes, dram_bytes) = memory_traffic(s, t);
+    let (l2_bytes, l3_bytes, dram_bytes) = memory_traffic(s, t, fp);
 
     // ---- Parallel scaling ----
     let preq = s.parallel_extent() as f64;
@@ -226,10 +371,16 @@ fn vector_speedup(s: &StoreAnalysis, t: &HardwareTarget) -> (f64, Option<usize>)
     (speedup.max(1.0), Some(lvl))
 }
 
-/// Total loop-maintenance cycles for the statement's nest.
-fn loop_overhead_cycles(s: &StoreAnalysis, t: &HardwareTarget, vec_level: Option<usize>) -> f64 {
+/// Total loop-maintenance cycles for the statement's nest, which runs
+/// `trips` times.
+fn loop_overhead_cycles(
+    s: &StoreAnalysis,
+    t: &HardwareTarget,
+    vec_level: Option<usize>,
+    fp: &Footprints,
+    trips: f64,
+) -> f64 {
     let mut cycles = 0.0;
-    let mut outer: f64 = 1.0;
     // Body size below each level, for pragma-driven implicit unrolling.
     let mut unrolled_body = 1.0;
     for (i, l) in s.loops.iter().enumerate().rev() {
@@ -247,9 +398,7 @@ fn loop_overhead_cycles(s: &StoreAnalysis, t: &HardwareTarget, vec_level: Option
             // One maintenance op per vector, not per element.
             continue;
         }
-        let _ = outer;
-        cycles += product_through(s, i) * t.loop_overhead_cycles;
-        outer *= l.extent as f64;
+        cycles += fp.through[i] * t.loop_overhead_cycles;
     }
     // Excessive unrolling blows up the instruction cache.
     let unroll_amount: f64 = s
@@ -259,78 +408,33 @@ fn loop_overhead_cycles(s: &StoreAnalysis, t: &HardwareTarget, vec_level: Option
         .map(|l| l.extent as f64)
         .product();
     if unroll_amount * s.flops_per_iter() > 4096.0 {
-        cycles += s.trip_count() * 0.5; // icache / decode pressure
+        cycles += trips * 0.5; // icache / decode pressure
     }
     cycles
 }
 
-/// Number of iterations executed by loop level `i` (product of extents of
-/// levels `0..=i`).
-fn product_through(s: &StoreAnalysis, i: usize) -> f64 {
-    s.loops[..=i].iter().map(|l| l.extent as f64).product()
-}
-
 /// Footprint-based traffic estimate: bytes crossing the L1, L2 and L3
 /// boundaries over the whole statement execution.
-fn memory_traffic(s: &StoreAnalysis, t: &HardwareTarget) -> (f64, f64, f64) {
-    let line = t.line_bytes as f64;
-    let line_elems = t.line_elems();
-    let crossing = |cap_bytes: i64| -> f64 {
-        if cap_bytes <= 0 {
-            return crossing_at_level(s, 0, line, line_elems);
-        }
-        let cap = cap_bytes as f64 * CACHE_UTIL;
-        // Find the outermost level whose sub-nest footprint fits.
-        let mut fit = s.loops.len(); // innermost statement always "fits"
-        for lvl in (0..=s.loops.len()).rev() {
-            let fp: f64 = s
-                .accesses
-                .iter()
-                .map(|a| a.touched_lines(lvl, &s.loops, line_elems) * line)
-                .sum();
-            if fp <= cap {
-                fit = lvl;
-            } else {
-                break;
-            }
-        }
-        crossing_at_level(s, fit, line, line_elems)
-    };
-    let l2 = crossing(t.l1_bytes);
-    let l3 = crossing(t.l2_bytes);
-    let dram = if t.l3_bytes > 0 {
-        crossing(t.l3_bytes)
-    } else {
-        l3
-    };
+fn memory_traffic(s: &StoreAnalysis, t: &HardwareTarget, fp: &Footprints) -> (f64, f64, f64) {
+    let l2 = fp.crossing(s, t.l1_bytes, t.line_bytes as f64);
+    let (l3, dram) = outer_traffic(s, t, fp);
     (l2, l3, dram)
 }
 
-/// Bytes crossing a cache boundary when the sub-nest at `fit` is resident:
-/// each re-entry of the sub-nest with a changed region refetches it.
-fn crossing_at_level(s: &StoreAnalysis, fit: usize, line: f64, line_elems: i64) -> f64 {
-    s.accesses
-        .iter()
-        .map(|a| {
-            let mut outer_variant: f64 = 1.0;
-            for (i, l) in s.loops[..fit].iter().enumerate() {
-                if a.strides[i] != 0 {
-                    outer_variant *= l.extent as f64;
-                }
-            }
-            let lines = a.touched_lines(fit, &s.loops, line_elems);
-            let write_factor = match a.access {
-                AccessType::Read => 1.0,
-                AccessType::Write => 1.0,
-                AccessType::ReadWrite => 2.0, // read + write back
-            };
-            (outer_variant * lines * line * write_factor)
-                .min(2.0 * a.buffer_elems as f64 * 4.0 * outer_variant.sqrt())
-        })
-        .sum()
+/// The bytes of [`memory_traffic`] past L1: crossing the L2 boundary, and
+/// reaching DRAM (the same bytes when there is no L3).
+fn outer_traffic(s: &StoreAnalysis, t: &HardwareTarget, fp: &Footprints) -> (f64, f64) {
+    let line = t.line_bytes as f64;
+    let l3 = fp.crossing(s, t.l2_bytes, line);
+    let dram = if t.l3_bytes > 0 {
+        fp.crossing(s, t.l3_bytes, line)
+    } else {
+        l3
+    };
+    (l3, dram)
 }
 
-fn gpu_store_cost(s: &StoreAnalysis, t: &HardwareTarget) -> StoreCost {
+fn gpu_store_cost(s: &StoreAnalysis, t: &HardwareTarget, fp: &Footprints) -> StoreCost {
     let trips = s.trip_count();
     let flops = s.flops_per_iter() * trips;
     let blocks: f64 = s
@@ -385,8 +489,9 @@ fn gpu_store_cost(s: &StoreAnalysis, t: &HardwareTarget) -> StoreCost {
     };
     let peak = t.core_flops() * sms;
     let compute_s = flops * s.guard_fold_factor() / (peak * occupancy * warp_eff * red_factor);
-    // Memory: L2-fit model over the per-block sub-nest.
-    let (_, l3_bytes, dram_bytes) = memory_traffic(s, t);
+    // Memory: L2-fit model over the per-block sub-nest (the L1 boundary is
+    // not priced).
+    let (l3_bytes, dram_bytes) = outer_traffic(s, t, fp);
     let l2_s = l3_bytes / (t.l2_bw_gbs * 1e9);
     let dram_s = dram_bytes / (t.mem_bw_gbs * 1e9) / coalesce;
     let overhead = t.kernel_launch_s;

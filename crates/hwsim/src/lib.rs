@@ -18,7 +18,7 @@ pub mod target;
 
 pub use analytical::{
     cost_of_statements, estimate_detailed, estimate_seconds, explain, gflops,
-    seconds_of_statements, StoreCost,
+    seconds_of_statements, Footprint, Footprints, StoreCost,
 };
 pub use cache::{miss_traffic, CacheHierarchy, CacheLevel};
 pub use faults::{default_plan, is_terminal_fault, set_default_plan, FaultOutcome, FaultPlan};

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use ansor_runtime::SigCache;
 use serde::{Deserialize, Serialize};
-use tensor_ir::{analyze_state, Program, State};
+use tensor_ir::{with_analysis, Program, State};
 
 use crate::analytical::{estimate_seconds, seconds_of_statements};
 use crate::faults::{FaultOutcome, FaultPlan, INJECTED_PREFIX};
@@ -286,12 +286,13 @@ impl Measurer {
     /// "build" is the analysis of the state's statements — all the machine
     /// model reads — so no `Program` is made.
     fn measure_one(&self, state: &State) -> MeasureResult {
-        let analysed = {
-            let _phase = self.telemetry.span("lowering");
-            analyze_state(state)
-        };
-        let stores = match analysed {
-            Ok(stores) => stores,
+        let phase = self.telemetry.span("lowering");
+        let timed = with_analysis(state, |stores| {
+            drop(phase);
+            seconds_of_statements(stores, &self.target)
+        });
+        let seconds = match timed {
+            Ok(seconds) => seconds,
             // Lowering failures are deterministic program defects, not
             // hardware flakes: never retried, never fault-injected.
             Err(e) => {
@@ -301,7 +302,7 @@ impl Measurer {
                 }
             }
         };
-        let base = self.with_noise(seconds_of_statements(&stores, &self.target), state);
+        let base = self.with_noise(seconds, state);
         let Some(plan) = &self.faults else {
             return MeasureResult {
                 seconds: base,

@@ -4,9 +4,13 @@
 
 use std::sync::Arc;
 
-use hwsim::{estimate_seconds, HardwareTarget};
+use hwsim::{estimate_seconds, Footprint, Footprints, HardwareTarget};
 use proptest::prelude::*;
-use tensor_ir::{lower, Annotation, DagBuilder, Expr, Reducer, State, Step};
+use rand::prelude::*;
+use tensor_ir::{
+    lower, AccessType, Annotation, BufferAccess, DagBuilder, Expr, IterKind, LoopCtx, OpCounts,
+    Reducer, State, StoreAnalysis, Step,
+};
 
 fn matmul_state(n: i64, steps: &[Step]) -> State {
     let mut b = DagBuilder::new();
@@ -103,6 +107,104 @@ proptest! {
         // Doubling n multiplies work by 8; allow wide tolerance for cache
         // effects but demand clear growth.
         prop_assert!(big > small * 3.0, "{big} vs {small}");
+    }
+}
+
+/// A statement of up to 24 loops and 8 accesses drawn from `seed`:
+/// extents up to 64 while the whole nest stays below 2^40 iterations,
+/// strides negative, zero and up to 4 096, buffers from one element up
+/// (so footprints are capped), and packed accesses.
+fn random_statement(seed: u64) -> StoreAnalysis {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let depth = rng.gen_range(0..=24usize);
+    let mut trips = 1i64;
+    let loops: Vec<LoopCtx> = (0..depth)
+        .map(|var| {
+            let mut extent = *[1i64, 2, 3, 4, 7, 8, 16, 64]
+                .choose(&mut rng)
+                .expect("non-empty");
+            if trips * extent >= 1 << 40 {
+                extent = 1;
+            }
+            trips *= extent;
+            LoopCtx {
+                var: var as u32,
+                extent,
+                ann: Annotation::None,
+                kind: IterKind::Space,
+            }
+        })
+        .collect();
+    let accesses = (0..rng.gen_range(1..=8))
+        .map(|node| BufferAccess {
+            node,
+            access: *[AccessType::Read, AccessType::Write, AccessType::ReadWrite]
+                .choose(&mut rng)
+                .expect("non-empty"),
+            strides: (0..depth)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0,
+                    1 => -rng.gen_range(1..=64i64),
+                    _ => rng.gen_range(1..=4096i64),
+                })
+                .collect(),
+            count: rng.gen_range(1..=3),
+            buffer_elems: if rng.gen_bool(0.3) {
+                rng.gen_range(1..=256)
+            } else {
+                rng.gen_range(1..=1i64 << 30)
+            },
+            packed: rng.gen_bool(0.25),
+        })
+        .collect();
+    StoreAnalysis {
+        buffer: 0,
+        loops,
+        ops: OpCounts::default(),
+        reduce: None,
+        accesses,
+        pragma_unroll: 0,
+        guard_vars: Vec::new(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The machine model's one-pass footprint table holds, at every level
+    /// of every access, exactly (bit for bit) what the per-level
+    /// definitions on `BufferAccess` compute, on the line sizes of a CPU
+    /// and a GPU target; one table refilled from statement to statement
+    /// holds what a fresh one does.
+    #[test]
+    fn footprint_table_equals_the_per_level_definitions(seed in any::<u64>()) {
+        let s = random_statement(seed);
+        let mut reused = Footprints::of(&random_statement(seed ^ 1), 16);
+        for target in [HardwareTarget::intel_20core(), HardwareTarget::nvidia_v100()] {
+            let line_elems = target.line_elems();
+            let table = Footprints::of(&s, line_elems);
+            reused.fill(&s, line_elems);
+            for (k, a) in s.accesses.iter().enumerate() {
+                let mut outer = 1.0f64;
+                for lvl in 0..=s.loops.len() {
+                    let cell = table.at(k, lvl);
+                    let want = Footprint {
+                        elems: a.touched_elems(lvl, &s.loops),
+                        min_stride: a.min_stride(lvl).unwrap_or(0),
+                        lines: a.touched_lines(lvl, &s.loops, line_elems),
+                        outer,
+                    };
+                    let bits = |f: Footprint| {
+                        (f.elems.to_bits(), f.min_stride, f.lines.to_bits(), f.outer.to_bits())
+                    };
+                    prop_assert_eq!(bits(cell), bits(want), "access {} level {}", k, lvl);
+                    prop_assert_eq!(bits(reused.at(k, lvl)), bits(want));
+                    if lvl < s.loops.len() && a.strides[lvl] != 0 {
+                        outer *= s.loops[lvl].extent as f64;
+                    }
+                }
+            }
+        }
     }
 }
 

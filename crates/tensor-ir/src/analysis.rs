@@ -8,6 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use std::cell::Cell;
+
 use crate::dag::{ComputeDag, Reducer};
 use crate::error::Error;
 use crate::expr::{BinOp, CmpOp, Expr, NodeId, OpCounts, UnOp, VarId};
@@ -85,23 +87,30 @@ impl BufferAccess {
     /// Estimated distinct cache lines touched by the sub-nest at `lvl`,
     /// assuming `line_elems` elements per cache line.
     pub fn touched_lines(&self, lvl: usize, loops: &[LoopCtx], line_elems: i64) -> f64 {
-        let elems = self.touched_elems(lvl, loops);
         let stride = if self.packed {
             1
         } else {
             self.min_stride(lvl).unwrap_or(0)
         };
-        if stride == 0 {
-            return 1.0;
-        }
-        let per_line = (line_elems as f64 / stride as f64).clamp(1.0, line_elems as f64);
-        (elems / per_line).max(1.0)
+        lines_spanned(self.touched_elems(lvl, loops), stride, line_elems)
     }
 
     /// Stride with respect to the innermost loop.
     pub fn innermost_stride(&self) -> i64 {
         *self.strides.last().unwrap_or(&0)
     }
+}
+
+/// Cache lines that `elems` elements a smallest stride of `stride` apart
+/// span, `line_elems` to a line: [`BufferAccess::touched_lines`] of an
+/// access whose sub-nest touches `elems` elements, with the stride it reads
+/// them at (1 when packed, 0 when it is invariant).
+pub fn lines_spanned(elems: f64, stride: i64, line_elems: i64) -> f64 {
+    if stride == 0 {
+        return 1.0;
+    }
+    let per_line = (line_elems as f64 / stride as f64).clamp(1.0, line_elems as f64);
+    (elems / per_line).max(1.0)
 }
 
 /// Analysis of one innermost store statement in the context of the full
@@ -325,31 +334,92 @@ pub fn analyze(program: &Program) -> Vec<StoreAnalysis> {
 
 /// Analyzes every innermost store statement of the program `state` lowers
 /// to, without building it: equal to `analyze(&lower(state)?)`, errors
-/// included, at the cost of the numbers alone. This is the entry the search
-/// loop uses (featurization and the simulated measurement); `lower` and
-/// [`analyze`] serve the callers that need the tree, and are the reference
-/// this one is tested against.
+/// included, at the cost of the numbers alone. `lower` and [`analyze`]
+/// serve the callers that need the tree, and are the reference this one is
+/// tested against; the search loop (featurization and the simulated
+/// measurement) reads the same statements through [`with_analysis`],
+/// without collecting them.
 ///
 /// The nest is walked by `lower`'s own traversal (`lower::walk`). Where
 /// `lower` builds an expression, the leaf here keeps its `Shape` — all
 /// `analyze` could tell about the built node — and, inside an index, its
 /// integer value under every assignment `analyze` differentiates over.
 pub fn analyze_state(state: &State) -> Result<Vec<StoreAnalysis>, Error> {
-    // Scratch sized for the usual nest (as deep as the longest loop order,
-    // a handful of accesses and open values); it grows if a nest is not.
-    let depth = state.stages.iter().map(|s| s.loop_order.len()).max();
-    let depth = depth.unwrap_or(0);
+    with_analysis(state, <[StoreAnalysis]>::to_vec)
+}
+
+/// Hands `f` the statements [`analyze_state`] returns, analyzed into this
+/// thread's reused buffers: once they have grown to the nests a search
+/// makes, an analysis allocates nothing. (A call from inside `f` works in
+/// buffers of its own.)
+pub fn with_analysis<R>(state: &State, f: impl FnOnce(&[StoreAnalysis]) -> R) -> Result<R, Error> {
+    thread_local! {
+        static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
+    }
+    let mut scratch = SCRATCH.take();
+    scratch.reset();
     let leaf = Analyser {
         state,
-        out: Vec::new(),
-        loops: Vec::with_capacity(depth),
-        lanes: Vec::with_capacity(8 * (1 + depth)),
-        ops: OpCounts::default(),
-        accesses: Vec::with_capacity(8),
-        strides: Vec::with_capacity(8 * depth),
-        guards: Vec::new(),
+        s: &mut scratch,
     };
-    Ok(walk(state, leaf)?.out)
+    let analysed = walk(state, leaf).map(|leaf| f(&leaf.s.stores));
+    SCRATCH.set(scratch);
+    analysed
+}
+
+/// The buffers of an analysis: the statements it made, the parts of
+/// earlier statements they are refilled from, and the walk's stacks.
+#[derive(Default)]
+struct Scratch {
+    /// The statements analysed, in walk order.
+    stores: Vec<StoreAnalysis>,
+    /// Statements of an earlier analysis, emptied, for the next ones.
+    spare_stores: Vec<StoreAnalysis>,
+    /// Stride vectors of an earlier analysis, emptied.
+    spare_strides: Vec<Vec<i64>>,
+    /// The open loops, outer→inner.
+    loops: Vec<LoopCtx>,
+    /// `depth_of[v]`: how many loops were open when variable `v`'s loop
+    /// opened (its lane is `1 + depth_of[v]` while it is open).
+    depth_of: Vec<usize>,
+    /// The lane stack: one frame of `1 + loops.len()` lanes per index value
+    /// in the making, and one per open access (its flat index so far).
+    lanes: Vec<i64>,
+    /// `op_counts` of what has been made of the statement in the making,
+    /// its store indices included.
+    ops: OpCounts,
+    /// The nodes the statement accesses, in `Expr::visit` order, the store
+    /// first.
+    accesses: Vec<NodeId>,
+    /// `loops.len()` strides per entry of `accesses`.
+    strides: Vec<i64>,
+    /// Loop variables in the statement's `Select` conditions, in
+    /// first-visit order.
+    guards: Vec<VarId>,
+}
+
+impl Scratch {
+    /// Empties every buffer, keeping what it holds for reuse: the last
+    /// analysis's statements become spares.
+    fn reset(&mut self) {
+        for mut store in self.stores.drain(..) {
+            for access in store.accesses.drain(..) {
+                let mut strides = access.strides;
+                strides.clear();
+                self.spare_strides.push(strides);
+            }
+            store.loops.clear();
+            store.guard_vars.clear();
+            self.spare_stores.push(store);
+        }
+        self.loops.clear();
+        self.depth_of.clear();
+        self.lanes.clear();
+        self.ops = OpCounts::default();
+        self.accesses.clear();
+        self.strides.clear();
+        self.guards.clear();
+    }
 }
 
 /// What `analyze` reads off a built expression, carried in its place.
@@ -396,56 +466,73 @@ struct OpenAccess {
 /// under those semantics, so the lanes are computed as if none applied.
 struct Analyser<'a> {
     state: &'a State,
-    out: Vec<StoreAnalysis>,
-    /// The open loops, outer→inner.
-    loops: Vec<LoopCtx>,
-    /// The lane stack: one frame of `1 + loops.len()` lanes per index value
-    /// in the making, and one per open access (its flat index so far).
-    lanes: Vec<i64>,
-    /// `op_counts` of what has been made of the statement in the making,
-    /// its store indices included.
-    ops: OpCounts,
-    /// The nodes the statement accesses, in `Expr::visit` order, the store
-    /// first.
-    accesses: Vec<NodeId>,
-    /// `loops.len()` strides per entry of `accesses`.
-    strides: Vec<i64>,
-    /// Loop variables in the statement's `Select` conditions, in
-    /// first-visit order.
-    guards: Vec<VarId>,
+    s: &'a mut Scratch,
 }
 
 impl Analyser<'_> {
     fn width(&self) -> usize {
-        1 + self.loops.len()
+        1 + self.s.loops.len()
     }
 
     fn push_lanes(&mut self, v: i64) {
-        let n = self.lanes.len() + self.width();
-        self.lanes.resize(n, v);
+        let n = self.s.lanes.len() + self.width();
+        self.s.lanes.resize(n, v);
     }
 
     fn pop_lanes(&mut self) {
-        let n = self.lanes.len() - self.width();
-        self.lanes.truncate(n);
+        let n = self.s.lanes.len() - self.width();
+        self.s.lanes.truncate(n);
     }
 
     /// The innermost frame.
     fn top_lanes(&mut self) -> &mut [i64] {
-        let n = self.lanes.len() - self.width();
-        &mut self.lanes[n..]
+        let n = self.s.lanes.len() - self.width();
+        &mut self.s.lanes[n..]
     }
 
     /// Pops the innermost frame into the one below it, lane by lane:
     /// `below = f(below, top)`.
     fn fold_lanes(&mut self, f: impl Fn(i64, i64) -> i64) {
         let w = self.width();
-        let n = self.lanes.len();
-        let (below, top) = self.lanes[n - 2 * w..].split_at_mut(w);
+        let n = self.s.lanes.len();
+        let (below, top) = self.s.lanes[n - 2 * w..].split_at_mut(w);
         for (b, t) in below.iter_mut().zip(top) {
             *b = f(*b, *t);
         }
-        self.lanes.truncate(n - w);
+        self.s.lanes.truncate(n - w);
+    }
+
+    /// [`Analyser::fold_lanes`] for a division or remainder: a lane whose
+    /// operands are lane 0's takes lane 0's result instead of dividing
+    /// again (a loop the index does not vary in leaves its lane at lane
+    /// 0's operands).
+    fn fold_quotient_lanes(&mut self, f: impl Fn(i64, i64) -> i64) {
+        let w = self.width();
+        let n = self.s.lanes.len();
+        let (below, top) = self.s.lanes[n - 2 * w..].split_at_mut(w);
+        let (l0, r0) = (below[0], top[0]);
+        let v0 = f(l0, r0);
+        below[0] = v0;
+        for (b, &t) in below[1..].iter_mut().zip(&top[1..]) {
+            *b = if *b == l0 && t == r0 { v0 } else { f(*b, t) };
+        }
+        self.s.lanes.truncate(n - w);
+    }
+
+    /// Folds the two innermost frames by `op` under [`eval_binary`]'s
+    /// semantics, with the operator matched once, not once per lane (each
+    /// arm's closure names its operator, so the match inside folds away).
+    fn fold_binary(&mut self, op: BinOp) {
+        use BinOp::*;
+        match op {
+            Add => self.fold_lanes(|l, r| eval_binary(Add, l, r)),
+            Sub => self.fold_lanes(|l, r| eval_binary(Sub, l, r)),
+            Mul => self.fold_lanes(|l, r| eval_binary(Mul, l, r)),
+            Div => self.fold_quotient_lanes(|l, r| eval_binary(Div, l, r)),
+            Mod => self.fold_quotient_lanes(|l, r| eval_binary(Mod, l, r)),
+            Min => self.fold_lanes(|l, r| eval_binary(Min, l, r)),
+            Max => self.fold_lanes(|l, r| eval_binary(Max, l, r)),
+        }
     }
 
     /// Replaces the innermost `operands` frames by the frame of a value
@@ -459,23 +546,23 @@ impl Analyser<'_> {
 
     fn mark(&self) -> Mark {
         Mark {
-            accesses: self.accesses.len(),
-            guards: self.guards.len(),
-            int_ops: self.ops.int_ops,
-            loads: self.ops.loads,
-            selects: self.ops.selects,
+            accesses: self.s.accesses.len(),
+            guards: self.s.guards.len(),
+            int_ops: self.s.ops.int_ops,
+            loads: self.s.ops.loads,
+            selects: self.s.ops.selects,
         }
     }
 
     /// Takes the analysis back to where a dropped index expression
     /// started. (Inside an index nothing else is counted.)
     fn rewind(&mut self, to: Mark) {
-        self.accesses.truncate(to.accesses);
-        self.strides.truncate(to.accesses * self.loops.len());
-        self.guards.truncate(to.guards);
-        self.ops.int_ops = to.int_ops;
-        self.ops.loads = to.loads;
-        self.ops.selects = to.selects;
+        self.s.accesses.truncate(to.accesses);
+        self.s.strides.truncate(to.accesses * self.s.loops.len());
+        self.s.guards.truncate(to.guards);
+        self.s.ops.int_ops = to.int_ops;
+        self.s.ops.loads = to.loads;
+        self.s.ops.selects = to.selects;
     }
 
     /// A value without operands, starting here.
@@ -489,17 +576,17 @@ impl Analyser<'_> {
     /// The strides of an access whose indices are all in, from its flat
     /// index, which is popped.
     fn close_access(&mut self, access: &OpenAccess) {
-        let depth = self.loops.len();
-        let n = self.lanes.len() - self.width();
-        let base = self.lanes[n];
+        let depth = self.s.loops.len();
+        let n = self.s.lanes.len() - self.width();
+        let base = self.s.lanes[n];
         let at = access.from.accesses * depth;
-        for (stride, with_var) in self.strides[at..at + depth]
+        for (stride, with_var) in self.s.strides[at..at + depth]
             .iter_mut()
-            .zip(&self.lanes[n + 1..])
+            .zip(&self.s.lanes[n + 1..])
         {
             *stride = with_var - base;
         }
-        self.lanes.truncate(n);
+        self.s.lanes.truncate(n);
     }
 }
 
@@ -509,7 +596,9 @@ impl Leaf for Analyser<'_> {
     type Loop = ();
 
     fn open_loop(&mut self, var: VarId, _: StageId, info: &IterInfo, ann: Annotation) {
-        self.loops.push(LoopCtx {
+        debug_assert_eq!(var as usize, self.s.depth_of.len(), "numbered in opening order");
+        self.s.depth_of.push(self.s.loops.len());
+        self.s.loops.push(LoopCtx {
             var,
             extent: info.extent,
             ann,
@@ -518,16 +607,16 @@ impl Leaf for Analyser<'_> {
     }
 
     fn close_loop(&mut self, (): ()) {
-        self.loops.pop();
+        self.s.loops.pop();
     }
 
     // `Expr::visit` is pre-order — an access comes before those of the
     // loads in its own indices — so its slot is taken here.
     fn begin_access(&mut self, node: NodeId, _rank: usize) -> OpenAccess {
         let from = self.mark();
-        self.accesses.push(node);
-        let n = self.strides.len() + self.loops.len();
-        self.strides.resize(n, 0);
+        self.s.accesses.push(node);
+        let n = self.s.strides.len() + self.s.loops.len();
+        self.s.strides.resize(n, 0);
         self.push_lanes(0);
         OpenAccess { from, dims: 0 }
     }
@@ -535,7 +624,7 @@ impl Leaf for Analyser<'_> {
     fn push_index(&mut self, access: &mut OpenAccess, _: Shape) {
         // Row-major. An index beyond the buffer's rank is not part of the
         // flat index (`flat_strides` zips it away).
-        let shape = self.state.dag.nodes[self.accesses[access.from.accesses]].shape();
+        let shape = self.state.dag.nodes[self.s.accesses[access.from.accesses]].shape();
         match shape.get(access.dims + 1..) {
             Some(inner) => {
                 let dim_stride: i64 = inner.iter().product();
@@ -551,7 +640,7 @@ impl Leaf for Analyser<'_> {
         if pos.index {
             self.push_lanes(0);
         }
-        self.ops.loads += 1;
+        self.s.ops.loads += 1;
         Shape {
             literal: None,
             from: access.from,
@@ -560,43 +649,52 @@ impl Leaf for Analyser<'_> {
 
     fn store(&mut self, stage: &Stage, access: OpenAccess, value: Shape, reduce: Option<Reducer>) {
         self.close_access(&access);
-        debug_assert!(self.lanes.is_empty());
+        debug_assert!(self.s.lanes.is_empty());
         let dag = &self.state.dag;
-        let depth = self.loops.len();
-        let mut accesses: Vec<BufferAccess> = Vec::with_capacity(self.accesses.len());
-        for (slot, &node) in self.accesses.iter().enumerate() {
+        let s = &mut *self.s;
+        let depth = s.loops.len();
+        // Made in an earlier statement's vectors, where there is one.
+        let mut out = s.spare_stores.pop().unwrap_or_else(|| StoreAnalysis {
+            buffer: 0,
+            loops: Vec::new(),
+            ops: OpCounts::default(),
+            reduce: None,
+            accesses: Vec::new(),
+            pragma_unroll: 0,
+            guard_vars: Vec::new(),
+        });
+        for (slot, &node) in s.accesses.iter().enumerate() {
             let access = match (slot, reduce) {
                 (0, Some(_)) => AccessType::ReadWrite,
                 (0, None) => AccessType::Write,
                 _ => AccessType::Read,
             };
             merge_access(
-                &mut accesses,
+                &mut out.accesses,
+                &mut s.spare_strides,
                 dag,
                 node,
                 access,
-                &self.strides[slot * depth..(slot + 1) * depth],
+                &s.strides[slot * depth..(slot + 1) * depth],
                 slot > 0 && stage.layout_rewritten && dag.nodes[node].is_const_placeholder(),
             );
         }
         // The stored value's counts: the store's own indices came before
         // it, and are not in `Stmt::Store::value`.
-        let mut ops = std::mem::take(&mut self.ops);
+        let mut ops = std::mem::take(&mut s.ops);
         ops.int_ops -= value.from.int_ops;
         ops.loads -= value.from.loads;
         ops.selects -= value.from.selects;
-        self.out.push(StoreAnalysis {
-            buffer: stage.node,
-            loops: self.loops.clone(),
-            ops,
-            reduce,
-            accesses,
-            pragma_unroll: stage.max_unroll_step.max(0),
-            guard_vars: self.guards.clone(),
-        });
-        self.accesses.clear();
-        self.strides.clear();
-        self.guards.clear();
+        out.buffer = stage.node;
+        out.loops.extend_from_slice(&s.loops);
+        out.ops = ops;
+        out.reduce = reduce;
+        out.pragma_unroll = stage.max_unroll_step.max(0);
+        out.guard_vars.extend_from_slice(&s.guards);
+        s.stores.push(out);
+        s.accesses.clear();
+        s.strides.clear();
+        s.guards.clear();
     }
 
     fn atom(&mut self, atom: Atom, pos: Pos) -> Shape {
@@ -604,13 +702,15 @@ impl Leaf for Analyser<'_> {
             return self.int(0, pos);
         };
         let shape = self.operand(None);
-        if pos.guard && !self.guards.contains(&var) {
-            self.guards.push(var);
+        if pos.guard && !self.s.guards.contains(&var) {
+            self.s.guards.push(var);
         }
         if pos.index {
             self.push_lanes(0);
-            // A variable of no enclosing loop is 0 under every assignment.
-            if let Some(k) = self.loops.iter().position(|l| l.var == var) {
+            // A variable of no enclosing loop (its loop closed, or it was
+            // never opened) is 0 under every assignment.
+            let depth = self.s.depth_of.get(var as usize).copied();
+            if let Some(k) = depth.filter(|&k| self.s.loops.get(k).is_some_and(|l| l.var == var)) {
                 self.top_lanes()[1 + k] = 1;
             }
         }
@@ -639,16 +739,16 @@ impl Leaf for Analyser<'_> {
         if !pos.index {
             // Kept as written, whatever the operands (`Expr::binary`).
             match op {
-                BinOp::Add => self.ops.float_add += 1,
-                BinOp::Sub => self.ops.float_sub += 1,
-                BinOp::Mul => self.ops.float_mul += 1,
-                BinOp::Div => self.ops.float_div += 1,
-                BinOp::Mod => self.ops.float_mod += 1,
-                BinOp::Min | BinOp::Max => self.ops.float_cmp += 1,
+                BinOp::Add => self.s.ops.float_add += 1,
+                BinOp::Sub => self.s.ops.float_sub += 1,
+                BinOp::Mul => self.s.ops.float_mul += 1,
+                BinOp::Div => self.s.ops.float_div += 1,
+                BinOp::Mod => self.s.ops.float_mod += 1,
+                BinOp::Min | BinOp::Max => self.s.ops.float_cmp += 1,
             }
             return kept;
         }
-        self.fold_lanes(|l, r| eval_binary(op, l, r));
+        self.fold_binary(op);
         match Simplified::of(op, lhs.literal, rhs.literal) {
             // The other operand is a literal: it added nothing.
             Simplified::Lhs => lhs,
@@ -660,7 +760,7 @@ impl Leaf for Analyser<'_> {
                 self.operand(Some(c))
             }
             Simplified::Kept => {
-                self.ops.int_ops += 1;
+                self.s.ops.int_ops += 1;
                 kept
             }
         }
@@ -671,8 +771,8 @@ impl Leaf for Analyser<'_> {
             self.zero_lanes(1);
         } else {
             match op {
-                UnOp::Neg | UnOp::Abs => self.ops.float_add += 1,
-                UnOp::Sqrt | UnOp::Exp | UnOp::Tanh | UnOp::Erf => self.ops.math_calls += 1,
+                UnOp::Neg | UnOp::Abs => self.s.ops.float_add += 1,
+                UnOp::Sqrt | UnOp::Exp | UnOp::Tanh | UnOp::Erf => self.s.ops.math_calls += 1,
             }
         }
         Shape {
@@ -684,9 +784,9 @@ impl Leaf for Analyser<'_> {
     fn cmp(&mut self, _: CmpOp, lhs: Shape, _: Shape, pos: Pos) -> Shape {
         if pos.index {
             self.zero_lanes(2);
-            self.ops.int_ops += 1;
+            self.s.ops.int_ops += 1;
         } else {
-            self.ops.float_cmp += 1;
+            self.s.ops.float_cmp += 1;
         }
         Shape {
             literal: None,
@@ -695,7 +795,7 @@ impl Leaf for Analyser<'_> {
     }
 
     fn select(&mut self, cond: Shape, _: Shape, _: Shape, pos: Pos) -> Shape {
-        self.ops.selects += 1;
+        self.s.ops.selects += 1;
         if pos.index {
             self.zero_lanes(3);
         }
@@ -716,14 +816,16 @@ fn push_access(
     packed: bool,
 ) {
     let strides = flat_strides(program, node, indices, vars);
-    merge_access(accesses, &program.dag, node, access, &strides, packed);
+    merge_access(accesses, &mut Vec::new(), &program.dag, node, access, &strides, packed);
 }
 
 /// Records one access of a statement: merged into the first access of the
 /// same node with the same strides (counted again, read-write if the types
-/// differ), or appended as a new one.
+/// differ), or appended as a new one, its strides copied into a vector from
+/// `spare` if there is one.
 fn merge_access(
     accesses: &mut Vec<BufferAccess>,
+    spare: &mut Vec<Vec<i64>>,
     dag: &ComputeDag,
     node: NodeId,
     access: AccessType,
@@ -743,7 +845,13 @@ fn merge_access(
         None => accesses.push(BufferAccess {
             node,
             access,
-            strides: strides.to_vec(),
+            strides: match spare.pop() {
+                Some(mut v) => {
+                    v.extend_from_slice(strides);
+                    v
+                }
+                None => strides.to_vec(),
+            },
             count: 1,
             buffer_elems: dag.nodes[node].num_elements(),
             packed,
@@ -790,6 +898,7 @@ fn eval_int(e: &Expr, env: &dyn Fn(VarId) -> i64) -> i64 {
 }
 
 /// [`eval_int`]'s arithmetic: division and remainder by zero are 0.
+#[inline(always)]
 fn eval_binary(op: BinOp, l: i64, r: i64) -> i64 {
     match op {
         BinOp::Add => l + r,

@@ -54,7 +54,9 @@ pub mod printer;
 pub mod state;
 pub mod steps;
 
-pub use analysis::{analyze, analyze_state, AccessType, BufferAccess, LoopCtx, StoreAnalysis};
+pub use analysis::{
+    analyze, analyze_state, with_analysis, AccessType, BufferAccess, LoopCtx, StoreAnalysis,
+};
 pub use builder::DagBuilder;
 pub use dag::{ComputeDag, ComputeSpec, Node, NodeKind, Reducer};
 pub use error::Error;

@@ -467,11 +467,14 @@ impl<'a, L: Leaf> Nest<'a, L> {
         let iters = &self.state.stages[sid].iters;
         let info = &iters[it];
         let volume = |its: &[IterId]| its.iter().map(|&i| iters[i].extent).product::<i64>();
-        if let Some(children) = &info.split_children {
-            // value = sum(child_value * stride_of_child)
+        if let Some(children) = info.split_children.clone() {
+            // value = sum(child_value * stride_of_child), where a child's
+            // stride is the volume of the children inside it: one running
+            // product, divided by each next child's extent in turn.
+            let (first, end) = (children.start, children.end);
+            let mut stride: i64 = iters[first + 1..end].iter().map(|c| c.extent).product();
             let mut acc: Option<L::Value> = None;
-            for (j, &c) in children.iter().enumerate() {
-                let stride = volume(&children[j + 1..]);
+            for c in children {
                 let v = self.iter_value(sid, c, pos);
                 let term = if stride == 1 {
                     v
@@ -483,6 +486,9 @@ impl<'a, L: Leaf> Nest<'a, L> {
                     None => term,
                     Some(a) => self.leaf.binary(BinOp::Add, a, term, pos),
                 });
+                if c + 1 < end {
+                    stride /= iters[c + 1].extent;
+                }
             }
             return acc.expect("split has children");
         }

@@ -90,7 +90,7 @@ pub enum IterSource {
 }
 
 /// A loop iterator node in a stage's derivation graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IterInfo {
     /// Unique (within the stage) display name, e.g. `i.0` or `i.0@j.0`.
     pub name: Name,
@@ -102,8 +102,9 @@ pub struct IterInfo {
     pub source: IterSource,
     /// Current annotation.
     pub annotation: Annotation,
-    /// Set when this iterator has been split; children ids, outer→inner.
-    pub split_children: Option<Vec<IterId>>,
+    /// Set when this iterator has been split: the children's ids, which
+    /// are consecutive, outer→inner.
+    pub split_children: Option<Range<IterId>>,
     /// Set when this iterator was fused into another: (fused iter, position).
     pub fused_into: Option<(IterId, usize)>,
 }
@@ -135,7 +136,7 @@ pub enum ComputeLoc {
 }
 
 /// Per-node scheduling state: the node's loop nest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
     /// The DAG node this stage computes.
     pub node: NodeId,
@@ -461,7 +462,7 @@ impl State {
                 fused_into: None,
             });
         }
-        stage.iters[iter].split_children = Some(parts.clone().collect());
+        stage.iters[iter].split_children = Some(parts.clone());
         stage.loop_order.splice(pos..=pos, parts.clone());
         Ok(parts)
     }
@@ -919,9 +920,9 @@ impl Stage {
     fn same_loop(&self, a: IterId, other: &Stage, b: IterId) -> bool {
         let (x, y) = (&self.iters[a], &other.iters[b]);
         let stride = |stage: &Stage, parent: IterId, part: usize| -> Option<i64> {
-            let parts = stage.iters[parent].split_children.as_ref()?;
-            let later = parts.get(part + 1..)?;
-            Some(later.iter().map(|&c| stage.iters[c].extent).product())
+            let parts = stage.iters[parent].split_children.clone()?;
+            let later = parts.start + part + 1..parts.end;
+            (later.start <= later.end).then(|| later.map(|c| stage.iters[c].extent).product())
         };
         x.extent == y.extent
             && match (&x.source, &y.source) {
@@ -954,8 +955,8 @@ impl Stage {
             return Ok(());
         }
         let info = &self.iters[it];
-        if let Some(children) = &info.split_children {
-            return children.iter().try_for_each(|&c| self.check_value(c, open));
+        if let Some(children) = info.split_children.clone() {
+            return children.into_iter().try_for_each(|c| self.check_value(c, open));
         }
         if let Some((f, part)) = info.fused_into {
             return match &self.iters[f].source {
