@@ -117,6 +117,10 @@ fn parse_args() -> Options {
             "--follow" => follow = true,
             "--events" => events = val(),
             "--serve" => serve = val(),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
             other if path.is_none() && !other.starts_with("--") => path = Some(other.to_string()),
             other => {
                 eprintln!("trace-report: unrecognized argument {other:?}");
@@ -142,12 +146,12 @@ fn parse_args() -> Options {
     }
 }
 
+const USAGE: &str = "usage: trace-report <trace.jsonl> [--explain] [--json <path>] [--strict] \
+                     [--follow] [--events <path>]\n\
+                     \x20      trace-report --serve <journal.jsonl> [--json <path>] [--strict]";
+
 fn usage_exit() -> ! {
-    eprintln!(
-        "usage: trace-report <trace.jsonl> [--explain] [--json <path>] [--strict] \
-         [--follow] [--events <path>]\n\
-         \x20      trace-report --serve <journal.jsonl> [--json <path>] [--strict]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 

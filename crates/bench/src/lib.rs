@@ -16,7 +16,7 @@
 //!   `/healthz` endpoints on `addr` for the duration of the run (see
 //!   docs/OPERATIONS.md; watch with `ansor-top <addr>`).
 //!
-//! Any other flag is a usage error.
+//! `--help` prints them and exits 0; any other flag is a usage error.
 //!
 //! Default budgets are scaled down from the paper's (documented per
 //! binary and in EXPERIMENTS.md); the *comparative shapes* are stable
@@ -83,7 +83,8 @@ impl Args {
     }
 
     /// Parses an explicit argument list (testable form of [`Args::parse`];
-    /// installs no fault plan). An unknown flag, a flag that takes a value
+    /// installs no fault plan). `--help` prints the flags on stdout and
+    /// exits 0. An unknown flag, a flag that takes a value
     /// and is given none ([`flag_value`]), or a `--faults` value that does
     /// not parse is a usage error: a message naming the flag on stderr and
     /// exit status 2, never a silent run at the defaults.
@@ -115,6 +116,15 @@ impl Args {
                     }
                 }
                 "--metrics-addr" => metrics_addr = Some(val()),
+                "--help" | "-h" => {
+                    let bin = std::env::args().next().unwrap_or_default();
+                    let bin = bin.rsplit('/').next().unwrap_or("");
+                    println!(
+                        "usage: {bin} [--smoke | --full] [--json <path>] [--trace <path>] \
+                         [--quiet] [--faults <spec>] [--metrics-addr <addr>]"
+                    );
+                    std::process::exit(0);
+                }
                 other => usage_error(format_args!("unknown flag {other:?}")),
             }
         }

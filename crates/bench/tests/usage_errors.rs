@@ -2,7 +2,8 @@
 //! strict: an unknown flag, a flag given without its value, or a
 //! `--faults` spec that does not parse is a usage error — exit status 2
 //! and a message naming the flag, before any tuning starts — not a silent
-//! run at the defaults.
+//! run at the defaults. Asking for help is not one: `--help` prints the
+//! usage on stdout and exits 0.
 
 use std::process::Command;
 
@@ -82,4 +83,38 @@ fn mistyped_report_and_top_flags_are_usage_errors() {
     // `--json --strict` took no file name for `--strict`.
     assert!(!dir.join("--strict").exists());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every binary of the crate that parses flags — the figure harnesses
+/// through `ansor_bench::Args`, `trace-report` and `ansor-top` — answers
+/// `--help` with its usage on stdout and status 0, and runs nothing.
+#[test]
+fn help_prints_the_usage_and_exits_0() {
+    let bins = [
+        env!("CARGO_BIN_EXE_ablation_extras"),
+        env!("CARGO_BIN_EXE_fig3_incomplete"),
+        env!("CARGO_BIN_EXE_fig6_single_op"),
+        env!("CARGO_BIN_EXE_fig7_ablation"),
+        env!("CARGO_BIN_EXE_fig8_subgraph"),
+        env!("CARGO_BIN_EXE_fig9_networks"),
+        env!("CARGO_BIN_EXE_fig10_scheduler"),
+        env!("CARGO_BIN_EXE_sensitivity"),
+        env!("CARGO_BIN_EXE_table2_objectives"),
+        env!("CARGO_BIN_EXE_trace-report"),
+        env!("CARGO_BIN_EXE_ansor-top"),
+    ];
+    for bin in bins {
+        for flag in ["--help", "-h"] {
+            let out = Command::new(bin)
+                .arg(flag)
+                .output()
+                .expect("the binary runs");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{bin} {flag}: {stderr}");
+            assert!(stdout.starts_with("usage: "), "{bin} {flag}: {stdout}");
+            assert!(stdout.lines().count() <= 3, "{bin} {flag} ran: {stdout}");
+            assert!(stderr.is_empty(), "{bin} {flag}: {stderr}");
+        }
+    }
 }

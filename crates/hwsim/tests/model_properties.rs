@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rand::prelude::*;
 use tensor_ir::{
     lower, AccessType, Annotation, BufferAccess, DagBuilder, Expr, IterKind, LoopCtx, OpCounts,
-    Reducer, State, StoreAnalysis, Step,
+    Reducer, State, Step, StoreAnalysis,
 };
 
 fn matmul_state(n: i64, steps: &[Step]) -> State {

@@ -596,7 +596,11 @@ impl Leaf for Analyser<'_> {
     type Loop = ();
 
     fn open_loop(&mut self, var: VarId, _: StageId, info: &IterInfo, ann: Annotation) {
-        debug_assert_eq!(var as usize, self.s.depth_of.len(), "numbered in opening order");
+        debug_assert_eq!(
+            var as usize,
+            self.s.depth_of.len(),
+            "numbered in opening order"
+        );
         self.s.depth_of.push(self.s.loops.len());
         self.s.loops.push(LoopCtx {
             var,
@@ -816,7 +820,15 @@ fn push_access(
     packed: bool,
 ) {
     let strides = flat_strides(program, node, indices, vars);
-    merge_access(accesses, &mut Vec::new(), &program.dag, node, access, &strides, packed);
+    merge_access(
+        accesses,
+        &mut Vec::new(),
+        &program.dag,
+        node,
+        access,
+        &strides,
+        packed,
+    );
 }
 
 /// Records one access of a statement: merged into the first access of the

@@ -956,7 +956,9 @@ impl Stage {
         }
         let info = &self.iters[it];
         if let Some(children) = info.split_children.clone() {
-            return children.into_iter().try_for_each(|c| self.check_value(c, open));
+            return children
+                .into_iter()
+                .try_for_each(|c| self.check_value(c, open));
         }
         if let Some((f, part)) = info.fused_into {
             return match &self.iters[f].source {

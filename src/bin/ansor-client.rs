@@ -34,9 +34,11 @@ fn write_trace(client: &mut Client, job: &str, path: &str) {
     );
 }
 
-fn usage() -> ! {
-    println!(
-        "ansor-client — talk to an ansor-serve daemon (protocol: docs/SERVING.md)\n\
+/// Prints the usage and exits: on stdout with status 0 when asked for
+/// (`--help`), on stderr with status 2 when the command line has no
+/// subcommand.
+fn usage(asked: bool) -> ! {
+    let text = "ansor-client — talk to an ansor-serve daemon (protocol: docs/SERVING.md)\n\
          \n\
          \x20  ansor-client [--addr ADDR] submit --op OP [--shape N] [--batch N]\n\
          \x20               [--target T] [--trials N] [--seed N] [--warm-start] [--wait]\n\
@@ -46,8 +48,12 @@ fn usage() -> ! {
          \x20  ansor-client [--addr ADDR] stats\n\
          \x20  ansor-client [--addr ADDR] shutdown [--no-drain]\n\
          \n\
-         default ADDR: 127.0.0.1:4815; responses print as JSON, one per line"
-    );
+         default ADDR: 127.0.0.1:4815; responses print as JSON, one per line";
+    if asked {
+        println!("{text}");
+        std::process::exit(0);
+    }
+    eprintln!("{text}");
     std::process::exit(2);
 }
 
@@ -59,7 +65,7 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--addr" => addr = flag_value(&a, it.next()),
-            "--help" | "-h" => usage(),
+            "--help" | "-h" => usage(true),
             _ => {
                 rest.push(a);
                 rest.extend(it);
@@ -68,7 +74,7 @@ fn main() {
         }
     }
     let Some(cmd) = rest.first().cloned() else {
-        usage();
+        usage(false);
     };
     let opts = &rest[1..];
     let mut client = Client::connect(&addr).unwrap_or_else(|e| die(&e));
@@ -168,6 +174,6 @@ fn main() {
                 if drain { "\"drain\"" } else { "\"now\"" }
             );
         }
-        _ => usage(),
+        _ => usage(false),
     }
 }

@@ -4,7 +4,9 @@
 //! must not tune for 200 trials — and so is a flag the binary does not
 //! know (`unknown flag "…"`), not a silent run without it, and a flag
 //! given no value (`--flag: missing value`), refused before any work
-//! starts rather than read as an empty value or as the next flag.
+//! starts rather than read as an empty value or as the next flag. Asking
+//! for help is not a usage error: `--help` prints the usage on stdout and
+//! exits 0.
 
 use std::process::Command;
 
@@ -105,4 +107,28 @@ fn ansor_client_rejects_a_mistyped_number() {
         &["--addr", &addr, "trace", "job-1", "--trace-out"],
         "--trace-out: missing value",
     );
+}
+
+#[test]
+fn every_ansor_binary_answers_help_with_its_usage_and_status_0() {
+    for (bin, name) in [
+        (env!("CARGO_BIN_EXE_ansor-tune"), "ansor-tune"),
+        (env!("CARGO_BIN_EXE_ansor-serve"), "ansor-serve"),
+        (env!("CARGO_BIN_EXE_ansor-client"), "ansor-client"),
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = Command::new(bin).arg(flag).output().expect("binary runs");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{name} {flag}: {stderr}");
+            assert!(stdout.contains(name), "{name} {flag}: {stdout}");
+            assert!(stderr.is_empty(), "{name} {flag}: {stderr}");
+        }
+    }
+    // Without a subcommand the client's usage is an error.
+    let out = Command::new(env!("CARGO_BIN_EXE_ansor-client"))
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("ansor-client"));
 }
