@@ -462,8 +462,10 @@ struct OpenAccess {
 /// value is held in `1 + depth` *lanes* — lane 0 with every enclosing loop
 /// variable at zero, lane `1 + k` with the variable of loop `k` at one —
 /// computed with [`eval_int`]'s semantics on a stack that follows the
-/// operand order of [`Leaf`]. The simplification rules preserve a value
-/// under those semantics, so the lanes are computed as if none applied.
+/// operand order of [`Leaf`]. A literal has no frame (each of its lanes
+/// would hold the literal), so a constant costs a scalar, not a frame. The
+/// simplification rules preserve a value under those semantics, so the
+/// lanes are computed as if none applied.
 struct Analyser<'a> {
     state: &'a State,
     s: &'a mut Scratch,
@@ -502,46 +504,65 @@ impl Analyser<'_> {
         self.s.lanes.truncate(n - w);
     }
 
-    /// [`Analyser::fold_lanes`] for a division or remainder: a lane whose
-    /// operands are lane 0's takes lane 0's result instead of dividing
-    /// again (a loop the index does not vary in leaves its lane at lane
-    /// 0's operands).
-    fn fold_quotient_lanes(&mut self, f: impl Fn(i64, i64) -> i64) {
-        let w = self.width();
-        let n = self.s.lanes.len();
-        let (below, top) = self.s.lanes[n - 2 * w..].split_at_mut(w);
-        let (l0, r0) = (below[0], top[0]);
-        let v0 = f(l0, r0);
-        below[0] = v0;
-        for (b, &t) in below[1..].iter_mut().zip(&top[1..]) {
-            *b = if *b == l0 && t == r0 { v0 } else { f(*b, t) };
-        }
-        self.s.lanes.truncate(n - w);
-    }
-
-    /// Folds the two innermost frames by `op` under [`eval_binary`]'s
-    /// semantics, with the operator matched once, not once per lane (each
-    /// arm's closure names its operator, so the match inside folds away).
-    fn fold_binary(&mut self, op: BinOp) {
+    /// Leaves on the stack the frame of `op` over two operands whose
+    /// frames are the innermost ones — but a literal operand (`Some`) has
+    /// no frame: every lane of it is the literal. The operator is matched
+    /// once, not once per lane (each arm's closure names its operator, so
+    /// the match inside it folds away).
+    fn fold_binary(&mut self, op: BinOp, lhs: Option<i64>, rhs: Option<i64>) {
         use BinOp::*;
         match op {
-            Add => self.fold_lanes(|l, r| eval_binary(Add, l, r)),
-            Sub => self.fold_lanes(|l, r| eval_binary(Sub, l, r)),
-            Mul => self.fold_lanes(|l, r| eval_binary(Mul, l, r)),
-            Div => self.fold_quotient_lanes(|l, r| eval_binary(Div, l, r)),
-            Mod => self.fold_quotient_lanes(|l, r| eval_binary(Mod, l, r)),
-            Min => self.fold_lanes(|l, r| eval_binary(Min, l, r)),
-            Max => self.fold_lanes(|l, r| eval_binary(Max, l, r)),
+            Add => self.fold_with(lhs, rhs, false, |l, r| eval_binary(Add, l, r)),
+            Sub => self.fold_with(lhs, rhs, false, |l, r| eval_binary(Sub, l, r)),
+            Mul => self.fold_with(lhs, rhs, false, |l, r| eval_binary(Mul, l, r)),
+            Div => self.fold_with(lhs, rhs, true, |l, r| eval_binary(Div, l, r)),
+            Mod => self.fold_with(lhs, rhs, true, |l, r| eval_binary(Mod, l, r)),
+            Min => self.fold_with(lhs, rhs, false, |l, r| eval_binary(Min, l, r)),
+            Max => self.fold_with(lhs, rhs, false, |l, r| eval_binary(Max, l, r)),
         }
     }
 
-    /// Replaces the innermost `operands` frames by the frame of a value
-    /// [`eval_int`] reads as 0.
-    fn zero_lanes(&mut self, operands: usize) {
-        for _ in 1..operands {
+    /// [`Analyser::fold_binary`] by `f`. With `quotient` (a division or
+    /// remainder), a lane whose operands are lane 0's takes lane 0's result
+    /// instead of dividing again: a loop the value does not vary in leaves
+    /// its lane at lane 0's.
+    #[inline(always)]
+    fn fold_with(
+        &mut self,
+        lhs: Option<i64>,
+        rhs: Option<i64>,
+        quotient: bool,
+        f: impl Fn(i64, i64) -> i64,
+    ) {
+        match (lhs, rhs) {
+            (None, None) => {
+                let w = self.width();
+                let n = self.s.lanes.len();
+                let (below, top) = self.s.lanes[n - 2 * w..].split_at_mut(w);
+                let (l0, r0) = (below[0], top[0]);
+                let v0 = f(l0, r0);
+                for (b, &t) in below.iter_mut().zip(&*top) {
+                    *b = if quotient && *b == l0 && t == r0 {
+                        v0
+                    } else {
+                        f(*b, t)
+                    };
+                }
+                self.s.lanes.truncate(n - w);
+            }
+            (None, Some(r)) => map_frame(self.top_lanes(), quotient, |l| f(l, r)),
+            (Some(l), None) => map_frame(self.top_lanes(), quotient, |r| f(l, r)),
+            (Some(l), Some(r)) => self.push_lanes(f(l, r)),
+        }
+    }
+
+    /// Replaces the frames of `operands` (a literal has none) by the frame
+    /// of a value [`eval_int`] reads as 0.
+    fn zero_lanes(&mut self, operands: &[Shape]) {
+        for _ in operands.iter().filter(|o| o.literal.is_none()) {
             self.pop_lanes();
         }
-        self.top_lanes().fill(0);
+        self.push_lanes(0);
     }
 
     fn mark(&self) -> Mark {
@@ -625,16 +646,21 @@ impl Leaf for Analyser<'_> {
         OpenAccess { from, dims: 0 }
     }
 
-    fn push_index(&mut self, access: &mut OpenAccess, _: Shape) {
+    fn push_index(&mut self, access: &mut OpenAccess, index: Shape) {
         // Row-major. An index beyond the buffer's rank is not part of the
         // flat index (`flat_strides` zips it away).
         let shape = self.state.dag.nodes[self.s.accesses[access.from.accesses]].shape();
-        match shape.get(access.dims + 1..) {
-            Some(inner) => {
+        match (shape.get(access.dims + 1..), index.literal) {
+            (Some(inner), None) => {
                 let dim_stride: i64 = inner.iter().product();
                 self.fold_lanes(|flat, index| flat + index * dim_stride);
             }
-            None => self.pop_lanes(),
+            (Some(inner), Some(c)) => {
+                let offset = c * inner.iter().product::<i64>();
+                self.top_lanes().iter_mut().for_each(|flat| *flat += offset);
+            }
+            (None, None) => self.pop_lanes(),
+            (None, Some(_)) => {}
         }
         access.dims += 1;
     }
@@ -721,10 +747,7 @@ impl Leaf for Analyser<'_> {
         shape
     }
 
-    fn int(&mut self, v: i64, pos: Pos) -> Shape {
-        if pos.index {
-            self.push_lanes(v);
-        }
+    fn int(&mut self, v: i64, _: Pos) -> Shape {
         self.operand(Some(v))
     }
 
@@ -752,18 +775,24 @@ impl Leaf for Analyser<'_> {
             }
             return kept;
         }
-        self.fold_binary(op);
         match Simplified::of(op, lhs.literal, rhs.literal) {
-            // The other operand is a literal: it added nothing.
+            // The other operand is a literal: it added nothing, and its
+            // lanes equal the kept operand's.
             Simplified::Lhs => lhs,
             Simplified::Rhs => rhs,
             Simplified::Literal(c) => {
-                // The operands go, and their loads, guard variables and
-                // counts with them.
+                // The operands go, and their frames, loads, guard
+                // variables and counts with them.
+                for operand in [lhs, rhs] {
+                    if operand.literal.is_none() {
+                        self.pop_lanes();
+                    }
+                }
                 self.rewind(lhs.from);
                 self.operand(Some(c))
             }
             Simplified::Kept => {
+                self.fold_binary(op, lhs.literal, rhs.literal);
                 self.s.ops.int_ops += 1;
                 kept
             }
@@ -772,7 +801,7 @@ impl Leaf for Analyser<'_> {
 
     fn unary(&mut self, op: UnOp, arg: Shape, pos: Pos) -> Shape {
         if pos.index {
-            self.zero_lanes(1);
+            self.zero_lanes(&[arg]);
         } else {
             match op {
                 UnOp::Neg | UnOp::Abs => self.s.ops.float_add += 1,
@@ -785,9 +814,9 @@ impl Leaf for Analyser<'_> {
         }
     }
 
-    fn cmp(&mut self, _: CmpOp, lhs: Shape, _: Shape, pos: Pos) -> Shape {
+    fn cmp(&mut self, _: CmpOp, lhs: Shape, rhs: Shape, pos: Pos) -> Shape {
         if pos.index {
-            self.zero_lanes(2);
+            self.zero_lanes(&[lhs, rhs]);
             self.s.ops.int_ops += 1;
         } else {
             self.s.ops.float_cmp += 1;
@@ -798,10 +827,10 @@ impl Leaf for Analyser<'_> {
         }
     }
 
-    fn select(&mut self, cond: Shape, _: Shape, _: Shape, pos: Pos) -> Shape {
+    fn select(&mut self, cond: Shape, then: Shape, other: Shape, pos: Pos) -> Shape {
         self.s.ops.selects += 1;
         if pos.index {
-            self.zero_lanes(3);
+            self.zero_lanes(&[cond, then, other]);
         }
         Shape {
             literal: None,
@@ -868,6 +897,17 @@ fn merge_access(
             buffer_elems: dag.nodes[node].num_elements(),
             packed,
         }),
+    }
+}
+
+/// Sets every lane of `frame` to `g` of it; with `quotient`, a lane equal
+/// to lane 0 takes lane 0's result (see [`Analyser::fold_with`]).
+#[inline(always)]
+fn map_frame(frame: &mut [i64], quotient: bool, g: impl Fn(i64) -> i64) {
+    let x0 = frame[0];
+    let v0 = g(x0);
+    for x in frame {
+        *x = if quotient && *x == x0 { v0 } else { g(*x) };
     }
 }
 
