@@ -8,7 +8,7 @@
 //! into the shared [`WarmStore`]. All coordination is one mutex around
 //! the job table plus two condvars (work available, job finished) — no
 //! async runtime, matching the repo's std-only discipline. A job moves
-//! only through [`submit`], [`claim`] and [`settle`], each of which
+//! only through `submit`, `claim` and `settle`, each of which
 //! writes the table, the gauges and the journal together under that
 //! mutex; the queue and every count are reads of the job states.
 //!
