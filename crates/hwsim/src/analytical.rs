@@ -168,14 +168,8 @@ pub struct Footprints {
 }
 
 impl Footprints {
-    /// The table of `s` with `line_elems` elements to a cache line.
-    pub fn of(s: &StoreAnalysis, line_elems: i64) -> Footprints {
-        let mut table = Footprints::default();
-        table.fill(s, line_elems);
-        table
-    }
-
-    /// Refills the table for `s`, reusing its vectors.
+    /// Fills the table for `s`, with `line_elems` elements to a cache line,
+    /// reusing its vectors.
     pub fn fill(&mut self, s: &StoreAnalysis, line_elems: i64) {
         let n = s.loops.len();
         self.levels = n + 1;

@@ -179,10 +179,12 @@ proptest! {
     #[test]
     fn footprint_table_equals_the_per_level_definitions(seed in any::<u64>()) {
         let s = random_statement(seed);
-        let mut reused = Footprints::of(&random_statement(seed ^ 1), 16);
+        let mut reused = Footprints::default();
+        reused.fill(&random_statement(seed ^ 1), 16);
         for target in [HardwareTarget::intel_20core(), HardwareTarget::nvidia_v100()] {
             let line_elems = target.line_elems();
-            let table = Footprints::of(&s, line_elems);
+            let mut table = Footprints::default();
+            table.fill(&s, line_elems);
             reused.fill(&s, line_elems);
             for (k, a) in s.accesses.iter().enumerate() {
                 let mut outer = 1.0f64;

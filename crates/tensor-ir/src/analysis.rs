@@ -6,9 +6,9 @@
 //! chain, arithmetic operation counts, and per-buffer access descriptors
 //! with flat strides and touched-footprint estimates.
 
-use serde::{Deserialize, Serialize};
-
 use std::cell::Cell;
+
+use serde::{Deserialize, Serialize};
 
 use crate::dag::{ComputeDag, Reducer};
 use crate::error::Error;
