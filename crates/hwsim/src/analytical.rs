@@ -150,9 +150,10 @@ pub struct Footprint {
 }
 
 /// The footprint of every access of one statement at every loop level
-/// `0..=loops.len()`, built in one pass per access instead of a
-/// `touched_lines` (itself a walk over the nest) per access, level and
-/// cache; and the iterations of each loop. The sub-nest products are built
+/// `0..=loops.len()`, and the iterations of each loop: all the cache fits,
+/// the boundary crossings and the loop overhead read. An access's cells
+/// take one pass over the nest each way, where a per-level
+/// `touched_lines` takes one per level. The sub-nest products are built
 /// inner to outer where `touched_elems` builds them outer to inner: both
 /// are products of integer extents below 2^53, which `f64` holds exactly,
 /// so the bits agree.

@@ -115,7 +115,7 @@ pub fn lines_spanned(elems: f64, stride: i64, line_elems: i64) -> f64 {
 
 /// Analysis of one innermost store statement in the context of the full
 /// program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StoreAnalysis {
     /// Buffer being stored to.
     pub buffer: NodeId,
@@ -684,15 +684,7 @@ impl Leaf for Analyser<'_> {
         let s = &mut *self.s;
         let depth = s.loops.len();
         // Made in an earlier statement's vectors, where there is one.
-        let mut out = s.spare_stores.pop().unwrap_or_else(|| StoreAnalysis {
-            buffer: 0,
-            loops: Vec::new(),
-            ops: OpCounts::default(),
-            reduce: None,
-            accesses: Vec::new(),
-            pragma_unroll: 0,
-            guard_vars: Vec::new(),
-        });
+        let mut out = s.spare_stores.pop().unwrap_or_default();
         for (slot, &node) in s.accesses.iter().enumerate() {
             let access = match (slot, reduce) {
                 (0, Some(_)) => AccessType::ReadWrite,

@@ -921,8 +921,8 @@ impl Stage {
         let (x, y) = (&self.iters[a], &other.iters[b]);
         let stride = |stage: &Stage, parent: IterId, part: usize| -> Option<i64> {
             let parts = stage.iters[parent].split_children.clone()?;
-            let later = parts.start + part + 1..parts.end;
-            (later.start <= later.end).then(|| later.map(|c| stage.iters[c].extent).product())
+            let later = stage.iters.get(parts.start + part + 1..parts.end)?;
+            Some(later.iter().map(|c| c.extent).product())
         };
         x.extent == y.extent
             && match (&x.source, &y.source) {
