@@ -133,7 +133,7 @@ pub fn explain(program: &Program, target: &HardwareTarget) -> String {
 }
 
 /// One access's footprint at one loop level.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Footprint {
     /// Distinct elements one execution of the sub-nest rooted at the level
     /// touches: [`tensor_ir::BufferAccess::touched_elems`].
@@ -180,14 +180,9 @@ impl Footprints {
             iterations *= l.extent as f64;
             self.through.push(iterations);
         }
-        let empty = Footprint {
-            elems: 0.0,
-            min_stride: 0,
-            lines: 0.0,
-            outer: 0.0,
-        };
         self.cells.clear();
-        self.cells.resize(s.accesses.len() * self.levels, empty);
+        self.cells
+            .resize(s.accesses.len() * self.levels, Footprint::default());
         for (a, cells) in s.accesses.iter().zip(self.cells.chunks_exact_mut(n + 1)) {
             // Outer to inner: the varying loops above each level.
             let mut outer = 1.0f64;
@@ -291,7 +286,7 @@ fn cpu_store_cost(s: &StoreAnalysis, t: &HardwareTarget, fp: &Footprints) -> Sto
     let compute_cycles = flop_cycles.max(issue_cycles);
 
     // ---- Loop overhead ----
-    let overhead_cycles = loop_overhead_cycles(s, t, vec_level, fp, trips);
+    let overhead_cycles = loop_overhead_cycles(s, t, vec_level, fp);
 
     // ---- Memory traffic ----
     let (l2_bytes, l3_bytes, dram_bytes) = memory_traffic(s, t, fp);
@@ -366,14 +361,12 @@ fn vector_speedup(s: &StoreAnalysis, t: &HardwareTarget) -> (f64, Option<usize>)
     (speedup.max(1.0), Some(lvl))
 }
 
-/// Total loop-maintenance cycles for the statement's nest, which runs
-/// `trips` times.
+/// Total loop-maintenance cycles for the statement's nest.
 fn loop_overhead_cycles(
     s: &StoreAnalysis,
     t: &HardwareTarget,
     vec_level: Option<usize>,
     fp: &Footprints,
-    trips: f64,
 ) -> f64 {
     let mut cycles = 0.0;
     // Body size below each level, for pragma-driven implicit unrolling.
@@ -403,7 +396,7 @@ fn loop_overhead_cycles(
         .map(|l| l.extent as f64)
         .product();
     if unroll_amount * s.flops_per_iter() > 4096.0 {
-        cycles += trips * 0.5; // icache / decode pressure
+        cycles += s.trip_count() * 0.5; // icache / decode pressure
     }
     cycles
 }
