@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run -p ansor-bench --release --bin ablation_extras`
 
-use ansor_bench::{fmt_seconds, maybe_dump_json, print_table, Args};
+use ansor_bench::{fmt_seconds, maybe_dump_json, median, print_table, Args};
 use ansor_core::{
     auto_schedule_with_model, CostModel, EvolutionConfig, LearnedCostModel, RandomModel,
     SearchTask, TuningOptions,
@@ -23,11 +23,6 @@ struct Row {
     ablation: String,
     best_seconds: f64,
     vs_baseline: f64,
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
 }
 
 fn main() {

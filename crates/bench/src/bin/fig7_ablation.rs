@@ -9,7 +9,7 @@
 //! Run: `cargo run -p ansor-bench --release --bin fig7_ablation`
 
 use ansor_baselines::{beam::HalideBeam, SearchFramework};
-use ansor_bench::{maybe_dump_json, print_table, Args};
+use ansor_bench::{fmt_seconds, maybe_dump_json, median, print_table, Args};
 use ansor_core::{auto_schedule, PolicyVariant, SearchTask, TuningOptions, TuningRecord};
 use hwsim::{HardwareTarget, Measurer};
 use serde::Serialize;
@@ -21,6 +21,17 @@ struct Curve {
     points: Vec<(u64, f64)>,
 }
 
+#[derive(Serialize)]
+struct Record {
+    curves: Vec<Curve>,
+    /// Best program found by any variant (the 1.0 line).
+    best_seconds: f64,
+    /// The untransformed program.
+    naive_seconds: f64,
+    /// `naive_seconds / best_seconds`.
+    speedup: f64,
+}
+
 /// A named tuning-history producer for one ablation variant.
 type VariantRunner<'a> = Box<dyn Fn(u64) -> Vec<TuningRecord> + 'a>;
 
@@ -30,11 +41,6 @@ fn best_at(history: &[TuningRecord], trial: u64) -> f64 {
         .take_while(|r| r.trial <= trial)
         .map(|r| r.best_seconds)
         .fold(f64::INFINITY, f64::min)
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
 }
 
 fn main() {
@@ -50,42 +56,24 @@ fn main() {
         (
             "Ansor (ours)",
             // Only the full variant writes the tuning trace.
-            Box::new(|seed| {
-                run_variant(&task_clone(&task), trials, seed, PolicyVariant::Full, &tel)
-            }),
+            Box::new(|seed| run_variant(&task, trials, seed, PolicyVariant::Full, &tel)),
         ),
         (
             "Beam search",
-            Box::new(|seed| {
-                HalideBeam::default()
-                    .tune(&task_clone(&task), trials, seed)
-                    .history
-            }),
+            Box::new(|seed| HalideBeam::default().tune(&task, trials, seed).history),
         ),
         (
             "No fine-tuning",
             Box::new(|seed| {
                 let off = telemetry::Telemetry::disabled();
-                run_variant(
-                    &task_clone(&task),
-                    trials,
-                    seed,
-                    PolicyVariant::NoFineTuning,
-                    &off,
-                )
+                run_variant(&task, trials, seed, PolicyVariant::NoFineTuning, &off)
             }),
         ),
         (
             "Limited space",
             Box::new(|seed| {
                 let off = telemetry::Telemetry::disabled();
-                run_variant(
-                    &task_clone(&task),
-                    trials,
-                    seed,
-                    PolicyVariant::LimitedSpace,
-                    &off,
-                )
+                run_variant(&task, trials, seed, PolicyVariant::LimitedSpace, &off)
             }),
         ),
     ];
@@ -145,18 +133,20 @@ fn main() {
         let mut m = Measurer::new(task.target.clone());
         m.measure(&tensor_ir::State::new(task.dag.clone())).seconds
     };
+    let record = Record {
+        curves,
+        best_seconds: global_best,
+        naive_seconds: naive,
+        speedup: naive / global_best,
+    };
     println!(
         "(best found: {}, naive schedule: {}, speedup {:.0}x)",
-        ansor_bench::fmt_seconds(global_best),
-        ansor_bench::fmt_seconds(naive),
-        naive / global_best
+        fmt_seconds(record.best_seconds),
+        fmt_seconds(record.naive_seconds),
+        record.speedup
     );
-    maybe_dump_json(&args, &curves);
+    maybe_dump_json(&args, &record);
     args.finish_telemetry(&tel);
-}
-
-fn task_clone(t: &SearchTask) -> SearchTask {
-    t.clone()
 }
 
 fn run_variant(

@@ -114,21 +114,28 @@ fn main() {
     }
 
     if args.tables_enabled() {
+        let mut headers = vec!["case", "Vendor"];
+        headers.extend(frameworks.iter().map(|f| f.name()));
         for &batch in &[1i64, 16] {
             let rows: Vec<Vec<String>> = results
                 .iter()
                 .filter(|r| r.batch == batch)
                 .map(|r| {
                     let mut row = vec![format!("{} @{}", r.subgraph, r.target)];
-                    for (name, v) in &r.normalized {
-                        row.push(format!("{name}={v:.2}"));
-                    }
+                    // A framework that does not run on the target (Halide
+                    // on the GPU) reads "—".
+                    row.extend(headers[1..].iter().map(|h| {
+                        r.normalized
+                            .iter()
+                            .find(|(name, _)| name == h)
+                            .map_or("—".into(), |(_, v)| format!("{v:.2}"))
+                    }));
                     row
                 })
                 .collect();
             print_table(
                 &format!("Figure 8: subgraph benchmark, batch = {batch} (normalized, 1.00 = best)"),
-                &["case", "", "", "", "", ""],
+                &headers,
                 &rows,
             );
         }

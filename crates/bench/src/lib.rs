@@ -5,7 +5,9 @@
 //!
 //! - `--smoke`  — CI-speed run (tiny budgets, subset of cases);
 //! - `--full`   — paper-scale budgets (1000 trials per test case);
-//! - `--json <path>` — also dump the result table as JSON;
+//! - `--json <path>` — also write the run's record as JSON (the figure
+//!   binaries' records are committed as `results/<bin>.json` and
+//!   `results/smoke/<bin>.json`, see `tests/figure_goldens.rs`);
 //! - `--trace <path>` — write a structured JSONL tuning trace (see
 //!   docs/TELEMETRY.md; inspect with `trace-report <path>`);
 //! - `--quiet` — suppress the human-readable tables when `--json` or
@@ -237,6 +239,13 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.max(1e-30).ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
+/// Median: the upper middle element for an even count. Panics on an empty
+/// input or a NaN.
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    xs[xs.len() / 2]
+}
+
 /// Normalizes values so the maximum becomes 1.0.
 pub fn normalize_to_best(values: &[f64]) -> Vec<f64> {
     let best = values.iter().copied().fold(f64::MIN, f64::max);
@@ -306,6 +315,13 @@ mod tests {
     fn geomean_of_powers() {
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
+    }
+
+    #[test]
+    fn median_takes_the_upper_middle() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
+        assert_eq!(median(vec![5.0]), 5.0);
     }
 
     #[test]
