@@ -9,8 +9,11 @@
 //! tasks/DAGs.
 
 use std::borrow::Borrow;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use ansor_features::{extract_state_features, FeatureMatrix, ProgramFeatures, FEATURE_DIM};
 use ansor_runtime::SigCache;
@@ -24,6 +27,62 @@ use crate::search_task::SearchTask;
 /// `Arc` so cache hits hand out a pointer instead of cloning a feature
 /// block.
 pub type FeatureBlock = Arc<Result<ProgramFeatures, String>>;
+
+/// Entries of a model's score table ([`TrainedModel`]).
+const SCORE_CACHE_CAPACITY: usize = 1 << 16;
+
+/// Entries of a model's private featurization cache.
+const FEATURE_CACHE_CAPACITY: usize = 1 << 14;
+
+/// A trained GBDT and the scores it gave, by program signature. A score is
+/// a pure function of `(model, state)`, so the table is as much a part of
+/// the model as its trees: a model recalled from a [`ModelMemo`] brings
+/// the scores its first owner filled, and a repeat job featurizes and runs
+/// through the ensemble only the programs that job never scored.
+#[derive(Debug)]
+pub struct TrainedModel {
+    gbdt: Gbdt,
+    scores: SigCache<f64>,
+}
+
+/// Trained models by the training pass that fitted them: the GBDT
+/// parameters, the training window's cap, the trained prefix's length and
+/// the hash of its records (see [`LearnedCostModel::share_models`]). A
+/// model with the same history recalls the model a cold fit would compute,
+/// bit for bit, instead of fitting it again.
+pub type ModelMemo = SigCache<Arc<TrainedModel>>;
+
+/// Lifetime (hits, misses) of one kind of lookup a model makes. Counted by
+/// the model itself, not read off the caches, which may be shared.
+#[derive(Debug, Default)]
+struct Lookups {
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl Lookups {
+    fn count(&self, hit: bool) {
+        let n = if hit { &self.hits } else { &self.misses };
+        n.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn get(&self) -> (u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
+    }
+}
+
+/// The running history hash with one more record folded in: the measured
+/// program's signature, the bits of its seconds and its task — everything
+/// a training pass reads of a record, since the record's features are a
+/// pure function of the signature.
+fn fold_record(history: u64, signature: u64, seconds: f64, task: &str) -> u64 {
+    let mut h = DefaultHasher::new();
+    (history, signature, seconds.to_bits(), task).hash(&mut h);
+    h.finish()
+}
 
 /// Scores used to rank candidate programs; higher is better.
 ///
@@ -115,13 +174,28 @@ pub struct LearnedCostModel {
     features: FeatureMatrix,
     /// The model is a memo of `records[..trained_on]`: training is a pure
     /// function of that prefix, so `update` and `restore` only move the
-    /// prefix and empty the cell, and [`LearnedCostModel::model`] trains on
-    /// the first read — a retrain nothing reads is never run. `update`
+    /// prefix and empty the cell, and [`LearnedCostModel::trained`] trains
+    /// on the first read — a retrain nothing reads is never run. `update`
     /// moves the prefix only when a retrain is due (`RETRAIN_DIVISOR`).
     /// `None` inside the cell: the prefix's training window held no
-    /// eligible row.
-    model: OnceLock<Option<Gbdt>>,
+    /// eligible row. The model's score table is the signature-keyed score
+    /// cache: evolution populations carry heavy duplication (failed
+    /// mutations clone the parent, retained-best individuals re-enter
+    /// every generation), so duplicates are never re-lowered,
+    /// re-featurized, or re-scored. An untrained model scores by
+    /// `State::validate` alone and caches nothing.
+    model: OnceLock<Option<Arc<TrainedModel>>>,
+    /// The score table of a superseded model nothing else holds, emptied,
+    /// for the next model to fill: a session's retrains reuse one table.
+    spare_scores: Mutex<Option<SigCache<f64>>>,
     trained_on: usize,
+    /// Hash of every record so far ([`fold_record`]); `None` once a
+    /// `restore` brought in records without their programs.
+    history: Option<u64>,
+    /// `history` as it stood at `trained_on`.
+    trained_history: Option<u64>,
+    /// Trained models shared with other models ([`LearnedCostModel::share_models`]).
+    memo: Option<Arc<ModelMemo>>,
     /// The pass for `records[..trained_on]` already ran before a
     /// `restore` (`ModelCheckpoint::trained`): the first read repeats it
     /// with telemetry off, so the resumed trace and pass count are the
@@ -136,23 +210,19 @@ pub struct LearnedCostModel {
     /// Cap on the number of most recent records used per training pass.
     max_train_records: usize,
     telemetry: telemetry::Telemetry,
-    /// Signature-keyed score cache: evolution populations carry heavy
-    /// duplication (failed mutations clone the parent, retained-best
-    /// individuals re-enter every generation), and a score is a pure
-    /// function of `(state, model)` — so duplicates are never re-lowered,
-    /// re-featurized, or re-scored. Cleared whenever the model moves: on
-    /// a retraining `update` and on `restore`. An untrained model scores by
-    /// `State::validate` alone and caches nothing.
-    score_cache: SigCache<f64>,
     /// Signature-keyed featurization cache. Features depend only on the
     /// state (not on the model), so entries survive retrains; states a
     /// trained model picked for measurement were just scored, so `update`
     /// reuses the rows `predict` extracted (an untrained model extracts
-    /// none: the first batch is featurized by `update`). Behind an `Arc` so
-    /// several models (e.g. the tuning sessions of a serving daemon) can
-    /// share one featurization cache — unlike scores, features never depend
-    /// on the model, and the signature names the program across DAGs.
+    /// none: the first batch is featurized by `update`).
     feature_cache: Arc<SigCache<FeatureBlock>>,
+    /// Rows of measured programs shared with other models
+    /// ([`LearnedCostModel::share_models`]): `update` reads and fills it.
+    measured_features: Option<Arc<SigCache<FeatureBlock>>>,
+    /// Score lookups, hit or scored.
+    score_lookups: Lookups,
+    /// Feature lookups, hit (in any cache) or extracted.
+    feature_lookups: Lookups,
 }
 
 impl Default for LearnedCostModel {
@@ -168,7 +238,11 @@ impl LearnedCostModel {
             records: Vec::new(),
             features: FeatureMatrix::new(FEATURE_DIM),
             model: OnceLock::new(),
+            spare_scores: Mutex::new(None),
             trained_on: 0,
+            history: Some(0),
+            trained_history: Some(0),
+            memo: None,
             replay: false,
             warm_records: 0,
             params: GbdtParams {
@@ -185,30 +259,46 @@ impl LearnedCostModel {
             },
             max_train_records: 800,
             telemetry: telemetry::Telemetry::disabled(),
-            score_cache: SigCache::new(1 << 16),
-            feature_cache: Arc::new(SigCache::new(1 << 14)),
+            feature_cache: Arc::new(SigCache::new(FEATURE_CACHE_CAPACITY)),
+            measured_features: None,
+            score_lookups: Lookups::default(),
+            feature_lookups: Lookups::default(),
         }
     }
 
-    /// Replaces the featurization cache with one shared with other models
-    /// (see the field docs).
-    pub fn set_feature_cache(&mut self, cache: Arc<SigCache<FeatureBlock>>) {
-        self.feature_cache = cache;
+    /// Shares trained models, with their scores, and the rows of measured
+    /// programs with other models (the tuning sessions of one workload
+    /// class in a serving daemon). A training pass whose key — GBDT
+    /// parameters, `max_train_records`, the trained prefix's length and its
+    /// history hash — is in `memo` recalls that model instead of fitting
+    /// it; one that is not fits and leaves its model there. Both values
+    /// are pure in their keys, so sharing changes no score and no result.
+    /// A model restored from a checkpoint has no programs to hash and
+    /// never reads or writes the memo.
+    pub fn share_models(
+        &mut self,
+        memo: Arc<ModelMemo>,
+        measured_features: Arc<SigCache<FeatureBlock>>,
+    ) {
+        self.memo = Some(memo);
+        self.measured_features = Some(measured_features);
     }
 
-    /// Handle on the featurization cache (for sharing across models).
+    /// Handle on the model's own featurization cache.
     pub fn feature_cache(&self) -> Arc<SigCache<FeatureBlock>> {
         Arc::clone(&self.feature_cache)
     }
 
-    /// Lifetime (hits, misses) of the signature-keyed score cache.
+    /// Lifetime (hits, misses) of this model's score lookups: a hit is a
+    /// score its model's table held.
     pub fn cache_stats(&self) -> (u64, u64) {
-        (self.score_cache.hits(), self.score_cache.misses())
+        self.score_lookups.get()
     }
 
-    /// Lifetime (hits, misses) of the signature-keyed featurization cache.
+    /// Lifetime (hits, misses) of this model's featurizations: a hit is a
+    /// block a featurization cache held, a miss one it extracted.
     pub fn feature_cache_stats(&self) -> (u64, u64) {
-        (self.feature_cache.hits(), self.feature_cache.misses())
+        self.feature_lookups.get()
     }
 
     /// Bytes resident in the packed feature store.
@@ -304,13 +394,14 @@ impl LearnedCostModel {
                 error: r.error.clone(),
             })
             .collect();
-        self.score_cache.clear();
+        self.drop_model();
         self.trained_on = ck
             .trained_on
             .map_or(self.records.len(), |n| n.min(self.records.len()));
+        self.history = None;
+        self.trained_history = None;
         self.replay = ck.trained;
         self.warm_records = ck.warm_records.min(self.records.len());
-        self.model = OnceLock::new();
         let done = self.telemetry.counter_value("gbdt/train_passes");
         if ck.train_passes > done {
             self.telemetry
@@ -387,14 +478,64 @@ impl LearnedCostModel {
 
     /// The model of `records[..trained_on]`, trained by whichever caller
     /// reads it first; every other reader waits for that one pass.
+    fn trained(&self) -> Option<&TrainedModel> {
+        self.model.get_or_init(|| self.train()).as_deref()
+    }
+
+    /// The ensemble of [`LearnedCostModel::trained`].
     fn model(&self) -> Option<&Gbdt> {
-        self.model.get_or_init(|| self.train()).as_ref()
+        self.trained().map(|t| &t.gbdt)
+    }
+
+    /// Lets the current model go. Its score table, when nothing else holds
+    /// it, is emptied and kept for the next model.
+    fn drop_model(&mut self) {
+        if let Some(Some(model)) = self.model.take() {
+            if let Ok(model) = Arc::try_unwrap(model) {
+                model.scores.clear();
+                *self
+                    .spare_scores
+                    .get_mut()
+                    .unwrap_or_else(PoisonError::into_inner) = Some(model.scores);
+            }
+        }
+    }
+
+    /// The fitted model of one training pass, recalled from the memo when
+    /// an identical pass put it there (counted as `model/memo_hits`).
+    fn fit(&self, x: Matrix<'_>, y: &[f32], w: &[f32]) -> Arc<TrainedModel> {
+        let fit = || {
+            let scores = self
+                .spare_scores
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            Arc::new(TrainedModel {
+                gbdt: Gbdt::fit(x, y, w, &self.params),
+                scores: scores.unwrap_or_else(|| SigCache::new(SCORE_CACHE_CAPACITY)),
+            })
+        };
+        let (Some(memo), Some(history)) = (&self.memo, self.trained_history) else {
+            return fit();
+        };
+        let mut key = DefaultHasher::new();
+        let params = serde_json::to_string(&self.params).expect("GBDT parameters serialize");
+        (params, self.max_train_records, self.trained_on, history).hash(&mut key);
+        let mut recalled = true;
+        let model = memo.get_or_insert_with(key.finish(), || {
+            recalled = false;
+            fit()
+        });
+        if recalled {
+            self.telemetry.incr("model/memo_hits", 1);
+        }
+        model
     }
 
     /// One training pass over the window of `records[..trained_on]`, with
     /// its `GbdtRound` and `ModelRetrain` events; `None` when the window
     /// has nothing to fit.
-    fn train(&self) -> Option<Gbdt> {
+    fn train(&self) -> Option<Arc<TrainedModel>> {
         if !self.has_training_rows(self.trained_on) {
             return None;
         }
@@ -441,10 +582,10 @@ impl LearnedCostModel {
         } else {
             &self.telemetry
         };
-        let model = Gbdt::train_matrix(x, &y, &w, &self.params, telemetry);
+        let model = Gbdt::traced_pass(x, &y, &w, telemetry, || self.fit(x, &y, &w), |m| &m.gbdt);
         if telemetry.is_tracing() {
             if let Some((pairs, ranking_loss, rank_corr)) =
-                self.ranking_quality_of(&model, records, 200)
+                self.ranking_quality_of(&model.gbdt, records, 200)
             {
                 self.telemetry.emit(|| telemetry::TraceEvent::ModelRetrain {
                     task: last.task.clone(),
@@ -467,22 +608,51 @@ impl LearnedCostModel {
             .sum()
     }
 
-    /// Featurizes one state through the signature-keyed cache.
+    /// Featurizes one state through the model's own cache.
     fn features_for(&self, state: &State) -> FeatureBlock {
-        self.feature_cache
+        let mut hit = true;
+        let block = self
+            .feature_cache
             .get_or_insert_with(state.signature(), || {
+                hit = false;
                 Arc::new(extract_state_features(state))
-            })
+            });
+        self.feature_lookups.count(hit);
+        block
     }
 
-    /// Scores one state under `model` through the signature-keyed score
-    /// cache.
-    fn score_one(&self, model: &Gbdt, s: &State) -> f64 {
-        self.score_cache
-            .get_or_insert_with(s.signature(), || match self.features_for(s).as_ref() {
-                Ok(block) => self.score_rows(model, block.rows.data()),
-                Err(_) => f64::NEG_INFINITY,
+    /// Featurizes one measured state. With shared rows of measured
+    /// programs it looks there first, then in the model's own cache (the
+    /// state was usually just scored), extracts the rows only if neither
+    /// holds them, and leaves the block in the shared rows.
+    fn measured_features_for(&self, state: &State) -> FeatureBlock {
+        let Some(shared) = &self.measured_features else {
+            return self.features_for(state);
+        };
+        let sig = state.signature();
+        let mut hit = true;
+        let block = shared.get_or_insert_with(sig, || {
+            self.feature_cache.get(sig).unwrap_or_else(|| {
+                hit = false;
+                Arc::new(extract_state_features(state))
             })
+        });
+        self.feature_lookups.count(hit);
+        block
+    }
+
+    /// Scores one state under `model` through its score table.
+    fn score_one(&self, model: &TrainedModel, s: &State) -> f64 {
+        let mut hit = true;
+        let score = model.scores.get_or_insert_with(s.signature(), || {
+            hit = false;
+            match self.features_for(s).as_ref() {
+                Ok(block) => self.score_rows(&model.gbdt, block.rows.data()),
+                Err(_) => f64::NEG_INFINITY,
+            }
+        });
+        self.score_lookups.count(hit);
+        score
     }
 
     /// The one body of `predict` (owned states) and `predict_refs`
@@ -495,7 +665,7 @@ impl LearnedCostModel {
         let _phase = self.telemetry.span("model_predict");
         self.telemetry
             .incr("model/predictions", states.len() as u64);
-        let Some(model) = self.model() else {
+        let Some(model) = self.trained() else {
             return states
                 .iter()
                 .map(|s| match s.borrow().validate() {
@@ -674,13 +844,16 @@ impl CostModel for LearnedCostModel {
         let blocks = {
             let _phase = self.telemetry.span("feature_extraction");
             // Analysis + featurization of the measured batch goes through
-            // the featurization cache (the states were just scored, so
+            // the featurization caches (the states were just scored, so
             // their rows are usually already cached); records are appended
             // in input order.
             let f0 = self.feature_cache_stats();
-            let blocks: Vec<FeatureBlock> = states.iter().map(|s| self.features_for(s)).collect();
+            let blocks: Vec<FeatureBlock> = states
+                .iter()
+                .map(|s| self.measured_features_for(s))
+                .collect();
             self.emit_feature_cache_deltas(f0);
-            for (block, &sec) in blocks.iter().zip(seconds) {
+            for ((block, state), &sec) in blocks.iter().zip(states).zip(seconds) {
                 let record = match block.as_ref() {
                     Ok(block) => Record {
                         seg: self.features.push_packed_segment(block.rows.data()),
@@ -707,6 +880,9 @@ impl CostModel for LearnedCostModel {
                         }
                     }
                 };
+                self.history = self
+                    .history
+                    .map(|h| fold_record(h, state.signature(), record.seconds, &task.name));
                 self.records.push(record);
             }
             self.telemetry
@@ -721,13 +897,13 @@ impl CostModel for LearnedCostModel {
             }
         }
         // A retrain frees the superseded model now, not when its successor
-        // exists, and drops the scores it gave. Otherwise the model and
+        // exists, and with it the scores it gave. Otherwise the model and
         // every cached score stay exactly as they were.
         if self.retrain_due(self.records.len()) {
-            self.score_cache.clear();
+            self.drop_model();
             self.trained_on = self.records.len();
+            self.trained_history = self.history;
             self.replay = false;
-            self.model = OnceLock::new();
         }
     }
 
@@ -1399,6 +1575,125 @@ mod tests {
         // record changes nothing.
         let probe = sample_states(&t, 8, 7);
         assert_eq!(model.predict(&t, &probe), restored.predict(&t, &probe));
+    }
+
+    /// A model sharing `memo` (and a fresh rows cache), with its telemetry.
+    fn sharing(memo: &Arc<ModelMemo>) -> (LearnedCostModel, telemetry::Telemetry) {
+        let tel = telemetry::Telemetry::with_metrics();
+        let mut model = LearnedCostModel::new();
+        model.set_telemetry(tel.clone());
+        model.share_models(Arc::clone(memo), Arc::new(SigCache::new(1 << 10)));
+        (model, tel)
+    }
+
+    fn memo_hits(tel: &telemetry::Telemetry) -> u64 {
+        tel.counter_value("model/memo_hits")
+    }
+
+    #[test]
+    fn a_training_pass_is_recalled_only_for_the_same_history_and_parameters() {
+        let t = task();
+        let (states, secs) = measured(&t, 24, 81);
+        let probe = sample_states(&t, 8, 82);
+        let memo = Arc::new(ModelMemo::new(16));
+        let (mut first, tel) = sharing(&memo);
+        first.update(&t, &states, &secs);
+        let want = bits(&first.predict(&t, &probe));
+        assert_eq!((memo.len(), memo_hits(&tel)), (1, 0));
+
+        // Each history differs from the first in one respect.
+        let renamed = SearchTask::new("matmul128-again", Arc::clone(&t.dag), t.target.clone());
+        let mut other_program = states.clone();
+        other_program[5] = sample_states(&t, 1, 83).remove(0);
+        assert_ne!(other_program[5].signature(), states[5].signature());
+        let mut other_seconds = secs.clone();
+        other_seconds[5] = f64::from_bits(secs[5].to_bits() + 1);
+        let histories: [(&SearchTask, &[State], &[f64]); 4] = [
+            (&t, &other_program, &secs),
+            (&t, &states, &other_seconds),
+            (&renamed, &states, &secs),
+            (&t, &states[..23], &secs[..23]),
+        ];
+        for (i, (task, states, secs)) in histories.into_iter().enumerate() {
+            let (mut m, tel) = sharing(&memo);
+            m.update(task, states, secs);
+            m.predict(task, &probe);
+            assert_eq!((memo.len(), memo_hits(&tel)), (2 + i, 0), "history {i}");
+        }
+        // So do other GBDT parameters on the same history.
+        let (mut m, tel) = sharing(&memo);
+        m.params.n_trees -= 1;
+        m.update(&t, &states, &secs);
+        m.predict(&t, &probe);
+        assert_eq!((memo.len(), memo_hits(&tel)), (6, 0));
+        // The same history and parameters recall the first model.
+        let (mut m, tel) = sharing(&memo);
+        m.update(&t, &states, &secs);
+        assert_eq!(bits(&m.predict(&t, &probe)), want);
+        assert_eq!((memo.len(), memo_hits(&tel)), (6, 1));
+    }
+
+    #[test]
+    fn a_restored_model_neither_reads_nor_writes_the_memo() {
+        let t = task();
+        let (states, secs) = measured(&t, 24, 84);
+        let (more, more_secs) = measured(&t, 24, 85);
+        let probe = sample_states(&t, 8, 86);
+        let memo = Arc::new(ModelMemo::new(16));
+        let (mut model, _) = sharing(&memo);
+        model.update(&t, &states, &secs);
+        let want = bits(&model.predict(&t, &probe));
+        assert_eq!(memo.len(), 1);
+
+        let (mut restored, tel) = sharing(&memo);
+        restored.restore(&model.checkpoint());
+        assert_eq!(bits(&restored.predict(&t, &probe)), want);
+        assert_eq!((memo.len(), memo.hits(), memo_hits(&tel)), (1, 0, 0));
+        // Nor after records of its own: its history still starts with
+        // records whose programs it never saw.
+        model.update(&t, &more, &more_secs);
+        restored.update(&t, &more, &more_secs);
+        let want = bits(&model.predict(&t, &probe));
+        assert_eq!(memo.len(), 2);
+        assert_eq!(bits(&restored.predict(&t, &probe)), want);
+        assert_eq!((memo.len(), memo.hits(), memo_hits(&tel)), (2, 0, 0));
+        assert_eq!(tel.counter_value("gbdt/train_passes"), 2);
+    }
+
+    #[test]
+    fn two_models_on_one_history_share_one_fit_and_its_scores() {
+        let t = task();
+        let (states, secs) = measured(&t, 32, 87);
+        let probe = sample_states(&t, 12, 88);
+        let memo = Arc::new(ModelMemo::new(16));
+        let (mut a, a_tel) = sharing(&memo);
+        let (mut b, b_tel) = sharing(&memo);
+        let mut private = LearnedCostModel::new();
+        for m in [&mut a, &mut b, &mut private] {
+            m.update(&t, &states, &secs);
+        }
+        let want = bits(&private.predict(&t, &probe));
+        assert_eq!(bits(&a.predict(&t, &probe)), want);
+        let (_, a_misses) = a.cache_stats();
+        assert!(a_misses > 0);
+        // `b` recalls `a`'s model and every score `a` gave with it.
+        let (h0, m0) = b.cache_stats();
+        assert_eq!(bits(&b.predict(&t, &probe)), want);
+        assert_eq!(b.cache_stats(), (h0 + probe.len() as u64, m0));
+        assert_eq!((memo_hits(&a_tel), memo_hits(&b_tel)), (0, 1));
+        let (Some(Some(ma)), Some(Some(mb))) = (a.model.get(), b.model.get()) else {
+            panic!("both trained")
+        };
+        assert!(Arc::ptr_eq(ma, mb));
+        assert_eq!(memo.len(), 1);
+        // The recalled pass is traced and counted as the fitted one.
+        for tel in [&a_tel, &b_tel] {
+            assert_eq!(tel.counter_value("gbdt/train_passes"), 1);
+            assert_eq!(
+                tel.counter_value("gbdt/trees_fit"),
+                ma.gbdt.num_trees() as u64
+            );
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@ pub use checkpoint::{
     BestEntry, ModelCheckpoint, ModelRecord, PolicyCheckpoint, SchedulerCheckpoint,
     SinglePolicyCheckpoint, TuneCheckpoint, CHECKPOINT_VERSION,
 };
-pub use cost_model::{CostModel, FeatureBlock, LearnedCostModel, RandomModel};
+pub use cost_model::{
+    CostModel, FeatureBlock, LearnedCostModel, ModelMemo, RandomModel, TrainedModel,
+};
 pub use evolution::{
     crossover, evolutionary_search, evolutionary_search_with_stats, mutate, produce_generation,
     EvolutionConfig, EvolutionStats, Individual, Offspring,

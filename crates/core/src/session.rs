@@ -10,16 +10,23 @@
 //!
 //! Determinism contract: a session is a pure function of
 //! `(task, options, measurer configuration)` plus any restored checkpoint.
-//! Sharing the measurer's result cache or the model's featurization cache
-//! across sessions (see [`TuningSession::share_measure_cache`] and
-//! [`TuningSession::share_feature_cache`]) does not change any session's
-//! results — both caches hold values that are pure in the state (and the
-//! measurer's fixed configuration), so a hit returns exactly what a cold
-//! recompute would: both are keyed by `State::signature()`, which names
-//! the program — DAG content and steps — so sessions over different DAGs
-//! never meet on a key.
-//! The *score* cache is deliberately per-session: scores depend on the
-//! session's own model.
+//! Sessions may share three caches (see
+//! [`TuningSession::share_measure_cache`] and
+//! [`TuningSession::share_models`]) without changing any session's
+//! results, because each holds values that are pure in their key, so a hit
+//! returns exactly what a cold recompute would:
+//!
+//! - measurement results, keyed by `State::signature()` (plus the
+//!   measurer's fixed configuration, which the sharer must match);
+//! - the feature rows of measured programs, keyed by `State::signature()`;
+//! - trained models with the scores they gave, keyed by the training pass:
+//!   GBDT parameters, window cap, trained prefix and the hash of that
+//!   prefix's records (signature, seconds, task). A model is a pure
+//!   function of its records, and a score of `(model, state)`.
+//!
+//! `State::signature()` names the program — DAG content and steps — so
+//! sessions over different DAGs never meet on a key. Featurizations made
+//! only to score candidates stay in the session's own cache.
 
 use std::sync::Arc;
 
@@ -27,7 +34,7 @@ use ansor_runtime::SigCache;
 use hwsim::{MeasureResult, Measurer};
 
 use crate::checkpoint::{SinglePolicyCheckpoint, TuneCheckpoint, CHECKPOINT_VERSION};
-use crate::cost_model::{FeatureBlock, LearnedCostModel};
+use crate::cost_model::{FeatureBlock, LearnedCostModel, ModelMemo};
 use crate::evolution::Individual;
 use crate::records::{save_records, TuningRecordLog};
 use crate::search_policy::{SketchPolicy, TuningOptions, TuningResult};
@@ -64,7 +71,7 @@ pub struct SessionCacheStats {
     pub measure_hits: u64,
     /// Measurement result cache misses.
     pub measure_misses: u64,
-    /// Model score cache hits.
+    /// Model score cache hits (a recalled model brings its scores).
     pub score_hits: u64,
     /// Model score cache misses.
     pub score_misses: u64,
@@ -143,10 +150,16 @@ impl TuningSession {
         self.measurer.set_result_cache(cache);
     }
 
-    /// Shares a featurization cache with this session (see the module
-    /// docs for why this is determinism-transparent).
-    pub fn share_feature_cache(&mut self, cache: Arc<SigCache<FeatureBlock>>) {
-        self.model.set_feature_cache(cache);
+    /// Shares trained models with their scores, and the feature rows of
+    /// measured programs, with this session's cost model (see the module
+    /// docs for why this is determinism-transparent, and
+    /// [`LearnedCostModel::share_models`]).
+    pub fn share_models(
+        &mut self,
+        memo: Arc<ModelMemo>,
+        measured_features: Arc<SigCache<FeatureBlock>>,
+    ) {
+        self.model.share_models(memo, measured_features);
     }
 
     /// Runs one tuning round; returns the number of new measurements (0
@@ -300,7 +313,7 @@ impl TuningSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost_model::CostModel;
+    use crate::cost_model::{CostModel, ModelMemo};
     use hwsim::HardwareTarget;
     use std::sync::Arc as StdArc;
     use tensor_ir::{DagBuilder, Expr, Reducer};
@@ -361,16 +374,22 @@ mod tests {
         let mut cold = session(3, 128);
         cold.run(|_| true);
 
-        // Pre-warm shared caches with a different-seed run of the same
-        // task, then tune with them installed: results must be unchanged.
-        let mut other = session(9, 128);
-        other.run(|_| true);
-        let measure_cache = other.measurer().result_cache();
-        let feature_cache = other.model().feature_cache();
+        // One class's shared caches, as the serving daemon holds them.
+        let measure_cache = StdArc::new(SigCache::new(1 << 15));
+        let memo = StdArc::new(ModelMemo::new(8));
+        let measured_features = StdArc::new(SigCache::new(1 << 13));
+        let shared = |seed| {
+            let mut s = session(seed, 128);
+            s.share_measure_cache(StdArc::clone(&measure_cache));
+            s.share_models(StdArc::clone(&memo), StdArc::clone(&measured_features));
+            s
+        };
 
-        let mut warm = session(3, 128);
-        warm.share_measure_cache(StdArc::clone(&measure_cache));
-        warm.share_feature_cache(feature_cache);
+        // Pre-warm them with a different-seed run of the same task, then
+        // tune with them installed: results must be unchanged.
+        shared(9).run(|_| true);
+
+        let mut warm = shared(3);
         let before = warm.cache_stats();
         warm.run(|_| true);
         let delta = warm.cache_stats().since(&before);
@@ -379,11 +398,27 @@ mod tests {
         assert_eq!(cold.best_seconds().to_bits(), warm.best_seconds().to_bits());
         assert_eq!(cold.log(), warm.log());
         // The different-seed run explores overlapping programs, so the warm
-        // run must actually have used the shared cache.
+        // run must actually have used the shared caches.
         assert!(
             delta.measure_hits > 0 || delta.feature_hits > 0,
             "warm run never hit the shared caches: {delta:?}"
         );
+
+        // A repeat of the same seed recalls the models the warm run
+        // trained, with their scores: it runs no candidate through an
+        // ensemble, and still tunes exactly as the cold run did.
+        let mut repeat = shared(3);
+        let before = repeat.cache_stats();
+        repeat.run(|_| true);
+        let delta = repeat.cache_stats().since(&before);
+        assert_eq!(cold.trials(), repeat.trials());
+        assert_eq!(
+            cold.best_seconds().to_bits(),
+            repeat.best_seconds().to_bits()
+        );
+        assert_eq!(cold.log(), repeat.log());
+        assert!(delta.score_hits > 0, "{delta:?}");
+        assert_eq!(delta.score_misses, 0, "{delta:?}");
     }
 
     #[test]

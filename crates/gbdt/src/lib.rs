@@ -186,11 +186,8 @@ pub struct Gbdt {
 
 impl Gbdt {
     /// Trains on `(x, y)` with per-sample weights `w` (weighted squared
-    /// error), `x` a packed row-major matrix view. Each boosting round fits
-    /// a tree to the current residuals. Times the pass under the
-    /// `gbdt_train` phase, counts training passes/samples/trees, and emits
-    /// one `GbdtRound` trace event summarizing the pass (number of the
-    /// training invocation, trees fit, final weighted training MSE).
+    /// error), `x` a packed row-major matrix view: [`Gbdt::fit`] under
+    /// [`Gbdt::traced_pass`]'s telemetry.
     ///
     /// # Panics
     ///
@@ -202,26 +199,54 @@ impl Gbdt {
         params: &GbdtParams,
         tel: &telemetry::Telemetry,
     ) -> Gbdt {
+        Self::traced_pass(x, y, w, tel, || Self::fit(x, y, w, params), |m| m)
+    }
+
+    /// The telemetry of one training pass on `(x, y, w)` around `fit`,
+    /// which yields the model — or a handle on it, which `model` reads.
+    /// Times the pass under the `gbdt_train` phase, counts training
+    /// passes/samples/trees, and emits one `GbdtRound` trace event
+    /// summarizing the pass (number of the training invocation, trees fit,
+    /// final weighted training MSE). `fit` may recall the model an
+    /// identical pass fitted before: such a pass is traced and counted
+    /// exactly as the one that fitted it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x`, `y` and `w` have different lengths.
+    pub fn traced_pass<M>(
+        x: Matrix<'_>,
+        y: &[f32],
+        w: &[f32],
+        tel: &telemetry::Telemetry,
+        fit: impl FnOnce() -> M,
+        model: impl Fn(&M) -> &Gbdt,
+    ) -> M {
         assert_eq!(x.n_rows(), y.len());
         assert_eq!(x.n_rows(), w.len());
         let _phase = tel.span("gbdt_train");
         tel.incr("gbdt/train_passes", 1);
         tel.incr("gbdt/train_samples", x.n_rows() as u64);
-        let model = Self::train_impl(x, y, w, params);
-        tel.incr("gbdt/trees_fit", model.trees.len() as u64);
+        let fitted = fit();
+        let trained = model(&fitted);
+        tel.incr("gbdt/trees_fit", trained.trees.len() as u64);
         if tel.is_tracing() {
             let round = tel.counter_value("gbdt/train_passes");
-            let train_loss = model.weighted_mse_matrix(x, y, w);
+            let train_loss = trained.weighted_mse_matrix(x, y, w);
             tel.emit(|| telemetry::TraceEvent::GbdtRound {
                 round,
-                trees: model.trees.len() as u64,
+                trees: trained.trees.len() as u64,
                 train_loss,
             });
         }
-        model
+        fitted
     }
 
-    fn train_impl(x: Matrix<'_>, y: &[f32], w: &[f32], params: &GbdtParams) -> Gbdt {
+    /// The fit itself, without telemetry: a pure function of its
+    /// arguments (no RNG state crosses calls), so equal arguments give a
+    /// bit-identical model. Each boosting round fits a tree to the current
+    /// residuals.
+    pub fn fit(x: Matrix<'_>, y: &[f32], w: &[f32], params: &GbdtParams) -> Gbdt {
         let wsum: f64 = w.iter().map(|&v| v as f64).sum();
         let base = if wsum > 0.0 {
             (y.iter()

@@ -3,10 +3,10 @@
 //!
 //! A tuning session runs on one thread. The `ansor-serve` daemon runs one
 //! session per worker thread, and those sessions share a measurement
-//! cache and a featurization cache ([`SigCache`]); [`derive_seed`] gives
-//! every evolution lane its own RNG stream, a function of `(seed, index)`
-//! only, so a lane's offspring never depends on how many draws another
-//! lane made. See `docs/PARALLELISM.md`.
+//! cache, a featurization cache and a model memo ([`SigCache`]s);
+//! [`derive_seed`] gives every evolution lane its own RNG stream, a
+//! function of `(seed, index)` only, so a lane's offspring never depends
+//! on how many draws another lane made. See `docs/PARALLELISM.md`.
 
 #![warn(missing_docs)]
 

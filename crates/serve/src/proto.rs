@@ -129,11 +129,13 @@ pub struct JobStatus {
     pub best_seconds: Option<f64>,
 }
 
-/// Shared-cache traffic observed during one job (hit/miss deltas of the
-/// warm store's caches over the job's execution window). Nonzero hits on a
-/// resubmitted job are the "warm store worked" signal. Under concurrent
-/// jobs the windows overlap, so deltas are attributed approximately; the
-/// totals across jobs are exact.
+/// Cache traffic observed during one job. Nonzero hits on a resubmitted
+/// job are the "warm store worked" signal. The measurement counts are
+/// deltas of the warm store's shared cache over the job's execution
+/// window: under concurrent jobs the windows overlap, so they are
+/// attributed approximately (the totals across jobs are exact). The
+/// feature and score counts are the job's cost model's own lookups, exact
+/// per job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct CacheDeltas {
     /// Measurement result cache hits.
@@ -144,8 +146,9 @@ pub struct CacheDeltas {
     pub feature_hits: u64,
     /// Featurization cache misses.
     pub feature_misses: u64,
-    /// Model score cache hits (always per-session; scores depend on the
-    /// session's own model).
+    /// Model score cache hits. A score table travels with its model, so a
+    /// job that recalls a model from the warm store hits the scores the
+    /// job that fitted it filled.
     pub score_hits: u64,
     /// Model score cache misses.
     pub score_misses: u64,

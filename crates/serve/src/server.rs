@@ -746,7 +746,8 @@ fn run_job(
 
     let class = spec.class_key(faults);
     session.share_measure_cache(shared.store.measure_cache(&class));
-    session.share_feature_cache(shared.store.feature_cache(&class));
+    let (models, measured_features) = shared.store.model_caches(&class);
+    session.share_models(models, measured_features);
     if spec.warm_start == Some(true) {
         let records = shared.store.records_for(&class);
         session.warm_start(&records);

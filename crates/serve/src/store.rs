@@ -1,19 +1,21 @@
 //! The persistent shared warm store.
 //!
 //! The store is what makes the daemon more than N copies of `ansor-tune`:
-//! measurement results, featurizations, and tuning records survive across
-//! jobs *and* across server restarts, so a repeat job finds most of its
-//! work already done. Three layers, by sharing safety (see the
-//! determinism notes in `ansor_core::session`):
+//! measurement results, trained cost models and tuning records survive
+//! across jobs (the records also across server restarts), so a repeat job
+//! finds most of its work already done. Two layers, by sharing safety (see
+//! the determinism notes in `ansor_core::session`):
 //!
-//! - **Measurement and featurization caches**, one pair per *workload
-//!   class* (operator, shape, batch, target, fault spec — everything that
-//!   determines a measurement except the seed). Both are keyed by
-//!   `State::signature()`, which names the program (DAG content and
-//!   steps); the class adds what a measurement also depends on — target
-//!   and fault spec — and is the unit the byte budget evicts. Sharing
-//!   across seeds is determinism-transparent — a hit returns exactly what
-//!   a cold measurement or featurization of the same program would.
+//! - **Three caches per *workload class*** (operator, shape, batch,
+//!   target, fault spec — everything that determines a measurement except
+//!   the seed): measurement results and the feature rows of measured
+//!   programs, both keyed by `State::signature()`, which names the program
+//!   (DAG content and steps); and trained models with the scores they
+//!   gave, keyed by the training pass (`ansor_core::ModelMemo`). The class
+//!   adds what a measurement also depends on — target and fault spec — and
+//!   is the unit the byte budget evicts. Sharing across jobs is
+//!   determinism-transparent — a hit returns exactly what a cold
+//!   measurement, featurization or fit would.
 //! - **Tuning records** per class, persisted as the store file and used
 //!   both to re-prime the measurement caches after a restart (each record
 //!   is replayed to its program signature) and to warm-start jobs that opt
@@ -42,7 +44,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use ansor_core::{FeatureBlock, TuningRecordLog};
+use ansor_core::{FeatureBlock, ModelMemo, TuningRecordLog};
 use ansor_runtime::SigCache;
 use ansor_workloads::build_case;
 use hwsim::MeasureResult;
@@ -59,13 +61,19 @@ const VERSION_LINE: &str = "{\"version\":2}\n";
 /// Per-class measurement-cache capacity (entries).
 const MEASURE_CACHE_CAPACITY: usize = 1 << 15;
 
-/// Per-class featurization-cache capacity (entries).
-const FEATURE_CACHE_CAPACITY: usize = 1 << 15;
-
 /// Records retained per class entry. A full entry absorbs no further
 /// records — the newest are the ones left out — though it still learns a
 /// better `best_seconds` from them.
 const MAX_RECORDS_PER_ENTRY: usize = 8192;
+
+/// Per-class capacity (entries) of the feature rows of measured programs:
+/// a measured program is a record, and an entry keeps this many.
+const FEATURE_CACHE_CAPACITY: usize = MAX_RECORDS_PER_ENTRY;
+
+/// Per-class capacity (trained models) of the model memo. A 192-trial job
+/// trains two models, a 1 024-trial one six; once full, a job fits its
+/// models as a cold one does and keeps them to itself.
+const MODEL_MEMO_CAPACITY: usize = 8;
 
 /// Everything the store remembers about one workload class. Also the form
 /// of a log line, where `records` holds only what that job added.
@@ -128,11 +136,12 @@ pub struct StoreLoadStats {
     pub skipped: usize,
 }
 
-/// The signature-keyed caches of one workload class.
+/// The caches of one workload class.
 #[derive(Debug, Clone)]
 struct ClassCaches {
     measure: Arc<SigCache<MeasureResult>>,
     features: Arc<SigCache<FeatureBlock>>,
+    models: Arc<ModelMemo>,
 }
 
 /// One class in memory: a [`StoreEntry`] taken apart, with what lets an
@@ -448,6 +457,7 @@ impl WarmStore {
             .or_insert_with(|| ClassCaches {
                 measure: Arc::new(SigCache::new(MEASURE_CACHE_CAPACITY)),
                 features: Arc::new(SigCache::new(FEATURE_CACHE_CAPACITY)),
+                models: Arc::new(SigCache::new(MODEL_MEMO_CAPACITY)),
             })
             .clone()
     }
@@ -460,11 +470,13 @@ impl WarmStore {
         self.class_caches(class_key).measure
     }
 
-    /// The featurization cache for a workload class (features are pure in
-    /// the program; per class because a class is what the byte budget
-    /// evicts).
-    pub fn feature_cache(&self, class_key: &str) -> Arc<SigCache<FeatureBlock>> {
-        self.class_caches(class_key).features
+    /// The model memo and the feature rows of measured programs for a
+    /// workload class, as `TuningSession::share_models` takes them (both
+    /// are pure in their keys; per class because a class is what the byte
+    /// budget evicts).
+    pub fn model_caches(&self, class_key: &str) -> (Arc<ModelMemo>, Arc<SigCache<FeatureBlock>>) {
+        let caches = self.class_caches(class_key);
+        (caches.models, caches.features)
     }
 
     /// Stored tuning records for a class (for opt-in warm starts). Counts

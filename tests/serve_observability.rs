@@ -4,7 +4,9 @@
 //!    `--trace-dir`, pulled over the protocol with `Client::trace` — must
 //!    be **bit-identical** in its canonical event stream to the same-seed
 //!    cold run `ansor-tune --trace` performs. Observability never changes
-//!    what the search did, and the trace a client pulls is the truth.
+//!    what the search did, and the trace a client pulls is the truth. So
+//!    must a resubmit of the job, which recalls its trained models from
+//!    the warm store instead of fitting them.
 //! 2. Per-job counter summaries must reconcile: every job's
 //!    `JobResult.counters` accounts for its own trials, and the daemon's
 //!    `ServerStats.trials_total` equals the sum over job results.
@@ -27,7 +29,8 @@ use ansor_bench::serve_report::ServeReport;
 use telemetry::export::build_status;
 use telemetry::{read_trace, SharedBuf, Telemetry, TraceEvent};
 
-const TRIALS: usize = 48;
+/// Two rounds of 64 measurements: the second scores with a trained model.
+const TRIALS: usize = 128;
 
 fn spec(seed: u64) -> JobSpec {
     JobSpec {
@@ -64,6 +67,23 @@ fn canonical_events(raw: &[u8]) -> Vec<String> {
         .filter(|e| !matches!(e, TraceEvent::PhaseProfile { .. }))
         .map(|e| serde_json::to_string(&e).expect("event serializes"))
         .collect()
+}
+
+/// The final `PhaseProfile`'s `model/memo_hits` counter of a trace.
+fn memo_hits(raw: &[u8]) -> u64 {
+    let (lines, _) = read_trace(raw).expect("trace parses");
+    lines
+        .into_iter()
+        .rev()
+        .find_map(|l| match l.event {
+            TraceEvent::PhaseProfile { snapshot } => Some(snapshot),
+            _ => None,
+        })
+        .expect("a flushed trace ends with its PhaseProfile")
+        .counters
+        .get("model/memo_hits")
+        .copied()
+        .unwrap_or(0)
 }
 
 /// Runs the spec cold with a trace sink — the `ansor-tune --trace` path —
@@ -125,13 +145,36 @@ fn served_trace_is_bit_identical_to_cold_tune_trace() {
     let other_events = canonical_events(&cold_traced_run(&spec(6)));
     assert_ne!(served_events, other_events, "seeds must matter");
 
+    // The same spec again: it recalls the first job's trained models
+    // from the warm store, and its trace is still the cold run's.
+    let again = client.submit(spec(5)).expect("submit");
+    let repeat = client.wait(&again).expect("wait");
+    assert_eq!(repeat.state, "done");
+    assert_eq!(
+        (repeat.log_fingerprint, repeat.best_signature),
+        (result.log_fingerprint, result.best_signature)
+    );
+    let repeat_trace = client.trace(&again).expect("trace");
+    assert_eq!(
+        canonical_events(repeat_trace.as_bytes()),
+        cold_events,
+        "a repeat's canonical event stream must equal the cold run's, byte for byte"
+    );
+    assert_eq!(memo_hits(served.as_bytes()), 0);
+    assert!(
+        memo_hits(repeat_trace.as_bytes()) >= 1,
+        "the repeat fitted every model again"
+    );
+
     // Counter reconciliation: the per-job summary accounts for every
     // trial, and the daemon's running total matches the sum over jobs.
-    let c = &result.counters;
-    assert_eq!(c.trials_valid + c.trials_failed, result.trials);
-    assert!(!c.phase_seconds.is_empty(), "no phase breakdown");
+    for r in [&result, &repeat] {
+        let c = &r.counters;
+        assert_eq!(c.trials_valid + c.trials_failed, r.trials);
+        assert!(!c.phase_seconds.is_empty(), "no phase breakdown");
+    }
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.trials_total, result.trials);
+    assert_eq!(stats.trials_total, result.trials + repeat.trials);
 
     client.shutdown(true).expect("shutdown");
     server.wait();
