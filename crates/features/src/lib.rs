@@ -14,6 +14,11 @@
 //! the information content is the same.
 //!
 //! Magnitudes are `log2(1 + x)`-scaled, as in the reference implementation.
+//!
+//! The arithmetic-intensity curve and the buffer-access features read the
+//! statement's footprint table (`tensor_ir::analysis::Footprints`), filled
+//! at a 16-element cache line: the table `hwsim`'s machine model prices
+//! the statement from.
 
 #![warn(missing_docs)]
 
@@ -21,7 +26,10 @@ mod matrix;
 
 pub use matrix::FeatureMatrix;
 
-use tensor_ir::analysis::{AccessType, BufferAccess, LoopCtx, StoreAnalysis};
+use tensor_ir::analysis::{
+    lines_spanned, with_footprints, AccessType, BufferAccess, Footprint, Footprints, LoopCtx,
+    StoreAnalysis,
+};
 use tensor_ir::{Annotation, IterKind, NodeId, Program};
 
 /// Number of entries in one statement's feature vector.
@@ -32,6 +40,10 @@ pub const FEATURE_DIM: usize = 164;
 pub const N_BUFFER_SLOTS: usize = 5;
 
 const BUFFER_FEATURES: usize = 18;
+
+/// The cache line the buffer features count in, in elements (64 bytes of
+/// `f32`).
+const LINE_ELEMS: i64 = 16;
 
 /// log2(1 + x), the standard magnitude squashing for features. Many
 /// features are 0, and log2(1) is exactly +0: those skip the call.
@@ -62,14 +74,17 @@ impl ProgramFeatures {
     }
 
     /// Featurizes a program's analyzed statements, one row each, written in
-    /// place into the packed block.
+    /// place into the packed block from each statement's footprint table.
     pub fn of_statements(analyses: &[StoreAnalysis]) -> ProgramFeatures {
         let mut data = vec![0.0; analyses.len() * FEATURE_DIM];
         let depth = analyses.iter().map(|s| s.loops.len()).max().unwrap_or(0);
         let mut levels = Vec::with_capacity(depth + 1);
-        for (s, row) in analyses.iter().zip(data.chunks_exact_mut(FEATURE_DIM)) {
-            write_row(&mut Row { f: row, at: 0 }, s, &mut levels);
-        }
+        with_footprints(|table| {
+            for (s, row) in analyses.iter().zip(data.chunks_exact_mut(FEATURE_DIM)) {
+                table.fill(s, LINE_ELEMS);
+                write_row(&mut Row { f: row, at: 0 }, s, table, &mut levels);
+            }
+        });
         ProgramFeatures {
             rows: FeatureMatrix::from_packed(data, FEATURE_DIM),
             buffers: analyses.iter().map(|s| s.buffer).collect(),
@@ -118,56 +133,41 @@ impl Row<'_> {
 /// What a statement's sub-nest rooted at one loop level does: how often it
 /// runs its body, the bytes its accesses touch, and the intensity-curve
 /// point of that level.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Level {
     /// Product of the extents of the loops at and below the level.
     trips: f64,
-    /// Σ over the statement's accesses of `touched_elems(level) · 4`.
+    /// Σ over the statement's accesses, in order, of their footprints'
+    /// `elems · 4` at the level.
     bytes: f64,
     /// `lg(flops / max(bytes, 4))` of the sub-nest.
     intensity: f32,
 }
 
-/// Fills `levels[lvl]` for every level `0..=loops.len()` of `s` in one pass
-/// from the innermost. The products are built inner to outer where
-/// `touched_elems` builds them outer to inner: both are products of integer
-/// extents below 2^53, which `f64` holds exactly, so the bits agree. Each
-/// level's bytes are summed in access order, as there.
-fn fill_levels(levels: &mut Vec<Level>, s: &StoreAnalysis, flops_per_iter: f64) {
+/// Fills `levels[lvl]` for every level `0..=loops.len()` of `s` from the
+/// innermost, reading the bytes off its footprint table.
+fn fill_levels(levels: &mut Vec<Level>, s: &StoreAnalysis, table: &Footprints, flops: f64) {
     let n = s.loops.len();
-    levels.clear();
-    levels.resize(
-        n + 1,
-        Level {
-            trips: 1.0,
-            bytes: 0.0,
-            intensity: 0.0,
-        },
-    );
-    for lvl in (0..n).rev() {
-        levels[lvl].trips = levels[lvl + 1].trips * s.loops[lvl].extent as f64;
-    }
-    for a in &s.accesses {
-        let elems = a.buffer_elems as f64;
-        let mut touched = 1.0f64;
-        levels[n].bytes += touched.min(elems) * 4.0;
-        for lvl in (0..n).rev() {
-            if a.strides[lvl] != 0 {
-                touched *= s.loops[lvl].extent as f64;
-            }
-            levels[lvl].bytes += touched.min(elems) * 4.0;
+    levels.resize(n + 1, Level::default());
+    let mut trips = 1.0f64;
+    for lvl in (0..=n).rev() {
+        if lvl < n {
+            trips *= s.loops[lvl].extent as f64;
         }
-    }
-    for level in levels.iter_mut() {
-        level.intensity = lg(flops_per_iter * level.trips / level.bytes.max(4.0));
+        let bytes = (0..s.accesses.len()).fold(0.0, |b, k| b + table.at(k, lvl).elems * 4.0);
+        levels[lvl] = Level {
+            trips,
+            bytes,
+            intensity: lg(flops * trips / bytes.max(4.0)),
+        };
     }
 }
 
-/// Writes one analyzed statement's [`FEATURE_DIM`] features into `f`;
-/// `levels` is scratch.
-fn write_row(f: &mut Row, s: &StoreAnalysis, levels: &mut Vec<Level>) {
+/// Writes one analyzed statement's [`FEATURE_DIM`] features into `f`,
+/// from `table`, filled for it; `levels` is scratch.
+fn write_row(f: &mut Row, s: &StoreAnalysis, table: &Footprints, levels: &mut Vec<Level>) {
     let flops_per_iter = s.flops_per_iter();
-    fill_levels(levels, s, flops_per_iter);
+    fill_levels(levels, s, table, flops_per_iter);
 
     // --- Arithmetic features (10) ---
     let trips = s.trip_count();
@@ -194,18 +194,11 @@ fn write_row(f: &mut Row, s: &StoreAnalysis, levels: &mut Vec<Level>) {
     annotation_group(f, s, Annotation::Parallel);
 
     // --- GPU thread binding features (7) ---
-    let (mut blocks, mut threads, mut vthreads) = (1.0f64, 1.0f64, 1.0f64);
-    for l in &s.loops {
-        match l.ann {
-            Annotation::BindBlock => blocks *= l.extent as f64,
-            Annotation::BindThread => threads *= l.extent as f64,
-            Annotation::BindVthread => vthreads *= l.extent as f64,
-            _ => {}
-        }
-    }
+    let blocks = s.extent_product(Annotation::BindBlock);
+    let threads = s.extent_product(Annotation::BindThread);
     f.push(lg(blocks));
     f.push(lg(threads));
-    f.push(lg(vthreads));
+    f.push(lg(s.extent_product(Annotation::BindVthread)));
     f.push(lg(blocks * threads));
     let warp_eff = if threads > 1.0 {
         (threads / ((threads / 32.0).ceil() * 32.0)) as f32
@@ -256,8 +249,8 @@ fn write_row(f: &mut Row, s: &StoreAnalysis, levels: &mut Vec<Level>) {
             kept = (kept + 1).min(N_BUFFER_SLOTS);
         }
     }
-    for &i in &top[..kept] {
-        buffer_group(f, s, &s.accesses[i], levels);
+    for &k in &top[..kept] {
+        buffer_group(f, s, k, table.at(k, 0), levels);
     }
     f.skip((N_BUFFER_SLOTS - kept) * BUFFER_FEATURES);
 
@@ -269,11 +262,9 @@ fn write_row(f: &mut Row, s: &StoreAnalysis, levels: &mut Vec<Level>) {
 fn annotation_group(f: &mut Row, s: &StoreAnalysis, ann: Annotation) {
     let mut innermost = None;
     let mut count = 0;
-    let mut product = 1.0f64;
     for (pos, l) in s.loops.iter().enumerate().filter(|(_, l)| l.ann == ann) {
         innermost = Some((pos, l));
         count += 1;
-        product *= l.extent as f64;
     }
     f.push(lg(innermost.map(|(_, l)| l.extent as f64).unwrap_or(0.0)));
     // Position one-hot: InnerSpatial, MiddleSpatial, OuterSpatial,
@@ -296,7 +287,12 @@ fn annotation_group(f: &mut Row, s: &StoreAnalysis, ann: Annotation) {
         },
     };
     f.one_hot(8, slot);
-    f.push(lg(if count == 0 { 0.0 } else { product }));
+    let product = if count == 0 {
+        0.0
+    } else {
+        s.extent_product(ann)
+    };
+    f.push(lg(product));
     f.push(count as f32);
 }
 
@@ -317,8 +313,10 @@ fn intensity_curve(f: &mut Row, levels: &[Level]) {
     }
 }
 
-/// The 18 features of one buffer access.
-fn buffer_group(f: &mut Row, s: &StoreAnalysis, a: &BufferAccess, levels: &[Level]) {
+/// The 18 features of access `k`, whose footprint over the whole nest is
+/// `nest`.
+fn buffer_group(f: &mut Row, s: &StoreAnalysis, k: usize, nest: Footprint, levels: &[Level]) {
+    let a = &s.accesses[k];
     let trips = s.trip_count();
     // Access type one-hot.
     let access = match a.access {
@@ -328,16 +326,9 @@ fn buffer_group(f: &mut Row, s: &StoreAnalysis, a: &BufferAccess, levels: &[Leve
     };
     f.one_hot(3, access);
     let bytes = trips * a.count as f64 * 4.0;
-    let unique_bytes = a.touched_elems(0, &s.loops) * 4.0;
-    let line_elems = 16;
-    let stride = a.min_stride(0).unwrap_or(0) as f64;
-    let per_line = if stride > 0.0 {
-        (line_elems as f64 / stride).clamp(1.0, line_elems as f64)
-    } else {
-        line_elems as f64
-    };
-    let lines = (bytes / 4.0 / per_line).max(1.0);
-    let unique_lines = a.touched_lines(0, &s.loops, line_elems);
+    let unique_bytes = nest.elems * 4.0;
+    let lines = lines_spanned(trips * a.count as f64, nest.min_stride.max(1), LINE_ELEMS);
+    let unique_lines = nest.lines;
     f.push(lg(bytes));
     f.push(lg(unique_bytes));
     f.push(lg(lines));

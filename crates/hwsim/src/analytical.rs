@@ -8,8 +8,9 @@
 //! - peak compute throughput, derated by vectorization efficiency (lane
 //!   quantization, gather/scatter penalties) and by reduction-chain ILP
 //!   (dependent FMA latency vs. independent accumulators),
-//! - a multi-level cache traffic model (footprint-based tile-fit analysis
-//!   that charges each cache boundary crossing against its bandwidth),
+//! - a multi-level cache traffic model (a tile-fit analysis over the
+//!   statement's [`Footprints`] table that charges each cache boundary
+//!   crossing against its bandwidth),
 //! - loop maintenance overhead (removed by unrolling, amortized by
 //!   vectorization),
 //! - multi-core parallel scaling with launch/task overheads and shared
@@ -20,7 +21,7 @@
 //! the paper approximates.
 
 use serde::{Deserialize, Serialize};
-use tensor_ir::analysis::{lines_spanned, AccessType, StoreAnalysis};
+use tensor_ir::analysis::{with_footprints, AccessType, Footprint, Footprints, StoreAnalysis};
 use tensor_ir::{Annotation, Program};
 
 use crate::target::{HardwareTarget, TargetKind};
@@ -61,30 +62,28 @@ pub fn estimate_detailed(program: &Program, target: &HardwareTarget) -> Vec<Stor
 /// Execution time, in seconds, of the program whose analyzed statements
 /// these are: the sum of their [`StoreCost::total_s`], in order.
 pub fn seconds_of_statements(stores: &[StoreAnalysis], target: &HardwareTarget) -> f64 {
-    let mut table = Footprints::default();
     stores
         .iter()
-        .map(|s| store_cost(s, target, &mut table).total_s)
+        .map(|s| store_cost(s, target).total_s)
         .sum::<f64>()
         + 1e-7
 }
 
 /// The cost breakdown of each analyzed statement.
 pub fn cost_of_statements(stores: &[StoreAnalysis], target: &HardwareTarget) -> Vec<StoreCost> {
-    let mut table = Footprints::default();
-    stores
-        .iter()
-        .map(|s| store_cost(s, target, &mut table))
-        .collect()
+    stores.iter().map(|s| store_cost(s, target)).collect()
 }
 
-/// One statement's cost; `table` is scratch for its footprints.
-fn store_cost(s: &StoreAnalysis, t: &HardwareTarget, table: &mut Footprints) -> StoreCost {
-    table.fill(s, t.line_elems());
-    match t.kind {
-        TargetKind::Cpu => cpu_store_cost(s, t, table),
-        TargetKind::Gpu => gpu_store_cost(s, t, table),
-    }
+/// One statement's cost, priced from its footprints in the thread's
+/// reused table.
+fn store_cost(s: &StoreAnalysis, t: &HardwareTarget) -> StoreCost {
+    with_footprints(|table| {
+        table.fill(s, t.line_elems());
+        match t.kind {
+            TargetKind::Cpu => cpu_store_cost(s, t, table),
+            TargetKind::Gpu => gpu_store_cost(s, t, table),
+        }
+    })
 }
 
 /// Throughput in GFLOP/s for a program on a target (for reports).
@@ -132,131 +131,48 @@ pub fn explain(program: &Program, target: &HardwareTarget) -> String {
     out
 }
 
-/// One access's footprint at one loop level.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Footprint {
-    /// Distinct elements one execution of the sub-nest rooted at the level
-    /// touches: [`tensor_ir::BufferAccess::touched_elems`].
-    pub elems: f64,
-    /// Smallest non-zero absolute stride at or below the level, 0 when the
-    /// access is invariant there: `min_stride(lvl).unwrap_or(0)`.
-    pub min_stride: i64,
-    /// Cache lines those elements span:
-    /// [`tensor_ir::BufferAccess::touched_lines`].
-    pub lines: f64,
-    /// Product of the extents of the loops above the level that the access
-    /// varies in: how often the loops outside make it touch a new region.
-    pub outer: f64,
+/// Bytes crossing the boundary below a cache of `cap_bytes` over the
+/// statement's execution: the outermost sub-nest whose accesses' lines fit
+/// in the usable capacity stays resident, and each re-entry of it with a
+/// changed region refetches that region. No cache: every access's whole
+/// footprint.
+fn crossing(fp: &Footprints, s: &StoreAnalysis, cap_bytes: i64, line: f64) -> f64 {
+    let resident = if cap_bytes <= 0 {
+        0
+    } else {
+        fit(fp, s, cap_bytes as f64 * CACHE_UTIL, line)
+    };
+    s.accesses
+        .iter()
+        .enumerate()
+        .map(|(k, a)| {
+            let Footprint { lines, outer, .. } = fp.at(k, resident);
+            let write_factor = match a.access {
+                AccessType::Read => 1.0,
+                AccessType::Write => 1.0,
+                AccessType::ReadWrite => 2.0, // read + write back
+            };
+            (outer * lines * line * write_factor)
+                .min(2.0 * a.buffer_elems as f64 * 4.0 * outer.sqrt())
+        })
+        .sum()
 }
 
-/// The footprint of every access of one statement at every loop level
-/// `0..=loops.len()`, and the iterations of each loop: all the cache fits,
-/// the boundary crossings and the loop overhead read. An access's cells
-/// take one pass over the nest each way, where a per-level
-/// `touched_lines` takes one per level. The sub-nest products are built
-/// inner to outer where `touched_elems` builds them outer to inner: both
-/// are products of integer extents below 2^53, which `f64` holds exactly,
-/// so the bits agree.
-#[derive(Debug, Default)]
-pub struct Footprints {
-    /// `loops.len() + 1`.
-    levels: usize,
-    /// `levels` cells per access, level 0 first.
-    cells: Vec<Footprint>,
-    /// `through[i]`: product of the extents of loops `0..=i`, the times
-    /// loop `i` iterates.
-    through: Vec<f64>,
-}
-
-impl Footprints {
-    /// Fills the table for `s`, with `line_elems` elements to a cache line,
-    /// reusing its vectors.
-    pub fn fill(&mut self, s: &StoreAnalysis, line_elems: i64) {
-        let n = s.loops.len();
-        self.levels = n + 1;
-        self.through.clear();
-        let mut iterations = 1.0f64;
-        for l in &s.loops {
-            iterations *= l.extent as f64;
-            self.through.push(iterations);
-        }
-        self.cells.clear();
-        self.cells
-            .resize(s.accesses.len() * self.levels, Footprint::default());
-        for (a, cells) in s.accesses.iter().zip(self.cells.chunks_exact_mut(n + 1)) {
-            // Outer to inner: the varying loops above each level.
-            let mut outer = 1.0f64;
-            for (lvl, cell) in cells.iter_mut().enumerate() {
-                cell.outer = outer;
-                if lvl < n && a.strides[lvl] != 0 {
-                    outer *= s.loops[lvl].extent as f64;
-                }
-            }
-            // Inner to outer: the varying loops at and below each level,
-            // and their smallest stride.
-            let (buffer_elems, mut varying, mut stride) = (a.buffer_elems as f64, 1.0f64, 0i64);
-            for lvl in (0..=n).rev() {
-                if lvl < n && a.strides[lvl] != 0 {
-                    varying *= s.loops[lvl].extent as f64;
-                    let here = a.strides[lvl].abs();
-                    stride = if stride == 0 { here } else { stride.min(here) };
-                }
-                let cell = &mut cells[lvl];
-                cell.elems = varying.min(buffer_elems);
-                cell.min_stride = stride;
-                let read_at = if a.packed { 1 } else { stride };
-                cell.lines = lines_spanned(cell.elems, read_at, line_elems);
-            }
-        }
-    }
-
-    /// Access `access`'s footprint at level `lvl` (`0..=loops.len()`).
-    pub fn at(&self, access: usize, lvl: usize) -> Footprint {
-        self.cells[access * self.levels + lvl]
-    }
-
-    /// Bytes crossing the boundary below a cache of `cap_bytes` over the
-    /// statement's execution: the outermost sub-nest whose accesses' lines
-    /// fit in the usable capacity stays resident, and each re-entry of it
-    /// with a changed region refetches that region. No cache: every
-    /// access's whole footprint.
-    fn crossing(&self, s: &StoreAnalysis, cap_bytes: i64, line: f64) -> f64 {
-        let fit = if cap_bytes <= 0 {
-            0
+/// The outermost level from which every inner sub-nest's footprint fits in
+/// `cap` bytes (the innermost statement always fits).
+fn fit(fp: &Footprints, s: &StoreAnalysis, cap: f64, line: f64) -> usize {
+    let mut fit = s.loops.len();
+    for lvl in (0..=s.loops.len()).rev() {
+        let bytes: f64 = (0..s.accesses.len())
+            .map(|k| fp.at(k, lvl).lines * line)
+            .sum();
+        if bytes <= cap {
+            fit = lvl;
         } else {
-            self.fit(cap_bytes as f64 * CACHE_UTIL, line)
-        };
-        s.accesses
-            .iter()
-            .enumerate()
-            .map(|(k, a)| {
-                let Footprint { lines, outer, .. } = self.at(k, fit);
-                let write_factor = match a.access {
-                    AccessType::Read => 1.0,
-                    AccessType::Write => 1.0,
-                    AccessType::ReadWrite => 2.0, // read + write back
-                };
-                (outer * lines * line * write_factor)
-                    .min(2.0 * a.buffer_elems as f64 * 4.0 * outer.sqrt())
-            })
-            .sum()
-    }
-
-    /// The outermost level from which every inner sub-nest's footprint fits
-    /// in `cap` bytes (the innermost statement always fits).
-    fn fit(&self, cap: f64, line: f64) -> usize {
-        let accesses = self.cells.len() / self.levels;
-        let mut fit = self.levels - 1;
-        for lvl in (0..self.levels).rev() {
-            let fp: f64 = (0..accesses).map(|k| self.at(k, lvl).lines * line).sum();
-            if fp <= cap {
-                fit = lvl;
-            } else {
-                break;
-            }
+            break;
         }
-        fit
     }
+    fit
 }
 
 fn cpu_store_cost(s: &StoreAnalysis, t: &HardwareTarget, fp: &Footprints) -> StoreCost {
@@ -386,16 +302,10 @@ fn loop_overhead_cycles(
             // One maintenance op per vector, not per element.
             continue;
         }
-        cycles += fp.through[i] * t.loop_overhead_cycles;
+        cycles += fp.iterations(i) * t.loop_overhead_cycles;
     }
     // Excessive unrolling blows up the instruction cache.
-    let unroll_amount: f64 = s
-        .loops
-        .iter()
-        .filter(|l| l.ann == Annotation::Unroll)
-        .map(|l| l.extent as f64)
-        .product();
-    if unroll_amount * s.flops_per_iter() > 4096.0 {
+    if s.extent_product(Annotation::Unroll) * s.flops_per_iter() > 4096.0 {
         cycles += s.trip_count() * 0.5; // icache / decode pressure
     }
     cycles
@@ -404,7 +314,7 @@ fn loop_overhead_cycles(
 /// Footprint-based traffic estimate: bytes crossing the L1, L2 and L3
 /// boundaries over the whole statement execution.
 fn memory_traffic(s: &StoreAnalysis, t: &HardwareTarget, fp: &Footprints) -> (f64, f64, f64) {
-    let l2 = fp.crossing(s, t.l1_bytes, t.line_bytes as f64);
+    let l2 = crossing(fp, s, t.l1_bytes, t.line_bytes as f64);
     let (l3, dram) = outer_traffic(s, t, fp);
     (l2, l3, dram)
 }
@@ -413,9 +323,9 @@ fn memory_traffic(s: &StoreAnalysis, t: &HardwareTarget, fp: &Footprints) -> (f6
 /// reaching DRAM (the same bytes when there is no L3).
 fn outer_traffic(s: &StoreAnalysis, t: &HardwareTarget, fp: &Footprints) -> (f64, f64) {
     let line = t.line_bytes as f64;
-    let l3 = fp.crossing(s, t.l2_bytes, line);
+    let l3 = crossing(fp, s, t.l2_bytes, line);
     let dram = if t.l3_bytes > 0 {
-        fp.crossing(s, t.l3_bytes, line)
+        crossing(fp, s, t.l3_bytes, line)
     } else {
         l3
     };
@@ -425,18 +335,8 @@ fn outer_traffic(s: &StoreAnalysis, t: &HardwareTarget, fp: &Footprints) -> (f64
 fn gpu_store_cost(s: &StoreAnalysis, t: &HardwareTarget, fp: &Footprints) -> StoreCost {
     let trips = s.trip_count();
     let flops = s.flops_per_iter() * trips;
-    let blocks: f64 = s
-        .loops
-        .iter()
-        .filter(|l| l.ann == Annotation::BindBlock)
-        .map(|l| l.extent as f64)
-        .product();
-    let threads: f64 = s
-        .loops
-        .iter()
-        .filter(|l| l.ann == Annotation::BindThread)
-        .map(|l| l.extent as f64)
-        .product();
+    let blocks = s.extent_product(Annotation::BindBlock);
+    let threads = s.extent_product(Annotation::BindThread);
     let total_threads = blocks * threads;
     // Warp quantization.
     let warp = 32.0;

@@ -7,6 +7,11 @@
 //! the tuner still only observes `(program → execution time)`, so the
 //! search-quality comparisons of the evaluation are preserved (see
 //! DESIGN.md, "Substitutions").
+//!
+//! The analytical model prices each statement from its footprint table
+//! (`tensor_ir::analysis::Footprints`), the table the feature extractor
+//! reads too; the cache fit and the traffic crossing each cache boundary
+//! are this crate's functions over it.
 
 #![warn(missing_docs)]
 
@@ -18,7 +23,7 @@ pub mod target;
 
 pub use analytical::{
     cost_of_statements, estimate_detailed, estimate_seconds, explain, gflops,
-    seconds_of_statements, Footprint, Footprints, StoreCost,
+    seconds_of_statements, StoreCost,
 };
 pub use cache::{miss_traffic, CacheHierarchy, CacheLevel};
 pub use faults::{default_plan, is_terminal_fault, set_default_plan, FaultOutcome, FaultPlan};

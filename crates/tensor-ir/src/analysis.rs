@@ -4,7 +4,8 @@
 //! analytical hardware model (`hwsim`) and the feature extractor
 //! (`ansor-features`, Appendix B of the paper) need: the enclosing loop
 //! chain, arithmetic operation counts, and per-buffer access descriptors
-//! with flat strides and touched-footprint estimates.
+//! with flat strides; and [`Footprints`], the table of what each access
+//! touches at each loop level, which both read.
 
 use std::cell::Cell;
 
@@ -61,40 +62,6 @@ pub struct BufferAccess {
 }
 
 impl BufferAccess {
-    /// Distinct elements touched by the loops at levels `lvl..` (i.e. one
-    /// full execution of the sub-nest rooted at `lvl`), capped by the buffer
-    /// size.
-    pub fn touched_elems(&self, lvl: usize, loops: &[LoopCtx]) -> f64 {
-        let mut n = 1.0f64;
-        for (i, lp) in loops.iter().enumerate().skip(lvl) {
-            if self.strides[i] != 0 {
-                n *= lp.extent as f64;
-            }
-        }
-        n.min(self.buffer_elems as f64)
-    }
-
-    /// Smallest non-zero absolute stride among levels `lvl..`; `None` when
-    /// the access is invariant in the sub-nest.
-    pub fn min_stride(&self, lvl: usize) -> Option<i64> {
-        self.strides[lvl..]
-            .iter()
-            .filter(|&&s| s != 0)
-            .map(|s| s.abs())
-            .min()
-    }
-
-    /// Estimated distinct cache lines touched by the sub-nest at `lvl`,
-    /// assuming `line_elems` elements per cache line.
-    pub fn touched_lines(&self, lvl: usize, loops: &[LoopCtx], line_elems: i64) -> f64 {
-        let stride = if self.packed {
-            1
-        } else {
-            self.min_stride(lvl).unwrap_or(0)
-        };
-        lines_spanned(self.touched_elems(lvl, loops), stride, line_elems)
-    }
-
     /// Stride with respect to the innermost loop.
     pub fn innermost_stride(&self) -> i64 {
         *self.strides.last().unwrap_or(&0)
@@ -102,15 +69,116 @@ impl BufferAccess {
 }
 
 /// Cache lines that `elems` elements a smallest stride of `stride` apart
-/// span, `line_elems` to a line: [`BufferAccess::touched_lines`] of an
-/// access whose sub-nest touches `elems` elements, with the stride it reads
-/// them at (1 when packed, 0 when it is invariant).
+/// span, `line_elems` to a line (one line at stride 0: an access invariant
+/// in the sub-nest touches one element).
 pub fn lines_spanned(elems: f64, stride: i64, line_elems: i64) -> f64 {
     if stride == 0 {
         return 1.0;
     }
     let per_line = (line_elems as f64 / stride as f64).clamp(1.0, line_elems as f64);
     (elems / per_line).max(1.0)
+}
+
+/// One access's footprint at one loop level.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Footprint {
+    /// Distinct elements one execution of the sub-nest rooted at the level
+    /// touches: the product of the extents of the loops at and below it
+    /// that the access varies in, capped by the buffer's size.
+    pub elems: f64,
+    /// Smallest non-zero absolute stride at or below the level, 0 when the
+    /// access is invariant there.
+    pub min_stride: i64,
+    /// Cache lines those elements span: [`lines_spanned`] at `min_stride`,
+    /// or at 1 when the access is packed.
+    pub lines: f64,
+    /// Product of the extents of the loops above the level that the access
+    /// varies in: how often the loops outside make it touch a new region.
+    pub outer: f64,
+}
+
+/// The footprint of every access of one statement at every loop level
+/// `0..=loops.len()`, and the iterations of each loop: what the machine
+/// model prices and the featurizer's bytes and lines read. An access's
+/// cells take one pass over the nest each way; the products are of integer
+/// extents below 2^53, exact in `f64` in any order.
+#[derive(Debug, Default)]
+pub struct Footprints {
+    /// `loops.len() + 1`.
+    levels: usize,
+    /// `levels` cells per access, level 0 first.
+    cells: Vec<Footprint>,
+    /// `through[i]`: product of the extents of loops `0..=i`, the times
+    /// loop `i` iterates.
+    through: Vec<f64>,
+}
+
+impl Footprints {
+    /// Fills the table for `s`, with `line_elems` elements to a cache line,
+    /// reusing its vectors.
+    pub fn fill(&mut self, s: &StoreAnalysis, line_elems: i64) {
+        let n = s.loops.len();
+        self.levels = n + 1;
+        self.through.clear();
+        let mut iterations = 1.0f64;
+        for l in &s.loops {
+            iterations *= l.extent as f64;
+            self.through.push(iterations);
+        }
+        self.cells.clear();
+        self.cells
+            .resize(s.accesses.len() * self.levels, Footprint::default());
+        for (a, cells) in s.accesses.iter().zip(self.cells.chunks_exact_mut(n + 1)) {
+            // Outer to inner: the varying loops above each level.
+            let mut outer = 1.0f64;
+            for (lvl, cell) in cells.iter_mut().enumerate() {
+                cell.outer = outer;
+                if lvl < n && a.strides[lvl] != 0 {
+                    outer *= s.loops[lvl].extent as f64;
+                }
+            }
+            // Inner to outer: the varying loops at and below each level,
+            // and their smallest stride.
+            let (buffer_elems, mut varying, mut stride) = (a.buffer_elems as f64, 1.0f64, 0i64);
+            for lvl in (0..=n).rev() {
+                if lvl < n && a.strides[lvl] != 0 {
+                    varying *= s.loops[lvl].extent as f64;
+                    let here = a.strides[lvl].abs();
+                    stride = if stride == 0 { here } else { stride.min(here) };
+                }
+                let cell = &mut cells[lvl];
+                cell.elems = varying.min(buffer_elems);
+                cell.min_stride = stride;
+                let read_at = if a.packed { 1 } else { stride };
+                cell.lines = lines_spanned(cell.elems, read_at, line_elems);
+            }
+        }
+    }
+
+    /// Access `access`'s footprint at level `lvl` (`0..=loops.len()`).
+    pub fn at(&self, access: usize, lvl: usize) -> Footprint {
+        self.cells[access * self.levels + lvl]
+    }
+
+    /// The times loop `i` iterates: the product of the extents of loops
+    /// `0..=i`.
+    pub fn iterations(&self, i: usize) -> f64 {
+        self.through[i]
+    }
+}
+
+/// Hands `f` this thread's reused footprint table, for [`Footprints::fill`]
+/// to refill statement by statement: once it has grown to the nests a
+/// search makes, a fill allocates nothing. (A call from inside `f` works in
+/// a table of its own.)
+pub fn with_footprints<R>(f: impl FnOnce(&mut Footprints) -> R) -> R {
+    thread_local! {
+        static TABLE: Cell<Footprints> = Cell::new(Footprints::default());
+    }
+    let mut table = TABLE.take();
+    let out = f(&mut table);
+    TABLE.set(table);
+    out
 }
 
 /// Analysis of one innermost store statement in the context of the full
@@ -158,6 +226,16 @@ impl StoreAnalysis {
             .rev()
             .find(|(_, l)| l.ann == Annotation::Vectorize)
             .map(|(i, l)| (i, l.extent))
+    }
+
+    /// Product of the extents of the loops annotated `ann`, outer to inner
+    /// (1 when there are none).
+    pub fn extent_product(&self, ann: Annotation) -> f64 {
+        self.loops
+            .iter()
+            .filter(|l| l.ann == ann)
+            .map(|l| l.extent as f64)
+            .product()
     }
 
     /// Product of the extents of leading `Parallel` loops (the paper's
@@ -1014,13 +1092,22 @@ mod tests {
         let prog = matmul_program();
         let an = analyze(&prog);
         let compute = an.iter().find(|s| s.reduce.is_some()).unwrap();
-        let a = compute.accesses.iter().find(|x| x.node == 0).unwrap();
-        // Innermost k loop touches 32 A-elements; full nest touches all 2048.
-        assert_eq!(a.touched_elems(2, &compute.loops), 32.0);
-        assert_eq!(a.touched_elems(0, &compute.loops), 2048.0);
-        // B is invariant to i: full nest touches 512 B-elements.
-        let b = compute.accesses.iter().find(|x| x.node == 1).unwrap();
-        assert_eq!(b.touched_elems(0, &compute.loops), 512.0);
+        let mut table = Footprints::default();
+        table.fill(compute, 16);
+        let cell = |node, lvl| {
+            let k = compute.accesses.iter().position(|x| x.node == node);
+            let c = table.at(k.unwrap(), lvl);
+            (c.elems, c.min_stride, c.lines, c.outer)
+        };
+        // Innermost k loop touches 32 A-elements, 2 lines of 16, once per
+        // i (j does not move A); the full nest touches all 2048.
+        assert_eq!(cell(0, 2), (32.0, 1, 2.0, 64.0));
+        assert_eq!(cell(0, 0), (2048.0, 1, 128.0, 1.0));
+        // B is invariant to i: full nest touches 512 B-elements; below the
+        // innermost loop one, a new one in each of the 512 (j, k).
+        assert_eq!(cell(1, 0), (512.0, 1, 32.0, 1.0));
+        assert_eq!(cell(1, 3), (1.0, 0, 1.0, 512.0));
+        assert_eq!(table.iterations(2), compute.trip_count());
     }
 
     #[test]

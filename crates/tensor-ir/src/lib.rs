@@ -55,7 +55,8 @@ pub mod state;
 pub mod steps;
 
 pub use analysis::{
-    analyze, analyze_state, with_analysis, AccessType, BufferAccess, LoopCtx, StoreAnalysis,
+    analyze, analyze_state, with_analysis, with_footprints, AccessType, BufferAccess, Footprint,
+    Footprints, LoopCtx, StoreAnalysis,
 };
 pub use builder::DagBuilder;
 pub use dag::{ComputeDag, ComputeSpec, Node, NodeKind, Reducer};

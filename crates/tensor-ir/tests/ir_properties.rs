@@ -6,8 +6,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::prelude::*;
 use tensor_ir::{
-    analysis, interp, lower, print_program, simplify, Annotation, BinOp, CmpOp, ComputeDag,
-    DagBuilder, Expr, Name, Reducer, State, Step, UnOp,
+    analysis, interp, lower, print_program, simplify, AccessType, Annotation, BinOp, BufferAccess,
+    CmpOp, ComputeDag, DagBuilder, Expr, Footprint, Footprints, IterKind, LoopCtx, Name, OpCounts,
+    Reducer, State, Step, StoreAnalysis, UnOp,
 };
 
 fn matmul(n: i64, m: i64, k: i64) -> Arc<ComputeDag> {
@@ -433,6 +434,176 @@ fn multi_reduce_axes_tile_and_run() {
     for (x, y) in bufs.get(2).iter().zip(reference.get(2)) {
         assert!((x - y).abs() < 1e-4);
     }
+}
+
+// ---------------------------------------------------------------------
+// The footprint table against the per-level definitions.
+// ---------------------------------------------------------------------
+
+/// Distinct elements the loops at levels `lvl..` touch (one full execution
+/// of the sub-nest rooted at `lvl`), capped by the buffer's size, taking
+/// the product outer to inner.
+fn touched_elems(a: &BufferAccess, lvl: usize, loops: &[LoopCtx]) -> f64 {
+    let mut n = 1.0f64;
+    for (i, lp) in loops.iter().enumerate().skip(lvl) {
+        if a.strides[i] != 0 {
+            n *= lp.extent as f64;
+        }
+    }
+    n.min(a.buffer_elems as f64)
+}
+
+/// Smallest non-zero absolute stride among levels `lvl..`; `None` when the
+/// access is invariant in the sub-nest.
+fn min_stride(a: &BufferAccess, lvl: usize) -> Option<i64> {
+    a.strides[lvl..]
+        .iter()
+        .filter(|&&s| s != 0)
+        .map(|s| s.abs())
+        .min()
+}
+
+/// Distinct cache lines the sub-nest at `lvl` touches, `line_elems`
+/// elements to a line, with one walk of the nest per call.
+fn touched_lines(a: &BufferAccess, lvl: usize, loops: &[LoopCtx], line_elems: i64) -> f64 {
+    let stride = if a.packed {
+        1
+    } else {
+        min_stride(a, lvl).unwrap_or(0)
+    };
+    if stride == 0 {
+        return 1.0;
+    }
+    let per_line = (line_elems as f64 / stride as f64).clamp(1.0, line_elems as f64);
+    (touched_elems(a, lvl, loops) / per_line).max(1.0)
+}
+
+/// A statement of up to 24 loops and 8 accesses drawn from `seed`:
+/// extents up to 64 while the whole nest stays below 2^40 iterations,
+/// strides negative, zero and up to 4 096, buffers from one element up
+/// (so footprints are capped), and packed accesses.
+fn random_statement(seed: u64) -> StoreAnalysis {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let depth = rng.gen_range(0..=24usize);
+    let mut trips = 1i64;
+    let loops: Vec<LoopCtx> = (0..depth)
+        .map(|var| {
+            let mut extent = *[1i64, 2, 3, 4, 7, 8, 16, 64]
+                .choose(&mut rng)
+                .expect("non-empty");
+            if trips * extent >= 1 << 40 {
+                extent = 1;
+            }
+            trips *= extent;
+            LoopCtx {
+                var: var as u32,
+                extent,
+                ann: Annotation::None,
+                kind: IterKind::Space,
+            }
+        })
+        .collect();
+    let accesses = (0..rng.gen_range(1..=8))
+        .map(|node| BufferAccess {
+            node,
+            access: *[AccessType::Read, AccessType::Write, AccessType::ReadWrite]
+                .choose(&mut rng)
+                .expect("non-empty"),
+            strides: (0..depth)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0,
+                    1 => -rng.gen_range(1..=64i64),
+                    _ => rng.gen_range(1..=4096i64),
+                })
+                .collect(),
+            count: rng.gen_range(1..=3),
+            buffer_elems: if rng.gen_bool(0.3) {
+                rng.gen_range(1..=256)
+            } else {
+                rng.gen_range(1..=1i64 << 30)
+            },
+            packed: rng.gen_bool(0.25),
+        })
+        .collect();
+    StoreAnalysis {
+        buffer: 0,
+        loops,
+        ops: OpCounts::default(),
+        reduce: None,
+        accesses,
+        pragma_unroll: 0,
+        guard_vars: Vec::new(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-pass footprint table holds, at every level of every access,
+    /// exactly (bit for bit) what the per-level definitions compute, on
+    /// the lines of a CPU and a GPU target (64 and 128 bytes of `f32`);
+    /// one table refilled from statement to statement holds what a fresh
+    /// one does.
+    #[test]
+    fn footprint_table_equals_the_per_level_definitions(seed in any::<u64>()) {
+        let s = random_statement(seed);
+        let mut reused = Footprints::default();
+        reused.fill(&random_statement(seed ^ 1), 16);
+        for line_elems in [16, 32] {
+            let mut table = Footprints::default();
+            table.fill(&s, line_elems);
+            reused.fill(&s, line_elems);
+            for (k, a) in s.accesses.iter().enumerate() {
+                let mut outer = 1.0f64;
+                for lvl in 0..=s.loops.len() {
+                    let cell = table.at(k, lvl);
+                    let want = Footprint {
+                        elems: touched_elems(a, lvl, &s.loops),
+                        min_stride: min_stride(a, lvl).unwrap_or(0),
+                        lines: touched_lines(a, lvl, &s.loops, line_elems),
+                        outer,
+                    };
+                    prop_assert_eq!(bits(cell), bits(want), "access {} level {}", k, lvl);
+                    prop_assert_eq!(bits(reused.at(k, lvl)), bits(want));
+                    if lvl < s.loops.len() && a.strides[lvl] != 0 {
+                        outer *= s.loops[lvl].extent as f64;
+                    }
+                }
+            }
+            let mut iterations = 1.0f64;
+            for (i, l) in s.loops.iter().enumerate() {
+                iterations *= l.extent as f64;
+                prop_assert_eq!(table.iterations(i).to_bits(), iterations.to_bits());
+            }
+        }
+    }
+}
+
+/// A footprint's fields, its floats as bits.
+fn bits(f: Footprint) -> (u64, i64, u64, u64) {
+    (
+        f.elems.to_bits(),
+        f.min_stride,
+        f.lines.to_bits(),
+        f.outer.to_bits(),
+    )
+}
+
+#[test]
+fn a_nested_footprint_table_leaves_the_outer_one_intact() {
+    let (outer, inner) = (random_statement(3), random_statement(4));
+    assert!(outer.loops.len() != inner.loops.len() || outer.accesses.len() != inner.accesses.len());
+    let mut fresh = Footprints::default();
+    fresh.fill(&outer, 16);
+    analysis::with_footprints(|table| {
+        table.fill(&outer, 16);
+        analysis::with_footprints(|nested| nested.fill(&inner, 32));
+        for k in 0..outer.accesses.len() {
+            for lvl in 0..=outer.loops.len() {
+                assert_eq!(bits(table.at(k, lvl)), bits(fresh.at(k, lvl)));
+            }
+        }
+    });
 }
 
 // ---------------------------------------------------------------------
