@@ -10,7 +10,9 @@
 //! ```
 //!
 //! - `addr` — exporter address (default `127.0.0.1:9464`);
-//! - `--interval <secs>` — refresh period (default 2);
+//! - `--interval <secs>` — refresh period (default 2, at least 0.1); a
+//!   value that is negative, NaN or too large for a `Duration` (`inf`) is a
+//!   usage error;
 //! - `--once` — render a single frame without clearing the screen (for
 //!   pipelines and tests);
 //! - `--frames <n>` — exit after `n` frames;
@@ -324,7 +326,7 @@ fn check_mode(target: &str) -> i32 {
 
 fn main() {
     let mut addr = "127.0.0.1:9464".to_string();
-    let mut interval = 2.0f64;
+    let mut interval = Duration::from_secs(2);
     let mut once = false;
     let mut frames: Option<u64> = None;
     let mut check: Option<String> = None;
@@ -332,7 +334,12 @@ fn main() {
     while let Some(a) = it.next() {
         let mut val = || flag_value(&a, it.next());
         match a.as_str() {
-            "--interval" => interval = parse_flag(&a, &val()),
+            "--interval" => {
+                let value = val();
+                interval = Duration::try_from_secs_f64(parse_flag(&a, &value)).unwrap_or_else(|e| {
+                    usage_error(format_args!("--interval: invalid value {value:?}: {e}"))
+                })
+            }
             "--once" => once = true,
             "--frames" => frames = Some(parse_flag(&a, &val())),
             "--check" => check = Some(val()),
@@ -408,6 +415,6 @@ fn main() {
         if once || frames.is_some_and(|n| frame >= n) {
             return;
         }
-        std::thread::sleep(Duration::from_secs_f64(interval.max(0.1)));
+        std::thread::sleep(interval.max(Duration::from_millis(100)));
     }
 }

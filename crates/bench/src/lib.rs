@@ -215,7 +215,7 @@ pub fn start_telemetry(trace: Option<&str>, metrics_addr: Option<&str>) -> telem
         None => telemetry::Telemetry::disabled(),
     };
     if let Some(addr) = metrics_addr {
-        match telemetry::export::serve(&tel, addr, telemetry::export::ExportOptions::from_env()) {
+        match telemetry::export::serve(&tel, addr, telemetry::export::ExportOptions::default()) {
             Ok(exporter) => {
                 eprintln!(
                     "(live metrics on http://{}/ — /metrics /status /healthz; \

@@ -33,7 +33,7 @@ fn mistyped_shared_flags_are_usage_errors() {
 fn mistyped_report_and_top_flags_are_usage_errors() {
     let dir = std::env::temp_dir().join(format!("ansor-usage-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let cases: [(&str, &[&str], &str); 7] = [
+    let cases: [(&str, &[&str], &str); 8] = [
         (
             env!("CARGO_BIN_EXE_trace-report"),
             &["t.jsonl", "--json", "--strict"],
@@ -53,6 +53,11 @@ fn mistyped_report_and_top_flags_are_usage_errors() {
             env!("CARGO_BIN_EXE_ansor-top"),
             &["--interval", "x"],
             "--interval: invalid value \"x\"",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ansor-top"),
+            &["--interval", "inf"],
+            "--interval: invalid value \"inf\"",
         ),
         (
             env!("CARGO_BIN_EXE_ansor-top"),

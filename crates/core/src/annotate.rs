@@ -42,10 +42,6 @@ pub struct AnnotationConfig {
     pub unroll_pragma_choices: Vec<i64>,
     /// Probability of mutating a tunable computation location.
     pub location_mutation_prob: f64,
-    /// Resampling attempts before giving up on a sketch.
-    pub max_resample: usize,
-    /// Maximum GPU threads per block.
-    pub max_threads: i64,
     /// User hints, keyed by base node name.
     pub hints: std::collections::HashMap<String, AnnotationHint>,
 }
@@ -58,8 +54,6 @@ impl Default for AnnotationConfig {
             unroll_prob: 0.4,
             unroll_pragma_choices: vec![0, 16, 64, 512],
             location_mutation_prob: 0.15,
-            max_resample: 10,
-            max_threads: 1024,
             hints: std::collections::HashMap::new(),
         }
     }
@@ -212,20 +206,26 @@ pub fn instantiate_steps(
     steps
 }
 
+/// Resampling attempts before [`sample_program`] gives up on a sketch.
+const MAX_RESAMPLE: usize = 10;
+
+/// Maximum GPU threads per block.
+const MAX_THREADS: i64 = 1024;
+
 /// Samples one complete program from a sketch. Returns `None` when no valid
-/// annotation was found within `cfg.max_resample` attempts.
+/// annotation was found within `MAX_RESAMPLE` (10) attempts.
 pub fn sample_program(
     sketch: &Sketch,
     task: &SearchTask,
     cfg: &AnnotationConfig,
     rng: &mut impl Rng,
 ) -> Option<State> {
-    for _ in 0..cfg.max_resample {
+    for _ in 0..MAX_RESAMPLE {
         let steps = instantiate_steps(sketch, task, cfg, rng);
         let Ok(mut state) = State::replay_owned(task.dag.clone(), steps) else {
             continue;
         };
-        if annotate_state(&mut state, task, cfg, rng).is_ok() && gpu_limits_ok(&state, task, cfg) {
+        if annotate_state(&mut state, task, cfg, rng).is_ok() && gpu_limits_ok(&state, task) {
             return Some(state);
         }
     }
@@ -496,7 +496,7 @@ fn gpu_default_bind(state: &mut State, sid: StageId, node: Name) -> Result<(), t
     // Prefer thread counts near 256.
     let threads = divisors(total)
         .into_iter()
-        .filter(|&d| d <= 1024)
+        .filter(|&d| d <= MAX_THREADS)
         .min_by_key(|&d| (d - 256).abs())
         .unwrap_or(1);
     if threads > 1 && threads < total {
@@ -526,7 +526,7 @@ fn gpu_default_bind(state: &mut State, sid: StageId, node: Name) -> Result<(), t
 }
 
 /// Checks GPU thread-count limits on a fully annotated state.
-pub fn gpu_limits_ok(state: &State, task: &SearchTask, cfg: &AnnotationConfig) -> bool {
+pub fn gpu_limits_ok(state: &State, task: &SearchTask) -> bool {
     if !task.is_gpu() {
         return true;
     }
@@ -543,7 +543,7 @@ pub fn gpu_limits_ok(state: &State, task: &SearchTask, cfg: &AnnotationConfig) -
         // A kernel must launch at least a couple of real threads (an
         // extent-1 binding is simplified away by lowering) and must not
         // exceed the block-size limit.
-        if !(2..=cfg.max_threads).contains(&threads) {
+        if !(2..=MAX_THREADS).contains(&threads) {
             return false;
         }
         // Virtual threads multiply per-thread work; keep them bounded.
@@ -703,7 +703,7 @@ mod tests {
                 let steps = instantiate_steps(sketch, &task, &cfg, &mut rng);
                 let mut state = State::replay_owned(task.dag.clone(), steps).expect("replays");
                 annotate_state(&mut state, &task, &cfg, &mut rng).expect("annotates");
-                assert!(!gpu_limits_ok(&state, &task, &cfg));
+                assert!(!gpu_limits_ok(&state, &task));
                 // Every program holds a one-element kernel, and each such
                 // kernel launches one thread. (Others may be refused too,
                 // by a draw: `S.rf` with a thread level of 1.)
@@ -746,7 +746,7 @@ mod tests {
         for _ in 0..30 {
             let sketch = &sketches[rng.gen_range(0..sketches.len())];
             if let Some(state) = sample_program(sketch, &task, &cfg, &mut rng) {
-                assert!(gpu_limits_ok(&state, &task, &cfg));
+                assert!(gpu_limits_ok(&state, &task));
                 // Every root stage must end up with thread bindings.
                 let prog = lower(&state).unwrap();
                 let an = tensor_ir::analysis::analyze(&prog);

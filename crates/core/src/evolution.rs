@@ -519,7 +519,7 @@ fn mutate_tile_size(
     }
     refresh_followers(sketch, &mut steps, &mut lengths);
     let state = State::replay_owned(task.dag.clone(), steps).ok()?;
-    if !crate::annotate::gpu_limits_ok(&state, task, &AnnotationConfig::default()) {
+    if !crate::annotate::gpu_limits_ok(&state, task) {
         return None;
     }
     Some(mutant(state, Operator::MutateTileSize, sketch, parent))
@@ -539,7 +539,7 @@ fn reannotate(
     let structural = &parent.state.steps[..sketch.steps.len()];
     let mut state = State::replay(task.dag.clone(), structural).ok()?;
     annotate_state(&mut state, task, ann_cfg, rng).ok()?;
-    if !crate::annotate::gpu_limits_ok(&state, task, ann_cfg) {
+    if !crate::annotate::gpu_limits_ok(&state, task) {
         return None;
     }
     Some(mutant(state, Operator::MutateAnnotation, sketch, parent))
@@ -573,7 +573,7 @@ fn mutate_location(
     *prefix_len = *choices.choose(rng)?;
     let mut state = State::replay_owned(task.dag.clone(), structural).ok()?;
     annotate_state(&mut state, task, ann_cfg, rng).ok()?;
-    if !crate::annotate::gpu_limits_ok(&state, task, ann_cfg) {
+    if !crate::annotate::gpu_limits_ok(&state, task) {
         return None;
     }
     Some(mutant(state, Operator::MutateLocation, sketch, parent))

@@ -82,6 +82,9 @@ pub enum PolicyVariant {
     LimitedSpace,
 }
 
+/// Best measured programs re-injected into the population each round.
+const RETAINED_BEST: usize = 16;
+
 /// Tuning options.
 #[derive(Debug, Clone)]
 pub struct TuningOptions {
@@ -91,8 +94,6 @@ pub struct TuningOptions {
     pub measures_per_round: usize,
     /// Fresh random samples per round seeding the evolution.
     pub init_population: usize,
-    /// Best measured programs re-injected into the population each round.
-    pub retained_best: usize,
     /// Fraction of each measured batch reserved for random exploration
     /// (ε-greedy).
     pub eps_random: f64,
@@ -114,7 +115,6 @@ impl Default for TuningOptions {
             num_measure_trials: 256,
             measures_per_round: 64,
             init_population: 64,
-            retained_best: 16,
             eps_random: 0.05,
             evolution: EvolutionConfig::default(),
             variant: PolicyVariant::Full,
@@ -416,7 +416,7 @@ impl SketchPolicy {
                 tally.add(&ind.lineage, EfficacyTally::PROPOSED);
             }
         }
-        for (_, ind) in self.best_measured.iter().take(self.options.retained_best) {
+        for (_, ind) in self.best_measured.iter().take(RETAINED_BEST) {
             population.push(ind.clone());
         }
         if population.is_empty() {

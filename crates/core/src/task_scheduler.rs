@@ -84,17 +84,19 @@ pub enum Strategy {
     RoundRobin,
 }
 
+/// Trust weight β of the similarity-based prediction (Appendix A).
+const BETA: f64 = 2.0;
+
+/// Backward window Δt of the gradient's backward difference (Appendix A).
+const BACKWARD_WINDOW: usize = 3;
+
 /// Scheduler hyper-parameters (defaults follow the paper).
 #[derive(Debug, Clone)]
 pub struct TaskSchedulerConfig {
     /// Trust weight for the backward-difference gradient term.
     pub alpha: f64,
-    /// Trust weight for the similarity-based prediction.
-    pub beta: f64,
     /// ε-greedy exploration probability.
     pub eps: f64,
-    /// Backward window Δt.
-    pub backward_window: usize,
     /// Allocation strategy.
     pub strategy: Strategy,
     /// RNG seed.
@@ -105,9 +107,7 @@ impl Default for TaskSchedulerConfig {
     fn default() -> Self {
         TaskSchedulerConfig {
             alpha: 0.2,
-            beta: 2.0,
             eps: 0.05,
-            backward_window: 3,
             strategy: Strategy::GradientDescent,
             seed: 0,
         }
@@ -310,7 +310,7 @@ impl TaskScheduler {
         let dfdg = self.dfdg(i, &d);
         // Backward difference over the window Δt.
         let hist = &self.best_history[i];
-        let dt = self.cfg.backward_window.min(hist.len().saturating_sub(1));
+        let dt = BACKWARD_WINDOW.min(hist.len().saturating_sub(1));
         let backward = if dt > 0 {
             (hist[hist.len() - 1] - hist[hist.len() - 1 - dt]) / dt as f64
         } else {
@@ -328,7 +328,7 @@ impl TaskScheduler {
             }
         }
         let similarity = if max_v > 0.0 {
-            self.cfg.beta * ci / max_v - gi
+            BETA * ci / max_v - gi
         } else {
             f64::INFINITY
         };

@@ -313,7 +313,7 @@ fn analysis_without_a_program_equals_analysis_of_the_lowered_program() {
         let from_state = analyze_state(state).expect("analyses");
         assert_eq!(from_state, from_program, "{what}: analysis");
         let rows = extract_state_features(state).expect("featurizes");
-        let want = ProgramFeatures::extract(&program);
+        let want = ProgramFeatures::of_statements(&from_program);
         assert_eq!(rows.buffers, want.buffers, "{what}: row buffers");
         let bits = |m: &ProgramFeatures| -> Vec<u32> {
             m.rows.data().iter().map(|v| v.to_bits()).collect()

@@ -30,7 +30,7 @@ use tensor_ir::analysis::{
     lines_spanned, with_footprints, AccessType, BufferAccess, Footprint, Footprints, LoopCtx,
     StoreAnalysis,
 };
-use tensor_ir::{Annotation, IterKind, NodeId, Program};
+use tensor_ir::{Annotation, IterKind, NodeId};
 
 /// Number of entries in one statement's feature vector.
 pub const FEATURE_DIM: usize = 164;
@@ -68,11 +68,6 @@ pub struct ProgramFeatures {
 }
 
 impl ProgramFeatures {
-    /// Featurizes every innermost statement of a lowered program.
-    pub fn extract(program: &Program) -> ProgramFeatures {
-        ProgramFeatures::of_statements(&tensor_ir::analysis::analyze(program))
-    }
-
     /// Featurizes a program's analyzed statements, one row each, written in
     /// place into the packed block from each statement's footprint table.
     pub fn of_statements(analyses: &[StoreAnalysis]) -> ProgramFeatures {
@@ -92,9 +87,10 @@ impl ProgramFeatures {
     }
 }
 
-/// Featurizes one schedule state as [`ProgramFeatures::extract`] featurizes
-/// the program it lowers to, from the state's analysis alone — no
-/// `Program` is built. The error is the lowering failure's message.
+/// Featurizes one schedule state as [`ProgramFeatures::of_statements`]
+/// featurizes the analysis of the program it lowers to, from the state's
+/// analysis alone — no `Program` is built. The error is the lowering
+/// failure's message.
 pub fn extract_state_features(state: &tensor_ir::State) -> Result<ProgramFeatures, String> {
     tensor_ir::with_analysis(state, ProgramFeatures::of_statements).map_err(|e| e.to_string())
 }
@@ -448,7 +444,7 @@ pub fn feature_names() -> Vec<String> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use tensor_ir::{lower, DagBuilder, Expr, Reducer, State, Step};
+    use tensor_ir::{analyze, lower, DagBuilder, Expr, Reducer, State, Step};
 
     fn matmul_features(steps: &[Step]) -> FeatureMatrix {
         let mut b = DagBuilder::new();
@@ -460,7 +456,7 @@ mod tests {
         });
         let dag = Arc::new(b.build().unwrap());
         let st = State::replay(dag, steps).unwrap();
-        ProgramFeatures::extract(&lower(&st).unwrap()).rows
+        ProgramFeatures::of_statements(&analyze(&lower(&st).unwrap())).rows
     }
 
     #[test]
@@ -558,7 +554,7 @@ mod tests {
         });
         let dag = Arc::new(b.build().unwrap());
         let st = State::replay(dag, &[]).unwrap();
-        let features = ProgramFeatures::extract(&lower(&st).unwrap());
+        let features = ProgramFeatures::of_statements(&analyze(&lower(&st).unwrap()));
         assert_eq!(features.rows.n_cols(), FEATURE_DIM);
         assert_eq!(features.rows.n_segments(), 1);
         // Init and compute statements both store to C.

@@ -4,9 +4,9 @@
 
 use std::sync::Arc;
 
-use ansor_features::{feature_names, ProgramFeatures, FEATURE_DIM};
+use ansor_features::{feature_names, FeatureMatrix, ProgramFeatures, FEATURE_DIM};
 use proptest::prelude::*;
-use tensor_ir::{lower, Annotation, ComputeDag, DagBuilder, Expr, Reducer, State, Step};
+use tensor_ir::{analyze, lower, Annotation, ComputeDag, DagBuilder, Expr, Reducer, State, Step};
 
 fn matmul(n: i64) -> Arc<ComputeDag> {
     let mut b = DagBuilder::new();
@@ -17,6 +17,11 @@ fn matmul(n: i64) -> Arc<ComputeDag> {
             * Expr::load(w, vec![ax[2].clone(), ax[1].clone()])
     });
     Arc::new(b.build().unwrap())
+}
+
+/// The feature rows of the program `st` lowers to.
+fn rows(st: &State) -> FeatureMatrix {
+    ProgramFeatures::of_statements(&analyze(&lower(st).unwrap())).rows
 }
 
 fn slot(name: &str) -> usize {
@@ -53,7 +58,7 @@ proptest! {
                 node: "C".into(), iter: "i.0".into(), ann: Annotation::Parallel,
             }).unwrap();
         }
-        let feats = ProgramFeatures::extract(&lower(&st).unwrap()).rows;
+        let feats = rows(&st);
         prop_assert_eq!(feats.n_cols(), FEATURE_DIM);
         for (i, v) in feats.data().iter().enumerate() {
             prop_assert!(v.is_finite(), "feature {} not finite", i % FEATURE_DIM);
@@ -77,7 +82,7 @@ fn unroll_group_activates_on_unrolled_loop() {
         ann: Annotation::Unroll,
     })
     .unwrap();
-    let feats = ProgramFeatures::extract(&lower(&st).unwrap()).rows;
+    let feats = rows(&st);
     let compute = feats.row(1); // init stmt first, compute second
     assert!(compute[slot("unroll_len")] > 0.0);
     assert_eq!(compute[slot("unroll_num")], 1.0);
@@ -108,7 +113,7 @@ fn gpu_binding_features_reflect_launch_shape() {
         ann: Annotation::BindThread,
     })
     .unwrap();
-    let feats = ProgramFeatures::extract(&lower(&st).unwrap()).rows;
+    let feats = rows(&st);
     let compute = feats.row(1);
     assert!((compute[slot("gpu_blocks")] - (1.0f32 + 4.0).log2()).abs() < 1e-6);
     assert!((compute[slot("gpu_threads")] - (1.0f32 + 16.0).log2()).abs() < 1e-6);
@@ -127,7 +132,7 @@ fn pragma_feature_tracks_value() {
         max_unroll: 512,
     })
     .unwrap();
-    let feats = ProgramFeatures::extract(&lower(&st).unwrap()).rows;
+    let feats = rows(&st);
     let compute = feats.row(1);
     assert!((compute[slot("pragma_unroll")] - (513.0f32).log2()).abs() < 1e-5);
 }
@@ -145,7 +150,7 @@ fn stride_feature_distinguishes_transposed_access() {
     });
     let dag = Arc::new(b.build().unwrap());
     let st = State::new(dag);
-    let feats = ProgramFeatures::extract(&lower(&st).unwrap()).rows;
+    let feats = rows(&st);
     // Statement 0 = R (stride-1 load), statement 1 = T (stride-64 load).
     // buf1 is the loaded input for both (buf0 is the store).
     let stride = slot("buf1_stride");
@@ -161,7 +166,7 @@ fn feature_names_are_unique() {
 
 #[test]
 fn reduction_flag_separates_init_from_compute() {
-    let feats = ProgramFeatures::extract(&lower(&State::new(matmul(16))).unwrap()).rows;
+    let feats = rows(&State::new(matmul(16)));
     let is_reduce = slot("is_reduce");
     assert_eq!(feats.row(0)[is_reduce], 0.0); // init
     assert_eq!(feats.row(1)[is_reduce], 1.0); // accumulation

@@ -54,11 +54,6 @@ pub fn estimate_seconds(program: &Program, target: &HardwareTarget) -> f64 {
     seconds_of_statements(&tensor_ir::analysis::analyze(program), target)
 }
 
-/// Estimates the program and returns per-store breakdowns.
-pub fn estimate_detailed(program: &Program, target: &HardwareTarget) -> Vec<StoreCost> {
-    cost_of_statements(&tensor_ir::analysis::analyze(program), target)
-}
-
 /// Execution time, in seconds, of the program whose analyzed statements
 /// these are: the sum of their [`StoreCost::total_s`], in order.
 pub fn seconds_of_statements(stores: &[StoreAnalysis], target: &HardwareTarget) -> f64 {
@@ -84,11 +79,6 @@ fn store_cost(s: &StoreAnalysis, t: &HardwareTarget) -> StoreCost {
             TargetKind::Gpu => gpu_store_cost(s, t, table),
         }
     })
-}
-
-/// Throughput in GFLOP/s for a program on a target (for reports).
-pub fn gflops(program: &Program, target: &HardwareTarget) -> f64 {
-    program.flop_count() / estimate_seconds(program, target) / 1e9
 }
 
 /// Human-readable cost breakdown: one line per innermost statement with
@@ -477,52 +467,60 @@ mod tests {
         );
     }
 
-    fn memory_seconds(steps: &[Step], t: &HardwareTarget) -> f64 {
-        let st = State::replay(matmul_dag(512), steps).unwrap();
-        estimate_detailed(&lower(&st).unwrap(), t)
-            .iter()
-            .map(|c| c.l2_s + c.l3_s + c.dram_s)
-            .sum()
+    /// (L2-boundary seconds, all memory seconds) of an `n`³ matmul.
+    fn memory_seconds(n: i64, steps: &[Step], t: &HardwareTarget) -> (f64, f64) {
+        let st = State::replay(matmul_dag(n), steps).unwrap();
+        let costs = cost_of_statements(&tensor_ir::analysis::analyze_state(&st).unwrap(), t);
+        let l2 = costs.iter().map(|c| c.l2_s).sum();
+        (l2, costs.iter().map(|c| c.l2_s + c.l3_s + c.dram_s).sum())
+    }
+
+    /// Tiles i, j and k by `tile` and reorders so that a tile of C is
+    /// computed with k.0 outside.
+    fn tiled_matmul_steps(tile: i64) -> Vec<Step> {
+        let mut steps: Vec<Step> = ["i", "j", "k"]
+            .into_iter()
+            .map(|iter| Step::Split {
+                node: "C".into(),
+                iter: iter.into(),
+                lengths: vec![tile],
+            })
+            .collect();
+        steps.push(Step::Reorder {
+            node: "C".into(),
+            order: ["i.0", "j.0", "k.0", "i.1", "k.1", "j.1"]
+                .into_iter()
+                .map(Into::into)
+                .collect(),
+        });
+        steps
     }
 
     #[test]
     fn tiling_reduces_memory_time() {
-        let t = HardwareTarget::intel_20core();
-        // Tile i and j by 32, k by 32, reorder so that a 32x32 tile of C is
-        // computed with k.0 outside.
-        let tiled = memory_seconds(
-            &[
-                Step::Split {
-                    node: "C".into(),
-                    iter: "i".into(),
-                    lengths: vec![32],
-                },
-                Step::Split {
-                    node: "C".into(),
-                    iter: "j".into(),
-                    lengths: vec![32],
-                },
-                Step::Split {
-                    node: "C".into(),
-                    iter: "k".into(),
-                    lengths: vec![32],
-                },
-                Step::Reorder {
-                    node: "C".into(),
-                    order: vec![
-                        "i.0".into(),
-                        "j.0".into(),
-                        "k.0".into(),
-                        "i.1".into(),
-                        "k.1".into(),
-                        "j.1".into(),
-                    ],
-                },
-            ],
-            &t,
-        );
-        let naive = memory_seconds(&[], &t);
-        assert!(tiled < naive, "tiled {tiled} should beat naive {naive}");
+        // A 512³ matmul on the 20-core machine, and a 64³ one on a machine
+        // with a 4 KiB L1 and a 64 KiB L2. In both, tiling must cut the
+        // memory time and the traffic sent into L2.
+        let small_caches = HardwareTarget {
+            l1_bytes: 4 * 1024,
+            l2_bytes: 64 * 1024,
+            ..HardwareTarget::intel_20core()
+        };
+        for (n, tile, t) in [
+            (512, 32, HardwareTarget::intel_20core()),
+            (64, 16, small_caches),
+        ] {
+            let (tiled_l2, tiled) = memory_seconds(n, &tiled_matmul_steps(tile), &t);
+            let (naive_l2, naive) = memory_seconds(n, &[], &t);
+            assert!(
+                tiled < naive,
+                "{n}³: tiled {tiled} should beat naive {naive}"
+            );
+            assert!(
+                tiled_l2 < naive_l2,
+                "{n}³: tiled L2 {tiled_l2} should beat naive {naive_l2}"
+            );
+        }
     }
 
     #[test]
@@ -584,7 +582,7 @@ mod tests {
         ];
         let st = State::replay(matmul_dag(512), &steps).unwrap();
         let prog = lower(&st).unwrap();
-        let g = gflops(&prog, &t);
+        let g = prog.flop_count() / estimate_seconds(&prog, &t) / 1e9;
         let peak = t.core_vector_flops() * t.num_cores as f64 / 1e9;
         assert!(g > 0.05 * peak, "gflops {g} vs peak {peak}");
         assert!(g <= peak, "gflops {g} vs peak {peak}");

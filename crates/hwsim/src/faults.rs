@@ -30,9 +30,9 @@ pub struct FaultPlan {
     /// simulated runner. Also transient: retrying usually recovers.
     pub timeout_prob: f64,
     /// Relative standard deviation of per-*attempt* multiplicative
-    /// log-normal timing noise (0 = none). Unlike `MeasureOptions::noise`,
-    /// which is fixed per program, this varies per retry — re-measuring the
-    /// same program jitters, as on real hardware.
+    /// log-normal timing noise (0 = none). The only timing noise a
+    /// measurer has: it varies per program and per retry, so re-measuring
+    /// the same program jitters, as on real hardware.
     pub noise: f64,
     /// Probability that a program's signature lands on "cursed hardware":
     /// every attempt fails, sticky for the whole run. Cursed states are the
@@ -305,6 +305,30 @@ mod tests {
         let p = FaultPlan::none();
         for sig in 0..1000u64 {
             assert_eq!(p.draw(sig, 0), FaultOutcome::Ok(1.0));
+        }
+    }
+
+    #[test]
+    fn noise_perturbs_every_draw_within_its_spread() {
+        let sigma = 0.05;
+        let p = FaultPlan {
+            noise: sigma,
+            ..FaultPlan::none()
+        };
+        let mut seen = Vec::new();
+        for sig in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
+            for attempt in 0..4 {
+                let FaultOutcome::Ok(f) = p.draw(sig, attempt) else {
+                    panic!("signature {sig} attempt {attempt}: not Ok");
+                };
+                assert!(
+                    f != 1.0 && ((-5.0 * sigma).exp()..=(5.0 * sigma).exp()).contains(&f),
+                    "signature {sig} attempt {attempt}: factor {f}"
+                );
+                // Every program and every retry of one draws afresh.
+                assert!(!seen.contains(&f), "factor {f} drawn twice");
+                seen.push(f);
+            }
         }
     }
 

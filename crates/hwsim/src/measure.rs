@@ -3,13 +3,11 @@
 //! Mirrors the paper's builder/runner pipeline (Figure 4's Measurer box):
 //! programs are lowered ("built") and timed on the simulated machine
 //! ("run"). Invalid programs yield errors rather than panics, exactly as a
-//! compilation or runtime failure would on real hardware. Measurements can
-//! carry deterministic, seeded log-normal noise to mimic real measurement
-//! variance; noise defaults to zero so experiments are reproducible.
+//! compilation or runtime failure would on real hardware. A measurer is
+//! configured by its target and its fault plan alone; timing noise, when a
+//! run wants it, is the plan's ([`FaultPlan::noise`]).
 
 use std::borrow::Borrow;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -20,25 +18,6 @@ use tensor_ir::{with_analysis, Program, State};
 use crate::analytical::{estimate_seconds, seconds_of_statements};
 use crate::faults::{FaultOutcome, FaultPlan, INJECTED_PREFIX};
 use crate::target::HardwareTarget;
-
-/// Options controlling the measurer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MeasureOptions {
-    /// Relative standard deviation of the multiplicative measurement noise
-    /// (0 = deterministic).
-    pub noise: f64,
-    /// Seed mixed into the per-program noise.
-    pub seed: u64,
-}
-
-impl Default for MeasureOptions {
-    fn default() -> Self {
-        MeasureOptions {
-            noise: 0.0,
-            seed: 0,
-        }
-    }
-}
 
 /// Result of measuring one program.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,14 +42,12 @@ impl MeasureResult {
 pub struct Measurer {
     /// The simulated hardware.
     pub target: HardwareTarget,
-    /// Noise options.
-    pub options: MeasureOptions,
     trials: u64,
     telemetry: telemetry::Telemetry,
     /// Signature-keyed result cache: duplicate states (mutation clones,
     /// retained-best re-measures across rounds) are never re-lowered or
     /// re-timed. Shared across clones of this measurer. Results are pure
-    /// functions of `(state, target, options)`, so serving from cache is
+    /// functions of `(state, target, fault plan)`, so serving from cache is
     /// bit-identical to recomputing. Trial accounting is unaffected —
     /// every requested measurement still consumes a trial, as in the
     /// paper's budget model.
@@ -120,19 +97,12 @@ impl Measurer {
     /// with slack while bounding memory.
     const CACHE_CAPACITY: usize = 1 << 15;
 
-    /// Creates a measurer for a target with default (noise-free) options.
+    /// Creates a measurer for a target. Picks up the process-wide default
+    /// fault plan (`--faults`; see [`crate::faults`]) — `None` unless a
+    /// binary installed one, so library users and tests are unaffected.
     pub fn new(target: HardwareTarget) -> Measurer {
-        Self::with_options(target, MeasureOptions::default())
-    }
-
-    /// Creates a measurer with explicit options. Picks up the process-wide
-    /// default fault plan (`--faults`; see [`crate::faults`]) — `None`
-    /// unless a binary installed one, so library users and tests are
-    /// unaffected.
-    pub fn with_options(target: HardwareTarget, options: MeasureOptions) -> Measurer {
         Measurer {
             target,
-            options,
             trials: 0,
             telemetry: telemetry::Telemetry::disabled(),
             cache: Arc::new(SigCache::new(Self::CACHE_CAPACITY)),
@@ -191,17 +161,13 @@ impl Measurer {
 
     /// Replaces the result cache with a shared one, so several measurers
     /// (e.g. concurrent tuning sessions in a serving daemon) reuse each
-    /// other's measurements. Results are pure functions of
-    /// `(state, target, options, fault plan)`, so sharing is only
-    /// transparent between measurers configured identically — callers key
-    /// shared caches by that configuration.
+    /// other's measurements. A measurer's whole configuration is its
+    /// target and its fault plan, and results are pure functions of
+    /// `(state, target, fault plan)`, so sharing is only transparent
+    /// between measurers with equal targets and plans — callers key shared
+    /// caches by both (the serving daemon's warm-store class key does).
     pub fn set_result_cache(&mut self, cache: Arc<SigCache<MeasureResult>>) {
         self.cache = cache;
-    }
-
-    /// Handle on the result cache (for sharing or external priming).
-    pub fn result_cache(&self) -> Arc<SigCache<MeasureResult>> {
-        Arc::clone(&self.cache)
     }
 
     /// Installs a telemetry handle: measurement batches are timed under the
@@ -302,14 +268,13 @@ impl Measurer {
                 }
             }
         };
-        let base = self.with_noise(seconds, state);
         let Some(plan) = &self.faults else {
             return MeasureResult {
-                seconds: base,
+                seconds,
                 error: None,
             };
         };
-        self.measure_with_faults(plan, state.signature(), base)
+        self.measure_with_faults(plan, state.signature(), seconds)
     }
 
     /// Retry loop around one fault-injected measurement: capped exponential
@@ -362,25 +327,6 @@ impl Measurer {
     /// oracle evaluations in the experiment harnesses).
     pub fn time_only(&self, program: &Program) -> f64 {
         estimate_seconds(program, &self.target)
-    }
-
-    /// `base` under this measurer's (seeded, per-program) noise.
-    fn with_noise(&self, base: f64, state: &State) -> f64 {
-        if self.options.noise <= 0.0 {
-            return base;
-        }
-        // Deterministic per-program noise: hash the transform history.
-        let mut h = DefaultHasher::new();
-        self.options.seed.hash(&mut h);
-        for s in &state.steps {
-            format!("{s:?}").hash(&mut h);
-        }
-        let bits = h.finish();
-        // Two uniforms from the hash → one standard normal (Box–Muller).
-        let u1 = ((bits >> 11) as f64 / (1u64 << 53) as f64).max(1e-12);
-        let u2 = (bits & 0xFFFF_FFFF) as f64 / 4294967296.0;
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        base * (self.options.noise * z).exp()
     }
 }
 
@@ -480,18 +426,6 @@ mod tests {
         let batch = m.measure_batch(&[st.clone(), st]);
         assert_eq!(batch[0], first);
         assert_eq!(m.cache_stats().0, 3);
-    }
-
-    #[test]
-    fn noise_is_deterministic_per_program() {
-        let opts = MeasureOptions {
-            noise: 0.05,
-            seed: 1,
-        };
-        let mut m1 = Measurer::with_options(HardwareTarget::intel_20core(), opts.clone());
-        let mut m2 = Measurer::with_options(HardwareTarget::intel_20core(), opts);
-        let st = simple_state();
-        assert_eq!(m1.measure(&st).seconds, m2.measure(&st).seconds);
     }
 
     fn many_states(n: i64) -> Vec<State> {
@@ -627,26 +561,5 @@ mod tests {
         assert_eq!(m.sim_fault_nanos(), 42_000);
         m.measure(&simple_state());
         assert_eq!(m.trials(), 18);
-    }
-
-    #[test]
-    fn noise_differs_across_programs() {
-        let opts = MeasureOptions {
-            noise: 0.05,
-            seed: 1,
-        };
-        let mut m = Measurer::with_options(HardwareTarget::intel_20core(), opts);
-        let st1 = simple_state();
-        let mut st2 = simple_state();
-        st2.apply(Step::Split {
-            node: "C".into(),
-            iter: "i".into(),
-            lengths: vec![8],
-        })
-        .unwrap();
-        // Nearly identical base time, but different noise draw.
-        let r1 = m.measure(&st1);
-        let r2 = m.measure(&st2);
-        assert_ne!(r1.seconds, r2.seconds);
     }
 }

@@ -32,7 +32,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Exporter configuration.
+/// Exporter configuration. Every binary serves with the default; tests
+/// substitute a short stall window.
 pub struct ExportOptions {
     /// Seconds the heartbeat tick may stand still before `/healthz`
     /// reports unhealthy.
@@ -44,22 +45,6 @@ impl Default for ExportOptions {
         ExportOptions {
             stall_window_seconds: 30.0,
         }
-    }
-}
-
-impl ExportOptions {
-    /// Defaults, with the stall window overridable via the
-    /// `ANSOR_STALL_WINDOW_SECS` environment variable.
-    pub fn from_env() -> Self {
-        let mut opts = Self::default();
-        if let Ok(v) = std::env::var("ANSOR_STALL_WINDOW_SECS") {
-            if let Ok(secs) = v.parse::<f64>() {
-                if secs > 0.0 {
-                    opts.stall_window_seconds = secs;
-                }
-            }
-        }
-        opts
     }
 }
 

@@ -62,7 +62,6 @@ impl Snapshot {
         SnapshotDelta {
             seconds,
             counters,
-            gauges: self.metrics.gauges.clone(),
             histograms,
         }
     }
@@ -83,8 +82,6 @@ pub struct SnapshotDelta {
     pub seconds: f64,
     /// Counter increases over the interval.
     pub counters: BTreeMap<String, u64>,
-    /// Latest gauge values (gauges are levels, not flows — no subtraction).
-    pub gauges: BTreeMap<String, f64>,
     /// Histogram count/sum increases over the interval.
     pub histograms: BTreeMap<String, HistogramDelta>,
 }
@@ -99,16 +96,6 @@ impl SnapshotDelta {
         } else {
             0.0
         }
-    }
-
-    /// Mean observed value of histogram `name` over the interval (e.g. mean
-    /// phase time for observations that landed in the window).
-    pub fn mean(&self, name: &str) -> Option<f64> {
-        let d = self.histograms.get(name)?;
-        if d.count == 0 {
-            return None;
-        }
-        Some(d.sum / d.count as f64)
     }
 }
 
@@ -136,17 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_keeps_latest_gauges() {
-        let t = Telemetry::with_metrics();
-        t.gauge_set("progress/round", 1.0);
-        let a = t.live_snapshot().unwrap();
-        t.gauge_set("progress/round", 5.0);
-        let b = t.live_snapshot().unwrap();
-        let d = b.delta(&a);
-        assert_eq!(d.gauges["progress/round"], 5.0);
-    }
-
-    #[test]
     fn delta_histograms_carry_count_and_sum_increase() {
         let t = Telemetry::with_metrics();
         t.observe("phase/evolution", 1.0);
@@ -160,8 +136,6 @@ mod tests {
         assert!((d.histograms["phase/evolution"].sum - 3.0).abs() < 1e-9);
         // Histogram unseen in the earlier snapshot deltas from zero.
         assert_eq!(d.histograms["phase/measurement"].count, 1);
-        assert_eq!(d.mean("phase/evolution"), Some(3.0));
-        assert_eq!(d.mean("phase/none"), None);
     }
 
     #[test]
