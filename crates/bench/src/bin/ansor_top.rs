@@ -25,7 +25,7 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use ansor_bench::{flag_value, parse_flag, usage_error};
+use ansor_bench::{flag_value, parse_flag, sparkline, usage_error};
 use telemetry::export::{parse_exposition, StatusReport, TaskProgress};
 
 fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
@@ -84,23 +84,6 @@ fn fmt_seconds(s: f64) -> String {
     } else {
         format!("{:.1} us", s * 1e6)
     }
-}
-
-/// Unicode block sparkline of a history series (most recent last).
-fn sparkline(values: &[f64]) -> String {
-    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    if values.is_empty() {
-        return String::new();
-    }
-    let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    values
-        .iter()
-        .map(|&v| {
-            let t = if hi > lo { (v - lo) / (hi - lo) } else { 0.5 };
-            BARS[((t * 7.0).round() as usize).min(7)]
-        })
-        .collect()
 }
 
 /// One dashboard frame as a string (pure, testable).

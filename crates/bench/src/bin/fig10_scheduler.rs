@@ -201,7 +201,7 @@ fn main() {
         }
         let mut headers: Vec<String> = vec!["variant".into()];
         headers.extend(checkpoints.iter().map(|c| format!("@{c}")));
-        headers.push("matches AutoTVM@".into());
+        headers.push("matches AutoTVM at".into());
         let href: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
         print_table(
             &format!(

@@ -119,7 +119,7 @@ fn main() {
             "Table 2: multi-DNN objectives (allocation of tuning units)",
             &[
                 "objective",
-                "alloc(task0,task1)",
+                "units (matmul, conv)",
                 "DNN0 latency",
                 "DNN1 latency",
                 "f value",

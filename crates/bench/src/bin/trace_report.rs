@@ -40,7 +40,7 @@
 use std::collections::BTreeMap;
 use std::io::{Seek as _, SeekFrom, Write as _};
 
-use ansor_bench::{flag_value, fmt_seconds, print_table};
+use ansor_bench::{flag_value, fmt_seconds, print_table, sparkline};
 use serde::Serialize;
 use telemetry::report::{self, CalibrationPoint, Efficacy, ImprovementPoint, ModelPoint};
 use telemetry::{HistogramSummary, TraceLine};
@@ -394,7 +394,8 @@ fn print_summary(rep: &Report) {
                     fmt_seconds(*first_b),
                     fmt_seconds(*last_b),
                     format!("{:.2}x", first_b / last_b),
-                    sparkline(pts),
+                    // Lower is better, so the curve descends left to right.
+                    sparkline(&sample_rows(pts, 24).map(|p| p.1).collect::<Vec<_>>()),
                 ]
             })
             .collect();
@@ -632,25 +633,4 @@ fn efficacy_rows(map: &BTreeMap<String, Efficacy>) -> Vec<Vec<String>> {
 /// sample, the `--json` document carries them all).
 fn sample_rows<T>(items: &[T], cap: usize) -> impl Iterator<Item = &T> {
     items.iter().step_by(items.len().div_ceil(cap))
-}
-
-/// A coarse text sparkline of the best-latency curve: lower is better, so
-/// the curve should descend left to right.
-fn sparkline(pts: &[(u64, f64)]) -> String {
-    const GLYPHS: [char; 5] = ['▁', '▂', '▄', '▆', '█'];
-    let lo = pts.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
-    let hi = pts.iter().map(|p| p.1).fold(0.0f64, f64::max);
-    if !(lo.is_finite() && hi.is_finite()) || pts.is_empty() {
-        return String::new();
-    }
-    let span = (hi - lo).max(1e-30);
-    // Sample at most 24 points.
-    let step = pts.len().div_ceil(24);
-    pts.iter()
-        .step_by(step)
-        .map(|(_, b)| {
-            let idx = (((b - lo) / span) * (GLYPHS.len() - 1) as f64).round() as usize;
-            GLYPHS[idx.min(GLYPHS.len() - 1)]
-        })
-        .collect()
 }

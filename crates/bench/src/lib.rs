@@ -21,8 +21,8 @@
 //! `--help` prints them and exits 0; any other flag is a usage error.
 //!
 //! Default budgets are scaled down from the paper's (documented per
-//! binary and in EXPERIMENTS.md); the *comparative shapes* are stable
-//! across scales.
+//! binary and in EXPERIMENTS.md, whose figure tables are the binaries'
+//! default-scale output); no comparison is claimed at another scale.
 
 #![warn(missing_docs)]
 
@@ -255,33 +255,46 @@ pub fn normalize_to_best(values: &[f64]) -> Vec<f64> {
     values.iter().map(|v| v / best).collect()
 }
 
-/// Prints a fixed-width table.
+/// Prints a Markdown pipe table under a title line, its columns padded
+/// so it reads in a terminal too. EXPERIMENTS.md pastes the figure
+/// binaries' tables verbatim, and CI's `bench-smoke` holds it to them.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.chars().count());
         }
     }
-    let line = |cells: Vec<String>| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!(
-                "{:<w$}  ",
-                c,
-                w = widths.get(i).copied().unwrap_or(8)
-            ));
-        }
-        println!("{}", s.trim_end());
+    let line = |cells: &[String]| {
+        let padded: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(c, w)| format!("{c:<w$}"))
+            .collect();
+        println!("| {} |", padded.join(" | "));
     };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
+    println!("\n{title}\n");
+    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
+    let rule: Vec<String> = widths.iter().map(|w| "-".repeat(w + 2)).collect();
+    println!("|{}|", rule.join("|"));
     for row in rows {
-        line(row.clone());
+        line(row);
     }
+}
+
+/// A Unicode block sparkline of a series, one glyph per value, scaled
+/// from its minimum to its maximum.
+pub fn sparkline(values: &[f64]) -> String {
+    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+    let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    values
+        .iter()
+        .map(|&v| {
+            let t = if hi > lo { (v - lo) / (hi - lo) } else { 0.5 };
+            BARS[((t * 7.0).round() as usize).min(7)]
+        })
+        .collect()
 }
 
 /// Dumps a serializable result to JSON if requested.
@@ -328,6 +341,13 @@ mod tests {
     fn normalize_puts_best_at_one() {
         let n = normalize_to_best(&[1.0, 2.0, 4.0]);
         assert_eq!(n, vec![0.25, 0.5, 1.0]);
+    }
+
+    #[test]
+    fn sparkline_spans_min_to_max() {
+        assert_eq!(sparkline(&[3.0, 1.0, 2.0]), "█▁▅");
+        assert_eq!(sparkline(&[7.0, 7.0]), "▅▅");
+        assert_eq!(sparkline(&[]), "");
     }
 
     #[test]

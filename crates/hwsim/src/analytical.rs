@@ -30,7 +30,7 @@ use crate::target::{HardwareTarget, TargetKind};
 /// nominal capacity is usable by a tile.
 const CACHE_UTIL: f64 = 0.7;
 
-/// Per-store cost breakdown (useful for debugging and EXPERIMENTS.md).
+/// Per-store cost breakdown (what [`explain`] prints per statement).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoreCost {
     /// Compute-bound time, seconds.

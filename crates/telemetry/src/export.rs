@@ -271,7 +271,7 @@ fn write_response(stream: &mut TcpStream, code: u16, content_type: &str, body: &
 
 /// Fill `out` with process resource gauges: allocator counters (when
 /// [`crate::CountingAlloc`] is installed) and RSS.
-pub fn sample_resources(out: &mut BTreeMap<String, f64>) {
+fn sample_resources(out: &mut BTreeMap<String, f64>) {
     if let Some(stats) = crate::alloc::stats() {
         out.insert("alloc/live_bytes".into(), stats.live_bytes as f64);
         out.insert("alloc/peak_bytes".into(), stats.peak_bytes as f64);
@@ -311,7 +311,7 @@ fn fmt_value(v: f64) -> String {
 /// Render the full text exposition: counters as `counter` (`_total`
 /// suffix), gauges and resource samples as `gauge`, histograms as
 /// `summary` with `quantile` labels.
-pub fn render_exposition(snap: &Snapshot, resources: &BTreeMap<String, f64>) -> String {
+fn render_exposition(snap: &Snapshot, resources: &BTreeMap<String, f64>) -> String {
     let mut out = String::new();
     out.push_str("# TYPE ansor_uptime_seconds gauge\n");
     out.push_str(&format!(
