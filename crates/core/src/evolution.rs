@@ -17,6 +17,14 @@
 //!   score for that node is higher; merged programs are re-validated by
 //!   replaying the steps (out-of-order rewrites that break dependencies are
 //!   rejected).
+//!
+//! A mutation finds the sketch's tunable steps by position, so [`mutate`]
+//! first checks that the parent's steps start with its sketch's. Tile-size
+//! mutation then edits the parent's whole step list; the other three replay
+//! an edited copy of its first `sketch.steps.len()` steps and redraw every
+//! annotation on top. Crossover keeps each split's position but not the
+//! order of the other steps, so a crossover child can pass the check with
+//! an annotation step inside that prefix (see `is_sketch_aligned`).
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -30,9 +38,10 @@ use crate::lineage::{Lineage, Operator};
 use crate::search_task::SearchTask;
 use crate::sketch::Sketch;
 
-/// A candidate program: a fully annotated state plus the sketch it came
-/// from (needed to locate tunable splits) and the provenance record of how
-/// it was derived.
+/// A candidate program: a fully annotated state, the index of the sketch
+/// whose steps it starts with (mutation finds the tunable splits there; a
+/// wrong index only makes [`mutate`] decline it), and the provenance record
+/// of how it was derived.
 ///
 /// The state is built once, by the operator that proposes the candidate,
 /// and from then on held behind a shared handle: the population, the
@@ -92,7 +101,7 @@ impl Default for EvolutionConfig {
     }
 }
 
-/// Counters describing one [`evolutionary_search`] invocation (for the
+/// Counters describing one [`evolutionary_search_with_stats`] invocation (for the
 /// tuning trace's `EvolutionStats` and `OperatorStats` events).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvolutionStats {
@@ -131,37 +140,9 @@ pub struct Offspring {
 }
 
 /// Runs evolutionary search and returns the `top_k` best individuals found
-/// (ranked by the cost model), deduplicated.
-pub fn evolutionary_search(
-    task: &SearchTask,
-    sketches: &[Sketch],
-    init: Vec<Individual>,
-    model: &dyn CostModel,
-    cfg: &EvolutionConfig,
-    top_k: usize,
-    rng: &mut impl Rng,
-) -> Vec<Individual> {
-    let banned = HashSet::new();
-    // Drawing the stream root from the caller's RNG keeps the historical
-    // signature while seeding the per-generation offspring streams.
-    let evolution_seed = rng.next_u64();
-    evolutionary_search_with_stats(
-        task,
-        sketches,
-        init,
-        model,
-        cfg,
-        top_k,
-        &banned,
-        evolution_seed,
-        rng,
-    )
-    .0
-}
-
-/// [`evolutionary_search`] variant that also reports operator statistics
-/// and skips `banned` signatures (quarantined terminally-failed states —
-/// they may still breed, but are never returned as candidates).
+/// (ranked by the cost model, deduplicated) with operator statistics. It
+/// skips `banned` signatures (quarantined terminally-failed states — they
+/// may still breed, but are never returned as candidates).
 ///
 /// `evolution_seed` is the root of the per-generation offspring RNG
 /// streams: generation `g`'s lanes draw from
@@ -389,7 +370,9 @@ fn produce_lane(
 }
 
 /// Applies one random mutation operator; `None` when the mutation failed to
-/// produce a valid program.
+/// produce a valid program, or when the parent's steps do not start with its
+/// sketch's (a sketch index that names another sketch or none): the one
+/// check every operator relies on to find the sketch's steps in place.
 pub fn mutate(
     task: &SearchTask,
     sketches: &[Sketch],
@@ -398,61 +381,64 @@ pub fn mutate(
     rng: &mut impl Rng,
 ) -> Option<Individual> {
     let sketch = sketches.get(parent.sketch)?;
+    if !is_sketch_aligned(sketch, &parent.state.steps) {
+        return None;
+    }
     match rng.gen_range(0..4) {
         0 => mutate_tile_size(task, sketch, parent, rng),
-        1 => reannotate(task, sketch, parent, ann_cfg, rng),
+        // Annotation mutation: keep the tile structure, resample annotations.
+        1 => {
+            let structural = parent.state.steps[..sketch.steps.len()].to_vec();
+            let op = Operator::MutateAnnotation;
+            reannotate(task, sketch, parent, structural, op, ann_cfg, rng)
+        }
         2 => mutate_location(task, sketch, parent, ann_cfg, rng),
         _ => mutate_rfactor_or_tile(task, sketch, parent, ann_cfg, rng),
     }
 }
 
-/// The lengths of the step a tunable split of the sketch points at, when
-/// that step still is the sketch's split (same node, iterator and arity).
-fn aligned_lengths<'a>(
-    sketch: &Sketch,
-    steps: &'a [Step],
-    sv: &crate::sketch::SplitVar,
-) -> Option<&'a Vec<i64>> {
-    match (steps.get(sv.step), &sketch.steps[sv.step]) {
-        (
-            Some(Step::Split {
-                node,
-                iter,
-                lengths,
-            }),
-            Step::Split {
-                node: snode,
-                iter: siter,
-                ..
-            },
-        ) if node == snode && iter == siter && lengths.len() == sv.nparts => Some(lengths),
-        _ => None,
-    }
-}
-
-/// Current lengths of each tunable split in an individual's step list.
-///
-/// Returns `None` when the step list is not aligned with the sketch (e.g.
-/// the individual came out of crossover, which splices per-node step
-/// groups and reorders the list) — structural mutations then bail out and
-/// the lane falls back to its parent.
-fn split_lengths(sketch: &Sketch, steps: &[Step]) -> Option<Vec<Vec<i64>>> {
-    sketch
-        .splits
-        .iter()
-        .map(|sv| aligned_lengths(sketch, steps, sv).cloned())
-        .collect()
-}
-
 /// Whether `steps` starts with the sketch's own steps, tunable splits in
-/// place: [`split_lengths`]`.is_some()` on a list at least as long as the
-/// sketch's, without building the lengths.
-fn is_sketch_aligned(sketch: &Sketch, steps: &[Step]) -> bool {
+/// place: at least as many steps as the sketch, and each tunable split's
+/// index holds a split of the same node and iterator into as many parts.
+///
+/// Only the splits are compared, so a list whose other steps moved still
+/// passes. Crossover makes such lists: it splices a won cluster's steps,
+/// annotations included, at the position of the parent's first step of
+/// that cluster. On conv sketches, whose last structural step inlines the
+/// padding stage, that puts fuse and annotation steps ahead of the inline,
+/// and a re-annotating operator, which replays the first
+/// `sketch.steps.len()` steps, drops the inline and leaves the padding at
+/// root (ROADMAP item 21).
+pub(crate) fn is_sketch_aligned(sketch: &Sketch, steps: &[Step]) -> bool {
     steps.len() >= sketch.steps.len()
         && sketch
             .splits
             .iter()
-            .all(|sv| aligned_lengths(sketch, steps, sv).is_some())
+            .all(|sv| match (&steps[sv.step], &sketch.steps[sv.step]) {
+                (
+                    Step::Split {
+                        node,
+                        iter,
+                        lengths,
+                    },
+                    Step::Split {
+                        node: snode,
+                        iter: siter,
+                        ..
+                    },
+                ) => node == snode && iter == siter && lengths.len() == sv.nparts,
+                _ => false,
+            })
+}
+
+/// Current lengths of each tunable split in a step list that
+/// [`is_sketch_aligned`] accepts.
+fn split_lengths(sketch: &Sketch, steps: &[Step]) -> Vec<Vec<i64>> {
+    let lengths = |sv: &crate::sketch::SplitVar| match &steps[sv.step] {
+        Step::Split { lengths, .. } => lengths.clone(),
+        _ => unreachable!("a sketch-aligned step list has a split there"),
+    };
+    sketch.splits.iter().map(lengths).collect()
 }
 
 /// Patches follower splits after their leader changed.
@@ -482,7 +468,7 @@ fn mutate_tile_size(
     if leaders.is_empty() {
         return None;
     }
-    let mut lengths = split_lengths(sketch, &parent.state.steps)?;
+    let mut lengths = split_lengths(sketch, &parent.state.steps);
     let &li = leaders.choose(rng)?;
     let sv = &sketch.splits[li];
     let l = &mut lengths[li];
@@ -525,26 +511,6 @@ fn mutate_tile_size(
     Some(mutant(state, Operator::MutateTileSize, sketch, parent))
 }
 
-/// Annotation mutation: keep the tile structure, resample annotations.
-fn reannotate(
-    task: &SearchTask,
-    sketch: &Sketch,
-    parent: &Individual,
-    ann_cfg: &AnnotationConfig,
-    rng: &mut impl Rng,
-) -> Option<Individual> {
-    if !is_sketch_aligned(sketch, &parent.state.steps) {
-        return None; // crossover offspring: steps not sketch-aligned
-    }
-    let structural = &parent.state.steps[..sketch.steps.len()];
-    let mut state = State::replay(task.dag.clone(), structural).ok()?;
-    annotate_state(&mut state, task, ann_cfg, rng).ok()?;
-    if !crate::annotate::gpu_limits_ok(&state, task) {
-        return None;
-    }
-    Some(mutant(state, Operator::MutateAnnotation, sketch, parent))
-}
-
 /// Computation-location mutation: change a `compute_at`'s shared-prefix
 /// depth, then re-annotate on the new structure.
 fn mutate_location(
@@ -555,9 +521,6 @@ fn mutate_location(
     rng: &mut impl Rng,
 ) -> Option<Individual> {
     if sketch.compute_ats.is_empty() || task.is_gpu() {
-        return None;
-    }
-    if !is_sketch_aligned(sketch, &parent.state.steps) {
         return None;
     }
     let mut structural = parent.state.steps[..sketch.steps.len()].to_vec();
@@ -571,12 +534,8 @@ fn mutate_location(
     };
     let choices: Vec<usize> = (1..=built).collect();
     *prefix_len = *choices.choose(rng)?;
-    let mut state = State::replay_owned(task.dag.clone(), structural).ok()?;
-    annotate_state(&mut state, task, ann_cfg, rng).ok()?;
-    if !crate::annotate::gpu_limits_ok(&state, task) {
-        return None;
-    }
-    Some(mutant(state, Operator::MutateLocation, sketch, parent))
+    let op = Operator::MutateLocation;
+    reannotate(task, sketch, parent, structural, op, ann_cfg, rng)
 }
 
 /// Rfactor-factor mutation (falls back to tile mutation for sketches
@@ -590,9 +549,6 @@ fn mutate_rfactor_or_tile(
 ) -> Option<Individual> {
     if sketch.rfactors.is_empty() {
         return mutate_tile_size(task, sketch, parent, rng);
-    }
-    if !is_sketch_aligned(sketch, &parent.state.steps) {
-        return None;
     }
     let rf_idx = rng.gen_range(0..sketch.rfactors.len());
     let rv = &sketch.rfactors[rf_idx];
@@ -610,9 +566,29 @@ fn mutate_rfactor_or_tile(
             }
         }
     }
+    let op = Operator::MutateRfactorOrTile;
+    reannotate(task, sketch, parent, structural, op, ann_cfg, rng)
+}
+
+/// The shared tail of the re-annotating operators: replays an edited copy
+/// of the parent's first `sketch.steps.len()` steps, redraws every
+/// annotation on top, and keeps the result if it fits the GPU's thread
+/// limits.
+fn reannotate(
+    task: &SearchTask,
+    sketch: &Sketch,
+    parent: &Individual,
+    structural: Vec<Step>,
+    op: Operator,
+    ann_cfg: &AnnotationConfig,
+    rng: &mut impl Rng,
+) -> Option<Individual> {
     let mut state = State::replay_owned(task.dag.clone(), structural).ok()?;
     annotate_state(&mut state, task, ann_cfg, rng).ok()?;
-    Some(mutant(state, Operator::MutateRfactorOrTile, sketch, parent))
+    if !crate::annotate::gpu_limits_ok(&state, task) {
+        return None;
+    }
+    Some(mutant(state, op, sketch, parent))
 }
 
 /// Node-based crossover (§5.1): merge per-node step groups from two
@@ -856,22 +832,63 @@ mod tests {
 
     #[test]
     fn all_mutation_ops_yield_valid_programs() {
-        let t = task();
+        // NRM on a GPU has rfactor sketches: every operator's children,
+        // the rfactor operator's included, keep to the thread limits.
+        let dag = ansor_workloads::build_case("NRM", 0, 4).unwrap();
+        let nrm = SearchTask::new("NRM", dag, HardwareTarget::nvidia_v100());
+        for (t, n) in [(task(), 4), (nrm, 8)] {
+            let sketches = generate_sketches(&t);
+            let pop = init_pop(&t, &sketches, n, 3);
+            let cfg = AnnotationConfig::default();
+            let mut rng = StdRng::seed_from_u64(4);
+            let (mut ok, mut rfactor) = (0, 0);
+            for p in &pop {
+                for _ in 0..20 {
+                    if let Some(child) = mutate(&t, &sketches, p, &cfg, &mut rng) {
+                        child.state.validate().unwrap();
+                        tensor_ir::lower(&child.state).unwrap();
+                        assert!(crate::annotate::gpu_limits_ok(&child.state, &t));
+                        ok += 1;
+                        rfactor += (child.lineage.op == Operator::MutateRfactorOrTile
+                            && !sketches[child.sketch].rfactors.is_empty())
+                            as usize;
+                    }
+                }
+            }
+            assert!(ok > 30, "{}: only {ok} successful mutations", t.name);
+            assert!(!t.is_gpu() || rfactor > 0, "no rfactor mutant");
+        }
+    }
+
+    /// `mutate`'s one check: a parent whose sketch index names another
+    /// sketch, or none, is declined whichever operator the draw picks.
+    #[test]
+    fn mutate_declines_a_parent_labeled_with_another_sketch() {
+        let dag = ansor_workloads::build_case("GMM", 0, 1).unwrap();
+        let t = SearchTask::new("GMM", dag, HardwareTarget::intel_20core());
         let sketches = generate_sketches(&t);
-        let pop = init_pop(&t, &sketches, 4, 3);
+        assert_eq!(sketches.len(), 2);
         let cfg = AnnotationConfig::default();
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut ok = 0;
-        for p in &pop {
-            for _ in 0..20 {
+        let mut ops = std::collections::BTreeSet::new();
+        for p in &init_pop(&t, &sketches, 8, 6) {
+            let other = 1 - p.sketch;
+            assert!(!is_sketch_aligned(&sketches[other], &p.state.steps));
+            for seed in 0..16 {
+                for label in [other, sketches.len()] {
+                    let mislabeled = Individual::new(State::clone(&p.state), label);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    assert!(mutate(&t, &sketches, &mislabeled, &cfg, &mut rng).is_none());
+                }
+                // The same draw on the right label picks these operators.
+                let mut rng = StdRng::seed_from_u64(seed);
                 if let Some(child) = mutate(&t, &sketches, p, &cfg, &mut rng) {
-                    child.state.validate().unwrap();
-                    tensor_ir::lower(&child.state).unwrap();
-                    ok += 1;
+                    ops.insert((p.sketch, child.lineage.op.name()));
                 }
             }
         }
-        assert!(ok > 30, "only {ok} successful mutations");
+        // Tile-size (also what an rfactor draw does here) and annotation
+        // mutations on both sketches, location on the one with a compute_at.
+        assert_eq!(ops.len(), 5, "operators exercised: {ops:?}");
     }
 
     #[test]
@@ -923,7 +940,17 @@ mod tests {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(8);
-        let best = evolutionary_search(&t, &sketches, pop, &model, &cfg, 8, &mut rng);
+        let (best, _) = evolutionary_search_with_stats(
+            &t,
+            &sketches,
+            pop,
+            &model,
+            &cfg,
+            8,
+            &HashSet::new(),
+            rng.next_u64(),
+            &mut rng,
+        );
         assert!(!best.is_empty());
         let evolved_best = best
             .iter()
@@ -949,7 +976,17 @@ mod tests {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(10);
-        let best = evolutionary_search(&t, &sketches, pop, &model, &cfg, 5, &mut rng);
+        let (best, _) = evolutionary_search_with_stats(
+            &t,
+            &sketches,
+            pop,
+            &model,
+            &cfg,
+            5,
+            &HashSet::new(),
+            rng.next_u64(),
+            &mut rng,
+        );
         assert_eq!(best.len(), 5);
         for b in &best {
             b.state.validate().unwrap();

@@ -26,8 +26,8 @@ pub use cost_model::{
     CostModel, FeatureBlock, LearnedCostModel, ModelMemo, RandomModel, TrainedModel,
 };
 pub use evolution::{
-    crossover, evolutionary_search, evolutionary_search_with_stats, mutate, produce_generation,
-    EvolutionConfig, EvolutionStats, Individual, Offspring,
+    crossover, evolutionary_search_with_stats, mutate, produce_generation, EvolutionConfig,
+    EvolutionStats, Individual, Offspring,
 };
 pub use lineage::{Lineage, Operator};
 pub use records::{best_record, load_records, log_fingerprint, save_records, TuningRecordLog};

@@ -26,7 +26,9 @@ use telemetry::{EfficacyRow, Telemetry, TraceEvent};
 use crate::annotate::{sample_program, AnnotationConfig};
 use crate::checkpoint::{rng_state_from, BestEntry, PolicyCheckpoint};
 use crate::cost_model::{CostModel, LearnedCostModel};
-use crate::evolution::{evolutionary_search_with_stats, EvolutionConfig, Individual};
+use crate::evolution::{
+    evolutionary_search_with_stats, is_sketch_aligned, EvolutionConfig, Individual,
+};
 use crate::lineage::{Lineage, Operator};
 use crate::records::TuningRecordLog;
 use crate::search_task::SearchTask;
@@ -291,8 +293,14 @@ impl SketchPolicy {
             if !self.measured_signatures.insert(state.signature()) {
                 continue;
             }
-            // Replayed records carry no provenance: Seed lineage.
-            states.push(self.keep_if_best(r.seconds, Individual::new(state, 0)));
+            // Replayed records carry no provenance (Seed lineage) and no
+            // sketch index: the first sketch the steps start with stands in.
+            let sketch = self
+                .sketches
+                .iter()
+                .position(|s| is_sketch_aligned(s, &state.steps))
+                .unwrap_or(0);
+            states.push(self.keep_if_best(r.seconds, Individual::new(state, sketch)));
             secs.push(r.seconds);
             absorbed += 1;
         }
@@ -830,6 +838,7 @@ pub fn auto_schedule_with_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evolution::mutate;
     use hwsim::HardwareTarget;
     use std::sync::Arc;
     use tensor_ir::{DagBuilder, Expr, Reducer};
@@ -929,7 +938,9 @@ mod tests {
 
     #[test]
     fn warm_start_seeds_best_from_log() {
-        let t = task(128);
+        // GMM has two sketches, and seed 42's best comes from the second.
+        let dag = ansor_workloads::build_case("GMM", 0, 1).unwrap();
+        let t = SearchTask::new("GMM", dag, HardwareTarget::intel_20core());
         // First run: tune and capture the log.
         let mut m = Measurer::new(t.target.clone());
         let mut model = LearnedCostModel::new();
@@ -948,6 +959,13 @@ mod tests {
         assert_eq!(p2.trials(), 0);
         assert_eq!(p2.best_seconds(), best_first);
         assert!(model2.is_trained());
+        // The warm-started best knows its sketch again, so it can be mutated.
+        let (best1, best2) = (p1.best_individual().unwrap(), p2.best_individual().unwrap());
+        assert_ne!(best1.sketch, 0, "pick a case whose best is not sketch 0");
+        assert_eq!(best2.sketch, best1.sketch);
+        let ann = &p2.options.evolution.annotation;
+        let mut rng = StdRng::seed_from_u64(1);
+        assert!((0..20).any(|_| mutate(&t, p2.sketches(), best2, ann, &mut rng).is_some()));
         // Records for other tasks are ignored.
         let other = task(64);
         let mut p3 = SketchPolicy::new(other, small_options(32, PolicyVariant::Full));
