@@ -23,7 +23,7 @@ use hwsim::Measurer;
 
 use telemetry::{EfficacyRow, Telemetry, TraceEvent};
 
-use crate::annotate::{sample_program, AnnotationConfig};
+use crate::annotate::sample_program;
 use crate::checkpoint::{rng_state_from, BestEntry, PolicyCheckpoint};
 use crate::cost_model::{CostModel, LearnedCostModel};
 use crate::evolution::{
@@ -194,7 +194,6 @@ pub struct SketchPolicy {
     /// Options.
     pub options: TuningOptions,
     sketches: Vec<Sketch>,
-    annotation: AnnotationConfig,
     measured_signatures: HashSet<u64>,
     /// Signatures of terminally-failed programs (cursed hardware, retry
     /// exhaustion): evolution stops returning them as candidates and they
@@ -214,12 +213,11 @@ pub struct SketchPolicy {
 
 impl SketchPolicy {
     /// Creates a policy, generating the task's sketches.
-    pub fn new(task: SearchTask, options: TuningOptions) -> SketchPolicy {
+    pub fn new(task: SearchTask, mut options: TuningOptions) -> SketchPolicy {
         let mut sketches = {
             let _phase = options.telemetry.span("sketch_generation");
             generate_sketches(&task)
         };
-        let mut annotation = options.evolution.annotation.clone();
         if options.variant == PolicyVariant::LimitedSpace {
             // Manual-template-like space: no added cache stages, no
             // rfactor, fixed unroll policy, fixed computation locations.
@@ -228,25 +226,12 @@ impl SketchPolicy {
                 sketches = generate_sketches(&task);
                 sketches.truncate(1);
             }
+            let annotation = &mut options.evolution.annotation;
             annotation.unroll_pragma_choices = vec![16];
             annotation.location_mutation_prob = 0.0;
             annotation.unroll_prob = 0.0;
         }
-        let rng = StdRng::seed_from_u64(options.seed ^ 0x5eed);
-        SketchPolicy {
-            annotation,
-            sketches,
-            measured_signatures: HashSet::new(),
-            quarantined: HashSet::new(),
-            best_measured: Vec::new(),
-            history: Vec::new(),
-            log: Vec::new(),
-            rng,
-            trials: 0,
-            rounds: 0,
-            task,
-            options,
-        }
+        SketchPolicy::with_sketches(task, options, sketches)
     }
 
     /// Creates a policy over caller-provided sketches (used by baseline
@@ -256,10 +241,8 @@ impl SketchPolicy {
         options: TuningOptions,
         sketches: Vec<Sketch>,
     ) -> SketchPolicy {
-        let annotation = options.evolution.annotation.clone();
         let rng = StdRng::seed_from_u64(options.seed ^ 0x5eed);
         SketchPolicy {
-            annotation,
             sketches,
             measured_signatures: HashSet::new(),
             quarantined: HashSet::new(),
@@ -369,7 +352,7 @@ impl SketchPolicy {
             if let Some(state) = sample_program(
                 &self.sketches[id],
                 &self.task,
-                &self.annotation,
+                &self.options.evolution.annotation,
                 &mut self.rng,
             ) {
                 out.push(Individual {
@@ -930,10 +913,29 @@ mod tests {
     #[test]
     fn limited_space_excludes_structural_steps() {
         let t = task(128);
-        let policy = SketchPolicy::new(t, small_options(16, PolicyVariant::LimitedSpace));
+        let mut policy = SketchPolicy::new(t, small_options(48, PolicyVariant::LimitedSpace));
         for s in policy.sketches() {
             assert!(!s.steps.iter().any(|st| st.is_structural()));
         }
+        // Evolution's re-annotations keep the variant's fixed unroll policy.
+        let (mut m, mut model) = (
+            Measurer::new(policy.task.target.clone()),
+            LearnedCostModel::new(),
+        );
+        while policy.tune_round(&mut model, &mut m) > 0 {}
+        let pragmas: Vec<i64> = policy
+            .log
+            .iter()
+            .flat_map(|r| &r.steps)
+            .filter_map(|st| match st {
+                tensor_ir::Step::Pragma { max_unroll, .. } => Some(*max_unroll),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            !pragmas.is_empty() && pragmas.iter().all(|&p| p == 16),
+            "{pragmas:?}"
+        );
     }
 
     #[test]
