@@ -101,8 +101,8 @@ impl Default for EvolutionConfig {
     }
 }
 
-/// Counters describing one [`evolutionary_search_with_stats`] invocation (for the
-/// tuning trace's `EvolutionStats` and `OperatorStats` events).
+/// Counters describing one [`evolutionary_search_with_stats`] invocation
+/// (for the tuning trace's `EvolutionStats` and `OperatorStats` events).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvolutionStats {
     /// Generations actually run.
@@ -431,25 +431,23 @@ pub(crate) fn is_sketch_aligned(sketch: &Sketch, steps: &[Step]) -> bool {
             })
 }
 
-/// Current lengths of each tunable split in a step list that
-/// [`is_sketch_aligned`] accepts.
-fn split_lengths(sketch: &Sketch, steps: &[Step]) -> Vec<Vec<i64>> {
-    let lengths = |sv: &crate::sketch::SplitVar| match &steps[sv.step] {
-        Step::Split { lengths, .. } => lengths.clone(),
+/// The lengths of a tunable split, in a step list that [`is_sketch_aligned`]
+/// accepts.
+fn split_lengths<'a>(steps: &'a [Step], sv: &crate::sketch::SplitVar) -> &'a [i64] {
+    match &steps[sv.step] {
+        Step::Split { lengths, .. } => lengths,
         _ => unreachable!("a sketch-aligned step list has a split there"),
-    };
-    sketch.splits.iter().map(lengths).collect()
+    }
 }
 
 /// Patches follower splits after their leader changed.
-fn refresh_followers(sketch: &Sketch, steps: &mut [Step], lengths: &mut [Vec<i64>]) {
-    for (i, sv) in sketch.splits.iter().enumerate() {
+fn refresh_followers(sketch: &Sketch, steps: &mut [Step]) {
+    for sv in &sketch.splits {
         if let Some(leader) = sv.follow {
-            let l = follow_lengths(&lengths[leader], sv.nparts);
-            if let Step::Split { lengths: sl, .. } = &mut steps[sv.step] {
-                *sl = l.clone();
+            let l = follow_lengths(split_lengths(steps, &sketch.splits[leader]), sv.nparts);
+            if let Step::Split { lengths, .. } = &mut steps[sv.step] {
+                *lengths = l;
             }
-            lengths[i] = l;
         }
     }
 }
@@ -468,10 +466,9 @@ fn mutate_tile_size(
     if leaders.is_empty() {
         return None;
     }
-    let mut lengths = split_lengths(sketch, &parent.state.steps);
     let &li = leaders.choose(rng)?;
     let sv = &sketch.splits[li];
-    let l = &mut lengths[li];
+    let l = split_lengths(&parent.state.steps, sv);
     if l.is_empty() {
         return None;
     }
@@ -490,6 +487,7 @@ fn mutate_tile_size(
         .filter(|&d| d > 1)
         .collect();
     let &d = divs.choose(rng)?;
+    let mut l = l.to_vec();
     if from < nparts {
         l[from] /= d;
     }
@@ -500,10 +498,10 @@ fn mutate_tile_size(
     // extent is implicit.)
     // The child's genes: one copy of the parent's, edited, then moved in.
     let mut steps = parent.state.steps.clone();
-    if let Step::Split { lengths: sl, .. } = &mut steps[sv.step] {
-        *sl = l.clone();
+    if let Step::Split { lengths, .. } = &mut steps[sv.step] {
+        *lengths = l;
     }
-    refresh_followers(sketch, &mut steps, &mut lengths);
+    refresh_followers(sketch, &mut steps);
     let state = State::replay_owned(task.dag.clone(), steps).ok()?;
     if !crate::annotate::gpu_limits_ok(&state, task) {
         return None;
