@@ -56,12 +56,7 @@ impl SearchFramework for FlexTensor {
         let mut policy = SketchPolicy::with_sketches(task.clone(), options, sketches);
         let mut model = ansor_core::LearnedCostModel::new();
         let mut measurer = Measurer::new(task.target.clone());
-        loop {
-            let measured = policy.tune_round(&mut model, &mut measurer);
-            if measured == 0 || policy.trials() as usize >= trials {
-                break;
-            }
-        }
+        while policy.run_round(&mut model, &mut measurer) > 0 {}
         let result = policy.into_result();
         FrameworkResult {
             best_seconds: result.best_seconds,

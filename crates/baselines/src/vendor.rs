@@ -61,13 +61,13 @@ pub fn vendor_best(task: &SearchTask) -> (Option<Individual>, f64) {
     let mut rng = StdRng::seed_from_u64(0xC0DE);
     let mut best: (Option<Individual>, f64) = (None, f64::INFINITY);
     for i in 0..OFFLINE_CANDIDATES {
-        let sk = &sketches[i % sketches.len()];
-        let Some(state) = sample_program(sk, task, &cfg, &mut rng) else {
+        let k = i % sketches.len();
+        let Some(state) = sample_program(&sketches[k], task, &cfg, &mut rng) else {
             continue;
         };
         let res = measurer.measure(&state);
         if res.is_valid() && res.seconds < best.1 {
-            best = (Some(Individual::new(state, sk.id)), res.seconds);
+            best = (Some(Individual::new(state, k)), res.seconds);
         }
     }
     best

@@ -25,7 +25,7 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use ansor_bench::{flag_value, parse_flag, sparkline, usage_error};
+use ansor_bench::{flag_value, fmt_seconds, parse_flag, sparkline, usage_error};
 use telemetry::export::{parse_exposition, StatusReport, TaskProgress};
 
 fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
@@ -73,16 +73,6 @@ fn fmt_eta(s: f64) -> String {
         format!("{:.1}m", s / 60.0)
     } else {
         format!("{s:.0}s")
-    }
-}
-
-fn fmt_seconds(s: f64) -> String {
-    if s >= 1.0 {
-        format!("{s:.3} s")
-    } else if s >= 1e-3 {
-        format!("{:.3} ms", s * 1e3)
-    } else {
-        format!("{:.1} us", s * 1e6)
     }
 }
 

@@ -342,16 +342,12 @@ fn main() {
         println!("(wrote {json_path})");
     }
     if let Some(events_path) = &opts.events {
-        // The canonical, determinism-comparable event stream: event JSON
-        // per line, wall-clock envelope (`seq`/`t_ms`) and `PhaseProfile`
-        // dropped. Two same-seed runs must produce byte-identical files
-        // here (the CI live-smoke job diffs exporter-on vs exporter-off).
+        // The canonical, determinism-comparable event stream. Two
+        // same-seed runs must produce byte-identical files here (the CI
+        // live-smoke job diffs exporter-on vs exporter-off).
         let mut out = String::new();
-        for line in &lines {
-            if matches!(line.event, telemetry::TraceEvent::PhaseProfile { .. }) {
-                continue;
-            }
-            out.push_str(&serde_json::to_string(&line.event).expect("event serializes"));
+        for event in telemetry::canonical_events(&lines) {
+            out.push_str(&event);
             out.push('\n');
         }
         std::fs::write(events_path, out).unwrap_or_else(|e| {

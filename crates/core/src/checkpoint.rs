@@ -246,7 +246,6 @@ mod tests {
                             lengths: vec![8],
                         }],
                         lineage: crate::lineage::Lineage {
-                            rules: vec!["multi-level-tiling".into()],
                             op: crate::lineage::Operator::MutateTileSize,
                             generation: 2,
                             parents: vec![5],
@@ -366,6 +365,21 @@ mod tests {
         let back: BestEntry = serde_json::from_str(json).unwrap();
         assert_eq!(back.lineage, Lineage::default());
         assert_eq!(back.sketch, 2);
+    }
+
+    #[test]
+    fn best_entries_whose_lineage_names_its_rules_still_load() {
+        // Written while each lineage carried a copy of its sketch's rule
+        // chain; the chain is now read from the sketch, and the vendored
+        // serde ignores the key.
+        let json = r#"{"seconds":1e-3,"sketch":1,"steps":[],"lineage":{"generation":3,"op":"Crossover","parents":[11,29],"rules":["multi-level-tiling","add-cache-write"]}}"#;
+        let back: BestEntry = serde_json::from_str(json).unwrap();
+        let want = Lineage {
+            op: crate::lineage::Operator::Crossover,
+            generation: 3,
+            parents: vec![11, 29],
+        };
+        assert_eq!((back.sketch, back.lineage), (1, want));
     }
 
     #[test]

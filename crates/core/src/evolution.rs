@@ -41,7 +41,8 @@ use crate::sketch::Sketch;
 /// A candidate program: a fully annotated state, the index of the sketch
 /// whose steps it starts with (mutation finds the tunable splits there; a
 /// wrong index only makes [`mutate`] decline it), and the provenance record
-/// of how it was derived.
+/// of how it was derived. The sketch index is also its one link to the
+/// sketch-rule chain that derived it ([`Individual::rules`]).
 ///
 /// The state is built once, by the operator that proposes the candidate,
 /// and from then on held behind a shared handle: the population, the
@@ -54,8 +55,8 @@ pub struct Individual {
     pub state: Arc<State>,
     /// Index into the task's sketch list.
     pub sketch: usize,
-    /// Provenance: generating operator, sketch-rule chain, generation,
-    /// parent signature(s). Plain data, carried unconditionally.
+    /// Provenance: generating operator, generation, parent signature(s).
+    /// Plain data, carried unconditionally.
     pub lineage: Lineage,
 }
 
@@ -74,6 +75,16 @@ impl Individual {
     /// measurement and cost-model score caches (see `ansor-runtime`).
     pub fn signature(&self) -> u64 {
         self.state.signature()
+    }
+
+    /// The rule chain of the sketch this candidate was derived in, read from
+    /// the task's sketch list; none for an [`Operator::Seed`], whose sketch
+    /// index is a guess (a warm start's first aligned sketch).
+    pub fn rules<'s>(&self, sketches: &'s [Sketch]) -> &'s [&'static str] {
+        match (self.lineage.op, sketches.get(self.sketch)) {
+            (Operator::Seed, _) | (_, None) => &[],
+            (_, Some(sketch)) => &sketch.rule_chain,
+        }
     }
 }
 
@@ -120,7 +131,7 @@ pub struct EvolutionStats {
     pub proposed_by_op: BTreeMap<&'static str, u64>,
     /// Offspring successfully proposed, per sketch-rule name (each
     /// offspring counts once for every rule in its derivation chain).
-    pub proposed_by_rule: BTreeMap<String, u64>,
+    pub proposed_by_rule: BTreeMap<&'static str, u64>,
 }
 
 /// One lane's result: the individual landing at that population index,
@@ -252,14 +263,8 @@ fn evolve(
                     .proposed_by_op
                     .entry(ind.lineage.op.name())
                     .or_insert(0) += 1;
-                for rule in &ind.lineage.rules {
-                    // Looked up first: the key is only copied when new.
-                    match stats.proposed_by_rule.get_mut(rule) {
-                        Some(n) => *n += 1,
-                        None => {
-                            stats.proposed_by_rule.insert(rule.clone(), 1);
-                        }
-                    }
+                for &rule in ind.rules(sketches) {
+                    *stats.proposed_by_rule.entry(rule).or_insert(0) += 1;
                 }
             }
             next.push(ind);
@@ -390,7 +395,7 @@ pub fn mutate(
         1 => {
             let structural = parent.state.steps[..sketch.steps.len()].to_vec();
             let op = Operator::MutateAnnotation;
-            reannotate(task, sketch, parent, structural, op, ann_cfg, rng)
+            reannotate(task, parent, structural, op, ann_cfg, rng)
         }
         2 => mutate_location(task, sketch, parent, ann_cfg, rng),
         _ => mutate_rfactor_or_tile(task, sketch, parent, ann_cfg, rng),
@@ -506,7 +511,7 @@ fn mutate_tile_size(
     if !crate::annotate::gpu_limits_ok(&state, task) {
         return None;
     }
-    Some(mutant(state, Operator::MutateTileSize, sketch, parent))
+    Some(mutant(state, Operator::MutateTileSize, parent))
 }
 
 /// Computation-location mutation: change a `compute_at`'s shared-prefix
@@ -533,7 +538,7 @@ fn mutate_location(
     let choices: Vec<usize> = (1..=built).collect();
     *prefix_len = *choices.choose(rng)?;
     let op = Operator::MutateLocation;
-    reannotate(task, sketch, parent, structural, op, ann_cfg, rng)
+    reannotate(task, parent, structural, op, ann_cfg, rng)
 }
 
 /// Rfactor-factor mutation (falls back to tile mutation for sketches
@@ -565,7 +570,7 @@ fn mutate_rfactor_or_tile(
         }
     }
     let op = Operator::MutateRfactorOrTile;
-    reannotate(task, sketch, parent, structural, op, ann_cfg, rng)
+    reannotate(task, parent, structural, op, ann_cfg, rng)
 }
 
 /// The shared tail of the re-annotating operators: replays an edited copy
@@ -574,7 +579,6 @@ fn mutate_rfactor_or_tile(
 /// limits.
 fn reannotate(
     task: &SearchTask,
-    sketch: &Sketch,
     parent: &Individual,
     structural: Vec<Step>,
     op: Operator,
@@ -586,7 +590,7 @@ fn reannotate(
     if !crate::annotate::gpu_limits_ok(&state, task) {
         return None;
     }
-    Some(mutant(state, op, sketch, parent))
+    Some(mutant(state, op, parent))
 }
 
 /// Node-based crossover (§5.1): merge per-node step groups from two
@@ -680,8 +684,6 @@ pub fn crossover(
         state: Arc::new(state),
         sketch: a.sketch,
         lineage: Lineage {
-            // Parents share a sketch, so A's chain is the offspring's too.
-            rules: a.lineage.rules.clone(),
             op: Operator::Crossover,
             generation: 0, // overwritten by the evolution loop
             parents: vec![a.signature(), b.signature()],
@@ -689,16 +691,15 @@ pub fn crossover(
     })
 }
 
-/// A mutation offspring: the new state behind its handle, and a lineage of
-/// the operator, the generating sketch's rule chain and the parent's
-/// signature. The generation number is filled in by the evolution loop (0
-/// for direct `mutate` callers).
-fn mutant(state: State, op: Operator, sketch: &Sketch, parent: &Individual) -> Individual {
+/// A mutation offspring: the new state behind its handle, in its parent's
+/// sketch, and a lineage of the operator and the parent's signature. The
+/// generation number is filled in by the evolution loop (0 for direct
+/// `mutate` callers).
+fn mutant(state: State, op: Operator, parent: &Individual) -> Individual {
     Individual {
         state: Arc::new(state),
         sketch: parent.sketch,
         lineage: Lineage {
-            rules: sketch.rule_chain.clone(),
             op,
             generation: 0,
             parents: vec![parent.signature()],
@@ -761,7 +762,6 @@ mod tests {
             for _ in 0..20 {
                 if let Some(child) = mutate(&t, &sketches, p, &cfg, &mut rng) {
                     assert_eq!(child.lineage.parents, vec![p.signature()]);
-                    assert_eq!(child.lineage.rules, sketches[child.sketch].rule_chain);
                     assert_ne!(child.lineage.op, Operator::Seed);
                     assert_ne!(child.lineage.op, Operator::Crossover);
                     seen_ops.insert(child.lineage.op.name());
@@ -1110,8 +1110,8 @@ mod tests {
                             _ => stats.mutations_applied += 1,
                         }
                         *stats.proposed_by_op.entry(c.lineage.op.name()).or_insert(0) += 1;
-                        for rule in &c.lineage.rules {
-                            *stats.proposed_by_rule.entry(rule.clone()).or_insert(0) += 1;
+                        for &rule in &sketches[c.sketch].rule_chain {
+                            *stats.proposed_by_rule.entry(rule).or_insert(0) += 1;
                         }
                         next.push(c);
                     }

@@ -1,14 +1,15 @@
 //! Provenance records for search candidates.
 //!
 //! Every [`Individual`](crate::evolution::Individual) carries a compact
-//! [`Lineage`]: the sketch-rule derivation chain that built its structure
-//! (§4's Table-1 rules, recorded by `sketch.rs`), the evolutionary
-//! [`Operator`] that produced this particular annotation (§5.1), its
-//! generation number inside the evolutionary search, and the
-//! `State::signature()` of its parent(s). Lineage is cheap plain data —
-//! it is carried unconditionally, while everything derived from it
-//! (trace events, efficacy counters) stays behind the telemetry gate.
-//! See `docs/EXPLAIN.md` for how the attribution tables read.
+//! [`Lineage`]: the evolutionary [`Operator`] that produced this particular
+//! annotation (§5.1), its generation number inside the evolutionary
+//! search, and the `State::signature()` of its parent(s). The sketch-rule
+//! chain that built its structure (§4's Table-1 rules) is not copied in:
+//! it belongs to the sketch, which the individual names by its index.
+//! Lineage is cheap plain data — it is carried unconditionally, while
+//! everything derived from it (trace events, efficacy counters) stays
+//! behind the telemetry gate. See `docs/EXPLAIN.md` for how the
+//! attribution tables read.
 
 use serde::{Deserialize, Serialize};
 
@@ -54,14 +55,11 @@ impl Operator {
 
 /// Compact provenance record carried by every candidate.
 ///
-/// `Default` is the "unknown seed" lineage (empty rule chain, no parents),
-/// used for warm-started states and when loading checkpoints written
-/// before this field existed.
+/// `Default` is the "unknown seed" lineage (no parents), used for
+/// warm-started states and when loading checkpoints written before this
+/// field existed. A `rules` key that older checkpoints carry is ignored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct Lineage {
-    /// Sketch-rule names in application order (outermost derivation first).
-    /// Shared verbatim from `Sketch::rule_chain` of the generating sketch.
-    pub rules: Vec<String>,
     /// The operator that produced this candidate.
     pub op: Operator,
     /// Evolution generation the candidate was created in (0 = created
@@ -72,18 +70,6 @@ pub struct Lineage {
     pub parents: Vec<u64>,
 }
 
-impl Lineage {
-    /// Lineage for a freshly annotated sketch (no parents, generation 0).
-    pub fn sampled(op: Operator, rules: Vec<String>) -> Self {
-        Lineage {
-            rules,
-            op,
-            generation: 0,
-            parents: Vec::new(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,7 +78,7 @@ mod tests {
     fn default_is_seed() {
         let l = Lineage::default();
         assert_eq!(l.op, Operator::Seed);
-        assert!(l.rules.is_empty() && l.parents.is_empty());
+        assert!(l.parents.is_empty());
         assert_eq!(l.generation, 0);
     }
 
@@ -117,7 +103,6 @@ mod tests {
     #[test]
     fn lineage_roundtrips_through_json() {
         let l = Lineage {
-            rules: vec!["multi-level-tiling".into(), "always-inline".into()],
             op: Operator::Crossover,
             generation: 7,
             parents: vec![u64::MAX, 42],

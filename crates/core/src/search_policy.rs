@@ -40,7 +40,7 @@ use crate::sketch::{generate_sketches, Sketch};
 #[derive(Default)]
 struct EfficacyTally {
     ops: BTreeMap<&'static str, [u64; 4]>,
-    rules: BTreeMap<String, [u64; 4]>,
+    rules: BTreeMap<&'static str, [u64; 4]>,
 }
 
 impl EfficacyTally {
@@ -50,18 +50,20 @@ impl EfficacyTally {
     const MEASURED: usize = 2;
     const NEW_BEST: usize = 3;
 
-    fn add(&mut self, lineage: &Lineage, stage: usize) {
-        self.ops.entry(lineage.op.name()).or_default()[stage] += 1;
-        for rule in &lineage.rules {
-            self.rules.entry(rule.clone()).or_default()[stage] += 1;
+    /// Counts `ind` at `stage` under its operator and under each rule of
+    /// its sketch's chain, once per appearance.
+    fn add(&mut self, ind: &Individual, sketches: &[Sketch], stage: usize) {
+        self.ops.entry(ind.lineage.op.name()).or_default()[stage] += 1;
+        for &rule in ind.rules(sketches) {
+            self.rules.entry(rule).or_default()[stage] += 1;
         }
     }
 
-    fn rows(counts: &BTreeMap<impl AsRef<str> + Ord, [u64; 4]>) -> Vec<EfficacyRow> {
+    fn rows(counts: &BTreeMap<&'static str, [u64; 4]>) -> Vec<EfficacyRow> {
         counts
             .iter()
             .map(|(name, t)| EfficacyRow {
-                name: name.as_ref().to_string(),
+                name: name.to_string(),
                 proposed: t[Self::PROPOSED],
                 survived: t[Self::SURVIVED],
                 measured: t[Self::MEASURED],
@@ -69,6 +71,11 @@ impl EfficacyTally {
             })
             .collect()
     }
+}
+
+/// A rule chain as the trace events carry it.
+fn rule_names(rules: &[&'static str]) -> Vec<String> {
+    rules.iter().map(|r| r.to_string()).collect()
 }
 
 /// Search-space / algorithm variant (for the paper's ablations).
@@ -358,10 +365,10 @@ impl SketchPolicy {
                 out.push(Individual {
                     state: Arc::new(state),
                     sketch: id,
-                    lineage: Lineage::sampled(
-                        Operator::InitPopulation,
-                        self.sketches[id].rule_chain.clone(),
-                    ),
+                    lineage: Lineage {
+                        op: Operator::InitPopulation,
+                        ..Lineage::default()
+                    },
                 });
             }
         }
@@ -404,7 +411,7 @@ impl SketchPolicy {
         };
         if observe {
             for ind in &population {
-                tally.add(&ind.lineage, EfficacyTally::PROPOSED);
+                tally.add(ind, &self.sketches, EfficacyTally::PROPOSED);
             }
         }
         for (_, ind) in self.best_measured.iter().take(RETAINED_BEST) {
@@ -463,7 +470,7 @@ impl SketchPolicy {
                         tally.ops.entry(op).or_default()[EfficacyTally::PROPOSED] += n;
                     }
                     for (rule, n) in &stats.proposed_by_rule {
-                        tally.rules.entry(rule.clone()).or_default()[EfficacyTally::PROPOSED] += n;
+                        tally.rules.entry(rule).or_default()[EfficacyTally::PROPOSED] += n;
                     }
                 }
                 candidates
@@ -471,7 +478,7 @@ impl SketchPolicy {
         };
         if observe {
             for c in &candidates {
-                tally.add(&c.lineage, EfficacyTally::SURVIVED);
+                tally.add(c, &self.sketches, EfficacyTally::SURVIVED);
             }
         }
         // Pick unmeasured candidates, reserving an ε share for random
@@ -490,7 +497,7 @@ impl SketchPolicy {
         if observe {
             // ε-greedy extras skip selection: proposed and survived at once.
             for c in &extra {
-                tally.add(&c.lineage, EfficacyTally::PROPOSED);
+                tally.add(c, &self.sketches, EfficacyTally::PROPOSED);
             }
         }
         for c in extra {
@@ -499,7 +506,7 @@ impl SketchPolicy {
             }
             if self.measured_signatures.insert(c.signature()) {
                 if observe {
-                    tally.add(&c.lineage, EfficacyTally::SURVIVED);
+                    tally.add(&c, &self.sketches, EfficacyTally::SURVIVED);
                 }
                 to_measure.push(c);
             }
@@ -537,7 +544,7 @@ impl SketchPolicy {
             self.trials += 1;
             let seconds = res.seconds;
             if observe {
-                tally.add(&ind.lineage, EfficacyTally::MEASURED);
+                tally.add(&ind, &self.sketches, EfficacyTally::MEASURED);
             }
             tel.emit(|| TraceEvent::CandidateOrigin {
                 task: self.task.name.clone(),
@@ -547,7 +554,7 @@ impl SketchPolicy {
                 op: ind.lineage.op.name().to_string(),
                 generation: ind.lineage.generation,
                 parents: ind.lineage.parents.clone(),
-                rules: ind.lineage.rules.clone(),
+                rules: rule_names(ind.rules(&self.sketches)),
             });
             if let Some(e) = &res.error {
                 // Terminal injected faults (cursed hardware, retry
@@ -560,7 +567,7 @@ impl SketchPolicy {
             let prev_best = self.best_seconds();
             if res.is_valid() && seconds < prev_best {
                 if observe {
-                    tally.add(&ind.lineage, EfficacyTally::NEW_BEST);
+                    tally.add(&ind, &self.sketches, EfficacyTally::NEW_BEST);
                 }
                 tel.emit(|| TraceEvent::ImprovementAttributed {
                     task: self.task.name.clone(),
@@ -572,7 +579,7 @@ impl SketchPolicy {
                     op: ind.lineage.op.name().to_string(),
                     generation: ind.lineage.generation,
                     parents: ind.lineage.parents.clone(),
-                    rules: ind.lineage.rules.clone(),
+                    rules: rule_names(ind.rules(&self.sketches)),
                 });
             }
             self.log.push(TuningRecordLog {
@@ -593,23 +600,15 @@ impl SketchPolicy {
             });
         }
         if observe {
-            for (name, t) in &tally.ops {
-                for (stage, label) in ["proposed", "survived", "measured", "new_best"]
-                    .iter()
-                    .enumerate()
-                {
-                    if t[stage] > 0 {
-                        tel.incr(&format!("evolution/op/{name}/{label}"), t[stage]);
-                    }
-                }
-            }
-            for (name, t) in &tally.rules {
-                for (stage, label) in ["proposed", "survived", "measured", "new_best"]
-                    .iter()
-                    .enumerate()
-                {
-                    if t[stage] > 0 {
-                        tel.incr(&format!("search/rule/{name}/{label}"), t[stage]);
+            for (prefix, counts) in [("evolution/op", &tally.ops), ("search/rule", &tally.rules)] {
+                for (name, t) in counts {
+                    for (stage, label) in ["proposed", "survived", "measured", "new_best"]
+                        .iter()
+                        .enumerate()
+                    {
+                        if t[stage] > 0 {
+                            tel.incr(&format!("{prefix}/{name}/{label}"), t[stage]);
+                        }
                     }
                 }
             }
@@ -718,7 +717,14 @@ impl SketchPolicy {
             ));
         }
         let mut best = Vec::with_capacity(ck.best_measured.len());
+        let n = self.sketches.len();
         for e in &ck.best_measured {
+            if e.sketch >= n {
+                return Err(format!(
+                    "checkpointed best names sketch {}, the task has {n}",
+                    e.sketch
+                ));
+            }
             let state = tensor_ir::State::replay(self.task.dag.clone(), &e.steps)
                 .map_err(|err| format!("checkpointed best state does not replay: {err}"))?;
             best.push((
@@ -741,9 +747,36 @@ impl SketchPolicy {
         Ok(())
     }
 
-    /// Emits the final `TuningFinished` trace event for this task. Call
-    /// once when the task's budget is spent (done automatically by
-    /// [`auto_schedule`] and the task scheduler's `finish`).
+    /// [`SketchPolicy::tune_round`] for a task tuned on its own, plus the
+    /// events a task scheduler's trace has: a `SchedulerStep` for a round
+    /// that measured something (degenerate: no gradient terms), and
+    /// `TuningFinished` for the round that spends the budget or measures
+    /// nothing. At a spent budget it returns 0 and emits nothing.
+    pub fn run_round(&mut self, model: &mut dyn CostModel, measurer: &mut Measurer) -> usize {
+        let spent = |p: &SketchPolicy| p.trials as usize >= p.options.num_measure_trials;
+        if spent(self) {
+            return 0;
+        }
+        let measured = self.tune_round(model, measurer);
+        if measured > 0 {
+            self.options.telemetry.emit(|| {
+                let best = self.best_seconds();
+                TraceEvent::SchedulerStep {
+                    step: self.rounds - 1,
+                    task: self.task.name.clone(),
+                    gradient_terms: telemetry::GradientTerms::default(),
+                    objective: best.is_finite().then_some(best),
+                }
+            });
+        }
+        if measured == 0 || spent(self) {
+            self.emit_finished();
+        }
+        measured
+    }
+
+    /// Emits the final `TuningFinished` trace event for this task (done by
+    /// [`SketchPolicy::run_round`] and the task scheduler's `finish`).
     pub fn emit_finished(&self) {
         self.options.telemetry.emit(|| {
             let best = self.best_seconds();
@@ -785,36 +818,8 @@ pub fn auto_schedule_with_model(
     measurer: &mut Measurer,
     model: &mut dyn CostModel,
 ) -> TuningResult {
-    let tel = options.telemetry.clone();
     let mut policy = SketchPolicy::new(task.clone(), options);
-    loop {
-        let measured = policy.tune_round(model, measurer);
-        if measured == 0 {
-            break;
-        }
-        // Single-task runs have a degenerate schedule — every unit goes to
-        // this task — but still record one `SchedulerStep` per round so all
-        // traces carry the full event family. Gradient terms are omitted
-        // (there is no allocation decision to decompose).
-        tel.emit(|| {
-            let best = policy.best_seconds();
-            TraceEvent::SchedulerStep {
-                step: policy.rounds() - 1,
-                task: policy.task.name.clone(),
-                gradient_terms: telemetry::GradientTerms::from_raw(
-                    f64::NAN,
-                    f64::NAN,
-                    f64::NAN,
-                    f64::NAN,
-                ),
-                objective: best.is_finite().then_some(best),
-            }
-        });
-        if policy.trials() as usize >= policy.options.num_measure_trials {
-            break;
-        }
-    }
-    policy.emit_finished();
+    while policy.run_round(model, measurer) > 0 {}
     policy.into_result()
 }
 
@@ -1066,6 +1071,47 @@ mod tests {
         let ties = by_slot.windows(2).filter(|w| w[0].0 == w[1].0).count();
         assert_eq!(by_slot.len(), BEST_MEASURED);
         assert!(ties >= 20 && skipped >= 10 && tied_with_worst >= 1);
+    }
+
+    #[test]
+    fn rule_rows_count_a_rule_once_per_appearance_in_its_chain() {
+        let sketches = [Sketch {
+            steps: vec![],
+            splits: vec![],
+            rfactors: vec![],
+            compute_ats: vec![],
+            rule_chain: vec!["multi-level-tiling", "always-inline", "multi-level-tiling"],
+        }];
+        let state = tensor_ir::State::new(task(64).dag.clone());
+        let sampled = Individual {
+            state: Arc::new(state.clone()),
+            sketch: 0,
+            lineage: Lineage {
+                op: Operator::InitPopulation,
+                ..Lineage::default()
+            },
+        };
+        let mut tally = EfficacyTally::default();
+        tally.add(&sampled, &sketches, EfficacyTally::PROPOSED);
+        // A seed's sketch index is a guess: it counts under no rule.
+        let seed = Individual::new(state, 0);
+        tally.add(&seed, &sketches, EfficacyTally::PROPOSED);
+        let proposed = |counts| -> Vec<(String, u64)> {
+            EfficacyTally::rows(counts)
+                .into_iter()
+                .map(|r| (r.name, r.proposed))
+                .collect()
+        };
+        let rules = proposed(&tally.rules);
+        assert_eq!(
+            rules,
+            [
+                ("always-inline".into(), 1),
+                ("multi-level-tiling".into(), 2)
+            ]
+        );
+        let ops = proposed(&tally.ops);
+        assert_eq!(ops, [("init-population".into(), 1), ("seed".into(), 1)]);
     }
 
     #[test]

@@ -162,10 +162,11 @@ impl TuningSession {
         self.model.share_models(memo, measured_features);
     }
 
-    /// Runs one tuning round; returns the number of new measurements (0
-    /// when the trial budget is exhausted and the session is finished).
+    /// Runs one tuning round ([`SketchPolicy::run_round`]); returns the
+    /// number of new measurements (0 when the trial budget is exhausted and
+    /// the session is finished).
     pub fn step(&mut self) -> usize {
-        self.policy.tune_round(&mut self.model, &mut self.measurer)
+        self.policy.run_round(&mut self.model, &mut self.measurer)
     }
 
     /// Runs rounds until the budget is exhausted. `keep_going` is consulted
@@ -297,11 +298,6 @@ impl TuningSession {
             .restore_accounting(ck.measurer_trials, ck.sim_fault_nanos);
         self.records_flushed = ck.records_flushed;
         Ok(())
-    }
-
-    /// Emits the final `SearchFinished` trace event (if tracing).
-    pub fn emit_finished(&self) {
-        self.policy.emit_finished();
     }
 
     /// Consumes the session into the policy's final result.
@@ -474,11 +470,7 @@ mod tests {
         tel.flush();
         let (lines, skipped) = telemetry::read_trace(buf.contents().as_slice()).unwrap();
         assert_eq!(skipped, 0);
-        lines
-            .into_iter()
-            .filter(|l| !matches!(l.event, telemetry::TraceEvent::PhaseProfile { .. }))
-            .map(|l| serde_json::to_string(&l.event).unwrap())
-            .collect()
+        telemetry::canonical_events(&lines)
     }
 
     #[test]
@@ -529,8 +521,11 @@ mod tests {
             full.best_seconds().to_bits()
         );
         // The model of the first 64 trials is trained by the round that
-        // reads it — after the boundary, in both runs.
+        // reads it — after the boundary, in both runs. The first run ended
+        // there, and its trace says so; the longer run did not.
         let mut joined = events(&first_buf, &first_tel);
+        let finished = joined.pop().expect("the first run traced events");
+        assert!(finished.starts_with("{\"TuningFinished\""), "{finished}");
         joined.extend(events(&resumed_buf, &resumed_tel));
         assert_eq!(joined, events(&full_buf, &full_tel));
     }
@@ -544,6 +539,20 @@ mod tests {
         let mut fresh = session(0, 8);
         let err = fresh.restore(&ck).unwrap_err();
         assert!(err.contains("different settings"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_a_sketch_index_past_the_list() {
+        let mut s = session(0, 8);
+        s.run(|_| true);
+        let n = s.policy().sketches().len();
+        let mut ck = s.checkpoint();
+        ck.single.as_mut().unwrap().policy.best_measured[0].sketch = n;
+        let err = session(0, 8).restore(&ck).unwrap_err();
+        assert!(
+            err.contains(&format!("sketch {n}, the task has {n}")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -25,14 +25,13 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use tensor_ir::{ComputeDag, Name, NodeId, State, Step};
 
 use crate::annotate::divisors;
 use crate::search_task::SearchTask;
 
 /// A tunable multi-way split recorded in a sketch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SplitVar {
     /// Index of the `Step::Split` inside [`Sketch::steps`].
     pub step: usize,
@@ -71,7 +70,7 @@ impl SplitVar {
 }
 
 /// A tunable reduction factorization recorded in a sketch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RfactorVar {
     /// Index of the `Step::Rfactor` inside [`Sketch::steps`].
     pub step: usize,
@@ -93,10 +92,8 @@ impl RfactorVar {
 
 /// A generated sketch: structural steps plus the inventory of low-level
 /// knobs left open for annotation (§4.2) and evolution (§5.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sketch {
-    /// Index of this sketch in the generated list.
-    pub id: usize,
     /// Structural transform steps; tunable splits carry placeholder
     /// lengths of 1 until annotation patches them.
     pub steps: Vec<Step>,
@@ -108,10 +105,10 @@ pub struct Sketch {
     /// tunable computation location.
     pub compute_ats: Vec<usize>,
     /// Names of the derivation rules that built this sketch, in application
-    /// order — the provenance chain carried into `Lineage` records.
-    /// (Rule 1 "skip" applications are implicit and not recorded.)
-    #[serde(default)]
-    pub rule_chain: Vec<String>,
+    /// order: the provenance chain of every candidate derived in it, which
+    /// names the sketch by its index. (Rule 1 "skip" applications are
+    /// implicit and not recorded.)
+    pub rule_chain: Vec<&'static str>,
 }
 
 impl Sketch {
@@ -263,14 +260,12 @@ pub fn generate_sketches_full(
         }
     }
     done.into_iter()
-        .enumerate()
-        .map(|(id, ws)| Sketch {
-            id,
+        .map(|ws| Sketch {
             steps: ws.state.steps,
             splits: ws.splits,
             rfactors: ws.rfactors,
             compute_ats: ws.compute_ats,
-            rule_chain: ws.rule_chain.iter().map(|r| r.to_string()).collect(),
+            rule_chain: ws.rule_chain,
         })
         .collect()
 }
@@ -837,7 +832,7 @@ mod tests {
         }
         // The provenance chain records the user rule under its own name.
         for s in &sketches {
-            assert!(s.rule_chain.iter().any(|r| r == "marker"));
+            assert!(s.rule_chain.contains(&"marker"));
         }
     }
 
@@ -853,20 +848,18 @@ mod tests {
         ];
         let sketches = generate_sketches(&task);
         assert!(!sketches.is_empty());
-        for s in &sketches {
+        for (k, s) in sketches.iter().enumerate() {
             assert!(
                 !s.rule_chain.is_empty(),
-                "sketch {} has an empty rule chain",
-                s.id
+                "sketch {k} has an empty rule chain"
             );
             for r in &s.rule_chain {
-                assert!(known.contains(&r.as_str()), "unknown rule name {r}");
+                assert!(known.contains(r), "unknown rule name {r}");
             }
         }
         // matmul+relu always admits the fused multi-level tiling sketch.
-        assert!(sketches.iter().any(|s| s
-            .rule_chain
+        assert!(sketches
             .iter()
-            .any(|r| r == "multi-level-tiling-with-fusion")));
+            .any(|s| s.rule_chain.contains(&"multi-level-tiling-with-fusion")));
     }
 }

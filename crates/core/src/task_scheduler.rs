@@ -731,6 +731,29 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_sketch_index_past_the_list() {
+        let scheduler = || {
+            let tasks = vec![TuneTask {
+                task: mm_task("solo", 64),
+                weight: 1.0,
+                dnn: 0,
+            }];
+            let config = TaskSchedulerConfig::default();
+            TaskScheduler::new(tasks, Objective::WeightedSum, small_options(), config)
+        };
+        let mut sched = scheduler();
+        sched.tune(1, &mut Measurer::new(HardwareTarget::intel_20core()));
+        let n = sched.policies[0].sketches().len();
+        let mut ck = sched.checkpoint();
+        ck.policies[0].best_measured[0].sketch = n;
+        let err = scheduler().restore(&ck).unwrap_err();
+        assert!(
+            err.contains(&format!("sketch {n}, the task has {n}")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn history_tracks_monotone_objective_for_weighted_sum() {
         let tasks = vec![TuneTask {
             task: mm_task("solo", 128),

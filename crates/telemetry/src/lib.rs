@@ -28,7 +28,10 @@ pub use alloc::CountingAlloc;
 pub use histogram::{Histogram, HistogramSummary};
 pub use metrics::MetricsSnapshot;
 pub use snapshot::{HistogramDelta, Snapshot, SnapshotDelta};
-pub use trace::{read_trace, read_trace_file, EfficacyRow, GradientTerms, TraceEvent, TraceLine};
+pub use trace::{
+    canonical_events, read_trace, read_trace_file, EfficacyRow, GradientTerms, TraceEvent,
+    TraceLine,
+};
 
 use metrics::Registry;
 use std::cell::RefCell;

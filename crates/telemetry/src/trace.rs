@@ -156,8 +156,9 @@ pub struct EfficacyRow {
 /// backward-looking history term, the optimistic forward term, and the
 /// similarity term, plus the combined gradient actually used. Fields are
 /// `None` when the term is unbounded (e.g. the similarity term with no
-/// similar task) — JSON has no encoding for ±∞.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// similar task) — JSON has no encoding for ±∞. `Default` is all `None`,
+/// the terms of a task tuned on its own.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct GradientTerms {
     pub backward: Option<f64>,
     pub optimistic: Option<f64>,
@@ -197,6 +198,18 @@ pub fn read_trace<R: BufRead>(reader: R) -> std::io::Result<(Vec<TraceLine>, usi
     let mut lines = Vec::new();
     let skipped = serde_json::read_lines(reader, |l, _| lines.push(l))?;
     Ok((lines, skipped))
+}
+
+/// The determinism-comparable form of a trace: one JSON line per event,
+/// without the wall-clock envelope (`seq`, `t_ms`) and without the
+/// wall-clock `PhaseProfile` snapshots. Two runs with the same seed give
+/// equal lists; `trace-report --events` writes this list.
+pub fn canonical_events(lines: &[TraceLine]) -> Vec<String> {
+    lines
+        .iter()
+        .filter(|l| !matches!(l.event, TraceEvent::PhaseProfile { .. }))
+        .map(|l| serde_json::to_string(&l.event).expect("trace events serialize"))
+        .collect()
 }
 
 /// Read a trace file from disk. Returns the parsed lines and the number of

@@ -61,13 +61,13 @@ fn show(task_name: &str, dag: Arc<ComputeDag>) {
     println!("{} sketches generated", sketches.len());
     let mut rng = StdRng::seed_from_u64(42);
     let cfg = AnnotationConfig::default();
-    for sk in &sketches {
-        println!("\n=== sketch {} (structural steps) ===", sk.id);
+    for (k, sk) in sketches.iter().enumerate() {
+        println!("\n=== sketch {k} (structural steps) ===");
         let skeleton = sk.replay(dag.clone()).expect("sketch replays");
         let program = lower(&skeleton).expect("sketch lowers");
         println!("{}", print_program(&program));
         if let Some(state) = sample_program(sk, &task, &cfg, &mut rng) {
-            println!("--- a sampled complete program from sketch {} ---", sk.id);
+            println!("--- a sampled complete program from sketch {k} ---");
             let program = lower(&state).expect("sample lowers");
             println!("{}", print_program(&program));
         }

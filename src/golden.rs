@@ -13,7 +13,7 @@ use std::sync::Arc;
 use ansor_core::{auto_schedule_with_model, LearnedCostModel, SearchTask, TuningOptions};
 use hwsim::{HardwareTarget, Measurer};
 use serde::{Deserialize, Serialize};
-use telemetry::{read_trace, SharedBuf, Telemetry, TraceEvent};
+use telemetry::{canonical_events, read_trace, SharedBuf, Telemetry};
 use tensor_ir::{DagBuilder, Expr, Reducer};
 
 /// Directory (relative to the repo root) holding the golden files.
@@ -59,6 +59,18 @@ pub fn golden_task() -> SearchTask {
     )
 }
 
+/// The golden run's options, tracing to `telemetry`.
+fn golden_options(telemetry: Telemetry) -> TuningOptions {
+    TuningOptions {
+        num_measure_trials: 48,
+        measures_per_round: 16,
+        init_population: 24,
+        seed: 0xA05F,
+        telemetry,
+        ..Default::default()
+    }
+}
+
 /// Runs the canonical fixed-seed tuning session and returns the
 /// deterministic trace lines (canonical JSON, wall-clock fields stripped)
 /// plus the final summary. Bit-identical across repeats and machines.
@@ -66,30 +78,18 @@ pub fn golden_run() -> (Vec<String>, GoldenSummary) {
     let buf = SharedBuf::new();
     let tel = Telemetry::to_writer(Box::new(buf.clone()));
     let task = golden_task();
-    let options = TuningOptions {
-        num_measure_trials: 48,
-        measures_per_round: 16,
-        init_population: 24,
-        seed: 0xA05F,
-        telemetry: tel.clone(),
-        ..Default::default()
-    };
     let mut measurer = Measurer::new(task.target.clone());
     // The golden run is always fault-free, whatever the process default.
     measurer.set_fault_plan(None);
     measurer.set_telemetry(tel.clone());
     let mut model = LearnedCostModel::new();
     model.set_telemetry(tel.clone());
+    let options = golden_options(tel.clone());
     let result = auto_schedule_with_model(&task, options, &mut measurer, &mut model);
     tel.flush();
     let (lines, skipped) = read_trace(buf.contents().as_slice()).expect("readable trace");
     assert_eq!(skipped, 0, "golden trace must be fully parseable");
-    let events = lines
-        .into_iter()
-        .map(|l| l.event)
-        .filter(|e| !matches!(e, TraceEvent::PhaseProfile { .. }))
-        .map(|e| serde_json::to_string(&e).expect("event serializes"))
-        .collect();
+    let events = canonical_events(&lines);
     let summary = GoldenSummary {
         task: task.name.clone(),
         trials: measurer.trials(),
@@ -125,5 +125,24 @@ mod tests {
         assert_eq!(s1, s2);
         assert!(s1.best_seconds.is_finite());
         assert_eq!(s1.trials, 48);
+    }
+
+    /// `ansor-tune` and a served job run a `TuningSession`; their traces
+    /// carry the same events as `auto_schedule_with_model`'s, the
+    /// `SchedulerStep`s and `TuningFinished` included.
+    #[test]
+    fn a_session_traces_what_auto_schedule_traces() {
+        let buf = SharedBuf::new();
+        let tel = Telemetry::to_writer(Box::new(buf.clone()));
+        let task = golden_task();
+        let mut measurer = Measurer::new(task.target.clone());
+        measurer.set_fault_plan(None);
+        measurer.set_telemetry(tel.clone());
+        let options = golden_options(tel.clone());
+        let mut session = ansor_core::TuningSession::new(task, options, measurer, "golden");
+        session.run(|_| true);
+        tel.flush();
+        let (lines, _) = read_trace(buf.contents().as_slice()).expect("readable trace");
+        assert_eq!(canonical_events(&lines), golden_run().0);
     }
 }

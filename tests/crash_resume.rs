@@ -18,7 +18,7 @@ use ansor::core::{
 };
 use ansor::prelude::*;
 use hwsim::FaultPlan;
-use telemetry::{read_trace, SharedBuf, Telemetry, TraceEvent};
+use telemetry::{canonical_events, read_trace, SharedBuf, Telemetry};
 
 fn task() -> SearchTask {
     let mut b = DagBuilder::new();
@@ -72,12 +72,7 @@ fn trace_lines(buf: &SharedBuf, tel: &Telemetry) -> Vec<String> {
     tel.flush();
     let (lines, skipped) = read_trace(buf.contents().as_slice()).expect("readable trace");
     assert_eq!(skipped, 0);
-    lines
-        .into_iter()
-        .map(|l| l.event)
-        .filter(|e| !matches!(e, TraceEvent::PhaseProfile { .. }))
-        .map(|e| serde_json::to_string(&e).expect("event serializes"))
-        .collect()
+    canonical_events(&lines)
 }
 
 struct RunResult {

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use ansor::core::{ModelCheckpoint, SchedulerRecord, TuneCheckpoint, CHECKPOINT_VERSION};
 use ansor::prelude::*;
-use telemetry::{read_trace, SharedBuf, Telemetry, TraceEvent};
+use telemetry::{canonical_events, read_trace, SharedBuf, Telemetry};
 
 fn matmul(name: &str, n: i64) -> SearchTask {
     let mut b = DagBuilder::new();
@@ -29,12 +29,7 @@ fn trace_lines(buf: &SharedBuf, tel: &Telemetry) -> Vec<String> {
     tel.flush();
     let (lines, skipped) = read_trace(buf.contents().as_slice()).expect("readable trace");
     assert_eq!(skipped, 0);
-    lines
-        .into_iter()
-        .map(|l| l.event)
-        .filter(|e| !matches!(e, TraceEvent::PhaseProfile { .. }))
-        .map(|e| serde_json::to_string(&e).expect("event serializes"))
-        .collect()
+    canonical_events(&lines)
 }
 
 /// Whether a checkpointed model is trained on fewer records than it holds:

@@ -170,7 +170,6 @@ fn scheduler_checkpoint() -> SchedulerCheckpoint {
                 sketch: 1,
                 steps: steps(),
                 lineage: Lineage {
-                    rules: vec!["multi-level-tiling".into(), "cache-write".into()],
                     op: Operator::Crossover,
                     generation: 3,
                     parents: vec![11, 29],

@@ -14,7 +14,7 @@ use ansor::core::{auto_schedule_with_model, LearnedCostModel, TuningOptions};
 use ansor::golden::golden_task;
 use ansor::hw::Measurer;
 use telemetry::export::{serve, ExportOptions};
-use telemetry::{read_trace, SharedBuf, Telemetry, TraceEvent};
+use telemetry::{canonical_events, read_trace, SharedBuf, Telemetry};
 
 fn http_get(addr: &str, path: &str) -> Option<String> {
     let mut stream = TcpStream::connect(addr).ok()?;
@@ -87,13 +87,11 @@ fn run_once(scrape: bool) -> (Vec<String>, u64, f64) {
     tel.flush();
     let (lines, skipped) = read_trace(buf.contents().as_slice()).expect("readable trace");
     assert_eq!(skipped, 0);
-    let events = lines
-        .into_iter()
-        .map(|l| l.event)
-        .filter(|e| !matches!(e, TraceEvent::PhaseProfile { .. }))
-        .map(|e| serde_json::to_string(&e).expect("event serializes"))
-        .collect();
-    (events, measurer.trials(), result.best_seconds)
+    (
+        canonical_events(&lines),
+        measurer.trials(),
+        result.best_seconds,
+    )
 }
 
 #[test]

@@ -21,7 +21,7 @@ use ansor::core::{log_fingerprint, TuningSession};
 use ansor::prelude::*;
 use ansor::serve::{Client, JobResult, JobSpec, ServeConfig, Server};
 use ansor::workloads::build_case;
-use telemetry::{read_trace, SharedBuf, Telemetry, TraceEvent};
+use telemetry::{canonical_events, read_trace, SharedBuf, Telemetry, TraceEvent};
 
 const OP: &str = "GMM";
 const SHAPE: usize = 0;
@@ -105,18 +105,15 @@ fn cold_traced_run(spec: &JobSpec) -> (Outcome, Vec<u8>) {
 fn canonical(raw: &[u8]) -> (Vec<String>, u64) {
     let (lines, skipped) = read_trace(raw).expect("trace parses");
     assert_eq!(skipped, 0, "corrupt lines in trace");
-    let mut memo_hits = None;
-    let mut events = Vec::new();
-    for line in lines {
-        match line.event {
-            TraceEvent::PhaseProfile { snapshot } => {
-                memo_hits = Some(snapshot.counters.get("model/memo_hits").copied());
-            }
-            e => events.push(serde_json::to_string(&e).expect("event serializes")),
-        }
-    }
-    let memo_hits = memo_hits.expect("a flushed trace ends with its PhaseProfile");
-    (events, memo_hits.unwrap_or(0))
+    let memo_hits = lines
+        .iter()
+        .rev()
+        .find_map(|l| match &l.event {
+            TraceEvent::PhaseProfile { snapshot } => Some(snapshot.counters.get("model/memo_hits")),
+            _ => None,
+        })
+        .expect("a flushed trace ends with its PhaseProfile");
+    (canonical_events(&lines), memo_hits.copied().unwrap_or(0))
 }
 
 fn start_server(workers: usize) -> (Server, Client) {

@@ -61,12 +61,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 fn canonical_events(raw: &[u8]) -> Vec<String> {
     let (lines, skipped) = read_trace(raw).expect("trace parses");
     assert_eq!(skipped, 0, "corrupt lines in trace");
-    lines
-        .into_iter()
-        .map(|l| l.event)
-        .filter(|e| !matches!(e, TraceEvent::PhaseProfile { .. }))
-        .map(|e| serde_json::to_string(&e).expect("event serializes"))
-        .collect()
+    telemetry::canonical_events(&lines)
 }
 
 /// The final `PhaseProfile`'s `model/memo_hits` counter of a trace.

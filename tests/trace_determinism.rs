@@ -5,7 +5,7 @@
 
 use ansor::prelude::*;
 use std::sync::Arc;
-use telemetry::{read_trace, SharedBuf, Telemetry, TraceEvent};
+use telemetry::{canonical_events, read_trace, SharedBuf, Telemetry, TraceEvent, TraceLine};
 
 fn matmul_task() -> SearchTask {
     let mut b = DagBuilder::new();
@@ -23,9 +23,8 @@ fn matmul_task() -> SearchTask {
 }
 
 /// Runs one short traced tuning session — three rounds, so the model
-/// trains and calibrates — and returns the deterministic part of its
-/// trace: every event except `PhaseProfile` (wall-clock).
-fn traced_run(seed: u64) -> Vec<TraceEvent> {
+/// trains and calibrates — and returns its trace.
+fn traced_run(seed: u64) -> Vec<TraceLine> {
     let buf = SharedBuf::new();
     let tel = Telemetry::to_writer(Box::new(buf.clone()));
     let task = matmul_task();
@@ -47,23 +46,24 @@ fn traced_run(seed: u64) -> Vec<TraceEvent> {
     let (lines, skipped) = read_trace(buf.contents().as_slice()).expect("readable trace");
     assert_eq!(skipped, 0, "trace must be fully parseable");
     lines
-        .into_iter()
-        .map(|l| l.event)
-        .filter(|e| !matches!(e, TraceEvent::PhaseProfile { .. }))
-        .collect()
 }
 
 #[test]
 fn same_seed_runs_emit_identical_traces() {
-    let a = traced_run(11);
-    let b = traced_run(11);
-    assert!(!a.is_empty(), "trace must contain events");
+    let (a, b) = (traced_run(11), traced_run(11));
+    let canonical = canonical_events(&a);
+    assert_eq!(
+        canonical,
+        canonical_events(&b),
+        "same-seed traces must match event for event"
+    );
+    let a: Vec<TraceEvent> = a.into_iter().map(|l| l.event).collect();
+    assert!(!canonical.is_empty(), "trace must contain events");
     assert!(
         a.iter()
             .any(|e| matches!(e, TraceEvent::MeasureBatch { .. })),
         "trace must contain measurement batches"
     );
-    assert_eq!(a, b, "same-seed traces must match event for event");
 
     // The attribution events ride the same comparison: they must be
     // present, so it is not vacuous for them, and consistent.
@@ -107,7 +107,7 @@ fn same_seed_runs_emit_identical_traces() {
 fn different_seed_runs_differ() {
     // Sanity check that the comparison is not vacuous: a different seed
     // explores differently, so some event payload must change.
-    let a = traced_run(11);
-    let b = traced_run(12);
+    let a = canonical_events(&traced_run(11));
+    let b = canonical_events(&traced_run(12));
     assert_ne!(a, b, "different seeds should diverge somewhere");
 }
