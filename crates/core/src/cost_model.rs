@@ -601,10 +601,9 @@ impl LearnedCostModel {
     /// Program score of one packed block of per-statement rows: per-row
     /// predictions summed in row order (§5.2's `Σ_{s∈S(P)} f(s)`).
     fn score_rows(&self, model: &Gbdt, rows: &[f32]) -> f64 {
-        model
-            .predict_matrix(Matrix::new(rows, self.features.n_cols()))
-            .iter()
-            .map(|&v| v as f64)
+        let rows = Matrix::new(rows, self.features.n_cols());
+        (0..rows.n_rows())
+            .map(|i| model.predict(rows.row(i)) as f64)
             .sum()
     }
 

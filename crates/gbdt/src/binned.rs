@@ -20,6 +20,13 @@
 //! Everything here depends only on `x` and the row-inclusion mask, so one
 //! [`BinnedDataset`] is reused by every tree of a training pass.
 //!
+//! Each varying column also gets a *twin*: the first column whose included
+//! rows have the same ranks and, when binned, the same codes — itself if no
+//! earlier one does. Twins put the same rows in the same bucket or bin at
+//! every node, so they offer the same boundaries with the same sums; only
+//! their thresholds differ (a column and a strictly increasing transform of
+//! it, or an exact copy).
+//!
 //! Rank semantics: values are ordered by `f32::total_cmp`, and a new rank
 //! starts wherever a value is not `==` the current rank's first value. So
 //! `-0.0` and `0.0` share a rank — as `==` and the exact scan's boundaries
@@ -68,6 +75,8 @@ pub struct BinnedDataset {
     /// has `cut_ends[f + 1] - cut_ends[f] + 1` bins.
     cuts: Vec<f32>,
     cut_ends: Vec<usize>,
+    /// Per column, its twin; a column that does not vary is its own.
+    twins: Vec<usize>,
 }
 
 impl BinnedDataset {
@@ -113,6 +122,7 @@ impl BinnedDataset {
             },
             cuts: Vec::new(),
             cut_ends: Vec::with_capacity(n_cols + 1),
+            twins: Vec::with_capacity(n_cols),
         };
         data.value_ends.push(0);
         data.cut_ends.push(0);
@@ -125,7 +135,27 @@ impl BinnedDataset {
             data.push_column(f, sort.then_some(&column));
         }
         data.included = included;
+        // The first match is the first of its kind: sharing splits is an
+        // equivalence.
+        for f in 0..n_cols {
+            let twin = if data.varies(f) {
+                (0..f).find(|&g| data.same_splits(g, f)).unwrap_or(f)
+            } else {
+                f
+            };
+            data.twins.push(twin);
+        }
         data
+    }
+
+    /// Whether column `g` puts every included row in the same rank as the
+    /// varying column `f` and, when binned, in the same bin.
+    fn same_splits(&self, g: usize, f: usize) -> bool {
+        let n = self.n_rows;
+        let codes = |f: usize| &self.codes[f * n..(f + 1) * n];
+        self.values(g).len() == self.values(f).len()
+            && self.ranks.same(self.rank_starts[g], self.rank_starts[f], n)
+            && (self.codes.is_empty() || self.included.iter().all(|&i| codes(g)[i] == codes(f)[i]))
     }
 
     /// Appends feature `f`'s share of the pass: `column`, or nothing for a
@@ -187,6 +217,12 @@ impl BinnedDataset {
     /// it as a candidate.
     pub(crate) fn varies(&self, f: usize) -> bool {
         f < self.n_cols && self.values(f).len() > 1
+    }
+
+    /// Feature `f`'s twin: the first column that splits every node as `f`
+    /// does (see the module docs).
+    pub(crate) fn twin(&self, f: usize) -> usize {
+        self.twins[f]
     }
 
     /// The most ranks any column has.
@@ -265,6 +301,15 @@ impl Ranks {
             Ranks::U8(r) => r.len(),
             Ranks::U16(r) => r.len(),
             Ranks::U32(r) => r.len(),
+        }
+    }
+
+    /// Whether the `n` ranks from `a` are the `n` from `b`.
+    fn same(&self, a: usize, b: usize, n: usize) -> bool {
+        match self {
+            Ranks::U8(r) => r[a..a + n] == r[b..b + n],
+            Ranks::U16(r) => r[a..a + n] == r[b..b + n],
+            Ranks::U32(r) => r[a..a + n] == r[b..b + n],
         }
     }
 
@@ -610,6 +655,35 @@ mod tests {
             let seen = ranked.bucket_rows(0, &[n - 1, 0], &grad, &mut buckets, &mut present);
             assert_eq!(seen, (0, n - 1));
         }
+    }
+
+    #[test]
+    fn twins_share_ranks_and_codes_over_the_included_rows() {
+        // Column 0 over 1.0..=3.5 on row 3's weight 0; 1, a copy; 2, a
+        // strictly increasing map of it; 3, its negation; 4, the same ranks
+        // with 1.0 and 1.5 moved to adjacent floats, whose midpoint rounds
+        // onto the lower one and is no cut; 5, column 0 but for the excluded
+        // row; 6, constant.
+        let near = f32::from_bits(1.0f32.to_bits() + 1);
+        let data: Vec<f32> = [1.0f32, 2.0, 1.5, 9.0, 3.5, 1.0]
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &v)| {
+                let moved = if v == 1.5 { near } else { v };
+                let other = if i == 3 { -4.0 } else { v };
+                [v, v, v * v + 1.0, -v, moved, other, 7.0]
+            })
+            .collect();
+        let x = Matrix::new(&data, 7);
+        let w = [1.0, 0.5, 1.0, 0.0, 2.0, 1.0];
+        let binned = BinnedDataset::build(x, &w, 256);
+        let twins: Vec<usize> = (0..7).map(|f| binned.twin(f)).collect();
+        assert_eq!(twins, [0, 0, 0, 3, 4, 0, 6]);
+        assert_eq!(binned.cuts(4).len() + 1, binned.cuts(0).len());
+        // Without bins only the ranks count.
+        let ranked = BinnedDataset::ranks_only(x, &w);
+        let twins: Vec<usize> = (0..7).map(|f| ranked.twin(f)).collect();
+        assert_eq!(twins, [0, 0, 0, 3, 0, 0, 6]);
     }
 
     #[test]

@@ -20,11 +20,13 @@
 //! in candidate order with a strict-greater comparison, so the chosen split
 //! — gain ties included — is identical on both split paths. What the
 //! pass saves over growing each node from scratch (columns that cannot
-//! split dropped, pooled histograms, node-local scans, residuals by leaf)
-//! changes no operand and no order of any of those sums: see
+//! split dropped, twins dropped, per-node live lists, pooled histograms,
+//! node-local scans, residuals by leaf) changes no operand and no order of
+//! any of those sums, and skips only candidates that cannot win: see
 //! docs/COST_MODEL.md.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -167,9 +169,13 @@ pub(crate) struct TrainPass<'a> {
     max_depth: usize,
     min_child_weight: f64,
     min_gain: f64,
-    /// Candidate features, in the order gain ties are broken.
+    /// Candidate features, in the order gain ties are broken, as a stack
+    /// of lists: the tree's own first — the one a [`NodeHist`] has bins
+    /// for — then, per exact-scan node on the path being grown, the
+    /// candidates its children can still split on.
     candidates: Vec<usize>,
-    /// Where each candidate's bins start in a [`NodeHist`], then the total.
+    /// Where each of the tree's candidates' bins start in a [`NodeHist`],
+    /// then the total; just `[0]` when no node takes the histogram path.
     offsets: Vec<usize>,
     /// The included rows, partitioned in place as nodes split: a node is a
     /// range of this buffer, ascending.
@@ -178,6 +184,8 @@ pub(crate) struct TrainPass<'a> {
     leaves: Vec<(usize, usize, f32)>,
 
     // Scratch kept across nodes and trees.
+    /// Per column, whether a tree's candidate list already holds its twin.
+    twin_listed: Vec<bool>,
     spill: Vec<usize>,
     free_hists: Vec<NodeHist>,
     /// The exact scan's buckets, one per rank, and a bit per rank marking
@@ -220,6 +228,7 @@ impl<'a> TrainPass<'a> {
             offsets: Vec::new(),
             rows: Vec::new(),
             leaves: Vec::new(),
+            twin_listed: Vec::new(),
             spill: Vec::new(),
             free_hists: Vec::new(),
         }
@@ -233,7 +242,8 @@ impl<'a> TrainPass<'a> {
         if self.rows.is_empty() {
             tree.nodes.push(TreeNode::Leaf { value: 0.0 });
         } else {
-            self.grow_node(&mut tree, 0, self.rows.len(), 0, None);
+            let live = 0..self.candidates.len();
+            self.grow_node(&mut tree, 0, self.rows.len(), 0, None, live);
         }
         tree
     }
@@ -259,14 +269,20 @@ impl<'a> TrainPass<'a> {
         self.min_child_weight = params.min_child_weight;
         self.min_gain = params.min_gain;
         let data = &self.data;
-        let can_split = |f: &usize| data.varies(*f);
+        // A column that varies, unless its twin is listed before it: twins
+        // offer every boundary with the same sums, and the fold's strict `>`
+        // keeps the first.
+        let listed = &mut self.twin_listed;
+        listed.clear();
+        listed.resize(self.x.n_cols(), false);
+        let can_win =
+            |f: &usize| data.varies(*f) && !std::mem::replace(&mut listed[data.twin(*f)], true);
         self.candidates.clear();
         if params.feature_subset.is_empty() {
-            self.candidates
-                .extend((0..self.x.n_cols()).filter(can_split));
+            self.candidates.extend((0..self.x.n_cols()).filter(can_win));
         } else {
             let subset = params.feature_subset.iter().copied();
-            self.candidates.extend(subset.filter(can_split));
+            self.candidates.extend(subset.filter(can_win));
         }
         self.offsets.clear();
         self.offsets.push(0);
@@ -286,7 +302,8 @@ impl<'a> TrainPass<'a> {
     }
 
     /// Grows the subtree over `rows[lo..hi]` and returns its arena slot.
-    /// `hist` carries this node's histogram when the parent derived it.
+    /// `hist` carries this node's histogram when the parent derived it;
+    /// `live` is the node's list, the top of the `candidates` stack.
     fn grow_node(
         &mut self,
         tree: &mut RegressionTree,
@@ -294,6 +311,7 @@ impl<'a> TrainPass<'a> {
         hi: usize,
         depth: usize,
         mut hist: Option<NodeHist>,
+        live: Range<usize>,
     ) -> usize {
         let total = self.node_total(lo, hi);
         let value = if total[0] > 0.0 {
@@ -304,23 +322,31 @@ impl<'a> TrainPass<'a> {
         let node_id = tree.nodes.len();
         tree.nodes.push(TreeNode::Leaf { value });
         let n = hi - lo;
+        // A histogram node hands its children its own list, since one bin
+        // can hold several ranks. Its parent is a histogram node too, so
+        // that list is the tree's, which its histogram has bins for.
+        let mut children = live.clone();
         let best = if depth >= self.max_depth || n < 2 || total[0] < 2.0 * self.min_child_weight {
             None
         } else if self.exact_below.is_some_and(|exact_below| n >= exact_below) {
             let own = hist.get_or_insert_with(|| self.fresh_hist(lo, hi));
             self.scan_hist(own, total)
         } else {
-            self.best_split_exact(lo, hi, total)
+            let best = self.best_split_exact(lo, hi, total, live.clone());
+            children = live.end..self.candidates.len();
+            best
         };
         let Some(best) = best else {
+            self.candidates.truncate(live.end);
             self.free_hists.extend(hist);
             self.leaves.push((lo, hi, value));
             return node_id;
         };
         let mid = self.partition(lo, hi, &best);
         let (left_hist, right_hist) = self.child_hists(hist, depth, lo, mid, hi);
-        let left = self.grow_node(tree, lo, mid, depth + 1, left_hist);
-        let right = self.grow_node(tree, mid, hi, depth + 1, right_hist);
+        let left = self.grow_node(tree, lo, mid, depth + 1, left_hist, children.clone());
+        let right = self.grow_node(tree, mid, hi, depth + 1, right_hist, children);
+        self.candidates.truncate(live.end);
         tree.nodes[node_id] = TreeNode::Split {
             feature: best.feature,
             threshold: best.threshold,
@@ -407,6 +433,11 @@ impl<'a> TrainPass<'a> {
         }
     }
 
+    /// The tree's own candidate list, which a [`NodeHist`] has bins for.
+    fn hist_candidates(&self) -> &[usize] {
+        &self.candidates[..self.offsets.len() - 1]
+    }
+
     /// Accumulates the histogram of `rows[lo..hi]` into a pooled, zeroed
     /// buffer. A candidate's bins are filled from its column of codes over
     /// the node's rows in ascending order, four candidates to a sweep of
@@ -415,9 +446,9 @@ impl<'a> TrainPass<'a> {
         let binned = &self.data;
         let mut hist = self.free_hists.pop().unwrap_or_default();
         hist.clear();
-        hist.resize(self.offsets[self.candidates.len()], [0.0; 2]);
         let (rows, grad, offsets) = (&self.rows[lo..hi], &self.grad, &self.offsets);
-        let candidates = &self.candidates;
+        let candidates = self.hist_candidates();
+        hist.resize(offsets[candidates.len()], [0.0; 2]);
         let quads = candidates.len() / 4 * 4;
         for c in (0..quads).step_by(4) {
             let codes = [0, 1, 2, 3].map(|k| binned.codes(candidates[c + k]));
@@ -439,7 +470,7 @@ impl<'a> TrainPass<'a> {
     fn scan_hist(&self, hist: &[Pair], total: Pair) -> Option<Split> {
         let whole = unsplit_term(total);
         let mut best: Option<Split> = None;
-        for (c, &f) in self.candidates.iter().enumerate() {
+        for (c, &f) in self.hist_candidates().iter().enumerate() {
             let mut left = [0.0f64; 2];
             for (bin, &cut) in hist[self.offsets[c]..].iter().zip(self.data.cuts(f)) {
                 if *bin == [0.0; 2] {
@@ -463,16 +494,31 @@ impl<'a> TrainPass<'a> {
     /// [`TrainPass::scan_hist`]; a candidate constant over the node has one
     /// rank present and no boundary. Visiting a rank empties its bucket and
     /// clears its bit, so the scratch is all zero for the next candidate.
-    fn best_split_exact(&mut self, lo: usize, hi: usize, total: Pair) -> Option<Split> {
+    ///
+    /// The candidates are `candidates[live]`; those with more than one rank
+    /// present are pushed onto that stack in order, the list of the node's
+    /// children: a candidate constant over a node is constant below it.
+    fn best_split_exact(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        total: Pair,
+        live: Range<usize>,
+    ) -> Option<Split> {
         let mut buckets = std::mem::take(&mut self.buckets);
         let mut present = std::mem::take(&mut self.present);
+        let mut candidates = std::mem::take(&mut self.candidates);
         let rows = &self.rows[lo..hi];
         let whole = unsplit_term(total);
         let mut best: Option<Split> = None;
-        for &f in &self.candidates {
+        for k in live {
+            let f = candidates[k];
             let (lowest, highest) =
                 self.data
                     .bucket_rows(f, rows, &self.grad, &mut buckets, &mut present);
+            if lowest < highest {
+                candidates.push(f);
+            }
             let values = self.data.values(f);
             let mut left = [0.0f64; 2];
             let mut below: Option<f32> = None;
@@ -492,6 +538,7 @@ impl<'a> TrainPass<'a> {
         }
         self.buckets = buckets;
         self.present = present;
+        self.candidates = candidates;
         best
     }
 
@@ -790,14 +837,15 @@ mod tests {
         let xm = Matrix::new(&x, 8);
         let binned = BinnedDataset::build(xm, &w, 256);
         let mut pass = TrainPass::new(xm, &w, Some((&binned, 0)));
-        // Every remainder of four, with a repeated candidate among them.
+        // Every remainder of four; a repeated candidate is listed once.
         let order = [7, 0, 3, 6, 1, 4, 7, 3, 0];
-        for n_candidates in 1..=order.len() {
+        for n_subset in 1..=order.len() {
             let params = TreeParams {
-                feature_subset: order[..n_candidates].to_vec(),
+                feature_subset: order[..n_subset].to_vec(),
                 ..Default::default()
             };
             pass.start_tree(&y, &params);
+            let n_candidates = n_subset.min(6);
             assert_eq!(pass.candidates, order[..n_candidates]);
             let n = pass.rows.len();
             // The root, and a node that is a sub-range of `rows`.
@@ -813,6 +861,39 @@ mod tests {
                 }
                 assert!(one_by_one.iter().filter(|bin| bin[0] > 0.0).count() > n_candidates);
                 assert_eq!(pass.fresh_hist(lo, hi), one_by_one);
+            }
+        }
+    }
+
+    #[test]
+    fn a_twin_is_listed_only_where_its_first_is_not_before_it() {
+        let (x, y, w) = dataset(300, 16, false);
+        // Columns 8–10: column 0 copied, raised by a strictly increasing
+        // map, and negated (not a twin: its ranks run the other way).
+        let wide: Vec<f32> = x
+            .chunks(8)
+            .flat_map(|row| {
+                let v = row[0];
+                row.iter().copied().chain([v, v * 3.0 + 1.0, -v])
+            })
+            .collect();
+        let xm = Matrix::new(&wide, 11);
+        let binned = BinnedDataset::build(xm, &w, 256);
+        for cutoff in cutoffs(&binned) {
+            let mut pass = TrainPass::new(xm, &w, cutoff);
+            for (subset, listed) in [
+                (vec![], vec![0, 1, 3, 4, 6, 7, 10]),
+                (vec![9, 10, 0, 8, 6], vec![9, 10, 6]),
+                (vec![8, 3, 9, 0], vec![8, 3]),
+            ] {
+                let params = TreeParams {
+                    feature_subset: subset,
+                    ..Default::default()
+                };
+                let tree = pass.grow(&y, &params);
+                assert!(tree.num_nodes() > 3);
+                // Every node's live list is popped once its subtree is grown.
+                assert_eq!(pass.candidates, listed);
             }
         }
     }

@@ -9,8 +9,13 @@
 //!   sums in the documented bucket order (`Order::Buckets`: per distinct
 //!   value, its rows in row order; the sums in ascending value order), and
 //!   the sort-based trees differ — the data is what it claims to be.
+//!
+//! The references scan every candidate at every node. The trainer skips
+//! a column whose twin (same ranks and codes) it lists earlier, and below
+//! an exact-scan node a candidate with one rank in that node: on sets with
+//! copies and monotone transforms of columns its trees stay `==` theirs.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
 use gbdt::{
@@ -54,6 +59,8 @@ struct Reference<'a> {
     /// value over a node of more: what the data must exercise.
     two_row_nodes: Cell<usize>,
     node_constant: Cell<usize>,
+    /// The feature of every split, in the order they were chosen.
+    split_features: RefCell<Vec<usize>>,
 }
 
 #[derive(Serialize)]
@@ -98,6 +105,7 @@ impl<'a> Reference<'a> {
             candidates,
             two_row_nodes: Cell::new(0),
             node_constant: Cell::new(0),
+            split_features: RefCell::new(Vec::new()),
         }
     }
 
@@ -143,6 +151,7 @@ impl<'a> Reference<'a> {
         else {
             return id;
         };
+        self.split_features.borrow_mut().push(feature);
         let (l, r): (Vec<usize>, Vec<usize>) = rows
             .into_iter()
             .partition(|&i| self.x.get(i, feature) < threshold);
@@ -275,11 +284,26 @@ struct Model {
     learning_rate: f32,
 }
 
-/// `Gbdt::train_matrix` without column subsampling, each tree grown by
-/// the reference; `Auto` takes the documented thresholds (bins from 256
-/// rows, the exact scan below 64 rows a node).
+/// The columns boosting round `round` may split on under `colsample`, as
+/// `GbdtParams::colsample` documents them: `ceil(n_features · colsample)`
+/// distinct columns drawn by an LCG keyed on the round, in draw order.
+fn colsample_subset(round: usize, n_features: usize, colsample: f64) -> Vec<usize> {
+    let keep = ((n_features as f64 * colsample).ceil() as usize).max(1);
+    let mut s = 0x2545_F491_4F6C_DD1Du64.wrapping_mul(round as u64 + 1);
+    let mut subset = Vec::new();
+    while subset.len() < keep {
+        let f = lcg(&mut s) as usize % n_features;
+        if !subset.contains(&f) {
+            subset.push(f);
+        }
+    }
+    subset
+}
+
+/// `Gbdt::train_matrix`, each tree grown by the reference; `Auto` takes
+/// the documented thresholds (bins from 256 rows, the exact scan below 64
+/// rows a node).
 fn reference_model(x: Matrix<'_>, y: &[f32], w: &[f32], params: &GbdtParams, order: Order) -> Gbdt {
-    assert_eq!(params.colsample, 1.0);
     let binned = BinnedDataset::build(x, w, params.max_bins);
     let bins = match params.split {
         SplitStrategy::Exact => None,
@@ -299,8 +323,12 @@ fn reference_model(x: Matrix<'_>, y: &[f32], w: &[f32], params: &GbdtParams, ord
     };
     let mut residual: Vec<f32> = y.iter().map(|&yi| yi - base).collect();
     let mut trees = Vec::new();
-    for _ in 0..params.n_trees {
-        let tree = Reference::new(x, &residual, w, &params.tree, bins, order).tree();
+    for round in 0..params.n_trees {
+        let mut tp = params.tree.clone();
+        if params.colsample < 1.0 {
+            tp.feature_subset = colsample_subset(round, x.n_cols(), params.colsample);
+        }
+        let tree = Reference::new(x, &residual, w, &tp, bins, order).tree();
         if tree.num_nodes() <= 1 && tree.predict(&[]).abs() < 1e-12 {
             break;
         }
@@ -406,6 +434,39 @@ fn rounding(n: usize, seed: u64) -> Set {
     set
 }
 
+/// Columns appended to a set, in order: 8 (`ADJACENT`), column 0 with
+/// 1.25 moved to the float after 1.0 — the same ranks, but the midpoint of
+/// that pair rounds onto 1.0, so it is no cut and the codes differ; 9
+/// (`COPY`), column 0 again; 10, column 4 · 3 + 1 and 11, column 7 squared
+/// — strictly increasing, so the same ranks under other thresholds; 12,
+/// 3.75 − column 0 and 13, −column 6 — strictly decreasing, so no twins.
+/// The targets gain a step where column 0 passes 1.0, so the split at the
+/// cut that column 8 lacks is worth taking.
+fn with_twins(set: Set) -> Set {
+    let n_cols = set.x.len() / set.y.len();
+    let near_one = f32::from_bits(1.0f32.to_bits() + 1);
+    let mut x = Vec::with_capacity(set.x.len() + set.y.len() * 6);
+    for row in set.x.chunks(n_cols) {
+        let v = row[0];
+        x.extend_from_slice(row);
+        x.extend([
+            if v == 1.25 { near_one } else { v },
+            v,
+            row[4] * 3.0 + 1.0,
+            row[7] * row[7],
+            3.75 - v,
+            -row[6],
+        ]);
+    }
+    let y = (set.x.chunks(n_cols).zip(&set.y))
+        .map(|(row, &y)| if row[0] > 1.0 { y + 8.0 } else { y })
+        .collect();
+    Set { x, y, w: set.w }
+}
+
+const ADJACENT: usize = 8;
+const COPY: usize = 9;
+
 fn params(max_depth: usize, feature_subset: Vec<usize>) -> TreeParams {
     TreeParams {
         max_depth,
@@ -492,4 +553,67 @@ fn rank_buckets_sum_in_the_documented_order() {
         sort_differs,
         "no sum rounded: the data does not test the order"
     );
+}
+
+#[test]
+fn twins_and_node_constant_candidates_are_skipped_without_changing_a_tree() {
+    let mut chosen = [0usize; 14];
+    for (n, seed) in [(40, 7), (300, 8), (2000, 9)] {
+        let set = with_twins(dyadic(n, seed));
+        let x = set.view();
+        let bins = [256, 16].map(|max_bins| BinnedDataset::build(x, &set.w, max_bins));
+        let mut cutoffs = vec![None];
+        for b in &bins {
+            cutoffs.extend([Some((b, 0)), Some((b, 64))]);
+        }
+        let no_min_weight = TreeParams {
+            min_child_weight: 0.0,
+            ..params(10, vec![12, 0, COPY, ADJACENT, 11, 7, 5])
+        };
+        for tp in [
+            params(12, vec![]),
+            params(8, vec![ADJACENT, COPY, 0, 12, 10, 4, 1, 13, 11, 7, 3]),
+            params(6, vec![11, COPY, 7, ADJACENT, 0, 4, 10, 13, 6]),
+            no_min_weight,
+        ] {
+            for &cutoff in &cutoffs {
+                let reference = Reference::new(x, &set.y, &set.w, &tp, cutoff, Order::Sorted);
+                let want = reference.tree();
+                for &f in reference.split_features.borrow().iter() {
+                    chosen[f] += 1;
+                }
+                assert!(want.num_nodes() > 3);
+                let got = RegressionTree::fit_view(x, &set.y, &set.w, &tp, cutoff);
+                assert_eq!(got, want, "{n} rows, {tp:?}");
+            }
+        }
+        for (split, colsample, min_child_weight) in [
+            (SplitStrategy::Exact, 0.5, 1e-6),
+            (SplitStrategy::Histogram, 0.4, 0.0),
+            (SplitStrategy::Auto, 0.7, 1e-6),
+            (SplitStrategy::Auto, 1.0, 0.0),
+        ] {
+            let gp = GbdtParams {
+                n_trees: 8,
+                colsample,
+                split,
+                max_bins: 16,
+                tree: TreeParams {
+                    min_child_weight,
+                    ..params(6, vec![])
+                },
+                ..Default::default()
+            };
+            let tel = telemetry::Telemetry::disabled();
+            let got = Gbdt::train_matrix(x, &set.y, &set.w, &gp, &tel);
+            assert!(got.num_trees() > 1);
+            let want = reference_model(x, &set.y, &set.w, &gp, Order::Sorted);
+            assert_eq!(got, want, "{n} rows, {gp:?}");
+        }
+    }
+    // The copy wins where it is listed before column 0, and so do the
+    // column with a cut fewer, the increasing maps and a decreasing one.
+    for f in [ADJACENT, COPY, 10, 11, 12] {
+        assert!(chosen[f] > 0, "column {f} never split a node: {chosen:?}");
+    }
 }

@@ -383,6 +383,9 @@ fn tune_network(cli: &Cli, net: &str, target: HardwareTarget) {
         tasks.len(),
         cli.units
     );
+    // A resume that starts with the units spent has nothing to tune and
+    // nothing to trace: its run already emitted the `TuningFinished` events.
+    let tunes = done_units < cli.units;
     let mut units_since_save = 0usize;
     while done_units < cli.units {
         if sched.step(&mut measurer).is_none() {
@@ -407,6 +410,9 @@ fn tune_network(cli: &Cli, net: &str, target: HardwareTarget) {
                 }
             }
         }
+    }
+    if tunes {
+        sched.finish();
     }
     println!(
         "end-to-end latency estimate: {:.3} ms ({} trials)",
