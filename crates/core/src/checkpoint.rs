@@ -112,7 +112,7 @@ pub struct ModelCheckpoint {
     /// off.
     pub train_passes: u64,
     /// Length of the record prefix the model is trained on: `update`
-    /// retrains only once half a window is new, so the model can lag the
+    /// retrains only once its window has doubled, so the model can lag the
     /// records. `None` (a checkpoint written before the field existed, when
     /// every update retrained) restores as trained on every record.
     #[serde(default)]

@@ -134,19 +134,6 @@ pub trait CostModel: Sync {
 /// Inert remnant (see [`CostModel::predict_population`]); the mask is `None`.
 pub type PopulationScores = (Vec<f64>, Option<Vec<bool>>);
 
-/// `update` retrains once the records added since the last training are
-/// at least `1 / RETRAIN_DIVISOR` of that training's window. The search
-/// reads the model only to *order* candidates (§5.2), and a refit whose
-/// window still shares most of its records with its predecessor's orders
-/// them almost as that one did — so a model is kept until half its window
-/// is new. A 1 024-trial session of 64-record batches then trains at 64 /
-/// 128 / 192 / 320 / 512 / 768 records instead of after all 15 batches
-/// that are read, and the score cache, which a retrain empties, lives
-/// across the updates in between. The window counts no record a warm start
-/// absorbed ([`LearnedCostModel::end_warm_start`]): a warm session retrains
-/// on its own batches where a cold one does.
-const RETRAIN_DIVISOR: usize = 2;
-
 /// One stored training record: an index into the model's shared
 /// [`FeatureMatrix`] plus the measurement. Feature rows live packed in the
 /// matrix, so records are a few words each and a training pass never clones
@@ -176,7 +163,7 @@ pub struct LearnedCostModel {
     /// function of that prefix, so `update` and `restore` only move the
     /// prefix and empty the cell, and [`LearnedCostModel::trained`] trains
     /// on the first read — a retrain nothing reads is never run. `update`
-    /// moves the prefix only when a retrain is due (`RETRAIN_DIVISOR`).
+    /// moves the prefix only when a retrain is due (`retrain_due`).
     /// `None` inside the cell: the prefix's training window held no
     /// eligible row. The model's score table is the signature-keyed score
     /// cache: evolution populations carry heavy duplication (failed
@@ -438,7 +425,7 @@ impl LearnedCostModel {
     /// Marks every record held so far as absorbed by a warm start: the
     /// retrain window counts only the records measured after this call.
     /// Without it, a store of W records would make a session wait for
-    /// min(W, `max_train_records`) / 2 of its own before it refits on any.
+    /// min(W, `max_train_records`) of its own before it refits on any.
     pub fn end_warm_start(&mut self) {
         self.warm_records = self.records.len();
     }
@@ -462,8 +449,21 @@ impl LearnedCostModel {
     /// Whether `update` moves the model to `records[..end]`: never when
     /// that window has nothing to fit, always when the current one has not
     /// (the first trainable batch), and otherwise once the records since
-    /// the last training are `1 / RETRAIN_DIVISOR` of its window, counted
+    /// the last training are at least that training's whole window, counted
     /// without the records of a warm start.
+    ///
+    /// The search reads the model only to *order* candidates (§5.2), and a
+    /// refit whose window still shares most of its records with its
+    /// predecessor's orders them almost as that one did — so a model is
+    /// kept until its window has doubled. The schedule is geometric: a
+    /// 1 024-trial session of 64-record batches trains at 64 / 128 / 256 /
+    /// 512 records instead of after all 15 batches that are read, the rows
+    /// fitted over a session are at most about twice its final window, and
+    /// a full `max_train_records` window retrains every `max_train_records`.
+    /// The score cache, which a retrain empties, lives across the updates
+    /// in between. The window counts no record a warm start absorbed
+    /// ([`LearnedCostModel::end_warm_start`]): a warm session retrains on
+    /// its own batches where a cold one does.
     fn retrain_due(&self, end: usize) -> bool {
         if !self.has_training_rows(end) {
             return false;
@@ -472,8 +472,7 @@ impl LearnedCostModel {
             .trained_on
             .saturating_sub(self.warm_records)
             .min(self.max_train_records);
-        !self.has_training_rows(self.trained_on)
-            || RETRAIN_DIVISOR * (end - self.trained_on) >= trained_window
+        !self.has_training_rows(self.trained_on) || end - self.trained_on >= trained_window
     }
 
     /// The model of `records[..trained_on]`, trained by whichever caller
@@ -1401,61 +1400,109 @@ mod tests {
     }
 
     #[test]
-    fn a_model_retrains_once_half_its_window_is_new() {
+    fn a_model_retrains_once_its_window_has_doubled() {
+        // Batches of 24, read after every one: each retrain waits for as
+        // many new records as the last one was trained on.
         let t = task();
-        let (model, tel, prefixes) = session_of(&t, 0, 16, 64);
-        assert_eq!(model.num_records(), 1024);
+        let (model, tel, prefixes) = session_of(&t, 0, 16, 24);
+        assert_eq!(model.num_records(), 384);
         let mut trained: Vec<usize> = prefixes.clone();
         trained.dedup();
-        assert_eq!(trained, [64, 128, 192, 320, 512, 768]);
-        assert_eq!(tel.counter_value("gbdt/train_passes"), 6);
-        // At 768 records the next retrain waits for 384 more: past the end.
-        assert_eq!(prefixes[12..], [768; 4]);
+        assert_eq!(trained, [24, 48, 96, 192, 384]);
+        assert_eq!(tel.counter_value("gbdt/train_passes"), 5);
+        // From 192 records on the model waits for 192 more.
+        assert_eq!(prefixes[7..15], [192; 8]);
     }
 
     #[test]
-    fn a_session_of_four_rounds_reads_the_models_of_every_batch() {
-        // Four rounds read the model after three updates: each of those
-        // retrains, whatever the batch size, as when every update did.
+    fn a_cold_session_of_sixteen_rounds_trains_at_64_128_256_and_512_records() {
+        // Sixteen rounds of 64 read the model after the first fifteen
+        // updates; nothing reads the model of the sixteenth.
+        let t = task();
+        let (mut model, tel, prefixes) = session_of(&t, 0, 15, 64);
+        let mut trained: Vec<usize> = prefixes.clone();
+        trained.dedup();
+        assert_eq!(trained, [64, 128, 256, 512]);
+        assert_eq!(prefixes[7..], [512; 8]);
+        let (states, secs) = measured(&t, 64, 115);
+        model.update(&t, &states, &secs);
+        assert_eq!((model.num_records(), model.trained_on), (1024, 1024));
+        assert_eq!(tel.counter_value("gbdt/train_passes"), 4);
+    }
+
+    #[test]
+    fn a_full_window_retrains_once_per_window_of_new_records() {
+        // Once the trained window is capped at `max_train_records`, a
+        // retrain waits for that many new records, not for as many as the
+        // model was trained on: with a window of 32 and batches of 8, the
+        // model moves at 32, 64, 96, 128, where a geometric schedule would
+        // wait from 64 to 128. The default window of 800 retrains every 800.
+        let t = task();
+        let probe = sample_states(&t, 4, 99);
+        let tel = telemetry::Telemetry::with_metrics();
+        let mut model = LearnedCostModel::new();
+        model.set_telemetry(tel.clone());
+        model.max_train_records = 32;
+        let mut prefixes = Vec::new();
+        for b in 0..17 {
+            let (states, secs) = measured(&t, 8, 200 + b);
+            model.update(&t, &states, &secs);
+            model.predict(&t, &probe);
+            prefixes.push(model.trained_on);
+        }
+        prefixes.dedup();
+        assert_eq!(prefixes, [8, 16, 32, 64, 96, 128]);
+        assert_eq!(tel.counter_value("gbdt/train_passes"), 6);
+    }
+
+    #[test]
+    fn a_session_of_four_rounds_trains_the_models_of_its_first_two_batches() {
+        // Four rounds read the model after three updates: the first two
+        // retrain, whatever the batch size; the third adds half a window.
+        // The fourth doubles it, and nothing reads that model.
         let t = task();
         for size in [5, 16, 64] {
-            let (_, tel, prefixes) = session_of(&t, 0, 4, size);
-            assert_eq!(prefixes[..3], [size, 2 * size, 3 * size], "{size}");
-            assert_eq!(prefixes[3], 3 * size, "{size}");
-            assert_eq!(tel.counter_value("gbdt/train_passes"), 3, "{size}");
+            let (mut model, tel, prefixes) = session_of(&t, 0, 3, size);
+            assert_eq!(prefixes, [size, 2 * size, 2 * size], "{size}");
+            assert_eq!(tel.counter_value("gbdt/train_passes"), 2, "{size}");
+            let (states, secs) = measured(&t, size, 103);
+            model.update(&t, &states, &secs);
+            assert_eq!(model.trained_on, 4 * size, "{size}");
+            assert_eq!(tel.counter_value("gbdt/train_passes"), 2, "{size}");
         }
     }
 
     #[test]
-    fn a_warm_session_of_four_rounds_reads_the_models_of_every_batch() {
+    fn a_warm_session_of_four_rounds_trains_the_models_of_its_first_two_batches() {
         // The window counts no record of the warm start: after 96 of them
         // the session's own batches retrain where a cold session's do. Were
-        // they counted, the model would wait for 48 new records.
+        // they counted, the model would wait for 96 new records.
         let t = task();
         for size in [5, 16, 64] {
-            let (model, tel, prefixes) = session_of(&t, 96, 4, size);
-            let want = [96 + size, 96 + 2 * size, 96 + 3 * size, 96 + 3 * size];
+            let (model, tel, prefixes) = session_of(&t, 96, 3, size);
+            let want = [96 + size, 96 + 2 * size, 96 + 2 * size];
             assert_eq!(prefixes, want, "{size}");
             // The warm start's pass, then one per batch before the last.
-            assert_eq!(tel.counter_value("gbdt/train_passes"), 4, "{size}");
+            assert_eq!(tel.counter_value("gbdt/train_passes"), 3, "{size}");
             assert_eq!(model.checkpoint().warm_records, 96, "{size}");
         }
         // A checkpoint carries the count: the resumed model takes the next
-        // retrain where the killed one would.
-        let (mut model, _, _) = session_of(&t, 96, 4, 16);
+        // retrain where the killed one would. Counting the warm start, the
+        // model of 128 records would wait for 128 more.
+        let (mut model, _, _) = session_of(&t, 96, 3, 16);
         let mut restored = LearnedCostModel::new();
         restored.restore(&model.checkpoint());
         let (states, secs) = measured(&t, 16, 43);
         model.update(&t, &states, &secs);
         restored.update(&t, &states, &secs);
-        assert_eq!((model.trained_on, restored.trained_on), (176, 176));
+        assert_eq!((model.trained_on, restored.trained_on), (160, 160));
     }
 
     #[test]
     fn an_update_that_does_not_retrain_serves_every_score_from_the_cache() {
         let t = task();
-        let (mut model, tel, prefixes) = session_of(&t, 0, 3, 16);
-        assert_eq!(prefixes, [16, 32, 48]);
+        let (mut model, tel, prefixes) = session_of(&t, 0, 2, 16);
+        assert_eq!(prefixes, [16, 32]);
         let probe = sample_states(&t, 12, 31);
         let unique = probe
             .iter()
@@ -1470,7 +1517,7 @@ mod tests {
         );
         let (states, secs) = measured(&t, 16, 32);
         model.update(&t, &states, &secs);
-        assert_eq!(model.trained_on, 48);
+        assert_eq!(model.trained_on, 32);
         let passes = tel.counter_value("gbdt/train_passes");
         let (h1, m1) = model.cache_stats();
         assert_eq!(bits(&model.predict(&t, &probe)), want);
@@ -1483,11 +1530,11 @@ mod tests {
     #[test]
     fn a_checkpoint_between_retrains_restores_the_model_it_held() {
         let t = task();
-        let (mut model, tel, prefixes) = session_of(&t, 0, 4, 16);
-        assert_eq!(prefixes[3], 48);
+        let (mut model, tel, prefixes) = session_of(&t, 0, 3, 16);
+        assert_eq!(prefixes[2], 32);
         let ck = model.checkpoint();
-        assert_eq!((ck.records.len(), ck.trained_on), (64, Some(48)));
-        assert_eq!((ck.train_passes, ck.trained), (3, true));
+        assert_eq!((ck.records.len(), ck.trained_on), (48, Some(32)));
+        assert_eq!((ck.train_passes, ck.trained), (2, true));
         let restored_tel = telemetry::Telemetry::with_metrics();
         let mut restored = LearnedCostModel::new();
         restored.set_telemetry(restored_tel.clone());
@@ -1497,15 +1544,15 @@ mod tests {
         assert_eq!(bits(&restored.predict(&t, &probe)), want);
         // The killed run had run that pass: repeating it counts nothing.
         let passes = |tel: &telemetry::Telemetry| tel.counter_value("gbdt/train_passes");
-        assert_eq!((passes(&tel), passes(&restored_tel)), (3, 3));
+        assert_eq!((passes(&tel), passes(&restored_tel)), (2, 2));
         // And both take the next retrain at the same point, counted.
         let (states, secs) = measured(&t, 16, 42);
         model.update(&t, &states, &secs);
         restored.update(&t, &states, &secs);
-        assert_eq!((model.trained_on, restored.trained_on), (80, 80));
+        assert_eq!((model.trained_on, restored.trained_on), (64, 64));
         let want = bits(&model.predict(&t, &probe));
         assert_eq!(bits(&restored.predict(&t, &probe)), want);
-        assert_eq!((passes(&tel), passes(&restored_tel)), (4, 4));
+        assert_eq!((passes(&tel), passes(&restored_tel)), (3, 3));
     }
 
     #[test]
@@ -1513,7 +1560,7 @@ mod tests {
         // The format written before `trained_on` existed, when every update
         // retrained.
         let t = task();
-        let (model, _, _) = session_of(&t, 0, 4, 16);
+        let (model, _, _) = session_of(&t, 0, 3, 16);
         let mut json = serde_json::to_value(&model.checkpoint());
         let serde_json::Value::Object(fields) = &mut json else {
             panic!("a checkpoint is an object")
@@ -1523,11 +1570,11 @@ mod tests {
         assert_eq!(old.trained_on, None);
         let mut restored = LearnedCostModel::new();
         restored.restore(&old);
-        assert_eq!(restored.trained_on, 64);
-        assert_eq!(restored.checkpoint().trained_on, Some(64));
+        assert_eq!((model.trained_on, restored.trained_on), (32, 48));
+        assert_eq!(restored.checkpoint().trained_on, Some(48));
         let mut all = LearnedCostModel::new();
         all.restore(&crate::checkpoint::ModelCheckpoint {
-            trained_on: Some(64),
+            trained_on: Some(48),
             ..old.clone()
         });
         let probe = sample_states(&t, 8, 51);

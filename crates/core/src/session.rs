@@ -474,30 +474,40 @@ mod tests {
     }
 
     #[test]
-    fn a_session_trains_one_model_per_round_that_reads_one() {
+    fn a_session_trains_a_model_once_its_window_has_doubled() {
         let (mut s, tel, _) = traced_session(64);
         s.run(|_| true);
         assert_eq!(s.rounds(), 4);
-        // Rounds 2–4 each read the model of the rounds before them; nothing
+        // Rounds 2–4 read the model of the rounds before them: round 2 the
+        // model of 16 records, round 3 that of 32, and round 4 that one
+        // again (16 new records do not double a window of 32). Nothing
         // reads the model of all four. Calibration needs no model of its
         // own: it scores a batch with the model the batch was picked under.
-        assert_eq!(tel.counter_value("gbdt/train_passes"), 3);
+        assert_eq!(tel.counter_value("gbdt/train_passes"), 2);
         assert_eq!(tel.counter_value("model/calibrations"), 3);
-
-        // The fourth update kept the model: half its window was not new.
+        // The fourth update doubled the window; nothing trained that model.
         let ck = s.checkpoint();
         let model = &ck.single.as_ref().unwrap().model;
-        assert_eq!((model.records.len(), model.trained_on), (64, Some(48)));
+        assert_eq!((model.records.len(), model.trained_on), (64, Some(64)));
+        assert!(!model.trained);
+
+        // The third update kept the model: its window was half new.
+        let (mut s, tel, _) = traced_session(48);
+        s.run(|_| true);
+        let ck = s.checkpoint();
+        let model = &ck.single.as_ref().unwrap().model;
+        assert_eq!((model.records.len(), model.trained_on), (48, Some(32)));
+        assert_eq!(tel.counter_value("gbdt/train_passes"), 2);
         // Restoring continues the numbering and trains nothing…
-        let (mut resumed, tel, _) = traced_session(64);
+        let (mut resumed, tel, _) = traced_session(48);
         resumed.restore(&ck).unwrap();
-        assert_eq!(tel.counter_value("gbdt/train_passes"), 3);
+        assert_eq!(tel.counter_value("gbdt/train_passes"), 2);
         assert_eq!(tel.counter_value("gbdt/train_samples"), 0);
         // …until something reads the model; the killed run had trained
         // this one, so the pass is repeated without being counted.
         let best = [(*s.best_individual().unwrap().state).clone()];
         let score = resumed.model().predict(resumed.task(), &best);
-        assert_eq!(tel.counter_value("gbdt/train_passes"), 3);
+        assert_eq!(tel.counter_value("gbdt/train_passes"), 2);
         assert_eq!(tel.counter_value("gbdt/train_samples"), 0);
         assert_eq!(score, s.model().predict(s.task(), &best));
     }

@@ -5,7 +5,14 @@
 use crate::histogram::{Histogram, HistogramSummary};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Takes a registry lock. Every holder makes one insert or update of its
+/// map, so the map is consistent even when a holder panicked: a poisoned
+/// lock is taken as it is, and one panic does not fail every later metric.
+fn lock<T>(registry: &Mutex<T>) -> MutexGuard<'_, T> {
+    registry.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[derive(Default)]
 pub(crate) struct Registry {
@@ -16,7 +23,7 @@ pub(crate) struct Registry {
 
 impl Registry {
     pub(crate) fn incr(&self, name: &str, by: u64) {
-        let mut counters = self.counters.lock().expect("counter registry poisoned");
+        let mut counters = lock(&self.counters);
         match counters.get_mut(name) {
             Some(v) => *v += by,
             None => {
@@ -26,7 +33,7 @@ impl Registry {
     }
 
     pub(crate) fn gauge_set(&self, name: &str, value: f64) {
-        let mut gauges = self.gauges.lock().expect("gauge registry poisoned");
+        let mut gauges = lock(&self.gauges);
         match gauges.get_mut(name) {
             Some(v) => *v = value,
             None => {
@@ -36,7 +43,7 @@ impl Registry {
     }
 
     pub(crate) fn gauge_add(&self, name: &str, by: f64) {
-        let mut gauges = self.gauges.lock().expect("gauge registry poisoned");
+        let mut gauges = lock(&self.gauges);
         match gauges.get_mut(name) {
             Some(v) => *v += by,
             None => {
@@ -46,15 +53,11 @@ impl Registry {
     }
 
     pub(crate) fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .lock()
-            .expect("gauge registry poisoned")
-            .get(name)
-            .copied()
+        lock(&self.gauges).get(name).copied()
     }
 
     pub(crate) fn observe(&self, name: &str, value: f64) {
-        let mut histograms = self.histograms.lock().expect("histogram registry poisoned");
+        let mut histograms = lock(&self.histograms);
         match histograms.get_mut(name) {
             Some(h) => h.observe(value),
             None => {
@@ -66,22 +69,14 @@ impl Registry {
     }
 
     pub(crate) fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .lock()
-            .expect("counter registry poisoned")
-            .get(name)
-            .copied()
-            .unwrap_or(0)
+        lock(&self.counters).get(name).copied().unwrap_or(0)
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self.counters.lock().expect("poisoned").clone(),
-            gauges: self.gauges.lock().expect("poisoned").clone(),
-            histograms: self
-                .histograms
-                .lock()
-                .expect("poisoned")
+            counters: lock(&self.counters).clone(),
+            gauges: lock(&self.gauges).clone(),
+            histograms: lock(&self.histograms)
                 .iter()
                 .filter_map(|(k, h)| h.summary().map(|s| (k.clone(), s)))
                 .collect(),
@@ -147,6 +142,36 @@ mod tests {
         assert_eq!(h.count, 100);
         assert!(h.p50 > 0.0 && h.p50 <= h.p90 && h.p90 <= h.p99);
         assert!((h.sum - 5.05).abs() < 1e-9);
+    }
+
+    /// Panics while holding `registry`'s lock, which poisons it.
+    fn poison<T>(registry: &Mutex<T>) {
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = registry.lock();
+            panic!("a metric holder panics");
+        }));
+        assert!(died.is_err() && registry.is_poisoned());
+    }
+
+    #[test]
+    fn a_panicking_holder_fails_no_later_metric_call() {
+        let r = Registry::default();
+        r.incr("trials", 1);
+        r.gauge_set("depth", 1.0);
+        r.observe("phase/evolution", 1e-3);
+        poison(&r.counters);
+        poison(&r.gauges);
+        poison(&r.histograms);
+        r.incr("trials", 2);
+        r.gauge_set("depth", 3.0);
+        r.gauge_add("depth", 1.0);
+        r.observe("phase/evolution", 2e-3);
+        assert_eq!(r.counter_value("trials"), 3);
+        assert_eq!(r.gauge_value("depth"), Some(4.0));
+        let snap = r.snapshot();
+        assert_eq!(snap.counters["trials"], 3);
+        assert_eq!(snap.gauges["depth"], 4.0);
+        assert_eq!(snap.histograms["phase/evolution"].count, 2);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! — same best program, same record log, same telemetry trace — as the run
 //! that was never interrupted.
 //!
-//! The cost model retrains only once half its training window is new, so
+//! The cost model retrains only once its training window has doubled, so
 //! a checkpoint can fall between two retrains: the model then lags its
 //! records, and the checkpoint must carry how far (`trained_on`) and
 //! whether that model had been trained (`trained`). The test asserts that
