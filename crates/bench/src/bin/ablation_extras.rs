@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run -p ansor-bench --release --bin ablation_extras`
 
-use ansor_bench::{fmt_seconds, maybe_dump_json, median, print_table, Args};
+use ansor_bench::{check_claims, fmt_seconds, maybe_dump_json, median, print_table, Args, Claim};
 use ansor_core::{
     auto_schedule_with_model, CostModel, EvolutionConfig, LearnedCostModel, RandomModel,
     SearchTask, TuningOptions,
@@ -98,11 +98,14 @@ fn main() {
                 .collect::<Vec<_>>(),
         );
     }
-    println!(
-        "\nExpected: the random cost model hurts the most (candidate\n\
-         selection degrades to chance); removing crossover or exploration\n\
-         costs a smaller margin."
-    );
+    // Slowdowns, in the order run: no crossover, random cost model, no ε.
+    let [crossover, random, eps] = [1, 2, 3].map(|i| rows[i].vs_baseline);
+    let most = "random cost model ÷ the worst other ablation (Known deviation 7)";
+    let (learned, worst) = args.pick((0.13, 0.13), (1.0, 0.1), (1.0, 0.1));
     maybe_dump_json(&args, &rows);
     args.finish_telemetry(&tel);
+    check_claims(&[
+        Claim::at_least("latency, random ÷ learned model", "> 1", random, learned),
+        Claim::at_least(most, "≥ 1", random / crossover.max(eps), worst),
+    ]);
 }

@@ -9,7 +9,7 @@
 //! Run: `cargo run -p ansor-bench --release --bin fig7_ablation`
 
 use ansor_baselines::{beam::HalideBeam, SearchFramework};
-use ansor_bench::{fmt_seconds, maybe_dump_json, median, print_table, Args};
+use ansor_bench::{check_claims, fmt_seconds, maybe_dump_json, median, print_table, Args, Claim};
 use ansor_core::{auto_schedule, PolicyVariant, SearchTask, TuningOptions, TuningRecord};
 use hwsim::{HardwareTarget, Measurer};
 use serde::Serialize;
@@ -124,11 +124,6 @@ fn main() {
             &rows,
         );
     }
-    println!(
-        "\nExpected shape (paper): 'Ansor (ours)' reaches the highest final\n\
-         performance; 'Limited space' and 'Beam search' plateau below it;\n\
-         'No fine-tuning' climbs slowly."
-    );
     let naive = {
         let mut m = Measurer::new(task.target.clone());
         m.measure(&tensor_ir::State::new(task.dag.clone())).seconds
@@ -147,6 +142,14 @@ fn main() {
     );
     maybe_dump_json(&args, &record);
     args.finish_telemetry(&tel);
+    // Each ablated variant plateaus below full Ansor.
+    let last = |c: &Curve| c.points.last().expect("ten checkpoints").1;
+    let (ansor, ablated) = record.curves.split_first().expect("Ansor is first");
+    let below_ansor = |c: &Curve| {
+        let text = format!("{} ÷ Ansor, final", c.variant);
+        Claim::below(text, "< 1", last(c) / last(ansor), 1.0)
+    };
+    check_claims(&ablated.iter().map(below_ansor).collect::<Vec<_>>());
 }
 
 fn run_variant(

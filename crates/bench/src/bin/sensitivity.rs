@@ -4,13 +4,9 @@
 //! family of simulated machines and reports how the best schedule's shape
 //! (parallel extent, vector length, tile footprint) tracks the hardware.
 //!
-//! Expected: parallel extent scales with the core count, the vectorized
-//! length follows the SIMD width, and the tile working set follows the L1
-//! size — i.e., the search rediscovers platform-specific tuning wisdom.
-//!
 //! Run: `cargo run -p ansor-bench --release --bin sensitivity`
 
-use ansor_bench::{maybe_dump_json, print_table, Args};
+use ansor_bench::{check_claims, maybe_dump_json, print_table, Args, Claim};
 use ansor_core::{auto_schedule, SearchTask, TuningOptions};
 use hwsim::{HardwareTarget, Measurer};
 use serde::Serialize;
@@ -80,7 +76,7 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
-    for (name, target) in machines {
+    for (name, target) in &machines {
         let task = SearchTask::new(format!("c2d:{name}"), dag.clone(), target.clone());
         let mut measurer = Measurer::new(target.clone());
         measurer.set_telemetry(tel.clone());
@@ -113,7 +109,7 @@ fn main() {
             vec_len
         );
         rows.push(Row {
-            machine: name,
+            machine: name.clone(),
             gflops: flops / result.best_seconds / 1e9,
             parallel_extent: main.parallel_extent(),
             vector_len: vec_len,
@@ -145,11 +141,20 @@ fn main() {
                 .collect::<Vec<_>>(),
         );
     }
-    println!(
-        "\nExpected: throughput scales with cores/lanes; the chosen parallel\n\
-         extent comfortably covers the core count on every machine — the\n\
-         same definition retargets without manual templates (§2)."
-    );
+    // GFLOP/s ÷ the next larger machine's, the larger of two steps: rows
+    // 0 → 1 → 2 add cores, rows 3 → 1 → 4 SIMD lanes.
+    let g = |i: usize| rows[i].gflops;
+    let cores = f64::max(g(0) / g(1), g(1) / g(2));
+    let lanes = f64::max(g(3) / g(1), g(1) / g(4));
+    let covers = "machines of 7 whose parallel extent covers the core count (Known deviation 8)";
+    let covered = (machines.iter().zip(&rows))
+        .filter(|((_, target), row)| row.parallel_extent >= i64::from(target.num_cores))
+        .count() as f64;
     maybe_dump_json(&args, &rows);
     args.finish_telemetry(&tel);
+    check_claims(&[
+        Claim::below("GFLOP/s ÷ at more cores (4 → 20 → 64)", "< 1", cores, 1.0),
+        Claim::below("GFLOP/s ÷ at wider SIMD (4 → 8 → 16)", "< 1", lanes, 1.0),
+        Claim::at_least(covers, "7", covered, args.pick(7.0, 6.0, 6.0)),
+    ]);
 }

@@ -13,7 +13,7 @@
 //!
 //! Run: `cargo run -p ansor-bench --release --bin table2_objectives`
 
-use ansor_bench::{fmt_seconds, maybe_dump_json, print_table, Args};
+use ansor_bench::{check_claims, fmt_seconds, maybe_dump_json, print_table, Args, Claim};
 use ansor_core::{
     Objective, SearchTask, TaskScheduler, TaskSchedulerConfig, TuneTask, TuningOptions,
 };
@@ -138,13 +138,21 @@ fn main() {
                 .collect::<Vec<_>>(),
         );
     }
-    println!(
-        "\nExpected: f1 pours units into the bottleneck DNN 1; f2 starves\n\
-         DNN 0 (its requirement is already met); f3 balances both; f4\n\
-         freezes tasks whose latency stagnates."
-    );
+    // Units to the matmul DNN 0 and the conv DNN 1 under f1, f2 and f4.
+    let [f1, f2, f4] = [0, 1, 3].map(|f| [0, 1].map(|dnn| rows[f].allocations[dnn] as f64));
+    let frozen = args.pick(0.0, 1.0, 1.0);
     maybe_dump_json(&args, &rows);
     args.finish_telemetry(&tel);
+    check_claims(&[
+        Claim::below(
+            "f1 units, matmul ÷ bottleneck conv",
+            "< 1",
+            f1[0] / f1[1],
+            1.0,
+        ),
+        Claim::below("f2 units to the DNN that meets its need", "1", f2[0], 2.0),
+        Claim::at_least("conv units f4 freezes vs f1", "> 0", f1[1] - f4[1], frozen),
+    ]);
 }
 
 fn options() -> TuningOptions {

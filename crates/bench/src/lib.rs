@@ -28,8 +28,6 @@
 
 pub mod serve_report;
 
-use std::io::Write as _;
-
 use serde::Serialize;
 
 /// Count allocations in every bench binary so the live exporter (and
@@ -77,9 +75,16 @@ impl Args {
     /// `--faults` plan as the default for all measurers — including those
     /// the baseline frameworks create internally. The plan is `None`
     /// (fault-free, bit-identical to older builds) unless `--faults` is
-    /// given.
+    /// given. The `--json` file is created here, so a path that cannot be
+    /// written ends the process with status 1 before any tuning, as a bad
+    /// `--trace` path does.
     pub fn parse() -> Args {
         let args = Args::parse_from(std::env::args().skip(1));
+        if let Some(path) = &args.json {
+            if let Err(e) = std::fs::File::create(path) {
+                run_error(format_args!("--json {path}: {e}"));
+            }
+        }
         hwsim::set_default_plan(args.faults.clone());
         args
     }
@@ -141,8 +146,8 @@ impl Args {
         }
     }
 
-    /// Picks a budget by scale.
-    pub fn pick(&self, smoke: usize, default: usize, full: usize) -> usize {
+    /// Picks a budget, or a claim's threshold, by scale.
+    pub fn pick<T>(&self, smoke: T, default: T, full: T) -> T {
         match self.scale {
             Scale::Smoke => smoke,
             Scale::Default => default,
@@ -169,6 +174,13 @@ impl Args {
     pub fn tables_enabled(&self) -> bool {
         !(self.quiet && (self.json.is_some() || self.trace.is_some()))
     }
+}
+
+/// Reports what ends a run early (an output it cannot write, a claim that
+/// fails) and exits with status 1.
+fn run_error(message: std::fmt::Arguments) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1)
 }
 
 /// Reports a command-line usage error and exits with status 2.
@@ -204,13 +216,9 @@ pub fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> T {
 /// serves until the process exits. A trace file that cannot be created or
 /// an address that cannot be bound ends the process with status 1.
 pub fn start_telemetry(trace: Option<&str>, metrics_addr: Option<&str>) -> telemetry::Telemetry {
-    let fail = |message: std::fmt::Arguments| -> ! {
-        eprintln!("error: {message}");
-        std::process::exit(1)
-    };
     let tel = match trace {
         Some(path) => telemetry::Telemetry::to_file(std::path::Path::new(path))
-            .unwrap_or_else(|e| fail(format_args!("--trace {path}: {e}"))),
+            .unwrap_or_else(|e| run_error(format_args!("--trace {path}: {e}"))),
         None if metrics_addr.is_some() => telemetry::Telemetry::with_metrics(),
         None => telemetry::Telemetry::disabled(),
     };
@@ -225,7 +233,7 @@ pub fn start_telemetry(trace: Option<&str>, metrics_addr: Option<&str>) -> telem
                 );
                 exporter.detach();
             }
-            Err(e) => fail(format_args!("--metrics-addr {addr}: {e}")),
+            Err(e) => run_error(format_args!("--metrics-addr {addr}: {e}")),
         }
     }
     tel
@@ -301,9 +309,79 @@ pub fn sparkline(values: &[f64]) -> String {
 pub fn maybe_dump_json<T: Serialize>(args: &Args, value: &T) {
     if let Some(path) = &args.json {
         let json = serde_json::to_string_pretty(value).expect("serializable results");
-        let mut f = std::fs::File::create(path).expect("create json output");
-        f.write_all(json.as_bytes()).expect("write json output");
+        std::fs::write(path, json)
+            .unwrap_or_else(|e| run_error(format_args!("--json {path}: {e}")));
         println!("(wrote {path})");
+    }
+}
+
+/// One of the paper's claims, checked against numbers of a figure's
+/// record: the claim, the paper's value, the value reproduced here, and the
+/// threshold it must reach (`≥`) or stay under (`<`). Where the
+/// default-scale record falls short of the paper, the threshold is that
+/// record's number and the text names the Known deviation (EXPERIMENTS.md).
+#[derive(Debug)]
+pub struct Claim {
+    text: String,
+    paper: String,
+    value: f64,
+    threshold: f64,
+    at_least: bool,
+}
+
+impl Claim {
+    /// A claim that holds when `value >= threshold`.
+    pub fn at_least(text: impl Into<String>, paper: &str, value: f64, threshold: f64) -> Claim {
+        let (text, paper) = (text.into(), paper.into());
+        Claim {
+            text,
+            paper,
+            value,
+            threshold,
+            at_least: true,
+        }
+    }
+
+    /// A claim that holds when `value < threshold`.
+    pub fn below(text: impl Into<String>, paper: &str, value: f64, threshold: f64) -> Claim {
+        let mut claim = Claim::at_least(text, paper, value, threshold);
+        claim.at_least = false;
+        claim
+    }
+
+    /// Whether the reproduced value meets the threshold (a NaN never does).
+    pub fn holds(&self) -> bool {
+        if self.at_least {
+            self.value >= self.threshold
+        } else {
+            self.value < self.threshold
+        }
+    }
+
+    /// `claim: <text>: paper …, reproduced …, threshold … — holds | FAILS`.
+    pub fn line(&self) -> String {
+        let num = |x: f64| {
+            let s = format!("{x:.3}");
+            s.trim_end_matches('0').trim_end_matches('.').to_string()
+        };
+        let (text, paper, value) = (&self.text, &self.paper, num(self.value));
+        let op = if self.at_least { "≥" } else { "<" };
+        let threshold = format!("{op} {}", num(self.threshold));
+        let verdict = if self.holds() { "holds" } else { "FAILS" };
+        format!(
+            "claim: {text}: paper {paper}, reproduced {value}, threshold {threshold} — {verdict}"
+        )
+    }
+}
+
+/// Prints one line per claim, and exits with status 1 if one fails. A
+/// figure binary calls it last, once its record is written.
+pub fn check_claims(claims: &[Claim]) {
+    println!();
+    claims.iter().for_each(|claim| println!("{}", claim.line()));
+    let failed = claims.iter().filter(|claim| !claim.holds()).count();
+    if failed > 0 {
+        run_error(format_args!("{failed} of {} claims fail", claims.len()));
     }
 }
 
@@ -355,6 +433,29 @@ mod tests {
         assert!(fmt_seconds(2.0).ends_with(" s"));
         assert!(fmt_seconds(2e-3).ends_with(" ms"));
         assert!(fmt_seconds(2e-6).ends_with(" us"));
+    }
+
+    #[test]
+    fn a_claim_line_ends_with_its_verdict() {
+        let held = Claim::at_least(
+            "cases Ansor wins (Known deviation 2)",
+            "19 of 20",
+            15.0,
+            15.0,
+        );
+        assert!(held.holds());
+        assert_eq!(
+            held.line(),
+            "claim: cases Ansor wins (Known deviation 2): paper 19 of 20, reproduced 15, \
+             threshold ≥ 15 — holds"
+        );
+        let failed = Claim::below("best variant ÷ Ansor", "< 1", 1.07, 1.0);
+        assert!(!failed.holds());
+        assert_eq!(
+            failed.line(),
+            "claim: best variant ÷ Ansor: paper < 1, reproduced 1.07, threshold < 1 — FAILS"
+        );
+        assert!(!Claim::at_least("NaN", "1", f64::NAN, 0.0).holds());
     }
 
     fn args(list: &[&str]) -> Args {

@@ -5,6 +5,14 @@
 //! for byte. A deliberate change of a figure re-blesses its record with the
 //! command a mismatch prints.
 //!
+//! Each binary also checks its paper claims (`ansor_bench::Claim`) and
+//! exits 1 when one fails, so asserting a successful run asserts them. At
+//! `--smoke` a claim's threshold is the smoke record's own number: several
+//! of the paper's claims invert at this scale (fig8 has Ansor best on 2 of
+//! 8 cases, and ablation_extras' random model beats the learned one), so a
+//! smoke threshold is a tripwire against drift, not the paper's claim. The
+//! default-scale thresholds, checked in CI's `bench-smoke`, are.
+//!
 //! The default fault plan (`--faults default`: transient failures and
 //! timeouts, retried or quarantined) must not change what a figure reports:
 //! fig6 and fig10 under it write the same bytes as without it.
@@ -40,8 +48,9 @@ fn mismatch(bin: &str, exe: &str, extra: &[&str]) -> Option<String> {
         .unwrap_or_else(|e| panic!("{bin} runs: {e}"));
     assert!(
         out.status.success(),
-        "{bin} {flags} exited with {}: {}",
+        "{bin} {flags} exited with {}: {}{}",
         out.status,
+        String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
     let got = std::fs::read_to_string(&out_path).expect("the run wrote its record");

@@ -5,6 +5,7 @@
 //! run at the defaults. Asking for help is not one: `--help` prints the
 //! usage on stdout and exits 0.
 
+use std::path::Path;
 use std::process::Command;
 
 #[test]
@@ -26,6 +27,26 @@ fn mistyped_shared_flags_are_usage_errors() {
         assert!(stderr.contains(message), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}: no table may print");
     }
+}
+
+/// A `--json` record that cannot be created ends the run at its start, as a
+/// `--trace` file that cannot be does: exit status 1 and the flag named,
+/// before anything is tuned or printed.
+#[test]
+fn an_unwritable_json_path_fails_before_the_run() {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("no-such-dir/record.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_fig3_incomplete"))
+        .args(["--smoke", "--json"])
+        .arg(&path)
+        .output()
+        .expect("fig3_incomplete runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("error: --json {}: ", path.display())),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing may run: {:?}", out.stdout);
 }
 
 /// `trace-report` and `ansor-top` parse their own flags, to the same rule.
