@@ -6,7 +6,7 @@
 //! - the trace's table of contents (event counts);
 //! - best-latency-vs-trials curves per task (`MeasureBatch`);
 //! - the phase-time breakdown from the final `PhaseProfile` snapshot;
-//! - cost-model accuracy drift over retrains (`ModelRetrain`);
+//! - held-out cost-model calibration over time (`ModelCalibration`);
 //! - the task scheduler's per-task allocation table (`SchedulerStep`);
 //! - aggregate measurement-failure kinds.
 //!
@@ -15,8 +15,7 @@
 //!
 //! - sketch-rule efficacy (proposed → survived → measured → new-best);
 //! - evolution-operator efficacy (same funnel, per operator);
-//! - the lineage of each task's best state (`ImprovementAttributed`);
-//! - held-out cost-model calibration over time (`ModelCalibration`).
+//! - the lineage of each task's best state (`ImprovementAttributed`).
 //!
 //! With `--serve <journal.jsonl>` it reports on an `ansor-serve` daemon
 //! instead: the per-job lifecycle table (queue wait, run time, outcome,
@@ -42,7 +41,7 @@ use std::io::{Seek as _, SeekFrom, Write as _};
 
 use ansor_bench::{flag_value, fmt_seconds, print_table, sparkline};
 use serde::Serialize;
-use telemetry::report::{self, CalibrationPoint, Efficacy, ImprovementPoint, ModelPoint};
+use telemetry::report::{self, CalibrationPoint, Efficacy, ImprovementPoint};
 use telemetry::{HistogramSummary, TraceLine};
 
 /// Everything `trace-report` can print, as one serializable document
@@ -55,7 +54,6 @@ struct Report {
     event_counts: BTreeMap<String, u64>,
     best_curves: BTreeMap<String, Vec<(u64, f64)>>,
     phase_breakdown: Vec<(String, HistogramSummary)>,
-    model_drift: Vec<ModelPoint>,
     allocations: BTreeMap<String, u64>,
     final_counters: BTreeMap<String, u64>,
     error_kinds: BTreeMap<String, u64>,
@@ -77,7 +75,6 @@ impl Report {
                 .collect(),
             best_curves: report::best_curves(lines),
             phase_breakdown: report::phase_breakdown(lines),
-            model_drift: report::model_drift(lines),
             allocations: report::allocations(lines),
             final_counters: report::final_counters(lines),
             error_kinds: report::error_kinds(lines),
@@ -366,7 +363,7 @@ fn main() {
 }
 
 /// The default tables: event counts, convergence curves, phase times,
-/// model drift, scheduler allocations, cache counters, failure kinds.
+/// model calibration, scheduler allocations, cache counters, failure kinds.
 fn print_summary(rep: &Report) {
     print_table(
         "Event counts",
@@ -432,21 +429,27 @@ fn print_summary(rep: &Report) {
         );
     }
 
-    if !rep.model_drift.is_empty() {
-        let rows: Vec<Vec<String>> = sample_rows(&rep.model_drift, 12)
+    if !rep.calibration.is_empty() {
+        let rows: Vec<Vec<String>> = sample_rows(&rep.calibration, 12)
             .map(|p| {
                 vec![
                     p.seq.to_string(),
                     p.task.clone(),
+                    p.batch.to_string(),
                     p.pairs.to_string(),
-                    format!("{:.3}", p.ranking_loss),
-                    format!("{:.3}", p.rank_corr),
+                    format!("{:.3}", p.rank_acc),
+                    format!("{:.2}", p.top1_recall),
+                    format!("{:.2}", p.top8_recall),
+                    format!("{:.3}", p.err_p50),
+                    format!("{:.3}", p.err_p90),
                 ]
             })
             .collect();
         print_table(
-            "Cost-model accuracy drift (retrains over time)",
-            &["seq", "task", "pairs", "ranking loss", "rank corr"],
+            "Held-out model calibration over time",
+            &[
+                "seq", "task", "batch", "pairs", "rank acc", "top-1", "top-8", "err p50", "err p90",
+            ],
             &rows,
         );
     }
@@ -510,9 +513,9 @@ fn print_summary(rep: &Report) {
                 &rows,
             );
         }
-        if let Some(n) = rep.final_counters.get("features/extract_failed") {
-            println!("feature extraction failures recorded: {n}");
-        }
+    }
+    if let Some(n) = rep.event_counts.get("FeatureExtractFailed") {
+        println!("feature extraction failures recorded: {n}");
     }
 
     if !rep.error_kinds.is_empty() {
@@ -574,30 +577,6 @@ fn print_explain(rep: &Report) {
                 "gen",
                 "improvements",
                 "sketch-rule chain",
-            ],
-            &rows,
-        );
-    }
-    if !rep.calibration.is_empty() {
-        let rows: Vec<Vec<String>> = sample_rows(&rep.calibration, 12)
-            .map(|p| {
-                vec![
-                    p.seq.to_string(),
-                    p.task.clone(),
-                    p.batch.to_string(),
-                    p.pairs.to_string(),
-                    format!("{:.3}", p.rank_acc),
-                    format!("{:.2}", p.top1_recall),
-                    format!("{:.2}", p.top8_recall),
-                    format!("{:.3}", p.err_p50),
-                    format!("{:.3}", p.err_p90),
-                ]
-            })
-            .collect();
-        print_table(
-            "Held-out model calibration over time",
-            &[
-                "seq", "task", "batch", "pairs", "rank acc", "top-1", "top-8", "err p50", "err p90",
             ],
             &rows,
         );

@@ -119,8 +119,8 @@ pub struct ModelCheckpoint {
     pub trained_on: Option<usize>,
     /// Whether that prefix's training pass had already run (is among
     /// `train_passes`). The killed run then never runs it again, so the
-    /// resumed model's first read repeats it silently: no `GbdtRound` or
-    /// `ModelRetrain` event, no pass counted. Absent: `false`.
+    /// resumed model's first read repeats it silently: no `GbdtRound`
+    /// event, no pass counted. Absent: `false`.
     #[serde(default)]
     pub trained: bool,
     /// How many of the records a warm start absorbed before the session

@@ -298,62 +298,10 @@ impl LearnedCostModel {
         self.records.len()
     }
 
-    /// Installs a telemetry handle: retrains are timed and emit
-    /// `ModelRetrain` trace events with ranking-quality metrics.
+    /// Installs a telemetry handle: retrains are timed and emit their
+    /// `GbdtRound` trace events.
     pub fn set_telemetry(&mut self, telemetry: telemetry::Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Ranking quality of the current model over the most recent (up to
-    /// `cap`) finite-time records: number of comparable pairs, the fraction
-    /// predicted in the wrong order (a higher score must mean a lower
-    /// measured time), and the Kendall-style rank correlation
-    /// `(concordant − discordant) / pairs`. `None` without a trained model
-    /// or with fewer than two comparable records.
-    pub fn ranking_quality(&self, cap: usize) -> Option<(u64, f64, f64)> {
-        self.ranking_quality_of(self.model()?, &self.records, cap)
-    }
-
-    /// [`ranking_quality`](LearnedCostModel::ranking_quality) of `model`
-    /// over `records`.
-    fn ranking_quality_of(
-        &self,
-        model: &Gbdt,
-        records: &[Record],
-        cap: usize,
-    ) -> Option<(u64, f64, f64)> {
-        let recent: Vec<&Record> = records
-            .iter()
-            .rev()
-            .filter(|r| self.is_eligible(r))
-            .take(cap)
-            .collect();
-        if recent.len() < 2 {
-            return None;
-        }
-        let scores: Vec<f64> = recent
-            .iter()
-            .map(|r| self.score_rows(model, self.features.segment_slice(r.seg)))
-            .collect();
-        let mut pairs = 0u64;
-        let mut discordant = 0u64;
-        for i in 0..recent.len() {
-            for j in i + 1..recent.len() {
-                // Ignore pairs too close to call (measurement jitter).
-                if (recent[i].seconds / recent[j].seconds).ln().abs() < 0.05 {
-                    continue;
-                }
-                pairs += 1;
-                if (scores[i] > scores[j]) != (recent[i].seconds < recent[j].seconds) {
-                    discordant += 1;
-                }
-            }
-        }
-        if pairs == 0 {
-            return None;
-        }
-        let loss = discordant as f64 / pairs as f64;
-        Some((pairs, loss, 1.0 - 2.0 * loss))
     }
 
     /// Rebuilds this model from a checkpoint: the records and the trained
@@ -532,7 +480,7 @@ impl LearnedCostModel {
     }
 
     /// One training pass over the window of `records[..trained_on]`, with
-    /// its `GbdtRound` and `ModelRetrain` events; `None` when the window
+    /// its `GbdtRound` event; `None` when the window
     /// has nothing to fit.
     fn train(&self) -> Option<Arc<TrainedModel>> {
         if !self.has_training_rows(self.trained_on) {
@@ -582,18 +530,6 @@ impl LearnedCostModel {
             &self.telemetry
         };
         let model = Gbdt::traced_pass(x, &y, &w, telemetry, || self.fit(x, &y, &w), |m| &m.gbdt);
-        if telemetry.is_tracing() {
-            if let Some((pairs, ranking_loss, rank_corr)) =
-                self.ranking_quality_of(&model.gbdt, records, 200)
-            {
-                self.telemetry.emit(|| telemetry::TraceEvent::ModelRetrain {
-                    task: last.task.clone(),
-                    pairs,
-                    ranking_loss,
-                    pred_vs_measured_rank_corr: rank_corr,
-                });
-            }
-        }
         Some(model)
     }
 
@@ -696,8 +632,8 @@ impl LearnedCostModel {
     /// scores the just-measured batch with `model`, the one the batch was
     /// picked under, and
     /// emits a `ModelCalibration` event — pairwise rank accuracy over
-    /// comparable pairs (≥5% measured gap, mirroring `ranking_quality`'s
-    /// ln-ratio threshold), top-k recall for k = 1 and 8, and quantiles of
+    /// comparable pairs (measured times at least 5% apart in ln-ratio, so
+    /// jitter is not ranked), top-k recall for k = 1 and 8, and quantiles of
     /// |normalized score − normalized throughput|. Reuses the feature
     /// blocks already extracted for the batch, so it adds no cache
     /// traffic. Skipped (no event) when fewer than two candidates are
@@ -1294,7 +1230,6 @@ mod tests {
         assert_eq!(bits(&restored.predict(&t, &probe)), want);
         assert!(model.is_trained() && restored.is_trained());
         assert_eq!(bits(&restored.predict(&t, &probe)), want);
-        assert!(restored.ranking_quality(200).is_some());
         assert_eq!((passes(&tel), passes(&restored_tel)), (1, 1));
         assert!(want.iter().collect::<HashSet<_>>().len() > 1);
     }

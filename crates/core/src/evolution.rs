@@ -26,7 +26,7 @@
 //! order of the other steps, so a crossover child can pass the check with
 //! an annotation step inside that prefix (see `is_sketch_aligned`).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use rand::prelude::*;
@@ -113,7 +113,7 @@ impl Default for EvolutionConfig {
 }
 
 /// Counters describing one [`evolutionary_search_with_stats`] invocation
-/// (for the tuning trace's `EvolutionStats` and `OperatorStats` events).
+/// (for the tuning trace's `EvolutionStats` event).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvolutionStats {
     /// Generations actually run.
@@ -127,11 +127,6 @@ pub struct EvolutionStats {
     pub crossover_fallbacks: u64,
     /// Best (highest) cost-model score seen across all generations.
     pub best_predicted: f64,
-    /// Offspring successfully proposed, per operator name.
-    pub proposed_by_op: BTreeMap<&'static str, u64>,
-    /// Offspring successfully proposed, per sketch-rule name (each
-    /// offspring counts once for every rule in its derivation chain).
-    pub proposed_by_rule: BTreeMap<&'static str, u64>,
 }
 
 /// One lane's result: the individual landing at that population index,
@@ -186,11 +181,12 @@ pub fn evolutionary_search_with_stats(
 }
 
 /// The search loop proper, with a per-generation `observer` hook
-/// `(generation, population, stats)` invoked after each generation's
-/// offspring replace the population (used by the oracle differential
-/// test; a no-op closure in production).
+/// `(generation, offspring, stats)` invoked once each generation's
+/// offspring are stamped, before they replace the population: the search
+/// policy's efficacy funnel counts the fresh ones (a fallback lane's parent
+/// may carry any generation number from an earlier round).
 #[allow(clippy::too_many_arguments)]
-fn evolve(
+pub(crate) fn evolve(
     task: &SearchTask,
     sketches: &[Sketch],
     init: Vec<Individual>,
@@ -200,7 +196,7 @@ fn evolve(
     banned: &HashSet<u64>,
     evolution_seed: u64,
     rng: &mut impl Rng,
-    observer: &mut dyn FnMut(u64, &[Individual], &EvolutionStats),
+    observer: &mut dyn FnMut(u64, &[Offspring], &EvolutionStats),
 ) -> (Vec<Individual>, EvolutionStats) {
     assert!(!init.is_empty(), "evolution needs a non-empty population");
     let mut stats = EvolutionStats {
@@ -245,32 +241,25 @@ fn evolve(
         }
         best.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
         best.truncate(4 * top_k.max(8));
-        let Some(offspring) = offspring else {
+        let Some(mut offspring) = offspring else {
             break;
         };
         stats.generations += 1;
-        let mut next = Vec::with_capacity(offspring.len());
-        for off in offspring {
+        for off in &mut offspring {
             stats.crossover_fallbacks += off.crossover_fell_back as u64;
-            let mut ind = off.individual;
             if off.fresh {
-                ind.lineage.generation = stats.generations;
-                match ind.lineage.op {
+                off.individual.lineage.generation = stats.generations;
+                match off.individual.lineage.op {
                     Operator::Crossover => stats.crossovers_applied += 1,
                     _ => stats.mutations_applied += 1,
                 }
-                *stats
-                    .proposed_by_op
-                    .entry(ind.lineage.op.name())
-                    .or_insert(0) += 1;
-                for &rule in ind.rules(sketches) {
-                    *stats.proposed_by_rule.entry(rule).or_insert(0) += 1;
-                }
             }
-            next.push(ind);
         }
-        population = next;
-        observer(stats.generations, &population, &stats);
+        observer(stats.generations, &offspring, &stats);
+        // A fresh vector, not the offspring's buffer collected in place:
+        // that one is sized for the larger `Offspring`.
+        population = Vec::with_capacity(offspring.len());
+        population.extend(offspring.into_iter().map(|off| off.individual));
     }
     if let Some((score, _)) = best.first() {
         stats.best_predicted = *score;
@@ -787,13 +776,27 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(10);
         let banned = HashSet::new();
-        let (best, stats) = evolutionary_search_with_stats(
-            &t, &sketches, pop, &model, &cfg, 8, &banned, 42, &mut rng,
+        let mut fresh = 0u64;
+        let (best, stats) = evolve(
+            &t,
+            &sketches,
+            pop,
+            &model,
+            &cfg,
+            8,
+            &banned,
+            42,
+            &mut rng,
+            &mut |g, offspring, _| {
+                for off in offspring.iter().filter(|off| off.fresh) {
+                    assert_eq!(off.individual.lineage.generation, g);
+                    fresh += 1;
+                }
+            },
         );
         let applied = stats.mutations_applied + stats.crossovers_applied;
-        let proposed: u64 = stats.proposed_by_op.values().sum();
-        assert_eq!(proposed, applied, "every applied operator is tallied");
-        assert!(!stats.proposed_by_rule.is_empty());
+        assert!(applied > 0);
+        assert_eq!(fresh, applied, "every applied operator's child is seen");
         // Any non-seed survivor must have a generation within the run and
         // consistent parent counts for its operator.
         for ind in &best {
@@ -1018,7 +1021,7 @@ mod tests {
         banned: &HashSet<u64>,
         evolution_seed: u64,
         rng: &mut impl Rng,
-        observer: &mut dyn FnMut(u64, &[Individual], &EvolutionStats),
+        observer: &mut dyn FnMut(u64, &[Offspring], &EvolutionStats),
     ) -> (Vec<Individual>, EvolutionStats) {
         let mut stats = EvolutionStats {
             best_predicted: f64::NEG_INFINITY,
@@ -1102,24 +1105,25 @@ mod tests {
                     None => mutate(task, sketches, parent, &cfg.annotation, &mut lane_rng),
                 };
                 stats.crossover_fallbacks += fell_back as u64;
-                match child {
+                let (individual, fresh) = match child {
                     Some(mut c) => {
                         c.lineage.generation = stats.generations;
                         match c.lineage.op {
                             Operator::Crossover => stats.crossovers_applied += 1,
                             _ => stats.mutations_applied += 1,
                         }
-                        *stats.proposed_by_op.entry(c.lineage.op.name()).or_insert(0) += 1;
-                        for &rule in &sketches[c.sketch].rule_chain {
-                            *stats.proposed_by_rule.entry(rule).or_insert(0) += 1;
-                        }
-                        next.push(c);
+                        (c, true)
                     }
-                    None => next.push(deep_copy(parent)),
-                }
+                    None => (deep_copy(parent), false),
+                };
+                next.push(Offspring {
+                    individual,
+                    fresh,
+                    crossover_fell_back: fell_back,
+                });
             }
-            population = next;
-            observer(stats.generations, &population, &stats);
+            observer(stats.generations, &next, &stats);
+            population = next.into_iter().map(|off| off.individual).collect();
         }
         if let Some((score, _)) = best.first() {
             stats.best_predicted = *score;
@@ -1132,13 +1136,24 @@ mod tests {
     /// sketch index, and full lineage of every slot, in slot order.
     type Fingerprint = Vec<(u64, usize, Lineage)>;
 
-    /// What the observer hook records per generation.
-    type GenerationLog = Vec<(u64, Fingerprint, EvolutionStats)>;
+    /// What the observer hook records per generation: each lane's
+    /// fingerprint and whether its offspring is fresh, and the stats.
+    type GenerationLog = Vec<(u64, Vec<(u64, usize, Lineage, bool)>, EvolutionStats)>;
 
     fn fingerprint(pop: &[Individual]) -> Fingerprint {
         pop.iter()
             .map(|p| (p.signature(), p.sketch, p.lineage.clone()))
             .collect()
+    }
+
+    fn log_to(log: &mut GenerationLog) -> impl FnMut(u64, &[Offspring], &EvolutionStats) + '_ {
+        |g, offspring, stats| {
+            let lanes = offspring.iter().map(|off| {
+                let p = &off.individual;
+                (p.signature(), p.sketch, p.lineage.clone(), off.fresh)
+            });
+            log.push((g, lanes.collect(), stats.clone()));
+        }
     }
 
     #[test]
@@ -1171,7 +1186,7 @@ mod tests {
                 &banned,
                 evolution_seed,
                 &mut rng,
-                &mut |g, p, s| evo_gens.push((g, fingerprint(p), s.clone())),
+                &mut log_to(&mut evo_gens),
             );
 
             let mut ref_gens: GenerationLog = Vec::new();
@@ -1186,7 +1201,7 @@ mod tests {
                 &banned,
                 evolution_seed,
                 &mut rng,
-                &mut |g, p, s| ref_gens.push((g, fingerprint(p), s.clone())),
+                &mut log_to(&mut ref_gens),
             );
 
             assert_eq!(evo_gens.len(), ref_gens.len(), "seed {seed}");

@@ -26,19 +26,18 @@ use telemetry::{EfficacyRow, Telemetry, TraceEvent};
 use crate::annotate::sample_program;
 use crate::checkpoint::{rng_state_from, BestEntry, PolicyCheckpoint};
 use crate::cost_model::{CostModel, LearnedCostModel};
-use crate::evolution::{
-    evolutionary_search_with_stats, is_sketch_aligned, EvolutionConfig, Individual,
-};
+use crate::evolution::{evolve, is_sketch_aligned, EvolutionConfig, Individual};
 use crate::lineage::{Lineage, Operator};
 use crate::records::TuningRecordLog;
 use crate::search_task::SearchTask;
 use crate::sketch::{generate_sketches, Sketch};
 
 /// Per-round efficacy tallies (proposed / survived / measured / new-best)
-/// keyed by operator and by sketch rule. Only maintained while telemetry is
-/// enabled — search behaviour never depends on it.
+/// keyed by operator and by sketch rule, for the `OperatorStats` event.
+/// Counts only while tracing (`on`) — search behaviour never depends on it.
 #[derive(Default)]
 struct EfficacyTally {
+    on: bool,
     ops: BTreeMap<&'static str, [u64; 4]>,
     rules: BTreeMap<&'static str, [u64; 4]>,
 }
@@ -50,12 +49,22 @@ impl EfficacyTally {
     const MEASURED: usize = 2;
     const NEW_BEST: usize = 3;
 
-    /// Counts `ind` at `stage` under its operator and under each rule of
-    /// its sketch's chain, once per appearance.
-    fn add(&mut self, ind: &Individual, sketches: &[Sketch], stage: usize) {
-        self.ops.entry(ind.lineage.op.name()).or_default()[stage] += 1;
-        for &rule in ind.rules(sketches) {
-            self.rules.entry(rule).or_default()[stage] += 1;
+    /// Counts each of `inds` at `stage` under its operator and under each
+    /// rule of its sketch's chain, once per appearance.
+    fn add<'a>(
+        &mut self,
+        inds: impl IntoIterator<Item = &'a Individual>,
+        sketches: &[Sketch],
+        stage: usize,
+    ) {
+        if !self.on {
+            return;
+        }
+        for ind in inds {
+            self.ops.entry(ind.lineage.op.name()).or_default()[stage] += 1;
+            for &rule in ind.rules(sketches) {
+                self.rules.entry(rule).or_default()[stage] += 1;
+            }
         }
     }
 
@@ -401,19 +410,17 @@ impl SketchPolicy {
             trials_so_far: self.trials,
         });
         let batch = self.options.measures_per_round.min(remaining);
-        // Efficacy tallies only accumulate while telemetry is enabled; the
-        // search path itself is identical either way.
-        let observe = tel.is_enabled();
-        let mut tally = EfficacyTally::default();
+        // Efficacy tallies only accumulate while tracing; the search path
+        // itself is identical either way.
+        let mut tally = EfficacyTally {
+            on: tel.is_tracing(),
+            ..Default::default()
+        };
         let mut population = {
             let _phase = tel.span("annotation_sampling");
             self.sample_random(self.options.init_population)
         };
-        if observe {
-            for ind in &population {
-                tally.add(ind, &self.sketches, EfficacyTally::PROPOSED);
-            }
-        }
+        tally.add(&population, &self.sketches, EfficacyTally::PROPOSED);
         for (_, ind) in self.best_measured.iter().take(RETAINED_BEST) {
             population.push(ind.clone());
         }
@@ -433,7 +440,7 @@ impl SketchPolicy {
                 let evolution_seed = self.rng.next_u64();
                 let (candidates, stats) = {
                     let _phase = tel.span("evolution");
-                    evolutionary_search_with_stats(
+                    evolve(
                         &self.task,
                         &self.sketches,
                         shuffled,
@@ -443,44 +450,29 @@ impl SketchPolicy {
                         &self.quarantined,
                         evolution_seed,
                         &mut self.rng,
+                        &mut |_, offspring, _| {
+                            let fresh = offspring.iter().filter(|off| off.fresh);
+                            let children = fresh.map(|off| &off.individual);
+                            tally.add(children, &self.sketches, EfficacyTally::PROPOSED);
+                        },
                     )
                 };
-                tel.emit(|| {
-                    let offspring = stats.mutations_applied + stats.crossovers_applied;
-                    TraceEvent::EvolutionStats {
-                        task: self.task.name.clone(),
-                        generations: stats.generations,
-                        mutations_applied: stats.mutations_applied,
-                        crossovers_applied: stats.crossovers_applied,
-                        crossover_rate: if offspring > 0 {
-                            stats.crossovers_applied as f64 / offspring as f64
-                        } else {
-                            0.0
-                        },
-                        // NEG_INFINITY (nothing scored) has no JSON encoding.
-                        best_predicted: if stats.best_predicted.is_finite() {
-                            stats.best_predicted
-                        } else {
-                            0.0
-                        },
-                    }
+                tel.emit(|| TraceEvent::EvolutionStats {
+                    task: self.task.name.clone(),
+                    generations: stats.generations,
+                    mutations_applied: stats.mutations_applied,
+                    crossovers_applied: stats.crossovers_applied,
+                    // NEG_INFINITY (nothing scored) has no JSON encoding.
+                    best_predicted: if stats.best_predicted.is_finite() {
+                        stats.best_predicted
+                    } else {
+                        0.0
+                    },
                 });
-                if observe {
-                    for (op, n) in &stats.proposed_by_op {
-                        tally.ops.entry(op).or_default()[EfficacyTally::PROPOSED] += n;
-                    }
-                    for (rule, n) in &stats.proposed_by_rule {
-                        tally.rules.entry(rule).or_default()[EfficacyTally::PROPOSED] += n;
-                    }
-                }
                 candidates
             }
         };
-        if observe {
-            for c in &candidates {
-                tally.add(c, &self.sketches, EfficacyTally::SURVIVED);
-            }
-        }
+        tally.add(&candidates, &self.sketches, EfficacyTally::SURVIVED);
         // Pick unmeasured candidates, reserving an ε share for random
         // exploration.
         let n_random = ((batch as f64) * self.options.eps_random).round() as usize;
@@ -494,20 +486,14 @@ impl SketchPolicy {
             }
         }
         let extra = self.sample_random(batch - to_measure.len());
-        if observe {
-            // ε-greedy extras skip selection: proposed and survived at once.
-            for c in &extra {
-                tally.add(c, &self.sketches, EfficacyTally::PROPOSED);
-            }
-        }
+        // ε-greedy extras skip selection: proposed and survived at once.
+        tally.add(&extra, &self.sketches, EfficacyTally::PROPOSED);
         for c in extra {
             if to_measure.len() >= batch {
                 break;
             }
             if self.measured_signatures.insert(c.signature()) {
-                if observe {
-                    tally.add(&c, &self.sketches, EfficacyTally::SURVIVED);
-                }
+                tally.add([&c], &self.sketches, EfficacyTally::SURVIVED);
                 to_measure.push(c);
             }
         }
@@ -543,9 +529,7 @@ impl SketchPolicy {
         for (ind, res) in to_measure.into_iter().zip(results) {
             self.trials += 1;
             let seconds = res.seconds;
-            if observe {
-                tally.add(&ind, &self.sketches, EfficacyTally::MEASURED);
-            }
+            tally.add([&ind], &self.sketches, EfficacyTally::MEASURED);
             tel.emit(|| TraceEvent::CandidateOrigin {
                 task: self.task.name.clone(),
                 trial: self.trials,
@@ -566,9 +550,7 @@ impl SketchPolicy {
             }
             let prev_best = self.best_seconds();
             if res.is_valid() && seconds < prev_best {
-                if observe {
-                    tally.add(&ind, &self.sketches, EfficacyTally::NEW_BEST);
-                }
+                tally.add([&ind], &self.sketches, EfficacyTally::NEW_BEST);
                 tel.emit(|| TraceEvent::ImprovementAttributed {
                     task: self.task.name.clone(),
                     trial: self.trials,
@@ -599,30 +581,16 @@ impl SketchPolicy {
                 best_seconds: self.best_seconds().min(seconds),
             });
         }
-        if observe {
-            for (prefix, counts) in [("evolution/op", &tally.ops), ("search/rule", &tally.rules)] {
-                for (name, t) in counts {
-                    for (stage, label) in ["proposed", "survived", "measured", "new_best"]
-                        .iter()
-                        .enumerate()
-                    {
-                        if t[stage] > 0 {
-                            tel.incr(&format!("{prefix}/{name}/{label}"), t[stage]);
-                        }
-                    }
-                }
-            }
-            tel.emit(|| TraceEvent::OperatorStats {
-                task: self.task.name.clone(),
-                round,
-                operators: EfficacyTally::rows(&tally.ops),
-                rules: EfficacyTally::rows(&tally.rules),
-            });
-        }
+        tel.emit(|| TraceEvent::OperatorStats {
+            task: self.task.name.clone(),
+            round,
+            operators: EfficacyTally::rows(&tally.ops),
+            rules: EfficacyTally::rows(&tally.rules),
+        });
         if self.options.variant != PolicyVariant::NoFineTuning {
             model.update(&self.task, &measured_states, &measured_secs);
         }
-        if observe {
+        if tel.is_enabled() {
             self.publish_progress(&tel);
         }
         measured_states.len()
@@ -1091,11 +1059,13 @@ mod tests {
                 ..Lineage::default()
             },
         };
-        let mut tally = EfficacyTally::default();
-        tally.add(&sampled, &sketches, EfficacyTally::PROPOSED);
+        let mut tally = EfficacyTally {
+            on: true,
+            ..Default::default()
+        };
         // A seed's sketch index is a guess: it counts under no rule.
         let seed = Individual::new(state, 0);
-        tally.add(&seed, &sketches, EfficacyTally::PROPOSED);
+        tally.add([&sampled, &seed], &sketches, EfficacyTally::PROPOSED);
         let proposed = |counts| -> Vec<(String, u64)> {
             EfficacyTally::rows(counts)
                 .into_iter()

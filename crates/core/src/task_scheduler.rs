@@ -90,11 +90,12 @@ const BETA: f64 = 2.0;
 /// Backward window Δt of the gradient's backward difference (Appendix A).
 const BACKWARD_WINDOW: usize = 3;
 
+/// Trust weight α of the backward-difference gradient term (Appendix A).
+const ALPHA: f64 = 0.2;
+
 /// Scheduler hyper-parameters (defaults follow the paper).
 #[derive(Debug, Clone)]
 pub struct TaskSchedulerConfig {
-    /// Trust weight for the backward-difference gradient term.
-    pub alpha: f64,
     /// ε-greedy exploration probability.
     pub eps: f64,
     /// Allocation strategy.
@@ -106,7 +107,6 @@ pub struct TaskSchedulerConfig {
 impl Default for TaskSchedulerConfig {
     fn default() -> Self {
         TaskSchedulerConfig {
-            alpha: 0.2,
             eps: 0.05,
             strategy: Strategy::GradientDescent,
             seed: 0,
@@ -333,7 +333,7 @@ impl TaskScheduler {
             f64::INFINITY
         };
         let forward = optimistic.min(similarity);
-        let combined = dfdg * (self.cfg.alpha * backward + (1.0 - self.cfg.alpha) * forward);
+        let combined = dfdg * (ALPHA * backward + (1.0 - ALPHA) * forward);
         (backward, optimistic, similarity, combined)
     }
 

@@ -57,38 +57,6 @@ pub fn phase_breakdown(lines: &[TraceLine]) -> Vec<(String, HistogramSummary)> {
     phases
 }
 
-/// One `ModelRetrain` observation, in trace order.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ModelPoint {
-    pub seq: u64,
-    pub task: String,
-    pub pairs: u64,
-    pub ranking_loss: f64,
-    pub rank_corr: f64,
-}
-
-/// Cost-model accuracy drift over the run: every retrain event in order.
-pub fn model_drift(lines: &[TraceLine]) -> Vec<ModelPoint> {
-    lines
-        .iter()
-        .filter_map(|l| match &l.event {
-            TraceEvent::ModelRetrain {
-                task,
-                pairs,
-                ranking_loss,
-                pred_vs_measured_rank_corr,
-            } => Some(ModelPoint {
-                seq: l.seq,
-                task: task.clone(),
-                pairs: *pairs,
-                ranking_loss: *ranking_loss,
-                rank_corr: *pred_vs_measured_rank_corr,
-            }),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Per-task allocation from `SchedulerStep` events: how many rounds the task
 /// scheduler granted each task, and the final objective it reported.
 pub fn allocations(lines: &[TraceLine]) -> BTreeMap<String, u64> {
@@ -137,7 +105,6 @@ pub fn event_counts(lines: &[TraceLine]) -> BTreeMap<&'static str, u64> {
             TraceEvent::SketchStats { .. } => "SketchStats",
             TraceEvent::EvolutionStats { .. } => "EvolutionStats",
             TraceEvent::MeasureBatch { .. } => "MeasureBatch",
-            TraceEvent::ModelRetrain { .. } => "ModelRetrain",
             TraceEvent::GbdtRound { .. } => "GbdtRound",
             TraceEvent::SchedulerStep { .. } => "SchedulerStep",
             TraceEvent::FeatureExtractFailed { .. } => "FeatureExtractFailed",
@@ -363,7 +330,7 @@ mod tests {
     }
 
     #[test]
-    fn drift_and_counts_and_phases() {
+    fn counts_and_phases() {
         let mut snapshot = crate::MetricsSnapshot::default();
         let mut h = crate::Histogram::default();
         h.observe(0.5);
@@ -373,23 +340,19 @@ mod tests {
         let lines = vec![
             line(
                 0,
-                TraceEvent::ModelRetrain {
-                    task: "a".into(),
-                    pairs: 64,
-                    ranking_loss: 0.4,
-                    pred_vs_measured_rank_corr: 0.2,
+                TraceEvent::GbdtRound {
+                    round: 1,
+                    trees: 25,
+                    train_loss: 0.4,
                 },
             ),
             line(1, TraceEvent::PhaseProfile { snapshot }),
         ];
-        let drift = model_drift(&lines);
-        assert_eq!(drift.len(), 1);
-        assert_eq!(drift[0].pairs, 64);
         let phases = phase_breakdown(&lines);
         assert_eq!(phases.len(), 1);
         assert_eq!(phases[0].0, "phase/evolution");
         let counts = event_counts(&lines);
-        assert_eq!(counts["ModelRetrain"], 1);
+        assert_eq!(counts["GbdtRound"], 1);
         assert_eq!(counts["PhaseProfile"], 1);
     }
 

@@ -30,7 +30,6 @@ pub enum TraceEvent {
         generations: u64,
         mutations_applied: u64,
         crossovers_applied: u64,
-        crossover_rate: f64,
         best_predicted: f64,
     },
     /// One hardware-measurement batch finished. `best_seconds` is `None`
@@ -42,13 +41,6 @@ pub enum TraceEvent {
         failed: u64,
         error_kinds: Vec<(String, u64)>,
         best_seconds: Option<f64>,
-    },
-    /// The learned cost model was retrained on the measurement history.
-    ModelRetrain {
-        task: String,
-        pairs: u64,
-        ranking_loss: f64,
-        pred_vs_measured_rank_corr: f64,
     },
     /// One boosting round inside GBDT training.
     GbdtRound {
@@ -235,7 +227,6 @@ mod tests {
                 generations: 4,
                 mutations_applied: 37,
                 crossovers_applied: 11,
-                crossover_rate: 0.229,
                 best_predicted: 1.5,
             },
             TraceEvent::MeasureBatch {
@@ -251,12 +242,6 @@ mod tests {
                 failed: 8,
                 error_kinds: vec![("lowering".into(), 8)],
                 best_seconds: None,
-            },
-            TraceEvent::ModelRetrain {
-                task: "conv2d".into(),
-                pairs: 120,
-                ranking_loss: 0.31,
-                pred_vs_measured_rank_corr: 0.38,
             },
             TraceEvent::SchedulerStep {
                 step: 3,
@@ -383,17 +368,30 @@ mod tests {
 
     #[test]
     fn events_of_removed_kinds_are_skipped_not_fatal() {
-        // Traces recorded while the two-stage scorer existed carry
-        // `SurrogateCalibration` lines; the variant is gone, the files are
-        // not.
+        // Old traces carry `SurrogateCalibration` lines (the two-stage
+        // scorer), `ModelRetrain` lines (an in-sample rank check) and an
+        // `EvolutionStats.crossover_rate` key; the variants and the key are
+        // gone, the files are not.
         let text = concat!(
-            r#"{"event":{"RoundStart":{"task":"t","round":0,"trials_so_far":0}},"seq":0,"t_ms":0.0}"#,
+            r#"{"event":{"EvolutionStats":{"best_predicted":0.99,"crossover_rate":0.095,"crossovers_applied":36,"generations":4,"mutations_applied":343,"task":"t"}},"seq":0,"t_ms":0.0}"#,
             "\n",
             r#"{"event":{"SurrogateCalibration":{"task":"t","batch":128,"kept":32,"pairs":496,"rank_acc":0.81,"top1_agree":true}},"seq":1,"t_ms":1.0}"#,
             "\n",
+            r#"{"event":{"ModelRetrain":{"pairs":117,"pred_vs_measured_rank_corr":1.0,"ranking_loss":0.0,"task":"t"}},"seq":2,"t_ms":2.0}"#,
+            "\n",
         );
         let (lines, skipped) = read_trace(text.as_bytes()).unwrap();
-        assert_eq!(lines.len(), 1);
-        assert_eq!(skipped, 1);
+        assert_eq!(skipped, 2);
+        let evolution = TraceEvent::EvolutionStats {
+            task: "t".into(),
+            generations: 4,
+            mutations_applied: 343,
+            crossovers_applied: 36,
+            best_predicted: 0.99,
+        };
+        assert_eq!(
+            lines.iter().map(|l| &l.event).collect::<Vec<_>>(),
+            [&evolution]
+        );
     }
 }

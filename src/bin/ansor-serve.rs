@@ -8,13 +8,13 @@
 //! Hosts concurrent tuning sessions over the newline-delimited JSON
 //! protocol (see docs/SERVING.md) with a persistent shared warm store.
 //! Submit work with `ansor-client`; stop with
-//! `ansor-client --addr <addr> shutdown`. Takes its own flags out of the
-//! command line and hands the rest to `ansor_bench::Args`, the experiment
-//! harnesses' parser (`--faults`, `--metrics-addr`, `--trace`), which also
-//! installs the allocation counter used by the live `/metrics` endpoint.
-//! An unknown flag is a usage error.
+//! `ansor-client --addr <addr> shutdown`. Parses every flag itself with
+//! the harnesses' helpers (`ansor_bench`, which also installs the
+//! allocation counter used by the live `/metrics` endpoint). An unknown
+//! flag is a usage error.
 
-use ansor_bench::{flag_value, parse_flag, Args};
+use ansor::hw::FaultPlan;
+use ansor_bench::{flag_value, parse_flag, start_telemetry, usage_error};
 use ansor_serve::{ServeConfig, Server};
 
 fn print_help() {
@@ -38,14 +38,15 @@ fn print_help() {
     );
 }
 
-/// Splits the command line into the daemon's own settings and the
-/// harness flags left for [`Args`].
-fn parse() -> (ServeConfig, Args) {
+/// Parses the command line into the daemon's settings, telemetry
+/// included, and installs the `--faults` plan for every measurer. Returns
+/// the `--trace` path too, for the closing message.
+fn parse() -> (ServeConfig, Option<String>) {
     let mut cfg = ServeConfig {
         addr: "127.0.0.1:4815".into(),
         ..ServeConfig::default()
     };
-    let mut rest = Vec::new();
+    let (mut trace, mut metrics_addr) = (None, None);
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut val = || flag_value(&a, it.next());
@@ -57,23 +58,26 @@ fn parse() -> (ServeConfig, Args) {
             "--store-budget" => cfg.store_budget = Some(parse_flag(&a, &val())),
             "--trace-dir" => cfg.trace_dir = Some(val()),
             "--journal" => cfg.journal_path = Some(val()),
+            "--faults" => cfg.faults = val(),
+            "--metrics-addr" => metrics_addr = Some(val()),
+            "--trace" => trace = Some(val()),
             "--help" | "-h" => {
                 print_help();
                 std::process::exit(0);
             }
-            _ => rest.push(a),
+            other => usage_error(format_args!("unknown flag {other:?}")),
         }
     }
-    let args = Args::parse_from(rest);
-    ansor::hw::set_default_plan(args.faults.clone());
-    cfg.faults = args.faults_spec.clone();
-    (cfg, args)
+    let plan = FaultPlan::parse(&cfg.faults)
+        .unwrap_or_else(|e| usage_error(format_args!("--faults: {e}")));
+    ansor::hw::set_default_plan((!plan.is_inert()).then_some(plan));
+    cfg.telemetry = start_telemetry(trace.as_deref(), metrics_addr.as_deref());
+    (cfg, trace)
 }
 
 fn main() {
-    let (mut cfg, args) = parse();
-    let telemetry = args.telemetry();
-    cfg.telemetry = telemetry.clone();
+    let (cfg, trace) = parse();
+    let telemetry = cfg.telemetry.clone();
     let (workers, queue_cap) = (cfg.workers, cfg.queue_cap);
     let store = cfg.store_path.clone();
     let server = Server::start(cfg).unwrap_or_else(|e| {
@@ -88,6 +92,9 @@ fn main() {
         store.as_deref().unwrap_or("in-memory")
     );
     server.wait();
-    args.finish_telemetry(&telemetry);
+    telemetry.flush();
+    if let Some(path) = &trace {
+        println!("(wrote trace to {path}; inspect with `trace-report {path}`)");
+    }
     println!("ansor-serve: drained and stopped");
 }

@@ -70,9 +70,6 @@ fn ansor_tune_reports_a_log_it_cannot_write() {
 fn ansor_serve_rejects_a_mistyped_number() {
     let bin = env!("CARGO_BIN_EXE_ansor-serve");
     assert_rejects(bin, &["--addr", "127.0.0.1:0", "--workers", "2x"]);
-    // What the daemon does not take for itself goes to `ansor_bench::Args`,
-    // shared with the experiment harnesses, which refuses what it does not
-    // know.
     assert_usage_error(
         bin,
         &["--addr", "127.0.0.1:0", "--threads", "2"],
@@ -83,6 +80,16 @@ fn ansor_serve_rejects_a_mistyped_number() {
         &["--store", "--journal", "journal.jsonl"],
         "--store: missing value",
     );
+    // The experiment harnesses' scale and output flags mean nothing to the
+    // daemon. The address cannot be bound, so a daemon that let one
+    // through exits 1 instead of serving.
+    for flags in ["--smoke", "--full", "--quiet", "--json x.json"] {
+        let args: Vec<&str> = flags
+            .split(' ')
+            .chain(["--addr", "no-such-address"])
+            .collect();
+        assert_usage_error(bin, &args, &format!("unknown flag {:?}", args[0]));
+    }
 }
 
 #[test]
