@@ -302,6 +302,7 @@ fn print_live(line: &TraceLine) {
 }
 
 fn main() {
+    ansor_bench::end_quietly_on_closed_stdout();
     let opts = parse_args();
     if let Some(journal) = opts.serve.clone() {
         serve_mode(&journal, &opts);

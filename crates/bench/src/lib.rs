@@ -79,6 +79,7 @@ impl Args {
     /// written ends the process with status 1 before any tuning, as a bad
     /// `--trace` path does.
     pub fn parse() -> Args {
+        end_quietly_on_closed_stdout();
         let args = Args::parse_from(std::env::args().skip(1));
         if let Some(path) = &args.json {
             if let Err(e) = std::fs::File::create(path) {
@@ -261,6 +262,23 @@ pub fn normalize_to_best(values: &[f64]) -> Vec<f64> {
         return vec![0.0; values.len()];
     }
     values.iter().map(|v| v / best).collect()
+}
+
+/// Makes a closed stdout end the process with status 0 and no message,
+/// as `… | head` expects. `println!` panics when its reader has gone away
+/// (Rust ignores `SIGPIPE`); the hook installed here exits on that panic
+/// alone and hands every other one to the previous hook. [`Args::parse`]
+/// installs it for every figure binary; a binary that parses its own flags
+/// calls it first.
+pub fn end_quietly_on_closed_stdout() {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let message = info.payload_as_str().unwrap_or("");
+        if message.starts_with("failed printing to stdout") && message.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        previous(info)
+    }));
 }
 
 /// Prints a Markdown pipe table under a title line, its columns padded

@@ -144,3 +144,47 @@ fn help_prints_the_usage_and_exits_0() {
         }
     }
 }
+
+/// Output piped into a reader that has gone away (`trace-report t.jsonl |
+/// head -1`) ends the run with status 0 and no panic message: the pipe's
+/// read end is closed before the binary starts, so its first line already
+/// finds no reader.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("closed-stdout");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_fig7_ablation"))
+        .args(["--smoke", "--quiet", "--trace"])
+        .arg(&trace)
+        .output()
+        .expect("fig7_ablation runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let runs: [(&str, Vec<&std::ffi::OsStr>); 2] = [
+        (
+            env!("CARGO_BIN_EXE_trace-report"),
+            vec![trace.as_os_str(), "--explain".as_ref()],
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig3_incomplete"),
+            vec!["--smoke".as_ref()],
+        ),
+    ];
+    for (bin, args) in runs {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(bin)
+            .args(&args)
+            .stdout(writer)
+            .output()
+            .expect("the binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{bin}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -20,6 +20,7 @@ use ansor_runtime::SigCache;
 use gbdt::{Gbdt, GbdtParams, Matrix, TreeParams};
 use tensor_ir::State;
 
+use crate::search_policy::SketchPolicy;
 use crate::search_task::SearchTask;
 
 /// Cached result of featurizing one state: the packed per-statement rows
@@ -74,14 +75,16 @@ impl Lookups {
     }
 }
 
-/// The running history hash with one more record folded in: the measured
-/// program's signature, the bits of its seconds and its task — everything
-/// a training pass reads of a record, since the record's features are a
-/// pure function of the signature.
-fn fold_record(history: u64, signature: u64, seconds: f64, task: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    (history, signature, seconds.to_bits(), task).hash(&mut h);
-    h.finish()
+/// The history hash of `records`: each measured program's signature, the
+/// bits of its seconds and its task, folded in order — everything a
+/// training pass reads of a record, since the record's features are a pure
+/// function of the signature.
+fn history_hash(records: &[Record]) -> u64 {
+    records.iter().fold(0, |history, r| {
+        let mut h = DefaultHasher::new();
+        (history, r.sig, r.seconds.to_bits(), &r.task).hash(&mut h);
+        h.finish()
+    })
 }
 
 /// Scores used to rank candidate programs; higher is better.
@@ -147,8 +150,8 @@ struct Record {
     seconds: f64,
     /// Task the record came from (normalization group).
     task: String,
-    /// Why feature extraction failed, if it did.
-    error: Option<String>,
+    /// Signature of the measured program.
+    sig: u64,
 }
 
 /// GBDT-backed learned cost model.
@@ -176,11 +179,6 @@ pub struct LearnedCostModel {
     /// for the next model to fill: a session's retrains reuse one table.
     spare_scores: Mutex<Option<SigCache<f64>>>,
     trained_on: usize,
-    /// Hash of every record so far ([`fold_record`]); `None` once a
-    /// `restore` brought in records without their programs.
-    history: Option<u64>,
-    /// `history` as it stood at `trained_on`.
-    trained_history: Option<u64>,
     /// Trained models shared with other models ([`LearnedCostModel::share_models`]).
     memo: Option<Arc<ModelMemo>>,
     /// The pass for `records[..trained_on]` already ran before a
@@ -227,8 +225,6 @@ impl LearnedCostModel {
             model: OnceLock::new(),
             spare_scores: Mutex::new(None),
             trained_on: 0,
-            history: Some(0),
-            trained_history: Some(0),
             memo: None,
             replay: false,
             warm_records: 0,
@@ -260,8 +256,6 @@ impl LearnedCostModel {
     /// history hash — is in `memo` recalls that model instead of fitting
     /// it; one that is not fits and leaves its model there. Both values
     /// are pure in their keys, so sharing changes no score and no result.
-    /// A model restored from a checkpoint has no programs to hash and
-    /// never reads or writes the memo.
     pub fn share_models(
         &mut self,
         memo: Arc<ModelMemo>,
@@ -304,70 +298,97 @@ impl LearnedCostModel {
         self.telemetry = telemetry;
     }
 
-    /// Rebuilds this model from a checkpoint: the records and the trained
-    /// prefix are restored and the first read trains the exact GBDT the
-    /// checkpointed model held, or would have trained on its own first read
-    /// (training is a pure function of `records[..trained_on]` — no RNG
-    /// state crosses calls). A checkpoint without `trained_on` restores as
-    /// trained on every record. The pass counter is re-seeded so
+    /// Rebuilds this model from a checkpoint: each record after the warm
+    /// start's (which the model must hold already) is the next valid record
+    /// of its task's log in `policies`, replayed, featurized and appended
+    /// as `update` appends it. The first read then trains the exact GBDT
+    /// the checkpointed model held, or would have trained on its own first
+    /// read (training is a pure function of `records[..trained_on]` — no
+    /// RNG state crosses calls). The pass counter is re-seeded so
     /// `GbdtRound` trace events in the resumed run continue the killed
     /// run's numbering, and a pass the killed run had already run is
     /// repeated without them.
-    pub fn restore(&mut self, ck: &crate::checkpoint::ModelCheckpoint) {
-        self.features = FeatureMatrix::new(FEATURE_DIM);
-        self.records = ck
-            .records
-            .iter()
-            .map(|r| Record {
-                seg: if r.features.is_empty() {
-                    self.features.push_empty_segment()
-                } else {
-                    self.features.push_segment(&r.features)
-                },
-                seconds: r.seconds.unwrap_or(f64::INFINITY),
-                task: r.task.clone(),
-                error: r.error.clone(),
+    pub fn restore<'p>(
+        &mut self,
+        ck: &crate::checkpoint::ModelCheckpoint,
+        policies: impl IntoIterator<Item = &'p SketchPolicy>,
+    ) -> Result<(), String> {
+        if self.records.len() != ck.warm_records || ck.records.len() < ck.warm_records {
+            return Err(format!(
+                "checkpointed model holds {} warm-start records, this model {}",
+                ck.warm_records,
+                self.records.len()
+            ));
+        }
+        let trained_on = ck
+            .trained_on
+            .filter(|&n| n <= ck.records.len())
+            .ok_or("checkpointed model names no trained prefix within its records")?;
+        let mut logs: HashMap<&str, _> = policies
+            .into_iter()
+            .map(|p| {
+                (
+                    p.task.name.as_str(),
+                    (p, p.log.iter().filter(|r| r.is_valid())),
+                )
             })
             .collect();
+        for task in &ck.records[ck.warm_records..] {
+            let (policy, valid) = logs.get_mut(task.as_str()).ok_or_else(|| {
+                format!("checkpointed model has records of {task:?}, which no policy tunes")
+            })?;
+            let record = valid.next().ok_or_else(|| {
+                format!("checkpointed model has more records of {task:?} than its log")
+            })?;
+            let state = record
+                .replay(policy.task.dag.clone())
+                .map_err(|e| format!("a record of {task:?} does not replay: {e}"))?;
+            let block = self.measured_features_for(&state);
+            self.push_record(task, &block, &state, record.seconds);
+        }
         self.drop_model();
-        self.trained_on = ck
-            .trained_on
-            .map_or(self.records.len(), |n| n.min(self.records.len()));
-        self.history = None;
-        self.trained_history = None;
+        self.trained_on = trained_on;
         self.replay = ck.trained;
-        self.warm_records = ck.warm_records.min(self.records.len());
+        self.warm_records = ck.warm_records;
         let done = self.telemetry.counter_value("gbdt/train_passes");
         if ck.train_passes > done {
             self.telemetry
                 .incr("gbdt/train_passes", ck.train_passes - done);
         }
+        Ok(())
     }
 
-    /// Serializes the model's training records and how many of them it is
-    /// trained on (the model itself is a deterministic function of that
-    /// prefix; see [`LearnedCostModel::restore`]).
+    /// Serializes the task of each training record and how many of them
+    /// the model is trained on (the rows and the model are deterministic
+    /// functions of the records; see [`LearnedCostModel::restore`]).
     pub fn checkpoint(&self) -> crate::checkpoint::ModelCheckpoint {
         crate::checkpoint::ModelCheckpoint {
-            records: self
-                .records
-                .iter()
-                .map(|r| crate::checkpoint::ModelRecord {
-                    features: self
-                        .features
-                        .segment_rows(r.seg)
-                        .map(<[f32]>::to_vec)
-                        .collect(),
-                    seconds: r.seconds.is_finite().then_some(r.seconds),
-                    task: r.task.clone(),
-                    error: r.error.clone(),
-                })
-                .collect(),
+            records: self.records.iter().map(|r| r.task.clone()).collect(),
             train_passes: self.telemetry.counter_value("gbdt/train_passes"),
             trained_on: Some(self.trained_on),
             trained: self.model.get().is_some(),
             warm_records: self.warm_records,
         }
+    }
+
+    /// Appends the record of one measured program, its rows read from
+    /// `block`: `update` and `restore` both append through here. A program that no longer lowers is a
+    /// failure record — no rows, no time — and fails the same way when a
+    /// restore featurizes it again.
+    fn push_record(&mut self, task: &str, block: &FeatureBlock, state: &State, seconds: f64) {
+        let (seg, seconds) = match block.as_ref() {
+            Ok(block) => (
+                self.features.push_packed_segment(block.rows.data()),
+                seconds,
+            ),
+            Err(_) => (self.features.push_empty_segment(), f64::INFINITY),
+        };
+        self.records.push(Record {
+            seg,
+            seconds,
+            task: task.to_string(),
+            sig: state.signature(),
+        });
     }
 
     /// Marks every record held so far as absorbed by a warm start: the
@@ -462,11 +483,12 @@ impl LearnedCostModel {
                 scores: scores.unwrap_or_else(|| SigCache::new(SCORE_CACHE_CAPACITY)),
             })
         };
-        let (Some(memo), Some(history)) = (&self.memo, self.trained_history) else {
+        let Some(memo) = &self.memo else {
             return fit();
         };
         let mut key = DefaultHasher::new();
         let params = serde_json::to_string(&self.params).expect("GBDT parameters serialize");
+        let history = history_hash(&self.records[..self.trained_on]);
         (params, self.max_train_records, self.trained_on, history).hash(&mut key);
         let mut recalled = true;
         let model = memo.get_or_insert_with(key.finish(), || {
@@ -788,36 +810,17 @@ impl CostModel for LearnedCostModel {
                 .collect();
             self.emit_feature_cache_deltas(f0);
             for ((block, state), &sec) in blocks.iter().zip(states).zip(seconds) {
-                let record = match block.as_ref() {
-                    Ok(block) => Record {
-                        seg: self.features.push_packed_segment(block.rows.data()),
-                        seconds: sec,
-                        task: task.name.clone(),
-                        error: None,
-                    },
-                    // A measured state that no longer lowers is a failure
-                    // record, not a silent drop: the error is kept on the
-                    // record (and in checkpoints) and traced.
-                    Err(e) => {
-                        self.telemetry.incr("features/extract_failed", 1);
-                        let (t, err) = (task.name.clone(), e.clone());
-                        self.telemetry
-                            .emit(|| telemetry::TraceEvent::FeatureExtractFailed {
-                                task: t,
-                                error: err,
-                            });
-                        Record {
-                            seg: self.features.push_empty_segment(),
-                            seconds: f64::INFINITY,
+                // A measured state that no longer lowers is a failure
+                // record, not a silent drop, and is traced.
+                if let Err(e) = block.as_ref() {
+                    self.telemetry.incr("features/extract_failed", 1);
+                    self.telemetry
+                        .emit(|| telemetry::TraceEvent::FeatureExtractFailed {
                             task: task.name.clone(),
-                            error: Some(e.clone()),
-                        }
-                    }
-                };
-                self.history = self
-                    .history
-                    .map(|h| fold_record(h, state.signature(), record.seconds, &task.name));
-                self.records.push(record);
+                            error: e.clone(),
+                        });
+                }
+                self.push_record(&task.name, block, state, sec);
             }
             self.telemetry
                 .gauge_set("model/feature_bytes", self.features.resident_bytes() as f64);
@@ -836,7 +839,6 @@ impl CostModel for LearnedCostModel {
         if self.retrain_due(self.records.len()) {
             self.drop_model();
             self.trained_on = self.records.len();
-            self.trained_history = self.history;
             self.replay = false;
         }
     }
@@ -1045,11 +1047,11 @@ mod tests {
             model.predict(&t, std::slice::from_ref(&broken)),
             vec![f64::NEG_INFINITY]
         );
-        // The failure record carries that message.
-        model.update(&t, &[broken], &[f64::INFINITY]);
-        let record = model.checkpoint().records.pop().expect("recorded");
-        assert_eq!(record.error.as_deref(), Some(message.as_str()));
-        assert!(record.features.is_empty());
+        // Its record is a failure record: no rows, no time.
+        model.update(&t, &[broken], &[1e-3]);
+        let record = model.records.last().expect("recorded");
+        assert_eq!(record.seconds, f64::INFINITY);
+        assert_eq!(model.features.segment_len(record.seg), 0);
     }
 
     #[test]
@@ -1201,6 +1203,50 @@ mod tests {
         (states, secs)
     }
 
+    /// `batches` measured batches of `size` states, the ones
+    /// [`session_of`] feeds its model, in order.
+    fn batches(t: &SearchTask, batches: usize, size: usize) -> (Vec<State>, Vec<f64>) {
+        let (mut states, mut secs) = (Vec::new(), Vec::new());
+        for b in 0..batches {
+            let (s, x) = measured(t, size, 100 + b as u64);
+            states.extend(s);
+            secs.extend(x);
+        }
+        (states, secs)
+    }
+
+    /// A policy whose log holds `states` measured at `secs`, in order: the
+    /// log a checkpointed model's records are restored from.
+    fn logged(t: &SearchTask, states: &[State], secs: &[f64]) -> SketchPolicy {
+        assert!(
+            secs.iter().all(|s| s.is_finite()),
+            "a model gets valid records"
+        );
+        let log = states
+            .iter()
+            .zip(secs)
+            .enumerate()
+            .map(|(i, (s, &seconds))| crate::records::TuningRecordLog {
+                task: t.name.clone(),
+                trial: i as u64 + 1,
+                steps: s.steps.clone(),
+                seconds,
+                error: None,
+            })
+            .collect();
+        let mut policy = SketchPolicy::new(t.clone(), Default::default());
+        let ck = crate::checkpoint::PolicyCheckpoint {
+            task: t.name.clone(),
+            rng: vec![1, 2, 3, 4],
+            trials: states.len() as u64,
+            rounds: 1,
+            best_measured: vec![],
+            log,
+        };
+        policy.restore(&ck).expect("the states replay");
+        policy
+    }
+
     fn bits(scores: &[f64]) -> Vec<u64> {
         scores.iter().map(|s| s.to_bits()).collect()
     }
@@ -1222,7 +1268,7 @@ mod tests {
         let restored_tel = telemetry::Telemetry::with_metrics();
         let mut restored = LearnedCostModel::new();
         restored.set_telemetry(restored_tel.clone());
-        restored.restore(&ck);
+        restored.restore(&ck, [&logged(&t, &train, &secs)]).unwrap();
         assert_eq!(passes(&restored_tel), 0);
 
         // The first read trains, once; both train the same model.
@@ -1287,21 +1333,8 @@ mod tests {
             m.update(&t, &failed, &failed_secs);
             assert_eq!(m.num_records(), good.len() + failed.len());
             assert_eq!(bits(&m.predict(&t, &probe)), want, "{read_between}");
+            assert_eq!(m.checkpoint().trained_on, Some(good.len()));
         }
-        // A restore keeps it too: the checkpoint names the trained prefix.
-        // One without it trains on every record, and here finds nothing.
-        let mut m = windowed();
-        m.update(&t, &good, &good_secs);
-        m.update(&t, &failed, &failed_secs);
-        let mut ck = m.checkpoint();
-        assert_eq!(ck.trained_on, Some(good.len()));
-        let mut restored = windowed();
-        restored.restore(&ck);
-        assert_eq!(bits(&restored.predict(&t, &probe)), want);
-        ck.trained_on = None;
-        let mut restored = windowed();
-        restored.restore(&ck);
-        assert!(!restored.is_trained());
     }
 
     /// A warm start of `warm` measured samples (none if 0), then `batches`
@@ -1426,7 +1459,13 @@ mod tests {
         // model of 128 records would wait for 128 more.
         let (mut model, _, _) = session_of(&t, 96, 3, 16);
         let mut restored = LearnedCostModel::new();
-        restored.restore(&model.checkpoint());
+        let (warm, warm_secs) = measured(&t, 96, 7);
+        restored.update(&t, &warm, &warm_secs);
+        restored.end_warm_start();
+        let (states, secs) = batches(&t, 3, 16);
+        restored
+            .restore(&model.checkpoint(), [&logged(&t, &states, &secs)])
+            .unwrap();
         let (states, secs) = measured(&t, 16, 43);
         model.update(&t, &states, &secs);
         restored.update(&t, &states, &secs);
@@ -1473,7 +1512,10 @@ mod tests {
         let restored_tel = telemetry::Telemetry::with_metrics();
         let mut restored = LearnedCostModel::new();
         restored.set_telemetry(restored_tel.clone());
-        restored.restore(&ck);
+        let (states, secs) = batches(&t, 3, 16);
+        restored
+            .restore(&ck, [&logged(&t, &states, &secs)])
+            .unwrap();
         let probe = sample_states(&t, 8, 41);
         let want = bits(&model.predict(&t, &probe));
         assert_eq!(bits(&restored.predict(&t, &probe)), want);
@@ -1491,71 +1533,49 @@ mod tests {
     }
 
     #[test]
-    fn a_checkpoint_without_a_trained_prefix_restores_as_trained_on_every_record() {
-        // The format written before `trained_on` existed, when every update
-        // retrained.
-        let t = task();
-        let (model, _, _) = session_of(&t, 0, 3, 16);
-        let mut json = serde_json::to_value(&model.checkpoint());
-        let serde_json::Value::Object(fields) = &mut json else {
-            panic!("a checkpoint is an object")
-        };
-        assert!(fields.remove("trained_on").is_some());
-        let old: crate::checkpoint::ModelCheckpoint = serde_json::from_value(&json).unwrap();
-        assert_eq!(old.trained_on, None);
-        let mut restored = LearnedCostModel::new();
-        restored.restore(&old);
-        assert_eq!((model.trained_on, restored.trained_on), (32, 48));
-        assert_eq!(restored.checkpoint().trained_on, Some(48));
-        let mut all = LearnedCostModel::new();
-        all.restore(&crate::checkpoint::ModelCheckpoint {
-            trained_on: Some(48),
-            ..old.clone()
-        });
-        let probe = sample_states(&t, 8, 51);
-        let want = bits(&all.predict(&t, &probe));
-        assert_eq!(bits(&restored.predict(&t, &probe)), want);
-        assert_ne!(bits(&model.predict(&t, &probe)), want);
-    }
-
-    #[test]
     fn checkpoint_restore_reproduces_model_and_errors() {
         let t = task();
-        let mut measurer = Measurer::new(t.target.clone());
-        let train = sample_states(&t, 30, 6);
-        let secs: Vec<f64> = train.iter().map(|s| measurer.measure(s).seconds).collect();
+        let (train, secs) = measured(&t, 30, 6);
         let mut model = LearnedCostModel::new();
         model.update(&t, &train, &secs);
-        let mut ck = model.checkpoint();
-        // The export is the model's packed block, record by record and row
-        // for row.
-        assert_eq!(ck.records.len(), train.len());
-        for (rec, out) in model.records.iter().zip(&ck.records) {
-            assert!(out.features.iter().all(|row| row.len() == FEATURE_DIM));
-            assert_eq!(out.features.concat(), model.features.segment_slice(rec.seg));
-        }
-        // Simulate a failure record as written by the extraction-error path.
-        ck.records.push(crate::checkpoint::ModelRecord {
-            features: vec![],
-            seconds: None,
-            task: t.name.clone(),
-            error: Some("lowering failed".into()),
-        });
+        let ck = model.checkpoint();
+        assert_eq!(ck.records, vec![t.name.clone(); train.len()]);
+        let log = logged(&t, &train, &secs);
         let mut restored = LearnedCostModel::new();
-        restored.restore(&ck);
-        assert_eq!(restored.num_records(), model.num_records() + 1);
-        // The failure record round-trips, error included.
-        let again = restored.checkpoint();
-        assert_eq!(
-            again.records.last().unwrap().error.as_deref(),
-            Some("lowering failed")
-        );
-        assert!(again.records.last().unwrap().features.is_empty());
-        // The retrained model scores held-out states identically: training
-        // is a pure function of the records, and the zero-weight failure
-        // record changes nothing.
+        restored.restore(&ck, [&log]).unwrap();
+        // The records come back row for row, with the programs a memo
+        // keys passes by.
+        assert_eq!(restored.num_records(), model.num_records());
+        for (a, b) in model.records.iter().zip(&restored.records) {
+            assert_eq!(
+                model.features.segment_slice(a.seg),
+                restored.features.segment_slice(b.seg)
+            );
+            assert_eq!(
+                (a.seconds.to_bits(), &a.task, a.sig),
+                (b.seconds.to_bits(), &b.task, b.sig)
+            );
+        }
         let probe = sample_states(&t, 8, 7);
-        assert_eq!(model.predict(&t, &probe), restored.predict(&t, &probe));
+        assert_eq!(
+            bits(&model.predict(&t, &probe)),
+            bits(&restored.predict(&t, &probe))
+        );
+        // A checkpoint the log cannot account for is refused.
+        let refused = |ck: &crate::checkpoint::ModelCheckpoint| {
+            LearnedCostModel::new().restore(ck, [&log]).unwrap_err()
+        };
+        let mut more = ck.clone();
+        more.records.push(t.name.clone());
+        assert!(refused(&more).contains("more records of"));
+        let mut other = ck.clone();
+        other.records[3] = "other".into();
+        assert!(refused(&other).contains("which no policy tunes"));
+        let warm = crate::checkpoint::ModelCheckpoint {
+            warm_records: 4,
+            ..ck.clone()
+        };
+        assert!(refused(&warm).contains("warm-start records"));
     }
 
     /// A model sharing `memo` (and a fresh rows cache), with its telemetry.
@@ -1615,7 +1635,7 @@ mod tests {
     }
 
     #[test]
-    fn a_restored_model_neither_reads_nor_writes_the_memo() {
+    fn a_restored_model_recalls_the_models_its_run_trained() {
         let t = task();
         let (states, secs) = measured(&t, 24, 84);
         let (more, more_secs) = measured(&t, 24, 85);
@@ -1626,18 +1646,20 @@ mod tests {
         let want = bits(&model.predict(&t, &probe));
         assert_eq!(memo.len(), 1);
 
+        // A restore replays the programs, so the history is the run's.
         let (mut restored, tel) = sharing(&memo);
-        restored.restore(&model.checkpoint());
+        restored
+            .restore(&model.checkpoint(), [&logged(&t, &states, &secs)])
+            .unwrap();
         assert_eq!(bits(&restored.predict(&t, &probe)), want);
-        assert_eq!((memo.len(), memo.hits(), memo_hits(&tel)), (1, 0, 0));
-        // Nor after records of its own: its history still starts with
-        // records whose programs it never saw.
+        assert_eq!((memo.len(), memo_hits(&tel)), (1, 1));
+        // So after records of its own, too.
         model.update(&t, &more, &more_secs);
         restored.update(&t, &more, &more_secs);
         let want = bits(&model.predict(&t, &probe));
         assert_eq!(memo.len(), 2);
         assert_eq!(bits(&restored.predict(&t, &probe)), want);
-        assert_eq!((memo.len(), memo.hits(), memo_hits(&tel)), (2, 0, 0));
+        assert_eq!((memo.len(), memo_hits(&tel)), (2, 2));
         assert_eq!(tel.counter_value("gbdt/train_passes"), 2);
     }
 

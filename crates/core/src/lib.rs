@@ -19,7 +19,7 @@ pub mod task_scheduler;
 
 pub use annotate::{sample_program, AnnotationConfig, AnnotationHint};
 pub use checkpoint::{
-    BestEntry, ModelCheckpoint, ModelRecord, PolicyCheckpoint, SchedulerCheckpoint,
+    BestEntry, CheckpointFile, ModelCheckpoint, PolicyCheckpoint, SchedulerCheckpoint,
     SinglePolicyCheckpoint, TuneCheckpoint, CHECKPOINT_VERSION,
 };
 pub use cost_model::{

@@ -98,20 +98,26 @@ pub fn load_records(path: impl AsRef<Path>) -> std::io::Result<(Vec<TuningRecord
 /// logs fingerprint equally, so serving infrastructure can assert a warm
 /// job reproduced a cold run without shipping the full log over the wire.
 pub fn log_fingerprint(records: &[TuningRecordLog]) -> u64 {
-    fn mix(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     // Every line is rendered into the same buffer.
     let mut line = String::with_capacity(1024);
     for r in records {
         line.clear();
         r.write_json(&mut line);
         line.push('\n');
-        mix(&mut h, line.as_bytes());
+        h = fnv1a(h, line.as_bytes());
+    }
+    h
+}
+
+/// The FNV-1a hash of no bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The FNV-1a hash `h` continued over `bytes`.
+pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
 }

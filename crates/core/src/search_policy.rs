@@ -13,7 +13,7 @@
 //! to roughly what manual templates cover (no cache stages, no rfactor, no
 //! computation-location changes, fixed unroll policy).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use rand::prelude::*;
@@ -151,28 +151,6 @@ pub struct TuningRecord {
     pub seconds: f64,
     /// Best seconds seen up to and including this trial.
     pub best_seconds: f64,
-}
-
-// Manual deserialization: failed trials carry `f64::INFINITY`, which JSON
-// encodes as `null`; the custom impl recovers the infinity on load so
-// checkpointed tuning curves round-trip exactly (same convention as
-// `TuningRecordLog`).
-impl Deserialize for TuningRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let serde::Value::Object(m) = v else {
-            return Err(serde::DeError::invalid_type("object", v));
-        };
-        let field = |name: &str| m.get(name).unwrap_or(&serde::Value::Null);
-        let dec = |v: &serde::Value| match v {
-            serde::Value::Null => Ok(f64::INFINITY),
-            other => f64::from_value(other),
-        };
-        Ok(TuningRecord {
-            trial: u64::from_value(field("trial"))?,
-            seconds: dec(field("seconds"))?,
-            best_seconds: dec(field("best_seconds"))?,
-        })
-    }
 }
 
 /// Final result of tuning one task.
@@ -359,6 +337,40 @@ impl SketchPolicy {
         state
     }
 
+    /// Files one measured program: counts the trial, quarantines it after
+    /// a terminal injected fault (cursed hardware, retry exhaustion are
+    /// sticky, so evolution stops proposing it), appends its record and its
+    /// point of the tuning curve, and keeps a valid one among the best.
+    /// `tune_round` files each measurement through here and `restore` each
+    /// record of its log, so a restored policy is the one the run built.
+    /// Returns the state of a valid measurement, for the cost model.
+    fn file_measurement(
+        &mut self,
+        ind: Individual,
+        seconds: f64,
+        error: Option<String>,
+    ) -> Option<tensor_ir::State> {
+        self.trials += 1;
+        let valid = error.is_none() && seconds.is_finite();
+        if error.as_deref().is_some_and(hwsim::is_terminal_fault) {
+            self.quarantined.insert(ind.signature());
+        }
+        self.log.push(TuningRecordLog {
+            task: self.task.name.clone(),
+            trial: self.trials,
+            steps: ind.state.steps.clone(),
+            seconds,
+            error,
+        });
+        let state = valid.then(|| self.keep_if_best(seconds, ind));
+        self.history.push(TuningRecord {
+            trial: self.trials,
+            seconds,
+            best_seconds: self.best_seconds().min(seconds),
+        });
+        state
+    }
+
     fn sample_random(&mut self, n: usize) -> Vec<Individual> {
         let mut out = Vec::with_capacity(n);
         let mut attempts = 0;
@@ -526,13 +538,14 @@ impl SketchPolicy {
         });
         let mut measured_states = Vec::new();
         let mut measured_secs = Vec::new();
+        let quarantined = self.quarantined.len();
         for (ind, res) in to_measure.into_iter().zip(results) {
-            self.trials += 1;
+            let trial = self.trials + 1;
             let seconds = res.seconds;
             tally.add([&ind], &self.sketches, EfficacyTally::MEASURED);
             tel.emit(|| TraceEvent::CandidateOrigin {
                 task: self.task.name.clone(),
-                trial: self.trials,
+                trial,
                 sig: ind.signature(),
                 sketch: ind.sketch as u64,
                 op: ind.lineage.op.name().to_string(),
@@ -540,20 +553,12 @@ impl SketchPolicy {
                 parents: ind.lineage.parents.clone(),
                 rules: rule_names(ind.rules(&self.sketches)),
             });
-            if let Some(e) = &res.error {
-                // Terminal injected faults (cursed hardware, retry
-                // exhaustion) are sticky: quarantine the signature so
-                // evolution stops proposing this program.
-                if hwsim::is_terminal_fault(e) && self.quarantined.insert(ind.signature()) {
-                    tel.incr("search/quarantined", 1);
-                }
-            }
             let prev_best = self.best_seconds();
             if res.is_valid() && seconds < prev_best {
                 tally.add([&ind], &self.sketches, EfficacyTally::NEW_BEST);
                 tel.emit(|| TraceEvent::ImprovementAttributed {
                     task: self.task.name.clone(),
-                    trial: self.trials,
+                    trial,
                     seconds,
                     prev_best: prev_best.is_finite().then_some(prev_best),
                     sig: ind.signature(),
@@ -564,22 +569,14 @@ impl SketchPolicy {
                     rules: rule_names(ind.rules(&self.sketches)),
                 });
             }
-            self.log.push(TuningRecordLog {
-                task: self.task.name.clone(),
-                trial: self.trials,
-                steps: ind.state.steps.clone(),
-                seconds,
-                error: res.error.clone(),
-            });
-            if res.is_valid() {
-                measured_states.push(self.keep_if_best(seconds, ind));
+            if let Some(state) = self.file_measurement(ind, seconds, res.error) {
+                measured_states.push(state);
                 measured_secs.push(seconds);
             }
-            self.history.push(TuningRecord {
-                trial: self.trials,
-                seconds,
-                best_seconds: self.best_seconds().min(seconds),
-            });
+        }
+        let newly_quarantined = self.quarantined.len() - quarantined;
+        if newly_quarantined > 0 {
+            tel.incr("search/quarantined", newly_quarantined as u64);
         }
         tel.emit(|| TraceEvent::OperatorStats {
             task: self.task.name.clone(),
@@ -643,40 +640,44 @@ impl SketchPolicy {
         &self.quarantined
     }
 
-    /// Serializes the policy's full search state. Restoring into a fresh
-    /// policy built with the same task and options continues the run
-    /// bit-identically (sketch generation is deterministic, so sketches are
-    /// regenerated rather than stored).
+    /// Serializes what the policy's log cannot give back: RNG words,
+    /// counters, and the sketch and lineage of each best program the log
+    /// holds. Restoring into a fresh policy built with the same task and
+    /// options continues the run bit-identically (sketch generation is
+    /// deterministic, so sketches are regenerated rather than stored).
     pub fn checkpoint(&self) -> PolicyCheckpoint {
-        let mut measured: Vec<u64> = self.measured_signatures.iter().copied().collect();
-        measured.sort_unstable();
-        let mut quarantined: Vec<u64> = self.quarantined.iter().copied().collect();
-        quarantined.sort_unstable();
+        // A best program's record is the one measured at its seconds with
+        // its steps; a warm start's best has none, and is filed again.
+        let record = |seconds: f64, ind: &Individual| {
+            self.log
+                .iter()
+                .rposition(|r| r.seconds == seconds && r.steps == ind.state.steps)
+        };
         PolicyCheckpoint {
             task: self.task.name.clone(),
             rng: self.rng.raw_state().to_vec(),
             trials: self.trials,
             rounds: self.rounds,
-            measured_signatures: measured,
-            quarantined,
             best_measured: self
                 .best_measured
                 .iter()
-                .map(|(s, ind)| BestEntry {
-                    seconds: *s,
-                    sketch: ind.sketch,
-                    steps: ind.state.steps.clone(),
-                    lineage: ind.lineage.clone(),
+                .filter_map(|(s, ind)| {
+                    Some(BestEntry {
+                        log: record(*s, ind)?,
+                        sketch: ind.sketch,
+                        lineage: ind.lineage.clone(),
+                    })
                 })
                 .collect(),
-            history: self.history.clone(),
             log: self.log.clone(),
         }
     }
 
-    /// Restores the state captured by [`SketchPolicy::checkpoint`]. The
-    /// policy must have been created with the same task (and, for
-    /// bit-identical continuation, the same options).
+    /// Restores the state captured by [`SketchPolicy::checkpoint`] into a
+    /// policy that has measured nothing (a warm-started one included), by
+    /// filing every record of the log as `tune_round` filed it. The policy
+    /// must have been created with the same task (and, for bit-identical
+    /// continuation, the same options).
     pub fn restore(&mut self, ck: &PolicyCheckpoint) -> Result<(), String> {
         if ck.task != self.task.name {
             return Err(format!(
@@ -684,8 +685,8 @@ impl SketchPolicy {
                 ck.task, self.task.name
             ));
         }
-        let mut best = Vec::with_capacity(ck.best_measured.len());
         let n = self.sketches.len();
+        let mut best = HashMap::new();
         for e in &ck.best_measured {
             if e.sketch >= n {
                 return Err(format!(
@@ -693,25 +694,31 @@ impl SketchPolicy {
                     e.sketch
                 ));
             }
-            let state = tensor_ir::State::replay(self.task.dag.clone(), &e.steps)
-                .map_err(|err| format!("checkpointed best state does not replay: {err}"))?;
-            best.push((
-                e.seconds,
-                Individual {
+            best.insert(e.log, e);
+        }
+        for (i, r) in ck.log.iter().enumerate() {
+            let state = r
+                .replay(self.task.dag.clone())
+                .map_err(|err| format!("record {i} of {:?} does not replay: {err}", ck.task))?;
+            let ind = match best.get(&i) {
+                Some(e) => Individual {
                     state: Arc::new(state),
                     sketch: e.sketch,
                     lineage: e.lineage.clone(),
                 },
+                None => Individual::new(state, 0),
+            };
+            self.measured_signatures.insert(ind.signature());
+            self.file_measurement(ind, r.seconds, r.error.clone());
+        }
+        if self.trials != ck.trials {
+            return Err(format!(
+                "checkpoint of {:?} counts {} trials, its log holds {}",
+                ck.task, ck.trials, self.trials
             ));
         }
         self.rng = StdRng::from_raw_state(rng_state_from(&ck.rng)?);
-        self.trials = ck.trials;
         self.rounds = ck.rounds;
-        self.measured_signatures = ck.measured_signatures.iter().copied().collect();
-        self.quarantined = ck.quarantined.iter().copied().collect();
-        self.best_measured = best;
-        self.history = ck.history.clone();
-        self.log = ck.log.clone();
         Ok(())
     }
 
@@ -1141,7 +1148,7 @@ mod tests {
         let mut p2 = SketchPolicy::new(t.clone(), opts());
         p2.restore(&pck).unwrap();
         let mut model2 = LearnedCostModel::new();
-        model2.restore(&mck);
+        model2.restore(&mck, [&p2]).unwrap();
         let mut m2 = Measurer::new(t.target.clone());
         m2.restore_accounting(p2.trials(), 0);
         while p2.tune_round(&mut model2, &mut m2) > 0 {}

@@ -36,7 +36,7 @@ use hwsim::{MeasureResult, Measurer};
 use crate::checkpoint::{SinglePolicyCheckpoint, TuneCheckpoint, CHECKPOINT_VERSION};
 use crate::cost_model::{FeatureBlock, LearnedCostModel, ModelMemo};
 use crate::evolution::Individual;
-use crate::records::{save_records, TuningRecordLog};
+use crate::records::TuningRecordLog;
 use crate::search_policy::{SketchPolicy, TuningOptions, TuningResult};
 use crate::search_task::SearchTask;
 
@@ -98,14 +98,12 @@ impl SessionCacheStats {
 }
 
 /// One tuning run's complete state: search policy, learned cost model,
-/// measurer, and the bookkeeping `ansor-tune` used to keep inline
-/// (invocation fingerprint, flushed-record offset).
+/// measurer, and the invocation fingerprint its checkpoints carry.
 pub struct TuningSession {
     policy: SketchPolicy,
     model: LearnedCostModel,
     measurer: Measurer,
     fingerprint: String,
-    records_flushed: usize,
 }
 
 impl TuningSession {
@@ -129,7 +127,6 @@ impl TuningSession {
             model,
             measurer,
             fingerprint: fingerprint.into(),
-            records_flushed: 0,
         }
     }
 
@@ -247,21 +244,6 @@ impl TuningSession {
         absorbed
     }
 
-    /// Number of log records already flushed to an external record log.
-    pub fn records_flushed(&self) -> usize {
-        self.records_flushed
-    }
-
-    /// Appends the not-yet-flushed log records to a JSONL file and advances
-    /// the flushed offset; returns how many records were written.
-    pub fn flush_records_to(&mut self, path: &str) -> std::io::Result<usize> {
-        let new = &self.policy.log[self.records_flushed..];
-        let n = new.len();
-        save_records(path, new)?;
-        self.records_flushed = self.policy.log.len();
-        Ok(n)
-    }
-
     /// Serializes the complete session state (single-op checkpoint form).
     pub fn checkpoint(&self) -> TuneCheckpoint {
         TuneCheckpoint {
@@ -269,7 +251,7 @@ impl TuningSession {
             fingerprint: self.fingerprint.clone(),
             measurer_trials: self.measurer.trials(),
             sim_fault_nanos: self.measurer.sim_fault_nanos(),
-            records_flushed: self.records_flushed,
+            records_flushed: 0,
             single: Some(SinglePolicyCheckpoint {
                 policy: self.policy.checkpoint(),
                 model: self.model.checkpoint(),
@@ -280,8 +262,11 @@ impl TuningSession {
 
     /// Restores the session from a checkpoint taken under the same
     /// fingerprint; a resumed session continues bit-identically to the
-    /// uninterrupted run. Nothing is trained here: the model is rebuilt by
-    /// the next round's first read, and never if no round follows.
+    /// uninterrupted run. The policy and the model replay the checkpoint's
+    /// records; a session that was warm-started must be warm-started from
+    /// the same records first ([`crate::CheckpointFile::load`] returns them).
+    /// Nothing is trained here: the model is rebuilt by the next round's
+    /// first read, and never if no round follows.
     pub fn restore(&mut self, ck: &TuneCheckpoint) -> Result<(), String> {
         if ck.fingerprint != self.fingerprint {
             return Err(format!(
@@ -293,10 +278,9 @@ impl TuningSession {
             return Err("checkpoint holds a network run, not a single-op session".into());
         };
         self.policy.restore(&single.policy)?;
-        self.model.restore(&single.model);
+        self.model.restore(&single.model, [&self.policy])?;
         self.measurer
             .restore_accounting(ck.measurer_trials, ck.sim_fault_nanos);
-        self.records_flushed = ck.records_flushed;
         Ok(())
     }
 
@@ -538,6 +522,52 @@ mod tests {
         assert!(finished.starts_with("{\"TuningFinished\""), "{finished}");
         joined.extend(events(&resumed_buf, &resumed_tel));
         assert_eq!(joined, events(&full_buf, &full_tel));
+    }
+
+    #[test]
+    fn a_warm_started_session_resumes_from_its_checkpoint_file_bit_identically() {
+        use crate::checkpoint::CheckpointFile;
+        use crate::records::{load_records, save_records};
+        let dir = std::env::temp_dir().join(format!("ansor-warm-resume-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // A cold run's records are the warm prefix of both runs' logs.
+        let mut cold = session(21, 32);
+        cold.run(|_| true);
+        let (full_log, killed_log) = (dir.join("full.jsonl"), dir.join("killed.jsonl"));
+        for log in [&full_log, &killed_log] {
+            save_records(log, cold.log()).unwrap();
+        }
+        let warm = |log: &std::path::Path| {
+            let mut s = session(11, 128);
+            assert!(s.warm_start(&load_records(log).unwrap().0) > 0);
+            let file = CheckpointFile::create(dir.join("run.ckpt"), log.to_str()).unwrap();
+            (s, file)
+        };
+        let (mut full, mut file) = warm(&full_log);
+        while full.step() > 0 {
+            file.save(full.checkpoint()).unwrap();
+        }
+        // Killed after its first round's save.
+        let (mut killed, mut file) = warm(&killed_log);
+        killed.step();
+        file.save(killed.checkpoint()).unwrap();
+        let (ck, warm, mut file) = CheckpointFile::load(dir.join("run.ckpt")).unwrap();
+        assert_eq!(warm, cold.log());
+        // Without its warm start the checkpoint does not restore.
+        let err = session(11, 128).restore(&ck).unwrap_err();
+        assert!(err.contains("warm-start records"), "{err}");
+        let mut resumed = session(11, 128);
+        resumed.warm_start(&warm);
+        resumed.restore(&ck).unwrap();
+        while resumed.step() > 0 {
+            file.save(resumed.checkpoint()).unwrap();
+        }
+        assert_eq!(resumed.log(), full.log());
+        assert_eq!(
+            std::fs::read(&killed_log).unwrap(),
+            std::fs::read(&full_log).unwrap()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

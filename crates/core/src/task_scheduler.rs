@@ -515,7 +515,7 @@ impl TaskScheduler {
         for (policy, pc) in self.policies.iter_mut().zip(&ck.policies) {
             policy.restore(pc)?;
         }
-        self.model.restore(&ck.model);
+        self.model.restore(&ck.model, &self.policies)?;
         self.rng = StdRng::from_raw_state(crate::checkpoint::rng_state_from(&ck.rng)?);
         self.allocations = ck.allocations.clone();
         self.exhausted = ck.exhausted.clone();

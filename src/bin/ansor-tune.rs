@@ -4,7 +4,7 @@
 //! ansor-tune --op C2D --shape 1 --batch 1 --trials 300 --target intel \
 //!            --log conv.jsonl
 //! ansor-tune --network dcgan --units 20 --target gpu
-//! ansor-tune --op GMM --checkpoint run.ckpt --checkpoint-every 2
+//! ansor-tune --op GMM --checkpoint run.ckpt
 //! ansor-tune --resume run.ckpt --op GMM --checkpoint run.ckpt
 //! ansor-tune --bless
 //! ansor-tune --list
@@ -12,14 +12,15 @@
 //!
 //! Tunes a single operator (optionally resuming from / appending to a
 //! JSON-lines record log) or a whole network via the task scheduler, then
-//! prints the best schedule. Runs can periodically persist a versioned
-//! checkpoint (`--checkpoint`) and continue after a crash (`--resume`) to a
-//! bit-identical final result; `--faults <spec>` injects deterministic
+//! prints the best schedule. Runs can persist a versioned checkpoint after
+//! every round or unit (`--checkpoint`: new records appended to the record
+//! log, a small header replaced) and continue after a crash (`--resume`) to
+//! a bit-identical final result; `--faults <spec>` injects deterministic
 //! measurement faults (see docs/ROBUSTNESS.md).
 
 use ansor::core::{
-    load_records, log_fingerprint, single_fingerprint, single_task_name, TuneCheckpoint,
-    TuningSession, CHECKPOINT_VERSION,
+    load_records, log_fingerprint, save_records, single_fingerprint, single_task_name,
+    CheckpointFile, TuneCheckpoint, TuningRecordLog, TuningSession, CHECKPOINT_VERSION,
 };
 use ansor::prelude::*;
 use ansor::workloads;
@@ -39,7 +40,6 @@ struct Cli {
     show_program: bool,
     faults: String,
     checkpoint: Option<String>,
-    checkpoint_every: usize,
     resume: Option<String>,
     bless: bool,
     metrics_addr: Option<String>,
@@ -71,7 +71,6 @@ fn parse() -> Cli {
         show_program: false,
         faults: "none".into(),
         checkpoint: None,
-        checkpoint_every: 1,
         resume: None,
         bless: false,
         metrics_addr: None,
@@ -92,7 +91,6 @@ fn parse() -> Cli {
             "--log" => cli.log = Some(val()),
             "--faults" => cli.faults = val(),
             "--checkpoint" => cli.checkpoint = Some(val()),
-            "--checkpoint-every" => cli.checkpoint_every = parse_flag::<usize>(&a, &val()).max(1),
             "--resume" => cli.resume = Some(val()),
             "--bless" => cli.bless = true,
             "--metrics-addr" => cli.metrics_addr = Some(val()),
@@ -127,8 +125,8 @@ fn print_help() {
          \x20  --target intel|intel-avx512|arm|gpu   (default intel)\n\
          \x20  --seed N                               search RNG seed (default 0)\n\
          \x20  --faults none|default|k=v,...          inject measurement faults\n\
-         \x20  --checkpoint PATH                      persist search state\n\
-         \x20  --checkpoint-every N                   rounds between saves (default 1)\n\
+         \x20  --checkpoint PATH                      persist search state every round\n\
+         \x20                                         (records in --log or PATH.records)\n\
          \x20  --resume PATH                          continue a killed run\n\
          \x20  --metrics-addr ADDR                    live /metrics /status /healthz\n\
          \x20                                         (watch with ansor-top ADDR)\n\
@@ -151,14 +149,6 @@ fn die(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Appends the session's new records to the `--log` file; a write that
-/// fails ends the run with status 1.
-fn write_log(session: &mut TuningSession, path: &str) -> usize {
-    session
-        .flush_records_to(path)
-        .unwrap_or_else(|e| die(&format!("--log {path}: {e}")))
-}
-
 /// Loads a `--log` file, surfacing the skipped-line count and read errors
 /// instead of silently dropping them. A missing file is fine (first run).
 fn load_log(path: &str) -> Vec<ansor::core::TuningRecordLog> {
@@ -178,6 +168,27 @@ fn load_log(path: &str) -> Vec<ansor::core::TuningRecordLog> {
             Vec::new()
         }
     }
+}
+
+/// Loads the `--resume` checkpoint. Its record log is the one the run
+/// writes to, so a `--log` naming another file is refused.
+fn load_checkpoint(
+    path: &str,
+    log: Option<&str>,
+) -> (TuneCheckpoint, Vec<TuningRecordLog>, CheckpointFile) {
+    let loaded = CheckpointFile::load(path).unwrap_or_else(|e| die(&e));
+    if let Some(log) = log.filter(|&log| log != loaded.2.log()) {
+        die(&format!(
+            "--log {log}: checkpoint {path} keeps its records in {}",
+            loaded.2.log()
+        ));
+    }
+    loaded
+}
+
+/// The `--checkpoint` file of a new run, its records in `log` if given.
+fn create_checkpoint(path: &str, log: Option<&str>) -> CheckpointFile {
+    CheckpointFile::create(path, log).unwrap_or_else(|e| die(&format!("--checkpoint {path}: {e}")))
 }
 
 fn main() {
@@ -248,10 +259,13 @@ fn main() {
     measurer.set_telemetry(tel.clone());
     let mut session = TuningSession::new(task, options, measurer, fingerprint);
 
-    if let Some(path) = &cli.resume {
-        let ck = TuneCheckpoint::load(path).unwrap_or_else(|e| die(&e));
+    let mut file = if let Some(path) = &cli.resume {
+        let (ck, warm, file) = load_checkpoint(path, cli.log.as_deref());
         if ck.single.is_none() && ck.scheduler.is_some() {
             die("checkpoint holds a network run; pass --network to resume it");
+        }
+        if !warm.is_empty() {
+            session.warm_start(&warm);
         }
         session.restore(&ck).unwrap_or_else(|e| die(&e));
         println!(
@@ -260,37 +274,38 @@ fn main() {
             session.rounds(),
             session.best_seconds() * 1e3
         );
-    } else if let Some(path) = &cli.log {
-        let records = load_log(path);
-        let n = session.warm_start(&records);
-        if n > 0 {
-            println!("warm-started from {n} records in {path}");
+        cli.checkpoint.as_ref().map(|p| file.moved_to(p))
+    } else {
+        if let Some(path) = &cli.log {
+            let records = load_log(path);
+            let n = session.warm_start(&records);
+            if n > 0 {
+                println!("warm-started from {n} records in {path}");
+            }
         }
-    }
+        cli.checkpoint
+            .as_ref()
+            .map(|p| create_checkpoint(p, cli.log.as_deref()))
+    };
+    let logged = session.log().len();
 
     println!(
         "tuning {op} (shape {}, batch {}) with {} trials...",
         cli.shape, cli.batch, cli.trials
     );
-    let save_checkpoint = |session: &TuningSession| {
-        if let Some(path) = &cli.checkpoint {
-            if let Err(e) = session.checkpoint().save(path) {
-                eprintln!("warning: checkpoint save failed: {e}");
+    // A failed save is a warning, unless its record log is the `--log`
+    // file, which may not silently miss records.
+    let save = |file: &mut Option<CheckpointFile>, session: &TuningSession| {
+        if let Some(file) = file {
+            match file.save(session.checkpoint()) {
+                Err(e) if cli.log.is_some() => die(&format!("--log {}: {e}", file.log())),
+                Err(e) => eprintln!("warning: checkpoint save failed: {e}"),
+                Ok(()) => {}
             }
         }
     };
-    let mut rounds_since_save = 0usize;
     while session.step() > 0 {
-        rounds_since_save += 1;
-        if cli.checkpoint.is_some() && rounds_since_save >= cli.checkpoint_every {
-            rounds_since_save = 0;
-            // Flush new records before the checkpoint records their offset,
-            // so a resumed run appends exactly the remainder.
-            if let Some(path) = &cli.log {
-                write_log(&mut session, path);
-            }
-            save_checkpoint(&session);
-        }
+        save(&mut file, &session);
     }
     let best_seconds = session.best_seconds();
     println!(
@@ -309,11 +324,15 @@ fn main() {
             session.measurer().sim_fault_seconds()
         );
     }
+    // With a checkpoint, its saves append the records to the log.
+    save(&mut file, &session);
     if let Some(path) = &cli.log {
-        let n = write_log(&mut session, path);
-        println!("appended {n} records to {path}");
+        let new = &session.log()[logged..];
+        if file.is_none() {
+            save_records(path, new).unwrap_or_else(|e| die(&format!("--log {path}: {e}")));
+        }
+        println!("appended {} records to {path}", new.len());
     }
-    save_checkpoint(&session);
     if cli.show_program {
         if let Some(best) = session.best_individual() {
             let program = lower(&best.state).expect("best program lowers");
@@ -357,8 +376,8 @@ fn tune_network(cli: &Cli, net: &str, target: HardwareTarget) {
     let mut measurer = Measurer::new(target);
     measurer.set_telemetry(tel.clone());
     let mut done_units = 0usize;
-    if let Some(path) = &cli.resume {
-        let ck = TuneCheckpoint::load(path).unwrap_or_else(|e| die(&e));
+    let mut file = if let Some(path) = &cli.resume {
+        let (ck, _, file) = load_checkpoint(path, None);
         if ck.fingerprint != fingerprint {
             die(&format!(
                 "checkpoint was taken under different settings\n  checkpoint: {}\n  this run:   {fingerprint}",
@@ -377,7 +396,10 @@ fn tune_network(cli: &Cli, net: &str, target: HardwareTarget) {
             cli.units,
             sched.total_trials()
         );
-    }
+        cli.checkpoint.as_ref().map(|p| file.moved_to(p))
+    } else {
+        cli.checkpoint.as_ref().map(|p| create_checkpoint(p, None))
+    };
     println!(
         "tuning {net} ({} tasks) for {} units of 64 trials...",
         tasks.len(),
@@ -386,28 +408,23 @@ fn tune_network(cli: &Cli, net: &str, target: HardwareTarget) {
     // A resume that starts with the units spent has nothing to tune and
     // nothing to trace: its run already emitted the `TuningFinished` events.
     let tunes = done_units < cli.units;
-    let mut units_since_save = 0usize;
     while done_units < cli.units {
         if sched.step(&mut measurer).is_none() {
             break;
         }
         done_units += 1;
-        units_since_save += 1;
-        if let Some(path) = &cli.checkpoint {
-            if units_since_save >= cli.checkpoint_every {
-                units_since_save = 0;
-                let ck = TuneCheckpoint {
-                    version: CHECKPOINT_VERSION,
-                    fingerprint: fingerprint.clone(),
-                    measurer_trials: measurer.trials(),
-                    sim_fault_nanos: measurer.sim_fault_nanos(),
-                    records_flushed: 0,
-                    single: None,
-                    scheduler: Some(sched.checkpoint()),
-                };
-                if let Err(e) = ck.save(path) {
-                    eprintln!("warning: checkpoint save failed: {e}");
-                }
+        if let Some(file) = &mut file {
+            let ck = TuneCheckpoint {
+                version: CHECKPOINT_VERSION,
+                fingerprint: fingerprint.clone(),
+                measurer_trials: measurer.trials(),
+                sim_fault_nanos: measurer.sim_fault_nanos(),
+                records_flushed: 0,
+                single: None,
+                scheduler: Some(sched.checkpoint()),
+            };
+            if let Err(e) = file.save(ck) {
+                eprintln!("warning: checkpoint save failed: {e}");
             }
         }
     }

@@ -14,14 +14,22 @@
 //!
 //! The warm store must also save itself clean: reopened after the next
 //! save, it skips nothing and holds the same entries.
+//!
+//! A checkpoint reads differently: its header names a prefix of its record
+//! log, and that prefix is read whole or refused. A save killed between
+//! its two writes leaves the log longer than the header says and a temp
+//! file half written; load must give the save before it, at every cut.
 
 use std::path::{Path, PathBuf};
 
-use ansor::core::{load_records, save_records, SearchTask, TuningOptions, TuningSession};
+use ansor::core::{
+    load_records, save_records, CheckpointFile, SearchTask, TuneCheckpoint, TuningOptions,
+    TuningRecordLog, TuningSession,
+};
 use ansor::serve::journal::{read_journal, JobJournal};
 use ansor::serve::{Client, JobSpec, ServeConfig, Server, WarmStore};
 use ansor::workloads::build_case;
-use hwsim::{HardwareTarget, Measurer};
+use hwsim::{FaultPlan, HardwareTarget, Measurer};
 use serde::Serialize;
 use telemetry::{read_trace_file, Telemetry};
 
@@ -279,5 +287,115 @@ fn every_loader_skips_and_counts_exactly_the_damaged_lines() {
             check(load, &scratch, &pieces, &format!("{name}, cut {cut}"));
         }
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A faulty 12-trial GMM session, 3 trials a round.
+fn faulty_session() -> TuningSession {
+    let target = HardwareTarget::intel_20core();
+    let task = SearchTask::new("GMM:s0b1", build_case("GMM", 0, 1).unwrap(), target.clone());
+    let options = TuningOptions {
+        num_measure_trials: 12,
+        measures_per_round: 3,
+        init_population: 16,
+        seed: 3,
+        ..Default::default()
+    };
+    let plan = FaultPlan {
+        transient_prob: 0.25,
+        timeout_prob: 0.05,
+        cursed_prob: 0.1,
+        max_retries: 1,
+        ..FaultPlan::default()
+    };
+    TuningSession::new(
+        task,
+        options,
+        Measurer::with_faults(target, plan),
+        "torn-save",
+    )
+}
+
+/// Runs `session` to its end, saving to `file` after every round.
+fn run_saving(session: &mut TuningSession, file: &mut CheckpointFile) {
+    while session.step() > 0 {
+        file.save(session.checkpoint()).unwrap();
+    }
+}
+
+/// The records the log at `path` holds, and the lines it skipped.
+fn log_records(path: &str) -> (Vec<TuningRecordLog>, usize) {
+    load_records(path).unwrap()
+}
+
+#[test]
+fn a_save_killed_between_its_writes_loads_the_save_before_it() {
+    let dir = std::env::temp_dir().join(format!("ansor-torn-save-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("run.ckpt");
+
+    // The uninterrupted run, with what each save left behind.
+    let mut full = faulty_session();
+    let mut file = CheckpointFile::create(&path, None).unwrap();
+    let mut saves: Vec<(Vec<u8>, u64, TuneCheckpoint)> = Vec::new();
+    while full.step() > 0 {
+        file.save(full.checkpoint()).unwrap();
+        let mut state = full.checkpoint();
+        state.records_flushed = full.log().len();
+        let log_len = std::fs::metadata(file.log()).unwrap().len();
+        saves.push((std::fs::read(&path).unwrap(), log_len, state));
+    }
+    assert!(saves.len() >= 3, "{} saves", saves.len());
+    assert!(full.log().iter().any(|r| r.error.is_some()), "a faulty run");
+    let log = file.log().to_string();
+    let log_bytes = std::fs::read(&log).unwrap();
+    let [.., (prev_header, prev_len, prev_state), (last_header, _, _)] = &saves[..] else {
+        unreachable!()
+    };
+
+    // Killed after the last save's append started, before its rename.
+    std::fs::write(&path, prev_header).unwrap();
+    std::fs::write(
+        path.with_extension("tmp"),
+        &last_header[..last_header.len() / 2],
+    )
+    .unwrap();
+    let cuts = *prev_len as usize..=log_bytes.len();
+    for cut in cuts.clone() {
+        std::fs::write(&log, &log_bytes[..cut]).unwrap();
+        let (loaded, _, _) = CheckpointFile::load(&path).unwrap();
+        assert_eq!(&loaded, prev_state, "log cut at {cut}");
+    }
+
+    // A resume from the save before, wherever the log was cut, ends as the
+    // uninterrupted run did, and its saves leave each record once.
+    for cut in [
+        cuts.start(),
+        &(cuts.start() + cuts.end()).div_euclid(2),
+        cuts.end(),
+    ] {
+        std::fs::write(&path, prev_header).unwrap();
+        std::fs::write(&log, &log_bytes[..*cut]).unwrap();
+        let (loaded, _, mut file) = CheckpointFile::load(&path).unwrap();
+        let mut resumed = faulty_session();
+        resumed.restore(&loaded).unwrap();
+        run_saving(&mut resumed, &mut file);
+        assert_eq!(resumed.log(), full.log(), "resumed at cut {cut}");
+        assert_eq!(
+            resumed.best_seconds().to_bits(),
+            full.best_seconds().to_bits()
+        );
+        assert_eq!(log_records(&log), (full.log().to_vec(), 0), "cut {cut}");
+        assert_eq!(std::fs::read(&log).unwrap(), log_bytes, "cut {cut}");
+    }
+
+    // A flipped byte inside the prefix refuses the resume, naming the log.
+    std::fs::write(&path, prev_header).unwrap();
+    let mut flipped = log_bytes.clone();
+    flipped[*prev_len as usize / 2] ^= 0x01;
+    std::fs::write(&log, &flipped).unwrap();
+    let err = CheckpointFile::load(&path).unwrap_err();
+    assert!(err.contains(&format!("record log {log}")), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -134,7 +134,9 @@ fn resume_from(path: &std::path::Path) -> RunResult {
     let (mut policy, mut model, mut measurer) = fresh(&tel);
     let single = ck.single.as_ref().expect("single-op checkpoint");
     policy.restore(&single.policy).expect("policy restores");
-    model.restore(&single.model);
+    model
+        .restore(&single.model, [&policy])
+        .expect("model restores");
     measurer.restore_accounting(ck.measurer_trials, ck.sim_fault_nanos);
     while policy.tune_round(&mut model, &mut measurer) > 0 {}
     let best = policy.best_individual().expect("has a best program");

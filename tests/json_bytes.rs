@@ -6,7 +6,7 @@
 //! A line is `{"<family>":<what serde_json::to_string wrote>}`, or, for a
 //! family the workspace also pretty-prints, `{"<family> (pretty)":"<what
 //! serde_json::to_string_pretty wrote, as a JSON string>"}`. The families:
-//! a two-round `TuneCheckpoint` of a real faulty session (f32 feature rows,
+//! a two-round `TuneCheckpoint` of a real faulty session (its records,
 //! lineage, a failed trial), a `SchedulerCheckpoint`, the wire protocol's
 //! messages, every `JournalEvent` variant, the lines of a warm-store file,
 //! trace lines with their `seq` / `t_ms`, a `MetricsSnapshot`, a
@@ -23,8 +23,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use ansor::core::{
-    BestEntry, Lineage, ModelCheckpoint, ModelRecord, Operator, PolicyCheckpoint,
-    SchedulerCheckpoint, SchedulerRecord, TuningRecord, TuningRecordLog, TuningSession,
+    BestEntry, Lineage, ModelCheckpoint, Operator, PolicyCheckpoint, SchedulerCheckpoint,
+    SchedulerRecord, TuningRecordLog, TuningSession,
 };
 use ansor::prelude::*;
 use ansor::serve::proto::{
@@ -130,14 +130,13 @@ fn tune_checkpoint() -> ansor::core::TuneCheckpoint {
     let ck = session.checkpoint();
     let single = ck.single.as_ref().expect("a single-operator checkpoint");
     assert_eq!(single.policy.rounds, 2);
-    assert!(single.policy.history.iter().any(|r| !r.seconds.is_finite()));
+    assert!(single.policy.log.iter().any(|r| !r.seconds.is_finite()));
     assert!(single.policy.log.iter().any(|r| r.error.is_some()));
-    assert!(single.model.records.iter().any(|r| !r.features.is_empty()));
+    assert!(!single.policy.best_measured.is_empty());
+    assert!(!single.model.records.is_empty());
     ck
 }
 
-// 3.321928 is a feature value (log2 of a trip count), not the constant.
-#[allow(clippy::approx_constant)]
 fn scheduler_checkpoint() -> SchedulerCheckpoint {
     SchedulerCheckpoint {
         rng: vec![u64::MAX, 0, 1 << 63, 12345],
@@ -163,22 +162,14 @@ fn scheduler_checkpoint() -> SchedulerCheckpoint {
             rng: vec![1, 2, 3, 4],
             trials: 8,
             rounds: 1,
-            measured_signatures: vec![3, 17],
-            quarantined: vec![17],
             best_measured: vec![BestEntry {
-                seconds: 2.5e-4,
+                log: 0,
                 sketch: 1,
-                steps: steps(),
                 lineage: Lineage {
                     op: Operator::Crossover,
                     generation: 3,
                     parents: vec![11, 29],
                 },
-            }],
-            history: vec![TuningRecord {
-                trial: 1,
-                seconds: f64::INFINITY,
-                best_seconds: f64::INFINITY,
             }],
             log: vec![TuningRecordLog {
                 task: "dcgan:up1".into(),
@@ -189,12 +180,7 @@ fn scheduler_checkpoint() -> SchedulerCheckpoint {
             }],
         }],
         model: ModelCheckpoint {
-            records: vec![ModelRecord {
-                features: vec![vec![0.1, -0.0, 3.321_928, 1e-8], vec![]],
-                seconds: None,
-                task: "dcgan:up1".into(),
-                error: Some("lowering:\tunbound".into()),
-            }],
+            records: vec!["dcgan:up1".into()],
             train_passes: 3,
             trained_on: Some(1),
             trained: false,

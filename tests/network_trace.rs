@@ -46,8 +46,6 @@ fn a_network_run_traces_one_tuning_finished_per_task() {
         trace.as_os_str(),
         "--checkpoint".as_ref(),
         ck.as_os_str(),
-        "--checkpoint-every".as_ref(),
-        "1".as_ref(),
     ]);
     let mut tasks = finished_tasks(&trace);
     assert_eq!(tasks.len(), 5, "{tasks:?}");
