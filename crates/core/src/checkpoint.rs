@@ -4,13 +4,17 @@
 //! What a policy derives from its measurements — the measured-signature
 //! and quarantine sets, the tuning curve, the best programs, the cost
 //! model's feature rows — is a pure function of its records (task, steps,
-//! seconds), and so is the GBDT of a trained record prefix. A checkpoint
-//! keeps RNG words, counters, the model's training state, the scheduler's
-//! allocations, and what a best program's record lacks; restoring replays
-//! the records through the bookkeeping the run used (see
-//! `docs/ROBUSTNESS.md`). On disk, [`CheckpointFile::save`] appends the new
-//! records to the record log with [`save_records`], then atomically
-//! replaces a small header naming the prefix of the log it covers.
+//! seconds), and so is the GBDT of a trained record prefix. The order the
+//! cost model received its records in follows from the log too: a session
+//! hands it each valid record in trial order, and a task scheduler's step
+//! history says how many trials each unit measured of which task. A
+//! checkpoint keeps RNG words, counters, how much of its records the model
+//! is trained on, the scheduler's history, and what a best program's
+//! record lacks; restoring replays each record once, through the
+//! bookkeeping the run used (see `docs/ROBUSTNESS.md`). On disk,
+//! [`CheckpointFile::save`] appends the new records to the record log with
+//! [`save_records`], then atomically replaces a small header naming the
+//! prefix of the log it covers.
 
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -63,19 +67,14 @@ pub struct PolicyCheckpoint {
     pub log: Vec<TuningRecordLog>,
 }
 
-/// Serialized state of a `LearnedCostModel`: where its records come from
-/// and how much of them it is trained on. The rows of a record are a pure
-/// function of its program, so restoring featurizes the records again; the
-/// trained GBDT is a pure function of that prefix, so the restored model
-/// trains when it is first read.
+/// Serialized state of a `LearnedCostModel`: how much of its records it
+/// is trained on. Its records are the warm start's, then every valid
+/// record of the policies' logs in the order they were measured; the rows
+/// of a record are a pure function of its program, so restoring featurizes
+/// them again. The trained GBDT is a pure function of the trained prefix,
+/// so the restored model trains when it is first read.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ModelCheckpoint {
-    /// The task of every record, oldest first. The first `warm_records`
-    /// are the warm start's, which restoring expects the model to hold
-    /// already. Each later record of a task is the next valid record of
-    /// that task's log: a policy hands the model every valid measurement,
-    /// in trial order, and nothing else.
-    pub records: Vec<String>,
     /// GBDT training passes run so far (the `gbdt/train_passes` telemetry
     /// counter; a model still waiting for its first read is not among
     /// them). Restored into the resumed run's telemetry so
@@ -84,16 +83,16 @@ pub struct ModelCheckpoint {
     pub train_passes: u64,
     /// Length of the record prefix the model is trained on: `update`
     /// retrains only once its window has doubled, so the model can lag the
-    /// records. Always written; restoring refuses a checkpoint without it.
-    pub trained_on: Option<usize>,
+    /// records.
+    pub trained_on: usize,
     /// Whether that prefix's training pass had already run (is among
     /// `train_passes`). The killed run then never runs it again, so the
     /// resumed model's first read repeats it silently: no `GbdtRound`
     /// event, no pass counted.
     pub trained: bool,
     /// How many of the records a warm start absorbed before the session
-    /// measured anything. The retrain window counts only the records after
-    /// them.
+    /// measured anything, which restoring expects the model to hold
+    /// already. The retrain window counts only the records after them.
     pub warm_records: usize,
 }
 
@@ -102,14 +101,13 @@ pub struct ModelCheckpoint {
 pub struct SchedulerCheckpoint {
     /// Raw xoshiro256++ state words of the scheduler RNG.
     pub rng: Vec<u64>,
-    /// Units allocated per task.
-    pub allocations: Vec<u64>,
     /// Exhausted-task flags.
     pub exhausted: Vec<bool>,
     /// Per-task best-latency history (`gᵢ` after each allocated unit);
     /// `None` encodes a non-finite latency (task not yet measured).
     pub best_history: Vec<Vec<Option<f64>>>,
-    /// Step-by-step scheduling history.
+    /// Step-by-step scheduling history: the units allocated per task, and
+    /// the order the shared model received the policies' records in.
     pub history: Vec<SchedulerRecord>,
     /// Per-task policy checkpoints, in task order.
     pub policies: Vec<PolicyCheckpoint>,
@@ -120,8 +118,6 @@ pub struct SchedulerCheckpoint {
 /// Top-level checkpoint written by `ansor-tune --checkpoint`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TuneCheckpoint {
-    /// Format version ([`CHECKPOINT_VERSION`]).
-    pub version: u64,
     /// Invocation fingerprint (workload + options + seed + fault spec);
     /// resume refuses a checkpoint taken under different settings.
     pub fingerprint: String,
@@ -129,9 +125,6 @@ pub struct TuneCheckpoint {
     pub measurer_trials: u64,
     /// Measurer simulated-fault clock (nanoseconds).
     pub sim_fault_nanos: u64,
-    /// How many of the run's records its record log holds: set by
-    /// [`CheckpointFile::save`] and [`CheckpointFile::load`], 0 before.
-    pub records_flushed: usize,
     /// Single-op mode state (policy + model).
     pub single: Option<SinglePolicyCheckpoint>,
     /// Network (task scheduler) mode state.
@@ -153,18 +146,6 @@ impl TuneCheckpoint {
         let single = self.single.iter_mut().map(|s| &mut s.policy);
         let scheduled = self.scheduler.iter_mut().flat_map(|s| &mut s.policies);
         single.chain(scheduled).collect()
-    }
-
-    /// Saves the checkpoint as a fresh file at `path`, its record log
-    /// beside it.
-    pub fn save(self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        CheckpointFile::create(path, None)?.save(self)
-    }
-
-    /// Loads a checkpoint file with its records, but not the warm prefix
-    /// a warm-started run needs ([`CheckpointFile::load`]).
-    pub fn load(path: impl AsRef<Path>) -> Result<TuneCheckpoint, String> {
-        CheckpointFile::load(path).map(|(ck, _, _)| ck)
     }
 }
 
@@ -267,7 +248,6 @@ impl CheckpointFile {
         file.seek(SeekFrom::Start(self.log.bytes))?;
         file.read_to_end(&mut appended)?;
         let written: Vec<usize> = logs.iter().map(Vec::len).collect();
-        ck.records_flushed = written.iter().sum();
         let header = Header {
             version: CHECKPOINT_VERSION,
             log: LogPrefix {
@@ -339,7 +319,6 @@ impl CheckpointFile {
         })
         .expect("reading a slice");
         let written: Vec<usize> = policies.iter().map(|p| p.log.len()).collect();
-        checkpoint.records_flushed = written.iter().sum();
         let file = CheckpointFile {
             header: header.to_path_buf(),
             log,
@@ -378,11 +357,9 @@ mod tests {
 
     fn sample() -> TuneCheckpoint {
         TuneCheckpoint {
-            version: CHECKPOINT_VERSION,
             fingerprint: "single:GMM:s0:b1:intel:t64:seed0:faults=none".into(),
             measurer_trials: 3,
             sim_fault_nanos: 1_500_000_000,
-            records_flushed: 3,
             single: Some(SinglePolicyCheckpoint {
                 policy: PolicyCheckpoint {
                     task: "GMM:s0b1".into(),
@@ -405,9 +382,8 @@ mod tests {
                     ],
                 },
                 model: ModelCheckpoint {
-                    records: vec!["GMM:s0b1".into(); 2],
                     train_passes: 2,
-                    trained_on: Some(1),
+                    trained_on: 1,
                     trained: true,
                     warm_records: 0,
                 },
@@ -434,7 +410,10 @@ mod tests {
     fn save_load_round_trip_and_atomicity() {
         let path = scratch("round-trip");
         let ck = sample();
-        ck.clone().save(&path).unwrap();
+        CheckpointFile::create(&path, None)
+            .unwrap()
+            .save(ck.clone())
+            .unwrap();
         assert!(
             !path.with_extension("tmp").exists(),
             "tmp file renamed away"
@@ -447,7 +426,9 @@ mod tests {
         );
         let log = std::fs::read_to_string(format!("{}.records", path.display())).unwrap();
         assert_eq!(log.lines().count(), 3);
-        assert_eq!(TuneCheckpoint::load(&path).unwrap(), ck);
+        // A failed trial's time is `null` in the log and comes back infinite.
+        assert!(log.contains("\"seconds\":null"), "{log}");
+        assert_eq!(CheckpointFile::load(&path).unwrap().0, ck);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
@@ -462,7 +443,6 @@ mod tests {
             file.save(ck.clone()).unwrap();
             let (loaded, _, _) = CheckpointFile::load(&path).unwrap();
             assert_eq!(loaded.single.unwrap().policy.log, all[..n]);
-            assert_eq!(loaded.records_flushed, n);
         }
         let log = std::fs::read_to_string(file.log()).unwrap();
         assert_eq!(log.lines().count(), all.len());
@@ -480,7 +460,7 @@ mod tests {
                 format!("{{\"version\":{version},\"fingerprint\":\"f\"}}"),
             )
             .unwrap();
-            let err = TuneCheckpoint::load(&path).unwrap_err();
+            let err = CheckpointFile::load(&path).unwrap_err();
             assert!(
                 err.contains(&format!("version {version} (expected 3)")),
                 "{err}"
@@ -491,20 +471,14 @@ mod tests {
 
     #[test]
     fn non_finite_seconds_survive_via_option() {
-        // A failed trial's time is `null` in the record log; a task not yet
-        // measured has a `None` latency in the scheduler's best history.
-        let path = scratch("non-finite");
-        sample().save(&path).unwrap();
-        let back = TuneCheckpoint::load(&path).unwrap();
-        let log = &back.single.unwrap().policy.log;
-        assert_eq!(log[1].seconds, f64::INFINITY);
-        assert_eq!(log[1].error.as_deref(), Some("measure: cursed"));
+        // A failed trial's record round-trips through the record log (see
+        // above); a task not yet measured has a `None` latency in the
+        // scheduler's best history.
         let history = vec![vec![None, Some(2.5e-4)]];
         let json = serde_json::to_string(&history).unwrap();
         assert_eq!(json, "[[null,0.00025]]");
         let back: Vec<Vec<Option<f64>>> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, history);
-        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]

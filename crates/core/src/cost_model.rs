@@ -20,7 +20,7 @@ use ansor_runtime::SigCache;
 use gbdt::{Gbdt, GbdtParams, Matrix, TreeParams};
 use tensor_ir::State;
 
-use crate::search_policy::SketchPolicy;
+use crate::records::TuningRecordLog;
 use crate::search_task::SearchTask;
 
 /// Cached result of featurizing one state: the packed per-statement rows
@@ -298,56 +298,41 @@ impl LearnedCostModel {
         self.telemetry = telemetry;
     }
 
-    /// Rebuilds this model from a checkpoint: each record after the warm
-    /// start's (which the model must hold already) is the next valid record
-    /// of its task's log in `policies`, replayed, featurized and appended
-    /// as `update` appends it. The first read then trains the exact GBDT
-    /// the checkpointed model held, or would have trained on its own first
-    /// read (training is a pure function of `records[..trained_on]` — no
-    /// RNG state crosses calls). The pass counter is re-seeded so
-    /// `GbdtRound` trace events in the resumed run continue the killed
-    /// run's numbering, and a pass the killed run had already run is
-    /// repeated without them.
-    pub fn restore<'p>(
+    /// Rebuilds this model from a checkpoint and the valid records it was
+    /// updated with after the warm start (which the model must hold
+    /// already), in the order it received them, each with its replayed
+    /// program: every one is featurized and appended as `update` appends
+    /// it. The first read then trains the exact GBDT the checkpointed model
+    /// held, or would have trained on its own first read (training is a
+    /// pure function of `records[..trained_on]` — no RNG state crosses
+    /// calls). The pass counter is re-seeded so `GbdtRound` trace events in
+    /// the resumed run continue the killed run's numbering, and a pass the
+    /// killed run had already run is repeated without them.
+    pub fn restore<'r>(
         &mut self,
         ck: &crate::checkpoint::ModelCheckpoint,
-        policies: impl IntoIterator<Item = &'p SketchPolicy>,
+        measured: impl IntoIterator<Item = (&'r TuningRecordLog, State)>,
     ) -> Result<(), String> {
-        if self.records.len() != ck.warm_records || ck.records.len() < ck.warm_records {
+        if self.records.len() != ck.warm_records {
             return Err(format!(
                 "checkpointed model holds {} warm-start records, this model {}",
                 ck.warm_records,
                 self.records.len()
             ));
         }
-        let trained_on = ck
-            .trained_on
-            .filter(|&n| n <= ck.records.len())
-            .ok_or("checkpointed model names no trained prefix within its records")?;
-        let mut logs: HashMap<&str, _> = policies
-            .into_iter()
-            .map(|p| {
-                (
-                    p.task.name.as_str(),
-                    (p, p.log.iter().filter(|r| r.is_valid())),
-                )
-            })
-            .collect();
-        for task in &ck.records[ck.warm_records..] {
-            let (policy, valid) = logs.get_mut(task.as_str()).ok_or_else(|| {
-                format!("checkpointed model has records of {task:?}, which no policy tunes")
-            })?;
-            let record = valid.next().ok_or_else(|| {
-                format!("checkpointed model has more records of {task:?} than its log")
-            })?;
-            let state = record
-                .replay(policy.task.dag.clone())
-                .map_err(|e| format!("a record of {task:?} does not replay: {e}"))?;
+        for (record, state) in measured {
             let block = self.measured_features_for(&state);
-            self.push_record(task, &block, &state, record.seconds);
+            self.push_record(&record.task, &block, &state, record.seconds);
+        }
+        if ck.trained_on > self.records.len() {
+            return Err(format!(
+                "checkpointed model is trained on {} records, its logs give back {}",
+                ck.trained_on,
+                self.records.len()
+            ));
         }
         self.drop_model();
-        self.trained_on = trained_on;
+        self.trained_on = ck.trained_on;
         self.replay = ck.trained;
         self.warm_records = ck.warm_records;
         let done = self.telemetry.counter_value("gbdt/train_passes");
@@ -358,14 +343,13 @@ impl LearnedCostModel {
         Ok(())
     }
 
-    /// Serializes the task of each training record and how many of them
-    /// the model is trained on (the rows and the model are deterministic
-    /// functions of the records; see [`LearnedCostModel::restore`]).
+    /// Serializes how many of its records the model is trained on (the
+    /// records, their rows and the model are deterministic functions of the
+    /// record logs; see [`LearnedCostModel::restore`]).
     pub fn checkpoint(&self) -> crate::checkpoint::ModelCheckpoint {
         crate::checkpoint::ModelCheckpoint {
-            records: self.records.iter().map(|r| r.task.clone()).collect(),
             train_passes: self.telemetry.counter_value("gbdt/train_passes"),
-            trained_on: Some(self.trained_on),
+            trained_on: self.trained_on,
             trained: self.model.get().is_some(),
             warm_records: self.warm_records,
         }
@@ -1215,18 +1199,24 @@ mod tests {
         (states, secs)
     }
 
-    /// A policy whose log holds `states` measured at `secs`, in order: the
-    /// log a checkpointed model's records are restored from.
-    fn logged(t: &SearchTask, states: &[State], secs: &[f64]) -> SketchPolicy {
+    /// Restores `model` from `ck` and the valid records of a log that
+    /// measured `states` at `secs`, as a policy hands them back.
+    fn restore_logged(
+        model: &mut LearnedCostModel,
+        ck: &crate::checkpoint::ModelCheckpoint,
+        t: &SearchTask,
+        states: &[State],
+        secs: &[f64],
+    ) -> Result<(), String> {
         assert!(
             secs.iter().all(|s| s.is_finite()),
             "a model gets valid records"
         );
-        let log = states
+        let log: Vec<_> = states
             .iter()
             .zip(secs)
             .enumerate()
-            .map(|(i, (s, &seconds))| crate::records::TuningRecordLog {
+            .map(|(i, (s, &seconds))| TuningRecordLog {
                 task: t.name.clone(),
                 trial: i as u64 + 1,
                 steps: s.steps.clone(),
@@ -1234,17 +1224,7 @@ mod tests {
                 error: None,
             })
             .collect();
-        let mut policy = SketchPolicy::new(t.clone(), Default::default());
-        let ck = crate::checkpoint::PolicyCheckpoint {
-            task: t.name.clone(),
-            rng: vec![1, 2, 3, 4],
-            trials: states.len() as u64,
-            rounds: 1,
-            best_measured: vec![],
-            log,
-        };
-        policy.restore(&ck).expect("the states replay");
-        policy
+        model.restore(ck, log.iter().zip(states.iter().cloned()))
     }
 
     fn bits(scores: &[f64]) -> Vec<u64> {
@@ -1268,7 +1248,7 @@ mod tests {
         let restored_tel = telemetry::Telemetry::with_metrics();
         let mut restored = LearnedCostModel::new();
         restored.set_telemetry(restored_tel.clone());
-        restored.restore(&ck, [&logged(&t, &train, &secs)]).unwrap();
+        restore_logged(&mut restored, &ck, &t, &train, &secs).unwrap();
         assert_eq!(passes(&restored_tel), 0);
 
         // The first read trains, once; both train the same model.
@@ -1333,7 +1313,7 @@ mod tests {
             m.update(&t, &failed, &failed_secs);
             assert_eq!(m.num_records(), good.len() + failed.len());
             assert_eq!(bits(&m.predict(&t, &probe)), want, "{read_between}");
-            assert_eq!(m.checkpoint().trained_on, Some(good.len()));
+            assert_eq!(m.checkpoint().trained_on, good.len());
         }
     }
 
@@ -1463,9 +1443,7 @@ mod tests {
         restored.update(&t, &warm, &warm_secs);
         restored.end_warm_start();
         let (states, secs) = batches(&t, 3, 16);
-        restored
-            .restore(&model.checkpoint(), [&logged(&t, &states, &secs)])
-            .unwrap();
+        restore_logged(&mut restored, &model.checkpoint(), &t, &states, &secs).unwrap();
         let (states, secs) = measured(&t, 16, 43);
         model.update(&t, &states, &secs);
         restored.update(&t, &states, &secs);
@@ -1507,15 +1485,13 @@ mod tests {
         let (mut model, tel, prefixes) = session_of(&t, 0, 3, 16);
         assert_eq!(prefixes[2], 32);
         let ck = model.checkpoint();
-        assert_eq!((ck.records.len(), ck.trained_on), (48, Some(32)));
+        assert_eq!((model.num_records(), ck.trained_on), (48, 32));
         assert_eq!((ck.train_passes, ck.trained), (2, true));
         let restored_tel = telemetry::Telemetry::with_metrics();
         let mut restored = LearnedCostModel::new();
         restored.set_telemetry(restored_tel.clone());
         let (states, secs) = batches(&t, 3, 16);
-        restored
-            .restore(&ck, [&logged(&t, &states, &secs)])
-            .unwrap();
+        restore_logged(&mut restored, &ck, &t, &states, &secs).unwrap();
         let probe = sample_states(&t, 8, 41);
         let want = bits(&model.predict(&t, &probe));
         assert_eq!(bits(&restored.predict(&t, &probe)), want);
@@ -1539,10 +1515,11 @@ mod tests {
         let mut model = LearnedCostModel::new();
         model.update(&t, &train, &secs);
         let ck = model.checkpoint();
-        assert_eq!(ck.records, vec![t.name.clone(); train.len()]);
-        let log = logged(&t, &train, &secs);
+        assert_eq!(ck.trained_on, train.len());
+        let restore =
+            |model: &mut LearnedCostModel, ck| restore_logged(model, ck, &t, &train, &secs);
         let mut restored = LearnedCostModel::new();
-        restored.restore(&ck, [&log]).unwrap();
+        restore(&mut restored, &ck).unwrap();
         // The records come back row for row, with the programs a memo
         // keys passes by.
         assert_eq!(restored.num_records(), model.num_records());
@@ -1561,16 +1538,13 @@ mod tests {
             bits(&model.predict(&t, &probe)),
             bits(&restored.predict(&t, &probe))
         );
-        // A checkpoint the log cannot account for is refused.
-        let refused = |ck: &crate::checkpoint::ModelCheckpoint| {
-            LearnedCostModel::new().restore(ck, [&log]).unwrap_err()
+        // A checkpoint the records cannot account for is refused.
+        let refused = |ck| restore(&mut LearnedCostModel::new(), ck).unwrap_err();
+        let more = crate::checkpoint::ModelCheckpoint {
+            trained_on: train.len() + 1,
+            ..ck.clone()
         };
-        let mut more = ck.clone();
-        more.records.push(t.name.clone());
-        assert!(refused(&more).contains("more records of"));
-        let mut other = ck.clone();
-        other.records[3] = "other".into();
-        assert!(refused(&other).contains("which no policy tunes"));
+        assert!(refused(&more).contains("trained on 31 records"));
         let warm = crate::checkpoint::ModelCheckpoint {
             warm_records: 4,
             ..ck.clone()
@@ -1648,9 +1622,7 @@ mod tests {
 
         // A restore replays the programs, so the history is the run's.
         let (mut restored, tel) = sharing(&memo);
-        restored
-            .restore(&model.checkpoint(), [&logged(&t, &states, &secs)])
-            .unwrap();
+        restore_logged(&mut restored, &model.checkpoint(), &t, &states, &secs).unwrap();
         assert_eq!(bits(&restored.predict(&t, &probe)), want);
         assert_eq!((memo.len(), memo_hits(&tel)), (1, 1));
         // So after records of its own, too.

@@ -677,8 +677,14 @@ impl SketchPolicy {
     /// policy that has measured nothing (a warm-started one included), by
     /// filing every record of the log as `tune_round` filed it. The policy
     /// must have been created with the same task (and, for bit-identical
-    /// continuation, the same options).
-    pub fn restore(&mut self, ck: &PolicyCheckpoint) -> Result<(), String> {
+    /// continuation, the same options). Returns, for each record of the
+    /// log, what `tune_round` handed the cost model: a valid measurement
+    /// with its replayed program, `None` for a failed one and for every
+    /// record of a policy that does not fine-tune.
+    pub fn restore<'c>(
+        &mut self,
+        ck: &'c PolicyCheckpoint,
+    ) -> Result<Vec<Option<(&'c TuningRecordLog, tensor_ir::State)>>, String> {
         if ck.task != self.task.name {
             return Err(format!(
                 "checkpoint is for task {:?}, policy tunes {:?}",
@@ -696,6 +702,8 @@ impl SketchPolicy {
             }
             best.insert(e.log, e);
         }
+        let fine_tunes = self.options.variant != PolicyVariant::NoFineTuning;
+        let mut measured = Vec::with_capacity(ck.log.len());
         for (i, r) in ck.log.iter().enumerate() {
             let state = r
                 .replay(self.task.dag.clone())
@@ -709,7 +717,8 @@ impl SketchPolicy {
                 None => Individual::new(state, 0),
             };
             self.measured_signatures.insert(ind.signature());
-            self.file_measurement(ind, r.seconds, r.error.clone());
+            let state = self.file_measurement(ind, r.seconds, r.error.clone());
+            measured.push(state.filter(|_| fine_tunes).map(|state| (r, state)));
         }
         if self.trials != ck.trials {
             return Err(format!(
@@ -719,7 +728,7 @@ impl SketchPolicy {
         }
         self.rng = StdRng::from_raw_state(rng_state_from(&ck.rng)?);
         self.rounds = ck.rounds;
-        Ok(())
+        Ok(measured)
     }
 
     /// [`SketchPolicy::tune_round`] for a task tuned on its own, plus the
@@ -1146,9 +1155,11 @@ mod tests {
         drop((p1, model1, m1));
 
         let mut p2 = SketchPolicy::new(t.clone(), opts());
-        p2.restore(&pck).unwrap();
+        let measured = p2.restore(&pck).unwrap();
         let mut model2 = LearnedCostModel::new();
-        model2.restore(&mck, [&p2]).unwrap();
+        model2
+            .restore(&mck, measured.into_iter().flatten())
+            .unwrap();
         let mut m2 = Measurer::new(t.target.clone());
         m2.restore_accounting(p2.trials(), 0);
         while p2.tune_round(&mut model2, &mut m2) > 0 {}

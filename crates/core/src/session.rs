@@ -33,7 +33,7 @@ use std::sync::Arc;
 use ansor_runtime::SigCache;
 use hwsim::{MeasureResult, Measurer};
 
-use crate::checkpoint::{SinglePolicyCheckpoint, TuneCheckpoint, CHECKPOINT_VERSION};
+use crate::checkpoint::{SinglePolicyCheckpoint, TuneCheckpoint};
 use crate::cost_model::{FeatureBlock, LearnedCostModel, ModelMemo};
 use crate::evolution::Individual;
 use crate::records::TuningRecordLog;
@@ -247,11 +247,9 @@ impl TuningSession {
     /// Serializes the complete session state (single-op checkpoint form).
     pub fn checkpoint(&self) -> TuneCheckpoint {
         TuneCheckpoint {
-            version: CHECKPOINT_VERSION,
             fingerprint: self.fingerprint.clone(),
             measurer_trials: self.measurer.trials(),
             sim_fault_nanos: self.measurer.sim_fault_nanos(),
-            records_flushed: 0,
             single: Some(SinglePolicyCheckpoint {
                 policy: self.policy.checkpoint(),
                 model: self.model.checkpoint(),
@@ -262,11 +260,12 @@ impl TuningSession {
 
     /// Restores the session from a checkpoint taken under the same
     /// fingerprint; a resumed session continues bit-identically to the
-    /// uninterrupted run. The policy and the model replay the checkpoint's
-    /// records; a session that was warm-started must be warm-started from
-    /// the same records first ([`crate::CheckpointFile::load`] returns them).
-    /// Nothing is trained here: the model is rebuilt by the next round's
-    /// first read, and never if no round follows.
+    /// uninterrupted run. The policy replays the checkpoint's records once,
+    /// and the model takes back the valid ones in trial order; a session
+    /// that was warm-started must be warm-started from the same records
+    /// first ([`crate::CheckpointFile::load`] returns them). Nothing is
+    /// trained here: the model is rebuilt by the next round's first read,
+    /// and never if no round follows.
     pub fn restore(&mut self, ck: &TuneCheckpoint) -> Result<(), String> {
         if ck.fingerprint != self.fingerprint {
             return Err(format!(
@@ -277,8 +276,9 @@ impl TuningSession {
         let Some(single) = &ck.single else {
             return Err("checkpoint holds a network run, not a single-op session".into());
         };
-        self.policy.restore(&single.policy)?;
-        self.model.restore(&single.model, [&self.policy])?;
+        let measured = self.policy.restore(&single.policy)?;
+        self.model
+            .restore(&single.model, measured.into_iter().flatten())?;
         self.measurer
             .restore_accounting(ck.measurer_trials, ck.sim_fault_nanos);
         Ok(())
@@ -472,7 +472,7 @@ mod tests {
         // The fourth update doubled the window; nothing trained that model.
         let ck = s.checkpoint();
         let model = &ck.single.as_ref().unwrap().model;
-        assert_eq!((model.records.len(), model.trained_on), (64, Some(64)));
+        assert_eq!((s.model().num_records(), model.trained_on), (64, 64));
         assert!(!model.trained);
 
         // The third update kept the model: its window was half new.
@@ -480,7 +480,7 @@ mod tests {
         s.run(|_| true);
         let ck = s.checkpoint();
         let model = &ck.single.as_ref().unwrap().model;
-        assert_eq!((model.records.len(), model.trained_on), (48, Some(32)));
+        assert_eq!((s.model().num_records(), model.trained_on), (48, 32));
         assert_eq!(tel.counter_value("gbdt/train_passes"), 2);
         // Restoring continues the numbering and trains nothing…
         let (mut resumed, tel, _) = traced_session(48);

@@ -484,7 +484,6 @@ impl TaskScheduler {
     pub fn checkpoint(&self) -> crate::checkpoint::SchedulerCheckpoint {
         crate::checkpoint::SchedulerCheckpoint {
             rng: self.rng.raw_state().to_vec(),
-            allocations: self.allocations.clone(),
             exhausted: self.exhausted.clone(),
             best_history: self
                 .best_history
@@ -498,26 +497,45 @@ impl TaskScheduler {
     }
 
     /// Restores the state captured by [`TaskScheduler::checkpoint`]. The
-    /// shared model gets its records back and trains on the next step's
-    /// first read, as it would have in the run that was checkpointed.
+    /// shared model gets its records back in the order the history says
+    /// they were measured, and trains on the next step's first read, as it
+    /// would have in the run that was checkpointed.
     pub fn restore(&mut self, ck: &crate::checkpoint::SchedulerCheckpoint) -> Result<(), String> {
         let n = self.tasks.len();
-        if ck.policies.len() != n
-            || ck.allocations.len() != n
-            || ck.exhausted.len() != n
-            || ck.best_history.len() != n
-        {
+        if ck.policies.len() != n || ck.exhausted.len() != n || ck.best_history.len() != n {
             return Err(format!(
                 "checkpoint covers {} tasks, scheduler has {n}",
                 ck.policies.len()
             ));
         }
+        let mut logs = Vec::with_capacity(n);
         for (policy, pc) in self.policies.iter_mut().zip(&ck.policies) {
-            policy.restore(pc)?;
+            logs.push(policy.restore(pc)?.into_iter());
         }
-        self.model.restore(&ck.model, &self.policies)?;
+        // Unit k measured the trials counted since unit k − 1, all of its
+        // chosen task; the history must account for every record once.
+        let (mut measured, mut total) = (Vec::new(), 0);
+        self.allocations = vec![0; n];
+        for (k, r) in ck.history.iter().enumerate() {
+            let bad = |what: &str| format!("scheduler history unit {k} {what}");
+            let past = || bad("names a task past the list");
+            let log = logs.get_mut(r.chosen_task).ok_or_else(past)?;
+            let fewer = || bad("counts fewer trials than the unit before");
+            let trials = r.total_trials.checked_sub(total).ok_or_else(fewer)?;
+            let more = || bad("counts more trials than its task's log holds");
+            for _ in 0..trials {
+                measured.extend(log.next().ok_or_else(more)?);
+            }
+            self.allocations[r.chosen_task] += 1;
+            total = r.total_trials;
+        }
+        if logs.iter_mut().any(|log| log.next().is_some()) {
+            return Err(format!(
+                "scheduler history counts {total} trials, fewer than its logs hold"
+            ));
+        }
+        self.model.restore(&ck.model, measured)?;
         self.rng = StdRng::from_raw_state(crate::checkpoint::rng_state_from(&ck.rng)?);
-        self.allocations = ck.allocations.clone();
         self.exhausted = ck.exhausted.clone();
         self.best_history = ck
             .best_history
@@ -730,27 +748,52 @@ mod tests {
         assert_eq!(sched.allocations, vec![4, 4]);
     }
 
+    /// A scheduler of one 64³ matmul.
+    fn solo() -> TaskScheduler {
+        let tasks = vec![TuneTask {
+            task: mm_task("solo", 64),
+            weight: 1.0,
+            dnn: 0,
+        }];
+        let config = TaskSchedulerConfig::default();
+        TaskScheduler::new(tasks, Objective::WeightedSum, small_options(), config)
+    }
+
     #[test]
     fn restore_rejects_a_sketch_index_past_the_list() {
-        let scheduler = || {
-            let tasks = vec![TuneTask {
-                task: mm_task("solo", 64),
-                weight: 1.0,
-                dnn: 0,
-            }];
-            let config = TaskSchedulerConfig::default();
-            TaskScheduler::new(tasks, Objective::WeightedSum, small_options(), config)
-        };
-        let mut sched = scheduler();
+        let mut sched = solo();
         sched.tune(1, &mut Measurer::new(HardwareTarget::intel_20core()));
         let n = sched.policies[0].sketches().len();
         let mut ck = sched.checkpoint();
         ck.policies[0].best_measured[0].sketch = n;
-        let err = scheduler().restore(&ck).unwrap_err();
+        let err = solo().restore(&ck).unwrap_err();
         assert!(
             err.contains(&format!("sketch {n}, the task has {n}")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn restore_rejects_a_history_that_does_not_account_for_the_logs() {
+        let mut sched = solo();
+        sched.tune(2, &mut Measurer::new(HardwareTarget::intel_20core()));
+        let ck = sched.checkpoint();
+        assert!(solo().restore(&ck).is_ok());
+        let refused = |edit: &dyn Fn(&mut [SchedulerRecord])| {
+            let mut ck = ck.clone();
+            edit(&mut ck.history);
+            solo().restore(&ck).unwrap_err()
+        };
+        // A task past the list, a count that decreases, and counts that
+        // measure more or fewer trials than the logs hold.
+        let past = refused(&|h| h[1].chosen_task = 1);
+        assert!(past.contains("unit 1 names a task past"), "{past}");
+        let decreasing = refused(&|h| h[1].total_trials = h[0].total_trials - 1);
+        assert!(decreasing.contains("unit 1 counts fewer"), "{decreasing}");
+        let more = refused(&|h| h[1].total_trials += 1);
+        assert!(more.contains("unit 1 counts more"), "{more}");
+        let fewer = refused(&|h| h[1].total_trials -= 1);
+        assert!(fewer.contains("counts 15 trials, fewer than"), "{fewer}");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use ansor::core::{
     load_records, log_fingerprint, save_records, single_fingerprint, single_task_name,
-    CheckpointFile, TuneCheckpoint, TuningRecordLog, TuningSession, CHECKPOINT_VERSION,
+    CheckpointFile, TuneCheckpoint, TuningRecordLog, TuningSession,
 };
 use ansor::prelude::*;
 use ansor::workloads;
@@ -107,6 +107,11 @@ fn parse() -> Cli {
                 std::process::exit(2);
             }
         }
+    }
+    // A network run's records go to its checkpoint's record log.
+    if cli.network.is_some() && cli.log.is_some() {
+        eprintln!("--log: not supported with --network (use --checkpoint)");
+        std::process::exit(2);
     }
     cli
 }
@@ -415,11 +420,9 @@ fn tune_network(cli: &Cli, net: &str, target: HardwareTarget) {
         done_units += 1;
         if let Some(file) = &mut file {
             let ck = TuneCheckpoint {
-                version: CHECKPOINT_VERSION,
                 fingerprint: fingerprint.clone(),
                 measurer_trials: measurer.trials(),
                 sim_fault_nanos: measurer.sim_fault_nanos(),
-                records_flushed: 0,
                 single: None,
                 scheduler: Some(sched.checkpoint()),
             };

@@ -49,6 +49,12 @@ fn ansor_tune_rejects_a_mistyped_number() {
         &["--op", "GMM", "--log", "--trials", "8"],
         "--log: missing value",
     );
+    // A network run writes no `--log`, so the flag is refused there.
+    assert_usage_error(
+        bin,
+        &["--network", "dcgan", "--units", "1", "--log", "x.jsonl"],
+        "--log: not supported with --network",
+    );
 }
 
 #[test]

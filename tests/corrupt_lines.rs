@@ -341,8 +341,7 @@ fn a_save_killed_between_its_writes_loads_the_save_before_it() {
     let mut saves: Vec<(Vec<u8>, u64, TuneCheckpoint)> = Vec::new();
     while full.step() > 0 {
         file.save(full.checkpoint()).unwrap();
-        let mut state = full.checkpoint();
-        state.records_flushed = full.log().len();
+        let state = full.checkpoint();
         let log_len = std::fs::metadata(file.log()).unwrap().len();
         saves.push((std::fs::read(&path).unwrap(), log_len, state));
     }

@@ -12,10 +12,7 @@
 
 use std::sync::Arc;
 
-use ansor::core::{
-    LearnedCostModel, ModelCheckpoint, SinglePolicyCheckpoint, SketchPolicy, TuneCheckpoint,
-    TuningRecordLog, CHECKPOINT_VERSION,
-};
+use ansor::core::{CheckpointFile, SinglePolicyCheckpoint, TuningRecordLog, TuningSession};
 use ansor::prelude::*;
 use hwsim::FaultPlan;
 use telemetry::{canonical_events, read_trace, SharedBuf, Telemetry};
@@ -58,13 +55,11 @@ fn plan() -> FaultPlan {
     }
 }
 
-fn fresh(tel: &Telemetry) -> (SketchPolicy, LearnedCostModel, Measurer) {
+fn session(tel: &Telemetry) -> TuningSession {
     let t = task();
     let mut measurer = Measurer::with_faults(t.target.clone(), plan());
     measurer.set_telemetry(tel.clone());
-    let mut model = LearnedCostModel::new();
-    model.set_telemetry(tel.clone());
-    (SketchPolicy::new(t, options(tel.clone())), model, measurer)
+    TuningSession::new(t, options(tel.clone()), measurer, "crash_resume")
 }
 
 /// Canonical trace lines (wall-clock `PhaseProfile` events stripped).
@@ -75,6 +70,7 @@ fn trace_lines(buf: &SharedBuf, tel: &Telemetry) -> Vec<String> {
     canonical_events(&lines)
 }
 
+#[derive(Debug, PartialEq)]
 struct RunResult {
     best_seconds: f64,
     best_steps: Vec<Step>,
@@ -84,70 +80,48 @@ struct RunResult {
     sim_fault_nanos: u64,
 }
 
-/// The uninterrupted reference run, snapshotting a checkpoint file and the
-/// trace length after every round.
+impl RunResult {
+    fn of(session: &TuningSession, buf: &SharedBuf, tel: &Telemetry) -> RunResult {
+        let best = session.best_individual().expect("has a best program");
+        RunResult {
+            best_seconds: session.best_seconds(),
+            best_steps: best.state.steps.clone(),
+            log: session.log().to_vec(),
+            trace: trace_lines(buf, tel),
+            trials: session.trials(),
+            sim_fault_nanos: session.measurer().sim_fault_nanos(),
+        }
+    }
+}
+
+/// The uninterrupted reference run, saving a checkpoint file and noting
+/// the trace length after every round.
 fn reference(dir: &std::path::Path) -> (RunResult, Vec<(std::path::PathBuf, usize)>) {
     let buf = SharedBuf::new();
     let tel = Telemetry::to_writer(Box::new(buf.clone()));
-    let (mut policy, mut model, mut measurer) = fresh(&tel);
+    let mut session = session(&tel);
     let mut boundaries = Vec::new();
-    let mut round = 0usize;
-    while policy.tune_round(&mut model, &mut measurer) > 0 {
-        round += 1;
-        let path = dir.join(format!("round{round}.ckpt"));
-        TuneCheckpoint {
-            version: CHECKPOINT_VERSION,
-            fingerprint: "crash_resume".into(),
-            measurer_trials: measurer.trials(),
-            sim_fault_nanos: measurer.sim_fault_nanos(),
-            records_flushed: 0,
-            single: Some(SinglePolicyCheckpoint {
-                policy: policy.checkpoint(),
-                model: model.checkpoint(),
-            }),
-            scheduler: None,
-        }
-        .save(&path)
-        .expect("checkpoint saves");
+    while session.step() > 0 {
+        let path = dir.join(format!("round{}.ckpt", boundaries.len() + 1));
+        CheckpointFile::create(&path, None)
+            .and_then(|mut file| file.save(session.checkpoint()))
+            .expect("checkpoint saves");
         // Events written so far = the pre-crash segment for this boundary.
         boundaries.push((path, trace_lines(&buf, &tel).len()));
     }
-    let best = policy.best_individual().expect("has a best program");
-    let result = RunResult {
-        best_seconds: policy.best_seconds(),
-        best_steps: best.state.steps.clone(),
-        log: policy.log.clone(),
-        trace: trace_lines(&buf, &tel),
-        trials: policy.trials(),
-        sim_fault_nanos: measurer.sim_fault_nanos(),
-    };
-    (result, boundaries)
+    (RunResult::of(&session, &buf, &tel), boundaries)
 }
 
-/// "Kill" at a boundary: load the checkpoint file into entirely fresh
-/// objects and run to completion.
+/// "Kill" at a boundary: load the checkpoint file into an entirely fresh
+/// session and run it to completion.
 fn resume_from(path: &std::path::Path) -> RunResult {
-    let ck = TuneCheckpoint::load(path).expect("checkpoint loads");
-    assert_eq!(ck.fingerprint, "crash_resume");
+    let (ck, _, _) = CheckpointFile::load(path).expect("checkpoint loads");
     let buf = SharedBuf::new();
     let tel = Telemetry::to_writer(Box::new(buf.clone()));
-    let (mut policy, mut model, mut measurer) = fresh(&tel);
-    let single = ck.single.as_ref().expect("single-op checkpoint");
-    policy.restore(&single.policy).expect("policy restores");
-    model
-        .restore(&single.model, [&policy])
-        .expect("model restores");
-    measurer.restore_accounting(ck.measurer_trials, ck.sim_fault_nanos);
-    while policy.tune_round(&mut model, &mut measurer) > 0 {}
-    let best = policy.best_individual().expect("has a best program");
-    RunResult {
-        best_seconds: policy.best_seconds(),
-        best_steps: best.state.steps.clone(),
-        log: policy.log.clone(),
-        trace: trace_lines(&buf, &tel),
-        trials: policy.trials(),
-        sim_fault_nanos: measurer.sim_fault_nanos(),
-    }
+    let mut session = session(&tel);
+    session.restore(&ck).expect("session restores");
+    while session.step() > 0 {}
+    RunResult::of(&session, &buf, &tel)
 }
 
 #[test]
@@ -160,58 +134,28 @@ fn killed_and_resumed_at_every_boundary_is_bit_identical() {
         "need multiple rounds to test boundaries, got {}",
         boundaries.len()
     );
-    let models: Vec<ModelCheckpoint> = boundaries
-        .iter()
-        .map(|(path, _)| {
-            let ck = TuneCheckpoint::load(path).expect("checkpoint loads");
-            ck.single.expect("single-op checkpoint").model
-        })
-        .collect();
-    assert!(
-        models[..models.len() - 1].iter().any(lags),
-        "no kill boundary falls between two retrains"
-    );
+    let lagging = boundaries[..boundaries.len() - 1].iter().any(|(path, _)| {
+        let (ck, _, _) = CheckpointFile::load(path).expect("checkpoint loads");
+        lags(&ck.single.expect("single-op checkpoint"))
+    });
+    assert!(lagging, "no kill boundary falls between two retrains");
     assert!(full.best_seconds.is_finite());
     for (k, (path, pre_events)) in boundaries.iter().enumerate() {
         let resumed = resume_from(path);
-        assert_eq!(
-            resumed.best_seconds,
-            full.best_seconds,
-            "best seconds diverged resuming after round {}",
-            k + 1
-        );
-        assert_eq!(
-            resumed.best_steps,
-            full.best_steps,
-            "best program diverged resuming after round {}",
-            k + 1
-        );
-        assert_eq!(
-            resumed.log,
-            full.log,
-            "record log diverged resuming after round {}",
-            k + 1
-        );
-        assert_eq!(resumed.trials, full.trials);
-        assert_eq!(resumed.sim_fault_nanos, full.sim_fault_nanos);
         // Pre-crash trace segment + post-resume trace = uninterrupted trace.
-        let stitched: Vec<String> = full.trace[..*pre_events]
-            .iter()
-            .cloned()
-            .chain(resumed.trace.iter().cloned())
-            .collect();
-        assert_eq!(
-            stitched,
-            full.trace,
-            "trace diverged resuming after round {}",
-            k + 1
-        );
+        let trace = full.trace[..*pre_events].iter().chain(&resumed.trace);
+        let stitched = RunResult {
+            trace: trace.cloned().collect(),
+            ..resumed
+        };
+        assert_eq!(stitched, full, "resuming after round {}", k + 1);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Whether a checkpointed model is trained on fewer records than it holds:
-/// the update before the checkpoint did not retrain.
-fn lags(model: &ModelCheckpoint) -> bool {
-    model.trained_on.expect("written with the trained prefix") < model.records.len()
+/// Whether a checkpointed model is trained on fewer records than it holds
+/// (every valid record of the log): the update before the checkpoint did
+/// not retrain.
+fn lags(ck: &SinglePolicyCheckpoint) -> bool {
+    ck.model.trained_on < ck.policy.log.iter().filter(|r| r.is_valid()).count()
 }
