@@ -26,9 +26,10 @@ use crate::records::{fnv1a, save_records, TuningRecordLog, FNV_OFFSET};
 use crate::task_scheduler::SchedulerRecord;
 
 /// Current checkpoint format version. Bump on incompatible changes; load
-/// rejects mismatches instead of misinterpreting old files. Version 3: a
-/// header plus the record log, the state derivable from the log left out.
-pub const CHECKPOINT_VERSION: u64 = 3;
+/// rejects mismatches instead of misinterpreting old files. Version 4: a
+/// header plus the record log, the state derivable from the log and the
+/// scheduler's history left out.
+pub const CHECKPOINT_VERSION: u64 = 4;
 
 /// One retained best-measured program, by its record in the policy's log.
 /// A program a warm start filed is not listed: the warm start files it
@@ -55,8 +56,6 @@ pub struct PolicyCheckpoint {
     /// restoring these words makes kill+resume bit-identical through
     /// evolution without persisting any per-lane state.
     pub rng: Vec<u64>,
-    /// Measurement trials consumed (the length of `log`).
-    pub trials: u64,
     /// Tuning rounds run.
     pub rounds: u64,
     /// Best measured programs the policy's own log holds, ascending by
@@ -101,8 +100,9 @@ pub struct ModelCheckpoint {
 pub struct SchedulerCheckpoint {
     /// Raw xoshiro256++ state words of the scheduler RNG.
     pub rng: Vec<u64>,
-    /// Exhausted-task flags.
-    pub exhausted: Vec<bool>,
+    /// Per exhausted task, the history's length when a round of it measured
+    /// nothing valid: the unit whose trial count includes that round's.
+    pub exhausted: Vec<Option<usize>>,
     /// Per-task best-latency history (`gᵢ` after each allocated unit);
     /// `None` encodes a non-finite latency (task not yet measured).
     pub best_history: Vec<Vec<Option<f64>>>,
@@ -364,7 +364,6 @@ mod tests {
                 policy: PolicyCheckpoint {
                     task: "GMM:s0b1".into(),
                     rng: vec![1, 2, 3, 4],
-                    trials: 3,
                     rounds: 1,
                     best_measured: vec![BestEntry {
                         log: 2,
@@ -453,8 +452,10 @@ mod tests {
     fn version_mismatch_is_rejected() {
         let path = scratch("version");
         // Version 2 is the one-document format with the rows and the
-        // derivable sets; like any other foreign version it is refused.
-        for version in [2, 999] {
+        // derivable sets, version 3 a header that still lists each model
+        // record's task and no scheduler unit a failed round fell in; like
+        // any other foreign version they are refused.
+        for version in [2, 3, 999] {
             std::fs::write(
                 &path,
                 format!("{{\"version\":{version},\"fingerprint\":\"f\"}}"),
@@ -462,7 +463,7 @@ mod tests {
             .unwrap();
             let err = CheckpointFile::load(&path).unwrap_err();
             assert!(
-                err.contains(&format!("version {version} (expected 3)")),
+                err.contains(&format!("version {version} (expected 4)")),
                 "{err}"
             );
         }

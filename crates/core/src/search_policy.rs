@@ -337,6 +337,11 @@ impl SketchPolicy {
         state
     }
 
+    /// Whether `tune_round` hands the cost model its valid measurements.
+    fn feeds_model(&self) -> bool {
+        self.options.variant != PolicyVariant::NoFineTuning
+    }
+
     /// Files one measured program: counts the trial, quarantines it after
     /// a terminal injected fault (cursed hardware, retry exhaustion are
     /// sticky, so evolution stops proposing it), appends its record and its
@@ -584,7 +589,7 @@ impl SketchPolicy {
             operators: EfficacyTally::rows(&tally.ops),
             rules: EfficacyTally::rows(&tally.rules),
         });
-        if self.options.variant != PolicyVariant::NoFineTuning {
+        if self.feeds_model() {
             model.update(&self.task, &measured_states, &measured_secs);
         }
         if tel.is_enabled() {
@@ -656,7 +661,6 @@ impl SketchPolicy {
         PolicyCheckpoint {
             task: self.task.name.clone(),
             rng: self.rng.raw_state().to_vec(),
-            trials: self.trials,
             rounds: self.rounds,
             best_measured: self
                 .best_measured
@@ -702,7 +706,6 @@ impl SketchPolicy {
             }
             best.insert(e.log, e);
         }
-        let fine_tunes = self.options.variant != PolicyVariant::NoFineTuning;
         let mut measured = Vec::with_capacity(ck.log.len());
         for (i, r) in ck.log.iter().enumerate() {
             let state = r
@@ -718,13 +721,7 @@ impl SketchPolicy {
             };
             self.measured_signatures.insert(ind.signature());
             let state = self.file_measurement(ind, r.seconds, r.error.clone());
-            measured.push(state.filter(|_| fine_tunes).map(|state| (r, state)));
-        }
-        if self.trials != ck.trials {
-            return Err(format!(
-                "checkpoint of {:?} counts {} trials, its log holds {}",
-                ck.task, ck.trials, self.trials
-            ));
+            measured.push(state.filter(|_| self.feeds_model()).map(|s| (r, s)));
         }
         self.rng = StdRng::from_raw_state(rng_state_from(&ck.rng)?);
         self.rounds = ck.rounds;

@@ -169,9 +169,10 @@ pub struct TaskScheduler {
     cfg: TaskSchedulerConfig,
     /// Units allocated per task (`tᵢ`).
     pub allocations: Vec<u64>,
-    /// Tasks whose search space is exhausted (a tuning round produced no
-    /// new measurable program); they receive no further units.
-    pub exhausted: Vec<bool>,
+    /// Tasks whose search space is exhausted (a round measured no new valid
+    /// program) get no further units; each holds the history's length then:
+    /// the unit whose trial count includes that round's, if one follows.
+    pub exhausted: Vec<Option<usize>>,
     /// `gᵢ` after each unit allocated to task i.
     best_history: Vec<Vec<f64>>,
     /// Step-by-step history for curves.
@@ -215,7 +216,7 @@ impl TaskScheduler {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xA11C),
             cfg,
             allocations: vec![0; n],
-            exhausted: vec![false; n],
+            exhausted: vec![None; n],
             best_history: vec![Vec::new(); n],
             history: Vec::new(),
             n_dnns,
@@ -353,7 +354,7 @@ impl TaskScheduler {
     /// tasks. Returns `None` when every task is exhausted.
     fn choose(&mut self) -> Option<usize> {
         let live: Vec<usize> = (0..self.tasks.len())
-            .filter(|&i| !self.exhausted[i])
+            .filter(|&i| self.exhausted[i].is_none())
             .collect();
         if live.is_empty() {
             return None;
@@ -396,7 +397,7 @@ impl TaskScheduler {
             };
             let measured = self.policies[i].tune_round(&mut self.model, measurer);
             if measured == 0 {
-                self.exhausted[i] = true;
+                self.exhausted[i] = Some(self.history.len());
                 continue;
             }
             self.allocations[i] += 1;
@@ -512,26 +513,37 @@ impl TaskScheduler {
         for (policy, pc) in self.policies.iter_mut().zip(&ck.policies) {
             logs.push(policy.restore(pc)?.into_iter());
         }
-        // Unit k measured the trials counted since unit k − 1, all of its
-        // chosen task; the history must account for every record once.
-        let (mut measured, mut total) = (Vec::new(), 0);
+        // Unit k measured the trials counted since unit k − 1: the rest of
+        // the log of each task exhausted while it was chosen (a round that
+        // measured nothing valid), then its chosen task's. The history must
+        // account for every record once.
+        let (mut measured, mut counted) = (Vec::new(), 0);
         self.allocations = vec![0; n];
-        for (k, r) in ck.history.iter().enumerate() {
+        for k in 0..=ck.history.len() {
             let bad = |what: &str| format!("scheduler history unit {k} {what}");
+            let exhausted = logs.iter_mut().zip(&ck.exhausted);
+            let failed = exhausted.filter(|(_, e)| **e == Some(k));
+            for record in failed.flat_map(|(log, _)| log) {
+                if record.is_some() {
+                    return Err(bad("exhausts a task that measured a valid record"));
+                }
+                counted += 1;
+            }
+            let Some(r) = ck.history.get(k) else { break };
             let past = || bad("names a task past the list");
             let log = logs.get_mut(r.chosen_task).ok_or_else(past)?;
-            let fewer = || bad("counts fewer trials than the unit before");
-            let trials = r.total_trials.checked_sub(total).ok_or_else(fewer)?;
+            let fewer = || bad("counts fewer trials than came before it");
+            let trials = r.total_trials.checked_sub(counted).ok_or_else(fewer)?;
             let more = || bad("counts more trials than its task's log holds");
             for _ in 0..trials {
                 measured.extend(log.next().ok_or_else(more)?);
             }
             self.allocations[r.chosen_task] += 1;
-            total = r.total_trials;
+            counted = r.total_trials;
         }
         if logs.iter_mut().any(|log| log.next().is_some()) {
             return Err(format!(
-                "scheduler history counts {total} trials, fewer than its logs hold"
+                "scheduler history accounts for {counted} trials, fewer than its logs hold"
             ));
         }
         self.model.restore(&ck.model, measured)?;
@@ -550,6 +562,7 @@ impl TaskScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::SchedulerCheckpoint;
     use crate::evolution::EvolutionConfig;
     use hwsim::HardwareTarget;
     use std::sync::Arc;
@@ -748,52 +761,124 @@ mod tests {
         assert_eq!(sched.allocations, vec![4, 4]);
     }
 
-    /// A scheduler of one 64³ matmul.
-    fn solo() -> TaskScheduler {
-        let tasks = vec![TuneTask {
-            task: mm_task("solo", 64),
-            weight: 1.0,
-            dnn: 0,
-        }];
-        let config = TaskSchedulerConfig::default();
-        TaskScheduler::new(tasks, Objective::WeightedSum, small_options(), config)
-    }
-
     #[test]
     fn restore_rejects_a_sketch_index_past_the_list() {
-        let mut sched = solo();
+        let scheduler = || {
+            let tasks = vec![TuneTask {
+                task: mm_task("solo", 64),
+                weight: 1.0,
+                dnn: 0,
+            }];
+            let config = TaskSchedulerConfig::default();
+            TaskScheduler::new(tasks, Objective::WeightedSum, small_options(), config)
+        };
+        let mut sched = scheduler();
         sched.tune(1, &mut Measurer::new(HardwareTarget::intel_20core()));
         let n = sched.policies[0].sketches().len();
         let mut ck = sched.checkpoint();
         ck.policies[0].best_measured[0].sketch = n;
-        let err = solo().restore(&ck).unwrap_err();
+        let err = scheduler().restore(&ck).unwrap_err();
         assert!(
             err.contains(&format!("sketch {n}, the task has {n}")),
             "{err}"
         );
     }
 
+    /// Three matmuls on hardware that fails most programs, so a round can
+    /// measure nothing valid: its task is exhausted, and the trials it
+    /// spent count toward the next unit, which another task gets.
+    fn cursed() -> (TaskScheduler, Measurer) {
+        let tasks = [64, 96, 128]
+            .into_iter()
+            .map(|n| TuneTask {
+                task: mm_task(&format!("mm{n}"), n),
+                weight: 1.0,
+                dnn: 0,
+            })
+            .collect();
+        let options = TuningOptions {
+            measures_per_round: 2,
+            init_population: 8,
+            seed: 5,
+            ..small_options()
+        };
+        let config = TaskSchedulerConfig::default();
+        let plan = hwsim::FaultPlan {
+            cursed_prob: 0.6,
+            ..Default::default()
+        };
+        (
+            TaskScheduler::new(tasks, Objective::WeightedSum, options, config),
+            Measurer::with_faults(HardwareTarget::intel_20core(), plan),
+        )
+    }
+
+    /// Runs [`cursed`] until every task is exhausted, with the checkpoint
+    /// (through JSON, as from a file) and measurer accounting of each step.
+    fn cursed_run() -> (TaskScheduler, Vec<(SchedulerCheckpoint, u64, u64)>) {
+        let (mut sched, mut m) = cursed();
+        let mut checkpoints = Vec::new();
+        loop {
+            let stepped = sched.step(&mut m).is_some();
+            let json = serde_json::to_string(&sched.checkpoint()).unwrap();
+            let ck = serde_json::from_str(&json).unwrap();
+            checkpoints.push((ck, m.trials(), m.sim_fault_nanos()));
+            if !stepped {
+                return (sched, checkpoints);
+            }
+        }
+    }
+
+    #[test]
+    fn a_round_whose_measurements_all_fail_resumes_bit_identically() {
+        let (full, checkpoints) = cursed_run();
+        // Tasks 0 and 1 measure nothing valid in their first rounds, so
+        // unit 0 counts their 4 trials with task 2's 2; task 2's last round
+        // fails after unit 1, in no unit.
+        let units: Vec<_> = full
+            .history
+            .iter()
+            .map(|r| (r.chosen_task, r.total_trials))
+            .collect();
+        assert_eq!(units, [(2, 6), (2, 8)]);
+        assert_eq!(full.exhausted, [Some(0), Some(0), Some(2)]);
+        for (k, (ck, trials, nanos)) in checkpoints.iter().enumerate() {
+            let (mut resumed, mut m) = cursed();
+            resumed
+                .restore(ck)
+                .unwrap_or_else(|e| panic!("step {k}: {e}"));
+            m.restore_accounting(*trials, *nanos);
+            while resumed.step(&mut m).is_some() {}
+            assert_eq!(resumed.history, full.history, "after step {k}");
+            assert_eq!(resumed.exhausted, full.exhausted, "after step {k}");
+            assert_eq!(resumed.best_latencies(), full.best_latencies());
+            assert_eq!(resumed.policies[2].log, full.policies[2].log);
+        }
+    }
+
     #[test]
     fn restore_rejects_a_history_that_does_not_account_for_the_logs() {
-        let mut sched = solo();
-        sched.tune(2, &mut Measurer::new(HardwareTarget::intel_20core()));
-        let ck = sched.checkpoint();
-        assert!(solo().restore(&ck).is_ok());
-        let refused = |edit: &dyn Fn(&mut [SchedulerRecord])| {
+        let (ck, _, _) = cursed_run().1.pop().unwrap();
+        assert!(cursed().0.restore(&ck).is_ok());
+        // A task past the list, a count that decreases, counts that miss
+        // the failed rounds a unit holds or measure more or fewer trials
+        // than the logs hold, and failed rounds the logs do not end in.
+        let cases: [(fn(&mut SchedulerCheckpoint), _); 8] = [
+            (|ck| ck.history[1].chosen_task = 3, "1 names a task past"),
+            (|ck| ck.history[1].total_trials = 5, "unit 1 counts fewer"),
+            (|ck| ck.history[0].total_trials = 3, "unit 0 counts fewer"),
+            (|ck| ck.history[1].total_trials += 3, "unit 1 counts more"),
+            (|ck| ck.history[1].total_trials -= 1, "unit 2 exhausts"),
+            (|ck| ck.exhausted[2] = Some(1), "unit 1 exhausts"),
+            (|ck| ck.exhausted[2] = None, "for 8 trials, fewer than"),
+            (|ck| ck.exhausted[0] = Some(3), "for 8 trials, fewer than"),
+        ];
+        for (edit, want) in cases {
             let mut ck = ck.clone();
-            edit(&mut ck.history);
-            solo().restore(&ck).unwrap_err()
-        };
-        // A task past the list, a count that decreases, and counts that
-        // measure more or fewer trials than the logs hold.
-        let past = refused(&|h| h[1].chosen_task = 1);
-        assert!(past.contains("unit 1 names a task past"), "{past}");
-        let decreasing = refused(&|h| h[1].total_trials = h[0].total_trials - 1);
-        assert!(decreasing.contains("unit 1 counts fewer"), "{decreasing}");
-        let more = refused(&|h| h[1].total_trials += 1);
-        assert!(more.contains("unit 1 counts more"), "{more}");
-        let fewer = refused(&|h| h[1].total_trials -= 1);
-        assert!(fewer.contains("counts 15 trials, fewer than"), "{fewer}");
+            edit(&mut ck);
+            let err = cursed().0.restore(&ck).unwrap_err();
+            assert!(err.contains(want), "{err}");
+        }
     }
 
     #[test]

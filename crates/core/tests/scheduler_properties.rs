@@ -158,8 +158,11 @@ fn exhausted_task_is_skipped_not_fatal() {
         sched.allocations,
         sched.exhausted
     );
-    assert!(sched.exhausted[0], "tiny task should be exhausted");
-    assert!(!sched.exhausted[1]);
+    assert!(
+        sched.exhausted[0].is_some(),
+        "tiny task should be exhausted"
+    );
+    assert!(sched.exhausted[1].is_none());
     assert!(sched.allocations[1] > sched.allocations[0]);
 }
 

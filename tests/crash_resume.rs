@@ -12,7 +12,10 @@
 
 use std::sync::Arc;
 
-use ansor::core::{CheckpointFile, SinglePolicyCheckpoint, TuningRecordLog, TuningSession};
+use ansor::core::{
+    CheckpointFile, LearnedCostModel, SinglePolicyCheckpoint, SketchPolicy, TuneCheckpoint,
+    TuningRecordLog,
+};
 use ansor::prelude::*;
 use hwsim::FaultPlan;
 use telemetry::{canonical_events, read_trace, SharedBuf, Telemetry};
@@ -55,11 +58,13 @@ fn plan() -> FaultPlan {
     }
 }
 
-fn session(tel: &Telemetry) -> TuningSession {
+fn fresh(tel: &Telemetry) -> (SketchPolicy, LearnedCostModel, Measurer) {
     let t = task();
     let mut measurer = Measurer::with_faults(t.target.clone(), plan());
     measurer.set_telemetry(tel.clone());
-    TuningSession::new(t, options(tel.clone()), measurer, "crash_resume")
+    let mut model = LearnedCostModel::new();
+    model.set_telemetry(tel.clone());
+    (SketchPolicy::new(t, options(tel.clone())), model, measurer)
 }
 
 /// Canonical trace lines (wall-clock `PhaseProfile` events stripped).
@@ -70,7 +75,6 @@ fn trace_lines(buf: &SharedBuf, tel: &Telemetry) -> Vec<String> {
     canonical_events(&lines)
 }
 
-#[derive(Debug, PartialEq)]
 struct RunResult {
     best_seconds: f64,
     best_steps: Vec<Step>,
@@ -80,48 +84,69 @@ struct RunResult {
     sim_fault_nanos: u64,
 }
 
-impl RunResult {
-    fn of(session: &TuningSession, buf: &SharedBuf, tel: &Telemetry) -> RunResult {
-        let best = session.best_individual().expect("has a best program");
-        RunResult {
-            best_seconds: session.best_seconds(),
-            best_steps: best.state.steps.clone(),
-            log: session.log().to_vec(),
-            trace: trace_lines(buf, tel),
-            trials: session.trials(),
-            sim_fault_nanos: session.measurer().sim_fault_nanos(),
-        }
-    }
-}
-
-/// The uninterrupted reference run, saving a checkpoint file and noting
-/// the trace length after every round.
+/// The uninterrupted reference run, snapshotting a checkpoint file and the
+/// trace length after every round.
 fn reference(dir: &std::path::Path) -> (RunResult, Vec<(std::path::PathBuf, usize)>) {
     let buf = SharedBuf::new();
     let tel = Telemetry::to_writer(Box::new(buf.clone()));
-    let mut session = session(&tel);
+    let (mut policy, mut model, mut measurer) = fresh(&tel);
     let mut boundaries = Vec::new();
-    while session.step() > 0 {
-        let path = dir.join(format!("round{}.ckpt", boundaries.len() + 1));
+    let mut round = 0usize;
+    while policy.tune_round(&mut model, &mut measurer) > 0 {
+        round += 1;
+        let path = dir.join(format!("round{round}.ckpt"));
+        let ck = TuneCheckpoint {
+            fingerprint: "crash_resume".into(),
+            measurer_trials: measurer.trials(),
+            sim_fault_nanos: measurer.sim_fault_nanos(),
+            single: Some(SinglePolicyCheckpoint {
+                policy: policy.checkpoint(),
+                model: model.checkpoint(),
+            }),
+            scheduler: None,
+        };
         CheckpointFile::create(&path, None)
-            .and_then(|mut file| file.save(session.checkpoint()))
+            .and_then(|mut file| file.save(ck))
             .expect("checkpoint saves");
         // Events written so far = the pre-crash segment for this boundary.
         boundaries.push((path, trace_lines(&buf, &tel).len()));
     }
-    (RunResult::of(&session, &buf, &tel), boundaries)
+    let best = policy.best_individual().expect("has a best program");
+    let result = RunResult {
+        best_seconds: policy.best_seconds(),
+        best_steps: best.state.steps.clone(),
+        log: policy.log.clone(),
+        trace: trace_lines(&buf, &tel),
+        trials: policy.trials(),
+        sim_fault_nanos: measurer.sim_fault_nanos(),
+    };
+    (result, boundaries)
 }
 
-/// "Kill" at a boundary: load the checkpoint file into an entirely fresh
-/// session and run it to completion.
+/// "Kill" at a boundary: load the checkpoint file into entirely fresh
+/// objects and run to completion.
 fn resume_from(path: &std::path::Path) -> RunResult {
     let (ck, _, _) = CheckpointFile::load(path).expect("checkpoint loads");
+    assert_eq!(ck.fingerprint, "crash_resume");
     let buf = SharedBuf::new();
     let tel = Telemetry::to_writer(Box::new(buf.clone()));
-    let mut session = session(&tel);
-    session.restore(&ck).expect("session restores");
-    while session.step() > 0 {}
-    RunResult::of(&session, &buf, &tel)
+    let (mut policy, mut model, mut measurer) = fresh(&tel);
+    let single = ck.single.as_ref().expect("single-op checkpoint");
+    let measured = policy.restore(&single.policy).expect("policy restores");
+    model
+        .restore(&single.model, measured.into_iter().flatten())
+        .expect("model restores");
+    measurer.restore_accounting(ck.measurer_trials, ck.sim_fault_nanos);
+    while policy.tune_round(&mut model, &mut measurer) > 0 {}
+    let best = policy.best_individual().expect("has a best program");
+    RunResult {
+        best_seconds: policy.best_seconds(),
+        best_steps: best.state.steps.clone(),
+        log: policy.log.clone(),
+        trace: trace_lines(&buf, &tel),
+        trials: policy.trials(),
+        sim_fault_nanos: measurer.sim_fault_nanos(),
+    }
 }
 
 #[test]
@@ -134,21 +159,52 @@ fn killed_and_resumed_at_every_boundary_is_bit_identical() {
         "need multiple rounds to test boundaries, got {}",
         boundaries.len()
     );
-    let lagging = boundaries[..boundaries.len() - 1].iter().any(|(path, _)| {
-        let (ck, _, _) = CheckpointFile::load(path).expect("checkpoint loads");
-        lags(&ck.single.expect("single-op checkpoint"))
-    });
-    assert!(lagging, "no kill boundary falls between two retrains");
+    let models: Vec<SinglePolicyCheckpoint> = boundaries
+        .iter()
+        .map(|(path, _)| {
+            let (ck, _, _) = CheckpointFile::load(path).expect("checkpoint loads");
+            ck.single.expect("single-op checkpoint")
+        })
+        .collect();
+    assert!(
+        models[..models.len() - 1].iter().any(lags),
+        "no kill boundary falls between two retrains"
+    );
     assert!(full.best_seconds.is_finite());
     for (k, (path, pre_events)) in boundaries.iter().enumerate() {
         let resumed = resume_from(path);
+        assert_eq!(
+            resumed.best_seconds,
+            full.best_seconds,
+            "best seconds diverged resuming after round {}",
+            k + 1
+        );
+        assert_eq!(
+            resumed.best_steps,
+            full.best_steps,
+            "best program diverged resuming after round {}",
+            k + 1
+        );
+        assert_eq!(
+            resumed.log,
+            full.log,
+            "record log diverged resuming after round {}",
+            k + 1
+        );
+        assert_eq!(resumed.trials, full.trials);
+        assert_eq!(resumed.sim_fault_nanos, full.sim_fault_nanos);
         // Pre-crash trace segment + post-resume trace = uninterrupted trace.
-        let trace = full.trace[..*pre_events].iter().chain(&resumed.trace);
-        let stitched = RunResult {
-            trace: trace.cloned().collect(),
-            ..resumed
-        };
-        assert_eq!(stitched, full, "resuming after round {}", k + 1);
+        let stitched: Vec<String> = full.trace[..*pre_events]
+            .iter()
+            .cloned()
+            .chain(resumed.trace.iter().cloned())
+            .collect();
+        assert_eq!(
+            stitched,
+            full.trace,
+            "trace diverged resuming after round {}",
+            k + 1
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

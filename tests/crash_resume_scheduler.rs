@@ -75,19 +75,16 @@ fn scheduler(tel: &Telemetry) -> TaskScheduler {
 
 const UNITS: usize = 9;
 
-#[derive(Debug, PartialEq)]
 struct SchedulerRun {
     history: Vec<SchedulerRecord>,
     latencies: Vec<f64>,
     trace: Vec<String>,
 }
 
-/// Runs the scheduler to `UNITS` units, from `resume` if given, handing
-/// `save` each unit's checkpoint and the trace length so far.
-fn run(
-    resume: Option<&TuneCheckpoint>,
-    mut save: impl FnMut(TuneCheckpoint, usize),
-) -> SchedulerRun {
+/// Runs the scheduler to `UNITS` units, from `resume` if given; returns
+/// the run and, per unit, its checkpoint (through a JSON round trip, as
+/// from a file) and the trace length so far.
+fn scheduled(resume: Option<&TuneCheckpoint>) -> (SchedulerRun, Vec<(TuneCheckpoint, usize)>) {
     let buf = SharedBuf::new();
     let tel = Telemetry::to_writer(Box::new(buf.clone()));
     let mut sched = scheduler(&tel);
@@ -98,6 +95,7 @@ fn run(
         sched.restore(sc).expect("scheduler restores");
         measurer.restore_accounting(ck.measurer_trials, ck.sim_fault_nanos);
     }
+    let mut boundaries = Vec::new();
     while sched.history.len() < UNITS {
         sched.step(&mut measurer).expect("a task can make progress");
         let ck = TuneCheckpoint {
@@ -107,47 +105,43 @@ fn run(
             single: None,
             scheduler: Some(sched.checkpoint()),
         };
-        save(ck, trace_lines(&buf, &tel).len());
+        let json = serde_json::to_string(&ck).expect("checkpoint serializes");
+        let ck = serde_json::from_str(&json).expect("checkpoint parses");
+        boundaries.push((ck, trace_lines(&buf, &tel).len()));
     }
-    SchedulerRun {
+    let run = SchedulerRun {
         history: sched.history.clone(),
         latencies: sched.best_latencies(),
         trace: trace_lines(&buf, &tel),
-    }
-}
-
-/// Asserts that a run resumed after `unit` continues as `full` did: the
-/// trace up to the checkpoint plus the resumed one is the full trace.
-fn assert_continues(full: &SchedulerRun, resumed: SchedulerRun, pre_events: usize, unit: usize) {
-    let trace = full.trace[..pre_events].iter().chain(&resumed.trace);
-    let stitched = SchedulerRun {
-        trace: trace.cloned().collect(),
-        ..resumed
     };
-    assert_eq!(&stitched, full, "after unit {unit}");
+    (run, boundaries)
 }
 
 #[test]
 fn a_scheduler_resumed_between_two_retrains_of_its_shared_model_is_bit_identical() {
-    let mut boundaries: Vec<(TuneCheckpoint, usize)> = Vec::new();
-    let full = run(None, |ck, events| {
-        // Through a JSON round trip, as from a file.
-        let json = serde_json::to_string(&ck).expect("checkpoint serializes");
-        boundaries.push((serde_json::from_str(&json).expect("parses"), events));
-    });
+    let (full, boundaries) = scheduled(None);
     let between: Vec<usize> = (0..UNITS - 1)
         .filter(|&k| lags(boundaries[k].0.scheduler.as_ref().expect("scheduler")))
         .collect();
     assert!(!between.is_empty(), "no unit ends between two retrains");
     for k in between {
         let (ck, pre_events) = &boundaries[k];
-        assert_continues(&full, run(Some(ck), |_, _| {}), *pre_events, k + 1);
+        let (resumed, _) = scheduled(Some(ck));
+        let unit = k + 1;
+        assert_eq!(resumed.history, full.history, "after unit {unit}");
+        assert_eq!(resumed.latencies, full.latencies, "after unit {unit}");
+        let stitched: Vec<String> = full.trace[..*pre_events]
+            .iter()
+            .chain(&resumed.trace)
+            .cloned()
+            .collect();
+        assert_eq!(stitched, full.trace, "after unit {unit}");
     }
 }
 
 #[test]
 fn a_save_covering_two_units_out_of_measurement_order_resumes_bit_identically() {
-    let full = run(None, |_, _| {});
+    let (full, boundaries) = scheduled(None);
     // A save appends each task's new records in task order: skipping the
     // save of a unit of the second task that a unit of the first follows
     // leaves the log's last records out of measurement order.
@@ -159,14 +153,11 @@ fn a_save_covering_two_units_out_of_measurement_order_resumes_bit_identically() 
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sched.ckpt");
     let mut file = CheckpointFile::create(&path, None).unwrap();
-    let (mut unit, mut pre_events) = (0, 0);
-    run(None, |ck, events| {
-        if unit != skipped && unit <= skipped + 1 {
-            file.save(ck).expect("checkpoint saves");
-            pre_events = events;
+    for (k, (ck, _)) in boundaries[..=skipped + 1].iter().enumerate() {
+        if k != skipped {
+            file.save(ck.clone()).expect("checkpoint saves");
         }
-        unit += 1;
-    });
+    }
 
     let (log, _) = load_records(file.log()).unwrap();
     let trials = |k: usize| full.history[k].total_trials as usize;
@@ -178,7 +169,15 @@ fn a_save_covering_two_units_out_of_measurement_order_resumes_bit_identically() 
         "the later unit's records come first in the log"
     );
     let (ck, _, _) = CheckpointFile::load(&path).expect("checkpoint loads");
-    let resumed = run(Some(&ck), |_, _| {});
-    assert_continues(&full, resumed, pre_events, skipped + 2);
+    let (resumed, _) = scheduled(Some(&ck));
+    assert_eq!(resumed.history, full.history);
+    assert_eq!(resumed.latencies, full.latencies);
+    let pre_events = boundaries[skipped + 1].1;
+    let stitched: Vec<String> = full.trace[..pre_events]
+        .iter()
+        .chain(&resumed.trace)
+        .cloned()
+        .collect();
+    assert_eq!(stitched, full.trace);
     std::fs::remove_dir_all(&dir).unwrap();
 }

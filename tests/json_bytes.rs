@@ -140,7 +140,7 @@ fn tune_checkpoint() -> ansor::core::TuneCheckpoint {
 fn scheduler_checkpoint() -> SchedulerCheckpoint {
     SchedulerCheckpoint {
         rng: vec![u64::MAX, 0, 1 << 63, 12345],
-        exhausted: vec![false, true],
+        exhausted: vec![None, Some(2)],
         best_history: vec![vec![None, Some(2.5e-4)], vec![]],
         history: vec![
             SchedulerRecord {
@@ -159,7 +159,6 @@ fn scheduler_checkpoint() -> SchedulerCheckpoint {
         policies: vec![PolicyCheckpoint {
             task: "dcgan:up1".into(),
             rng: vec![1, 2, 3, 4],
-            trials: 8,
             rounds: 1,
             best_measured: vec![BestEntry {
                 log: 0,
