@@ -1,17 +1,19 @@
 //! Versioned tuning checkpoints: a run's record log plus the search state
 //! the log cannot give back.
 //!
-//! What a policy derives from its measurements — the measured-signature
-//! and quarantine sets, the tuning curve, the best programs, the cost
-//! model's feature rows — is a pure function of its records (task, steps,
-//! seconds), and so is the GBDT of a trained record prefix. The order the
-//! cost model received its records in follows from the log too: a session
-//! hands it each valid record in trial order, and a task scheduler's step
-//! history says how many trials each unit measured of which task. A
-//! checkpoint keeps RNG words, counters, how much of its records the model
-//! is trained on, the scheduler's history, and what a best program's
-//! record lacks; restoring replays each record once, through the
-//! bookkeeping the run used (see `docs/ROBUSTNESS.md`). On disk,
+//! What a policy derives from its measurements — the trial count, the
+//! measured-signature and quarantine sets, the tuning curve, the best
+//! programs, the cost model's feature rows — is a pure function of its
+//! records (task, steps, seconds), and so is the GBDT of a trained record
+//! prefix. The order the cost model received its records in follows from
+//! the log too: a session hands it each valid record in trial order, and a
+//! task scheduler's units say how many trials each measured of which task.
+//! So does the scheduler's latency history: each of its points is a task's
+//! best at the end of one of its units. A checkpoint keeps RNG words, round
+//! counts, the fault clock, how much of its records the model is trained
+//! on, the scheduler's units, and what a best program's record lacks;
+//! restoring replays each record once, through the bookkeeping the run
+//! used (see `docs/ROBUSTNESS.md`). On disk,
 //! [`CheckpointFile::save`] appends the new records to the record log with
 //! [`save_records`], then atomically replaces a small header naming the
 //! prefix of the log it covers.
@@ -23,7 +25,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::lineage::Lineage;
 use crate::records::{fnv1a, save_records, TuningRecordLog, FNV_OFFSET};
-use crate::task_scheduler::SchedulerRecord;
 
 /// Current checkpoint format version. Bump on incompatible changes; load
 /// rejects mismatches instead of misinterpreting old files. Version 4: a
@@ -95,6 +96,16 @@ pub struct ModelCheckpoint {
     pub warm_records: usize,
 }
 
+/// One unit of a task scheduler's history. Its latencies and objective are
+/// rebuilt on restore, from the records its task's log holds by its end.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SchedulerUnit {
+    /// Task the unit was allocated to.
+    pub chosen_task: usize,
+    /// Measurement trials across all tasks by the end of the unit.
+    pub total_trials: u64,
+}
+
 /// Serialized state of a `TaskScheduler` (per-task policies included).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerCheckpoint {
@@ -103,12 +114,9 @@ pub struct SchedulerCheckpoint {
     /// Per exhausted task, the history's length when a round of it measured
     /// nothing valid: the unit whose trial count includes that round's.
     pub exhausted: Vec<Option<usize>>,
-    /// Per-task best-latency history (`gᵢ` after each allocated unit);
-    /// `None` encodes a non-finite latency (task not yet measured).
-    pub best_history: Vec<Vec<Option<f64>>>,
-    /// Step-by-step scheduling history: the units allocated per task, and
-    /// the order the shared model received the policies' records in.
-    pub history: Vec<SchedulerRecord>,
+    /// The units in the order they were allocated: the units of each task,
+    /// and the order the shared model received the policies' records in.
+    pub history: Vec<SchedulerUnit>,
     /// Per-task policy checkpoints, in task order.
     pub policies: Vec<PolicyCheckpoint>,
     /// Shared cost model.
@@ -121,8 +129,6 @@ pub struct TuneCheckpoint {
     /// Invocation fingerprint (workload + options + seed + fault spec);
     /// resume refuses a checkpoint taken under different settings.
     pub fingerprint: String,
-    /// Measurer trial counter.
-    pub measurer_trials: u64,
     /// Measurer simulated-fault clock (nanoseconds).
     pub sim_fault_nanos: u64,
     /// Single-op mode state (policy + model).
@@ -257,12 +263,8 @@ impl CheckpointFile {
             },
             state: ck,
         };
-        let tmp = self.header.with_extension("tmp");
-        std::fs::write(
-            &tmp,
-            serde_json::to_string(&header).expect("checkpoint serializes"),
-        )?;
-        std::fs::rename(&tmp, &self.header)?;
+        let json = serde_json::to_string(&header).expect("checkpoint serializes");
+        serde_json::replace_file(&self.header, json)?;
         // Only a save that reached its header moves the prefix: after a
         // failed one, the next cuts what it appended and writes it again.
         (self.log, self.written) = (header.log, written);
@@ -358,7 +360,6 @@ mod tests {
     fn sample() -> TuneCheckpoint {
         TuneCheckpoint {
             fingerprint: "single:GMM:s0:b1:intel:t64:seed0:faults=none".into(),
-            measurer_trials: 3,
             sim_fault_nanos: 1_500_000_000,
             single: Some(SinglePolicyCheckpoint {
                 policy: PolicyCheckpoint {
@@ -414,8 +415,8 @@ mod tests {
             .save(ck.clone())
             .unwrap();
         assert!(
-            !path.with_extension("tmp").exists(),
-            "tmp file renamed away"
+            !path.with_file_name("run.ckpt.tmp").exists(),
+            "renamed away"
         );
         // The header holds no record; the log beside it holds each once.
         let header = std::fs::read_to_string(&path).unwrap();
@@ -425,8 +426,6 @@ mod tests {
         );
         let log = std::fs::read_to_string(format!("{}.records", path.display())).unwrap();
         assert_eq!(log.lines().count(), 3);
-        // A failed trial's time is `null` in the log and comes back infinite.
-        assert!(log.contains("\"seconds\":null"), "{log}");
         assert_eq!(CheckpointFile::load(&path).unwrap().0, ck);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
@@ -472,14 +471,22 @@ mod tests {
 
     #[test]
     fn non_finite_seconds_survive_via_option() {
-        // A failed trial's record round-trips through the record log (see
-        // above); a task not yet measured has a `None` latency in the
-        // scheduler's best history.
-        let history = vec![vec![None, Some(2.5e-4)]];
-        let json = serde_json::to_string(&history).unwrap();
-        assert_eq!(json, "[[null,0.00025]]");
-        let back: Vec<Vec<Option<f64>>> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, history);
+        // A failed trial's infinite time, the one non-finite float a
+        // checkpoint holds, is `null` in the record log and comes back.
+        let path = scratch("non-finite");
+        CheckpointFile::create(&path, None)
+            .unwrap()
+            .save(sample())
+            .unwrap();
+        let log = std::fs::read_to_string(format!("{}.records", path.display())).unwrap();
+        assert!(log.contains("\"seconds\":null"), "{log}");
+        let (loaded, _, _) = CheckpointFile::load(&path).unwrap();
+        let log = &loaded.single.unwrap().policy.log;
+        assert_eq!(
+            (log[1].seconds, log[1].error.as_deref()),
+            (f64::INFINITY, Some("measure: cursed"))
+        );
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]

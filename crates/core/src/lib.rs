@@ -20,7 +20,7 @@ pub mod task_scheduler;
 pub use annotate::{sample_program, AnnotationConfig, AnnotationHint};
 pub use checkpoint::{
     BestEntry, CheckpointFile, ModelCheckpoint, PolicyCheckpoint, SchedulerCheckpoint,
-    SinglePolicyCheckpoint, TuneCheckpoint, CHECKPOINT_VERSION,
+    SchedulerUnit, SinglePolicyCheckpoint, TuneCheckpoint, CHECKPOINT_VERSION,
 };
 pub use cost_model::{
     CostModel, FeatureBlock, LearnedCostModel, ModelMemo, RandomModel, TrainedModel,

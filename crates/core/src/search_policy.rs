@@ -201,7 +201,6 @@ pub struct SketchPolicy {
     /// Replayable per-trial records (task, steps, seconds).
     pub log: Vec<TuningRecordLog>,
     rng: StdRng,
-    trials: u64,
     rounds: u64,
 }
 
@@ -244,7 +243,6 @@ impl SketchPolicy {
             history: Vec::new(),
             log: Vec::new(),
             rng,
-            trials: 0,
             rounds: 0,
             task,
             options,
@@ -292,9 +290,9 @@ impl SketchPolicy {
         &self.sketches
     }
 
-    /// Measurement trials consumed so far.
+    /// Measurement trials consumed so far: one record each.
     pub fn trials(&self) -> u64 {
-        self.trials
+        self.log.len() as u64
     }
 
     /// Best measured seconds so far (∞ before the first measurement).
@@ -342,7 +340,7 @@ impl SketchPolicy {
         self.options.variant != PolicyVariant::NoFineTuning
     }
 
-    /// Files one measured program: counts the trial, quarantines it after
+    /// Files one measured program as the next trial: quarantines it after
     /// a terminal injected fault (cursed hardware, retry exhaustion are
     /// sticky, so evolution stops proposing it), appends its record and its
     /// point of the tuning curve, and keeps a valid one among the best.
@@ -355,21 +353,21 @@ impl SketchPolicy {
         seconds: f64,
         error: Option<String>,
     ) -> Option<tensor_ir::State> {
-        self.trials += 1;
+        let trial = self.trials() + 1;
         let valid = error.is_none() && seconds.is_finite();
         if error.as_deref().is_some_and(hwsim::is_terminal_fault) {
             self.quarantined.insert(ind.signature());
         }
         self.log.push(TuningRecordLog {
             task: self.task.name.clone(),
-            trial: self.trials,
+            trial,
             steps: ind.state.steps.clone(),
             seconds,
             error,
         });
         let state = valid.then(|| self.keep_if_best(seconds, ind));
         self.history.push(TuningRecord {
-            trial: self.trials,
+            trial,
             seconds,
             best_seconds: self.best_seconds().min(seconds),
         });
@@ -409,7 +407,7 @@ impl SketchPolicy {
         let remaining = self
             .options
             .num_measure_trials
-            .saturating_sub(self.trials as usize);
+            .saturating_sub(self.log.len());
         if remaining == 0 || self.sketches.is_empty() {
             return 0;
         }
@@ -424,7 +422,7 @@ impl SketchPolicy {
         tel.emit(|| TraceEvent::RoundStart {
             task: self.task.name.clone(),
             round,
-            trials_so_far: self.trials,
+            trials_so_far: self.trials(),
         });
         let batch = self.options.measures_per_round.min(remaining);
         // Efficacy tallies only accumulate while tracing; the search path
@@ -545,7 +543,7 @@ impl SketchPolicy {
         let mut measured_secs = Vec::new();
         let quarantined = self.quarantined.len();
         for (ind, res) in to_measure.into_iter().zip(results) {
-            let trial = self.trials + 1;
+            let trial = self.trials() + 1;
             let seconds = res.seconds;
             tally.add([&ind], &self.sketches, EfficacyTally::MEASURED);
             tel.emit(|| TraceEvent::CandidateOrigin {
@@ -607,7 +605,8 @@ impl SketchPolicy {
     fn publish_progress(&self, tel: &Telemetry) {
         let prefix = format!("progress/task/{}", self.task.name);
         tel.gauge_set(&format!("{prefix}/round"), self.rounds as f64);
-        tel.gauge_set(&format!("{prefix}/trials_used"), self.trials as f64);
+        let trials = self.log.len();
+        tel.gauge_set(&format!("{prefix}/trials_used"), trials as f64);
         let best = self.best_seconds();
         if best.is_finite() {
             tel.gauge_set(&format!("{prefix}/best_seconds"), best);
@@ -623,9 +622,9 @@ impl SketchPolicy {
         if budget < usize::MAX / 4 {
             tel.gauge_set(&format!("{prefix}/trials_budget"), budget as f64);
             let elapsed = tel.uptime_seconds();
-            if self.trials > 0 && elapsed > 0.0 {
-                let rate = self.trials as f64 / elapsed;
-                let remaining = budget.saturating_sub(self.trials as usize);
+            if trials > 0 && elapsed > 0.0 {
+                let rate = trials as f64 / elapsed;
+                let remaining = budget.saturating_sub(trials);
                 tel.gauge_set(&format!("{prefix}/eta_seconds"), remaining as f64 / rate);
             }
         }
@@ -734,7 +733,7 @@ impl SketchPolicy {
     /// `TuningFinished` for the round that spends the budget or measures
     /// nothing. At a spent budget it returns 0 and emits nothing.
     pub fn run_round(&mut self, model: &mut dyn CostModel, measurer: &mut Measurer) -> usize {
-        let spent = |p: &SketchPolicy| p.trials as usize >= p.options.num_measure_trials;
+        let spent = |p: &SketchPolicy| p.log.len() >= p.options.num_measure_trials;
         if spent(self) {
             return 0;
         }
@@ -763,7 +762,7 @@ impl SketchPolicy {
             let best = self.best_seconds();
             TraceEvent::TuningFinished {
                 task: self.task.name.clone(),
-                trials: self.trials,
+                trials: self.trials(),
                 best_seconds: best.is_finite().then_some(best),
             }
         });
@@ -1158,7 +1157,6 @@ mod tests {
             .restore(&mck, measured.into_iter().flatten())
             .unwrap();
         let mut m2 = Measurer::new(t.target.clone());
-        m2.restore_accounting(p2.trials(), 0);
         while p2.tune_round(&mut model2, &mut m2) > 0 {}
 
         assert_eq!(p_ref.trials(), p2.trials());
@@ -1176,6 +1174,5 @@ mod tests {
         let mut measurer = Measurer::new(t.target.clone());
         let result = auto_schedule(&t, small_options(20, PolicyVariant::Full), &mut measurer);
         assert!(result.history.len() <= 20);
-        assert_eq!(measurer.trials() as usize, result.history.len());
     }
 }

@@ -205,7 +205,7 @@ impl TuningSession {
         &self.policy.log
     }
 
-    /// The session's measurer (trial accounting, fault clock, cache).
+    /// The session's measurer (fault clock, cache).
     pub fn measurer(&self) -> &Measurer {
         &self.measurer
     }
@@ -248,7 +248,6 @@ impl TuningSession {
     pub fn checkpoint(&self) -> TuneCheckpoint {
         TuneCheckpoint {
             fingerprint: self.fingerprint.clone(),
-            measurer_trials: self.measurer.trials(),
             sim_fault_nanos: self.measurer.sim_fault_nanos(),
             single: Some(SinglePolicyCheckpoint {
                 policy: self.policy.checkpoint(),
@@ -279,8 +278,7 @@ impl TuningSession {
         let measured = self.policy.restore(&single.policy)?;
         self.model
             .restore(&single.model, measured.into_iter().flatten())?;
-        self.measurer
-            .restore_accounting(ck.measurer_trials, ck.sim_fault_nanos);
+        self.measurer.restore_accounting(ck.sim_fault_nanos);
         Ok(())
     }
 

@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use hwsim::Measurer;
 
+use crate::checkpoint::{rng_state_from, SchedulerCheckpoint, SchedulerUnit};
 use crate::cost_model::LearnedCostModel;
 use crate::search_policy::{SketchPolicy, TuningOptions};
 use crate::search_task::SearchTask;
@@ -114,8 +115,10 @@ impl Default for TaskSchedulerConfig {
     }
 }
 
-/// One scheduler history record (for tuning curves like Figure 10).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// One scheduler history record (for tuning curves like Figure 10). A
+/// checkpoint keeps its task and trial count ([`SchedulerUnit`]); restoring
+/// rebuilds the rest.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerRecord {
     /// Total measurement trials spent so far across all tasks.
     pub total_trials: u64,
@@ -125,36 +128,6 @@ pub struct SchedulerRecord {
     pub dnn_latencies: Vec<f64>,
     /// Objective value after the step.
     pub objective: f64,
-}
-
-// Manual deserialization: latencies and the objective are `f64::INFINITY`
-// until every task in a DNN has a measurement, and JSON encodes non-finite
-// floats as `null`; the custom impl recovers the infinities on load so
-// checkpointed scheduler histories round-trip exactly (same convention as
-// `TuningRecordLog`).
-impl Deserialize for SchedulerRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let serde::Value::Object(m) = v else {
-            return Err(serde::DeError::invalid_type("object", v));
-        };
-        let field = |name: &str| m.get(name).unwrap_or(&serde::Value::Null);
-        let dec = |v: &serde::Value| match v {
-            serde::Value::Null => Ok(f64::INFINITY),
-            other => f64::from_value(other),
-        };
-        let serde::Value::Array(lat) = field("dnn_latencies") else {
-            return Err(serde::DeError::invalid_type(
-                "array",
-                field("dnn_latencies"),
-            ));
-        };
-        Ok(SchedulerRecord {
-            total_trials: u64::from_value(field("total_trials"))?,
-            chosen_task: usize::from_value(field("chosen_task"))?,
-            dnn_latencies: lat.iter().map(dec).collect::<Result<_, _>>()?,
-            objective: dec(field("objective"))?,
-        })
-    }
 }
 
 /// Schedules tuning time across many subgraph tasks (Figure 4's top box).
@@ -233,14 +206,12 @@ impl TaskScheduler {
         self.planned_units = Some(total_units);
     }
 
-    /// Per-task best latencies `gᵢ` — the recorded history when available
-    /// (it tracks the policies exactly), else the live policy value.
+    /// Per-task best latencies `gᵢ`, as of each task's last unit. A task
+    /// without one has measured nothing valid (no scheduler policy is
+    /// warm-started), so its latency is ∞.
     pub fn best_latencies(&self) -> Vec<f64> {
-        self.policies
-            .iter()
-            .zip(&self.best_history)
-            .map(|(p, h)| h.last().copied().unwrap_or_else(|| p.best_seconds()))
-            .collect()
+        let last = |h: &Vec<f64>| h.last().copied().unwrap_or(f64::INFINITY);
+        self.best_history.iter().map(last).collect()
     }
 
     /// Per-DNN end-to-end latency estimates `Dⱼ = Σᵢ wᵢ·gᵢ`.
@@ -400,15 +371,7 @@ impl TaskScheduler {
                 self.exhausted[i] = Some(self.history.len());
                 continue;
             }
-            self.allocations[i] += 1;
-            self.best_history[i].push(self.policies[i].best_seconds());
-            let d = self.dnn_latencies();
-            self.history.push(SchedulerRecord {
-                total_trials: self.total_trials(),
-                chosen_task: i,
-                objective: self.objective.eval(&d),
-                dnn_latencies: d,
-            });
+            self.book_unit(i, self.policies[i].best_seconds(), self.total_trials());
             if let Some(terms) = terms {
                 let step = self.history.len() as u64 - 1;
                 let obj = self.history.last().expect("just pushed").objective;
@@ -426,6 +389,21 @@ impl TaskScheduler {
             }
             return Some(i);
         }
+    }
+
+    /// Books a unit of task `i` that ends with the task's best at `best`
+    /// and `total_trials` measured: counts the allocation, extends `gᵢ`'s
+    /// history, and records the latencies and objective after it.
+    fn book_unit(&mut self, i: usize, best: f64, total_trials: u64) {
+        self.allocations[i] += 1;
+        self.best_history[i].push(best);
+        let d = self.dnn_latencies();
+        self.history.push(SchedulerRecord {
+            total_trials,
+            chosen_task: i,
+            objective: self.objective.eval(&d),
+            dnn_latencies: d,
+        });
     }
 
     /// Publish the live `progress/scheduler/…` gauges: units allocated,
@@ -482,28 +460,29 @@ impl TaskScheduler {
     /// policy + the shared cost model). Restoring into a fresh scheduler
     /// built with the same tasks, objective, options, and config continues
     /// the run bit-identically.
-    pub fn checkpoint(&self) -> crate::checkpoint::SchedulerCheckpoint {
-        crate::checkpoint::SchedulerCheckpoint {
+    pub fn checkpoint(&self) -> SchedulerCheckpoint {
+        let unit = |r: &SchedulerRecord| SchedulerUnit {
+            chosen_task: r.chosen_task,
+            total_trials: r.total_trials,
+        };
+        SchedulerCheckpoint {
             rng: self.rng.raw_state().to_vec(),
             exhausted: self.exhausted.clone(),
-            best_history: self
-                .best_history
-                .iter()
-                .map(|h| h.iter().map(|s| s.is_finite().then_some(*s)).collect())
-                .collect(),
-            history: self.history.clone(),
+            history: self.history.iter().map(unit).collect(),
             policies: self.policies.iter().map(|p| p.checkpoint()).collect(),
             model: self.model.checkpoint(),
         }
     }
 
     /// Restores the state captured by [`TaskScheduler::checkpoint`]. The
-    /// shared model gets its records back in the order the history says
-    /// they were measured, and trains on the next step's first read, as it
-    /// would have in the run that was checkpointed.
-    pub fn restore(&mut self, ck: &crate::checkpoint::SchedulerCheckpoint) -> Result<(), String> {
+    /// shared model gets its records back in the order the units say they
+    /// were measured, and trains on the next step's first read, as it would
+    /// have in the run that was checkpointed. Each unit is booked as `step`
+    /// booked it, its task's best read off the policy's tuning curve at the
+    /// last record the unit measured.
+    pub fn restore(&mut self, ck: &SchedulerCheckpoint) -> Result<(), String> {
         let n = self.tasks.len();
-        if ck.policies.len() != n || ck.exhausted.len() != n || ck.best_history.len() != n {
+        if ck.policies.len() != n || ck.exhausted.len() != n {
             return Err(format!(
                 "checkpoint covers {} tasks, scheduler has {n}",
                 ck.policies.len()
@@ -519,6 +498,8 @@ impl TaskScheduler {
         // account for every record once.
         let (mut measured, mut counted) = (Vec::new(), 0);
         self.allocations = vec![0; n];
+        self.best_history = vec![Vec::new(); n];
+        self.history = Vec::with_capacity(ck.history.len());
         for k in 0..=ck.history.len() {
             let bad = |what: &str| format!("scheduler history unit {k} {what}");
             let exhausted = logs.iter_mut().zip(&ck.exhausted);
@@ -529,17 +510,21 @@ impl TaskScheduler {
                 }
                 counted += 1;
             }
-            let Some(r) = ck.history.get(k) else { break };
+            let Some(unit) = ck.history.get(k) else { break };
+            let (i, total_trials) = (unit.chosen_task, unit.total_trials);
             let past = || bad("names a task past the list");
-            let log = logs.get_mut(r.chosen_task).ok_or_else(past)?;
+            let log = logs.get_mut(i).ok_or_else(past)?;
             let fewer = || bad("counts fewer trials than came before it");
-            let trials = r.total_trials.checked_sub(counted).ok_or_else(fewer)?;
+            let trials = total_trials.checked_sub(counted).ok_or_else(fewer)?;
             let more = || bad("counts more trials than its task's log holds");
             for _ in 0..trials {
                 measured.extend(log.next().ok_or_else(more)?);
             }
-            self.allocations[r.chosen_task] += 1;
-            counted = r.total_trials;
+            let curve = &self.policies[i].history;
+            let best = curve[..curve.len() - log.len()].last();
+            let best = best.map_or(f64::INFINITY, |r| r.best_seconds);
+            self.book_unit(i, best, total_trials);
+            counted = total_trials;
         }
         if logs.iter_mut().any(|log| log.next().is_some()) {
             return Err(format!(
@@ -547,14 +532,8 @@ impl TaskScheduler {
             ));
         }
         self.model.restore(&ck.model, measured)?;
-        self.rng = StdRng::from_raw_state(crate::checkpoint::rng_state_from(&ck.rng)?);
+        self.rng = StdRng::from_raw_state(rng_state_from(&ck.rng)?);
         self.exhausted = ck.exhausted.clone();
-        self.best_history = ck
-            .best_history
-            .iter()
-            .map(|h| h.iter().map(|s| s.unwrap_or(f64::INFINITY)).collect())
-            .collect();
-        self.history = ck.history.clone();
         Ok(())
     }
 }
@@ -562,7 +541,6 @@ impl TaskScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::SchedulerCheckpoint;
     use crate::evolution::EvolutionConfig;
     use hwsim::HardwareTarget;
     use std::sync::Arc;
@@ -610,26 +588,38 @@ mod tests {
         assert_eq!(Objective::EarlyStopping { patience: 3 }.eval(&d), 6.0);
     }
 
+    /// Matmul tasks `(name, n, weight, dnn)`.
+    fn matmuls(specs: &[(&str, i64, f64, usize)]) -> Vec<TuneTask> {
+        let task = |&(name, n, weight, dnn): &(&str, i64, f64, usize)| TuneTask {
+            task: mm_task(name, n),
+            weight,
+            dnn,
+        };
+        specs.iter().map(task).collect()
+    }
+
+    /// Three unit-weight matmuls, in the given DNNs.
+    fn three_matmuls([a, b, c]: [usize; 3]) -> Vec<TuneTask> {
+        matmuls(&[
+            ("mm64", 64, 1.0, a),
+            ("mm96", 96, 1.0, b),
+            ("mm128", 128, 1.0, c),
+        ])
+    }
+
+    /// A scheduler over `tasks` with small options.
+    fn scheduler(tasks: Vec<TuneTask>, objective: Objective, eps: f64) -> TaskScheduler {
+        let config = TaskSchedulerConfig {
+            eps,
+            ..Default::default()
+        };
+        TaskScheduler::new(tasks, objective, small_options(), config)
+    }
+
     #[test]
     fn warmup_touches_every_task_once() {
-        let tasks = vec![
-            TuneTask {
-                task: mm_task("a", 64),
-                weight: 1.0,
-                dnn: 0,
-            },
-            TuneTask {
-                task: mm_task("b", 128),
-                weight: 2.0,
-                dnn: 0,
-            },
-        ];
-        let mut sched = TaskScheduler::new(
-            tasks,
-            Objective::WeightedSum,
-            small_options(),
-            TaskSchedulerConfig::default(),
-        );
+        let tasks = matmuls(&[("a", 64, 1.0, 0), ("b", 128, 2.0, 0)]);
+        let mut sched = scheduler(tasks, Objective::WeightedSum, 0.05);
         let mut measurer = Measurer::new(HardwareTarget::intel_20core());
         sched.tune(2, &mut measurer);
         assert_eq!(sched.allocations, vec![1, 1]);
@@ -640,27 +630,8 @@ mod tests {
     fn gradient_prioritizes_heavier_bottleneck() {
         // Two identical-shape tasks; one has 8x the weight. After warm-up
         // the weighted task must receive more units.
-        let tasks = vec![
-            TuneTask {
-                task: mm_task("light", 128),
-                weight: 1.0,
-                dnn: 0,
-            },
-            TuneTask {
-                task: mm_task("heavy", 128),
-                weight: 8.0,
-                dnn: 0,
-            },
-        ];
-        let mut sched = TaskScheduler::new(
-            tasks,
-            Objective::WeightedSum,
-            small_options(),
-            TaskSchedulerConfig {
-                eps: 0.0,
-                ..Default::default()
-            },
-        );
+        let tasks = matmuls(&[("light", 128, 1.0, 0), ("heavy", 128, 8.0, 0)]);
+        let mut sched = scheduler(tasks, Objective::WeightedSum, 0.0);
         let mut measurer = Measurer::new(HardwareTarget::intel_20core());
         sched.tune(10, &mut measurer);
         assert!(
@@ -672,29 +643,11 @@ mod tests {
 
     #[test]
     fn latency_requirement_freezes_satisfied_dnn() {
-        let tasks = vec![
-            TuneTask {
-                task: mm_task("a", 128),
-                weight: 1.0,
-                dnn: 0,
-            },
-            TuneTask {
-                task: mm_task("b", 128),
-                weight: 1.0,
-                dnn: 1,
-            },
-        ];
         // DNN 0's requirement is trivially met (huge L); DNN 1 can never
         // meet its (tiny) requirement, so it should receive the units.
-        let mut sched = TaskScheduler::new(
-            tasks,
-            Objective::LatencyRequirement(vec![1e9, 1e-12]),
-            small_options(),
-            TaskSchedulerConfig {
-                eps: 0.0,
-                ..Default::default()
-            },
-        );
+        let tasks = matmuls(&[("a", 128, 1.0, 0), ("b", 128, 1.0, 1)]);
+        let objective = Objective::LatencyRequirement(vec![1e9, 1e-12]);
+        let mut sched = scheduler(tasks, objective, 0.0);
         let mut measurer = Measurer::new(HardwareTarget::intel_20core());
         sched.tune(8, &mut measurer);
         assert!(
@@ -706,24 +659,8 @@ mod tests {
 
     #[test]
     fn f4_freezes_a_fabricated_stagnant_task() {
-        let tasks = vec![
-            TuneTask {
-                task: mm_task("stale", 128),
-                weight: 1.0,
-                dnn: 0,
-            },
-            TuneTask {
-                task: mm_task("fresh", 128),
-                weight: 1.0,
-                dnn: 0,
-            },
-        ];
-        let mut sched = TaskScheduler::new(
-            tasks,
-            Objective::EarlyStopping { patience: 3 },
-            small_options(),
-            TaskSchedulerConfig::default(),
-        );
+        let tasks = matmuls(&[("stale", 128, 1.0, 0), ("fresh", 128, 1.0, 0)]);
+        let mut sched = scheduler(tasks, Objective::EarlyStopping { patience: 3 }, 0.05);
         // Fabricate histories: task 0 plateaued for > patience units; task 1
         // is still improving.
         sched.allocations = vec![6, 6];
@@ -735,27 +672,12 @@ mod tests {
 
     #[test]
     fn round_robin_allocates_uniformly() {
-        let tasks = vec![
-            TuneTask {
-                task: mm_task("a", 64),
-                weight: 1.0,
-                dnn: 0,
-            },
-            TuneTask {
-                task: mm_task("b", 128),
-                weight: 50.0,
-                dnn: 0,
-            },
-        ];
-        let mut sched = TaskScheduler::new(
-            tasks,
-            Objective::WeightedSum,
-            small_options(),
-            TaskSchedulerConfig {
-                strategy: Strategy::RoundRobin,
-                ..Default::default()
-            },
-        );
+        let tasks = matmuls(&[("a", 64, 1.0, 0), ("b", 128, 50.0, 0)]);
+        let config = TaskSchedulerConfig {
+            strategy: Strategy::RoundRobin,
+            ..Default::default()
+        };
+        let mut sched = TaskScheduler::new(tasks, Objective::WeightedSum, small_options(), config);
         let mut measurer = Measurer::new(HardwareTarget::intel_20core());
         sched.tune(8, &mut measurer);
         assert_eq!(sched.allocations, vec![4, 4]);
@@ -763,21 +685,19 @@ mod tests {
 
     #[test]
     fn restore_rejects_a_sketch_index_past_the_list() {
-        let scheduler = || {
-            let tasks = vec![TuneTask {
-                task: mm_task("solo", 64),
-                weight: 1.0,
-                dnn: 0,
-            }];
-            let config = TaskSchedulerConfig::default();
-            TaskScheduler::new(tasks, Objective::WeightedSum, small_options(), config)
+        let solo = || {
+            scheduler(
+                matmuls(&[("solo", 64, 1.0, 0)]),
+                Objective::WeightedSum,
+                0.05,
+            )
         };
-        let mut sched = scheduler();
+        let mut sched = solo();
         sched.tune(1, &mut Measurer::new(HardwareTarget::intel_20core()));
         let n = sched.policies[0].sketches().len();
         let mut ck = sched.checkpoint();
         ck.policies[0].best_measured[0].sketch = n;
-        let err = scheduler().restore(&ck).unwrap_err();
+        let err = solo().restore(&ck).unwrap_err();
         assert!(
             err.contains(&format!("sketch {n}, the task has {n}")),
             "{err}"
@@ -788,14 +708,6 @@ mod tests {
     /// measure nothing valid: its task is exhausted, and the trials it
     /// spent count toward the next unit, which another task gets.
     fn cursed() -> (TaskScheduler, Measurer) {
-        let tasks = [64, 96, 128]
-            .into_iter()
-            .map(|n| TuneTask {
-                task: mm_task(&format!("mm{n}"), n),
-                weight: 1.0,
-                dnn: 0,
-            })
-            .collect();
         let options = TuningOptions {
             measures_per_round: 2,
             init_population: 8,
@@ -807,6 +719,7 @@ mod tests {
             cursed_prob: 0.6,
             ..Default::default()
         };
+        let tasks = three_matmuls([0; 3]);
         (
             TaskScheduler::new(tasks, Objective::WeightedSum, options, config),
             Measurer::with_faults(HardwareTarget::intel_20core(), plan),
@@ -814,15 +727,15 @@ mod tests {
     }
 
     /// Runs [`cursed`] until every task is exhausted, with the checkpoint
-    /// (through JSON, as from a file) and measurer accounting of each step.
-    fn cursed_run() -> (TaskScheduler, Vec<(SchedulerCheckpoint, u64, u64)>) {
+    /// (through JSON, as from a file) and fault clock of each step.
+    fn cursed_run() -> (TaskScheduler, Vec<(SchedulerCheckpoint, u64)>) {
         let (mut sched, mut m) = cursed();
         let mut checkpoints = Vec::new();
         loop {
             let stepped = sched.step(&mut m).is_some();
             let json = serde_json::to_string(&sched.checkpoint()).unwrap();
             let ck = serde_json::from_str(&json).unwrap();
-            checkpoints.push((ck, m.trials(), m.sim_fault_nanos()));
+            checkpoints.push((ck, m.sim_fault_nanos()));
             if !stepped {
                 return (sched, checkpoints);
             }
@@ -842,12 +755,12 @@ mod tests {
             .collect();
         assert_eq!(units, [(2, 6), (2, 8)]);
         assert_eq!(full.exhausted, [Some(0), Some(0), Some(2)]);
-        for (k, (ck, trials, nanos)) in checkpoints.iter().enumerate() {
+        for (k, (ck, nanos)) in checkpoints.iter().enumerate() {
             let (mut resumed, mut m) = cursed();
             resumed
                 .restore(ck)
                 .unwrap_or_else(|e| panic!("step {k}: {e}"));
-            m.restore_accounting(*trials, *nanos);
+            m.restore_accounting(*nanos);
             while resumed.step(&mut m).is_some() {}
             assert_eq!(resumed.history, full.history, "after step {k}");
             assert_eq!(resumed.exhausted, full.exhausted, "after step {k}");
@@ -858,7 +771,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_a_history_that_does_not_account_for_the_logs() {
-        let (ck, _, _) = cursed_run().1.pop().unwrap();
+        let (ck, _) = cursed_run().1.pop().unwrap();
         assert!(cursed().0.restore(&ck).is_ok());
         // A task past the list, a count that decreases, counts that miss
         // the failed rounds a unit holds or measure more or fewer trials
@@ -883,22 +796,72 @@ mod tests {
 
     #[test]
     fn history_tracks_monotone_objective_for_weighted_sum() {
-        let tasks = vec![TuneTask {
-            task: mm_task("solo", 128),
-            weight: 1.0,
-            dnn: 0,
-        }];
-        let mut sched = TaskScheduler::new(
-            tasks,
-            Objective::WeightedSum,
-            small_options(),
-            TaskSchedulerConfig::default(),
-        );
+        let tasks = matmuls(&[("solo", 128, 1.0, 0)]);
+        let mut sched = scheduler(tasks, Objective::WeightedSum, 0.05);
         let mut measurer = Measurer::new(HardwareTarget::intel_20core());
         sched.tune(5, &mut measurer);
         let objs: Vec<f64> = sched.history.iter().map(|r| r.objective).collect();
         for w in objs.windows(2) {
             assert!(w[1] <= w[0] + 1e-12, "objective increased: {objs:?}");
         }
+    }
+
+    /// Runs `scheduler()` for `units` units, then resumes a fresh one from
+    /// the checkpoint of every unit, through JSON, as from a file: the
+    /// rebuilt history is the run's so far, and the resumed run ends as the
+    /// uninterrupted one did.
+    fn resumes_from_every_unit(
+        scheduler: impl Fn() -> TaskScheduler,
+        units: usize,
+    ) -> TaskScheduler {
+        let measurer = || Measurer::new(HardwareTarget::intel_20core());
+        let (mut full, mut m) = (scheduler(), measurer());
+        let mut checkpoints = Vec::new();
+        for _ in 0..units {
+            full.step(&mut m).expect("a task can make progress");
+            let json = serde_json::to_string(&full.checkpoint()).unwrap();
+            checkpoints.push(serde_json::from_str::<SchedulerCheckpoint>(&json).unwrap());
+        }
+        for (k, ck) in checkpoints.iter().enumerate() {
+            let (mut resumed, mut m) = (scheduler(), measurer());
+            resumed
+                .restore(ck)
+                .unwrap_or_else(|e| panic!("unit {k}: {e}"));
+            assert_eq!(resumed.history, full.history[..=k], "unit {k}");
+            while resumed.history.len() < units {
+                resumed.step(&mut m).expect("a task can make progress");
+            }
+            assert_eq!(resumed.history, full.history, "after unit {k}");
+            assert_eq!(resumed.allocations, full.allocations, "after unit {k}");
+            assert_eq!(resumed.best_latencies(), full.best_latencies());
+        }
+        full
+    }
+
+    #[test]
+    fn early_stopping_resumes_from_every_unit() {
+        // f₄ freezes a task from its best-latency history, which restoring
+        // rebuilds from the logs.
+        let objective = Objective::EarlyStopping { patience: 2 };
+        let full = resumes_from_every_unit(
+            || scheduler(three_matmuls([0; 3]), objective.clone(), 0.05),
+            12,
+        );
+        let frozen = (0..3).any(|i| full.gradient(i) == 0.0);
+        assert!(frozen, "no task frozen: {:?}", full.best_history);
+    }
+
+    #[test]
+    fn a_two_dnn_geomean_speedup_resumes_from_every_unit() {
+        // Each unit's objective reads both DNNs' latencies, and a DNN none
+        // of whose tasks has a unit yet is infinitely slow.
+        let objective = Objective::GeoMeanSpeedup(vec![1e-3, 1e-3]);
+        let full = resumes_from_every_unit(
+            || scheduler(three_matmuls([0, 0, 1]), objective.clone(), 0.05),
+            8,
+        );
+        let measured = |k: usize| full.history[k].dnn_latencies.iter().map(|d| d.is_finite());
+        assert!(measured(1).eq([true, false]) && measured(2).eq([true, true]));
+        assert!(full.history.last().unwrap().objective < 0.0);
     }
 }

@@ -35,22 +35,20 @@ impl MeasureResult {
     }
 }
 
-/// Measures programs on a simulated target and counts measurement trials —
+/// Measures programs on a simulated target. Each measurement is one trial —
 /// the resource unit of the paper's evaluation (§7.1: "at most 1,000
-/// measurement trials").
+/// measurement trials") — which the caller's record log counts.
 #[derive(Debug, Clone)]
 pub struct Measurer {
     /// The simulated hardware.
     pub target: HardwareTarget,
-    trials: u64,
     telemetry: telemetry::Telemetry,
     /// Signature-keyed result cache: duplicate states (mutation clones,
     /// retained-best re-measures across rounds) are never re-lowered or
     /// re-timed. Shared across clones of this measurer. Results are pure
     /// functions of `(state, target, fault plan)`, so serving from cache is
-    /// bit-identical to recomputing. Trial accounting is unaffected —
-    /// every requested measurement still consumes a trial, as in the
-    /// paper's budget model.
+    /// bit-identical to recomputing. A hit still costs its caller a trial,
+    /// as in the paper's budget model.
     cache: Arc<SigCache<MeasureResult>>,
     /// Injected-fault plan; `None` measures faithfully. Fault decisions are
     /// pure functions of `(plan, state signature, attempt)`, so results
@@ -103,7 +101,6 @@ impl Measurer {
     pub fn new(target: HardwareTarget) -> Measurer {
         Measurer {
             target,
-            trials: 0,
             telemetry: telemetry::Telemetry::disabled(),
             cache: Arc::new(SigCache::new(Self::CACHE_CAPACITY)),
             faults: crate::faults::default_plan(),
@@ -141,9 +138,8 @@ impl Measurer {
         self.sim_nanos.load(Ordering::SeqCst)
     }
 
-    /// Restores trial and simulated-clock accounting from a checkpoint.
-    pub fn restore_accounting(&mut self, trials: u64, sim_fault_nanos: u64) {
-        self.trials = trials;
+    /// Restores the simulated-fault clock from a checkpoint.
+    pub fn restore_accounting(&mut self, sim_fault_nanos: u64) {
         self.sim_nanos.store(sim_fault_nanos, Ordering::SeqCst);
     }
 
@@ -177,14 +173,8 @@ impl Measurer {
         self.telemetry = telemetry;
     }
 
-    /// Number of measurement trials performed so far.
-    pub fn trials(&self) -> u64 {
-        self.trials
-    }
-
-    /// Builds and measures one state, consuming one trial.
+    /// Builds and measures one state.
     pub fn measure(&mut self, state: &State) -> MeasureResult {
-        self.trials += 1;
         let _phase = self.telemetry.span("measurement");
         let result = self.measure_cached(state);
         self.record_outcome(std::slice::from_ref(&result));
@@ -208,7 +198,7 @@ impl Measurer {
         }
     }
 
-    /// Measures a batch of states (one trial each), in submission order,
+    /// Measures a batch of states, in submission order,
     /// on the calling thread. The paper's measurer builds and runs
     /// candidates in parallel because a real build and run takes seconds;
     /// a simulated measurement takes microseconds, less than handing it to
@@ -224,7 +214,6 @@ impl Measurer {
     }
 
     fn measure_all<S: Borrow<State>>(&mut self, states: &[S]) -> Vec<MeasureResult> {
-        self.trials += states.len() as u64;
         let _phase = self.telemetry.span("measurement");
         let results: Vec<MeasureResult> = states
             .iter()
@@ -248,8 +237,7 @@ impl Measurer {
         r
     }
 
-    /// Builds and times one state without touching the trial counter. The
-    /// "build" is the analysis of the state's statements — all the machine
+    /// Builds and times one state, bypassing the cache. The "build" is the analysis of the state's statements — all the machine
     /// model reads — so no `Program` is made.
     fn measure_one(&self, state: &State) -> MeasureResult {
         let phase = self.telemetry.span("lowering");
@@ -323,7 +311,7 @@ impl Measurer {
         }
     }
 
-    /// Times an already-lowered program without counting a trial (used by
+    /// Times an already-lowered program outside any tuning run (used by
     /// oracle evaluations in the experiment harnesses).
     pub fn time_only(&self, program: &Program) -> f64 {
         estimate_seconds(program, &self.target)
@@ -348,14 +336,11 @@ mod tests {
     }
 
     #[test]
-    fn measure_counts_trials() {
+    fn measure_times_a_valid_program() {
         let mut m = Measurer::new(HardwareTarget::intel_20core());
-        let st = simple_state();
-        let r = m.measure(&st);
+        let r = m.measure(&simple_state());
         assert!(r.is_valid());
         assert!(r.seconds > 0.0);
-        m.measure_batch(&[st.clone(), st]);
-        assert_eq!(m.trials(), 3);
     }
 
     #[test]
@@ -405,7 +390,7 @@ mod tests {
             }
         }
         let batch = m.measure_batch(&states);
-        assert_eq!(m.trials(), 12);
+        assert_eq!(batch.len(), 12);
         let mut m2 = Measurer::new(HardwareTarget::intel_20core());
         for (s, b) in states.iter().zip(&batch) {
             assert_eq!(m2.measure(s).seconds, b.seconds);
@@ -413,13 +398,12 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_states_hit_the_cache_but_still_count_trials() {
+    fn duplicate_states_hit_the_cache() {
         let mut m = Measurer::new(HardwareTarget::intel_20core());
         let st = simple_state();
         let first = m.measure(&st);
         let again = m.measure(&st);
         assert_eq!(first, again, "cache must be transparent");
-        assert_eq!(m.trials(), 2, "every request consumes a trial");
         let (hits, misses) = m.cache_stats();
         assert_eq!((hits, misses), (1, 1));
         // Batches share the same cache.
@@ -555,11 +539,19 @@ mod tests {
 
     #[test]
     fn restore_accounting_round_trips() {
-        let mut m = Measurer::new(HardwareTarget::intel_20core());
-        m.restore_accounting(17, 42_000);
-        assert_eq!(m.trials(), 17);
+        let plan = FaultPlan {
+            transient_prob: 0.0,
+            timeout_prob: 1.0,
+            cursed_prob: 0.0,
+            max_retries: 0,
+            timeout_seconds: 1.5,
+            ..FaultPlan::default()
+        };
+        let mut m = Measurer::with_faults(HardwareTarget::intel_20core(), plan);
+        m.restore_accounting(42_000);
         assert_eq!(m.sim_fault_nanos(), 42_000);
+        // The restored clock keeps counting where it left off.
         m.measure(&simple_state());
-        assert_eq!(m.trials(), 18);
+        assert_eq!(m.sim_fault_nanos(), 1_500_042_000);
     }
 }

@@ -279,14 +279,12 @@ impl Log {
         Ok(true)
     }
 
-    /// Replaces the file with `text` atomically (write a temp file, then
-    /// rename: the file is the old log or the new one, never a mix). A
-    /// temp file a killed rewrite left behind is overwritten.
+    /// Replaces the file with `text` atomically
+    /// ([`serde_json::replace_file`]: the file is the old log or the new
+    /// one, never a mix).
     fn write_whole(&mut self, path: &Path, text: &str) -> Result<(), String> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))?;
+        serde_json::replace_file(path, text)
+            .map_err(|e| format!("replace {}: {e}", path.display()))?;
         self.len = text.len() as u64;
         self.pending.clear();
         self.torn = false;

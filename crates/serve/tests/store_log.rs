@@ -414,7 +414,7 @@ fn a_corrupt_line_is_rewritten_away_past_a_leftover_temp_file() {
     let (version, entry) = text.split_once('\n').unwrap();
     let bad = b"\n{\"batch\":\xff\n";
     std::fs::write(&path, [version.as_bytes(), bad, entry.as_bytes()].concat()).unwrap();
-    let tmp = path.with_extension("tmp");
+    let tmp = dir.join("store.json.tmp");
     std::fs::write(&tmp, "{\"version\":2}\n{\"batch\":1,\"best_sec").unwrap();
 
     let (store, stats) = WarmStore::open(&path).unwrap();

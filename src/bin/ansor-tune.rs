@@ -383,17 +383,17 @@ fn tune_network(cli: &Cli, net: &str, target: HardwareTarget) {
     let mut done_units = 0usize;
     let mut file = if let Some(path) = &cli.resume {
         let (ck, _, file) = load_checkpoint(path, None);
+        let Some(sc) = &ck.scheduler else {
+            die("checkpoint holds a single-op run; pass --op to resume it");
+        };
         if ck.fingerprint != fingerprint {
             die(&format!(
                 "checkpoint was taken under different settings\n  checkpoint: {}\n  this run:   {fingerprint}",
                 ck.fingerprint
             ));
         }
-        let Some(sc) = &ck.scheduler else {
-            die("checkpoint holds a single-op run; pass --op to resume it");
-        };
         sched.restore(sc).unwrap_or_else(|e| die(&e));
-        measurer.restore_accounting(ck.measurer_trials, ck.sim_fault_nanos);
+        measurer.restore_accounting(ck.sim_fault_nanos);
         done_units = sched.history.len();
         println!(
             "resumed from {path}: {} of {} units done ({} trials)",
@@ -421,7 +421,6 @@ fn tune_network(cli: &Cli, net: &str, target: HardwareTarget) {
         if let Some(file) = &mut file {
             let ck = TuneCheckpoint {
                 fingerprint: fingerprint.clone(),
-                measurer_trials: measurer.trials(),
                 sim_fault_nanos: measurer.sim_fault_nanos(),
                 single: None,
                 scheduler: Some(sched.checkpoint()),

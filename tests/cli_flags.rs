@@ -72,6 +72,48 @@ fn ansor_tune_reports_a_log_it_cannot_write() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
+/// A checkpoint resumed in the other mode is refused by its kind, before
+/// its fingerprint is compared.
+#[test]
+fn ansor_tune_names_the_mode_a_checkpoint_resumes_in() {
+    let dir = std::env::temp_dir().join(format!("ansor-cli-modes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &[&str]| {
+        let mut tune = Command::new(env!("CARGO_BIN_EXE_ansor-tune"));
+        tune.args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs")
+    };
+    let single = ["--op", "GMM", "--trials", "8", "--checkpoint", "s.ckpt"];
+    let network = [
+        "--network",
+        "dcgan",
+        "--units",
+        "1",
+        "--checkpoint",
+        "n.ckpt",
+    ];
+    assert!(run(&single).status.success());
+    assert!(run(&network).status.success());
+    for (args, message) in [
+        (
+            ["--network", "dcgan", "--units", "2", "--resume", "s.ckpt"],
+            "checkpoint holds a single-op run; pass --op to resume it",
+        ),
+        (
+            ["--op", "GMM", "--trials", "16", "--resume", "n.ckpt"],
+            "checkpoint holds a network run; pass --network to resume it",
+        ),
+    ] {
+        let out = run(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn ansor_serve_rejects_a_mistyped_number() {
     let bin = env!("CARGO_BIN_EXE_ansor-serve");

@@ -355,11 +355,8 @@ fn a_save_killed_between_its_writes_loads_the_save_before_it() {
 
     // Killed after the last save's append started, before its rename.
     std::fs::write(&path, prev_header).unwrap();
-    std::fs::write(
-        path.with_extension("tmp"),
-        &last_header[..last_header.len() / 2],
-    )
-    .unwrap();
+    let torn = &last_header[..last_header.len() / 2];
+    std::fs::write(dir.join("run.ckpt.tmp"), torn).unwrap();
     let cuts = *prev_len as usize..=log_bytes.len();
     for cut in cuts.clone() {
         std::fs::write(&log, &log_bytes[..cut]).unwrap();

@@ -80,7 +80,6 @@ struct RunResult {
     best_steps: Vec<Step>,
     log: Vec<TuningRecordLog>,
     trace: Vec<String>,
-    trials: u64,
     sim_fault_nanos: u64,
 }
 
@@ -97,7 +96,6 @@ fn reference(dir: &std::path::Path) -> (RunResult, Vec<(std::path::PathBuf, usiz
         let path = dir.join(format!("round{round}.ckpt"));
         let ck = TuneCheckpoint {
             fingerprint: "crash_resume".into(),
-            measurer_trials: measurer.trials(),
             sim_fault_nanos: measurer.sim_fault_nanos(),
             single: Some(SinglePolicyCheckpoint {
                 policy: policy.checkpoint(),
@@ -117,7 +115,6 @@ fn reference(dir: &std::path::Path) -> (RunResult, Vec<(std::path::PathBuf, usiz
         best_steps: best.state.steps.clone(),
         log: policy.log.clone(),
         trace: trace_lines(&buf, &tel),
-        trials: policy.trials(),
         sim_fault_nanos: measurer.sim_fault_nanos(),
     };
     (result, boundaries)
@@ -136,7 +133,7 @@ fn resume_from(path: &std::path::Path) -> RunResult {
     model
         .restore(&single.model, measured.into_iter().flatten())
         .expect("model restores");
-    measurer.restore_accounting(ck.measurer_trials, ck.sim_fault_nanos);
+    measurer.restore_accounting(ck.sim_fault_nanos);
     while policy.tune_round(&mut model, &mut measurer) > 0 {}
     let best = policy.best_individual().expect("has a best program");
     RunResult {
@@ -144,7 +141,6 @@ fn resume_from(path: &std::path::Path) -> RunResult {
         best_steps: best.state.steps.clone(),
         log: policy.log.clone(),
         trace: trace_lines(&buf, &tel),
-        trials: policy.trials(),
         sim_fault_nanos: measurer.sim_fault_nanos(),
     }
 }
@@ -191,7 +187,6 @@ fn killed_and_resumed_at_every_boundary_is_bit_identical() {
             "record log diverged resuming after round {}",
             k + 1
         );
-        assert_eq!(resumed.trials, full.trials);
         assert_eq!(resumed.sim_fault_nanos, full.sim_fault_nanos);
         // Pre-crash trace segment + post-resume trace = uninterrupted trace.
         let stitched: Vec<String> = full.trace[..*pre_events]

@@ -93,14 +93,13 @@ fn scheduled(resume: Option<&TuneCheckpoint>) -> (SchedulerRun, Vec<(TuneCheckpo
     if let Some(ck) = resume {
         let sc = ck.scheduler.as_ref().expect("scheduler checkpoint");
         sched.restore(sc).expect("scheduler restores");
-        measurer.restore_accounting(ck.measurer_trials, ck.sim_fault_nanos);
+        measurer.restore_accounting(ck.sim_fault_nanos);
     }
     let mut boundaries = Vec::new();
     while sched.history.len() < UNITS {
         sched.step(&mut measurer).expect("a task can make progress");
         let ck = TuneCheckpoint {
             fingerprint: "crash_resume:scheduler".into(),
-            measurer_trials: measurer.trials(),
             sim_fault_nanos: measurer.sim_fault_nanos(),
             single: None,
             scheduler: Some(sched.checkpoint()),

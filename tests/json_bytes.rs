@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use ansor::core::{
     BestEntry, Lineage, ModelCheckpoint, Operator, PolicyCheckpoint, SchedulerCheckpoint,
-    SchedulerRecord, TuningRecordLog, TuningSession,
+    SchedulerUnit, TuningRecordLog, TuningSession,
 };
 use ansor::prelude::*;
 use ansor::serve::proto::{
@@ -141,19 +141,14 @@ fn scheduler_checkpoint() -> SchedulerCheckpoint {
     SchedulerCheckpoint {
         rng: vec![u64::MAX, 0, 1 << 63, 12345],
         exhausted: vec![None, Some(2)],
-        best_history: vec![vec![None, Some(2.5e-4)], vec![]],
         history: vec![
-            SchedulerRecord {
+            SchedulerUnit {
                 total_trials: 8,
                 chosen_task: 0,
-                dnn_latencies: vec![f64::INFINITY, 1.25e-3],
-                objective: f64::INFINITY,
             },
-            SchedulerRecord {
+            SchedulerUnit {
                 total_trials: 16,
                 chosen_task: 1,
-                dnn_latencies: vec![3.0e-3, 1.0e-3],
-                objective: 4.0e-3,
             },
         ],
         policies: vec![PolicyCheckpoint {
